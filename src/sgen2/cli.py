@@ -22,12 +22,11 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import CardinalityTooSmall, ConfigInvalid, SgenError
+from .errors import ConfigInvalid, SgenError
 from .field import create_field, format_rational, parse_rational
 from .generators import build_generators, classify_case
 from .ideals import factor_rational_prime
-from .sunits import (PrimeSet, contract_prime_set, default_subfields, is_cm,
-                     rank_of_intersection, s_unit_basis)
+from .sunits import PrimeSet
 from .verification import run_verification
 
 VERIFY_DEFAULTS = {
@@ -207,22 +206,17 @@ def instance_echo(cfg):
 # ---------------------------------------------------------------------------
 # Report assembly.
 
-def analysis_section(field, S, sbasis, info):
-    rank_table = []
-    for F in default_subfields(field):
-        SF = contract_prime_set(S, F)
-        rank_table.append({
-            "poly": list(F.subfield.poly),
-            "rank_of_intersection": rank_of_intersection(field, S, F),
-            "subfield_s_unit_rank": SF.card - 1,
-        })
-    cm = is_cm(field)
+def analysis_section(field, S, info):
+    rank_table = [{"poly": list(sr.F.subfield.poly),
+                   "rank_of_intersection": sr.rank,
+                   "subfield_s_unit_rank": sr.SF.card - 1}
+                  for sr in info.subfields]
     return {
         "field": field.serialize(),
         "S": S.serialize(),
-        "s_units": sbasis.serialize(),
+        "s_units": info.sbasis.serialize(),
         "rank_table": rank_table,
-        "cm": cm.serialize() if cm is not None else None,
+        "cm": info.cm.serialize() if info.cm is not None else None,
         "classification": info.serialize(),
     }
 
@@ -254,17 +248,19 @@ def work_counters(report):
 def run_instance(cfg, command):
     field = create_field(cfg["field"]["poly"], cfg["field"]["datasheet"])
     S = resolve_prime_set(field, cfg["S"])
-    sbasis = s_unit_basis(field, S)
-    info = classify_case(field, S, sbasis=sbasis)
+    if command == "analyze":
+        info = classify_case(field, S)
+    else:
+        triple = build_generators(field, S, h=cfg["h"])
+        info = triple.case_info
 
     report = {
         "schema": 1,
         "command": command,
         "instance": instance_echo(cfg),
-        "analysis": analysis_section(field, S, sbasis, info),
+        "analysis": analysis_section(field, S, info),
     }
     if command != "analyze":
-        triple = build_generators(field, S, h=cfg["h"])
         alpha = {
             "certificate": triple.alpha_cert.serialize(),
             "search_field": list(triple.alpha_cert.field.poly),

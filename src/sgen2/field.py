@@ -196,28 +196,9 @@ class FieldElement:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-class EmbeddingData:
-    """Isolating intervals for the real roots of the defining polynomial."""
-
-    __slots__ = ("real_roots", "complex_pairs", "precision_bits")
-
-    def __init__(self, real_roots, complex_pairs, precision_bits):
-        self.real_roots = tuple(real_roots)
-        self.complex_pairs = complex_pairs
-        self.precision_bits = precision_bits
-
-    def serialize(self):
-        return {
-            "real_roots": [[format_rational(a), format_rational(b)]
-                           for a, b in self.real_roots],
-            "complex_pairs": self.complex_pairs,
-            "precision_bits": self.precision_bits,
-        }
-
-
 class NumberField:
     def __init__(self, poly, integral_basis, signature, field_discriminant,
-                 tier, irreducibility, embeddings, datasheet=None):
+                 tier, irreducibility, datasheet=None):
         self.poly = tuple(int(c) for c in poly)
         self.degree = len(self.poly) - 1
         self.integral_basis = tuple(tuple(Fraction(x) for x in row) for row in integral_basis)
@@ -225,7 +206,6 @@ class NumberField:
         self.field_discriminant = field_discriminant
         self.tier = tier
         self.irreducibility = irreducibility
-        self.embeddings = embeddings
         self.datasheet = datasheet
         n = self.degree
         # power-basis coordinates of t**(n+k), k = 0..n-2
@@ -245,6 +225,7 @@ class NumberField:
         # integer structure constants over the integral basis
         self.mult_table = self._build_mult_table()
         self._fund_unit = None
+        self._subfields = None  # set by sunits.default_subfields
         self._quad = None  # (m, f_theta) for degree 2
 
     # -- coordinate plumbing -------------------------------------------------
@@ -413,7 +394,7 @@ def _validate_datasheet_shape(ds):
         raise DatasheetInvalid("datasheet lacks integral_basis")
 
 
-def create_field(poly, datasheet=None, precision_bits=32):
+def create_field(poly, datasheet=None):
     """Build a NumberField from a monic integer polynomial.
 
     Degree 1 and 2 need no datasheet.  Higher degrees require one; its
@@ -440,8 +421,6 @@ def create_field(poly, datasheet=None, precision_bits=32):
     if (n - r1) % 2:
         raise AssertionError("signature parity")
     sig = (r1, (n - r1) // 2)
-    emb = EmbeddingData(polys.isolate_real_roots(poly, precision_bits),
-                        sig[1], precision_bits)
 
     quad = None
     if n == 1:
@@ -479,7 +458,7 @@ def create_field(poly, datasheet=None, precision_bits=32):
         tier = "datasheet"
         ds_norm = datasheet
 
-    field = NumberField(poly, basis, sig, disc, tier, irreducibility, emb,
+    field = NumberField(poly, basis, sig, disc, tier, irreducibility,
                         datasheet=ds_norm)
     field._quad = quad
 
@@ -545,10 +524,6 @@ def _validate_datasheet_content(field, ds):
             raise DatasheetInvalid("class_orders entries need ideal, order, generator")
         if not isinstance(entry["order"], int) or entry["order"] < 1:
             raise DatasheetInvalid("class order must be a positive integer")
-
-
-def signature(field):
-    return field.signature
 
 
 # ---------------------------------------------------------------------------

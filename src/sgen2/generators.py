@@ -13,8 +13,8 @@ chosen in F for the contracted prime set and psi2 picks up sqrt(-d):
 """
 
 from .errors import HypothesisFails, InconsistentCM
-from .sunits import (choose_alpha, contract_prime_set, default_subfields,
-                     is_cm, primes_above, rank_of_intersection, s_unit_basis)
+from .sunits import (SubfieldRank, choose_alpha, default_subfields, is_cm,
+                     s_unit_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +115,26 @@ class SL2Element:
 # Classification.
 
 class CaseInfo:
-    __slots__ = ("case", "rank", "subfield_ranks", "cm", "case2_subfield")
+    """What classification computed: the S-unit basis, the SubfieldRank
+    of each subfield consulted, the CM structure (or None), and in case 2
+    the subfield alpha is chosen in."""
 
-    def __init__(self, case, rank, subfield_ranks, cm, case2_subfield):
+    __slots__ = ("case", "sbasis", "subfields", "cm", "case2_subfield")
+
+    def __init__(self, case, sbasis, subfields, cm, case2_subfield):
         self.case = case
-        self.rank = rank
-        self.subfield_ranks = subfield_ranks
+        self.sbasis = sbasis
+        self.subfields = subfields
         self.cm = cm
         self.case2_subfield = case2_subfield
+
+    @property
+    def rank(self):
+        return self.sbasis.rank
+
+    @property
+    def subfield_ranks(self):
+        return [(sr.F, sr.rank) for sr in self.subfields]
 
     def serialize(self):
         out = {
@@ -138,16 +150,8 @@ class CaseInfo:
 
 
 def split_prime_check(field, S, F_desc):
-    """True when no finite prime of S(F) splits in K (each has a single
-    prime of K above it, necessarily the member of S it came from)."""
-    SF = contract_prime_set(S, F_desc)
-    for q in SF.finite:
-        above = primes_above(field, q, F_desc)
-        if len(above) != 1:
-            return False
-        if not S.contains(above[0]):
-            return False
-    return True
+    """True when no finite prime of S(F) splits in K."""
+    return SubfieldRank(field, S, F_desc).unsplit()
 
 
 def classify_case(field, S, subfields=None, *, sbasis=None):
@@ -163,19 +167,17 @@ def classify_case(field, S, subfields=None, *, sbasis=None):
     if subfields is None:
         subfields = default_subfields(field)
     rank = sbasis.rank
-    ranks = []
+    ranks = [SubfieldRank(field, S, F) for F in subfields]
     attained = []
-    for F in subfields:
-        ri = rank_of_intersection(field, S, F)
-        ranks.append((F, ri))
-        if ri > rank:
+    for sr in ranks:
+        if sr.rank > rank:
             raise InconsistentCM(
-                f"intersection rank {ri} exceeds the S-unit rank {rank}")
-        if ri == rank:
-            attained.append(F)
-    if not attained:
-        return CaseInfo(1, rank, ranks, is_cm(field), None)
+                f"intersection rank {sr.rank} exceeds the S-unit rank {rank}")
+        if sr.rank == rank:
+            attained.append(sr)
     cm = is_cm(field)
+    if not attained:
+        return CaseInfo(1, sbasis, ranks, cm, None)
     if cm is None:
         raise InconsistentCM(
             "the S-unit rank is attained by a subfield but the field has "
@@ -184,19 +186,19 @@ def classify_case(field, S, subfields=None, *, sbasis=None):
     # minimal polynomials identifies it regardless of which conjugate
     # root the caller's descriptor embeds through
     chosen = None
-    for F in attained:
-        if tuple(F.subfield.poly) == tuple(cm.F.subfield.poly):
-            chosen = F
+    for sr in attained:
+        if tuple(sr.F.subfield.poly) == tuple(cm.F.subfield.poly):
+            chosen = sr
             break
     if chosen is None:
         raise InconsistentCM(
             "the rank is attained only by subfields other than the totally "
             "real CM subfield")
-    if not split_prime_check(field, S, chosen):
+    if not chosen.unsplit():
         raise HypothesisFails(
             "a finite prime below S splits in K, which contradicts the "
             "attained rank bound")
-    return CaseInfo(2, rank, ranks, cm, chosen)
+    return CaseInfo(2, sbasis, ranks, cm, chosen.F)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +239,13 @@ def build_generators(field, S, h=1, subfields=None, *, max_shell=32,
     info = classify_case(field, S, subfields, sbasis=sbasis)
     hK = field.from_rational(h)
     if info.case == 1:
-        cert = choose_alpha(field, S, subfields, sbasis=sbasis,
+        cert = choose_alpha(field, S, sbasis=sbasis, ranks=info.subfields,
                             max_shell=max_shell, level_bound=level_bound)
         alpha_K = cert.alpha
         psi2_top = hK
     else:
         F = info.case2_subfield
-        SF = contract_prime_set(S, F)
+        SF = next(sr.SF for sr in info.subfields if sr.F is F)
         cert = choose_alpha(F.subfield, SF, max_shell=max_shell,
                             level_bound=level_bound)
         alpha_K = F.map_element(cert.alpha)

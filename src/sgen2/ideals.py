@@ -12,7 +12,6 @@ the Dedekind criterion detects the bad primes and IndexDivisor reports
 them as out of scope.
 """
 
-from fractions import Fraction
 from math import isqrt
 
 from . import linalg, polys
@@ -36,17 +35,7 @@ class IntegralIdeal:
 
     @classmethod
     def from_elements(cls, field, elements):
-        rows = []
-        for e in elements:
-            if isinstance(e, int):
-                e = field.from_rational(e)
-            for i in range(field.degree):
-                prod = e * field.basis_element(i)
-                c = prod.ib_coords()
-                if any(x.denominator != 1 for x in c):
-                    raise ValueError(f"generator {e!r} is not integral")
-                rows.append([int(x) for x in c])
-        return cls(field, rows)
+        return cls(field, _ideal_rows(field, elements))
 
     @classmethod
     def principal(cls, field, element):
@@ -242,10 +231,13 @@ def factor_rational_prime(field, p):
 
 
 def _ideal_rows(field, elements):
+    """Integral-basis rows of every generator times every basis element."""
     rows = []
     for e in elements:
         for i in range(field.degree):
             c = (e * field.basis_element(i)).ib_coords()
+            if any(x.denominator != 1 for x in c):
+                raise ValueError(f"generator {e!r} is not integral")
             rows.append([int(x) for x in c])
     return rows
 

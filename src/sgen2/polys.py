@@ -6,7 +6,7 @@ plain ints with a prime modulus.  No floating point anywhere.
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 
 def trim(p):
@@ -280,7 +280,7 @@ def is_irreducible_mod_p(f, p):
     h = pp_powmod(x, p ** n, f, p)
     if pp_trim(psub(h, x), p):
         return False
-    for q in _prime_divisors(n):
+    for q in prime_divisors(n):
         h = pp_powmod(x, p ** (n // q), f, p)
         g = pp_gcd(psub(h, x), f, p)
         if degree(g) != 0:
@@ -288,7 +288,8 @@ def is_irreducible_mod_p(f, p):
     return True
 
 
-def _prime_divisors(n):
+def prime_divisors(n):
+    """The distinct primes dividing a positive integer, ascending."""
     out = []
     d = 2
     while d * d <= n:

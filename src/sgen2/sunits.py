@@ -22,17 +22,16 @@ accepted once three consecutive levels and a degree enlargement agree.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import linalg
 from .errors import (CardinalityTooSmall, HypothesisFails, NotASubfield,
                      NotStabilized, SearchExhausted)
-from .field import (FieldElement, NumberField, create_field, format_rational,
-                    fundamental_unit)
+from .field import (create_field, format_rational, fundamental_unit,
+                    parse_rational)
 from .ideals import class_order, factor_rational_prime, valuation
 from .linalg import RatLattice
-from .polys import (count_roots_in, degree, peval, root_bound, sturm_chain,
-                    trim)
+from .polys import count_roots_in, degree, peval, root_bound, sturm_chain
 
 
 class PrimeSet:
@@ -84,9 +83,9 @@ def _torsion_units(field):
     m, _ = field._quad
     am = -m
     if field.field_discriminant % 2:
-        ymax = _isqrt(4 // am)
+        ymax = isqrt(4 // am)
     else:
-        ymax = _isqrt(1 // am) if am <= 1 else 0
+        ymax = isqrt(1 // am) if am <= 1 else 0
     units = set()
     candidates = []
     for x in range(0, 2 + ymax):
@@ -109,11 +108,6 @@ def _torsion_units(field):
         if order == w:
             return w, cand
     raise AssertionError("no generator among the torsion units")
-
-
-def _isqrt(n):
-    from math import isqrt
-    return isqrt(max(n, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +149,16 @@ class SUnitBasis:
         }
 
 
+def _fund_units_of(F):
+    if F.degree == 1:
+        return []
+    if F.tier == "datasheet":
+        return list(F.datasheet["fundamental_units"])
+    if F.is_quadratic_real():
+        return [fundamental_unit(F)]
+    return []
+
+
 def s_unit_basis(field, S):
     """Torsion, fundamental units, and class-order generators for S.
 
@@ -163,14 +167,7 @@ def s_unit_basis(field, S):
     checked against what the class orders promise.
     """
     w, zeta = _torsion_units(field)
-    if field.degree == 1:
-        fund = []
-    elif field.tier == "datasheet":
-        fund = list(field.datasheet["fundamental_units"])
-    elif field.is_quadratic_real():
-        fund = [fundamental_unit(field)]
-    else:
-        fund = []
+    fund = _fund_units_of(field)
     witnesses = [class_order(P) for P in S.finite]
     s_gens = [wit.generator for wit in witnesses]
 
@@ -245,17 +242,18 @@ def rational_subfield(field):
 
 def default_subfields(field):
     """The proper subfields consulted by the searches: nothing for Q,
-    Q for quadratics, Q plus every declared subfield for datasheet fields."""
-    if field.degree == 1:
-        return []
-    out = [rational_subfield(field)]
-    if field.tier == "datasheet":
-        for entry in field.datasheet.get("subfields", []):
-            from .field import parse_rational
-            emb = field.element([parse_rational(x) for x in entry["embedding"]])
-            sub = create_field([int(c) for c in entry["poly"]])
-            out.append(SubfieldDescriptor(field, sub, emb))
-    return out
+    Q for quadratics, Q plus every declared subfield for datasheet fields.
+    Built once per field and kept on it."""
+    if field._subfields is None:
+        out = [rational_subfield(field)] if field.degree > 1 else []
+        if field.tier == "datasheet":
+            for entry in field.datasheet.get("subfields", []):
+                emb = field.element([parse_rational(x)
+                                     for x in entry["embedding"]])
+                sub = create_field([int(c) for c in entry["poly"]])
+                out.append(SubfieldDescriptor(field, sub, emb))
+        field._subfields = tuple(out)
+    return field._subfields
 
 
 def contract_prime(prime, F_desc):
@@ -331,7 +329,7 @@ def is_cm(field):
     if n == 1 or field.signature[0] != 0:
         return None
     if n == 2:
-        F = rational_subfield(field)
+        F = default_subfields(field)[0]
         m, _ = field._quad
         delta = field.sqrt_disc_core()
         d = -m
@@ -387,20 +385,50 @@ def _split_off_sqrt(field, F_desc):
 # ---------------------------------------------------------------------------
 # Rank of the intersection with a subfield's S-units.
 
+class SubfieldRank:
+    """A subfield F with S contracted to it, the primes of K above each
+    finite prime of S(F), and the rank of the intersection: rank(O_F^*)
+    plus the number of finite primes of S(F) all of whose K-primes lie
+    in S."""
+
+    __slots__ = ("F", "SF", "above", "qualifying", "rank")
+
+    def __init__(self, field, S, F_desc):
+        self.F = F_desc
+        self.SF = contract_prime_set(S, F_desc)
+        self.above = [primes_above(field, q, F_desc) for q in self.SF.finite]
+        self.qualifying = [q for q, above in zip(self.SF.finite, self.above)
+                           if all(S.contains(P) for P in above)]
+        r1, r2 = F_desc.subfield.signature
+        self.rank = r1 + r2 - 1 + len(self.qualifying)
+
+    def unsplit(self):
+        """True when no finite prime of S(F) splits in K (each has a
+        single prime of K above it, necessarily the member of S it came
+        from)."""
+        return (len(self.qualifying) == len(self.above)
+                and all(len(above) == 1 for above in self.above))
+
+    def unit_vectors(self, sbasis):
+        """Exponent vectors spanning (over Q) the S-units of K coming
+        from units of the S(F)-integers of F."""
+        vectors = []
+        labels = []
+        for u in _fund_units_of(self.F.subfield):
+            w = self.F.map_element(u)
+            vectors.append(exponent_vector(sbasis, w))
+            labels.append({"kind": "subfield_unit", "element": w.serialize()})
+        for q in self.qualifying:
+            w = self.F.map_element(class_order(q).generator)
+            vectors.append(exponent_vector(sbasis, w))
+            labels.append({"kind": "subfield_class_generator",
+                           "p": q.p, "element": w.serialize()})
+        return vectors, labels
+
+
 def rank_of_intersection(field, S, F_desc):
-    """rank of (units of the S(F)-integers of F that remain S-units),
-    which is rank(O_F^*) plus the number of finite primes of S(F) all of
-    whose K-primes lie in S."""
-    F = F_desc.subfield
-    r1, r2 = F.signature
-    base = r1 + r2 - 1
-    SF = contract_prime_set(S, F_desc)
-    qualifying = 0
-    for q in SF.finite:
-        above = primes_above(field, q, F_desc)
-        if all(S.contains(P) for P in above):
-            qualifying += 1
-    return base + qualifying
+    """rank of (units of the S(F)-integers of F that remain S-units)."""
+    return SubfieldRank(field, S, F_desc).rank
 
 
 # ---------------------------------------------------------------------------
@@ -453,35 +481,10 @@ def exponent_vector(sbasis, w, dlog_bound=64):
     raise SearchExhausted("unit discrete log out of range")
 
 
-def _fund_units_of(F):
-    if F.degree == 1:
-        return []
-    if F.tier == "datasheet":
-        return list(F.datasheet["fundamental_units"])
-    if F.is_quadratic_real():
-        return [fundamental_unit(F)]
-    return []
-
-
 def subfield_unit_vectors(field, S, sbasis, F_desc):
     """Exponent vectors spanning (over Q) the S-units of K coming from
     units of the S(F)-integers of F."""
-    vectors = []
-    labels = []
-    for u in _fund_units_of(F_desc.subfield):
-        w = F_desc.map_element(u)
-        vectors.append(exponent_vector(sbasis, w))
-        labels.append({"kind": "subfield_unit", "element": w.serialize()})
-    SF = contract_prime_set(S, F_desc)
-    for q in SF.finite:
-        above = primes_above(field, q, F_desc)
-        if all(S.contains(P) for P in above):
-            wit = class_order(q)
-            w = F_desc.map_element(wit.generator)
-            vectors.append(exponent_vector(sbasis, w))
-            labels.append({"kind": "subfield_class_generator",
-                           "p": q.p, "element": w.serialize()})
-    return vectors, labels
+    return SubfieldRank(field, S, F_desc).unit_vectors(sbasis)
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +526,14 @@ def _fund_exponent_sequence(shell):
     return out
 
 
-def choose_alpha(field, S, subfields=None, *, sbasis=None, max_shell=32,
-                 index_exponents=(1, 2, 3), level_bound=12):
+def choose_alpha(field, S, subfields=None, *, sbasis=None, ranks=None,
+                 max_shell=32, index_exponents=(1, 2, 3), level_bound=12):
     """Search for alpha in O_S^* with negative valuation at every finite
     prime of S, avoiding every intermediate field's S-unit span, and
     generating K; returns a fully verified certificate.
+
+    ranks, when given, is the SubfieldRank of each subfield to avoid, as
+    classification computed them; subfields is then not consulted.
 
     Deterministic: candidates are enumerated by max-exponent shells,
     with inverse class-generator exponents >= 1 throughout (which settles
@@ -536,21 +542,20 @@ def choose_alpha(field, S, subfields=None, *, sbasis=None, max_shell=32,
     """
     if sbasis is None:
         sbasis = s_unit_basis(field, S)
-    if subfields is None:
-        subfields = default_subfields(field)
+    if ranks is None:
+        if subfields is None:
+            subfields = default_subfields(field)
+        ranks = [SubfieldRank(field, S, F) for F in subfields]
     rank = sbasis.rank
-    hyp = []
-    for F in subfields:
-        ri = rank_of_intersection(field, S, F)
-        hyp.append((F, ri))
-        if ri >= rank:
-            raise HypothesisFails(
-                f"rank of the intersection with {F!r} is {ri}, not below {rank}")
+    for sr in ranks:
+        if sr.rank >= rank:
+            raise HypothesisFails(f"rank of the intersection with {sr.F!r} "
+                                  f"is {sr.rank}, not below {rank}")
     spans = []
-    for F, ri in hyp:
-        vectors, labels = subfield_unit_vectors(field, S, sbasis, F)
-        assert len(vectors) == ri, "span generators must realize the rank"
-        spans.append((F, vectors, labels))
+    for sr in ranks:
+        vectors, labels = sr.unit_vectors(sbasis)
+        assert len(vectors) == sr.rank, "span generators must realize the rank"
+        spans.append((sr.F, vectors, labels))
 
     nf, nb = len(sbasis.fund_units), len(sbasis.s_gens)
     w = sbasis.torsion_order

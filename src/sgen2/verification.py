@@ -25,6 +25,7 @@ from .errors import (ConfigInvalid, IdentityFailed, NotInLattice, PrimeInS,
 from .generators import m2_eq, m2_identity, m2_inv, m2_mul, m2_pow
 from .ideals import factor_rational_prime, valuation
 from .linalg import RatLattice, hnf, integer_kernel, solve_in_terms_of
+from .polys import prime_divisors
 from .sunits import LevelFiltration, contract_prime_set, s_unit_basis, \
     stabilized_index
 
@@ -152,26 +153,11 @@ def _check_scaled_containment(filt, index, base, scale, level, extra=()):
     return True
 
 
-def _prime_divisors(n):
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _in_s_integers(field, S, x):
     """Exact membership of x in the ring of S-integers: every prime of
     the denominator outside S must see a nonnegative valuation."""
     den = x.denominator_to_basis()
-    for p in _prime_divisors(den):
+    for p in prime_divisors(den):
         for q in factor_rational_prime(field, p):
             if not S.contains(q) and valuation(x, q) < 0:
                 return False

@@ -7,12 +7,15 @@ verification check failed.
 """
 
 import json
+import sys
+from collections import Counter
 
-from sgen2 import cli
+from sgen2 import cli, generators, sunits
 from test_field import ZETA5_DATASHEET
 
 RATIONAL_TWO = {"field": {"poly": [0, 1]}, "S": [{"p": 2}]}
 GAUSSIAN_TWO = {"field": {"poly": [1, 0, 1]}, "S": [{"p": 2}]}
+SQRT5_TWO = {"field": {"poly": [-5, 0, 1]}, "S": [{"p": 2}]}
 
 
 def write_config(tmp_path, cfg):
@@ -257,3 +260,48 @@ def test_examples_mismatch_exits_3(monkeypatch, capsys):
     code = cli.main(["examples"])
     assert code == 3
     assert "error: VerificationFailure" in capsys.readouterr().err
+
+
+def record_calls(monkeypatch, fn):
+    """Wrap fn at every sgen2 module binding that holds it (the package
+    imports with ``from .x import y``) and return the list that collects
+    the positional arguments of each call."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sgen2" or name.startswith("sgen2."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+def test_each_stage_runs_once(tmp_path, monkeypatch):
+    sunit_calls = record_calls(monkeypatch, sunits.s_unit_basis)
+    classify_calls = record_calls(monkeypatch, generators.classify_case)
+    cm_calls = record_calls(monkeypatch, sunits.is_cm)
+
+    def pairs():
+        out = Counter((tuple(field.poly), tuple(P.hnf for P in S.finite))
+                      for field, S in sunit_calls)
+        sunit_calls.clear()
+        return out
+
+    # case 1: one S-unit basis, of K over S
+    code, _ = run(tmp_path, SQRT5_TWO, "generate")
+    assert code == 0
+    assert pairs() == {((-5, 0, 1), (((2, 0), (0, 2)),)): 1}
+    assert len(classify_calls) == 1 and len(cm_calls) == 1
+
+    # case 2: the K-side basis once; the basis of Q over 2 is built once
+    # to choose alpha and once more by the verifier, which rechecks the
+    # triple from scratch instead of trusting the alpha certificate
+    code, _ = run(tmp_path, GAUSSIAN_TWO, "verify")
+    assert code == 0
+    assert pairs() == {((1, 0, 1), (((1, 1), (0, 2)),)): 1,
+                       ((-1, 1), (((2,),),)): 2}
+    assert len(classify_calls) == 2 and len(cm_calls) == 2

@@ -217,17 +217,6 @@ def test_trace_gram_discriminant_cross_check():
         assert int(linalg.mat_det(gram)) == k.field_discriminant
 
 
-def test_embedding_data():
-    k = create_field([-2, 0, 1])
-    assert len(k.embeddings.real_roots) == 2
-    (a1, b1), (a2, b2) = k.embeddings.real_roots
-    assert a1 < 0 < a2
-    assert b1 - a1 <= Fraction(1, 2 ** 32)
-    k = QI()
-    assert k.embeddings.real_roots == ()
-    assert k.embeddings.complex_pairs == 1
-
-
 def test_fundamental_unit_golden():
     # continued fractions, then exact cube-root refinement for m = 5 mod 8
     cases = {
