@@ -4,7 +4,8 @@ Every failure mode that callers are expected to handle gets its own
 class.  ``exit_code`` is the process exit status the command line tool
 uses when the error escapes: 1 for malformed or unsupported input,
 2 for instances where a search or hypothesis genuinely fails, 3 for
-verification failures.
+verification failures and for InvariantViolated, an internal
+consistency check that failed (a defect in sgen2, not in the input).
 """
 
 
@@ -97,4 +98,10 @@ class IdentityFailed(SgenError):
 
 
 class VerificationFailure(SgenError):
+    exit_code = 3
+
+
+class InvariantViolated(SgenError):
+    """An internal consistency check failed, such as the primes above p
+    not multiplying back to (p)."""
     exit_code = 3

@@ -20,8 +20,13 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import linalg, polys
-from .errors import (DatasheetInvalid, DatasheetRequired, DivisionByZero,
-                     NotMonic, Reducible)
+from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
+                     DivisionByZero, NotMonic, Reducible)
+
+# Largest |b^2 - 4c| of a quadratic x^2 + b x + c that the automatic tier
+# factors to find its squarefree core: trial division up to the square
+# root, at most about 10^6 trial divisions.
+MAX_QUADRATIC_DISCRIMINANT = 10 ** 12
 
 
 def parse_rational(v):
@@ -226,6 +231,7 @@ class NumberField:
         self.mult_table = self._build_mult_table()
         self._fund_unit = None
         self._subfields = None  # set by sunits.default_subfields
+        self._primes_above = {}  # p -> primes, set by ideals.factor_rational_prime
         self._quad = None  # (m, f_theta) for degree 2
 
     # -- coordinate plumbing -------------------------------------------------
@@ -370,6 +376,11 @@ def _quadratic_integral_data(poly):
     """(m, f_theta, integral_basis_rows, field_disc) for x^2 + b x + c."""
     b, c = poly[1], poly[0]
     disc_poly = b * b - 4 * c
+    if abs(disc_poly) > MAX_QUADRATIC_DISCRIMINANT:
+        raise ConfigInvalid(
+            f"|discriminant| {abs(disc_poly)} of the quadratic exceeds "
+            f"{MAX_QUADRATIC_DISCRIMINANT}, the largest the automatic "
+            f"tier factors")
     m = polys.squarefree_part(disc_poly)
     f_theta = isqrt(disc_poly // m)
     if m % 4 == 1:

@@ -16,8 +16,8 @@ from math import isqrt
 
 from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
-                     IndexDivisor, NotContained, OrderBoundExceeded,
-                     ZeroElement)
+                     IndexDivisor, InvariantViolated, NotContained,
+                     OrderBoundExceeded, ZeroElement)
 from .field import FieldElement, fundamental_unit, parse_rational
 
 
@@ -144,6 +144,12 @@ class ClassOrderWitness:
 # ---------------------------------------------------------------------------
 # Factoring rational primes.
 
+def _check_invariant(holds, message):
+    # a raise, not an assert, so that the check survives python -O
+    if not holds:
+        raise InvariantViolated(message)
+
+
 def _symmetric_lift(r, p):
     r %= p
     return r if r <= p // 2 else r - p
@@ -153,7 +159,8 @@ def _omega_minpoly(field):
     """x^2 - (Tr w) x + N(w) for the second integral basis element."""
     w = field.basis_element(1)
     t, s = w.trace(), w.norm()
-    assert t.denominator == 1 and s.denominator == 1
+    _check_invariant(t.denominator == 1 and s.denominator == 1,
+                     "the second integral basis element is not integral")
     return int(s), -int(t)  # constant, linear coefficient
 
 
@@ -177,15 +184,19 @@ def _theta_presentation(field, p, ideal_rows_hnf, fallback):
 
 
 def factor_rational_prime(field, p):
-    """All primes above p, canonically ordered, with e and f attached."""
+    """All primes above p, canonically ordered, with e and f attached.
+
+    The tuple is kept on the field, so every later call for the same p
+    returns the same prime objects.
+    """
     if not isinstance(p, int) or not polys.is_prime(p):
         raise ConfigInvalid(f"not a rational prime: {p}")
+    if p in field._primes_above:
+        return field._primes_above[p]
     n = field.degree
     if n == 1:
-        rows = [[p]]
-        return (PrimeIdeal(field, rows, p, 1, 1, (p, field.zero)),)
-
-    if field.tier == "automatic":
+        primes = [PrimeIdeal(field, [[p]], p, 1, 1, (p, field.zero))]
+    elif field.tier == "automatic":
         s, b = _omega_minpoly(field)
         fac = polys.factor_mod_p([s, b, 1], p)
         degs = sorted((polys.degree(g), mult) for g, mult in fac)
@@ -224,10 +235,12 @@ def factor_rational_prime(field, p):
     for q in primes:
         total += q.e * q.f
         prod = prod * (q ** q.e)
-    assert total == n, "sum of e*f must equal the degree"
-    assert prod == IntegralIdeal.from_elements(field, [field.from_rational(p)]), \
-        "product of prime powers must be (p)"
-    return tuple(primes)
+    _check_invariant(total == n, "sum of e*f must equal the degree")
+    _check_invariant(
+        prod == IntegralIdeal.from_elements(field, [field.from_rational(p)]),
+        "product of prime powers must be (p)")
+    field._primes_above[p] = tuple(primes)
+    return field._primes_above[p]
 
 
 def _ideal_rows(field, elements):
@@ -255,7 +268,8 @@ def _dedekind_index_divisor(poly, fac, p):
     prod = polys.pmul(gl, hl)
     diff = polys.psub(prod, list(poly))
     T = [c // p for c in diff]
-    assert all(c % p == 0 for c in diff)
+    _check_invariant(all(c % p == 0 for c in diff),
+                     "the lifted factorization does not reduce to f mod p")
     d = polys.pp_gcd(polys.pp_gcd(polys.pp_trim(T, p), gbar, p), hbar, p)
     return polys.degree(d) > 0
 
@@ -287,13 +301,20 @@ def valuation(x, prime):
 
 def _principal_generator_quadratic(ideal):
     """A generator of the ideal if principal, else None.  Exhaustive: the
-    coordinate box provably covers some generator whenever one exists.
+    coordinate box 0 <= x <= xmax, |y| <= ymax (y >= 0 when x = 0) of
+    integral-basis coordinates provably covers some generator x + y*w
+    whenever one exists.
 
     Imaginary case: a generator has norm exactly N, so both embeddings
     are constrained and the box is tight.  Real case: every generator
     has an associate whose two embeddings lie below sqrt(N * eps) in
     absolute value, eps the fundamental unit; the box uses a rational
     upper bound for that with a safety factor of 4 on each side.
+
+    The norm is the integer form x^2 + t*x*y + s*y^2 (t, s the trace and
+    norm of w), so for each y the points of norm +-N are the integer
+    roots of a monic quadratic in x.  Of those inside the box, the first
+    in the order (x, |y|, y < 0) that lies in the ideal is returned.
     """
     field = ideal.field
     N = ideal.norm
@@ -314,14 +335,28 @@ def _principal_generator_quadratic(ideal):
         B = 4 * (isqrt(int(N * bound) + 1) + 1)
         xmax = B
         ymax = B // isqrt(m) + 1
-    for x in range(xmax + 1):
-        for y in range(ymax + 1):
-            for xx, yy in ((x, y), (x, -y)) if x and y else ((x, y),):
-                el = field.from_ib((xx, yy))
-                if abs(el.norm()) != N:
-                    continue
-                if ideal.contains(el):
-                    return el
+    s, minus_t = _omega_minpoly(field)
+    delta = minus_t * minus_t - 4 * s  # the field discriminant
+    points = set()
+    for y in range(ymax + 1):
+        for target in (N, -N):
+            # x^2 + t*y*x + s*y^2 - target = 0 has discriminant
+            # delta*y^2 + 4*target, congruent to (t*y)^2 mod 4, so both
+            # roots are integers when it is a square
+            disc = delta * y * y + 4 * target
+            if disc < 0:
+                continue
+            r = isqrt(disc)
+            if r * r != disc:
+                continue
+            for yy in ((y, -y) if y else (0,)):
+                for x in ((minus_t * yy + r) // 2, (minus_t * yy - r) // 2):
+                    if 0 <= x <= xmax and (x or yy >= 0):
+                        points.add((x, yy))
+    for x, y in sorted(points, key=lambda q: (q[0], abs(q[1]), q[1] < 0)):
+        el = field.from_ib((x, y))
+        if ideal.contains(el):
+            return el
     return None
 
 
@@ -347,7 +382,9 @@ def class_order(ideal, bound=10000):
             power = power * ideal
             gen = _principal_generator(power)
             if gen is not None:
-                assert IntegralIdeal.principal(field, gen) == power
+                _check_invariant(IntegralIdeal.principal(field, gen) == power,
+                                 "the principal generator does not generate "
+                                 "the ideal power")
                 return ClassOrderWitness(ideal, a, gen, True)
         raise OrderBoundExceeded(f"no principal power up to {bound}")
 

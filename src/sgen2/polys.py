@@ -479,10 +479,21 @@ def is_prime(n):
 
 
 def integer_roots(f):
-    """All integer roots of an integer polynomial."""
+    """All integer roots of an integer polynomial.
+
+    Monic quadratics take the closed form; other polynomials are
+    trial-divided up to the square root of the constant coefficient.
+    """
     f = trim(f)
     if not f:
         return []
+    if len(f) == 3 and f[2] == 1:
+        disc = f[1] * f[1] - 4 * f[0]
+        r = isqrt(max(disc, 0))
+        if r * r != disc:
+            return []
+        # r = f[1] mod 2, so both roots are integers
+        return sorted({(-f[1] + r) // 2, (-f[1] - r) // 2})
     shift = 0
     while f and f[0] == 0:
         f = f[1:]

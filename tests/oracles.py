@@ -8,12 +8,18 @@ only if both compositions are right.
 
 The matrix-group oracle counts |SL2| over tiny fields by direct
 enumeration of quadruples.
+
+The principal-ideal oracle walks the whole coordinate box of the
+quadratic principal-generator search point by point, taking a Fraction
+determinant norm at each, where the library solves the norm equation
+along one axis.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from sgen2 import linalg
+from sgen2 import linalg, polys
+from sgen2.field import fundamental_unit
 from sgen2.sunits import LevelFiltration, s_unit_basis
 
 
@@ -119,3 +125,48 @@ def sl2_order_quadratic(p, red):
                     if det == one:
                         count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Principal generators of quadratic ideals by walking the whole box.
+
+def principal_box(ideal):
+    """(xmax, ymax) of the box the principal-generator search covers."""
+    field = ideal.field
+    N = ideal.norm
+    m, _ = field._quad
+    if m < 0:
+        am = -m
+        if field.field_discriminant % 2:  # omega = (1 + sqrt m)/2
+            ymax = isqrt(4 * N // am)
+        else:
+            ymax = isqrt(N // am)
+        xmax = isqrt(N) + ymax + 1
+    else:
+        eps = fundamental_unit(field)
+        # |theta| <= (|b| + sqrt(disc of the defining poly)) / 2
+        b, c = field.poly[1], field.poly[0]
+        theta_up = (abs(b) + polys.sqrt_upper(b * b - 4 * c)) / 2
+        bound = abs(eps.coords[0]) + abs(eps.coords[1]) * theta_up
+        B = 4 * (isqrt(int(N * bound) + 1) + 1)
+        xmax = B
+        ymax = B // isqrt(m) + 1
+    return xmax, ymax
+
+
+def principal_generator_box(ideal):
+    """The first element of norm +-N in the ideal, visiting the box in
+    the order x ascending, then |y| ascending, y before -y; None if the
+    box holds none."""
+    field = ideal.field
+    N = ideal.norm
+    xmax, ymax = principal_box(ideal)
+    for x in range(xmax + 1):
+        for y in range(ymax + 1):
+            for xx, yy in ((x, y), (x, -y)) if x and y else ((x, y),):
+                el = field.from_ib((xx, yy))
+                if abs(el.norm()) != N:
+                    continue
+                if ideal.contains(el):
+                    return el
+    return None

@@ -8,14 +8,19 @@ verification check failed.
 
 import json
 import sys
+import time
 from collections import Counter
 
-from sgen2 import cli, generators, sunits
+from sgen2 import cli, generators, ideals, sunits
 from test_field import ZETA5_DATASHEET
 
 RATIONAL_TWO = {"field": {"poly": [0, 1]}, "S": [{"p": 2}]}
 GAUSSIAN_TWO = {"field": {"poly": [1, 0, 1]}, "S": [{"p": 2}]}
 SQRT5_TWO = {"field": {"poly": [-5, 0, 1]}, "S": [{"p": 2}]}
+# fundamental units 2143295 + 221064 sqrt 94 and
+# 1728148040 + 140634693 sqrt 151
+SQRT94_FIVE = {"field": {"poly": [-94, 0, 1]}, "S": [{"p": 5}]}
+SQRT151_FIVE = {"field": {"poly": [-151, 0, 1]}, "S": [{"p": 5}]}
 
 
 def write_config(tmp_path, cfg):
@@ -92,6 +97,42 @@ def test_too_few_places_exits_2(tmp_path, capsys):
     assert "error: CardinalityTooSmall" in capsys.readouterr().err
     code, _ = run(tmp_path, {"field": {"poly": [0, 1]}, "S": []}, "analyze")
     assert code == 2
+
+
+def test_hostile_quadratic_exits_1_quickly(tmp_path, capsys):
+    # trial division up to the square root of 4 * 10^20 would not end
+    cfg = {"field": {"poly": [-100000000000000000039, 0, 1]},
+           "S": [{"p": 2}]}
+    started = time.monotonic()
+    code, _ = run(tmp_path, cfg, "analyze")
+    assert time.monotonic() - started < 1
+    assert code == 1
+    assert "error: ConfigInvalid" in capsys.readouterr().err
+
+
+def test_failed_invariant_exits_3_without_traceback(tmp_path, monkeypatch,
+                                                    capsys):
+    # a principal-ideal search that returns a wrong generator is caught
+    # by the class-order check, which survives python -O
+    monkeypatch.setattr(ideals, "_principal_generator",
+                        lambda ideal: ideal.field.one)
+    code, _ = run(tmp_path, GAUSSIAN_TWO, "analyze")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: InvariantViolated" in err
+    assert "Traceback" not in err
+
+
+def test_big_unit_fields(tmp_path):
+    # the principal-ideal search must not walk a box of side sqrt(eps)
+    for cfg, commands in ((SQRT94_FIVE, ("analyze", "generate")),
+                          (SQRT151_FIVE, ("generate",))):
+        for command in commands:
+            started = time.monotonic()
+            code, rep = run(tmp_path, cfg, command)
+            assert code == 0, (cfg, command)
+            assert time.monotonic() - started < 10, (cfg, command)
+            assert rep["analysis"]["classification"]["case"] == 1
 
 
 def test_analyze_gaussian_over_two(tmp_path):

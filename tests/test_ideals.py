@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sgen2 import linalg
+from sgen2 import ideals, linalg, polys
 from sgen2.errors import (ConfigInvalid, IndexDivisor, NotContained,
                           OrderBoundExceeded, ZeroElement)
 from sgen2.field import create_field
@@ -11,6 +11,7 @@ from sgen2.ideals import (ClassOrderWitness, IntegralIdeal, PrimeIdeal,
                           class_order, factor_rational_prime, lattice_index,
                           valuation)
 
+import oracles
 from test_field import ZETA5_DATASHEET
 
 
@@ -263,3 +264,54 @@ def test_prime_serialization():
     s = p2.serialize()
     assert s["p"] == 2 and s["e"] == 2 and s["f"] == 1
     assert s["hnf"] == [[1, 1], [0, 2]]
+
+
+# Both shapes of omega (m = 1 mod 4 and not, with m = 5 mod 8 among the
+# first), class numbers 1 to 10, and real fields with units up to 4e6.
+ORACLE_FIELDS = (-1, -2, -3, -5, -23, -119, 2, 5, 13, 67, 94, 118)
+# The search may walk at most SEARCH_YMAX values of y, the oracle (a
+# Fraction determinant per point, about 0.1 ms) at most ORACLE_POINTS
+# points, except for the cheapest pair of each field.
+SEARCH_YMAX = 3000
+ORACLE_POINTS = 1000
+
+
+def _walk_points(ideal, found):
+    """How many box points the oracle visits before it returns found."""
+    xmax, ymax = oracles.principal_box(ideal)
+    if found is None:
+        return (xmax + 1) * (2 * ymax + 1)
+    x, y = (int(c) for c in found.ib_coords())
+    return x * (2 * ymax + 1) + 2 * abs(y) + 1
+
+
+def test_principal_search_matches_box_oracle():
+    """The norm-equation search returns the very element the
+    point-by-point box walk returns, or None with it, on the primes
+    above p <= 31 and their powers 1..4.  A pair is checked when the walk
+    reaches the search's answer within ORACLE_POINTS points, which
+    covers every box of that size in full, so a search that misses a
+    generator is caught on every small box; the real fields with large
+    units have no such pair and are checked on their cheapest one."""
+    nonprincipal = set()
+    for d in ORACLE_FIELDS:
+        k = create_field([-d, 0, 1])
+        pairs = []
+        for p in polys.primes_below(32):
+            for prime in factor_rational_prime(k, p):
+                for e in range(1, 5):
+                    ideal = prime ** e
+                    if oracles.principal_box(ideal)[1] > SEARCH_YMAX:
+                        continue
+                    got = ideals._principal_generator_quadratic(ideal)
+                    pairs.append((_walk_points(ideal, got), ideal, got))
+        pairs.sort(key=lambda pair: pair[0])
+        for _, ideal, got in ([pair for pair in pairs
+                               if pair[0] <= ORACLE_POINTS] or pairs[:1]):
+            want = oracles.principal_generator_box(ideal)
+            assert (got is None) == (want is None), (d, ideal)
+            if got is None:
+                nonprincipal.add(d)
+            else:
+                assert got.coords == want.coords, (d, ideal)
+    assert nonprincipal == {-5, -23, -119}

@@ -108,6 +108,12 @@ def test_integer_roots():
     assert polys.integer_roots([-6, 11, -6, 1]) == [1, 2, 3]
     assert polys.integer_roots([0, 0, 1]) == [0]
     assert polys.integer_roots([1, 0, 1]) == []
+    assert polys.integer_roots([6, -5, 1]) == [2, 3]
+    assert polys.integer_roots([0, 7, 1]) == [-7, 0]
+    assert polys.integer_roots([-2, 0, 1]) == []
+    # monic quadratics take the closed form, not trial division to 10^20
+    assert polys.integer_roots([-10 ** 40, 0, 1]) == [-10 ** 20, 10 ** 20]
+    assert polys.integer_roots([-(10 ** 20 + 39), 0, 1]) == []
 
 
 def test_is_prime():
