@@ -21,7 +21,7 @@ from math import gcd, isqrt
 
 from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
-                     DivisionByZero, NotMonic, Reducible)
+                     DivisionByZero, InvariantViolated, NotMonic, Reducible)
 
 # Largest |b^2 - 4c| of a quadratic x^2 + b x + c that the automatic tier
 # factors to find its squarefree core: trial division up to the square
@@ -158,7 +158,7 @@ class FieldElement:
             if c is not None:
                 return tuple([-x for x in c] + [Fraction(1)])
             powers.append(cur.coords)
-        raise AssertionError("no dependence among n+1 powers")
+        raise InvariantViolated("no dependence among n+1 powers")
 
     def ib_coords(self):
         """Coordinates with respect to the integral basis."""
@@ -430,7 +430,7 @@ def create_field(poly, datasheet=None):
 
     r1 = polys.count_real_roots(poly)
     if (n - r1) % 2:
-        raise AssertionError("signature parity")
+        raise InvariantViolated("signature parity")
     sig = (r1, (n - r1) // 2)
 
     quad = None
@@ -485,7 +485,7 @@ def create_field(poly, datasheet=None):
     if disc is None:
         field.field_discriminant = gram_det
     elif gram_det != disc:
-        raise AssertionError("discriminant mismatch between rule and trace Gram")
+        raise InvariantViolated("discriminant mismatch between rule and trace Gram")
     if (field.field_discriminant < 0) != (sig[1] % 2 == 1):
         raise DatasheetInvalid("discriminant sign inconsistent with signature")
 

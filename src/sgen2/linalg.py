@@ -4,10 +4,20 @@ Matrices are lists of row lists.  Lattices are spans of integer rows;
 the canonical form is the row Hermite normal form (echelon, positive
 pivots, entries above a pivot reduced into [0, pivot)), which is unique
 per row span, so equality of spans is equality of forms.
+
+Three eliminations do all the work (Cohen, GTM 138, sections 2.2 and
+2.4):
+
+- ``_echelon``, the integer Hermite elimination behind ``hnf``,
+  ``hnf_with_transform`` and everything built on them;
+- ``int_det``, the fraction-free Bareiss determinant, which ``mat_det``
+  reuses after clearing denominators;
+- ``_rref``, the rational Gauss-Jordan elimination behind ``mat_inv``,
+  ``mat_rank`` and ``span_coeffs``.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 
 def xgcd(a, b):
@@ -35,12 +45,15 @@ def _pivot(row):
     return None
 
 
-def hnf(rows):
-    """Canonical HNF of the span of the given integer rows (zero rows dropped)."""
+def _echelon(rows, ncols):
+    """Hermite elimination on the first ncols columns of integer rows.
+
+    Columns past ncols are carried along by the same row operations.
+    Returns (H, zero): H the rows of the canonical HNF of the first
+    ncols columns, each with its carried columns, and zero the rows
+    whose first ncols entries were eliminated (all-zero rows dropped).
+    """
     work = [list(map(int, r)) for r in rows if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
     result = []
     for col in range(ncols):
         rest = []
@@ -53,86 +66,39 @@ def hnf(rows):
             else:
                 g, s, t = xgcd(carrier[col], r[col])
                 a, b = carrier[col] // g, r[col] // g
-                comb = [s * x + t * y for x, y in zip(carrier, r)]
                 left = [a * y - b * x for x, y in zip(carrier, r)]
-                carrier = comb
+                carrier = [s * x + t * y for x, y in zip(carrier, r)]
                 if any(left):
                     rest.append(left)
         if carrier is not None:
-            if carrier[col] < 0:
-                carrier = [-x for x in carrier]
+            piv = carrier[col]
+            if piv < 0:
+                carrier, piv = [-x for x in carrier], -piv
+            # reduce the entries above the new pivot into [0, pivot)
+            for i, row in enumerate(result):
+                q = row[col] // piv
+                if q:
+                    result[i] = [x - q * y for x, y in zip(row, carrier)]
             result.append(carrier)
         work = rest
-    # reduce entries above each pivot into [0, pivot)
-    for j in range(1, len(result)):
-        pc = _pivot(result[j])
-        piv = result[j][pc]
-        for i in range(j):
-            q = result[i][pc] // piv
-            if q:
-                result[i] = [x - q * y for x, y in zip(result[i], result[j])]
-    return [tuple(r) for r in result]
+    return result, work
+
+
+def hnf(rows):
+    """Canonical HNF of the span of the given integer rows (zero rows dropped)."""
+    H, _ = _echelon(rows, len(rows[0]) if rows else 0)
+    return [tuple(r) for r in H]
 
 
 def hnf_with_transform(rows):
     """(H, T, kernel): H = canonical HNF, T integer rows with T @ rows = H,
     kernel = basis of {x : x @ rows = 0}."""
-    orig = [list(map(int, r)) for r in rows]
-    m = len(orig)
-    work = []
-    kernel = []
-    for i, r in enumerate(orig):
-        t = [0] * m
-        t[i] = 1
-        if any(r):
-            work.append((r, t))
-        else:
-            kernel.append(t)
-    if not work:
-        return [], [], kernel
-    ncols = len(orig[0])
-    result = []
-    for col in range(ncols):
-        rest = []
-        carrier = None
-        for r, t in work:
-            if r[col] == 0:
-                rest.append((r, t))
-            elif carrier is None:
-                carrier = (r, t)
-            else:
-                cr, ct = carrier
-                g, s, u = xgcd(cr[col], r[col])
-                a, b = cr[col] // g, r[col] // g
-                comb = [s * x + u * y for x, y in zip(cr, r)]
-                combt = [s * x + u * y for x, y in zip(ct, t)]
-                left = [a * y - b * x for x, y in zip(cr, r)]
-                leftt = [a * y - b * x for x, y in zip(ct, t)]
-                carrier = (comb, combt)
-                if any(left):
-                    rest.append((left, leftt))
-                else:
-                    kernel.append(leftt)
-        if carrier is not None:
-            r, t = carrier
-            if r[col] < 0:
-                r, t = [-x for x in r], [-x for x in t]
-            result.append((r, t))
-        work = rest
-    for r, t in work:
-        kernel.append(t)
-    for j in range(1, len(result)):
-        pc = _pivot(result[j][0])
-        piv = result[j][0][pc]
-        for i in range(j):
-            q = result[i][0][pc] // piv
-            if q:
-                ri = [x - q * y for x, y in zip(result[i][0], result[j][0])]
-                ti = [x - q * y for x, y in zip(result[i][1], result[j][1])]
-                result[i] = (ri, ti)
-    H = [tuple(r) for r, _ in result]
-    T = [tuple(t) for _, t in result]
-    return H, T, [tuple(k) for k in kernel]
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    H, zero = _echelon([list(r) + [int(i == k) for k in range(m)]
+                        for i, r in enumerate(rows)], ncols)
+    return ([tuple(r[:ncols]) for r in H], [tuple(r[ncols:]) for r in H],
+            [tuple(r[ncols:]) for r in zero])
 
 
 def solve_hnf(H, vec):
@@ -154,24 +120,42 @@ def in_lattice(H, vec):
     return solve_hnf(H, vec) is not None
 
 
-def solve_in_terms_of(gens, vec):
-    """Integer combination of the (arbitrary) generator rows equal to vec, or None."""
-    H, T, _ = hnf_with_transform(gens)
-    y = solve_hnf(H, vec)
-    if y is None:
-        return None
-    out = [0] * len(gens)
-    for yi, t in zip(y, T):
-        for k, tk in enumerate(t):
-            out[k] += yi * tk
-    return out
-
-
 def integer_kernel(rows):
     """Basis of {x : x @ rows = 0} over the integers."""
     _, _, kernel = hnf_with_transform(rows)
-    return hnf(kernel) if kernel else []
+    return hnf(kernel)
 
+
+def lattice_index_hnf(H1, H2):
+    """[span H1 : span H2] for HNF inputs.
+
+    Returns a positive int, the string "infinite" on a rank drop, or
+    None when H2 is not contained in H1.  A contained lattice of equal
+    rank has the same pivot columns, so the index is the ratio of the
+    pivot products.
+    """
+    if any(solve_hnf(H1, row) is None for row in H2):
+        return None
+    if len(H2) < len(H1):
+        return "infinite"
+    return (prod(r[_pivot(r)] for r in H2)
+            // prod(r[_pivot(r)] for r in H1))
+
+
+def lattice_intersect(rows1, rows2):
+    """HNF basis of the intersection of the two row spans."""
+    m = [list(r) for r in rows1] + [[-x for x in r] for r in rows2]
+    kern = integer_kernel(m)
+    k1 = len(rows1)
+    return hnf([vec_mat(k[:k1], rows1) for k in kern])
+
+
+def lattice_sum(rows1, rows2):
+    return hnf(list(rows1) + list(rows2))
+
+
+# ---------------------------------------------------------------------------
+# Determinants.
 
 def int_det(mat):
     """Determinant of a square integer matrix (Bareiss)."""
@@ -196,99 +180,12 @@ def int_det(mat):
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def lattice_index_hnf(H1, H2):
-    """[span H1 : span H2] for HNF inputs.
-
-    Returns a positive int, the string "infinite" on a rank drop, or
-    None when H2 is not contained in H1.
-    """
-    coeffs = []
-    for row in H2:
-        c = solve_hnf(H1, row)
-        if c is None:
-            return None
-        coeffs.append(c)
-    if len(H2) < len(H1):
-        return "infinite"
-    d = int_det(coeffs)
-    return abs(d) if d else "infinite"
-
-
-def lattice_intersect(rows1, rows2):
-    """HNF basis of the intersection of the two row spans."""
-    m = [list(r) for r in rows1] + [[-x for x in r] for r in rows2]
-    kern = integer_kernel(m)
-    gens = []
-    k1 = len(rows1)
-    for k in kern:
-        v = [0] * len(rows1[0])
-        for c, row in zip(k[:k1], rows1):
-            for j, x in enumerate(row):
-                v[j] += c * x
-        gens.append(v)
-    return hnf(gens)
-
-
-def lattice_sum(rows1, rows2):
-    return hnf(list(rows1) + list(rows2))
-
-
-def snf_invariants(mat):
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
-    a = [list(map(int, r)) for r in mat]
-    a = [r for r in a if any(r)]
-    if not a:
-        return []
-    diag = []
-    while a and any(any(r) for r in a):
-        # move a minimal nonzero entry to (0, 0)
-        best = None
-        for i, r in enumerate(a):
-            for j, x in enumerate(r):
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        i0, j0 = best
-        a[0], a[i0] = a[i0], a[0]
-        for r in a:
-            r[0], r[j0] = r[j0], r[0]
-        # clear row and column; restart if a remainder shrinks the pivot
-        dirty = True
-        while dirty:
-            dirty = False
-            piv = a[0][0]
-            for i in range(1, len(a)):
-                if a[i][0]:
-                    q = a[i][0] // piv
-                    a[i] = [x - q * y for x, y in zip(a[i], a[0])]
-                    if a[i][0]:
-                        a[0], a[i] = a[i], a[0]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(1, len(a[0])):
-                if a[0][j]:
-                    q = a[0][j] // piv
-                    for r in a:
-                        r[j] -= q * r[0]
-                    if a[0][j]:
-                        for r in a:
-                            r[0], r[j] = r[j], r[0]
-                        dirty = True
-                        break
-        diag.append(abs(a[0][0]))
-        a = [r[1:] for r in a[1:]]
-        a = [r for r in a if any(r)]
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            if diag[i + 1] % diag[i]:
-                g = gcd(diag[i], diag[i + 1])
-                diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
-                changed = True
-    return diag
+def mat_det(mat):
+    """Determinant of a square rational matrix, as a Fraction."""
+    rows = [[Fraction(x) for x in r] for r in mat]
+    dens = [lcm(*(x.denominator for x in r)) for r in rows]
+    scaled = [[int(x * d) for x in r] for r, d in zip(rows, dens)]
+    return Fraction(int_det(scaled), prod(dens))
 
 
 # ---------------------------------------------------------------------------
@@ -302,64 +199,19 @@ def vec_mat(v, m):
     return [sum(x * row[j] for x, row in zip(v, m)) for j in range(len(m[0]))]
 
 
-def mat_det(mat):
+def _rref(mat, ncols):
+    """Gauss-Jordan elimination over Q on the first ncols columns.
+
+    Columns past ncols are carried along.  Returns (rows, pivots): the
+    reduced rows, and the pivot column of each of the first
+    len(pivots) rows; the remaining rows are zero on the first ncols
+    columns.
+    """
     a = [[Fraction(x) for x in r] for r in mat]
-    n = len(a)
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                c = a[i][k] * inv
-                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
-    return det
-
-
-def mat_inv(mat):
-    """Inverse of a square rational matrix, or None if singular."""
-    n = len(mat)
-    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(mat)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                c = a[i][k]
-                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
-    return [r[n:] for r in a]
-
-
-def mat_rank(mat):
-    a = [[Fraction(x) for x in r] for r in mat]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    row = 0
+    pivots = []
     for col in range(ncols):
-        piv = None
-        for i in range(row, len(a)):
-            if a[i][col]:
-                piv = i
-                break
+        row = len(pivots)
+        piv = next((i for i in range(row, len(a)) if a[i][col]), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
@@ -369,45 +221,32 @@ def mat_rank(mat):
             if i != row and a[i][col]:
                 c = a[i][col]
                 a[i] = [x - c * y for x, y in zip(a[i], a[row])]
-        row += 1
-        rank += 1
-    return rank
+        pivots.append(col)
+    return a, pivots
+
+
+def mat_inv(mat):
+    """Inverse of a square rational matrix, or None if singular."""
+    n = len(mat)
+    a, pivots = _rref([list(r) + [int(i == j) for j in range(n)]
+                       for i, r in enumerate(mat)], n)
+    return [r[n:] for r in a] if len(pivots) == n else None
+
+
+def mat_rank(mat):
+    return len(_rref(mat, len(mat[0]) if mat else 0)[1])
 
 
 def span_coeffs(rows, target):
     """Rational coefficients c with sum c_i rows_i = target, or None."""
-    if not rows:
-        return None if any(target) else []
-    ncols = len(rows[0])
-    # solve rows^T c = target by elimination on the augmented transpose
-    a = [[Fraction(rows[i][j]) for i in range(len(rows))] + [Fraction(target[j])]
-         for j in range(ncols)]
     m = len(rows)
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = None
-        for i in range(row, ncols):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(ncols):
-            if i != row and a[i][col]:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, ncols):
-        if a[i][m]:
-            return None
+    # solve rows^T c = target by elimination on the augmented transpose
+    a, pivots = _rref([[r[j] for r in rows] + [t] for j, t in enumerate(target)], m)
+    if any(r[m] for r in a[len(pivots):]):
+        return None
     out = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        out[col] = a[r][m]
+    for r, col in zip(a, pivots):
+        out[col] = r[m]
     return out
 
 

@@ -481,11 +481,12 @@ def is_prime(n):
 def integer_roots(f):
     """All integer roots of an integer polynomial.
 
-    Monic quadratics take the closed form; other polynomials are
-    trial-divided up to the square root of the constant coefficient.
+    Monic quadratics take the closed form; other polynomials bisect the
+    root bound on integer endpoints with a Sturm chain, so the work
+    grows with the logarithm of the coefficients, not their square root.
     """
     f = trim(f)
-    if not f:
+    if degree(f) < 1:
         return []
     if len(f) == 3 and f[2] == 1:
         disc = f[1] * f[1] - 4 * f[0]
@@ -494,20 +495,20 @@ def integer_roots(f):
             return []
         # r = f[1] mod 2, so both roots are integers
         return sorted({(-f[1] + r) // 2, (-f[1] - r) // 2})
-    shift = 0
-    while f and f[0] == 0:
-        f = f[1:]
-        shift = 1
-    out = {0} if shift else set()
-    if f:
-        c0 = abs(f[0])
-        d = 1
-        while d * d <= c0:
-            if c0 % d == 0:
-                for r in (d, -d, c0 // d, -(c0 // d)):
-                    if peval(f, r) == 0:
-                        out.add(r)
-            d += 1
+    chain = sturm_chain(f)
+    b = int(root_bound(f)) + 1
+    out = []
+    todo = [(-b, b)]
+    while todo:
+        lo, hi = todo.pop()
+        if count_roots_in(chain, lo, hi) == 0:
+            continue
+        if hi - lo == 1:
+            if peval(f, hi) == 0:
+                out.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        todo += [(lo, mid), (mid, hi)]
     return sorted(out)
 
 

@@ -25,8 +25,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import linalg
-from .errors import (CardinalityTooSmall, HypothesisFails, NotASubfield,
-                     NotStabilized, SearchExhausted)
+from .errors import (CardinalityTooSmall, HypothesisFails,
+                     InvariantViolated, NotASubfield, NotStabilized,
+                     SearchExhausted)
 from .field import (create_field, format_rational, fundamental_unit,
                     parse_rational)
 from .ideals import class_order, factor_rational_prime, valuation
@@ -107,7 +108,7 @@ def _torsion_units(field):
             order += 1
         if order == w:
             return w, cand
-    raise AssertionError("no generator among the torsion units")
+    raise InvariantViolated("no generator among the torsion units")
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +176,21 @@ def s_unit_basis(field, S):
     for u in fund:
         row = [valuation(u, P) for P in S.finite]
         if any(row):
-            raise AssertionError("fundamental unit has a finite S-valuation")
+            raise InvariantViolated("fundamental unit has a finite S-valuation")
         vmat.append(row)
     for i, (b, wit) in enumerate(zip(s_gens, witnesses)):
         row = [valuation(b, P) for P in S.finite]
         # q_i^{a_i} = (beta_i) forces v_{q_i}(beta_i) = a_i and v = 0 at
         # the other members of S (primes of S over the same p are distinct)
         if row[i] != wit.order:
-            raise AssertionError("generator valuation inconsistent with class order")
+            raise InvariantViolated("generator valuation inconsistent with class order")
         for j, v in enumerate(row):
             if j != i and v != 0:
-                raise AssertionError("generator has a stray valuation inside S")
+                raise InvariantViolated("generator has a stray valuation inside S")
         vmat.append(row)
     basis = SUnitBasis(field, S, w, zeta, fund, s_gens, witnesses, vmat)
-    if field.tier == "automatic":
-        assert basis.rank == S.card - 1
+    if field.tier == "automatic" and basis.rank != S.card - 1:
+        raise InvariantViolated("S-unit rank must be |S| - 1")
     return basis
 
 
@@ -263,7 +264,8 @@ def contract_prime(prime, F_desc):
         pi = F_desc.map_element(q.two_element[1])
         if pi.is_zero() or prime.contains(pi):
             matches.append(q)
-    assert len(matches) == 1, "a K-prime lies over exactly one F-prime"
+    if len(matches) != 1:
+        raise InvariantViolated("a K-prime lies over exactly one F-prime")
     return matches[0]
 
 
@@ -375,7 +377,8 @@ def _split_off_sqrt(field, F_desc):
         delta = delta * Fraction(1, content)
     d_K = -(delta * delta)
     coeffs = linalg.span_coeffs(g_powers, list(d_K.coords))
-    assert coeffs is not None
+    if coeffs is None:
+        raise InvariantViolated("-delta^2 must lie in the subfield")
     d_F = F_desc.subfield.element(coeffs)
     if not _totally_positive(d_F):
         return None
@@ -458,7 +461,8 @@ def exponent_vector(sbasis, w, dlog_bound=64):
     r = w ** M
     for b, e in zip(sbasis.s_gens, beta_exps):
         r = r * b ** (-int(e * M))
-    assert r.is_integral() and abs(r.norm()) == 1, "residual must be a unit"
+    if not (r.is_integral() and abs(r.norm()) == 1):
+        raise InvariantViolated("residual must be a unit")
     nf = len(sbasis.fund_units)
     if nf == 0:
         if not _is_root_of_unity(field, r):
@@ -554,8 +558,9 @@ def choose_alpha(field, S, subfields=None, *, sbasis=None, ranks=None,
     spans = []
     for sr in ranks:
         vectors, labels = sr.unit_vectors(sbasis)
-        assert len(vectors) == sr.rank, "span generators must realize the rank"
-        spans.append((sr.F, vectors, labels))
+        if len(vectors) != sr.rank:
+            raise InvariantViolated("span generators must realize the rank")
+        spans.append((sr.F, vectors, linalg.mat_rank(vectors), labels))
 
     nf, nb = len(sbasis.fund_units), len(sbasis.s_gens)
     w = sbasis.torsion_order
@@ -570,17 +575,8 @@ def choose_alpha(field, S, subfields=None, *, sbasis=None, ranks=None,
                     continue
                 tried += 1
                 vec = [Fraction(c) for c in cf] + [Fraction(-c) for c in cb]
-                hit = False
-                for F, vectors, labels in spans:
-                    if vectors:
-                        base_rank = linalg.mat_rank(vectors)
-                        if linalg.mat_rank(vectors + [vec]) == base_rank:
-                            hit = True
-                            break
-                    elif not any(vec):
-                        hit = True
-                        break
-                if hit:
+                if any(linalg.mat_rank(vectors + [vec]) == span_rank
+                       for _, vectors, span_rank, _ in spans):
                     rejected_span += 1
                     continue
                 for c0 in range(w):
@@ -607,7 +603,7 @@ def _certify_alpha(field, S, sbasis, alpha, c0, cf, cb, mp, spans, vec,
     for P in S.finite:
         v = valuation(alpha, P)
         if v >= 0:
-            raise AssertionError("alpha must have negative valuation inside S")
+            raise InvariantViolated("alpha must have negative valuation inside S")
         neg.append((P, v))
     # exact power identity: alpha * prod beta^{c_i} is the absorbed unit
     u = sbasis.torsion_gen ** c0
@@ -616,7 +612,8 @@ def _certify_alpha(field, S, sbasis, alpha, c0, cf, cb, mp, spans, vec,
     check = alpha
     for e, b in zip(cb, sbasis.s_gens):
         check = check * b ** e
-    assert check == u, "power identity must hold exactly"
+    if check != u:
+        raise InvariantViolated("power identity must hold exactly")
     avoidance = {
         "candidates_tried": tried,
         "rejected_by_subfield_span": rejected_span,
@@ -627,13 +624,12 @@ def _certify_alpha(field, S, sbasis, alpha, c0, cf, cb, mp, spans, vec,
             {"p": P.p, "hnf": [list(r) for r in P.hnf], "valuation": v}
             for P, v in neg],
     }
-    for F, vectors, labels in spans:
+    for F, vectors, span_rank, labels in spans:
         avoidance["subfields"].append({
             "poly": list(F.subfield.poly),
             "span_vectors": [[format_rational(x) for x in row] for row in vectors],
-            "span_rank": linalg.mat_rank(vectors) if vectors else 0,
-            "rank_with_alpha": linalg.mat_rank(vectors + [vec]) if vectors
-            else (1 if any(vec) else 0),
+            "span_rank": span_rank,
+            "rank_with_alpha": linalg.mat_rank(vectors + [vec]),
             "generators": labels,
         })
     index_table = []

@@ -20,11 +20,12 @@ from collections import deque
 from fractions import Fraction
 from math import gcd
 
-from .errors import (ConfigInvalid, IdentityFailed, NotInLattice, PrimeInS,
-                     ResidueFieldTooLarge, VerificationFailure)
+from .errors import (ConfigInvalid, IdentityFailed, InvariantViolated,
+                     NotInLattice, PrimeInS, ResidueFieldTooLarge,
+                     VerificationFailure)
 from .generators import m2_eq, m2_identity, m2_inv, m2_mul, m2_pow
 from .ideals import factor_rational_prime, valuation
-from .linalg import RatLattice, hnf, integer_kernel, solve_in_terms_of
+from .linalg import RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat
 from .polys import prime_divisors
 from .sunits import LevelFiltration, contract_prime_set, s_unit_basis, \
     stabilized_index
@@ -280,16 +281,12 @@ class Witness:
                          for j, c in self.word]}
 
 
-def _canonical_coeffs(rows, sol):
+def _canonical_coeffs(kernel, sol):
     """Reduce a solution modulo the relation kernel of the generator
     rows so that the trailing coefficients are the small canonical
     digits (only the j = 0 coefficient is left unbounded)."""
-    ker = integer_kernel(rows)
-    if not ker:
-        return sol
-    rev = hnf([list(reversed(v)) for v in ker])
     out = list(reversed(sol))
-    for row in rev:
+    for row in hnf([list(reversed(v)) for v in kernel]):
         j = next(i for i, v in enumerate(row) if v)
         q = out[j] // row[j]
         if q:
@@ -334,9 +331,10 @@ def elementary_witness(triple, x, side="lower", j_bound=16):
             for v in r:
                 den = den * v.denominator // gcd(den, v.denominator)
         int_rows = [[int(v * den) for v in r] for r in rows]
-        sol = solve_in_terms_of(int_rows[:-1], int_rows[-1])
-        if sol is not None:
-            coeffs = _canonical_coeffs(int_rows[:-1], sol)
+        H, T, kernel = hnf_with_transform(int_rows[:-1])
+        y = solve_hnf(H, int_rows[-1])
+        if y is not None:
+            coeffs = _canonical_coeffs(kernel, vec_mat(y, T))
             stage = J
             break
     if coeffs is None:
@@ -377,7 +375,8 @@ class ResidueField:
         reps = [()]
         for d in self._diag:
             reps = [r + (v,) for r in reps for v in range(d)]
-        assert len(reps) == q
+        if len(reps) != q:
+            raise InvariantViolated("coset representatives do not match |O_K/P|")
         self.reps = reps
         self._index = {r: i for i, r in enumerate(reps)}
         self.zero = self._index[tuple([0] * n)]

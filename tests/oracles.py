@@ -2,7 +2,8 @@
 
 The ring-index oracle computes [Lambda_k : M cap Lambda_k] as
 [Lambda_k + M : M] (second isomorphism), via a sum lattice and Smith
-invariant factors, with a Bareiss determinant cross-check.  The library
+invariant factors (computed here, by the oracle's own elimination),
+with a Bareiss determinant cross-check.  The library
 path intersects first and divides Hermite diagonals, so the two agree
 only if both compositions are right.
 
@@ -21,6 +22,64 @@ from math import gcd, isqrt
 from sgen2 import linalg, polys
 from sgen2.field import fundamental_unit
 from sgen2.sunits import LevelFiltration, s_unit_basis
+
+
+def snf_invariants(mat):
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
+    a = [list(map(int, r)) for r in mat]
+    a = [r for r in a if any(r)]
+    if not a:
+        return []
+    diag = []
+    while a and any(any(r) for r in a):
+        # move a minimal nonzero entry to (0, 0)
+        best = None
+        for i, r in enumerate(a):
+            for j, x in enumerate(r):
+                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        i0, j0 = best
+        a[0], a[i0] = a[i0], a[0]
+        for r in a:
+            r[0], r[j0] = r[j0], r[0]
+        # clear row and column; restart if a remainder shrinks the pivot
+        dirty = True
+        while dirty:
+            dirty = False
+            piv = a[0][0]
+            for i in range(1, len(a)):
+                if a[i][0]:
+                    q = a[i][0] // piv
+                    a[i] = [x - q * y for x, y in zip(a[i], a[0])]
+                    if a[i][0]:
+                        a[0], a[i] = a[i], a[0]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(1, len(a[0])):
+                if a[0][j]:
+                    q = a[0][j] // piv
+                    for r in a:
+                        r[j] -= q * r[0]
+                    if a[0][j]:
+                        for r in a:
+                            r[0], r[j] = r[j], r[0]
+                        dirty = True
+                        break
+        diag.append(abs(a[0][0]))
+        a = [r[1:] for r in a[1:]]
+        a = [r for r in a if any(r)]
+    # enforce the divisibility chain
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            if diag[i + 1] % diag[i]:
+                g = gcd(diag[i], diag[i + 1])
+                diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
+                changed = True
+    return diag
 
 
 def level_rows(field, sbasis, k):
@@ -45,7 +104,7 @@ def coset_index(field, sbasis, gens, k):
         assert c is not None
         coords.append(c)
     n = len(union)
-    inv = linalg.snf_invariants(coords)
+    inv = snf_invariants(coords)
     inv = [v for v in inv if v]
     if len(inv) < n:
         return None

@@ -110,6 +110,17 @@ def test_hostile_quadratic_exits_1_quickly(tmp_path, capsys):
     assert "error: ConfigInvalid" in capsys.readouterr().err
 
 
+def test_hostile_cubic_exits_1_quickly(tmp_path, capsys):
+    # the integer-root screen bisects instead of trial-dividing to 10^10
+    cfg = {"field": {"poly": [-100000000000000000039, 0, 0, 1]},
+           "S": [{"p": 2}]}
+    started = time.monotonic()
+    code, _ = run(tmp_path, cfg, "analyze")
+    assert time.monotonic() - started < 5
+    assert code == 1
+    assert "error: DatasheetRequired" in capsys.readouterr().err
+
+
 def test_failed_invariant_exits_3_without_traceback(tmp_path, monkeypatch,
                                                     capsys):
     # a principal-ideal search that returns a wrong generator is caught
@@ -120,6 +131,19 @@ def test_failed_invariant_exits_3_without_traceback(tmp_path, monkeypatch,
     assert code == 3
     err = capsys.readouterr().err
     assert "error: InvariantViolated" in err
+    assert "Traceback" not in err
+
+
+def test_failed_guard_exits_3_without_traceback(tmp_path, monkeypatch,
+                                                capsys):
+    # the guards are raises of InvariantViolated, not asserts, so they
+    # also hold under python -O; here the subfield span loses a generator
+    monkeypatch.setattr(sunits.SubfieldRank, "unit_vectors",
+                        lambda self, sbasis: ([], []))
+    code, _ = run(tmp_path, SQRT5_TWO, "alpha")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: InvariantViolated: span generators must realize the rank" in err
     assert "Traceback" not in err
 
 

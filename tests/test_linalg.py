@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from sgen2 import linalg
 from sgen2.linalg import RatLattice
+
+import oracles
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -67,6 +70,8 @@ def test_hnf_with_transform_consistent():
         for k in kern:
             prod = [sum(c * a[i][j] for i, c in enumerate(k)) for j in range(len(a[0]))]
             assert not any(prod)
+        # the kernel is complete: its rank is the number of rows less the rank
+        assert len(linalg.hnf(kern)) == len(a) - len(h)
 
 
 def test_kernel_rank():
@@ -75,20 +80,40 @@ def test_kernel_rank():
     assert len(kern) == 2
 
 
-def test_solve_in_terms_of():
+def test_solve_through_transform():
+    # integer combinations of arbitrary generators: y over H, then y @ T
     gens = [[2, 0], [3, 3]]
-    c = linalg.solve_in_terms_of(gens, [7, 3])
-    assert c is not None
+    h, t, _ = linalg.hnf_with_transform(gens)
+    y = linalg.solve_hnf(h, [7, 3])
+    assert y is not None
+    c = linalg.vec_mat(y, t)
     assert [c[0] * 2 + c[1] * 3, c[1] * 3] == [7, 3]
-    assert linalg.solve_in_terms_of(gens, [1, 1]) is None
+    assert linalg.solve_hnf(h, [1, 1]) is None
 
 
-def test_int_det_matches_fraction_det():
+def leibniz_det(a):
+    total = Fraction(0)
+    for perm in permutations(range(len(a))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def test_mat_det_matches_leibniz():
     rng = random.Random(17)
     for _ in range(40):
-        n = rng.randint(1, 5)
-        a = rand_matrix(rng, n, n)
-        assert linalg.int_det(a) == linalg.mat_det(a)
+        n = rng.randint(0, 5)
+        a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            a[-1] = list(a[0])  # singular
+        assert linalg.mat_det(a) == leibniz_det(a)
+        ints = [[x.numerator for x in r] for r in a]
+        assert linalg.int_det(ints) == leibniz_det(ints)
 
 
 def test_lattice_index_known():
@@ -126,10 +151,10 @@ def test_lattice_index_multiplicative():
 
 
 def test_snf_known():
-    assert linalg.snf_invariants([[2, 0], [0, 3]]) == [1, 6]
-    assert linalg.snf_invariants([[2, 0], [0, 4]]) == [2, 4]
-    assert linalg.snf_invariants([[1, 0], [0, 1]]) == [1, 1]
-    assert linalg.snf_invariants([[2, 4], [4, 8]]) == [2]
+    assert oracles.snf_invariants([[2, 0], [0, 3]]) == [1, 6]
+    assert oracles.snf_invariants([[2, 0], [0, 4]]) == [2, 4]
+    assert oracles.snf_invariants([[1, 0], [0, 1]]) == [1, 1]
+    assert oracles.snf_invariants([[2, 4], [4, 8]]) == [2]
 
 
 def test_snf_product_is_det():
@@ -138,7 +163,7 @@ def test_snf_product_is_det():
         n = rng.randint(1, 4)
         a = rand_matrix(rng, n, n)
         d = abs(linalg.int_det(a))
-        inv = linalg.snf_invariants(a)
+        inv = oracles.snf_invariants(a)
         if d:
             prod = 1
             for x in inv:

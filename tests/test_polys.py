@@ -114,6 +114,17 @@ def test_integer_roots():
     # monic quadratics take the closed form, not trial division to 10^20
     assert polys.integer_roots([-10 ** 40, 0, 1]) == [-10 ** 20, 10 ** 20]
     assert polys.integer_roots([-(10 ** 20 + 39), 0, 1]) == []
+    # other degrees bisect with a Sturm chain, not trial division to 10^10
+    assert polys.integer_roots([-(10 ** 20 + 39), 0, 0, 1]) == []
+    assert polys.integer_roots([-(10 ** 21), 0, 0, 1]) == [10 ** 7]
+    # repeated roots, and roots on the bisection endpoints: (x - 3)^2 (x + 4) x
+    f = polys.pmul(polys.pmul([-3, 1], [-3, 1]), polys.pmul([4, 1], [0, 1]))
+    assert polys.integer_roots(f) == [-4, 0, 3]
+    rng = random.Random(11)
+    for _ in range(200):
+        f = [rng.randint(-20, 20) for _ in range(rng.randint(2, 5))] + [1]
+        expect = [r for r in range(-25, 26) if polys.peval(f, r) == 0]
+        assert polys.integer_roots(f) == expect
 
 
 def test_is_prime():
