@@ -15,7 +15,7 @@ from .sunits import (AlphaCertificate, CMStructure, PrimeSet, SubfieldDescriptor
                      default_subfields, exponent_vector, is_cm,
                      rank_of_intersection, s_unit_basis, zalpha_index)
 from .generators import (CaseInfo, GeneratorTriple, SL2Element,
-                         build_generators, classify_case, split_prime_check)
+                         build_generators, classify_case)
 from .verification import (ResidueField, Witness, admissible_primes,
                            elementary_witness, ideal_ladder, identity_suite,
                            modp_surjectivity, run_verification)

@@ -37,6 +37,10 @@ VERIFY_DEFAULTS = {
     "witness_samples": 10,
 }
 
+# Largest verify.q_bound accepted.  The mod-P walk visits q(q^2 - 1)
+# states: 1.8 M at q = 121 (9 s, 170 MB on a 2-vCPU host), 3.3 M at 149.
+MAX_Q_BOUND = 150
+
 
 # ---------------------------------------------------------------------------
 # Config loading and validation.
@@ -134,6 +138,8 @@ def validate_config(cfg):
     verify.update(raw_v)
     _int_in(verify["primes"], "verify.primes", 0)
     _int_in(verify["q_bound"], "verify.q_bound", 2)
+    _require(verify["q_bound"] <= MAX_Q_BOUND,
+             f"verify.q_bound must be <= {MAX_Q_BOUND}")
     _int_in(verify["witness_samples"], "verify.witness_samples", 0)
     for key in ("r", "s"):
         win = verify[key]

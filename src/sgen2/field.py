@@ -174,12 +174,6 @@ class FieldElement:
             d = d * c.denominator // gcd(d, c.denominator)
         return d
 
-    def as_rational(self):
-        """The element as a Fraction if it lies in Q, else None."""
-        if any(self.coords[1:]):
-            return None
-        return self.coords[0]
-
     def serialize(self):
         return [format_rational(c) for c in self.coords]
 
@@ -317,9 +311,6 @@ class NumberField:
 
     def is_quadratic_real(self):
         return self.degree == 2 and self.signature == (2, 0)
-
-    def is_totally_imaginary(self):
-        return self.signature[0] == 0
 
     def sqrt_disc_core(self):
         """For degree 2: the element sqrt(m), m the squarefree core."""

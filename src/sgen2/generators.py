@@ -82,10 +82,6 @@ class SL2Element:
         if m2_det(self.rows) != field.one:
             raise ValueError("determinant must be 1")
 
-    @classmethod
-    def identity(cls, field):
-        return cls(field, m2_identity(field))
-
     def __mul__(self, other):
         return SL2Element(self.field, m2_mul(self.rows, other.rows))
 
@@ -132,29 +128,21 @@ class CaseInfo:
     def rank(self):
         return self.sbasis.rank
 
-    @property
-    def subfield_ranks(self):
-        return [(sr.F, sr.rank) for sr in self.subfields]
-
     def serialize(self):
         out = {
             "case": self.case,
             "s_unit_rank": self.rank,
             "subfield_ranks": [
-                {"poly": list(F.subfield.poly), "rank_of_intersection": r}
-                for F, r in self.subfield_ranks],
+                {"poly": list(sr.F.subfield.poly),
+                 "rank_of_intersection": sr.rank}
+                for sr in self.subfields],
         }
         if self.cm is not None:
             out["cm"] = self.cm.serialize()
         return out
 
 
-def split_prime_check(field, S, F_desc):
-    """True when no finite prime of S(F) splits in K."""
-    return SubfieldRank(field, S, F_desc).unsplit()
-
-
-def classify_case(field, S, subfields=None, *, sbasis=None):
+def classify_case(field, S):
     """Decide which construction applies.
 
     Strict rank inequality everywhere gives Case 1.  Equality at some
@@ -162,12 +150,9 @@ def classify_case(field, S, subfields=None, *, sbasis=None):
     half of a CM structure and no finite prime of S(F) splits; anything
     else is reported as an inconsistency rather than silently patched.
     """
-    if sbasis is None:
-        sbasis = s_unit_basis(field, S)
-    if subfields is None:
-        subfields = default_subfields(field)
+    sbasis = s_unit_basis(field, S)
     rank = sbasis.rank
-    ranks = [SubfieldRank(field, S, F) for F in subfields]
+    ranks = [SubfieldRank(field, S, F) for F in default_subfields(field)]
     attained = []
     for sr in ranks:
         if sr.rank > rank:
@@ -206,7 +191,7 @@ def classify_case(field, S, subfields=None, *, sbasis=None):
 
 class GeneratorTriple:
     __slots__ = ("field", "S", "h", "case_info", "alpha_cert", "alpha_in_K",
-                 "gamma", "psi1", "psi2", "sbasis")
+                 "gamma", "psi1", "psi2")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -230,24 +215,23 @@ class GeneratorTriple:
         return out
 
 
-def build_generators(field, S, h=1, subfields=None, *, max_shell=32,
-                     level_bound=12):
+def build_generators(field, S, h=1):
     """The triple (gamma, psi1, psi2) for O_S, with exponent h >= 1."""
     if h < 1:
         raise ValueError("h must be a positive integer")
-    sbasis = s_unit_basis(field, S)
-    info = classify_case(field, S, subfields, sbasis=sbasis)
+    info = classify_case(field, S)
     hK = field.from_rational(h)
     if info.case == 1:
-        cert = choose_alpha(field, S, sbasis=sbasis, ranks=info.subfields,
-                            max_shell=max_shell, level_bound=level_bound)
+        cert = choose_alpha(field, S, info.sbasis, info.subfields)
         alpha_K = cert.alpha
         psi2_top = hK
     else:
         F = info.case2_subfield
         SF = next(sr.SF for sr in info.subfields if sr.F is F)
-        cert = choose_alpha(F.subfield, SF, max_shell=max_shell,
-                            level_bound=level_bound)
+        ranksF = [SubfieldRank(F.subfield, SF, G)
+                  for G in default_subfields(F.subfield)]
+        cert = choose_alpha(F.subfield, SF, s_unit_basis(F.subfield, SF),
+                            ranksF)
         alpha_K = F.map_element(cert.alpha)
         psi2_top = hK * info.cm.sqrt_minus_d
     ah = alpha_K ** h
@@ -256,4 +240,4 @@ def build_generators(field, S, h=1, subfields=None, *, max_shell=32,
     psi2 = SL2Element(field, ((field.one, psi2_top), (field.zero, field.one)))
     return GeneratorTriple(field=field, S=S, h=h, case_info=info,
                            alpha_cert=cert, alpha_in_K=alpha_K, gamma=gamma,
-                           psi1=psi1, psi2=psi2, sbasis=sbasis)
+                           psi1=psi1, psi2=psi2)

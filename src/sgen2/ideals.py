@@ -20,6 +20,9 @@ from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
                      OrderBoundExceeded, ZeroElement)
 from .field import FieldElement, fundamental_unit, parse_rational
 
+# Largest power a tried by class_order before giving up.
+CLASS_ORDER_BOUND = 10000
+
 
 class IntegralIdeal:
     __slots__ = ("field", "hnf", "_norm", "_powers")
@@ -367,7 +370,7 @@ def _principal_generator(ideal):
     return _principal_generator_quadratic(ideal)
 
 
-def class_order(ideal, bound=10000):
+def class_order(ideal):
     """Smallest a >= 1 with ideal^a principal, plus a verified generator.
 
     Automatic tier: exhaustive, so minimality is proved.  Datasheet
@@ -378,7 +381,7 @@ def class_order(ideal, bound=10000):
     field = ideal.field
     if field.tier == "automatic":
         power = ideal ** 0
-        for a in range(1, bound + 1):
+        for a in range(1, CLASS_ORDER_BOUND + 1):
             power = power * ideal
             gen = _principal_generator(power)
             if gen is not None:
@@ -386,7 +389,8 @@ def class_order(ideal, bound=10000):
                                  "the principal generator does not generate "
                                  "the ideal power")
                 return ClassOrderWitness(ideal, a, gen, True)
-        raise OrderBoundExceeded(f"no principal power up to {bound}")
+        raise OrderBoundExceeded(
+            f"no principal power up to {CLASS_ORDER_BOUND}")
 
     ds = field.datasheet or {}
     for entry in ds.get("class_orders", []):

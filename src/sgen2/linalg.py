@@ -150,10 +150,6 @@ def lattice_intersect(rows1, rows2):
     return hnf([vec_mat(k[:k1], rows1) for k in kern])
 
 
-def lattice_sum(rows1, rows2):
-    return hnf(list(rows1) + list(rows2))
-
-
 # ---------------------------------------------------------------------------
 # Determinants.
 
@@ -286,9 +282,6 @@ class RatLattice:
         scaled = [[int(x * den) for x in r] for r in frac_rows]
         return cls(den, hnf(scaled), ncols)
 
-    def rank(self):
-        return len(self.rows)
-
     def _common(self, other):
         if self.ncols != other.ncols:
             raise ValueError("ambient dimension mismatch")
@@ -317,16 +310,6 @@ class RatLattice:
         a, b = self._common(other)
         d = self.den * other.den // gcd(self.den, other.den)
         return RatLattice(d, lattice_intersect(a, b) if a and b else [], self.ncols)
-
-    def add(self, other):
-        a, b = self._common(other)
-        d = self.den * other.den // gcd(self.den, other.den)
-        return RatLattice(d, lattice_sum(a, b), self.ncols)
-
-    def scale(self, c):
-        c = Fraction(c)
-        rows = [[Fraction(x, self.den) * c for x in r] for r in self.rows]
-        return RatLattice.from_rows(rows, self.ncols)
 
     def frac_rows(self):
         return [[Fraction(x, self.den) for x in r] for r in self.rows]

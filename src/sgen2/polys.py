@@ -44,10 +44,6 @@ def pmul(p, q):
     return trim(out)
 
 
-def pscale(p, c):
-    return trim([c * a for a in p])
-
-
 def peval(p, x):
     acc = 0
     for c in reversed(trim(p)):
@@ -403,11 +399,11 @@ def _equal_degree_split(f, d, p, rng):
             return g
 
 
-def factor_mod_p(f, p, seed=0):
+def factor_mod_p(f, p):
     """Full monic factorization over F_p: sorted [(factor, multiplicity)].
 
     Deterministic: the equal-degree splitting RNG is seeded from
-    (f, p, seed) only.
+    (f, p) only.
     """
     f = pp_monic(f, p)
     if degree(f) < 1:
@@ -415,7 +411,7 @@ def factor_mod_p(f, p, seed=0):
     mix = p
     for c in f:
         mix = (mix * 1000003 + c) & 0xFFFFFFFFFFFF
-    rng = random.Random(mix ^ seed)
+    rng = random.Random(mix)
     out = {}
     for g, mult in _squarefree_decomposition(f, p):
         for h, d in _distinct_degree(g, p):
@@ -531,7 +527,7 @@ def icbrt(n):
     return x
 
 
-def sqrt_upper(n, digits=6):
-    """Rational upper bound for sqrt(n), n >= 0, within 10**-digits."""
-    scale = 10 ** digits
+def sqrt_upper(n):
+    """Rational upper bound for sqrt(n), n >= 0, within 10**-6."""
+    scale = 10 ** 6
     return Fraction(isqrt(n * scale * scale) + 1, scale)

@@ -34,6 +34,13 @@ from .ideals import class_order, factor_rational_prime, valuation
 from .linalg import RatLattice
 from .polys import count_roots_in, degree, peval, root_bound, sturm_chain
 
+# Work bounds: alpha-search exponent shells, the n of the [O_S : Z[alpha^n]]
+# table, filtration levels, and the window of the unit discrete log.
+MAX_SHELL = 32
+INDEX_EXPONENTS = (1, 2, 3)
+LEVEL_BOUND = 12
+DLOG_BOUND = 64
+
 
 class PrimeSet:
     """All infinite places plus a canonically sorted set of finite primes."""
@@ -132,9 +139,6 @@ class SUnitBasis:
     @property
     def rank(self):
         return len(self.fund_units) + len(self.s_gens)
-
-    def generators(self):
-        return list(self.fund_units) + list(self.s_gens)
 
     def serialize(self):
         return {
@@ -446,7 +450,7 @@ def _is_root_of_unity(field, t, max_order=24):
     return False
 
 
-def exponent_vector(sbasis, w, dlog_bound=64):
+def exponent_vector(sbasis, w):
     """Rational exponents (over fund_units + s_gens) of an S-unit w,
     modulo torsion.  Exact: the residual after stripping the beta part
     is resolved by bounded search with exact equality."""
@@ -470,7 +474,7 @@ def exponent_vector(sbasis, w, dlog_bound=64):
         return tuple(beta_exps)
     if nf == 1:
         eps = sbasis.fund_units[0]
-        for k in range(dlog_bound + 1):
+        for k in range(DLOG_BOUND + 1):
             for kk in ((k, -k) if k else (0,)):
                 t = r * eps ** (-kk)
                 if _is_root_of_unity(field, t):
@@ -483,12 +487,6 @@ def exponent_vector(sbasis, w, dlog_bound=64):
         if _is_root_of_unity(field, t):
             return tuple(Fraction(e, M) for e in combo) + tuple(beta_exps)
     raise SearchExhausted("unit discrete log out of range")
-
-
-def subfield_unit_vectors(field, S, sbasis, F_desc):
-    """Exponent vectors spanning (over Q) the S-units of K coming from
-    units of the S(F)-integers of F."""
-    return SubfieldRank(field, S, F_desc).unit_vectors(sbasis)
 
 
 # ---------------------------------------------------------------------------
@@ -530,26 +528,19 @@ def _fund_exponent_sequence(shell):
     return out
 
 
-def choose_alpha(field, S, subfields=None, *, sbasis=None, ranks=None,
-                 max_shell=32, index_exponents=(1, 2, 3), level_bound=12):
+def choose_alpha(field, S, sbasis, ranks):
     """Search for alpha in O_S^* with negative valuation at every finite
     prime of S, avoiding every intermediate field's S-unit span, and
     generating K; returns a fully verified certificate.
 
-    ranks, when given, is the SubfieldRank of each subfield to avoid, as
-    classification computed them; subfields is then not consulted.
+    sbasis is the S-unit basis of field over S, and ranks the
+    SubfieldRank of each subfield to avoid.
 
     Deterministic: candidates are enumerated by max-exponent shells,
     with inverse class-generator exponents >= 1 throughout (which settles
     the V-type conditions), fundamental-unit exponents in the order
     0, 1, -1, 2, -2, ..., and the torsion exponent last.
     """
-    if sbasis is None:
-        sbasis = s_unit_basis(field, S)
-    if ranks is None:
-        if subfields is None:
-            subfields = default_subfields(field)
-        ranks = [SubfieldRank(field, S, F) for F in subfields]
     rank = sbasis.rank
     for sr in ranks:
         if sr.rank >= rank:
@@ -567,7 +558,7 @@ def choose_alpha(field, S, subfields=None, *, sbasis=None, ranks=None,
     tried = 0
     rejected_span = 0
     rejected_degree = 0
-    for shell in range(1, max_shell + 1):
+    for shell in range(1, MAX_SHELL + 1):
         for cb in itertools.product(range(1, shell + 1), repeat=nb):
             for cf in itertools.product(_fund_exponent_sequence(shell), repeat=nf):
                 top = max([abs(c) for c in cf] + list(cb) + [0])
@@ -591,14 +582,12 @@ def choose_alpha(field, S, subfields=None, *, sbasis=None, ranks=None,
                         continue
                     return _certify_alpha(field, S, sbasis, alpha, c0, cf, cb,
                                           mp, spans, vec, tried, rejected_span,
-                                          rejected_degree, index_exponents,
-                                          level_bound)
-    raise SearchExhausted(f"no alpha within exponent shells up to {max_shell}")
+                                          rejected_degree)
+    raise SearchExhausted(f"no alpha within exponent shells up to {MAX_SHELL}")
 
 
 def _certify_alpha(field, S, sbasis, alpha, c0, cf, cb, mp, spans, vec,
-                   tried, rejected_span, rejected_degree, index_exponents,
-                   level_bound):
+                   tried, rejected_span, rejected_degree):
     neg = []
     for P in S.finite:
         v = valuation(alpha, P)
@@ -633,9 +622,8 @@ def _certify_alpha(field, S, sbasis, alpha, c0, cf, cb, mp, spans, vec,
             "generators": labels,
         })
     index_table = []
-    for ne in index_exponents:
-        res = zalpha_index(field, S, alpha, ne, sbasis=sbasis,
-                           level_bound=level_bound)
+    for ne in INDEX_EXPONENTS:
+        res = zalpha_index(sbasis, alpha, ne)
         index_table.append((ne, res.index, res.level))
     unit_part = {
         "m": 1,
@@ -692,23 +680,38 @@ class ZalphaResult:
                               for v in self.per_level]}
 
 
-def stabilized_index(filt, gens_fn, ncols, level_bound=12):
-    """Index [union Lambda_k : span gens] by per-level agreement.
+class PowerSpan:
+    """Stage J is the Z-span of scale * base^j, j = 0..J, and of their
+    multiples by each element of extra; each power is computed once."""
 
-    gens_fn(J) yields the stage-J generators; level k is tested with
-    J = k + 2.  A value is accepted when levels k, k+1, k+2 agree and
-    enlarging the degree at level k does not change it.
+    def __init__(self, base, scale, extra=()):
+        self.base = base
+        self.extra = extra
+        self._pows = [scale]
+
+    def lattice(self, J):
+        while len(self._pows) <= J:
+            self._pows.append(self._pows[-1] * self.base)
+        pows = self._pows[:J + 1]
+        gens = pows + [g * p for g in self.extra for p in pows]
+        return RatLattice.from_rows([list(e.ib_coords()) for e in gens])
+
+
+def stabilized_index(filt, span):
+    """Index [union Lambda_k : span] by per-level agreement.
+
+    Level k is tested with stage J = k + 2 of the PowerSpan.  A value is
+    accepted when levels k, k+1, k+2 agree and enlarging the degree at
+    level k does not change it.
     """
     per_level = []
 
     def idx(k, J):
-        rows = [list(e.ib_coords()) for e in gens_fn(J)]
-        M = RatLattice.from_rows(rows, ncols)
         lk = filt.level(k)
-        out = M.intersect(lk).index_in(lk)
+        out = span.lattice(J).intersect(lk).index_in(lk)
         return out if isinstance(out, int) else None
 
-    for k in range(level_bound + 1):
+    for k in range(LEVEL_BOUND + 1):
         per_level.append(idx(k, k + 2))
         if k >= 2:
             k0 = k - 2
@@ -717,26 +720,13 @@ def stabilized_index(filt, gens_fn, ncols, level_bound=12):
                 if idx(k0, k0 + 3) == v:
                     return v, k0, per_level
     raise NotStabilized(
-        f"index did not stabilize within {level_bound} filtration levels")
+        f"index did not stabilize within {LEVEL_BOUND} filtration levels")
 
 
-def zalpha_index(field, S, alpha, n=1, *, sbasis=None, extra_gens=(),
-                 level_bound=12):
-    """[O_S : Z[alpha^n]] (or of Z[alpha^n] extended by extra generators)
-    with its stabilization level."""
-    if sbasis is None:
-        sbasis = s_unit_basis(field, S)
-    a = alpha ** n
-    filt = LevelFiltration(field, sbasis)
-    pows = [field.one]
-
-    def gens(J):
-        while len(pows) <= J:
-            pows.append(pows[-1] * a)
-        out = list(pows[:J + 1])
-        for g in extra_gens:
-            out.extend(g * p for p in pows[:J + 1])
-        return out
-
-    v, lvl, seq = stabilized_index(filt, gens, field.degree, level_bound)
+def zalpha_index(sbasis, alpha, n):
+    """[O_S : Z[alpha^n]] with its stabilization level, S the prime set
+    of sbasis."""
+    filt = LevelFiltration(sbasis.field, sbasis)
+    span = PowerSpan(alpha ** n, sbasis.field.one)
+    v, lvl, seq = stabilized_index(filt, span)
     return ZalphaResult(v, lvl, seq)

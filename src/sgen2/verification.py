@@ -25,10 +25,15 @@ from .errors import (ConfigInvalid, IdentityFailed, InvariantViolated,
                      VerificationFailure)
 from .generators import m2_eq, m2_identity, m2_inv, m2_mul, m2_pow
 from .ideals import factor_rational_prime, valuation
-from .linalg import RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat
-from .polys import prime_divisors
-from .sunits import LevelFiltration, contract_prime_set, s_unit_basis, \
-    stabilized_index
+from .linalg import hnf, hnf_with_transform, solve_hnf, vec_mat
+from .polys import is_prime, prime_divisors
+from .sunits import (LevelFiltration, PowerSpan, contract_prime_set,
+                     s_unit_basis, stabilized_index)
+
+# Work bounds: the orders N of a^2 that the case-2 ladder tries, and the
+# stages J of the witness module searched for a word.
+N_BOUND = 24
+J_BOUND = 16
 
 
 # ---------------------------------------------------------------------------
@@ -129,27 +134,13 @@ def identity_suite(triple, r_range=range(-5, 6), s_range=range(-5, 6),
 # ---------------------------------------------------------------------------
 # Ring indices behind the elementary subgroup argument.
 
-def _span_lattice(gens, ncols):
-    return RatLattice.from_rows([list(g.ib_coords()) for g in gens], ncols)
-
-
-def _power_gens(base, scale, J, extra=()):
-    pows = [scale]
-    for _ in range(J):
-        pows.append(pows[-1] * base)
-    out = list(pows)
-    for g in extra:
-        out.extend(g * p for p in pows)
-    return out
-
-
-def _check_scaled_containment(filt, index, base, scale, level, extra=()):
-    """index * Lambda_level must land in the stage span (Lagrange)."""
-    gens = _power_gens(base, scale, level + 4, extra)
-    span = _span_lattice(gens, filt.field.degree)
+def _check_scaled_containment(filt, index, span, level):
+    """index * Lambda_level must land in stage level + 4 of the
+    PowerSpan (Lagrange)."""
+    lattice = span.lattice(level + 4)
     lam = filt.level(level)
     for row in lam.frac_rows():
-        if not span.contains_vec([x * index for x in row]):
+        if not lattice.contains_vec([x * index for x in row]):
             return False
     return True
 
@@ -165,7 +156,7 @@ def _in_s_integers(field, S, x):
     return True
 
 
-def ideal_ladder(triple, level_bound=12, n_select="search", n_bound=24):
+def ideal_ladder(triple, n_select="search"):
     """The index data for the elementary subgroup argument.
 
     Case 1: m = [O_S : h Z[a^2]] with a = alpha^h, giving the O_S-ideal
@@ -174,7 +165,7 @@ def ideal_ladder(triple, level_bound=12, n_select="search", n_bound=24):
     sqrt(-d), giving q_ideal = (M).  Every index is a stabilized
     filtration limit and the Lagrange containment is rechecked.
 
-    n_select is either "search" (try N = 1, ..., n_bound and keep the
+    n_select is either "search" (try N = 1, ..., N_BOUND and keep the
     first that works) or an explicit positive integer to test alone.
     The case 2 report records every N tried.
     """
@@ -183,14 +174,12 @@ def ideal_ladder(triple, level_bound=12, n_select="search", n_bound=24):
     hK = field.from_rational(h)
     a = triple.alpha_in_K ** h
     a2 = a * a
-    filt = LevelFiltration(field, triple.sbasis)
+    filt = LevelFiltration(field, triple.case_info.sbasis)
 
     if triple.case_info.case == 1:
-        def h_gens(J):
-            return _power_gens(a2, hK, J)
-
-        m, lvl, seq = stabilized_index(filt, h_gens, field.degree, level_bound)
-        if not _check_scaled_containment(filt, m, a2, hK, lvl):
+        span = PowerSpan(a2, hK)
+        m, lvl, seq = stabilized_index(filt, span)
+        if not _check_scaled_containment(filt, m, span, lvl):
             raise VerificationFailure("m * Lambda_k escapes h Z[a^2]")
         return {
             "case": 1,
@@ -210,16 +199,13 @@ def ideal_ladder(triple, level_bound=12, n_select="search", n_bound=24):
     aF = triple.alpha_cert.alpha ** h
     aF2 = aF * aF
     hF = F.from_rational(h)
-
-    def hF_gens(J):
-        return _power_gens(aF2, hF, J)
-
-    mF, lvlF, seqF = stabilized_index(filtF, hF_gens, F.degree, level_bound)
-    if not _check_scaled_containment(filtF, mF, aF2, hF, lvlF):
+    spanF = PowerSpan(aF2, hF)
+    mF, lvlF, seqF = stabilized_index(filtF, spanF)
+    if not _check_scaled_containment(filtF, mF, spanF, lvlF):
         raise VerificationFailure("m * Lambda_k escapes h Z[a^2] over F")
     # order of a^2 modulo m O_{S(F)}: h (a^{2N} - 1) must fall inside
     if n_select == "search":
-        candidates = range(1, n_bound + 1)
+        candidates = range(1, N_BOUND + 1)
     else:
         candidates = [int(n_select)]
     big_n = None
@@ -236,13 +222,9 @@ def ideal_ladder(triple, level_bound=12, n_select="search", n_bound=24):
     dK = cm.d_in_K
     delta = cm.sqrt_minus_d
     scale_K = hK * hK * hK * dK * field.from_rational(mF)
-
-    def k_gens(J):
-        return _power_gens(a2, scale_K, J, extra=(delta,))
-
-    M, lvlK, seqK = stabilized_index(filt, k_gens, field.degree, level_bound)
-    if not _check_scaled_containment(filt, M, a2, scale_K, lvlK,
-                                     extra=(delta,)):
+    spanK = PowerSpan(a2, scale_K, extra=(delta,))
+    M, lvlK, seqK = stabilized_index(filt, spanK)
+    if not _check_scaled_containment(filt, M, spanK, lvlK):
         raise VerificationFailure("M * Lambda_k escapes the extended ring")
     return {
         "case": 2,
@@ -294,14 +276,14 @@ def _canonical_coeffs(kernel, sol):
     return list(reversed(out))
 
 
-def elementary_witness(triple, x, side="lower", j_bound=16):
+def elementary_witness(triple, x, side="lower"):
     """A word in gamma and psi producing E21(x) (side "lower") or
     E12(x) (side "upper"), verified by exact evaluation.
 
     E21(x) needs x in the Z-span of h a^{2j}; gamma^-j psi1^c gamma^j
     contributes c h a^{2j}.  The upper side runs on tau a^{2j} with
     conjugator powers of the opposite sign.  Raises NotInLattice when x
-    is outside every stage up to j_bound.
+    is outside every stage up to J_BOUND.
     """
     field = triple.field
     a = triple.alpha_in_K ** triple.h
@@ -322,7 +304,7 @@ def elementary_witness(triple, x, side="lower", j_bound=16):
     coeffs = None
     stage = None
     gens = [unit_scale]
-    for J in range(j_bound + 1):
+    for J in range(J_BOUND + 1):
         while len(gens) <= J:
             gens.append(gens[-1] * a2)
         den = 1
@@ -339,7 +321,7 @@ def elementary_witness(triple, x, side="lower", j_bound=16):
             break
     if coeffs is None:
         raise NotInLattice(
-            f"target entry is outside stage {j_bound} of the witness module")
+            f"target entry is outside stage {J_BOUND} of the witness module")
 
     word = [(sign * j, c) for j, c in enumerate(coeffs) if c]
     gamma = triple.gamma
@@ -360,7 +342,7 @@ class ResidueField:
     """O_K / P as explicit tables, elements indexed by canonical coset
     representatives below the Hermite rows of P."""
 
-    def __init__(self, field, prime, bound=100):
+    def __init__(self, field, prime, bound):
         q = prime.residue_size
         if q > bound:
             raise ResidueFieldTooLarge(f"residue field of size {q} > {bound}")
@@ -453,7 +435,7 @@ class ResidueField:
         return e
 
 
-def admissible_primes(triple, count, bound=100):
+def admissible_primes(triple, count, bound):
     """The first primes where the surjectivity check is meaningful, in
     canonical order.
 
@@ -475,7 +457,6 @@ def admissible_primes(triple, count, bound=100):
     tau = triple.psi2.entry(0, 1)
     out = []
     p = 2
-    from .polys import is_prime
     while len(out) < count:
         while not is_prime(p) or p in schars:
             p += 1
@@ -487,7 +468,7 @@ def admissible_primes(triple, count, bound=100):
             if P.f > 1:
                 if P.contains(num):
                     continue
-                R = ResidueField(field, P)
+                R = ResidueField(field, P, bound)
                 deg = 1
                 for mat in triple.matrices():
                     for i in range(2):
@@ -505,7 +486,7 @@ def admissible_primes(triple, count, bound=100):
     return out
 
 
-def modp_surjectivity(triple, prime, bound=100):
+def modp_surjectivity(triple, prime, bound):
     """Reduce the triple mod an admissible prime and enumerate the
     subgroup it generates inside SL2 of the residue field."""
     field = triple.field
@@ -577,7 +558,7 @@ def modp_surjectivity(triple, prime, bound=100):
 
 def run_verification(triple, *, r_range=range(-5, 6), s_range=range(-5, 6),
                      modp_count=10, modp_bound=100, witness_count=10,
-                     witness_seed=0, level_bound=12, n_select="search"):
+                     witness_seed=0, n_select="search"):
     """Run every check; raises on the first failure, otherwise returns
     the combined report.
 
@@ -586,8 +567,7 @@ def run_verification(triple, *, r_range=range(-5, 6), s_range=range(-5, 6),
     """
     import random
     report = {}
-    report["ladder"] = ideal_ladder(triple, level_bound=level_bound,
-                                    n_select=n_select)
+    report["ladder"] = ideal_ladder(triple, n_select)
     n_range = range(1, 6)
     if triple.case_info.case == 2:
         n_range = sorted(set(n_range) | {report["ladder"]["N"]})

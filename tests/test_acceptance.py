@@ -37,8 +37,8 @@ def _report(capsys, ok, line):
 def test_criterion_1_example_i(capsys):
     t0 = time.monotonic()
     field, S = gaussian_two()
-    sb = s_unit_basis(field, S)
-    info = classify_case(field, S, sbasis=sb)
+    info = classify_case(field, S)
+    sb = info.sbasis
     fq = default_subfields(field)[0]
     ri = rank_of_intersection(field, S, fq)
     dt = time.monotonic() - t0
@@ -53,8 +53,8 @@ def test_criterion_1_example_i(capsys):
 def test_criterion_2_example_ii(capsys):
     t0 = time.monotonic()
     field, S = gaussian_five()
-    sb = s_unit_basis(field, S)
-    info = classify_case(field, S, sbasis=sb)
+    info = classify_case(field, S)
+    sb = info.sbasis
     fq = default_subfields(field)[0]
     sq = contract_prime_set(S, fq)
     dt = time.monotonic() - t0
@@ -78,7 +78,7 @@ def test_criterion_3_generator_suite(capsys):
         assert rep["passed"], build.__name__
         identity_total += rep["exponent_identities"]
         for P in admissible_primes(t, 10, 100):
-            m = modp_surjectivity(t, P)
+            m = modp_surjectivity(t, P, 100)
             assert m["passed"], (build.__name__, m["q"])
             modp_total += 1
             if build is rational_two:
@@ -98,13 +98,13 @@ def test_criterion_4_alpha_certificates(capsys):
     oracle_checks = 0
     for build in CASE_ONE:
         field, S = build()
-        sb = s_unit_basis(field, S)
-        cert = choose_alpha(field, S, sbasis=sb)
+        info = classify_case(field, S)
+        cert = choose_alpha(field, S, info.sbasis, info.subfields)
         for P in S.finite:
             assert valuation(cert.alpha, P) < 0, build.__name__
         assert len(cert.minpoly) - 1 == field.degree, build.__name__
         for n in (1, 2, 3):
-            res = zalpha_index(field, S, cert.alpha, n, sbasis=sb)
+            res = zalpha_index(info.sbasis, cert.alpha, n)
             assert isinstance(res.index, int) and res.index >= 1
             levels = zalpha_levels(field, S, cert.alpha, n, 4)
             assert levels == [res.index] * 5, (build.__name__, n)

@@ -65,6 +65,8 @@ def test_malformed_configs_exit_1(tmp_path):
          "verify": {"qbound": 10}},
         {"field": {"poly": [0, 1]}, "S": [{"p": 2}],
          "verify": {"r": [5, -5]}},
+        {"field": {"poly": [0, 1]}, "S": [{"p": 2}],
+         "verify": {"q_bound": 151}},
     ]
     for cfg in bad:
         code, _ = run(tmp_path, cfg, "analyze")

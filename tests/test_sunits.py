@@ -7,15 +7,15 @@ from sgen2.errors import (CardinalityTooSmall, HypothesisFails, NotASubfield,
                           NotStabilized, SearchExhausted)
 from sgen2.field import create_field
 from sgen2.ideals import factor_rational_prime, valuation
+from sgen2 import sunits
 from sgen2.sunits import (LevelFiltration, PrimeSet, SubfieldDescriptor,
-                          choose_alpha, contract_prime_set, default_subfields,
+                          SubfieldRank, contract_prime_set, default_subfields,
                           exponent_vector, is_cm, rank_of_intersection,
-                          rational_subfield, s_unit_basis,
-                          subfield_unit_vectors, zalpha_index)
+                          rational_subfield, s_unit_basis, zalpha_index)
 
 import oracles
 from instances import (ALL, gaussian_five, gaussian_two, rational_two,
-                       sqrt2_seven, sqrt5_two, zeta5_nofinite)
+                       search_alpha, sqrt2_seven, sqrt5_two, zeta5_nofinite)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_basis_valuations_recomputed():
     for make in (gaussian_five, sqrt2_seven, sqrt5_two):
         k, S = make()
         sb = s_unit_basis(k, S)
-        for i, g in enumerate(sb.generators()):
+        for i, g in enumerate(sb.fund_units + sb.s_gens):
             for j, P in enumerate(S.finite):
                 assert sb.valuation_matrix[i][j] == valuation(g, P)
 
@@ -236,7 +236,7 @@ def test_exponent_vector_with_fundamental_part():
 def test_subfield_unit_vectors_sqrt5():
     k, S = sqrt5_two()
     sb = s_unit_basis(k, S)
-    vecs, labels = subfield_unit_vectors(k, S, sb, rational_subfield(k))
+    vecs, labels = SubfieldRank(k, S, rational_subfield(k)).unit_vectors(sb)
     # 2 = beta * omega^-1, so the span of units from Q is (-1, 1)
     assert vecs == [(Fraction(-1), Fraction(1))]
     assert labels[0]["kind"] == "subfield_class_generator"
@@ -245,7 +245,7 @@ def test_subfield_unit_vectors_sqrt5():
 def test_subfield_unit_vectors_sqrt2_empty():
     k, S = sqrt2_seven()
     sb = s_unit_basis(k, S)
-    vecs, _ = subfield_unit_vectors(k, S, sb, rational_subfield(k))
+    vecs, _ = SubfieldRank(k, S, rational_subfield(k)).unit_vectors(sb)
     assert vecs == []
 
 
@@ -254,7 +254,7 @@ def test_subfield_unit_vectors_sqrt2_empty():
 
 def test_alpha_rational():
     k, S = rational_two()
-    cert = choose_alpha(k, S)
+    cert = search_alpha(k, S)
     assert cert.alpha == k.from_rational(Fraction(1, 2))
     assert (cert.torsion_exp, cert.fund_exps, cert.beta_exps) == (0, [], [-1])
     assert [(p.p, v) for p, v in cert.neg_valuations] == [(2, -1)]
@@ -265,7 +265,7 @@ def test_alpha_rational():
 
 def test_alpha_gaussian_five():
     k, S = gaussian_five()
-    cert = choose_alpha(k, S)
+    cert = search_alpha(k, S)
     assert cert.alpha.serialize() == ["1/25", "2/25"]
     assert cert.beta_exps == [-1, -2]
     # valuation vector (-1, -2) is not proportional to the W span (1, 1)
@@ -280,7 +280,7 @@ def test_alpha_gaussian_five():
 
 def test_alpha_sqrt2():
     k, S = sqrt2_seven()
-    cert = choose_alpha(k, S)
+    cert = search_alpha(k, S)
     assert cert.alpha.serialize() == ["-1/7", "-2/7"]
     assert (cert.fund_exps, cert.beta_exps) == ([0], [-1])
     assert cert.avoidance["candidates_tried"] == 1
@@ -289,7 +289,7 @@ def test_alpha_sqrt2():
 
 def test_alpha_sqrt5():
     k, S = sqrt5_two()
-    cert = choose_alpha(k, S)
+    cert = search_alpha(k, S)
     assert cert.alpha.serialize() == ["-1/4", "1/4"]
     assert (cert.fund_exps, cert.beta_exps) == ([0], [-1])
     # (0, -1) is independent of the span vector (-1, 1): first try wins
@@ -302,7 +302,7 @@ def test_alpha_certificate_identities():
     # alpha^m * prod beta^{b_i} is a unit of O_K, exactly
     for make in (rational_two, gaussian_five, sqrt2_seven, sqrt5_two):
         k, S = make()
-        cert = choose_alpha(k, S)
+        cert = search_alpha(k, S)
         w = cert.alpha
         for b, bexp in zip(s_unit_basis(k, S).s_gens, cert.unit_part["beta_exponents"]):
             w = w * b ** bexp
@@ -313,15 +313,16 @@ def test_alpha_certificate_identities():
 
 def test_alpha_hypothesis_fails_on_cm_equality():
     with pytest.raises(HypothesisFails):
-        choose_alpha(*gaussian_two())
+        search_alpha(*gaussian_two())
     with pytest.raises(HypothesisFails):
-        choose_alpha(*zeta5_nofinite())
+        search_alpha(*zeta5_nofinite())
 
 
-def test_alpha_search_exhausted():
+def test_alpha_search_exhausted(monkeypatch):
     k, S = gaussian_five()
+    monkeypatch.setattr(sunits, "MAX_SHELL", 0)
     with pytest.raises(SearchExhausted):
-        choose_alpha(k, S, max_shell=0)
+        search_alpha(k, S)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +335,9 @@ def test_zalpha_oracle_agreement():
             (sqrt2_seven, {1: 2, 2: 4, 3: 22}),
             (sqrt5_two, {1: 1, 2: 1, 3: 1})):
         k, S = make()
-        cert = choose_alpha(k, S)
+        cert = search_alpha(k, S)
         for n, expect in table.items():
-            res = zalpha_index(k, S, cert.alpha, n)
+            res = zalpha_index(cert.sbasis, cert.alpha, n)
             assert res.index == expect
             assert oracles.zalpha_levels(k, S, cert.alpha, n, 4) == [expect] * 5
 
@@ -345,7 +346,7 @@ def test_zalpha_not_stabilized():
     # Z[i] has infinite index in O_S once denominators at 5 exist
     k, S = gaussian_five()
     with pytest.raises(NotStabilized):
-        zalpha_index(k, S, k.theta, 1)
+        zalpha_index(s_unit_basis(k, S), k.theta, 1)
 
 
 def test_level_filtration_rational():

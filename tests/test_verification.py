@@ -60,7 +60,7 @@ def test_identity_suite_rejects_tampering():
     t = triple(rational_two)
     bad = type(t)(field=t.field, S=t.S, h=2, case_info=t.case_info,
                   alpha_cert=t.alpha_cert, alpha_in_K=t.alpha_in_K,
-                  gamma=t.gamma, psi1=t.psi1, psi2=t.psi2, sbasis=t.sbasis)
+                  gamma=t.gamma, psi1=t.psi1, psi2=t.psi2)
     with pytest.raises(IdentityFailed):
         identity_suite(bad)
 
@@ -107,7 +107,7 @@ def test_ladder_containment_forms():
     a2 = t.alpha_in_K ** 2
     gens = [k.from_rational(t.h) * a2 ** j for j in range(9)]
     span = RatLattice.from_rows([list(g.ib_coords()) for g in gens], k.degree)
-    for row in oracles.level_rows(k, t.sbasis, 2):
+    for row in oracles.level_rows(k, t.case_info.sbasis, 2):
         assert span.contains_vec([x * lad["m"] for x in row])
 
     # case 2: M Lambda_k lands inside span + sqrt(-d) span
@@ -121,7 +121,7 @@ def test_ladder_containment_forms():
     gens = [scale * a2 ** j for j in range(9)]
     gens += [delta * g for g in gens]
     span = RatLattice.from_rows([list(g.ib_coords()) for g in gens], k.degree)
-    for row in oracles.level_rows(k, t.sbasis, 2):
+    for row in oracles.level_rows(k, t.case_info.sbasis, 2):
         assert span.contains_vec([x * lad["M"] for x in row])
 
 
@@ -183,7 +183,7 @@ def test_residue_field_tables():
     t = triple(gaussian_two)
     k = t.field
     (p3,) = factor_rational_prime(k, 3)
-    R = ResidueField(k, p3)
+    R = ResidueField(k, p3, 100)
     assert R.q == 9
     zero = R.reduce_element(k.zero)
     one = R.reduce_element(k.one)
@@ -208,7 +208,7 @@ def test_residue_field_denominator_guard():
     t = triple(gaussian_two)
     k = t.field
     (p3,) = factor_rational_prime(k, 3)
-    R = ResidueField(k, p3)
+    R = ResidueField(k, p3, 100)
     with pytest.raises(ConfigInvalid):
         R.reduce_element(k.from_rational(Fraction(1, 3)))
     # denominators supported in S are fine: 1/2 = 2 mod 3
@@ -223,16 +223,16 @@ def test_modp_rational_goldens():
     t = triple(rational_two)
     k = t.field
     (p3,) = factor_rational_prime(k, 3)
-    rep = modp_surjectivity(t, p3)
+    rep = modp_surjectivity(t, p3, 100)
     assert rep["q"] == 3
     assert rep["reached"] == 24 == rep["group_order"]
     assert rep["passed"]
     assert rep["bfs_expansions"] == 144
     (p5,) = factor_rational_prime(k, 5)
-    assert modp_surjectivity(t, p5)["reached"] == 120
+    assert modp_surjectivity(t, p5, 100)["reached"] == 120
     (p2,) = factor_rational_prime(k, 2)
     with pytest.raises(PrimeInS):
-        modp_surjectivity(t, p2)
+        modp_surjectivity(t, p2, 100)
 
 
 def test_modp_group_orders_against_oracle():
@@ -247,7 +247,7 @@ def test_modp_central_gamma_breaks_surjectivity():
     # the order-120 subgroup, honestly reported as a failure
     t = triple(gaussian_two)
     (p3,) = factor_rational_prime(t.field, 3)
-    rep = modp_surjectivity(t, p3)
+    rep = modp_surjectivity(t, p3, 100)
     assert rep["q"] == 9
     assert rep["group_order"] == 720
     assert rep["reached"] == 120
@@ -258,7 +258,7 @@ def test_modp_residue_field_bound():
     t = triple(gaussian_two)
     (p11,) = factor_rational_prime(t.field, 11)
     with pytest.raises(ResidueFieldTooLarge):
-        modp_surjectivity(t, p11)
+        modp_surjectivity(t, p11, 100)
 
 
 def test_modp_shared_characteristic():
@@ -266,7 +266,7 @@ def test_modp_shared_characteristic():
     (other,) = [p for p in factor_rational_prime(t.field, 7)
                 if not t.S.contains(p)]
     with pytest.raises(ConfigInvalid):
-        modp_surjectivity(t, other)
+        modp_surjectivity(t, other, 100)
 
 
 def test_admissible_prime_goldens():
@@ -281,15 +281,23 @@ def test_admissible_prime_goldens():
     }
     for make, qs in expected.items():
         t = triple(make)
-        got = [P.residue_size for P in admissible_primes(t, 10)]
+        got = [P.residue_size for P in admissible_primes(t, 10, 100)]
         assert got == qs, make.__name__
+
+
+def test_admissible_primes_honor_bound_above_100():
+    # the residue fields are built under the caller's bound, so q = 121
+    # (11 is inert in Z[i]) is admissible once the bound allows it
+    t = triple(gaussian_two)
+    got = [(P.p, P.residue_size) for P in admissible_primes(t, 4, 150)]
+    assert got == [(5, 5), (5, 5), (7, 49), (11, 121)]
 
 
 def test_admissible_primes_all_pass():
     for make in ALL:
         t = triple(make)
-        for P in admissible_primes(t, 10):
-            rep = modp_surjectivity(t, P)
+        for P in admissible_primes(t, 10, 100):
+            rep = modp_surjectivity(t, P, 100)
             assert rep["passed"], (make.__name__, P.p, rep["reached"])
 
 
