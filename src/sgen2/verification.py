@@ -12,11 +12,15 @@ Four independent checks, each falsifiable on its own:
   * elementary_witness writes a requested elementary matrix as an
     explicit word in the triple and evaluates the word exactly.
   * modp_surjectivity reduces the triple modulo an admissible prime and
-    walks the generated subgroup of SL2 of the residue field to
-    completion, comparing against the group order q(q^2 - 1).
+    counts the generated subgroup of SL2 of the residue field as the
+    orbit of the row vector (1, 0) times its stabilizer, which Schreier's
+    lemma presents as an additive subgroup of the residue field;
+    O(q^2) table lookups per prime.  The count is compared against the
+    group order q(q^2 - 1).  Each report entry still carries
+    bfs_expansions, now generators (with inverses) x |image|, so that
+    reports keep their bytes until the modp entries change shape.
 """
 
-from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -73,16 +77,19 @@ def identity_suite(triple, r_range=range(-5, 6), s_range=range(-5, 6),
            {"matrices": ["psi1", "psi2"]})
     checked += 1
 
+    p1_pows = {s: m2_pow(p1, s, field) for s in s_range}
+    p2_pows = {s: m2_pow(p2, s, field) for s in s_range}
     for r in r_range:
         gr = m2_pow(g, r, field)
         grm = m2_pow(g, -r, field)
         a2r = a ** (2 * r)
+        a2r_inv = a2r.inverse()
         for s in s_range:
-            lhs1 = m2_mul(gr, m2_mul(m2_pow(p1, s, field), grm))
-            rhs1 = _e21(field, h * s * a2r.inverse())
+            lhs1 = m2_mul(gr, m2_mul(p1_pows[s], grm))
+            rhs1 = _e21(field, h * s * a2r_inv)
             ensure(m2_eq(lhs1, rhs1), "gamma^r psi1^s gamma^-r",
                    {"r": r, "s": s})
-            lhs2 = m2_mul(gr, m2_mul(m2_pow(p2, s, field), grm))
+            lhs2 = m2_mul(gr, m2_mul(p2_pows[s], grm))
             rhs2 = _e12(field, tau * s * a2r)
             ensure(m2_eq(lhs2, rhs2), "gamma^r psi2^s gamma^-r",
                    {"r": r, "s": s})
@@ -96,21 +103,22 @@ def identity_suite(triple, r_range=range(-5, 6), s_range=range(-5, 6),
         cm = triple.case_info.cm
         delta = cm.sqrt_minus_d
         dK = -(delta * delta)
-        t = h * delta
-        u = _e21(field, t.inverse())
+        t_inv = (h * delta).inverse()
+        u = _e21(field, t_inv)
         u_inv = m2_inv(u)
-        w = ((field.one, t.inverse()), (field.zero, delta.inverse()))
+        w = ((field.one, t_inv), (field.zero, delta.inverse()))
         w_inv = m2_inv(w)
+        p1_inv = m2_inv(p1)
+        p2_inv = m2_inv(p2)
         h2d = h * h * dK
         cm_checked = 0
         for s in s_range:
             x = h * s
-            lhs = m2_mul(p2, m2_mul(_e21(field, x), m2_inv(p2)))
+            lhs = m2_mul(p2, m2_mul(_e21(field, x), p2_inv))
             rhs = m2_mul(u, m2_mul(_e12(field, h2d * x), u_inv))
             ensure(m2_eq(lhs, rhs), "psi2 E21 psi2^-1 = u E12 u^-1", {"s": s})
-            y = h * s
-            lhs = m2_mul(p1, m2_mul(_e12(field, y * delta), m2_inv(p1)))
-            rhs = m2_mul(w, m2_mul(_e21(field, h2d * y), w_inv))
+            lhs = m2_mul(p1, m2_mul(_e12(field, x * delta), p1_inv))
+            rhs = m2_mul(w, m2_mul(_e21(field, h2d * x), w_inv))
             ensure(m2_eq(lhs, rhs), "psi1 E12 psi1^-1 = w E21 w^-1", {"s": s})
             cm_checked += 2
         for N in n_range:
@@ -118,7 +126,7 @@ def identity_suite(triple, r_range=range(-5, 6), s_range=range(-5, 6),
             gNm = m2_pow(g, -N, field)
             a2N = a ** (2 * N)
             lhs = m2_mul(u, m2_mul(gNm, m2_mul(u_inv, gN)))
-            rhs = _e21(field, (field.one - a2N) * t.inverse())
+            rhs = _e21(field, (field.one - a2N) * t_inv)
             ensure(m2_eq(lhs, rhs), "u gamma^-N u^-1 gamma^N", {"N": N})
             lhs = m2_mul(w, m2_mul(gN, m2_mul(w_inv, gNm)))
             rhs = _e12(field, (field.one - a2N) * h.inverse())
@@ -486,9 +494,78 @@ def admissible_primes(triple, count, bound):
     return out
 
 
+def image_order(R, mats):
+    """(|orbit|, |stabilizer|) of the row vector (1, 0) under the group
+    generated by mats inside SL2(R); mats are 2x2 tuples of residue
+    indices, and the group order is the product of the two.
+
+    The orbit walk keeps, for each orbit point v, the second row of a
+    transversal matrix T_v (a product of generators with first row v).
+    By Schreier's lemma the stabilizer of (1, 0) is generated by the
+    T_v s T_{vs}^-1 over orbit points v and generators s.  Each has
+    first row (1, 0) and determinant 1, so it is E21(c) and the
+    stabilizer is the additive subgroup of R spanned by these c.  The
+    walk needs no inverse generators, because a finite group is also
+    generated by its generators as a monoid.  The work is O(q^2) table
+    lookups, where enumerating the group would cost q(q^2 - 1).
+    """
+    q = R.q
+    mul = R.mul_table
+    add = R.add_table
+    neg = [R.neg(x) for x in range(q)]
+    row_maps = []
+    for (ma, mb), (mc, md) in mats:
+        tab = [0] * (q * q)
+        for x in range(q):
+            xa = mul[x][ma]
+            xb = mul[x][mb]
+            for y in range(q):
+                tab[x * q + y] = (add[xa][mul[y][mc]] * q
+                                  + add[xb][mul[y][md]])
+        row_maps.append(tab)
+
+    start = R.one * q + R.zero
+    second = {start: R.zero * q + R.one}
+    frontier = [start]
+    for v in frontier:
+        w = second[v]
+        for tab in row_maps:
+            u = tab[v]
+            if u not in second:
+                second[u] = tab[w]
+                frontier.append(u)
+
+    # T_v s has rows (vs, x) and T_{vs} has rows (vs, y); the second row
+    # of T_v s T_{vs}^-1 is (x0 y1 - x1 y0, 1).
+    shifts = set()
+    for v, w in second.items():
+        for tab in row_maps:
+            x0, x1 = divmod(tab[w], q)
+            y0, y1 = divmod(second[tab[v]], q)
+            shifts.add(add[mul[x0][y1]][neg[mul[x1][y0]]])
+
+    # an additive subgroup H of R is an F_p-space, so H + <c> is the
+    # union of the cosets H + k c for k < p
+    stab = {R.zero}
+    for c in shifts:
+        if c not in stab:
+            coset = stab
+            for _ in range(R.p - 1):
+                coset = {add[x][c] for x in coset}
+                stab = stab | coset
+    return len(second), len(stab)
+
+
 def modp_surjectivity(triple, prime, bound):
-    """Reduce the triple mod an admissible prime and enumerate the
-    subgroup it generates inside SL2 of the residue field."""
+    """Reduce the triple mod an admissible prime and count the subgroup
+    it generates inside SL2 of the residue field by orbit and stabilizer
+    (image_order), comparing against the group order q(q^2 - 1).
+
+    bfs_expansions is (number of generators and their inverses) x
+    |image|, the count an enumeration of the image expanding each element
+    once per generator would make; the key stays so that reports keep
+    their bytes until the modp entries change shape.
+    """
     field = triple.field
     if triple.S.contains(prime):
         raise PrimeInS(f"{prime.p} lies in S")
@@ -508,40 +585,9 @@ def modp_surjectivity(triple, prime, bound):
         det = R.add_table[R.mul_table[a][d]][R.neg(R.mul_table[b][c])]
         if det != R.one:
             raise VerificationFailure("reduced matrix leaves SL2")
-    inv_mats = []
-    for (a, b), (c, d) in mats:
-        inv_mats.append(((d, R.neg(b)), (R.neg(c), a)))
-
-    mul = R.mul_table
-    add = R.add_table
-    row_maps = []
-    for (ma, mb), (mc, md) in mats + inv_mats:
-        tab = [0] * (q * q)
-        for x in range(q):
-            xa = mul[x][ma]
-            xb = mul[x][mb]
-            for y in range(q):
-                nx = add[xa][mul[y][mc]]
-                ny = add[xb][mul[y][md]]
-                tab[x * q + y] = nx * q + ny
-        row_maps.append(tab)
-
-    q2 = q * q
-    start = (R.one * q + R.zero) * q2 + (R.zero * q + R.one)
-    seen = {start}
-    frontier = deque([start])
-    expansions = 0
-    while frontier:
-        state = frontier.popleft()
-        r0, r1 = divmod(state, q2)
-        for tab in row_maps:
-            nxt = tab[r0] * q2 + tab[r1]
-            expansions += 1
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+    orbit, stabilizer = image_order(R, mats)
+    reached = orbit * stabilizer
     order = q * (q * q - 1)
-    reached = len(seen)
     return {
         "p": prime.p,
         "f": prime.f,
@@ -549,7 +595,7 @@ def modp_surjectivity(triple, prime, bound):
         "reached": reached,
         "group_order": order,
         "passed": reached == order,
-        "bfs_expansions": expansions,
+        "bfs_expansions": 2 * len(mats) * reached,
     }
 
 

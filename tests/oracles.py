@@ -8,7 +8,9 @@ path intersects first and divides Hermite diagonals, so the two agree
 only if both compositions are right.
 
 The matrix-group oracle counts |SL2| over tiny fields by direct
-enumeration of quadruples.
+enumeration of quadruples, and finds the subgroup that reduced matrices
+generate inside SL2 of a residue field by walking all of its elements
+breadth first, where the library counts it by orbit and stabilizer.
 
 The principal-ideal oracle walks the whole coordinate box of the
 quadratic principal-generator search point by point, taking a Fraction
@@ -16,6 +18,7 @@ determinant norm at each, where the library solves the norm equation
 along one axis.
 """
 
+from collections import deque
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -184,6 +187,47 @@ def sl2_order_quadratic(p, red):
                     if det == one:
                         count += 1
     return count
+
+
+def sl2_image_bfs(R, mats):
+    """(reached, expansions): the order of the subgroup that mats (2x2
+    tuples of indices of the residue field R) generate inside SL2(R),
+    found by a breadth-first walk over its elements that expands each
+    element once per generator and inverse."""
+    q = R.q
+    inv_mats = []
+    for (a, b), (c, d) in mats:
+        inv_mats.append(((d, R.neg(b)), (R.neg(c), a)))
+
+    mul = R.mul_table
+    add = R.add_table
+    row_maps = []
+    for (ma, mb), (mc, md) in mats + inv_mats:
+        tab = [0] * (q * q)
+        for x in range(q):
+            xa = mul[x][ma]
+            xb = mul[x][mb]
+            for y in range(q):
+                nx = add[xa][mul[y][mc]]
+                ny = add[xb][mul[y][md]]
+                tab[x * q + y] = nx * q + ny
+        row_maps.append(tab)
+
+    q2 = q * q
+    start = (R.one * q + R.zero) * q2 + (R.zero * q + R.one)
+    seen = {start}
+    frontier = deque([start])
+    expansions = 0
+    while frontier:
+        state = frontier.popleft()
+        r0, r1 = divmod(state, q2)
+        for tab in row_maps:
+            nxt = tab[r0] * q2 + tab[r1]
+            expansions += 1
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen), expansions
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from sgen2.errors import (ConfigInvalid, IdentityFailed, NotInLattice,
                           PrimeInS, ResidueFieldTooLarge, VerificationFailure)
+from sgen2.field import create_field
 from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice
-from sgen2.sunits import s_unit_basis
+from sgen2.sunits import PrimeSet, s_unit_basis
 from sgen2.verification import (ResidueField, admissible_primes,
                                 elementary_witness, ideal_ladder,
-                                identity_suite, modp_surjectivity,
-                                run_verification)
+                                identity_suite, image_order,
+                                modp_surjectivity, run_verification)
 
 import oracles
 from instances import (ALL, DESK, gaussian_five, gaussian_three, gaussian_two,
@@ -267,6 +269,84 @@ def test_modp_shared_characteristic():
                 if not t.S.contains(p)]
     with pytest.raises(ConfigInvalid):
         modp_surjectivity(t, other, 100)
+
+
+def sqrt103_five():
+    # a valid case-1 instance whose image at p = 7 (q = 49) is the
+    # order-672 subgroup SL2(F_7).<gamma>
+    k = create_field([-103, 0, 1])
+    return k, PrimeSet(k, list(factor_rational_prime(k, 5)))
+
+
+def reduced(R, mats):
+    return [tuple(tuple(R.reduce_element(m.entry(i, j)) for j in range(2))
+                  for i in range(2)) for m in mats]
+
+
+def test_modp_count_matches_bfs_oracle():
+    # every admissible prime (q <= 100) of the desk instances and of
+    # sqrt103_five, plus gaussian_two at 3, which no filter admits
+    cases = []
+    for make in DESK + [sqrt103_five]:
+        t = triple(make)
+        cases += [(t, P) for P in admissible_primes(t, 10, 100)]
+    t = triple(gaussian_two)
+    cases += [(t, P) for P in factor_rational_prime(t.field, 3)]
+    proper = []
+    for t, P in cases:
+        rep = modp_surjectivity(t, P, 100)
+        R = ResidueField(t.field, P, 100)
+        expect = oracles.sl2_image_bfs(R, reduced(R, t.matrices()))
+        assert (rep["reached"], rep["bfs_expansions"]) == expect, \
+            (t.field.poly, P.p, rep["q"])
+        if not rep["passed"]:
+            proper.append((rep["q"], rep["reached"], rep["group_order"]))
+    assert sorted(proper) == [(9, 120, 720), (49, 672, 117600)]
+
+
+def test_image_order_proper_subgroups():
+    def mats_over(R, k, *entries):
+        return [tuple(tuple(R.reduce_element(k.from_rational(v)) for v in row)
+                      for row in m) for m in entries]
+
+    k5 = create_field([-1, 1])
+    (p5,) = factor_rational_prime(k5, 5)
+    F5 = ResidueField(k5, p5, 100)
+    e21 = ((1, 0), (1, 1))
+    e12 = ((1, 1), (0, 1))
+    torus = ((2, 0), (0, 3))
+    minus = ((-1, 0), (0, -1))
+    k9 = create_field([1, 0, 1])
+    (p3,) = factor_rational_prime(k9, 3)
+    F9 = ResidueField(k9, p3, 100)
+    i = F9.reduce_element(k9.theta)
+    cases = [
+        (F5, mats_over(F5, k5, e21, torus), (4, 5)),     # lower Borel
+        (F5, mats_over(F5, k5, e12, torus), (20, 1)),    # upper Borel
+        (F5, mats_over(F5, k5, torus), (4, 1)),          # diagonal torus
+        (F5, mats_over(F5, k5, minus), (2, 1)),          # {+-1}
+        (F9, mats_over(F9, k9, e12, e21), (8, 3)),       # SL2(F_3)
+        # E21 of the whole of F_9, spanned by two additive generators
+        (F9, mats_over(F9, k9, e21) + [((F9.one, F9.zero), (i, F9.one))],
+         (1, 9)),
+    ]
+    for R, mats, expect in cases:
+        assert image_order(R, mats) == expect, (R.q, expect)
+        reached, expansions = oracles.sl2_image_bfs(R, mats)
+        assert reached == expect[0] * expect[1]
+        assert expansions == 2 * len(mats) * reached
+
+
+def test_modp_above_q_100_at_speed():
+    # 11 is inert in Z[i]: q = 121, whose group has 1.77 M elements
+    t = triple(gaussian_two)
+    (p11,) = factor_rational_prime(t.field, 11)
+    started = time.process_time()
+    rep = modp_surjectivity(t, p11, 150)
+    assert time.process_time() - started < 3
+    assert rep["q"] == 121
+    assert rep["reached"] == rep["group_order"] == 1771440
+    assert rep["bfs_expansions"] == 10628640
 
 
 def test_admissible_prime_goldens():
