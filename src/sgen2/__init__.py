@@ -18,6 +18,6 @@ from .generators import (CaseInfo, GeneratorTriple, SL2Element,
                          build_generators, classify_case)
 from .verification import (ResidueField, Witness, admissible_primes,
                            elementary_witness, ideal_ladder, identity_suite,
-                           modp_surjectivity, run_verification)
+                           modp_surjectivity, reduce_triple, run_verification)
 
 __version__ = "0.1.0"

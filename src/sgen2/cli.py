@@ -37,8 +37,8 @@ VERIFY_DEFAULTS = {
     "witness_samples": 10,
 }
 
-# Largest verify.q_bound accepted.  The mod-P walk visits q(q^2 - 1)
-# states: 1.8 M at q = 121 (9 s, 170 MB on a 2-vCPU host), 3.3 M at 149.
+# Largest verify.q_bound accepted.  A residue field of size q is held as
+# dense q x q multiplication and addition tables, 22500 entries each at 150.
 MAX_Q_BOUND = 150
 
 

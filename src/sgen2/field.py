@@ -4,7 +4,10 @@ Elements carry rational coordinates with respect to the power basis
 1, t, ..., t^(n-1) of a fixed root t of the monic defining polynomial.
 Integrality is referred to the field's integral basis: a matrix whose
 rows are power-basis coordinates of a Z-basis of the maximal order,
-first row equal to 1.
+first row equal to 1.  Its integer structure constants (mult_table) are
+built once through the power basis; every product of integral-basis
+coordinate vectors (ideals, filtration levels, power spans, residue
+tables) is NumberField.ib_mul, which reads them.
 
 Degree <= 2 fields get their integral basis, discriminant and (in the
 real quadratic case) fundamental unit computed from scratch; higher
@@ -167,12 +170,14 @@ class FieldElement:
     def is_integral(self):
         return all(c.denominator == 1 for c in self.ib_coords())
 
-    def denominator_to_basis(self):
-        """Smallest positive integer d with d * self in the maximal order."""
+    def ib_numerator(self):
+        """(d, v): the smallest positive integer d with d * self in the
+        maximal order, and the integral-basis coordinates v of d * self."""
+        c = self.ib_coords()
         d = 1
-        for c in self.ib_coords():
-            d = d * c.denominator // gcd(d, c.denominator)
-        return d
+        for x in c:
+            d = d * x.denominator // gcd(d, x.denominator)
+        return d, [int(x * d) for x in c]
 
     def serialize(self):
         return [format_rational(c) for c in self.coords]
@@ -267,6 +272,21 @@ class NumberField:
             raise DivisionByZero("inverse of zero divisor")
         # solve y * M = e0, i.e. y = e0 * M^-1 = first row of M^-1
         return tuple(inv[0][j] for j in range(self.degree))
+
+    def ib_mul(self, u, v):
+        """Integral-basis coordinates of the product of two elements given
+        by integral-basis coordinates (integers or rationals)."""
+        out = [0] * self.degree
+        for i, a in enumerate(u):
+            if a:
+                row = self.mult_table[i]
+                for j, b in enumerate(v):
+                    if b:
+                        ab = a * b
+                        for k, t in enumerate(row[j]):
+                            if t:
+                                out[k] += ab * t
+        return out
 
     def _build_mult_table(self):
         n = self.degree

@@ -63,14 +63,8 @@ class IntegralIdeal:
         if not isinstance(other, IntegralIdeal):
             return NotImplemented
         f = self.field
-        gens_a = [f.from_ib(r) for r in self.hnf]
-        gens_b = [f.from_ib(r) for r in other.hnf]
-        rows = []
-        for a in gens_a:
-            for b in gens_b:
-                c = (a * b).ib_coords()
-                rows.append([int(x) for x in c])
-        return IntegralIdeal(f, rows)
+        return IntegralIdeal(f, [f.ib_mul(a, b) for a in self.hnf
+                                 for b in other.hnf])
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -248,13 +242,14 @@ def factor_rational_prime(field, p):
 
 def _ideal_rows(field, elements):
     """Integral-basis rows of every generator times every basis element."""
+    n = field.degree
     rows = []
     for e in elements:
-        for i in range(field.degree):
-            c = (e * field.basis_element(i)).ib_coords()
-            if any(x.denominator != 1 for x in c):
-                raise ValueError(f"generator {e!r} is not integral")
-            rows.append([int(x) for x in c])
+        den, c = e.ib_numerator()
+        if den != 1:
+            raise ValueError(f"generator {e!r} is not integral")
+        rows += [field.ib_mul(c, [int(i == j) for j in range(n)])
+                 for i in range(n)]
     return rows
 
 
@@ -286,15 +281,14 @@ def valuation(x, prime):
         raise TypeError("element expected")
     if x.is_zero():
         raise ZeroElement("valuation of zero")
-    den = x.denominator_to_basis()
-    y = x * den
+    den, y = x.ib_numerator()
     vp_den = 0
     d = den
     while d % prime.p == 0:
         d //= prime.p
         vp_den += 1
     k = 0
-    while (prime ** (k + 1)).contains(y):
+    while linalg.in_lattice((prime ** (k + 1)).hnf, y):
         k += 1
     return k - prime.e * vp_den
 
@@ -380,9 +374,8 @@ def class_order(ideal):
     """
     field = ideal.field
     if field.tier == "automatic":
-        power = ideal ** 0
         for a in range(1, CLASS_ORDER_BOUND + 1):
-            power = power * ideal
+            power = ideal ** a
             gen = _principal_generator(power)
             if gen is not None:
                 _check_invariant(IntegralIdeal.principal(field, gen) == power,

@@ -35,11 +35,13 @@ from .linalg import RatLattice
 from .polys import count_roots_in, degree, peval, root_bound, sturm_chain
 
 # Work bounds: alpha-search exponent shells, the n of the [O_S : Z[alpha^n]]
-# table, filtration levels, and the window of the unit discrete log.
+# table, filtration levels, the window of the unit discrete log, and the
+# largest order of a root of unity that the torsion test tries.
 MAX_SHELL = 32
 INDEX_EXPONENTS = (1, 2, 3)
 LEVEL_BOUND = 12
 DLOG_BOUND = 64
+MAX_ROOT_ORDER = 24
 
 
 class PrimeSet:
@@ -372,13 +374,8 @@ def _split_off_sqrt(field, F_desc):
     if in_F is None:
         return None
     # clear denominators and content so that delta is a primitive integer
-    den = delta.denominator_to_basis()
-    delta = delta * den
-    content = 0
-    for c in delta.ib_coords():
-        content = gcd(content, int(c))
-    if content > 1:
-        delta = delta * Fraction(1, content)
+    den, c = delta.ib_numerator()
+    delta = delta * Fraction(den, gcd(*c))
     d_K = -(delta * delta)
     coeffs = linalg.span_coeffs(g_powers, list(d_K.coords))
     if coeffs is None:
@@ -441,9 +438,9 @@ def rank_of_intersection(field, S, F_desc):
 # ---------------------------------------------------------------------------
 # Exponent vectors of S-units over a basis.
 
-def _is_root_of_unity(field, t, max_order=24):
+def _is_root_of_unity(field, t):
     power = t
-    for _ in range(max_order):
+    for _ in range(MAX_ROOT_ORDER):
         if power == field.one:
             return True
         power = power * t
@@ -650,19 +647,18 @@ class LevelFiltration:
         b = field.one
         for g in sbasis.s_gens:
             b = b * g
-        self.B = b
-        self._binv_pow = [field.one]
+        self._binv = b.inverse().ib_coords()
+        self._scale = field.one.ib_coords()  # B^-k for the next level k
         self._levels = []
 
     def level(self, k):
+        f = self.field
+        n = f.degree
         while len(self._levels) <= k:
-            j = len(self._levels)
-            while len(self._binv_pow) <= j:
-                self._binv_pow.append(self._binv_pow[-1] * self.B.inverse())
-            scale = self._binv_pow[j]
-            rows = [(scale * self.field.basis_element(i)).ib_coords()
-                    for i in range(self.field.degree)]
-            self._levels.append(RatLattice.from_rows(rows, self.field.degree))
+            rows = [f.ib_mul(self._scale, [int(i == j) for j in range(n)])
+                    for i in range(n)]
+            self._levels.append(RatLattice.from_rows(rows, n))
+            self._scale = f.ib_mul(self._scale, self._binv)
         return self._levels[k]
 
 
@@ -682,19 +678,25 @@ class ZalphaResult:
 
 class PowerSpan:
     """Stage J is the Z-span of scale * base^j, j = 0..J, and of their
-    multiples by each element of extra; each power is computed once."""
+    multiples by each element of extra; each power is computed once, in
+    integral-basis coordinates."""
 
     def __init__(self, base, scale, extra=()):
-        self.base = base
-        self.extra = extra
-        self._pows = [scale]
+        self.field = scale.field
+        self.base = base.ib_coords()
+        self.extra = [g.ib_coords() for g in extra]
+        self._pows = [scale.ib_coords()]
+
+    def rows(self, J):
+        """Integral-basis rows of the stage-J generators, powers first."""
+        f = self.field
+        while len(self._pows) <= J:
+            self._pows.append(f.ib_mul(self._pows[-1], self.base))
+        pows = self._pows[:J + 1]
+        return pows + [f.ib_mul(g, p) for g in self.extra for p in pows]
 
     def lattice(self, J):
-        while len(self._pows) <= J:
-            self._pows.append(self._pows[-1] * self.base)
-        pows = self._pows[:J + 1]
-        gens = pows + [g * p for g in self.extra for p in pows]
-        return RatLattice.from_rows([list(e.ib_coords()) for e in gens])
+        return RatLattice.from_rows(self.rows(J))
 
 
 def stabilized_index(filt, span):

@@ -11,14 +11,15 @@ Four independent checks, each falsifiable on its own:
     containments they imply.
   * elementary_witness writes a requested elementary matrix as an
     explicit word in the triple and evaluates the word exactly.
-  * modp_surjectivity reduces the triple modulo an admissible prime and
-    counts the generated subgroup of SL2 of the residue field as the
-    orbit of the row vector (1, 0) times its stabilizer, which Schreier's
-    lemma presents as an additive subgroup of the residue field;
-    O(q^2) table lookups per prime.  The count is compared against the
-    group order q(q^2 - 1).  Each report entry still carries
-    bfs_expansions, now generators (with inverses) x |image|, so that
-    reports keep their bytes until the modp entries change shape.
+  * modp_surjectivity takes the triple reduced modulo an admissible prime
+    (reduce_triple, once per prime) and counts the generated subgroup of
+    SL2 of the residue field as the orbit of the row vector (1, 0) times
+    its stabilizer, which Schreier's lemma presents as an additive
+    subgroup of the residue field; O(q^2) table lookups per prime.  The
+    count is compared against the group order q(q^2 - 1).  Each report
+    entry still carries bfs_expansions, now generators (with inverses) x
+    |image|, so that reports keep their bytes until the modp entries
+    change shape.
 """
 
 from fractions import Fraction
@@ -156,7 +157,7 @@ def _check_scaled_containment(filt, index, span, level):
 def _in_s_integers(field, S, x):
     """Exact membership of x in the ring of S-integers: every prime of
     the denominator outside S must see a nonnegative valuation."""
-    den = x.denominator_to_basis()
+    den, _ = x.ib_numerator()
     for p in prime_divisors(den):
         for q in factor_rational_prime(field, p):
             if not S.contains(q) and valuation(x, q) < 0:
@@ -311,12 +312,10 @@ def elementary_witness(triple, x, side="lower"):
 
     coeffs = None
     stage = None
-    gens = [unit_scale]
+    span = PowerSpan(a2, unit_scale)
     for J in range(J_BOUND + 1):
-        while len(gens) <= J:
-            gens.append(gens[-1] * a2)
         den = 1
-        rows = [list(g.ib_coords()) for g in gens] + [list(x.ib_coords())]
+        rows = span.rows(J) + [list(x.ib_coords())]
         for r in rows:
             for v in r:
                 den = den * v.denominator // gcd(den, v.denominator)
@@ -371,27 +370,10 @@ class ResidueField:
         self._index = {r: i for i, r in enumerate(reps)}
         self.zero = self._index[tuple([0] * n)]
         self.one = self.reduce_ints([int(c) for c in field.one.ib_coords()])
-        mt = field.mult_table
-        self.mul_table = []
-        self.add_table = []
-        for ra in reps:
-            mrow = []
-            arow = []
-            for rb in reps:
-                prod = [0] * n
-                for i, ca in enumerate(ra):
-                    if not ca:
-                        continue
-                    for j, cb in enumerate(rb):
-                        if not cb:
-                            continue
-                        t = mt[i][j]
-                        for k in range(n):
-                            prod[k] += ca * cb * t[k]
-                mrow.append(self.reduce_ints(prod))
-                arow.append(self.reduce_ints([x + y for x, y in zip(ra, rb)]))
-            self.mul_table.append(mrow)
-            self.add_table.append(arow)
+        self.mul_table = [[self.reduce_ints(field.ib_mul(ra, rb)) for rb in reps]
+                          for ra in reps]
+        self.add_table = [[self.reduce_ints([x + y for x, y in zip(ra, rb)])
+                           for rb in reps] for ra in reps]
         self.inv_table = [None] * q
         for i in range(q):
             for j in range(q):
@@ -410,12 +392,11 @@ class ResidueField:
         return self._index[tuple(v)]
 
     def reduce_element(self, x):
-        den = x.denominator_to_basis()
+        den, num = x.ib_numerator()
         if gcd(den, self.p) != 1:
             raise ConfigInvalid(
                 "element denominator shares the residue characteristic")
-        num = x * den
-        i_num = self.reduce_ints([int(c) for c in num.ib_coords()])
+        i_num = self.reduce_ints(num)
         i_den = self.reduce_ints([den] + [0] * (self.field.degree - 1))
         return self.mul_table[i_num][self.inv_table[i_den]]
 
@@ -443,9 +424,27 @@ class ResidueField:
         return e
 
 
+def reduce_triple(triple, prime, bound):
+    """(R, mats): the residue field R = O_K / prime, of size at most
+    bound, and the triple's matrices reduced into it as 2x2 tuples of
+    residue indices.  The prime must lie outside S and over a rational
+    prime that no member of S lies over."""
+    if triple.S.contains(prime):
+        raise PrimeInS(f"{prime.p} lies in S")
+    for P in triple.S.finite:
+        if P.p == prime.p:
+            raise ConfigInvalid(
+                "prime shares its residue characteristic with a member of S")
+    R = ResidueField(triple.field, prime, bound)
+    mats = [tuple(tuple(R.reduce_element(m.entry(i, j)) for j in range(2))
+                  for i in range(2)) for m in triple.matrices()]
+    return R, mats
+
+
 def admissible_primes(triple, count, bound):
     """The first primes where the surjectivity check is meaningful, in
-    canonical order.
+    canonical order, each as the pair (R, mats) of reduce_triple that
+    modp_surjectivity counts.
 
     Requirements: residue field size <= bound; rational characteristic
     away from S (so reduction never divides by zero); both psi entries
@@ -461,7 +460,7 @@ def admissible_primes(triple, count, bound):
     field = triple.field
     schars = {P.p for P in triple.S.finite}
     x = triple.alpha_in_K ** (2 * triple.h) - field.one
-    num = x * x.denominator_to_basis()
+    num = x * x.ib_numerator()[0]
     tau = triple.psi2.entry(0, 1)
     out = []
     p = 2
@@ -473,19 +472,15 @@ def admissible_primes(triple, count, bound):
                 continue
             if triple.h % p == 0 or P.contains(tau):
                 continue
-            if P.f > 1:
-                if P.contains(num):
-                    continue
-                R = ResidueField(field, P, bound)
-                deg = 1
-                for mat in triple.matrices():
-                    for i in range(2):
-                        for j in range(2):
-                            e = R.element_degree(R.reduce_element(mat.entry(i, j)))
-                            deg = deg * e // gcd(deg, e)
-                if deg != P.f:
-                    continue
-            out.append(P)
+            if P.f > 1 and P.contains(num):
+                continue
+            R, mats = reduce_triple(triple, P, bound)
+            deg = 1
+            for e in (R.element_degree(v) for m in mats for r in m for v in r):
+                deg = deg * e // gcd(deg, e)
+            if deg != P.f:
+                continue
+            out.append((R, mats))
             if len(out) == count:
                 break
         p += 1
@@ -556,9 +551,9 @@ def image_order(R, mats):
     return len(second), len(stab)
 
 
-def modp_surjectivity(triple, prime, bound):
-    """Reduce the triple mod an admissible prime and count the subgroup
-    it generates inside SL2 of the residue field by orbit and stabilizer
+def modp_surjectivity(R, mats):
+    """Count the subgroup that the reduced triple mats (from reduce_triple)
+    generates inside SL2 of the residue field R by orbit and stabilizer
     (image_order), comparing against the group order q(q^2 - 1).
 
     bfs_expansions is (number of generators and their inverses) x
@@ -566,21 +561,7 @@ def modp_surjectivity(triple, prime, bound):
     once per generator would make; the key stays so that reports keep
     their bytes until the modp entries change shape.
     """
-    field = triple.field
-    if triple.S.contains(prime):
-        raise PrimeInS(f"{prime.p} lies in S")
-    for P in triple.S.finite:
-        if P.p == prime.p:
-            raise ConfigInvalid(
-                "prime shares its residue characteristic with a member of S")
-    R = ResidueField(field, prime, bound)
     q = R.q
-
-    def red_mat(mat):
-        return tuple(tuple(R.reduce_element(mat.entry(i, j))
-                           for j in range(2)) for i in range(2))
-
-    mats = [red_mat(m) for m in triple.matrices()]
     for (a, b), (c, d) in mats:
         det = R.add_table[R.mul_table[a][d]][R.neg(R.mul_table[b][c])]
         if det != R.one:
@@ -589,8 +570,8 @@ def modp_surjectivity(triple, prime, bound):
     reached = orbit * stabilizer
     order = q * (q * q - 1)
     return {
-        "p": prime.p,
-        "f": prime.f,
+        "p": R.p,
+        "f": R.prime.f,
         "q": q,
         "reached": reached,
         "group_order": order,
@@ -638,12 +619,12 @@ def run_verification(triple, *, r_range=range(-5, 6), s_range=range(-5, 6),
     report["witnesses"] = {"count": len(witnesses), "items": witnesses}
 
     modp = []
-    for P in admissible_primes(triple, modp_count, modp_bound):
-        res = modp_surjectivity(triple, P, modp_bound)
+    for R, mats in admissible_primes(triple, modp_count, modp_bound):
+        res = modp_surjectivity(R, mats)
         modp.append(res)
         if not res["passed"]:
             raise VerificationFailure(
-                f"reduction mod the prime over {P.p} (q = {res['q']}) is "
+                f"reduction mod the prime over {R.p} (q = {res['q']}) is "
                 f"not surjective: {res['reached']} of {res['group_order']}")
     report["modp"] = modp
     report["passed"] = True

@@ -1,6 +1,7 @@
 """Independent cross-checks used to freeze expected values in the tests.
 
-The ring-index oracle computes [Lambda_k : M cap Lambda_k] as
+The ring-index oracle builds Lambda_k from field-element products and
+computes [Lambda_k : M cap Lambda_k] as
 [Lambda_k + M : M] (second isomorphism), via a sum lattice and Smith
 invariant factors (computed here, by the oracle's own elimination),
 with a Bareiss determinant cross-check.  The library
@@ -24,7 +25,7 @@ from math import gcd, isqrt
 
 from sgen2 import linalg, polys
 from sgen2.field import fundamental_unit
-from sgen2.sunits import LevelFiltration, s_unit_basis
+from sgen2.sunits import s_unit_basis
 
 
 def snf_invariants(mat):
@@ -86,8 +87,15 @@ def snf_invariants(mat):
 
 
 def level_rows(field, sbasis, k):
-    filt = LevelFiltration(field, sbasis)
-    return filt.level(k).frac_rows()
+    """Integral-basis rows of B^-k w_i, B the product of the S-generators
+    and w_i the integral basis: generators of Lambda_k, by FieldElement
+    products, where the library multiplies by structure constants."""
+    b = field.one
+    for g in sbasis.s_gens:
+        b = b * g
+    scale = b.inverse() ** k
+    return [list((scale * field.basis_element(i)).ib_coords())
+            for i in range(field.degree)]
 
 
 def coset_index(field, sbasis, gens, k):

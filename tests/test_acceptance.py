@@ -77,8 +77,8 @@ def test_criterion_3_generator_suite(capsys):
         rep = identity_suite(t)
         assert rep["passed"], build.__name__
         identity_total += rep["exponent_identities"]
-        for P in admissible_primes(t, 10, 100):
-            m = modp_surjectivity(t, P, 100)
+        for R, mats in admissible_primes(t, 10, 100):
+            m = modp_surjectivity(R, mats)
             assert m["passed"], (build.__name__, m["q"])
             modp_total += 1
             if build is rational_two:

@@ -208,6 +208,14 @@ def test_structure_constants_match_direct_products():
                 direct = k.basis_element(i) * k.basis_element(j)
                 via_table = k.from_ib(k.mult_table[i][j])
                 assert direct == via_table
+        # ib_mul on random integral and rational coordinate vectors
+        rng = random.Random(n)
+        for _ in range(20):
+            u = [rng.randint(-9, 9) for _ in range(n)]
+            v = [rng.randint(-9, 9) for _ in range(n)]
+            w = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+            assert k.from_ib(k.ib_mul(u, v)) == k.from_ib(u) * k.from_ib(v)
+            assert k.from_ib(k.ib_mul(w, u)) == k.from_ib(w) * k.from_ib(u)
 
 
 def test_trace_gram_discriminant_cross_check():

@@ -19,6 +19,25 @@ def QI():
     return create_field([1, 0, 1])
 
 
+def test_principal_ideal_products():
+    # (a)(b) = (ab) for random integral a, b: the ideal product runs on
+    # structure constants, the element product on the power basis
+    rng = random.Random(11)
+    for poly, ds in [([1, 0, 1], None), ([-5, 0, 1], None), ([3, 0, 1], None),
+                     ([5, 0, 1], None), ([1, 1, 1, 1, 1], ZETA5_DATASHEET)]:
+        k = create_field(poly, datasheet=ds)
+        done = 0
+        while done < 8:
+            a, b = (k.from_ib([rng.randint(-6, 6) for _ in range(k.degree)])
+                    for _ in range(2))
+            if a.is_zero() or b.is_zero():
+                continue
+            prod = IntegralIdeal.principal(k, a) * IntegralIdeal.principal(k, b)
+            assert prod == IntegralIdeal.principal(k, a * b), (poly, a, b)
+            assert prod.norm == abs(a.norm() * b.norm())
+            done += 1
+
+
 def test_gaussian_two_ramifies():
     k = QI()
     (p2,) = factor_rational_prime(k, 2)

@@ -13,7 +13,8 @@ from sgen2.sunits import PrimeSet, s_unit_basis
 from sgen2.verification import (ResidueField, admissible_primes,
                                 elementary_witness, ideal_ladder,
                                 identity_suite, image_order,
-                                modp_surjectivity, run_verification)
+                                modp_surjectivity, reduce_triple,
+                                run_verification)
 
 import oracles
 from instances import (ALL, DESK, gaussian_five, gaussian_three, gaussian_two,
@@ -225,16 +226,16 @@ def test_modp_rational_goldens():
     t = triple(rational_two)
     k = t.field
     (p3,) = factor_rational_prime(k, 3)
-    rep = modp_surjectivity(t, p3, 100)
+    rep = modp_surjectivity(*reduce_triple(t, p3, 100))
     assert rep["q"] == 3
     assert rep["reached"] == 24 == rep["group_order"]
     assert rep["passed"]
     assert rep["bfs_expansions"] == 144
     (p5,) = factor_rational_prime(k, 5)
-    assert modp_surjectivity(t, p5, 100)["reached"] == 120
+    assert modp_surjectivity(*reduce_triple(t, p5, 100))["reached"] == 120
     (p2,) = factor_rational_prime(k, 2)
     with pytest.raises(PrimeInS):
-        modp_surjectivity(t, p2, 100)
+        reduce_triple(t, p2, 100)
 
 
 def test_modp_group_orders_against_oracle():
@@ -249,7 +250,7 @@ def test_modp_central_gamma_breaks_surjectivity():
     # the order-120 subgroup, honestly reported as a failure
     t = triple(gaussian_two)
     (p3,) = factor_rational_prime(t.field, 3)
-    rep = modp_surjectivity(t, p3, 100)
+    rep = modp_surjectivity(*reduce_triple(t, p3, 100))
     assert rep["q"] == 9
     assert rep["group_order"] == 720
     assert rep["reached"] == 120
@@ -260,7 +261,7 @@ def test_modp_residue_field_bound():
     t = triple(gaussian_two)
     (p11,) = factor_rational_prime(t.field, 11)
     with pytest.raises(ResidueFieldTooLarge):
-        modp_surjectivity(t, p11, 100)
+        reduce_triple(t, p11, 100)
 
 
 def test_modp_shared_characteristic():
@@ -268,7 +269,7 @@ def test_modp_shared_characteristic():
     (other,) = [p for p in factor_rational_prime(t.field, 7)
                 if not t.S.contains(p)]
     with pytest.raises(ConfigInvalid):
-        modp_surjectivity(t, other, 100)
+        reduce_triple(t, other, 100)
 
 
 def sqrt103_five():
@@ -289,16 +290,17 @@ def test_modp_count_matches_bfs_oracle():
     cases = []
     for make in DESK + [sqrt103_five]:
         t = triple(make)
-        cases += [(t, P) for P in admissible_primes(t, 10, 100)]
+        cases += [(t, R, mats) for R, mats in admissible_primes(t, 10, 100)]
     t = triple(gaussian_two)
-    cases += [(t, P) for P in factor_rational_prime(t.field, 3)]
+    cases += [(t,) + reduce_triple(t, P, 100)
+              for P in factor_rational_prime(t.field, 3)]
     proper = []
-    for t, P in cases:
-        rep = modp_surjectivity(t, P, 100)
-        R = ResidueField(t.field, P, 100)
+    for t, R, mats in cases:
+        rep = modp_surjectivity(R, mats)
+        assert mats == reduced(R, t.matrices())
         expect = oracles.sl2_image_bfs(R, reduced(R, t.matrices()))
         assert (rep["reached"], rep["bfs_expansions"]) == expect, \
-            (t.field.poly, P.p, rep["q"])
+            (t.field.poly, R.p, rep["q"])
         if not rep["passed"]:
             proper.append((rep["q"], rep["reached"], rep["group_order"]))
     assert sorted(proper) == [(9, 120, 720), (49, 672, 117600)]
@@ -342,7 +344,7 @@ def test_modp_above_q_100_at_speed():
     t = triple(gaussian_two)
     (p11,) = factor_rational_prime(t.field, 11)
     started = time.process_time()
-    rep = modp_surjectivity(t, p11, 150)
+    rep = modp_surjectivity(*reduce_triple(t, p11, 150))
     assert time.process_time() - started < 3
     assert rep["q"] == 121
     assert rep["reached"] == rep["group_order"] == 1771440
@@ -361,7 +363,7 @@ def test_admissible_prime_goldens():
     }
     for make, qs in expected.items():
         t = triple(make)
-        got = [P.residue_size for P in admissible_primes(t, 10, 100)]
+        got = [R.q for R, _ in admissible_primes(t, 10, 100)]
         assert got == qs, make.__name__
 
 
@@ -369,16 +371,16 @@ def test_admissible_primes_honor_bound_above_100():
     # the residue fields are built under the caller's bound, so q = 121
     # (11 is inert in Z[i]) is admissible once the bound allows it
     t = triple(gaussian_two)
-    got = [(P.p, P.residue_size) for P in admissible_primes(t, 4, 150)]
+    got = [(R.p, R.q) for R, _ in admissible_primes(t, 4, 150)]
     assert got == [(5, 5), (5, 5), (7, 49), (11, 121)]
 
 
 def test_admissible_primes_all_pass():
     for make in ALL:
         t = triple(make)
-        for P in admissible_primes(t, 10, 100):
-            rep = modp_surjectivity(t, P, 100)
-            assert rep["passed"], (make.__name__, P.p, rep["reached"])
+        for R, mats in admissible_primes(t, 10, 100):
+            rep = modp_surjectivity(R, mats)
+            assert rep["passed"], (make.__name__, R.p, rep["reached"])
 
 
 # ---------------------------------------------------------------------------
