@@ -380,11 +380,14 @@ def build_parser():
     return p
 
 
+# Built once: parse_args keeps no state between calls.
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     started = time.monotonic()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
         if args.command == "examples":
             report = run_examples()
         else:

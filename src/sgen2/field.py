@@ -1,13 +1,16 @@
-"""Number fields K = Q[x]/(f) with exact power-basis arithmetic.
+"""Number fields K = Q[x]/(f) with exact integer arithmetic.
 
-Elements carry rational coordinates with respect to the power basis
-1, t, ..., t^(n-1) of a fixed root t of the monic defining polynomial.
-Integrality is referred to the field's integral basis: a matrix whose
-rows are power-basis coordinates of a Z-basis of the maximal order,
-first row equal to 1.  Its integer structure constants (mult_table) are
-built once through the power basis; every product of integral-basis
-coordinate vectors (ideals, filtration levels, power spans, residue
-tables) is NumberField.ib_mul, which reads them.
+A field carries an integral basis b_0 = 1, b_1, ..., b_(n-1) of its
+maximal order, given as the power-basis coordinates (in 1, t, ...,
+t^(n-1), t a fixed root of the monic defining polynomial f) of each b_i,
+and the integer structure constants mult_table of that basis, built once
+as polynomial products reduced mod f.  An element is num / den: integer
+integral-basis coordinates over one positive denominator, in lowest
+terms, so equal elements have equal fields.  Every product, of elements
+as of the coordinate vectors that ideals, filtration levels, power spans
+and residue tables use, is NumberField.ib_mul.  Power-basis coordinates
+appear only at the boundary: configs and datasheets (element), reports
+(serialize), and evaluation at a subfield embedding.
 
 Degree <= 2 fields get their integral basis, discriminant and (in the
 real quadratic case) fundamental unit computed from scratch; higher
@@ -20,7 +23,7 @@ of declared class orders) are accepted as asserted.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
@@ -52,11 +55,21 @@ def format_rational(q):
 
 
 class FieldElement:
-    __slots__ = ("field", "coords")
+    """num / den with num the integer integral-basis coordinates, den > 0
+    and gcd(den, *num) = 1."""
 
-    def __init__(self, field, coords):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den=1):
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
         self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.num = tuple(num)
+        self.den = den
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -71,18 +84,24 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, [a + b for a, b in zip(self.coords, o.coords)])
+        d, e = self.den, o.den
+        return FieldElement(self.field,
+                            [a * e + b * d for a, b in zip(self.num, o.num)],
+                            d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
+        return FieldElement(self.field, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, [a - b for a, b in zip(self.coords, o.coords)])
+        d, e = self.den, o.den
+        return FieldElement(self.field,
+                            [a * e - b * d for a, b in zip(self.num, o.num)],
+                            d * e)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -91,7 +110,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._mul_coords(self.coords, o.coords))
+        return FieldElement(self.field, self.field.ib_mul(self.num, o.num),
+                            self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -118,73 +138,77 @@ class FieldElement:
             e >>= 1
         return result
 
+    def _num_rows(self):
+        """The integer matrix whose row i holds the coordinates of num * b_i."""
+        f = self.field
+        n = f.degree
+        return [f.ib_mul(self.num, [int(i == j) for j in range(n)])
+                for i in range(n)]
+
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return FieldElement(self.field, self.field._inv_coords(self.coords))
+        # Cramer's rule gives integers c with c M = (det M) e_0, and e_0
+        # is the element 1, so the element num has inverse c / det M
+        m = self._num_rows()
+        e0 = [1] + [0] * (len(m) - 1)
+        c = [linalg.int_det(m[:j] + [e0] + m[j + 1:]) for j in range(len(m))]
+        return FieldElement(self.field, [x * self.den for x in c],
+                            linalg.int_det(m))
 
     def is_zero(self):
-        return not any(self.coords)
+        return not any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field is other.field and self.coords == other.coords
+        return (self.field is other.field and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((id(self.field), self.coords))
-
-    def mult_matrix(self):
-        """Rows are power-basis coordinates of self * t**i."""
-        rows = [list(self.coords)]
-        for _ in range(self.field.degree - 1):
-            rows.append(self.field._times_theta(rows[-1]))
-        return rows
+        return hash((id(self.field), self.num, self.den))
 
     def norm(self):
-        return linalg.mat_det(self.mult_matrix())
+        return Fraction(linalg.int_det(self._num_rows()),
+                        self.den ** self.field.degree)
 
     def trace(self):
-        m = self.mult_matrix()
-        return sum(m[i][i] for i in range(len(m)))
+        m = self._num_rows()
+        return Fraction(sum(m[i][i] for i in range(len(m))), self.den)
 
     def minimal_poly(self):
         """Monic minimal polynomial, constant coefficient first."""
         n = self.field.degree
-        powers = [self.field.one.coords]
         cur = self.field.one
-        for k in range(1, n + 1):
+        powers = [cur.ib_coords()]
+        for _ in range(n):
             cur = cur * self
-            c = linalg.span_coeffs([list(p) for p in powers], list(cur.coords))
+            c = linalg.span_coeffs(powers, cur.ib_coords())
             if c is not None:
                 return tuple([-x for x in c] + [Fraction(1)])
-            powers.append(cur.coords)
+            powers.append(cur.ib_coords())
         raise InvariantViolated("no dependence among n+1 powers")
 
     def ib_coords(self):
-        """Coordinates with respect to the integral basis."""
-        return tuple(linalg.vec_mat(list(self.coords), self.field._ib_inv))
+        """Rational coordinates with respect to the integral basis."""
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    def power_coords(self):
+        """Rational coordinates with respect to the power basis."""
+        return tuple(x / self.den for x in
+                     linalg.vec_mat(self.num, self.field.integral_basis))
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.ib_coords())
-
-    def ib_numerator(self):
-        """(d, v): the smallest positive integer d with d * self in the
-        maximal order, and the integral-basis coordinates v of d * self."""
-        c = self.ib_coords()
-        d = 1
-        for x in c:
-            d = d * x.denominator // gcd(d, x.denominator)
-        return d, [int(x * d) for x in c]
+        return self.den == 1
 
     def serialize(self):
-        return [format_rational(c) for c in self.coords]
+        return [format_rational(c) for c in self.power_coords()]
 
     def __repr__(self):
         terms = []
-        for i, c in enumerate(self.coords):
+        for i, c in enumerate(self.power_coords()):
             if c == 0:
                 continue
             if i == 0:
@@ -200,6 +224,13 @@ class FieldElement:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
+def integer_rows(elements):
+    """(den, rows): the integral-basis coordinates of the elements as
+    integer rows over one common denominator den."""
+    den = lcm(*(e.den for e in elements))
+    return den, [[x * (den // e.den) for x in e.num] for e in elements]
+
+
 class NumberField:
     def __init__(self, poly, integral_basis, signature, field_discriminant,
                  tier, irreducibility, datasheet=None):
@@ -212,66 +243,21 @@ class NumberField:
         self.irreducibility = irreducibility
         self.datasheet = datasheet
         n = self.degree
-        # power-basis coordinates of t**(n+k), k = 0..n-2
-        red = []
-        prev = [-Fraction(c) for c in self.poly[:-1]]
-        red.append(prev)
-        for _ in range(n - 2):
-            prev = self._times_theta_raw(prev, red[0])
-            red.append(prev)
-        self._red = [tuple(r) for r in red]
         self._ib_inv = linalg.mat_inv([list(r) for r in self.integral_basis])
         if self._ib_inv is None:
             raise DatasheetInvalid("integral basis is singular")
+        # integer structure constants over the integral basis, and for
+        # ib_mul the nonzero (k, c) of each b_i * b_j
+        self.mult_table = self._build_mult_table()
+        self._terms = [[[(k, c) for k, c in enumerate(prod) if c]
+                        for prod in row] for row in self.mult_table]
         self.zero = FieldElement(self, [0] * n)
         self.one = self.from_rational(1)
-        self.theta = FieldElement(self, [0, 1] + [0] * (n - 2)) if n >= 2 else self.one
-        # integer structure constants over the integral basis
-        self.mult_table = self._build_mult_table()
+        self.theta = self.element([0, 1] + [0] * (n - 2)) if n >= 2 else self.one
         self._fund_unit = None
         self._subfields = None  # set by sunits.default_subfields
         self._primes_above = {}  # p -> primes, set by ideals.factor_rational_prime
         self._quad = None  # (m, f_theta) for degree 2
-
-    # -- coordinate plumbing -------------------------------------------------
-
-    @staticmethod
-    def _times_theta_raw(coords, red0):
-        n = len(coords)
-        out = [Fraction(0)] + list(coords[:-1])
-        top = coords[-1]
-        if top:
-            out = [a + top * b for a, b in zip(out, red0)]
-        return out
-
-    def _times_theta(self, coords):
-        return self._times_theta_raw(list(coords), self._red[0])
-
-    def _mul_coords(self, a, b):
-        n = self.degree
-        if n == 1:
-            return (a[0] * b[0],)
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:n]
-        for k in range(n, 2 * n - 1):
-            c = conv[k]
-            if c:
-                row = self._red[k - n]
-                out = [o + c * r for o, r in zip(out, row)]
-        return tuple(out)
-
-    def _inv_coords(self, a):
-        m = [list(r) for r in FieldElement(self, a).mult_matrix()]
-        inv = linalg.mat_inv(m)
-        if inv is None:
-            raise DivisionByZero("inverse of zero divisor")
-        # solve y * M = e0, i.e. y = e0 * M^-1 = first row of M^-1
-        return tuple(inv[0][j] for j in range(self.degree))
 
     def ib_mul(self, u, v):
         """Integral-basis coordinates of the product of two elements given
@@ -279,24 +265,24 @@ class NumberField:
         out = [0] * self.degree
         for i, a in enumerate(u):
             if a:
-                row = self.mult_table[i]
+                row = self._terms[i]
                 for j, b in enumerate(v):
                     if b:
                         ab = a * b
-                        for k, t in enumerate(row[j]):
-                            if t:
-                                out[k] += ab * t
+                        for k, c in row[j]:
+                            out[k] += ab * c
         return out
 
     def _build_mult_table(self):
+        """table[i][j] holds the integral-basis coordinates of b_i * b_j,
+        from the power-basis product of the two rows reduced mod f."""
         n = self.degree
-        basis = [FieldElement(self, row) for row in self.integral_basis]
         table = []
-        for i in range(n):
+        for bi in self.integral_basis:
             row = []
-            for j in range(n):
-                prod = basis[i] * basis[j]
-                c = prod.ib_coords()
+            for bj in self.integral_basis:
+                rem = polys.pdivmod(polys.pmul(bi, bj), self.poly)[1]
+                c = linalg.vec_mat(rem + [0] * (n - len(rem)), self._ib_inv)
                 if any(x.denominator != 1 for x in c):
                     raise DatasheetInvalid(
                         "integral basis not closed under multiplication")
@@ -306,21 +292,26 @@ class NumberField:
 
     # -- constructors --------------------------------------------------------
 
+    def from_ib(self, coords):
+        """The element with these integral-basis coordinates (integers or
+        rationals)."""
+        qs = [Fraction(c) for c in coords]
+        den = lcm(*(q.denominator for q in qs))
+        return FieldElement(self, [q.numerator * (den // q.denominator)
+                                   for q in qs], den)
+
     def element(self, coords):
-        return FieldElement(self, coords)
+        """The element with these power-basis coordinates (integers or
+        rationals), as configs and datasheets give them."""
+        return self.from_ib(linalg.vec_mat(list(coords), self._ib_inv))
 
     def from_rational(self, q):
-        return FieldElement(self, [Fraction(q)] + [Fraction(0)] * (self.degree - 1))
-
-    def from_ib(self, coords):
-        out = [Fraction(0)] * self.degree
-        for c, row in zip(coords, self.integral_basis):
-            if c:
-                out = [o + Fraction(c) * r for o, r in zip(out, row)]
-        return FieldElement(self, out)
+        q = Fraction(q)
+        return FieldElement(self, [q.numerator] + [0] * (self.degree - 1),
+                            q.denominator)
 
     def basis_element(self, i):
-        return FieldElement(self, self.integral_basis[i])
+        return FieldElement(self, [int(i == j) for j in range(self.degree)])
 
     # -- global data ---------------------------------------------------------
 
@@ -336,7 +327,7 @@ class NumberField:
         """For degree 2: the element sqrt(m), m the squarefree core."""
         m, f_theta = self._quad
         b = self.poly[1]
-        return FieldElement(self, [Fraction(b, f_theta), Fraction(2, f_theta)])
+        return self.element([Fraction(b, f_theta), Fraction(2, f_theta)])
 
     def serialize(self):
         return {
@@ -603,3 +594,9 @@ def fundamental_unit(field):
                     return cand
     field._fund_unit = eps
     return eps
+
+
+# One Q, the rational subfield of every field of degree > 1.  Its caches
+# (the primes above p, their powers) fill across runs; each cached value
+# depends on p alone.
+RATIONALS = create_field([-1, 1])

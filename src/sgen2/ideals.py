@@ -54,10 +54,7 @@ class IntegralIdeal:
         return self._norm
 
     def contains(self, element):
-        c = element.ib_coords()
-        if any(x.denominator != 1 for x in c):
-            return False
-        return linalg.in_lattice(list(self.hnf), [int(x) for x in c])
+        return element.den == 1 and linalg.in_lattice(self.hnf, element.num)
 
     def __mul__(self, other):
         if not isinstance(other, IntegralIdeal):
@@ -245,10 +242,9 @@ def _ideal_rows(field, elements):
     n = field.degree
     rows = []
     for e in elements:
-        den, c = e.ib_numerator()
-        if den != 1:
+        if e.den != 1:
             raise ValueError(f"generator {e!r} is not integral")
-        rows += [field.ib_mul(c, [int(i == j) for j in range(n)])
+        rows += [field.ib_mul(e.num, [int(i == j) for j in range(n)])
                  for i in range(n)]
     return rows
 
@@ -281,14 +277,13 @@ def valuation(x, prime):
         raise TypeError("element expected")
     if x.is_zero():
         raise ZeroElement("valuation of zero")
-    den, y = x.ib_numerator()
     vp_den = 0
-    d = den
+    d = x.den
     while d % prime.p == 0:
         d //= prime.p
         vp_den += 1
     k = 0
-    while linalg.in_lattice((prime ** (k + 1)).hnf, y):
+    while linalg.in_lattice((prime ** (k + 1)).hnf, x.num):
         k += 1
     return k - prime.e * vp_den
 
@@ -328,7 +323,8 @@ def _principal_generator_quadratic(ideal):
         # |theta| <= (|b| + sqrt(disc of the defining poly)) / 2
         b, c = field.poly[1], field.poly[0]
         theta_up = (abs(b) + polys.sqrt_upper(b * b - 4 * c)) / 2
-        bound = abs(eps.coords[0]) + abs(eps.coords[1]) * theta_up
+        e0, e1 = eps.power_coords()
+        bound = abs(e0) + abs(e1) * theta_up
         B = 4 * (isqrt(int(N * bound) + 1) + 1)
         xmax = B
         ymax = B // isqrt(m) + 1

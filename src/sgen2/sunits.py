@@ -28,10 +28,10 @@ from . import linalg
 from .errors import (CardinalityTooSmall, HypothesisFails,
                      InvariantViolated, NotASubfield, NotStabilized,
                      SearchExhausted)
-from .field import (create_field, format_rational, fundamental_unit,
-                    parse_rational)
+from .field import (RATIONALS, create_field, format_rational,
+                    fundamental_unit, integer_rows, parse_rational)
 from .ideals import class_order, factor_rational_prime, valuation
-from .linalg import RatLattice
+from .linalg import RatLattice, hnf
 from .polys import count_roots_in, degree, peval, root_bound, sturm_chain
 
 # Work bounds: alpha-search exponent shells, the n of the [O_S : Z[alpha^n]]
@@ -105,8 +105,8 @@ def _torsion_units(field):
                 if el.is_zero() or abs(el.norm()) != 1:
                     continue
                 for cand in (el, -el):
-                    if cand.coords not in units:
-                        units.add(cand.coords)
+                    if cand not in units:
+                        units.add(cand)
                         candidates.append(cand)
     w = len(units)
     for cand in candidates:
@@ -224,7 +224,7 @@ class SubfieldDescriptor:
         """Image in K of an element of F (power coordinates evaluated
         at the embedding)."""
         acc = self.field.zero
-        for k_, c in enumerate(x.coords):
+        for k_, c in enumerate(x.power_coords()):
             if c:
                 acc = acc + self.embedding ** k_ * c
         return acc
@@ -244,7 +244,7 @@ class SubfieldDescriptor:
 
 
 def rational_subfield(field):
-    return SubfieldDescriptor(field, create_field([-1, 1]), field.one)
+    return SubfieldDescriptor(field, RATIONALS, field.one)
 
 
 def default_subfields(field):
@@ -355,29 +355,29 @@ def is_cm(field):
 
 
 def _split_off_sqrt(field, F_desc):
+    """K-side linear algebra in integral-basis coordinates; the
+    coefficients over the powers of F's generator are power-basis
+    coordinates in F."""
     n = field.degree
     k = n // 2
-    g_powers = [list(p.coords) for p in F_desc.power_images()]
-    theta_g = [list((field.theta * field.element(row)).coords) for row in g_powers]
-    rows = g_powers + theta_g
-    target = list((field.theta * field.theta).coords)
-    sol = linalg.span_coeffs(rows, target)
+    g_powers = F_desc.power_images()
+    g_rows = [g.ib_coords() for g in g_powers]
+    rows = g_rows + [(field.theta * g).ib_coords() for g in g_powers]
+    sol = linalg.span_coeffs(rows, (field.theta * field.theta).ib_coords())
     if sol is None:
         return None
     w_half = field.zero
-    for c, row in zip(sol[k:], g_powers):
+    for c, g in zip(sol[k:], g_powers):
         if c:
-            w_half = w_half + field.element(row) * (c / 2)
+            w_half = w_half + g * (c / 2)
     delta = field.theta - w_half
-    dd = delta * delta
-    in_F = linalg.span_coeffs(g_powers, list(dd.coords))
+    in_F = linalg.span_coeffs(g_rows, (delta * delta).ib_coords())
     if in_F is None:
         return None
     # clear denominators and content so that delta is a primitive integer
-    den, c = delta.ib_numerator()
-    delta = delta * Fraction(den, gcd(*c))
+    delta = delta * Fraction(delta.den, gcd(*delta.num))
     d_K = -(delta * delta)
-    coeffs = linalg.span_coeffs(g_powers, list(d_K.coords))
+    coeffs = linalg.span_coeffs(g_rows, d_K.ib_coords())
     if coeffs is None:
         raise InvariantViolated("-delta^2 must lie in the subfield")
     d_F = F_desc.subfield.element(coeffs)
@@ -647,19 +647,23 @@ class LevelFiltration:
         b = field.one
         for g in sbasis.s_gens:
             b = b * g
-        self._binv = b.inverse().ib_coords()
-        self._scale = field.one.ib_coords()  # B^-k for the next level k
+        self._binv = b.inverse()
+        self._scale = field.one  # B^-k for the next level k
         self._levels = []
 
     def level(self, k):
         f = self.field
-        n = f.degree
         while len(self._levels) <= k:
-            rows = [f.ib_mul(self._scale, [int(i == j) for j in range(n)])
-                    for i in range(n)]
-            self._levels.append(RatLattice.from_rows(rows, n))
-            self._scale = f.ib_mul(self._scale, self._binv)
+            self._levels.append(element_lattice(
+                [self._scale * f.basis_element(i) for i in range(f.degree)]))
+            self._scale = self._scale * self._binv
         return self._levels[k]
+
+
+def element_lattice(elements):
+    """The Z-span of field elements, in integral-basis coordinates."""
+    den, rows = integer_rows(elements)
+    return RatLattice(den, hnf(rows), elements[0].field.degree)
 
 
 class ZalphaResult:
@@ -678,25 +682,22 @@ class ZalphaResult:
 
 class PowerSpan:
     """Stage J is the Z-span of scale * base^j, j = 0..J, and of their
-    multiples by each element of extra; each power is computed once, in
-    integral-basis coordinates."""
+    multiples by each element of extra; each power is computed once."""
 
     def __init__(self, base, scale, extra=()):
-        self.field = scale.field
-        self.base = base.ib_coords()
-        self.extra = [g.ib_coords() for g in extra]
-        self._pows = [scale.ib_coords()]
+        self.base = base
+        self.extra = extra
+        self._pows = [scale]
 
-    def rows(self, J):
-        """Integral-basis rows of the stage-J generators, powers first."""
-        f = self.field
+    def elements(self, J):
+        """The stage-J generators, powers first."""
         while len(self._pows) <= J:
-            self._pows.append(f.ib_mul(self._pows[-1], self.base))
+            self._pows.append(self._pows[-1] * self.base)
         pows = self._pows[:J + 1]
-        return pows + [f.ib_mul(g, p) for g in self.extra for p in pows]
+        return pows + [g * p for g in self.extra for p in pows]
 
     def lattice(self, J):
-        return RatLattice.from_rows(self.rows(J))
+        return element_lattice(self.elements(J))
 
 
 def stabilized_index(filt, span):

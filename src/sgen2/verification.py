@@ -28,6 +28,7 @@ from math import gcd
 from .errors import (ConfigInvalid, IdentityFailed, InvariantViolated,
                      NotInLattice, PrimeInS, ResidueFieldTooLarge,
                      VerificationFailure)
+from .field import integer_rows
 from .generators import m2_eq, m2_identity, m2_inv, m2_mul, m2_pow
 from .ideals import factor_rational_prime, valuation
 from .linalg import hnf, hnf_with_transform, solve_hnf, vec_mat
@@ -157,8 +158,7 @@ def _check_scaled_containment(filt, index, span, level):
 def _in_s_integers(field, S, x):
     """Exact membership of x in the ring of S-integers: every prime of
     the denominator outside S must see a nonnegative valuation."""
-    den, _ = x.ib_numerator()
-    for p in prime_divisors(den):
+    for p in prime_divisors(x.den):
         for q in factor_rational_prime(field, p):
             if not S.contains(q) and valuation(x, q) < 0:
                 return False
@@ -314,12 +314,7 @@ def elementary_witness(triple, x, side="lower"):
     stage = None
     span = PowerSpan(a2, unit_scale)
     for J in range(J_BOUND + 1):
-        den = 1
-        rows = span.rows(J) + [list(x.ib_coords())]
-        for r in rows:
-            for v in r:
-                den = den * v.denominator // gcd(den, v.denominator)
-        int_rows = [[int(v * den) for v in r] for r in rows]
+        _, int_rows = integer_rows(span.elements(J) + [x])
         H, T, kernel = hnf_with_transform(int_rows[:-1])
         y = solve_hnf(H, int_rows[-1])
         if y is not None:
@@ -369,7 +364,7 @@ class ResidueField:
         self.reps = reps
         self._index = {r: i for i, r in enumerate(reps)}
         self.zero = self._index[tuple([0] * n)]
-        self.one = self.reduce_ints([int(c) for c in field.one.ib_coords()])
+        self.one = self.reduce_ints(field.one.num)
         self.mul_table = [[self.reduce_ints(field.ib_mul(ra, rb)) for rb in reps]
                           for ra in reps]
         self.add_table = [[self.reduce_ints([x + y for x, y in zip(ra, rb)])
@@ -392,12 +387,11 @@ class ResidueField:
         return self._index[tuple(v)]
 
     def reduce_element(self, x):
-        den, num = x.ib_numerator()
-        if gcd(den, self.p) != 1:
+        if gcd(x.den, self.p) != 1:
             raise ConfigInvalid(
                 "element denominator shares the residue characteristic")
-        i_num = self.reduce_ints(num)
-        i_den = self.reduce_ints([den] + [0] * (self.field.degree - 1))
+        i_num = self.reduce_ints(x.num)
+        i_den = self.reduce_ints([x.den] + [0] * (self.field.degree - 1))
         return self.mul_table[i_num][self.inv_table[i_den]]
 
     def neg(self, i):
@@ -460,7 +454,7 @@ def admissible_primes(triple, count, bound):
     field = triple.field
     schars = {P.p for P in triple.S.finite}
     x = triple.alpha_in_K ** (2 * triple.h) - field.one
-    num = x * x.ib_numerator()[0]
+    num = x * x.den
     tau = triple.psi2.entry(0, 1)
     out = []
     p = 2

@@ -17,6 +17,12 @@ The principal-ideal oracle walks the whole coordinate box of the
 quadratic principal-generator search point by point, taking a Fraction
 determinant norm at each, where the library solves the norm equation
 along one axis.
+
+The power-basis oracle does field arithmetic on Fraction coordinates in
+1, t, ..., t^(n-1), reducing products by f term by term and inverting
+through the rational multiplication matrix, where the library keeps
+integer integral-basis numerators and multiplies by structure constants.
+Everything above that needs field products takes them from it.
 """
 
 from collections import deque
@@ -88,20 +94,21 @@ def snf_invariants(mat):
 
 def level_rows(field, sbasis, k):
     """Integral-basis rows of B^-k w_i, B the product of the S-generators
-    and w_i the integral basis: generators of Lambda_k, by FieldElement
+    and w_i the integral basis: generators of Lambda_k, by power-basis
     products, where the library multiplies by structure constants."""
-    b = field.one
+    b = pb_one(field)
     for g in sbasis.s_gens:
-        b = b * g
-    scale = b.inverse() ** k
-    return [list((scale * field.basis_element(i)).ib_coords())
-            for i in range(field.degree)]
+        b = pb_mul(field, b, g.power_coords())
+    scale = pb_pow(field, pb_inverse(field, b), k)
+    return [pb_to_ib(field, pb_mul(field, scale, row))
+            for row in field.integral_basis]
 
 
 def coset_index(field, sbasis, gens, k):
-    """[Lambda_k : span(gens) cap Lambda_k] or None if infinite."""
+    """[Lambda_k : span(gens) cap Lambda_k] or None if infinite; gens are
+    power-basis coordinate vectors."""
     lam = level_rows(field, sbasis, k)
-    grows = [list(g.ib_coords()) for g in gens]
+    grows = [pb_to_ib(field, g) for g in gens]
     den = 1
     for r in lam + grows:
         for x in r:
@@ -133,18 +140,101 @@ def zalpha_levels(field, S, alpha, n, kmax, extra_gens=()):
     """Per-level indices [Lambda_k : M_J cap Lambda_k] with J = k + 2,
     computed entirely through the oracle route."""
     sbasis = s_unit_basis(field, S)
+    a = pb_pow(field, alpha.power_coords(), n)
+    extra = [g.power_coords() for g in extra_gens]
     out = []
     for k in range(kmax + 1):
-        J = k + 2
-        a = alpha ** n
-        pows = [field.one]
-        for _ in range(J):
-            pows.append(pows[-1] * a)
+        pows = [pb_one(field)]
+        for _ in range(k + 2):
+            pows.append(pb_mul(field, pows[-1], a))
         gens = list(pows)
-        for g in extra_gens:
-            gens.extend(g * p for p in pows)
+        for g in extra:
+            gens.extend(pb_mul(field, g, p) for p in pows)
         out.append(coset_index(field, sbasis, gens, k))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Field arithmetic in the power basis.
+
+def _pb_reduction(field):
+    """Power-basis coordinates of t^n, ..., t^(2n-2), by f."""
+    n = field.degree
+    red = [[-Fraction(c) for c in field.poly[:-1]]]
+    for _ in range(n - 2):
+        prev = red[-1]
+        nxt = [Fraction(0)] + prev[:-1]
+        red.append([a + prev[-1] * b for a, b in zip(nxt, red[0])])
+    return red
+
+
+def pb_one(field):
+    return [Fraction(1)] + [Fraction(0)] * (field.degree - 1)
+
+
+def pb_mul(field, a, b):
+    """Product of two power-basis coordinate vectors: the polynomial
+    product, with t^(n+k) replaced term by term."""
+    n = field.degree
+    conv = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += Fraction(x) * Fraction(y)
+    out = conv[:n]
+    for c, row in zip(conv[n:], _pb_reduction(field)):
+        out = [o + c * r for o, r in zip(out, row)]
+    return out
+
+
+def pb_mult_matrix(field, a):
+    """Rows are the power-basis coordinates of a * t^i."""
+    rows = [[Fraction(x) for x in a]]
+    t = [Fraction(int(i == 1)) for i in range(field.degree)]
+    for _ in range(field.degree - 1):
+        rows.append(pb_mul(field, rows[-1], t))
+    return rows
+
+
+def pb_inverse(field, a):
+    """y with y * a = 1: the first row of the inverse multiplication
+    matrix (Gauss-Jordan over Q)."""
+    inv = linalg.mat_inv(pb_mult_matrix(field, a))
+    assert inv is not None, "zero has no inverse"
+    return list(inv[0])
+
+
+def pb_pow(field, a, e):
+    out = pb_one(field)
+    for _ in range(e):
+        out = pb_mul(field, out, a)
+    return out
+
+
+def pb_norm(field, a):
+    return linalg.mat_det(pb_mult_matrix(field, a))
+
+
+def pb_trace(field, a):
+    m = pb_mult_matrix(field, a)
+    return sum(m[i][i] for i in range(field.degree))
+
+
+def pb_minimal_poly(field, a):
+    """The first linear dependence among 1, a, a^2, ... (monic, constant
+    coefficient first)."""
+    powers = [pb_one(field)]
+    while True:
+        cur = pb_mul(field, powers[-1], a)
+        c = linalg.span_coeffs(powers, cur)
+        if c is not None:
+            return tuple([-x for x in c] + [Fraction(1)])
+        powers.append(cur)
+
+
+def pb_to_ib(field, a):
+    """Integral-basis coordinates of a power-basis coordinate vector."""
+    inv = linalg.mat_inv([list(r) for r in field.integral_basis])
+    return linalg.vec_mat([Fraction(x) for x in a], inv)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +348,8 @@ def principal_box(ideal):
         # |theta| <= (|b| + sqrt(disc of the defining poly)) / 2
         b, c = field.poly[1], field.poly[0]
         theta_up = (abs(b) + polys.sqrt_upper(b * b - 4 * c)) / 2
-        bound = abs(eps.coords[0]) + abs(eps.coords[1]) * theta_up
+        e0, e1 = eps.power_coords()
+        bound = abs(e0) + abs(e1) * theta_up
         B = 4 * (isqrt(int(N * bound) + 1) + 1)
         xmax = B
         ymax = B // isqrt(m) + 1
@@ -276,7 +367,7 @@ def principal_generator_box(ideal):
         for y in range(ymax + 1):
             for xx, yy in ((x, y), (x, -y)) if x and y else ((x, y),):
                 el = field.from_ib((xx, yy))
-                if abs(el.norm()) != N:
+                if abs(pb_norm(field, el.power_coords())) != N:
                     continue
                 if ideal.contains(el):
                     return el

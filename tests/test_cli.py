@@ -12,6 +12,7 @@ import time
 from collections import Counter
 
 from sgen2 import cli, generators, ideals, sunits
+from sgen2 import field as field_module
 from test_field import ZETA5_DATASHEET
 
 RATIONAL_TWO = {"field": {"poly": [0, 1]}, "S": [{"p": 2}]}
@@ -372,3 +373,34 @@ def test_each_stage_runs_once(tmp_path, monkeypatch):
     assert pairs() == {((1, 0, 1), (((1, 1), (0, 2)),)): 1,
                        ((-1, 1), (((2,),),)): 2}
     assert len(classify_calls) == 2 and len(cm_calls) == 2
+
+
+def test_one_field_per_run(tmp_path, monkeypatch):
+    # the rational subfield of K is the one shared Q, not a new field
+    field_calls = record_calls(monkeypatch, field_module.create_field)
+    code, _ = run(tmp_path, {"field": {"poly": [1, 0, 1]}, "S": [{"p": 5}]},
+                  "analyze")
+    assert code == 0
+    assert field_calls == [([1, 0, 1], None)]
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
+    def no_new_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_new_parser)
+    cp = write_config(tmp_path, GAUSSIAN_TWO)
+    out = tmp_path / "report.json"
+    runs = []
+    for _ in range(3):
+        for argv in (["alpha", "--config", cp, "--out", str(out)],
+                     ["alpha", "--config", cp, "--h", "x"],
+                     ["analyze", "--config", cp, "--out", str(out)]):
+            if out.exists():
+                out.unlink()
+            code = cli.main(argv)
+            runs.append((code, out.read_bytes() if out.exists() else None,
+                         capsys.readouterr().out))
+    assert [code for code, _, _ in runs] == [0, 1, 0] * 3
+    assert runs[:3] == runs[3:6] == runs[6:]
+    assert runs[0][1] != runs[2][1]

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
+import oracles
 import pytest
 
 from sgen2 import linalg
 from sgen2.errors import (DatasheetInvalid, DatasheetRequired, DivisionByZero,
                           NotMonic, Reducible)
-from sgen2.field import create_field, fundamental_unit, parse_rational
+from sgen2.field import (create_field, format_rational, fundamental_unit,
+                         parse_rational)
 
 # x^4 + x^3 + x^2 + x + 1; power basis is already integral, disc 125,
 # golden unit -t^2 - t^3 has square 1 + golden, subfield generated by
@@ -198,24 +201,76 @@ def test_datasheet_rejects_bad_basis():
 
 
 def test_structure_constants_match_direct_products():
-    # dual route: integral-basis structure constants vs direct power-basis work
+    # dual route: integral-basis structure constants vs the power-basis
+    # oracle's products
     for poly, ds in [([1, 0, 1], None), ([-5, 0, 1], None),
-                     ([1, 1, 1, 1, 1], ZETA5_DATASHEET)]:
+                     ([-45, 0, 1], None), ([1, 1, 1, 1, 1], ZETA5_DATASHEET)]:
         k = create_field(poly, datasheet=ds)
         n = k.degree
+        basis = k.integral_basis
         for i in range(n):
             for j in range(n):
-                direct = k.basis_element(i) * k.basis_element(j)
-                via_table = k.from_ib(k.mult_table[i][j])
-                assert direct == via_table
+                direct = oracles.pb_mul(k, basis[i], basis[j])
+                assert oracles.pb_to_ib(k, direct) == list(k.mult_table[i][j])
         # ib_mul on random integral and rational coordinate vectors
         rng = random.Random(n)
         for _ in range(20):
             u = [rng.randint(-9, 9) for _ in range(n)]
             v = [rng.randint(-9, 9) for _ in range(n)]
             w = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
-            assert k.from_ib(k.ib_mul(u, v)) == k.from_ib(u) * k.from_ib(v)
-            assert k.from_ib(k.ib_mul(w, u)) == k.from_ib(w) * k.from_ib(u)
+            for a, b in ((u, v), (w, u)):
+                direct = oracles.pb_mul(k, linalg.vec_mat(a, basis),
+                                        linalg.vec_mat(b, basis))
+                assert oracles.pb_to_ib(k, direct) == k.ib_mul(a, b)
+
+
+ORACLE_FIELDS = [([-1, 1], None), ([1, 0, 1], None), ([-5, 0, 1], None),
+                 ([1, 1, 1], None), ([-45, 0, 1], None),
+                 ([1, 1, 1, 1, 1], ZETA5_DATASHEET)]
+
+
+def test_elements_match_power_basis_oracle():
+    """Sums, products, inverses, norms, traces, minimal polynomials and
+    serialized coordinates of random elements against Fraction
+    arithmetic in the power basis; every element in lowest terms, and
+    equal elements equal and hashed alike whichever way they were made."""
+    rng = random.Random(8)
+    for poly, ds in ORACLE_FIELDS:
+        k = create_field(poly, datasheet=ds)
+        n = k.degree
+
+        def rand_coords():
+            return [Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+                    for _ in range(n)]
+
+        def check(x, coords):
+            assert x.den > 0 and gcd(x.den, *x.num) == 1
+            assert list(x.power_coords()) == list(coords)
+            assert x.serialize() == [format_rational(c) for c in coords]
+            same = (k.element(coords), k.from_ib(oracles.pb_to_ib(k, coords)))
+            for y in same:
+                assert y == x and hash(y) == hash(x)
+                assert (y.num, y.den) == (x.num, x.den)
+
+        for _ in range(12):
+            ca, cb = rand_coords(), rand_coords()
+            a, b = k.element(ca), k.element(cb)
+            check(a, ca)
+            check(a + b, [p + q for p, q in zip(ca, cb)])
+            check(a - b, [p - q for p, q in zip(ca, cb)])
+            check(a * b, oracles.pb_mul(k, ca, cb))
+            check(a * Fraction(-3, 2), [c * Fraction(-3, 2) for c in ca])
+            assert a.norm() == oracles.pb_norm(k, ca)
+            assert a.trace() == oracles.pb_trace(k, ca)
+            assert a.minimal_poly() == oracles.pb_minimal_poly(k, ca)
+            if not a.is_zero():
+                check(a.inverse(), oracles.pb_inverse(k, ca))
+                check(b / a, oracles.pb_mul(k, cb, oracles.pb_inverse(k, ca)))
+            check(a - a, [0] * n)
+        e0 = [1] + [0] * (n - 1)
+        ones = {k.one, k.element(e0), k.from_ib(e0), k.from_rational(1),
+                k.theta * k.theta.inverse(), k.theta / k.theta}
+        assert len(ones) == 1
 
 
 def test_trace_gram_discriminant_cross_check():

@@ -333,5 +333,5 @@ def test_principal_search_matches_box_oracle():
             if got is None:
                 nonprincipal.add(d)
             else:
-                assert got.coords == want.coords, (d, ideal)
+                assert got == want, (d, ideal)
     assert nonprincipal == {-5, -23, -119}
