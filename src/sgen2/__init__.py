@@ -9,7 +9,7 @@ from .errors import (CardinalityTooSmall, ConfigInvalid, DatasheetInvalid,
                      SearchExhausted, SgenError, VerificationFailure)
 from .field import FieldElement, NumberField, create_field
 from .ideals import (IntegralIdeal, PrimeIdeal, class_order,
-                     factor_rational_prime, lattice_index, valuation)
+                     factor_rational_prime, valuation)
 from .sunits import (AlphaCertificate, CMStructure, PrimeSet, SubfieldDescriptor,
                      SUnitBasis, choose_alpha, contract_prime_set,
                      default_subfields, exponent_vector, is_cm,

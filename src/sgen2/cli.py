@@ -40,6 +40,13 @@ VERIFY_DEFAULTS = {
 # Largest verify.q_bound accepted.  A residue field of size q is held as
 # dense q x q multiplication and addition tables, 22500 entries each at 150.
 MAX_Q_BOUND = 150
+# Size caps on the other numeric inputs, so that every accepted config
+# ends in seconds: the identity windows verify.r and verify.s (|bound|),
+# the exponent h, an explicit order N, and verify.witness_samples.
+MAX_WINDOW = 50
+MAX_H = 64
+MAX_N = 1000
+MAX_WITNESS_SAMPLES = 200
 
 
 # ---------------------------------------------------------------------------
@@ -50,11 +57,23 @@ def _require(cond, msg):
         raise ConfigInvalid(msg)
 
 
-def _int_in(value, name, low=None):
+def _int_in(value, name, low=None, high=None):
     _require(isinstance(value, int) and not isinstance(value, bool),
              f"{name} must be an integer")
     if low is not None:
         _require(value >= low, f"{name} must be >= {low}")
+    if high is not None:
+        _require(value <= high, f"{name} must be <= {high}")
+    return value
+
+
+def _check_h(value):
+    return _int_in(value, "h", 1, MAX_H)
+
+
+def _check_n(value):
+    if value != "search":
+        _int_in(value, "N", 1, MAX_N)
     return value
 
 
@@ -124,10 +143,8 @@ def validate_config(cfg):
                 f"{{\"generator\": [...]}}")
         entries.append({"p": p, "select": sel})
 
-    h = _int_in(cfg.get("h", 1), "h", 1)
-    big_n = cfg.get("N", "search")
-    if big_n != "search":
-        _int_in(big_n, "N", 1)
+    h = _check_h(cfg.get("h", 1))
+    big_n = _check_n(cfg.get("N", "search"))
     seed = _int_in(cfg.get("seed", 0), "seed", 0)
 
     verify = dict(VERIFY_DEFAULTS)
@@ -137,10 +154,9 @@ def validate_config(cfg):
     _require(not unknown, f"unknown verify keys: {sorted(unknown)}")
     verify.update(raw_v)
     _int_in(verify["primes"], "verify.primes", 0)
-    _int_in(verify["q_bound"], "verify.q_bound", 2)
-    _require(verify["q_bound"] <= MAX_Q_BOUND,
-             f"verify.q_bound must be <= {MAX_Q_BOUND}")
-    _int_in(verify["witness_samples"], "verify.witness_samples", 0)
+    _int_in(verify["q_bound"], "verify.q_bound", 2, MAX_Q_BOUND)
+    _int_in(verify["witness_samples"], "verify.witness_samples", 0,
+            MAX_WITNESS_SAMPLES)
     for key in ("r", "s"):
         win = verify[key]
         _require(isinstance(win, list) and len(win) == 2
@@ -148,6 +164,8 @@ def validate_config(cfg):
                          for v in win)
                  and win[0] <= win[1],
                  f"verify.{key} must be [lo, hi] with lo <= hi")
+        _require(-MAX_WINDOW <= win[0] and win[1] <= MAX_WINDOW,
+                 f"verify.{key} must lie within [-{MAX_WINDOW}, {MAX_WINDOW}]")
 
     return {
         "field": {"poly": list(poly), "datasheet": datasheet},
@@ -393,18 +411,15 @@ def main(argv=None):
         else:
             cfg = load_config(args.config)
             if args.h is not None:
-                cfg["h"] = _int_in(args.h, "h", 1)
+                cfg["h"] = _check_h(args.h)
             if args.N is not None:
-                if args.N == "search":
-                    cfg["N"] = "search"
-                else:
-                    try:
-                        cfg["N"] = int(args.N)
-                    except ValueError:
-                        raise ConfigInvalid(
-                            f"N must be an integer or 'search', got "
-                            f"{args.N!r}") from None
-                    _int_in(cfg["N"], "N", 1)
+                try:
+                    big_n = args.N if args.N == "search" else int(args.N)
+                except ValueError:
+                    raise ConfigInvalid(
+                        f"N must be an integer or 'search', got "
+                        f"{args.N!r}") from None
+                cfg["N"] = _check_n(big_n)
             report = run_instance(cfg, args.command)
     except SgenError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -6,11 +6,18 @@ t^(n-1), t a fixed root of the monic defining polynomial f) of each b_i,
 and the integer structure constants mult_table of that basis, built once
 as polynomial products reduced mod f.  An element is num / den: integer
 integral-basis coordinates over one positive denominator, in lowest
-terms, so equal elements have equal fields.  Every product, of elements
-as of the coordinate vectors that ideals, filtration levels, power spans
-and residue tables use, is NumberField.ib_mul.  Power-basis coordinates
-appear only at the boundary: configs and datasheets (element), reports
-(serialize), and evaluation at a subfield embedding.
+terms, so equal elements have equal num and den.  Every product, of
+elements as of the coordinate vectors that ideals, filtration levels,
+power spans and residue tables use, is NumberField.ib_mul.  Power-basis
+coordinates appear only at the boundary: configs and datasheets
+(element), reports (serialize), and evaluation at a subfield embedding.
+
+Linear algebra on elements clears them to integer rows over one
+denominator (integer_rows) and solves through linalg.solve, on the
+integer Hermite form: span_solve gives minimal polynomials and the CM
+split, and the inverse of the integral basis (power-basis coordinates
+to integral-basis ones) is solved once per field, which also checks
+that the basis is nonsingular and contains Z[t].
 
 Degree <= 2 fields get their integral basis, discriminant and (in the
 real quadratic case) fundamental unit computed from scratch; higher
@@ -180,20 +187,14 @@ class FieldElement:
 
     def minimal_poly(self):
         """Monic minimal polynomial, constant coefficient first."""
-        n = self.field.degree
-        cur = self.field.one
-        powers = [cur.ib_coords()]
-        for _ in range(n):
-            cur = cur * self
-            c = linalg.span_coeffs(powers, cur.ib_coords())
+        powers = [self.field.one]
+        for _ in range(self.field.degree):
+            cur = powers[-1] * self
+            c = span_solve(powers, cur)
             if c is not None:
                 return tuple([-x for x in c] + [Fraction(1)])
-            powers.append(cur.ib_coords())
+            powers.append(cur)
         raise InvariantViolated("no dependence among n+1 powers")
-
-    def ib_coords(self):
-        """Rational coordinates with respect to the integral basis."""
-        return tuple(Fraction(x, self.den) for x in self.num)
 
     def power_coords(self):
         """Rational coordinates with respect to the power basis."""
@@ -231,6 +232,13 @@ def integer_rows(elements):
     return den, [[x * (den // e.den) for x in e.num] for e in elements]
 
 
+def span_solve(elements, x):
+    """Rational c with sum c_i elements_i = x, or None when x is outside
+    their rational span."""
+    _, rows = integer_rows(list(elements) + [x])
+    return linalg.solve(rows[:-1], rows[-1])
+
+
 class NumberField:
     def __init__(self, poly, integral_basis, signature, field_discriminant,
                  tier, irreducibility, datasheet=None):
@@ -243,9 +251,7 @@ class NumberField:
         self.irreducibility = irreducibility
         self.datasheet = datasheet
         n = self.degree
-        self._ib_inv = linalg.mat_inv([list(r) for r in self.integral_basis])
-        if self._ib_inv is None:
-            raise DatasheetInvalid("integral basis is singular")
+        self._ib_inv = self._build_ib_inv()
         # integer structure constants over the integral basis, and for
         # ib_mul the nonzero (k, c) of each b_i * b_j
         self.mult_table = self._build_mult_table()
@@ -272,6 +278,20 @@ class NumberField:
                         for k, c in row[j]:
                             out[k] += ab * c
         return out
+
+    def _build_ib_inv(self):
+        """Row i holds the integral-basis coordinates of t^i; integers,
+        since the integral basis must contain Z[t]."""
+        n = self.degree
+        den = lcm(*(x.denominator for r in self.integral_basis for x in r))
+        rows = [[int(x * den) for x in r] for r in self.integral_basis]
+        inv = [linalg.solve(rows, [den * (i == j) for j in range(n)])
+               for i in range(n)]
+        if None in inv:
+            raise DatasheetInvalid("integral basis is singular")
+        if any(x.denominator != 1 for row in inv for x in row):
+            raise DatasheetInvalid("integral basis does not contain Z[t]")
+        return [[int(x) for x in row] for row in inv]
 
     def _build_mult_table(self):
         """table[i][j] holds the integral-basis coordinates of b_i * b_j,
@@ -461,12 +481,6 @@ def create_field(poly, datasheet=None):
             basis.append(tuple(parse_rational(x) for x in row))
         if basis[0] != tuple([Fraction(1)] + [Fraction(0)] * (n - 1)):
             raise DatasheetInvalid("first basis row must be 1")
-        inv = linalg.mat_inv([list(r) for r in basis])
-        if inv is None:
-            raise DatasheetInvalid("integral basis is singular")
-        for row in inv:
-            if any(x.denominator != 1 for x in row):
-                raise DatasheetInvalid("integral basis does not contain Z[t]")
         disc = None  # computed from the trace Gram below
         tier = "datasheet"
         ds_norm = datasheet

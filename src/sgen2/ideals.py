@@ -16,8 +16,8 @@ from math import isqrt
 
 from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
-                     IndexDivisor, InvariantViolated, NotContained,
-                     OrderBoundExceeded, ZeroElement)
+                     IndexDivisor, InvariantViolated, OrderBoundExceeded,
+                     ZeroElement)
 from .field import FieldElement, fundamental_unit, parse_rational
 
 # Largest power a tried by class_order before giving up.
@@ -394,19 +394,3 @@ def class_order(ideal):
     raise DatasheetRequired(
         f"no class_orders entry for the ideal with HNF {[list(r) for r in ideal.hnf]}")
 
-
-# ---------------------------------------------------------------------------
-# Index of one lattice in another (public wrapper with taxonomy errors).
-
-def lattice_index(l1_rows, l2_rows):
-    """[L1 : L2] for integer row lattices in a common coordinate system.
-
-    Returns a positive integer, or the string "infinite" when L2 has
-    smaller rank; raises NotContained when L2 is not inside L1.
-    """
-    h1 = linalg.hnf(l1_rows)
-    h2 = linalg.hnf(l2_rows)
-    out = linalg.lattice_index_hnf(h1, h2)
-    if out is None:
-        raise NotContained("second lattice is not contained in the first")
-    return out

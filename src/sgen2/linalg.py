@@ -1,19 +1,23 @@
-"""Exact linear algebra: rational matrices and integer row lattices.
+"""Exact linear algebra: integer row lattices and rational solves.
 
 Matrices are lists of row lists.  Lattices are spans of integer rows;
 the canonical form is the row Hermite normal form (echelon, positive
 pivots, entries above a pivot reduced into [0, pivot)), which is unique
 per row span, so equality of spans is equality of forms.
 
-Three eliminations do all the work (Cohen, GTM 138, sections 2.2 and
+Two eliminations do all the work (Cohen, GTM 138, sections 2.2 and
 2.4):
 
 - ``_echelon``, the integer Hermite elimination behind ``hnf``,
-  ``hnf_with_transform`` and everything built on them;
+  ``hnf_with_transform`` and everything built on them, ``solve``
+  included: a rational solution of c @ rows = target is read off an
+  integer kernel vector of [target; rows];
 - ``int_det``, the fraction-free Bareiss determinant, which ``mat_det``
-  reuses after clearing denominators;
-- ``_rref``, the rational Gauss-Jordan elimination behind ``mat_inv``,
-  ``mat_rank`` and ``span_coeffs``.
+  reuses after clearing denominators.
+
+Callers hand in integer rows (``field.integer_rows`` clears a list of
+field elements to one denominator), so no elimination runs on
+``Fraction`` entries.
 """
 
 from fractions import Fraction
@@ -150,6 +154,20 @@ def lattice_intersect(rows1, rows2):
     return hnf([vec_mat(k[:k1], rows1) for k in kern])
 
 
+def solve(rows, target):
+    """Rational coefficients c with c @ rows = target, or None.
+
+    rows and target are integer.  A kernel vector x of [target; rows]
+    with x_0 != 0 gives c = -x[1:] / x_0, and one exists exactly when
+    target lies in the rational span of rows.
+    """
+    _, _, kernel = hnf_with_transform([target] + list(rows))
+    x = next((x for x in kernel if x[0]), None)
+    if x is None:
+        return None
+    return [Fraction(-v, x[0]) for v in x[1:]]
+
+
 # ---------------------------------------------------------------------------
 # Determinants.
 
@@ -185,7 +203,7 @@ def mat_det(mat):
 
 
 # ---------------------------------------------------------------------------
-# Rational matrices.
+# Matrix products.
 
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
@@ -193,57 +211,6 @@ def mat_mul(a, b):
 
 def vec_mat(v, m):
     return [sum(x * row[j] for x, row in zip(v, m)) for j in range(len(m[0]))]
-
-
-def _rref(mat, ncols):
-    """Gauss-Jordan elimination over Q on the first ncols columns.
-
-    Columns past ncols are carried along.  Returns (rows, pivots): the
-    reduced rows, and the pivot column of each of the first
-    len(pivots) rows; the remaining rows are zero on the first ncols
-    columns.
-    """
-    a = [[Fraction(x) for x in r] for r in mat]
-    pivots = []
-    for col in range(ncols):
-        row = len(pivots)
-        piv = next((i for i in range(row, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(len(a)):
-            if i != row and a[i][col]:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[row])]
-        pivots.append(col)
-    return a, pivots
-
-
-def mat_inv(mat):
-    """Inverse of a square rational matrix, or None if singular."""
-    n = len(mat)
-    a, pivots = _rref([list(r) + [int(i == j) for j in range(n)]
-                       for i, r in enumerate(mat)], n)
-    return [r[n:] for r in a] if len(pivots) == n else None
-
-
-def mat_rank(mat):
-    return len(_rref(mat, len(mat[0]) if mat else 0)[1])
-
-
-def span_coeffs(rows, target):
-    """Rational coefficients c with sum c_i rows_i = target, or None."""
-    m = len(rows)
-    # solve rows^T c = target by elimination on the augmented transpose
-    a, pivots = _rref([[r[j] for r in rows] + [t] for j, t in enumerate(target)], m)
-    if any(r[m] for r in a[len(pivots):]):
-        return None
-    out = [Fraction(0)] * m
-    for r, col in zip(a, pivots):
-        out[col] = r[m]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +237,6 @@ class RatLattice:
         self.rows = tuple(tuple(r) for r in rows)
         self.ncols = ncols
 
-    @classmethod
-    def from_rows(cls, frac_rows, ncols=None):
-        frac_rows = [[Fraction(x) for x in r] for r in frac_rows]
-        if ncols is None:
-            ncols = len(frac_rows[0]) if frac_rows else 0
-        den = 1
-        for r in frac_rows:
-            for x in r:
-                den = den * x.denominator // gcd(den, x.denominator)
-        scaled = [[int(x * den) for x in r] for r in frac_rows]
-        return cls(den, hnf(scaled), ncols)
-
     def _common(self, other):
         if self.ncols != other.ncols:
             raise ValueError("ambient dimension mismatch")
@@ -300,19 +255,10 @@ class RatLattice:
         ha = hnf(a)
         return all(in_lattice(ha, r) for r in b)
 
-    def contains_vec(self, vec):
-        v = [Fraction(x) * self.den for x in vec]
-        if any(x.denominator != 1 for x in v):
-            return False
-        return in_lattice(list(self.rows), [int(x) for x in v])
-
     def intersect(self, other):
         a, b = self._common(other)
         d = self.den * other.den // gcd(self.den, other.den)
         return RatLattice(d, lattice_intersect(a, b) if a and b else [], self.ncols)
-
-    def frac_rows(self):
-        return [[Fraction(x, self.den) for x in r] for r in self.rows]
 
     def __eq__(self, other):
         return (isinstance(other, RatLattice) and self.den == other.den

@@ -22,14 +22,14 @@ accepted once three consecutive levels and a degree enlargement agree.
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from . import linalg
 from .errors import (CardinalityTooSmall, HypothesisFails,
                      InvariantViolated, NotASubfield, NotStabilized,
                      SearchExhausted)
 from .field import (RATIONALS, create_field, format_rational,
-                    fundamental_unit, integer_rows, parse_rational)
+                    fundamental_unit, integer_rows, parse_rational,
+                    span_solve)
 from .ideals import class_order, factor_rational_prime, valuation
 from .linalg import RatLattice, hnf
 from .polys import count_roots_in, degree, peval, root_bound, sturm_chain
@@ -361,9 +361,8 @@ def _split_off_sqrt(field, F_desc):
     n = field.degree
     k = n // 2
     g_powers = F_desc.power_images()
-    g_rows = [g.ib_coords() for g in g_powers]
-    rows = g_rows + [(field.theta * g).ib_coords() for g in g_powers]
-    sol = linalg.span_coeffs(rows, (field.theta * field.theta).ib_coords())
+    sol = span_solve(g_powers + [field.theta * g for g in g_powers],
+                     field.theta * field.theta)
     if sol is None:
         return None
     w_half = field.zero
@@ -371,13 +370,12 @@ def _split_off_sqrt(field, F_desc):
         if c:
             w_half = w_half + g * (c / 2)
     delta = field.theta - w_half
-    in_F = linalg.span_coeffs(g_rows, (delta * delta).ib_coords())
-    if in_F is None:
+    if span_solve(g_powers, delta * delta) is None:
         return None
     # clear denominators and content so that delta is a primitive integer
     delta = delta * Fraction(delta.den, gcd(*delta.num))
     d_K = -(delta * delta)
-    coeffs = linalg.span_coeffs(g_rows, d_K.ib_coords())
+    coeffs = span_solve(g_powers, d_K)
     if coeffs is None:
         raise InvariantViolated("-delta^2 must lie in the subfield")
     d_F = F_desc.subfield.element(coeffs)
@@ -548,7 +546,10 @@ def choose_alpha(field, S, sbasis, ranks):
         vectors, labels = sr.unit_vectors(sbasis)
         if len(vectors) != sr.rank:
             raise InvariantViolated("span generators must realize the rank")
-        spans.append((sr.F, vectors, linalg.mat_rank(vectors), labels))
+        # rational rank is blind to row scaling: clear once, rank by HNF
+        den = lcm(*(x.denominator for v in vectors for x in v))
+        rows = [[int(x * den) for x in v] for v in vectors]
+        spans.append((sr.F, vectors, rows, len(hnf(rows)), labels))
 
     nf, nb = len(sbasis.fund_units), len(sbasis.s_gens)
     w = sbasis.torsion_order
@@ -562,9 +563,9 @@ def choose_alpha(field, S, sbasis, ranks):
                 if top != shell:
                     continue
                 tried += 1
-                vec = [Fraction(c) for c in cf] + [Fraction(-c) for c in cb]
-                if any(linalg.mat_rank(vectors + [vec]) == span_rank
-                       for _, vectors, span_rank, _ in spans):
+                vec = list(cf) + [-c for c in cb]
+                if any(len(hnf(rows + [vec])) == span_rank
+                       for _, _, rows, span_rank, _ in spans):
                     rejected_span += 1
                     continue
                 for c0 in range(w):
@@ -610,12 +611,12 @@ def _certify_alpha(field, S, sbasis, alpha, c0, cf, cb, mp, spans, vec,
             {"p": P.p, "hnf": [list(r) for r in P.hnf], "valuation": v}
             for P, v in neg],
     }
-    for F, vectors, span_rank, labels in spans:
+    for F, vectors, rows, span_rank, labels in spans:
         avoidance["subfields"].append({
             "poly": list(F.subfield.poly),
             "span_vectors": [[format_rational(x) for x in row] for row in vectors],
             "span_rank": span_rank,
-            "rank_with_alpha": linalg.mat_rank(vectors + [vec]),
+            "rank_with_alpha": len(hnf(rows + [vec])),
             "generators": labels,
         })
     index_table = []

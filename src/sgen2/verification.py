@@ -31,7 +31,7 @@ from .errors import (ConfigInvalid, IdentityFailed, InvariantViolated,
 from .field import integer_rows
 from .generators import m2_eq, m2_identity, m2_inv, m2_mul, m2_pow
 from .ideals import factor_rational_prime, valuation
-from .linalg import hnf, hnf_with_transform, solve_hnf, vec_mat
+from .linalg import RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat
 from .polys import is_prime, prime_divisors
 from .sunits import (LevelFiltration, PowerSpan, contract_prime_set,
                      s_unit_basis, stabilized_index)
@@ -147,12 +147,10 @@ def identity_suite(triple, r_range=range(-5, 6), s_range=range(-5, 6),
 def _check_scaled_containment(filt, index, span, level):
     """index * Lambda_level must land in stage level + 4 of the
     PowerSpan (Lagrange)."""
-    lattice = span.lattice(level + 4)
     lam = filt.level(level)
-    for row in lam.frac_rows():
-        if not lattice.contains_vec([x * index for x in row]):
-            return False
-    return True
+    scaled = RatLattice(lam.den, [[index * x for x in r] for r in lam.rows],
+                        lam.ncols)
+    return span.lattice(level + 4).contains(scaled)
 
 
 def _in_s_integers(field, S, x):
@@ -365,16 +363,20 @@ class ResidueField:
         self._index = {r: i for i, r in enumerate(reps)}
         self.zero = self._index[tuple([0] * n)]
         self.one = self.reduce_ints(field.one.num)
-        self.mul_table = [[self.reduce_ints(field.ib_mul(ra, rb)) for rb in reps]
-                          for ra in reps]
-        self.add_table = [[self.reduce_ints([x + y for x, y in zip(ra, rb)])
-                           for rb in reps] for ra in reps]
+        # both tables are symmetric: fill j >= i and mirror
+        self.mul_table = [[0] * q for _ in range(q)]
+        self.add_table = [[0] * q for _ in range(q)]
         self.inv_table = [None] * q
-        for i in range(q):
-            for j in range(q):
-                if self.mul_table[i][j] == self.one:
+        for i, ra in enumerate(reps):
+            for j in range(i, q):
+                rb = reps[j]
+                ab = self.reduce_ints(field.ib_mul(ra, rb))
+                self.mul_table[i][j] = self.mul_table[j][i] = ab
+                if ab == self.one:
                     self.inv_table[i] = j
-                    break
+                    self.inv_table[j] = i
+                self.add_table[i][j] = self.add_table[j][i] = self.reduce_ints(
+                    [x + y for x, y in zip(ra, rb)])
 
     def reduce_ints(self, vec):
         v = list(vec)

@@ -19,10 +19,15 @@ determinant norm at each, where the library solves the norm equation
 along one axis.
 
 The power-basis oracle does field arithmetic on Fraction coordinates in
-1, t, ..., t^(n-1), reducing products by f term by term and inverting
-through the rational multiplication matrix, where the library keeps
-integer integral-basis numerators and multiplies by structure constants.
-Everything above that needs field products takes them from it.
+1, t, ..., t^(n-1), reducing products by f term by term, where the
+library keeps integer integral-basis numerators and multiplies by
+structure constants.  Everything above that needs field products takes
+them from it.  Inverses, norms, minimal polynomials and the change to
+integral-basis coordinates go through the oracle's own Gauss-Jordan
+elimination over Q (gauss_jordan), where the library solves through
+the integer Hermite form and takes norms by Bareiss determinants.  Of
+sgen2.linalg the oracle uses only hnf, solve_hnf and int_det, for the
+ring-index union lattice and its determinant cross-check.
 """
 
 from collections import deque
@@ -155,6 +160,69 @@ def zalpha_levels(field, S, alpha, n, kmax, extra_gens=()):
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Jordan elimination over Q.
+
+def gauss_jordan(mat, ncols):
+    """Gauss-Jordan elimination over Q on the first ncols columns.
+
+    Columns past ncols are carried along.  Returns (rows, pivots, det):
+    the reduced rows; the pivot column of each of the first len(pivots)
+    rows, the remaining rows being zero on the first ncols columns; and
+    the product of the pivots, signed by the row swaps, which is the
+    determinant of a square matrix of full rank.
+    """
+    a = [[Fraction(x) for x in r] for r in mat]
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((i for i in range(row, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+            det = -det
+        det *= a[row][col]
+        inv = 1 / a[row][col]
+        a[row] = [x * inv for x in a[row]]
+        for i in range(len(a)):
+            if i != row and a[i][col]:
+                c = a[i][col]
+                a[i] = [x - c * y for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+    return a, pivots, det
+
+
+def gj_inverse(mat):
+    """Inverse of a square rational matrix, or None if singular."""
+    n = len(mat)
+    a, pivots, _ = gauss_jordan([list(r) + [int(i == j) for j in range(n)]
+                                 for i, r in enumerate(mat)], n)
+    return [r[n:] for r in a] if len(pivots) == n else None
+
+
+def gj_det(mat):
+    """Determinant of a square rational matrix."""
+    _, pivots, det = gauss_jordan(mat, len(mat))
+    return det if len(pivots) == len(mat) else Fraction(0)
+
+
+def gj_solve(rows, target):
+    """Rational coefficients c with sum c_i rows_i = target, or None;
+    free coefficients are 0."""
+    m = len(rows)
+    # solve rows^T c = target by elimination on the augmented transpose
+    a, pivots, _ = gauss_jordan([[r[j] for r in rows] + [t]
+                                 for j, t in enumerate(target)], m)
+    if any(r[m] for r in a[len(pivots):]):
+        return None
+    out = [Fraction(0)] * m
+    for r, col in zip(a, pivots):
+        out[col] = r[m]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Field arithmetic in the power basis.
 
 def _pb_reduction(field):
@@ -198,7 +266,7 @@ def pb_mult_matrix(field, a):
 def pb_inverse(field, a):
     """y with y * a = 1: the first row of the inverse multiplication
     matrix (Gauss-Jordan over Q)."""
-    inv = linalg.mat_inv(pb_mult_matrix(field, a))
+    inv = gj_inverse(pb_mult_matrix(field, a))
     assert inv is not None, "zero has no inverse"
     return list(inv[0])
 
@@ -211,7 +279,7 @@ def pb_pow(field, a, e):
 
 
 def pb_norm(field, a):
-    return linalg.mat_det(pb_mult_matrix(field, a))
+    return gj_det(pb_mult_matrix(field, a))
 
 
 def pb_trace(field, a):
@@ -225,7 +293,7 @@ def pb_minimal_poly(field, a):
     powers = [pb_one(field)]
     while True:
         cur = pb_mul(field, powers[-1], a)
-        c = linalg.span_coeffs(powers, cur)
+        c = gj_solve(powers, cur)
         if c is not None:
             return tuple([-x for x in c] + [Fraction(1)])
         powers.append(cur)
@@ -233,8 +301,10 @@ def pb_minimal_poly(field, a):
 
 def pb_to_ib(field, a):
     """Integral-basis coordinates of a power-basis coordinate vector."""
-    inv = linalg.mat_inv([list(r) for r in field.integral_basis])
-    return linalg.vec_mat([Fraction(x) for x in a], inv)
+    inv = gj_inverse(field.integral_basis)
+    n = field.degree
+    return [sum(Fraction(x) * inv[i][j] for i, x in enumerate(a))
+            for j in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,21 @@ def test_malformed_configs_exit_1(tmp_path):
     for cfg in bad:
         code, _ = run(tmp_path, cfg, "analyze")
         assert code == 1, cfg
+    # sizes past the caps, each of which ran for more than 15 s before
+    # the caps existed
+    hostile = [
+        {"field": {"poly": [-1, 1]}, "S": [{"p": 2}, {"p": 3}],
+         "verify": {"r": [-3000, 3000]}},
+        {"field": {"poly": [1, 0, 1]}, "S": [{"p": 2}], "N": 100000000},
+        {"field": {"poly": [1, 0, 1]}, "S": [{"p": 5}], "h": 100000000},
+        {"field": {"poly": [1, 0, 1]}, "S": [{"p": 5}],
+         "verify": {"witness_samples": 1000000}},
+    ]
+    for cfg in hostile:
+        started = time.monotonic()
+        code, _ = run(tmp_path, cfg, "verify")
+        assert code == 1, cfg
+        assert time.monotonic() - started < 2, cfg
 
 
 def test_unreadable_or_invalid_config_exits_1(tmp_path, capsys):
@@ -267,6 +282,13 @@ def test_h_and_n_overrides(tmp_path):
     assert code == 0 and rep["instance"]["N"] == "search"
 
     code, _ = run(tmp_path, RATIONAL_TWO, "generate", ("--h", "0"))
+    assert code == 1
+    # the overrides meet the same caps as the config keys
+    code, _ = run(tmp_path, RATIONAL_TWO, "generate",
+                  ("--h", str(cli.MAX_H + 1)))
+    assert code == 1
+    code, _ = run(tmp_path, GAUSSIAN_TWO, "verify",
+                  ("--N", str(cli.MAX_N + 1)))
     assert code == 1
 
 

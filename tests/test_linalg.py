@@ -112,6 +112,7 @@ def test_mat_det_matches_leibniz():
         if n > 1 and rng.random() < 0.2:
             a[-1] = list(a[0])  # singular
         assert linalg.mat_det(a) == leibniz_det(a)
+        assert oracles.gj_det(a) == leibniz_det(a)
         ints = [[x.numerator for x in r] for r in a]
         assert linalg.int_det(ints) == leibniz_det(ints)
 
@@ -199,51 +200,76 @@ def test_intersect_second_isomorphism():
         assert linalg.lattice_index_hnf(ha, cap) == linalg.lattice_index_hnf(tot, hb)
 
 
-def test_span_coeffs():
+def test_solve_matches_gauss_jordan_oracle():
     rows = [[1, 0, 1], [0, 2, 0]]
-    c = linalg.span_coeffs(rows, [3, 4, 3])
-    assert c == [Fraction(3), Fraction(2)]
-    assert linalg.span_coeffs(rows, [0, 0, 1]) is None
-
-
-def test_mat_inv_roundtrip():
+    assert linalg.solve(rows, [3, 4, 3]) == [Fraction(3), Fraction(2)]
+    assert linalg.solve(rows, [0, 0, 1]) is None
     rng = random.Random(13)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        a = rand_matrix(rng, n, n)
-        inv = linalg.mat_inv(a)
-        if linalg.int_det(a) == 0:
-            assert inv is None
+    kinds = {"independent": 0, "dependent": 0, "inconsistent": 0}
+    for trial in range(120):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = rand_matrix(rng, m, n)
+        if trial % 3 == 1 and m > 1:
+            # a row that is a combination of the others
+            c = [rng.randint(-2, 2) for _ in range(m - 1)]
+            rows[-1] = linalg.vec_mat(c, rows[:-1])
+        if trial % 3 == 2:
+            target = rand_matrix(rng, 1, n)[0]
+        else:
+            target = linalg.vec_mat([rng.randint(-3, 3) for _ in range(m)], rows)
+        got = linalg.solve(rows, target)
+        want = oracles.gj_solve(rows, target)
+        if want is None:
+            kinds["inconsistent"] += 1
+            assert got is None
             continue
-        prod = linalg.mat_mul(a, inv)
-        assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert got is not None
+        assert linalg.vec_mat(got, rows) == target
+        if len(oracles.gauss_jordan(rows, n)[1]) == m:
+            kinds["independent"] += 1
+            assert got == want
+        else:
+            kinds["dependent"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+def lat(den, rows):
+    """The subgroup of Q^n spanned by the integer rows over den."""
+    return RatLattice(den, linalg.hnf(rows), len(rows[0]))
 
 
 def test_ratlattice_index_and_normalization():
     # [Z^2 : (1/2)Z x 3Z] with respect to each other
-    half = RatLattice.from_rows([[Fraction(1, 2), 0], [0, 3]])
-    whole = RatLattice.from_rows([[1, 0], [0, 1]])
+    half = lat(2, [[1, 0], [0, 6]])
+    whole = lat(1, [[1, 0], [0, 1]])
     assert whole.index_in(half) is None  # Z^2 not inside the other lattice
-    sub = RatLattice.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    sub = lat(2, [[1, 0], [0, 1]])
     assert whole.index_in(sub) == 4
     assert sub.index_in(whole) is None
     # equal subgroups built from different generators compare equal
-    a = RatLattice.from_rows([[Fraction(1, 2), 0], [Fraction(1, 2), 1]])
-    b = RatLattice.from_rows([[Fraction(1, 2), 1], [0, 1], [Fraction(3, 2), 1]])
+    a = lat(2, [[1, 0], [1, 2]])
+    b = lat(2, [[1, 2], [0, 2], [3, 2]])
     assert a == b
+    # and so do the same subgroup over different denominators
+    assert lat(4, [[2, 0], [2, 4]]) == a
 
 
 def test_ratlattice_intersect_add():
-    a = RatLattice.from_rows([[Fraction(1, 2), 0], [0, 1]])
-    b = RatLattice.from_rows([[Fraction(1, 3), 0], [0, 1]])
-    assert a.intersect(b) == RatLattice.from_rows([[1, 0], [0, 1]])
-    total = RatLattice.from_rows(a.frac_rows() + b.frac_rows())
-    assert total == RatLattice.from_rows([[Fraction(1, 6), 0], [0, 1]])
-    assert a.contains_vec([Fraction(5, 2), 7])
-    assert not a.contains_vec([Fraction(1, 3), 0])
+    a = lat(2, [[1, 0], [0, 2]])
+    b = lat(3, [[1, 0], [0, 3]])
+    cap = a.intersect(b)
+    assert cap == lat(1, [[1, 0], [0, 1]])
+    assert a.contains(cap) and b.contains(cap)
+    assert not cap.contains(a)
+    # the sum, over the common denominator 6
+    total = lat(6, [[3, 0], [0, 6], [2, 0], [0, 6]])
+    assert total == lat(6, [[1, 0], [0, 6]])
+    assert total.contains(a) and total.contains(b)
+    assert a.contains(lat(2, [[5, 14]]))  # (5/2, 7)
+    assert not a.contains(lat(3, [[1, 0]]))  # (1/3, 0)
 
 
 def test_ratlattice_rank_deficient():
-    a = RatLattice.from_rows([[1, 1]])
-    full = RatLattice.from_rows([[1, 0], [0, 1]])
+    a = lat(1, [[1, 1]])
+    full = lat(1, [[1, 0], [0, 1]])
     assert a.index_in(full) == "infinite"

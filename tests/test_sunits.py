@@ -7,6 +7,7 @@ from sgen2.errors import (CardinalityTooSmall, HypothesisFails, NotASubfield,
                           NotStabilized, SearchExhausted)
 from sgen2.field import create_field
 from sgen2.ideals import factor_rational_prime, valuation
+from sgen2.linalg import RatLattice
 from sgen2 import sunits
 from sgen2.sunits import (LevelFiltration, PrimeSet, SubfieldDescriptor,
                           SubfieldRank, contract_prime_set, default_subfields,
@@ -354,8 +355,8 @@ def test_level_filtration_rational():
     filt = LevelFiltration(k, s_unit_basis(k, S))
     for j in range(4):
         lam = filt.level(j)
-        assert lam.contains_vec([Fraction(1, 2 ** j)])
-        assert not lam.contains_vec([Fraction(1, 2 ** (j + 1))])
+        assert lam.contains(RatLattice(2 ** j, [[1]], 1))
+        assert not lam.contains(RatLattice(2 ** (j + 1), [[1]], 1))
 
 
 def test_random_s_units_have_integer_exponents():

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,8 +9,8 @@ from sgen2.errors import (ConfigInvalid, IdentityFailed, NotInLattice,
 from sgen2.field import create_field
 from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime
-from sgen2.linalg import RatLattice
-from sgen2.sunits import PrimeSet, s_unit_basis
+from sgen2.linalg import RatLattice, hnf
+from sgen2.sunits import PrimeSet, element_lattice
 from sgen2.verification import (ResidueField, admissible_primes,
                                 elementary_witness, ideal_ladder,
                                 identity_suite, image_order,
@@ -102,6 +103,14 @@ def test_ladder_explicit_n():
     assert lad["N"] == 4 and lad["N_tried"] == [4]
 
 
+def oracle_level(k, sbasis, level, scale):
+    """scale * Lambda_level, from the oracle's power-basis products."""
+    rows = oracles.level_rows(k, sbasis, level)
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return RatLattice(den, hnf([[int(x * den) * scale for x in r] for r in rows]),
+                      k.degree)
+
+
 def test_ladder_containment_forms():
     # case 1: m Lambda_k lands inside the Z-span of h a^{2j}
     t = triple(gaussian_five)
@@ -109,9 +118,8 @@ def test_ladder_containment_forms():
     lad = ideal_ladder(t)
     a2 = t.alpha_in_K ** 2
     gens = [k.from_rational(t.h) * a2 ** j for j in range(9)]
-    span = RatLattice.from_rows([list(g.ib_coords()) for g in gens], k.degree)
-    for row in oracles.level_rows(k, t.case_info.sbasis, 2):
-        assert span.contains_vec([x * lad["m"] for x in row])
+    span = element_lattice(gens)
+    assert span.contains(oracle_level(k, t.case_info.sbasis, 2, lad["m"]))
 
     # case 2: M Lambda_k lands inside span + sqrt(-d) span
     t = triple(gaussian_two)
@@ -123,9 +131,8 @@ def test_ladder_containment_forms():
     scale = k.from_rational(t.h ** 3 * lad["m"]) * d
     gens = [scale * a2 ** j for j in range(9)]
     gens += [delta * g for g in gens]
-    span = RatLattice.from_rows([list(g.ib_coords()) for g in gens], k.degree)
-    for row in oracles.level_rows(k, t.case_info.sbasis, 2):
-        assert span.contains_vec([x * lad["M"] for x in row])
+    span = element_lattice(gens)
+    assert span.contains(oracle_level(k, t.case_info.sbasis, 2, lad["M"]))
 
 
 # ---------------------------------------------------------------------------
