@@ -200,10 +200,30 @@ def test_intersect_second_isomorphism():
         assert linalg.lattice_index_hnf(ha, cap) == linalg.lattice_index_hnf(tot, hb)
 
 
-def test_solve_matches_gauss_jordan_oracle():
+def test_span_coeffs():
+    # coefficients over the rows' span come from linalg.solve
     rows = [[1, 0, 1], [0, 2, 0]]
     assert linalg.solve(rows, [3, 4, 3]) == [Fraction(3), Fraction(2)]
     assert linalg.solve(rows, [0, 0, 1]) is None
+
+
+def test_mat_inv_roundtrip():
+    # row i of the inverse solves c @ a = e_i
+    rng = random.Random(13)
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        a = rand_matrix(rng, n, n)
+        inv = [linalg.solve(a, [int(i == j) for j in range(n)]) for i in range(n)]
+        if linalg.int_det(a) == 0:
+            assert None in inv
+            assert oracles.gj_inverse(a) is None
+            continue
+        prod = linalg.mat_mul(a, inv)
+        assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert inv == oracles.gj_inverse(a)
+
+
+def test_solve_matches_gauss_jordan_oracle():
     rng = random.Random(13)
     kinds = {"independent": 0, "dependent": 0, "inconsistent": 0}
     for trial in range(120):
