@@ -27,15 +27,7 @@ from .field import create_field, format_rational, parse_rational
 from .generators import build_generators, classify_case
 from .ideals import factor_rational_prime
 from .sunits import PrimeSet
-from .verification import run_verification
-
-VERIFY_DEFAULTS = {
-    "primes": 10,
-    "q_bound": 100,
-    "r": [-5, 5],
-    "s": [-5, 5],
-    "witness_samples": 10,
-}
+from .verification import VERIFY_DEFAULTS, run_verification
 
 # Largest verify.q_bound accepted.  A residue field of size q is held as
 # dense q x q multiplication and addition tables, 22500 entries each at 150.
@@ -295,17 +287,8 @@ def run_instance(cfg, command):
     if command in ("generate", "verify"):
         report["triple"] = triple.serialize()
     if command == "verify":
-        v = cfg["verify"]
         report["verification"] = run_verification(
-            triple,
-            r_range=range(v["r"][0], v["r"][1] + 1),
-            s_range=range(v["s"][0], v["s"][1] + 1),
-            modp_count=v["primes"],
-            modp_bound=v["q_bound"],
-            witness_count=v["witness_samples"],
-            witness_seed=cfg["seed"],
-            n_select=cfg["N"],
-        )
+            triple, cfg["verify"], cfg["seed"], cfg["N"])
     report["timings"] = {
         "deterministic": True,
         "note": "abstract work counts; wall clock is printed to stderr",

@@ -19,8 +19,11 @@ split, and the inverse of the integral basis (power-basis coordinates
 to integral-basis ones) is solved once per field, which also checks
 that the basis is nonsingular and contains Z[t].
 
-Degree <= 2 fields get their integral basis, discriminant and (in the
-real quadratic case) fundamental unit computed from scratch; higher
+Degree <= 2 fields get their integral basis and discriminant computed
+from scratch.  A quadratic field is then its discriminant D and its
+second basis element omega = (D mod 2 + sqrt D) / 2: the squarefree
+core m, sqrt(m) and, for real fields, the fundamental unit (one
+continued-fraction period over D) are read off these two.  Higher
 degree fields must supply a datasheet carrying the integral basis and
 the other global data that cannot be recomputed here.  Everything a
 datasheet asserts is either verified exactly on load or verified at
@@ -198,8 +201,10 @@ class FieldElement:
 
     def power_coords(self):
         """Rational coordinates with respect to the power basis."""
-        return tuple(x / self.den for x in
-                     linalg.vec_mat(self.num, self.field.integral_basis))
+        f = self.field
+        den = self.den * f._ib_den
+        return tuple(Fraction(x, den)
+                     for x in linalg.vec_mat(self.num, f._ib_rows))
 
     def is_integral(self):
         return self.den == 1
@@ -251,6 +256,12 @@ class NumberField:
         self.irreducibility = irreducibility
         self.datasheet = datasheet
         n = self.degree
+        # the integral basis as integer rows _ib_rows over one denominator
+        # _ib_den, and its inverse
+        self._ib_den = lcm(*(x.denominator for r in self.integral_basis
+                             for x in r))
+        self._ib_rows = [[int(x * self._ib_den) for x in r]
+                         for r in self.integral_basis]
         self._ib_inv = self._build_ib_inv()
         # integer structure constants over the integral basis, and for
         # ib_mul the nonzero (k, c) of each b_i * b_j
@@ -263,7 +274,6 @@ class NumberField:
         self._fund_unit = None
         self._subfields = None  # set by sunits.default_subfields
         self._primes_above = {}  # p -> primes, set by ideals.factor_rational_prime
-        self._quad = None  # (m, f_theta) for degree 2
 
     def ib_mul(self, u, v):
         """Integral-basis coordinates of the product of two elements given
@@ -283,9 +293,8 @@ class NumberField:
         """Row i holds the integral-basis coordinates of t^i; integers,
         since the integral basis must contain Z[t]."""
         n = self.degree
-        den = lcm(*(x.denominator for r in self.integral_basis for x in r))
-        rows = [[int(x * den) for x in r] for r in self.integral_basis]
-        inv = [linalg.solve(rows, [den * (i == j) for j in range(n)])
+        inv = [linalg.solve(self._ib_rows, [self._ib_den * (i == j)
+                                            for j in range(n)])
                for i in range(n)]
         if None in inv:
             raise DatasheetInvalid("integral basis is singular")
@@ -343,11 +352,15 @@ class NumberField:
     def is_quadratic_real(self):
         return self.degree == 2 and self.signature == (2, 0)
 
+    def quadratic_core(self):
+        """For degree 2: the squarefree core m of the discriminant D."""
+        D = self.field_discriminant
+        return D if D % 2 else D // 4
+
     def sqrt_disc_core(self):
-        """For degree 2: the element sqrt(m), m the squarefree core."""
-        m, f_theta = self._quad
-        b = self.poly[1]
-        return self.element([Fraction(b, f_theta), Fraction(2, f_theta)])
+        """For degree 2: the element sqrt(m), m the squarefree core; that
+        is 2 omega - 1 when D = m is odd, omega itself when D = 4m."""
+        return self.from_ib((-1, 2) if self.field_discriminant % 2 else (0, 1))
 
     def serialize(self):
         return {
@@ -395,7 +408,7 @@ def _irreducibility_screen(poly):
 
 
 def _quadratic_integral_data(poly):
-    """(m, f_theta, integral_basis_rows, field_disc) for x^2 + b x + c."""
+    """(integral_basis_rows, field_disc) for x^2 + b x + c."""
     b, c = poly[1], poly[0]
     disc_poly = b * b - 4 * c
     if abs(disc_poly) > MAX_QUADRATIC_DISCRIMINANT:
@@ -413,7 +426,7 @@ def _quadratic_integral_data(poly):
         row = (Fraction(b, f_theta), Fraction(2, f_theta))
         disc = 4 * m
     basis = [(Fraction(1), Fraction(0)), row]
-    return m, f_theta, basis, disc
+    return basis, disc
 
 
 def _validate_datasheet_shape(ds):
@@ -455,15 +468,13 @@ def create_field(poly, datasheet=None):
         raise InvariantViolated("signature parity")
     sig = (r1, (n - r1) // 2)
 
-    quad = None
     if n == 1:
         basis = [(Fraction(1),)]
         disc = 1
         tier = "automatic"
         ds_norm = None
     elif n == 2:
-        m, f_theta, basis, disc = _quadratic_integral_data(poly)
-        quad = (m, f_theta)
+        basis, disc = _quadratic_integral_data(poly)
         tier = "automatic"
         ds_norm = None
     else:
@@ -487,7 +498,6 @@ def create_field(poly, datasheet=None):
 
     field = NumberField(poly, basis, sig, disc, tier, irreducibility,
                         datasheet=ds_norm)
-    field._quad = quad
 
     gram = field.trace_gram()
     for row in gram:
@@ -556,58 +566,35 @@ def _validate_datasheet_content(field, ds):
 # ---------------------------------------------------------------------------
 # Fundamental unit of a real quadratic field.
 
-def _pell_fundamental(m):
-    """Smallest (x, y), x, y > 0, with x^2 - m y^2 = +-1 (m > 1 nonsquare)."""
-    a0 = isqrt(m)
-    P, Q, a = 0, 1, a0
-    p0, p1 = 1, a0
-    q0, q1 = 0, 1
-    while True:
-        P = a * Q - P
-        Q = (m - P * P) // Q
-        if Q == 1:
-            return p1, q1
-        a = (P + a0) // Q
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-
-
 def fundamental_unit(field):
-    """A fundamental unit of a real quadratic field, normalized > 1.
+    """The fundamental unit of a real quadratic field, normalized > 1.
 
-    Continued fractions give the smallest unit of Z[sqrt(m)]; when
-    m = 5 mod 8 the maximal order can be strictly larger, by an index
-    dividing 3, so an exact cube root is attempted.
+    One period of the continued fraction of w = (b + sqrt D) / 2, b the
+    largest integer below sqrt D with b = D mod 2 (Cohen, GTM 138, 5.7):
+    w is reduced, so its expansion is purely periodic, and with q0, q1
+    the last two convergent denominators of the period, q1 w + q0 is the
+    fundamental unit of Z[w], the maximal order.  The complete quotients
+    are (P + sqrt D) / Q; the walk stops when (P, Q) returns to (b, 2).
     """
     if not field.is_quadratic_real():
         raise ValueError("fundamental_unit needs a real quadratic field")
     if field._fund_unit is not None:
         return field._fund_unit
-    m, _ = field._quad
-    x1, y1 = _pell_fundamental(m)
-    sqrt_m = field.sqrt_disc_core()
-    eps = field.from_rational(x1) + field.from_rational(y1) * sqrt_m
-    if m % 8 == 5:
-        # try eps = eps0^3 with eps0 = (a + b sqrt(m)) / 2
-        target = 2 * x1
-        base = polys.icbrt(target)
-        for a in range(max(base - 2, 1), base + 3):
-            for s in (1, -1):
-                if a * (a * a - 3 * s) != target:
-                    continue
-                den = a * a - s
-                if den == 0 or (2 * y1) % den:
-                    continue
-                b = 2 * y1 // den
-                if b <= 0 or (a - b) % 2:
-                    continue
-                cand = (field.from_rational(a) + field.from_rational(b) * sqrt_m) \
-                    * Fraction(1, 2)
-                if cand.norm() == s and cand ** 3 == eps:
-                    field._fund_unit = cand
-                    return cand
-    field._fund_unit = eps
-    return eps
+    D = field.field_discriminant
+    r = isqrt(D)
+    b = r if (r - D) % 2 == 0 else r - 1
+    P, Q = b, 2
+    q0, q1 = 1, 0
+    while True:
+        a = (P + r) // Q
+        q0, q1 = q1, a * q1 + q0
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if (P, Q) == (b, 2):
+            break
+    # w = omega + (b - D mod 2) / 2, and b - D mod 2 is even
+    field._fund_unit = field.from_ib((q0 + q1 * (b - D % 2) // 2, q1))
+    return field._fund_unit
 
 
 # One Q, the rational subfield of every field of degree > 1.  Its caches

@@ -310,7 +310,7 @@ def _principal_generator_quadratic(ideal):
     """
     field = ideal.field
     N = ideal.norm
-    m, _ = field._quad
+    m = field.quadratic_core()
     if m < 0:
         am = -m
         if field.field_discriminant % 2:  # omega = (1 + sqrt m)/2

@@ -205,10 +205,6 @@ def mat_det(mat):
 # ---------------------------------------------------------------------------
 # Matrix products.
 
-def mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 def vec_mat(v, m):
     return [sum(x * row[j] for x, row in zip(v, m)) for j in range(len(m[0]))]
 

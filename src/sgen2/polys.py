@@ -508,25 +508,6 @@ def integer_roots(f):
     return sorted(out)
 
 
-def icbrt(n):
-    """Integer cube root floor for n >= 0."""
-    if n < 0:
-        raise ValueError("negative")
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
-    while x * x * x > n:
-        x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
-    return x
-
-
 def sqrt_upper(n):
     """Rational upper bound for sqrt(n), n >= 0, within 10**-6."""
     scale = 10 ** 6

@@ -4,9 +4,11 @@ The finite-prime data of a set S comes with class-order witnesses: for
 each prime q_i in S a minimal a_i and generator beta_i with
 q_i^{a_i} = (beta_i).  Together with the fundamental units and a
 torsion generator these give a finite-index subgroup of O_S^* in which
-all searches below run (for quadratic fields the subgroup is the whole
-unit group up to torsion choice; datasheet fields may declare less,
-which only shrinks the search space, never breaks exactness).
+all searches below run.  For fields of degree <= 2 the unit part is the
+whole unit group: the roots of unity are read off the discriminant in
+closed form and the fundamental unit comes from field.fundamental_unit.
+Datasheet fields may declare less (their torsion is taken as +-1),
+which only shrinks the search space, never breaks exactness.
 
 Alpha is selected by exhaustive shell search over exponent vectors,
 rejecting vectors that fall into the rational span of the unit groups
@@ -22,7 +24,7 @@ accepted once three consecutive levels and a degree enlargement agree.
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import (CardinalityTooSmall, HypothesisFails,
                      InvariantViolated, NotASubfield, NotStabilized,
@@ -82,42 +84,17 @@ class PrimeSet:
 def _torsion_units(field):
     """(order, generator) for the roots of unity.
 
-    Complete for degree <= 2.  Datasheet fields get (-1, order 2): a
-    valid generator of a finite-index subgroup of the torsion, which is
-    all the downstream constructions need.
+    A root of unity of order n has degree phi(n), and phi(n) <= 2 only
+    for n in {1, 2, 3, 4, 6}; orders 4 and 6 need Q(i) (D = -4) and
+    Q(sqrt -3) (D = -3), where omega itself is i and (1 + sqrt -3) / 2.
+    Every other field of degree <= 2 has exactly +-1.  Datasheet fields
+    get (2, -1) too: a generator of a finite-index subgroup of their
+    torsion, which is all the downstream constructions need.
     """
-    minus_one = field.from_rational(-1)
-    if field.degree == 1 or field.tier == "datasheet" or field.signature[0] > 0:
-        return 2, minus_one
-    # imaginary quadratic: enumerate norm-1 integral elements exactly
-    m, _ = field._quad
-    am = -m
-    if field.field_discriminant % 2:
-        ymax = isqrt(4 // am)
-    else:
-        ymax = isqrt(1 // am) if am <= 1 else 0
-    units = set()
-    candidates = []
-    for x in range(0, 2 + ymax):
-        for y in range(0, ymax + 1):
-            for xx, yy in ((x, y), (x, -y)) if x and y else ((x, y),):
-                el = field.from_ib((xx, yy))
-                if el.is_zero() or abs(el.norm()) != 1:
-                    continue
-                for cand in (el, -el):
-                    if cand not in units:
-                        units.add(cand)
-                        candidates.append(cand)
-    w = len(units)
-    for cand in candidates:
-        power = cand
-        order = 1
-        while power != field.one:
-            power = power * cand
-            order += 1
-        if order == w:
-            return w, cand
-    raise InvariantViolated("no generator among the torsion units")
+    order = {-4: 4, -3: 6}.get(field.field_discriminant)
+    if order is None:
+        return 2, field.from_rational(-1)
+    return order, field.basis_element(1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +315,9 @@ def is_cm(field):
         return None
     if n == 2:
         F = default_subfields(field)[0]
-        m, _ = field._quad
-        delta = field.sqrt_disc_core()
-        d = -m
+        d = -field.quadratic_core()
         return CMStructure(F, F.subfield.from_rational(d),
-                           field.from_rational(d), delta)
+                           field.from_rational(d), field.sqrt_disc_core())
     for F in default_subfields(field):
         if F.is_rationals() or 2 * F.subfield.degree != n:
             continue
@@ -619,10 +594,8 @@ def _certify_alpha(field, S, sbasis, alpha, c0, cf, cb, mp, spans, vec,
             "rank_with_alpha": len(hnf(rows + [vec])),
             "generators": labels,
         })
-    index_table = []
-    for ne in INDEX_EXPONENTS:
-        res = zalpha_index(sbasis, alpha, ne)
-        index_table.append((ne, res.index, res.level))
+    index_table = [(ne, *zalpha_index(sbasis, alpha, ne))
+                   for ne in INDEX_EXPONENTS]
     unit_part = {
         "m": 1,
         "beta_exponents": list(cb),
@@ -665,20 +638,6 @@ def element_lattice(elements):
     """The Z-span of field elements, in integral-basis coordinates."""
     den, rows = integer_rows(elements)
     return RatLattice(den, hnf(rows), elements[0].field.degree)
-
-
-class ZalphaResult:
-    __slots__ = ("index", "level", "per_level")
-
-    def __init__(self, index, level, per_level):
-        self.index = index
-        self.level = level
-        self.per_level = per_level
-
-    def serialize(self):
-        return {"index": str(self.index), "stabilization_level": self.level,
-                "per_level": [str(v) if v is not None else None
-                              for v in self.per_level]}
 
 
 class PowerSpan:
@@ -728,9 +687,9 @@ def stabilized_index(filt, span):
 
 
 def zalpha_index(sbasis, alpha, n):
-    """[O_S : Z[alpha^n]] with its stabilization level, S the prime set
-    of sbasis."""
+    """(index, level): [O_S : Z[alpha^n]] with its stabilization level, S
+    the prime set of sbasis."""
     filt = LevelFiltration(sbasis.field, sbasis)
     span = PowerSpan(alpha ** n, sbasis.field.one)
-    v, lvl, seq = stabilized_index(filt, span)
-    return ZalphaResult(v, lvl, seq)
+    v, lvl, _ = stabilized_index(filt, span)
+    return v, lvl

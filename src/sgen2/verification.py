@@ -41,6 +41,18 @@ from .sunits import (LevelFiltration, PowerSpan, contract_prime_set,
 N_BOUND = 24
 J_BOUND = 16
 
+# The verify section of a config when it sets nothing: mod-P checks at
+# the first `primes` admissible primes with residue field size up to
+# q_bound, identity windows r and s (as [lo, hi]), and the number of
+# elementary witnesses.
+VERIFY_DEFAULTS = {
+    "primes": 10,
+    "q_bound": 100,
+    "r": [-5, 5],
+    "s": [-5, 5],
+    "witness_samples": 10,
+}
+
 
 # ---------------------------------------------------------------------------
 # Matrix identities.
@@ -53,8 +65,7 @@ def _e12(field, x):
     return ((field.one, x), (field.zero, field.one))
 
 
-def identity_suite(triple, r_range=range(-5, 6), s_range=range(-5, 6),
-                   n_range=range(1, 6)):
+def identity_suite(triple, r_range, s_range, n_range):
     """Check every defining identity of the triple over the given
     exponent windows; raises IdentityFailed with the offending instance."""
     field = triple.field
@@ -163,7 +174,7 @@ def _in_s_integers(field, S, x):
     return True
 
 
-def ideal_ladder(triple, n_select="search"):
+def ideal_ladder(triple, n_select):
     """The index data for the elementary subgroup argument.
 
     Case 1: m = [O_S : h Z[a^2]] with a = alpha^h, giving the O_S-ideal
@@ -283,7 +294,7 @@ def _canonical_coeffs(kernel, sol):
     return list(reversed(out))
 
 
-def elementary_witness(triple, x, side="lower"):
+def elementary_witness(triple, x, side):
     """A word in gamma and psi producing E21(x) (side "lower") or
     E12(x) (side "upper"), verified by exact evaluation.
 
@@ -579,11 +590,15 @@ def modp_surjectivity(R, mats):
 # ---------------------------------------------------------------------------
 # Orchestration.
 
-def run_verification(triple, *, r_range=range(-5, 6), s_range=range(-5, 6),
-                     modp_count=10, modp_bound=100, witness_count=10,
-                     witness_seed=0, n_select="search"):
+def run_verification(triple, verify, seed, n_select):
     """Run every check; raises on the first failure, otherwise returns
     the combined report.
+
+    verify is a config's validated verify section (VERIFY_DEFAULTS
+    updated by the config): the identity windows r and s as [lo, hi],
+    the number of mod-P primes and their bound q_bound, and the number
+    of witness_samples, drawn with the seed.  n_select is as for
+    ideal_ladder.
 
     The ladder runs first so that the identity suite can re-verify the
     conjugation identities at whichever N the ladder settled on.
@@ -594,16 +609,19 @@ def run_verification(triple, *, r_range=range(-5, 6), s_range=range(-5, 6),
     n_range = range(1, 6)
     if triple.case_info.case == 2:
         n_range = sorted(set(n_range) | {report["ladder"]["N"]})
-    report["identities"] = identity_suite(triple, r_range, s_range, n_range)
+    r_lo, r_hi = verify["r"]
+    s_lo, s_hi = verify["s"]
+    report["identities"] = identity_suite(triple, range(r_lo, r_hi + 1),
+                                          range(s_lo, s_hi + 1), n_range)
 
     field = triple.field
     a2 = (triple.alpha_in_K ** triple.h) ** 2
-    rng = random.Random(witness_seed)
+    rng = random.Random(seed)
     witnesses = []
     for side in ("lower", "upper"):
         scale = (field.from_rational(triple.h) if side == "lower"
                  else triple.psi2.entry(0, 1))
-        for _ in range(witness_count // 2):
+        for _ in range(verify["witness_samples"] // 2):
             x = field.zero
             pw = scale
             for _ in range(rng.randrange(1, 4)):
@@ -615,7 +633,8 @@ def run_verification(triple, *, r_range=range(-5, 6), s_range=range(-5, 6),
     report["witnesses"] = {"count": len(witnesses), "items": witnesses}
 
     modp = []
-    for R, mats in admissible_primes(triple, modp_count, modp_bound):
+    for R, mats in admissible_primes(triple, verify["primes"],
+                                     verify["q_bound"]):
         res = modp_surjectivity(R, mats)
         modp.append(res)
         if not res["passed"]:

@@ -16,7 +16,9 @@ breadth first, where the library counts it by orbit and stabilizer.
 The principal-ideal oracle walks the whole coordinate box of the
 quadratic principal-generator search point by point, taking a Fraction
 determinant norm at each, where the library solves the norm equation
-along one axis.
+along one axis.  The box of a real field needs the fundamental unit,
+which the oracle finds by trying y = 1, 2, ... until D y^2 +- 4 is a
+square, where the library walks a continued fraction.
 
 The power-basis oracle does field arithmetic on Fraction coordinates in
 1, t, ..., t^(n-1), reducing products by f term by term, where the
@@ -32,10 +34,10 @@ ring-index union lattice and its determinant cross-check.
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from sgen2 import linalg, polys
-from sgen2.field import fundamental_unit
 from sgen2.sunits import s_unit_basis
 
 
@@ -401,11 +403,26 @@ def sl2_image_bfs(R, mats):
 # ---------------------------------------------------------------------------
 # Principal generators of quadratic ideals by walking the whole box.
 
+@lru_cache(maxsize=None)
+def fundamental_unit_brute(D, ymax):
+    """(x, y) with (x + y sqrt D) / 2 the fundamental unit of the real
+    quadratic field of discriminant D: the smallest y >= 1 for which
+    D y^2 - 4 or D y^2 + 4 is a square x^2 (the smaller x first).  None
+    when no y <= ymax qualifies."""
+    for y in range(1, ymax + 1):
+        for t in (D * y * y - 4, D * y * y + 4):
+            x = isqrt(t)
+            if x * x == t:
+                return x, y
+    return None
+
+
 def principal_box(ideal):
     """(xmax, ymax) of the box the principal-generator search covers."""
     field = ideal.field
     N = ideal.norm
-    m, _ = field._quad
+    D = field.field_discriminant
+    m = D if D % 2 else D // 4
     if m < 0:
         am = -m
         if field.field_discriminant % 2:  # omega = (1 + sqrt m)/2
@@ -414,11 +431,14 @@ def principal_box(ideal):
             ymax = isqrt(N // am)
         xmax = isqrt(N) + ymax + 1
     else:
-        eps = fundamental_unit(field)
+        x, y = fundamental_unit_brute(D, 10 ** 6)
         # |theta| <= (|b| + sqrt(disc of the defining poly)) / 2
         b, c = field.poly[1], field.poly[0]
         theta_up = (abs(b) + polys.sqrt_upper(b * b - 4 * c)) / 2
-        e0, e1 = eps.power_coords()
+        # sqrt D = (2 theta + b) / k with k^2 = (b^2 - 4c) / D, so the
+        # unit (x + y sqrt D) / 2 is e0 + e1 theta
+        k = isqrt((b * b - 4 * c) // D)
+        e0, e1 = Fraction(x * k + y * b, 2 * k), Fraction(y, k)
         bound = abs(e0) + abs(e1) * theta_up
         B = 4 * (isqrt(int(N * bound) + 1) + 1)
         xmax = B

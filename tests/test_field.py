@@ -5,7 +5,7 @@ from math import gcd
 import oracles
 import pytest
 
-from sgen2 import linalg
+from sgen2 import linalg, polys
 from sgen2.errors import (DatasheetInvalid, DatasheetRequired, DivisionByZero,
                           NotMonic, Reducible)
 from sgen2.field import (create_field, format_rational, fundamental_unit,
@@ -281,7 +281,8 @@ def test_trace_gram_discriminant_cross_check():
 
 
 def test_fundamental_unit_golden():
-    # continued fractions, then exact cube-root refinement for m = 5 mod 8
+    # one continued-fraction period over the discriminant D, so the unit
+    # of the maximal order: (1 + sqrt 5)/2, not (1 + sqrt 5)/2 cubed
     cases = {
         (-2, 0, 1): [1, 1],                 # 1 + sqrt 2
         (-3, 0, 1): [2, 1],                 # 2 + sqrt 3
@@ -308,6 +309,29 @@ def test_fundamental_unit_golden():
         u = fundamental_unit(k)
         assert u == k.from_rational(xy[0]) + k.from_rational(xy[1]) * k.theta
         assert abs(u.norm()) == 1
+
+
+def test_fundamental_unit_matches_brute_force():
+    # against the oracle's search for the smallest y with D y^2 +- 4 a
+    # square: every real quadratic field x^2 - m, m < 1000, whose unit it
+    # reaches within y <= 2000, and the three large units of the
+    # principal-ideal tests
+    checked = 0
+    for m in range(2, 1000):
+        if polys.squarefree_part(m) != m:
+            continue
+        k = create_field([-m, 0, 1])
+        D = k.field_discriminant
+        xy = oracles.fundamental_unit_brute(D, 221064 if m in (67, 94, 118)
+                                            else 2000)
+        if xy is None:
+            continue
+        x, y = xy
+        # t = sqrt m, and sqrt D is t (D = m) or 2t (D = 4m)
+        want = (Fraction(x, 2), Fraction(y, 2) * (1 if D % 2 else 2))
+        assert fundamental_unit(k).power_coords() == want, m
+        checked += 1
+    assert checked == 352
 
 
 def test_fundamental_unit_is_a_unit_always():

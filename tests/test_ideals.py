@@ -246,6 +246,11 @@ def test_ideal_mul_norm_multiplicative():
         assert ia.norm == abs(a.norm())
 
 
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
 def lattice_index(l1_rows, l2_rows):
     return linalg.lattice_index_hnf(linalg.hnf(l1_rows), linalg.hnf(l2_rows))
 
@@ -272,8 +277,8 @@ def test_lattice_index_multiplicative_battery():
         m2 = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         if linalg.int_det(m1) == 0 or linalg.int_det(m2) == 0:
             continue
-        l2 = linalg.mat_mul(m1, l1)
-        l3 = linalg.mat_mul(m2, l2)
+        l2 = mat_mul(m1, l1)
+        l3 = mat_mul(m2, l2)
         assert lattice_index(l1, l3) == lattice_index(l1, l2) * lattice_index(l2, l3)
 
 

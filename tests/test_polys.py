@@ -134,12 +134,6 @@ def test_is_prime():
     assert not polys.is_prime(2 ** 32 + 1)
 
 
-def test_icbrt():
-    for n in list(range(200)) + [10 ** 12, 10 ** 12 + 7, 8 ** 20]:
-        c = polys.icbrt(n)
-        assert c ** 3 <= n < (c + 1) ** 3
-
-
 def test_sqrt_upper_is_upper():
     for n in (2, 3, 5, 29, 10 ** 6 + 3):
         u = polys.sqrt_upper(n)

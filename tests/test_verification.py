@@ -11,15 +11,21 @@ from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice, hnf
 from sgen2.sunits import PrimeSet, element_lattice
-from sgen2.verification import (ResidueField, admissible_primes,
-                                elementary_witness, ideal_ladder,
-                                identity_suite, image_order,
+from sgen2.verification import (VERIFY_DEFAULTS, ResidueField,
+                                admissible_primes, elementary_witness,
+                                ideal_ladder, identity_suite, image_order,
                                 modp_surjectivity, reduce_triple,
                                 run_verification)
 
 import oracles
 from instances import (ALL, DESK, gaussian_five, gaussian_three, gaussian_two,
                        rational_two, sqrt2_seven, sqrt5_two, zeta5_nofinite)
+
+
+# The identity windows of VERIFY_DEFAULTS and the exponents n that
+# run_verification always checks.
+WINDOW = range(-5, 6)
+N_RANGE = range(1, 6)
 
 
 def triple(make, h=1):
@@ -33,7 +39,7 @@ def triple(make, h=1):
 def test_identity_suite_all_instances():
     for make in ALL:
         t = triple(make)
-        rep = identity_suite(t)
+        rep = identity_suite(t, WINDOW, WINDOW, N_RANGE)
         assert rep["passed"], make.__name__
         assert rep["exponent_identities"] == 246
         if t.case_info.case == 2:
@@ -41,7 +47,7 @@ def test_identity_suite_all_instances():
 
 
 def test_identity_suite_h2():
-    rep = identity_suite(triple(sqrt5_two, h=2))
+    rep = identity_suite(triple(sqrt5_two, h=2), WINDOW, WINDOW, N_RANGE)
     assert rep["passed"]
 
 
@@ -66,7 +72,7 @@ def test_identity_suite_rejects_tampering():
                   alpha_cert=t.alpha_cert, alpha_in_K=t.alpha_in_K,
                   gamma=t.gamma, psi1=t.psi1, psi2=t.psi2)
     with pytest.raises(IdentityFailed):
-        identity_suite(bad)
+        identity_suite(bad, WINDOW, WINDOW, N_RANGE)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +81,7 @@ def test_identity_suite_rejects_tampering():
 def test_ladder_goldens_case1():
     for make, m in ((rational_two, 1), (gaussian_five, 4),
                     (sqrt2_seven, 4), (sqrt5_two, 1)):
-        lad = ideal_ladder(triple(make))
+        lad = ideal_ladder(triple(make), "search")
         assert lad["case"] == 1
         assert lad["m"] == m, make.__name__
         assert lad["m_level"] == 0
@@ -86,7 +92,7 @@ def test_ladder_goldens_case1():
 def test_ladder_goldens_case2():
     for make, mM in ((gaussian_two, (1, 1)), (gaussian_three, (1, 1)),
                      (zeta5_nofinite, (1, 100))):
-        lad = ideal_ladder(triple(make))
+        lad = ideal_ladder(triple(make), "search")
         assert lad["case"] == 2
         assert (lad["m"], lad["M"]) == mM, make.__name__
         assert lad["N"] == 1 and lad["N_tried"] == [1]
@@ -94,12 +100,12 @@ def test_ladder_goldens_case2():
 
 
 def test_ladder_h2():
-    lad = ideal_ladder(triple(sqrt5_two, h=2))
+    lad = ideal_ladder(triple(sqrt5_two, h=2), "search")
     assert lad["m"] == 3
 
 
 def test_ladder_explicit_n():
-    lad = ideal_ladder(triple(gaussian_two), n_select=4)
+    lad = ideal_ladder(triple(gaussian_two), 4)
     assert lad["N"] == 4 and lad["N_tried"] == [4]
 
 
@@ -115,7 +121,7 @@ def test_ladder_containment_forms():
     # case 1: m Lambda_k lands inside the Z-span of h a^{2j}
     t = triple(gaussian_five)
     k = t.field
-    lad = ideal_ladder(t)
+    lad = ideal_ladder(t, "search")
     a2 = t.alpha_in_K ** 2
     gens = [k.from_rational(t.h) * a2 ** j for j in range(9)]
     span = element_lattice(gens)
@@ -124,7 +130,7 @@ def test_ladder_containment_forms():
     # case 2: M Lambda_k lands inside span + sqrt(-d) span
     t = triple(gaussian_two)
     k = t.field
-    lad = ideal_ladder(t)
+    lad = ideal_ladder(t, "search")
     a2 = t.alpha_in_K ** 2
     d = t.case_info.cm.d_in_K
     delta = t.case_info.cm.sqrt_minus_d
@@ -394,7 +400,8 @@ def test_admissible_primes_all_pass():
 # The combined run.
 
 def test_run_verification_gaussian_two():
-    rep = run_verification(triple(gaussian_two))
+    rep = run_verification(triple(gaussian_two), VERIFY_DEFAULTS, 0,
+                           "search")
     assert rep["passed"]
     assert rep["witnesses"]["count"] == 10
     for item in rep["witnesses"]["items"]:
@@ -405,7 +412,7 @@ def test_run_verification_gaussian_two():
 
 
 def test_run_verification_respects_explicit_n():
-    rep = run_verification(triple(gaussian_two), n_select=7,
-                           modp_count=2, witness_count=2)
+    verify = dict(VERIFY_DEFAULTS, primes=2, witness_samples=2)
+    rep = run_verification(triple(gaussian_two), verify, 0, 7)
     assert rep["ladder"]["N"] == 7
     assert rep["identities"]["n_values"] == [1, 2, 3, 4, 5, 7]
