@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .errors import ConfigInvalid, SgenError
 from .field import create_field, format_rational, parse_rational
@@ -39,6 +38,12 @@ MAX_WINDOW = 50
 MAX_H = 64
 MAX_N = 1000
 MAX_WITNESS_SAMPLES = 200
+# Caps on field.poly: its degree and the bit length of each coefficient.
+# The irreducibility screen (integer Sturm chain, integer-root bisection,
+# mod-p tests) runs before a datasheet is asked for, and at both caps it
+# ends in under a second.
+MAX_DEGREE = 16
+MAX_COEFF_BITS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +103,11 @@ def validate_config(cfg):
              and all(isinstance(c, int) and not isinstance(c, bool)
                      for c in poly),
              "poly must be a list of at least two integers")
+    _require(len(poly) <= MAX_DEGREE + 1,
+             f"poly must have degree at most {MAX_DEGREE}")
+    _require(all(abs(c).bit_length() <= MAX_COEFF_BITS for c in poly),
+             f"poly coefficients must be below 2^{MAX_COEFF_BITS} in "
+             f"absolute value")
     datasheet = fld.get("datasheet")
     _require(datasheet is None or isinstance(datasheet, dict),
              "datasheet must be an object")
@@ -188,7 +198,7 @@ def resolve_prime_set(field, entries):
             _require(len(coords) <= field.degree,
                      f"S[{k}]: generator has more than {field.degree} "
                      f"coordinates")
-            coords += [Fraction(0)] * (field.degree - len(coords))
+            coords += [0] * (field.degree - len(coords))
             g = field.element(coords)
             matches = [P for P in factors if P.contains(g)]
             _require(len(matches) == 1,

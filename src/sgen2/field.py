@@ -27,9 +27,11 @@ continued-fraction period over D) are read off these two.  Higher
 degree fields must supply a datasheet carrying the integral basis and
 the other global data that cannot be recomputed here.  Everything a
 datasheet asserts is either verified exactly on load or verified at
-first use; the two quantities that cannot be checked without analytic
-input (multiplicative independence of the declared units, minimality
-of declared class orders) are accepted as asserted.
+first use.  Three quantities are accepted as asserted: the two that
+cannot be checked without analytic input (multiplicative independence
+of the declared units, minimality of declared class orders), and the
+maximality of the order the declared basis spans, which is checked to
+be an order but not to be maximal (ROADMAP item 6).
 """
 
 from fractions import Fraction
@@ -195,7 +197,7 @@ class FieldElement:
             cur = powers[-1] * self
             c = span_solve(powers, cur)
             if c is not None:
-                return tuple([-x for x in c] + [Fraction(1)])
+                return tuple([-x for x in c] + [1])
             powers.append(cur)
         raise InvariantViolated("no dependence among n+1 powers")
 
@@ -303,19 +305,21 @@ class NumberField:
         return [[int(x) for x in row] for row in inv]
 
     def _build_mult_table(self):
-        """table[i][j] holds the integral-basis coordinates of b_i * b_j,
-        from the power-basis product of the two rows reduced mod f."""
+        """table[i][j] holds the integral-basis coordinates of b_i * b_j:
+        the product of the integer rows den b_i and den b_j reduced mod
+        the monic f, in integral-basis coordinates, divided by den^2."""
         n = self.degree
+        den2 = self._ib_den ** 2
         table = []
-        for bi in self.integral_basis:
+        for ri in self._ib_rows:
             row = []
-            for bj in self.integral_basis:
-                rem = polys.pdivmod(polys.pmul(bi, bj), self.poly)[1]
+            for rj in self._ib_rows:
+                rem = polys.pdivmod(polys.pmul(ri, rj), self.poly)[1]
                 c = linalg.vec_mat(rem + [0] * (n - len(rem)), self._ib_inv)
-                if any(x.denominator != 1 for x in c):
+                if any(x % den2 for x in c):
                     raise DatasheetInvalid(
                         "integral basis not closed under multiplication")
-                row.append(tuple(int(x) for x in c))
+                row.append(tuple(x // den2 for x in c))
             table.append(row)
         return table
 
@@ -345,9 +349,13 @@ class NumberField:
     # -- global data ---------------------------------------------------------
 
     def trace_gram(self):
-        basis = [self.basis_element(i) for i in range(self.degree)]
-        return [[(basis[i] * basis[j]).trace() for j in range(self.degree)]
-                for i in range(self.degree)]
+        """Tr(b_i b_j) = sum_k c_ijk Tr(b_k), with Tr(b_k) = sum_l c_kll
+        the trace of multiplication by b_k."""
+        table = self.mult_table
+        n = self.degree
+        tr = [sum(table[k][l][l] for l in range(n)) for k in range(n)]
+        return [[sum(c * t for c, t in zip(table[i][j], tr)) for j in range(n)]
+                for i in range(n)]
 
     def is_quadratic_real(self):
         return self.degree == 2 and self.signature == (2, 0)
@@ -445,8 +453,10 @@ def create_field(poly, datasheet=None):
 
     Degree 1 and 2 need no datasheet.  Higher degrees require one; its
     integral basis is verified (unit first row, contains Z[t], closed
-    under multiplication, integral trace Gram with determinant of the
-    right sign).
+    under multiplication, nonsingular trace Gram with determinant of the
+    right sign).  The Gram is integral without a check: integer structure
+    constants make the basis span an order, whose elements have integer
+    traces.
     """
     try:
         coeffs = [Fraction(c) for c in poly]
@@ -499,15 +509,9 @@ def create_field(poly, datasheet=None):
     field = NumberField(poly, basis, sig, disc, tier, irreducibility,
                         datasheet=ds_norm)
 
-    gram = field.trace_gram()
-    for row in gram:
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise DatasheetInvalid("trace Gram is not integral")
-    gram_det = linalg.mat_det(gram)
+    gram_det = linalg.int_det(field.trace_gram())
     if gram_det == 0:
         raise DatasheetInvalid("trace Gram is singular")
-    gram_det = int(gram_det)
     if disc is None:
         field.field_discriminant = gram_det
     elif gram_det != disc:
@@ -546,7 +550,7 @@ def _validate_datasheet_content(field, ds):
             raise DatasheetInvalid("subfield entries need poly and embedding")
         g = field.element([parse_rational(x) for x in s["embedding"]])
         mp = g.minimal_poly()
-        declared = [Fraction(int(c)) for c in s["poly"]]
+        declared = [int(c) for c in s["poly"]]
         if list(mp) != declared:
             raise DatasheetInvalid(
                 f"embedding does not satisfy the declared polynomial {s['poly']}")

@@ -12,12 +12,14 @@ Two eliminations do all the work (Cohen, GTM 138, sections 2.2 and
   ``hnf_with_transform`` and everything built on them, ``solve``
   included: a rational solution of c @ rows = target is read off an
   integer kernel vector of [target; rows];
-- ``int_det``, the fraction-free Bareiss determinant, which ``mat_det``
-  reuses after clearing denominators.
+- ``int_det``, the fraction-free Bareiss determinant.
 
 Callers hand in integer rows (``field.integer_rows`` clears a list of
 field elements to one denominator), so no elimination runs on
-``Fraction`` entries.
+``Fraction`` entries.  ``mat_det``, the rational determinant through
+``int_det``, has no caller in ``src/``: the benchmark's tracer still
+binds it, and it goes when the tracer reads spans instead (ROADMAP
+item 4).
 """
 
 from fractions import Fraction

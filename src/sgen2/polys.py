@@ -1,12 +1,18 @@
 """Dense univariate polynomials, constant coefficient first.
 
-Rational work uses fractions.Fraction throughout; mod-p work uses
-plain ints with a prime modulus.  No floating point anywhere.
+Coefficients are integers.  Division is exact (by a monic divisor or
+an exact factor), and gcds and Sturm chains run on signed primitive
+pseudo-remainders, so no rational arithmetic is needed; only the
+interval endpoints of isolate_real_roots and the bound of sqrt_upper
+are fractions.Fraction.  Mod-p work uses plain ints with a prime
+modulus.  No floating point anywhere.
 """
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+
+from .errors import InvariantViolated
 
 
 def trim(p):
@@ -25,12 +31,8 @@ def padd(p, q):
     return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
 
 
-def pneg(p):
-    return [-c for c in p]
-
-
 def psub(p, q):
-    return padd(p, pneg(q))
+    return padd(p, [-c for c in q])
 
 
 def pmul(p, q):
@@ -56,14 +58,20 @@ def pderiv(p):
 
 
 def pdivmod(p, q):
-    """Quotient and remainder over the rationals.  q must be nonzero."""
-    p, q = [Fraction(c) for c in trim(p)], [Fraction(c) for c in trim(q)]
+    """Quotient and remainder of integer polynomials.
+
+    q must be monic or an exact factor of p, so that every step divides
+    exactly; an inexact step raises InvariantViolated.
+    """
+    p, q = trim(p), trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    quo = [0] * max(len(p) - len(q) + 1, 0)
     rem = p[:]
     while rem and len(rem) >= len(q):
-        c = rem[-1] / q[-1]
+        c, r = divmod(rem[-1], q[-1])
+        if r:
+            raise InvariantViolated(f"{q} does not divide {p} over Z")
         k = len(rem) - len(q)
         quo[k] = c
         for i, b in enumerate(q):
@@ -72,74 +80,49 @@ def pdivmod(p, q):
     return trim(quo), rem
 
 
-def monic(p):
-    p = trim(p)
-    if not p:
-        return []
-    lead = p[-1]
-    return [Fraction(c) / lead for c in p]
+def prem(p, q):
+    """Pseudo-remainder: the remainder of |lead q|^(deg p - deg q + 1) p
+    by q, an integer polynomial with the sign of the true remainder."""
+    scale = abs(trim(q)[-1]) ** max(degree(p) - degree(q) + 1, 0)
+    return pdivmod([c * scale for c in trim(p)], q)[1]
+
+
+def _signed_prs(a, b):
+    """a, b, then each next -prem(prev2, prev1) divided by its positive
+    content, up to the last nonzero one (Cohen, GTM 138, 3.3): a Sturm
+    sequence up to positive factors, ending in a gcd of a and b."""
+    seq = [trim(a), trim(b)]
+    while seq[-1]:
+        r = prem(seq[-2], seq[-1])
+        g = gcd(*r)
+        seq.append([-(c // g) for c in r])
+    return seq[:-1]
 
 
 def pgcd(p, q):
-    """Monic gcd over the rationals."""
-    a, b = trim(p), trim(q)
-    while b:
-        _, r = pdivmod(a, b)
-        a, b = b, r
-    return monic(a)
+    """Primitive gcd of integer polynomials, with positive leading
+    coefficient."""
+    g = _signed_prs(p, q)[-1]
+    c = gcd(*g) if g[-1] > 0 else -gcd(*g)
+    return [x // c for x in g]
 
 
 # ---------------------------------------------------------------------------
 # Sturm chains and real root isolation.
 
 def sturm_chain(p):
-    p = [Fraction(c) for c in trim(p)]
+    """Sturm chain of the squarefree part p / gcd(p, p') of an integer
+    polynomial; the squarefree part is chain[0]."""
+    p = trim(p)
     g = pgcd(p, pderiv(p))
     if degree(g) > 0:
         p, _ = pdivmod(p, g)
-    chain = [p, pderiv(p)]
-    while degree(chain[-1]) > 0:
-        _, r = pdivmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(pneg(r))
-    return chain
-
-
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
-def _variations(signs):
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _signed_prs(p, pderiv(p))
 
 
 def variations_at(chain, x):
-    return _variations([_sign(peval(f, x)) for f in chain])
-
-
-def variations_at_infinity(chain, sign):
-    # leading term dominates; sign=-1 gives the limit at minus infinity
-    out = []
-    for f in chain:
-        f = trim(f)
-        if not f:
-            out.append(0)
-        else:
-            s = _sign(f[-1])
-            if sign < 0 and (len(f) - 1) % 2 == 1:
-                s = -s
-            out.append(s)
-    return _variations(out)
-
-
-def count_real_roots(p):
-    p = trim(p)
-    if degree(p) < 1:
-        return 0
-    chain = sturm_chain(p)
-    return variations_at_infinity(chain, -1) - variations_at_infinity(chain, +1)
+    signs = [v > 0 for v in (peval(f, x) for f in chain) if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_roots_in(chain, a, b):
@@ -148,11 +131,17 @@ def count_roots_in(chain, a, b):
 
 
 def root_bound(p):
-    """Rational B with every real root strictly inside (-B, B)."""
-    p = trim(p)
-    lead = p[-1]
-    m = max((abs(Fraction(c)) for c in p[:-1]), default=Fraction(0))
-    return 1 + m / abs(Fraction(lead))
+    """Integer B with every real root of the integer polynomial p
+    strictly inside (-B, B) (Cauchy's bound, as |lead p| >= 1)."""
+    return 1 + max((abs(c) for c in trim(p)[:-1]), default=0)
+
+
+def count_real_roots(p):
+    """Number of distinct real roots of an integer polynomial."""
+    if degree(p) < 1:
+        return 0
+    bound = root_bound(p)
+    return count_roots_in(sturm_chain(p), -bound, bound)
 
 
 def isolate_real_roots(p, precision_bits=32):
@@ -161,40 +150,25 @@ def isolate_real_roots(p, precision_bits=32):
     Each interval has width at most 2**-precision_bits and the
     squarefree part of p changes sign across it.
     """
-    p = [Fraction(c) for c in trim(p)]
+    chain = sturm_chain(p)
+    p = chain[0]
     if degree(p) < 1:
         return []
-    g = pgcd(p, pderiv(p))
-    if degree(g) > 0:
-        p, _ = pdivmod(p, g)
-    chain = sturm_chain(p)
-    bound = root_bound(p)
     width_cap = Fraction(1, 2 ** precision_bits)
-
-    def split(lo, hi, count):
-        if count == 0:
-            return []
-        if count == 1:
-            return [(lo, hi)]
+    bound = root_bound(p)
+    todo, out = [(Fraction(-bound), Fraction(bound))], []
+    while todo:
+        lo, hi = todo.pop()
+        count = count_roots_in(chain, lo, hi)
+        if count == 0 or (count == 1 and hi - lo <= width_cap):
+            out += [(lo, hi)] * count
+            continue
         mid = (lo + hi) / 2
         while peval(p, mid) == 0:
-            # nudge off an exact root so both halves have clean endpoints
+            # nudge off an exact root, so that no endpoint is a root and
+            # a one-root interval of the squarefree p changes sign
             mid += (hi - lo) / 64
-        left = count_roots_in(chain, lo, mid)
-        return split(lo, mid, left) + split(mid, hi, count - left)
-
-    total = count_roots_in(chain, -bound, bound)
-    out = []
-    for lo, hi in split(-bound, bound, total):
-        while hi - lo > width_cap or peval(p, lo) == 0 or _sign(peval(p, lo)) == _sign(peval(p, hi)):
-            mid = (lo + hi) / 2
-            if peval(p, mid) == 0:
-                mid += (hi - lo) / 64
-            if count_roots_in(chain, lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        out.append((lo, hi))
+        todo += [(lo, mid), (mid, hi)]
     return sorted(out)
 
 
@@ -492,19 +466,22 @@ def integer_roots(f):
         # r = f[1] mod 2, so both roots are integers
         return sorted({(-f[1] + r) // 2, (-f[1] - r) // 2})
     chain = sturm_chain(f)
-    b = int(root_bound(f)) + 1
+    b = root_bound(f)
     out = []
-    todo = [(-b, b)]
+    # (lo, hi] with the sign variations of the chain at both ends, so
+    # each bisection point is evaluated once
+    todo = [(-b, b, variations_at(chain, -b), variations_at(chain, b))]
     while todo:
-        lo, hi = todo.pop()
-        if count_roots_in(chain, lo, hi) == 0:
+        lo, hi, vlo, vhi = todo.pop()
+        if vlo == vhi:
             continue
         if hi - lo == 1:
             if peval(f, hi) == 0:
                 out.append(hi)
             continue
         mid = (lo + hi) // 2
-        todo += [(lo, mid), (mid, hi)]
+        vmid = variations_at(chain, mid)
+        todo += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
     return sorted(out)
 
 

@@ -34,7 +34,7 @@ from .field import (RATIONALS, create_field, format_rational,
                     span_solve)
 from .ideals import class_order, factor_rational_prime, valuation
 from .linalg import RatLattice, hnf
-from .polys import count_roots_in, degree, peval, root_bound, sturm_chain
+from .polys import count_roots_in, root_bound, sturm_chain
 
 # Work bounds: alpha-search exponent shells, the n of the [O_S : Z[alpha^n]]
 # table, filtration levels, the window of the unit discrete log, and the
@@ -193,8 +193,7 @@ class SubfieldDescriptor:
         n = field.degree
         if k >= n or n % k:
             raise NotASubfield(f"degree {k} does not properly divide {n}")
-        mp = embedding.minimal_poly()
-        if tuple(mp) != tuple(Fraction(c) for c in subfield.poly):
+        if embedding.minimal_poly() != subfield.poly:
             raise NotASubfield("embedding does not satisfy the subfield polynomial")
 
     def map_element(self, x):
@@ -294,12 +293,12 @@ class CMStructure:
 
 def _totally_positive(x):
     """Exact check that every real conjugate of x is positive."""
-    mp = [Fraction(c) for c in x.minimal_poly()]
-    if peval(mp, 0) == 0:
+    mp = x.minimal_poly()
+    den = lcm(*(c.denominator for c in mp))
+    mp = [c.numerator * (den // c.denominator) for c in mp]
+    if mp[0] == 0:
         return False
-    chain = sturm_chain(mp)
-    b = root_bound(mp)
-    return count_roots_in(chain, Fraction(0), b) == degree(list(mp))
+    return count_roots_in(sturm_chain(mp), 0, root_bound(mp)) == len(mp) - 1
 
 
 def is_cm(field):
@@ -348,7 +347,8 @@ def _split_off_sqrt(field, F_desc):
     if span_solve(g_powers, delta * delta) is None:
         return None
     # clear denominators and content so that delta is a primitive integer
-    delta = delta * Fraction(delta.den, gcd(*delta.num))
+    g = gcd(*delta.num)
+    delta = field.from_ib([x // g for x in delta.num])
     d_K = -(delta * delta)
     coeffs = span_solve(g_powers, d_K)
     if coeffs is None:

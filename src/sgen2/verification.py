@@ -22,13 +22,12 @@ Four independent checks, each falsifiable on its own:
     change shape.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import (ConfigInvalid, IdentityFailed, InvariantViolated,
                      NotInLattice, PrimeInS, ResidueFieldTooLarge,
                      VerificationFailure)
-from .field import integer_rows
+from .field import FieldElement, integer_rows
 from .generators import m2_eq, m2_identity, m2_inv, m2_mul, m2_pow
 from .ideals import factor_rational_prime, valuation
 from .linalg import RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat
@@ -230,7 +229,8 @@ def ideal_ladder(triple, n_select):
     tried = []
     for N in candidates:
         tried.append(N)
-        y = (aF2 ** N - F.one) * hF * Fraction(1, mF)
+        z = (aF2 ** N - F.one) * hF
+        y = FieldElement(F, z.num, z.den * mF)
         if _in_s_integers(F, SF, y):
             big_n = N
             break

@@ -7,6 +7,7 @@ verification check failed.
 """
 
 import json
+import random
 import sys
 import time
 from collections import Counter
@@ -81,6 +82,11 @@ def test_malformed_configs_exit_1(tmp_path):
         {"field": {"poly": [1, 0, 1]}, "S": [{"p": 5}], "h": 100000000},
         {"field": {"poly": [1, 0, 1]}, "S": [{"p": 5}],
          "verify": {"witness_samples": 1000000}},
+        # degree 80 ran the irreducibility screen for over 60 s, and
+        # degree 4 with 2000-digit coefficients for over 60 s
+        {"field": {"poly": [1] * (cli.MAX_DEGREE + 2)}, "S": [{"p": 2}]},
+        {"field": {"poly": [-2 ** cli.MAX_COEFF_BITS, 0, 0, 0, 1]},
+         "S": [{"p": 2}]},
     ]
     for cfg in hostile:
         started = time.monotonic()
@@ -135,6 +141,22 @@ def test_hostile_cubic_exits_1_quickly(tmp_path, capsys):
     started = time.monotonic()
     code, _ = run(tmp_path, cfg, "analyze")
     assert time.monotonic() - started < 5
+    assert code == 1
+    assert "error: DatasheetRequired" in capsys.readouterr().err
+
+
+def test_degree_and_coefficient_caps_end_quickly(tmp_path, capsys):
+    # a polynomial at both caps still ends in DatasheetRequired in the
+    # time README states
+    rng = random.Random(10)
+    bound = 2 ** cli.MAX_COEFF_BITS
+    poly = [rng.randrange(-bound + 1, bound)
+            for _ in range(cli.MAX_DEGREE)] + [1]
+    poly[0] = bound - 1
+    cfg = {"field": {"poly": poly}, "S": [{"p": 2}]}
+    started = time.monotonic()
+    code, _ = run(tmp_path, cfg, "analyze")
+    assert time.monotonic() - started < 2
     assert code == 1
     assert "error: DatasheetRequired" in capsys.readouterr().err
 

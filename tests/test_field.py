@@ -201,17 +201,19 @@ def test_datasheet_rejects_bad_basis():
 
 
 def test_structure_constants_match_direct_products():
-    # dual route: integral-basis structure constants vs the power-basis
-    # oracle's products
+    # dual route: integral-basis structure constants and the trace Gram
+    # read off them vs the power-basis oracle's products and traces
     for poly, ds in [([1, 0, 1], None), ([-5, 0, 1], None),
                      ([-45, 0, 1], None), ([1, 1, 1, 1, 1], ZETA5_DATASHEET)]:
         k = create_field(poly, datasheet=ds)
         n = k.degree
         basis = k.integral_basis
+        gram = k.trace_gram()
         for i in range(n):
             for j in range(n):
                 direct = oracles.pb_mul(k, basis[i], basis[j])
                 assert oracles.pb_to_ib(k, direct) == list(k.mult_table[i][j])
+                assert gram[i][j] == oracles.pb_trace(k, direct)
         # ib_mul on random integral and rational coordinate vectors
         rng = random.Random(n)
         for _ in range(20):

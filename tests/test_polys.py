@@ -4,25 +4,60 @@ from fractions import Fraction
 import pytest
 
 from sgen2 import polys
+from sgen2.errors import InvariantViolated
+
+
+def _rand_poly(rng, deg, lead):
+    return [rng.randint(-9, 9) for _ in range(deg)] + [lead]
 
 
 def test_divmod_roundtrip():
     rng = random.Random(11)
-    for _ in range(40):
-        p = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 7))]
-        q = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
-        if not polys.trim(q):
-            continue
+    for case in range(40):
+        q = _rand_poly(rng, rng.randint(0, 4), rng.choice([1, -1, 2, -3, 5]))
+        if case % 2 and abs(q[-1]) != 1:
+            # an exact factor: p = q * s, any lead
+            s = _rand_poly(rng, rng.randint(0, 3), rng.choice([1, -2, 3]))
+            p = polys.pmul(q, s)
+        else:
+            # a monic divisor (up to sign): any integer p
+            q[-1] = rng.choice([1, -1])
+            p = _rand_poly(rng, rng.randint(0, 6), rng.randint(1, 9))
         quo, rem = polys.pdivmod(p, q)
-        back = polys.padd(polys.pmul(quo, q), rem)
-        assert back == polys.trim([Fraction(c) for c in p])
+        assert polys.padd(polys.pmul(quo, q), rem) == polys.trim(p)
         assert polys.degree(rem) < polys.degree(q) or not rem
+        assert all(isinstance(c, int) for c in quo + rem)
+        if case % 2 and abs(q[-1]) != 1:
+            assert quo == polys.trim(s) and rem == []
+    # an inexact step raises instead of flooring
+    with pytest.raises(InvariantViolated):
+        polys.pdivmod([1, 0, 1], [1, 2])          # (x^2 + 1) / (2x + 1)
+    with pytest.raises(InvariantViolated):
+        polys.pdivmod([3, 1], [2])
+
+
+def test_prem_keeps_sign():
+    # |lead q|^e p - prem(p, q) is an integer multiple of q, e = deg p -
+    # deg q + 1, so prem is the remainder of p times a positive factor
+    rng = random.Random(3)
+    for _ in range(40):
+        p = _rand_poly(rng, rng.randint(0, 6), rng.randint(-5, 5) or 1)
+        q = _rand_poly(rng, rng.randint(0, 3), rng.choice([2, -3, 4, -1]))
+        r = polys.prem(p, q)
+        e = max(polys.degree(p) - polys.degree(q) + 1, 0)
+        scaled = [c * abs(q[-1]) ** e for c in p]
+        quo, rem = polys.pdivmod(polys.psub(scaled, r), q)
+        assert rem == [] and polys.degree(r) < polys.degree(q)
 
 
 def test_gcd_of_multiples():
     a = polys.pmul([1, 1], [-2, 0, 1])      # (x + 1)(x^2 - 2)
     b = polys.pmul([1, 1], [3, 1])          # (x + 1)(x + 3)
-    assert polys.pgcd(a, b) == [Fraction(1), Fraction(1)]
+    assert polys.pgcd(a, b) == [1, 1]
+    # primitive, positive lead, whatever the contents and signs
+    g = [3, -1, 2]
+    assert polys.pgcd(polys.pmul([-6], polys.pmul(g, [1, 4])),
+                      polys.pmul([4], polys.pmul(g, [5, 0, -3]))) == g
 
 
 def test_real_root_counts():
@@ -33,6 +68,35 @@ def test_real_root_counts():
     assert polys.count_real_roots([-1, -1, 0, 1]) == 1     # x^3 - x - 1
     assert polys.count_real_roots([-1, -3, 0, 1]) == 3     # x^3 - 3x - 1
     assert polys.count_real_roots([-5, 0, 1]) == 2
+
+
+def test_real_root_counts_of_known_products():
+    # products of linear factors a x - b (rational roots b/a, lead a),
+    # some repeated, times x^2 + b x + c with b^2 < 4c (no real roots),
+    # times a nonzero constant: the distinct real roots are known
+    rng = random.Random(7)
+    for _ in range(200):
+        f = [rng.choice([1, -1, 2, -3, 7])]
+        roots = set()
+        for _ in range(rng.randint(0, 4)):
+            a = rng.choice([1, 1, 2, 3, -4, 5])
+            b = rng.randint(-12, 12)
+            roots.add(Fraction(b, a))
+            f = polys.pmul(f, [-b, a])
+            if rng.random() < 0.3:
+                f = polys.pmul(f, [-b, a])          # a repeated factor
+        for _ in range(rng.randint(0, 2)):
+            b = rng.randint(-3, 3)
+            f = polys.pmul(f, [rng.randint(b * b // 4 + 1, 30), b, 1])
+        if polys.degree(f) < 1:
+            continue
+        assert polys.count_real_roots(f) == len(roots), f
+        chain = polys.sturm_chain(f)
+        bound = polys.root_bound(f)
+        assert all(-bound < r < bound for r in roots)
+        lo, hi = rng.randint(-15, 0), rng.randint(0, 15)
+        inside = sum(1 for r in roots if lo < r <= hi)
+        assert polys.count_roots_in(chain, lo, hi) == inside, (f, lo, hi)
 
 
 def test_isolation_brackets_each_root():
