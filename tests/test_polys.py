@@ -46,7 +46,7 @@ def test_prem_keeps_sign():
         r = polys.prem(p, q)
         e = max(polys.degree(p) - polys.degree(q) + 1, 0)
         scaled = [c * abs(q[-1]) ** e for c in p]
-        quo, rem = polys.pdivmod(polys.psub(scaled, r), q)
+        _, rem = polys.pdivmod(polys.psub(scaled, r), q)
         assert rem == [] and polys.degree(r) < polys.degree(q)
 
 
