@@ -39,7 +39,7 @@ def run(tmp_path, cfg, command, extra=()):
     return code, report
 
 
-def test_malformed_configs_exit_1(tmp_path):
+def test_malformed_configs_exit_1(tmp_path, capsys):
     bad = [
         {"field": {"poly": [0, 1]}, "S": [{"p": 2}], "extra": 1},
         {"S": [{"p": 2}]},
@@ -82,10 +82,11 @@ def test_malformed_configs_exit_1(tmp_path):
         {"field": {"poly": [1, 0, 1]}, "S": [{"p": 5}], "h": 100000000},
         {"field": {"poly": [1, 0, 1]}, "S": [{"p": 5}],
          "verify": {"witness_samples": 1000000}},
-        # degree 80 ran the irreducibility screen for over 60 s, and
-        # degree 4 with 2000-digit coefficients for over 60 s
-        {"field": {"poly": [1] * (cli.MAX_DEGREE + 2)}, "S": [{"p": 2}]},
-        {"field": {"poly": [-2 ** cli.MAX_COEFF_BITS, 0, 0, 0, 1]},
+        # degree 80, and degree 4 with 2000-digit coefficients: without
+        # the caps the irreducibility screen ran for 12 s on each
+        {"field": {"poly": [(-1) ** k * (k % 7 + 1) for k in range(80)] + [1]},
+         "S": [{"p": 2}]},
+        {"field": {"poly": [-(10 ** 2000 + 1), 0, 0, 0, 1]},
          "S": [{"p": 2}]},
     ]
     for cfg in hostile:
@@ -93,6 +94,7 @@ def test_malformed_configs_exit_1(tmp_path):
         code, _ = run(tmp_path, cfg, "verify")
         assert code == 1, cfg
         assert time.monotonic() - started < 2, cfg
+        assert "error: ConfigInvalid" in capsys.readouterr().err, cfg
 
 
 def test_unreadable_or_invalid_config_exits_1(tmp_path, capsys):
