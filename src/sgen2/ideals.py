@@ -158,25 +158,6 @@ def _omega_minpoly(field):
     return int(s), -int(t)  # constant, linear coefficient
 
 
-def _quadratic_prime(field, p, root):
-    """The prime (p, w - root) for a root of w's minimal polynomial mod p."""
-    w = field.basis_element(1)
-    pi = w - field.from_rational(_symmetric_lift(root, p))
-    return pi
-
-
-def _theta_presentation(field, p, ideal_rows_hnf, fallback):
-    """Prefer pi = t - r with r a defining-polynomial root mod p, when
-    (p, t - r) equals the prime exactly; otherwise keep the omega-based
-    generator."""
-    for r in polys.roots_mod_p(list(field.poly), p):
-        cand = field.theta - field.from_rational(_symmetric_lift(r, p))
-        rows = _ideal_rows(field, [field.from_rational(p), cand])
-        if tuple(linalg.hnf(rows)) == tuple(ideal_rows_hnf):
-            return cand
-    return fallback
-
-
 def factor_rational_prime(field, p):
     """All primes above p, canonically ordered, with e and f attached.
 
@@ -199,13 +180,20 @@ def factor_rational_prime(field, p):
             prime = PrimeIdeal(field, rows, p, 1, 2, (p, field.zero))
             primes = [prime]
         else:
+            # each factor is x - rho, giving the prime (p, w - rho); with
+            # theta = u + v w, theta is u + v rho modulo it, so when p does
+            # not divide v, theta - lift(u + v rho) generates it with p
+            u, v = field.theta.num
             primes = []
             for g, mult in fac:
-                root = (-g[0]) % p
-                pi = _quadratic_prime(field, p, root)
+                rho = (-g[0]) % p
+                if v % p:
+                    pi = field.theta - field.from_rational(
+                        _symmetric_lift(u + v * rho, p))
+                else:
+                    pi = field.basis_element(1) - field.from_rational(
+                        _symmetric_lift(rho, p))
                 rows = _ideal_rows(field, [field.from_rational(p), pi])
-                h = linalg.hnf(rows)
-                pi = _theta_presentation(field, p, h, pi)
                 primes.append(PrimeIdeal(field, rows, p, mult, 1, (p, pi)))
     else:
         fac = polys.factor_mod_p(list(field.poly), p)

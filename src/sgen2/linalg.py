@@ -16,7 +16,9 @@ Two eliminations do all the work (Cohen, GTM 138, sections 2.2 and
 
 Callers hand in integer rows (``field.integer_rows`` clears a list of
 field elements to one denominator), so no elimination runs on
-``Fraction`` entries.  ``mat_det``, the rational determinant through
+``Fraction`` entries.  No lattice is intersected: an index
+[A : A cap B] is [A + B : B] (``RatLattice.sum_index``), one HNF of the
+stacked rows.  ``mat_det``, the rational determinant through
 ``int_det``, has no caller in ``src/``: the benchmark's tracer still
 binds it, and it goes when the tracer reads spans instead (ROADMAP
 item 4).
@@ -126,12 +128,6 @@ def in_lattice(H, vec):
     return solve_hnf(H, vec) is not None
 
 
-def integer_kernel(rows):
-    """Basis of {x : x @ rows = 0} over the integers."""
-    _, _, kernel = hnf_with_transform(rows)
-    return hnf(kernel)
-
-
 def lattice_index_hnf(H1, H2):
     """[span H1 : span H2] for HNF inputs.
 
@@ -146,14 +142,6 @@ def lattice_index_hnf(H1, H2):
         return "infinite"
     return (prod(r[_pivot(r)] for r in H2)
             // prod(r[_pivot(r)] for r in H1))
-
-
-def lattice_intersect(rows1, rows2):
-    """HNF basis of the intersection of the two row spans."""
-    m = [list(r) for r in rows1] + [[-x for x in r] for r in rows2]
-    kern = integer_kernel(m)
-    k1 = len(rows1)
-    return hnf([vec_mat(k[:k1], rows1) for k in kern])
 
 
 def solve(rows, target):
@@ -243,20 +231,24 @@ class RatLattice:
         b = [[x * (d // other.den) for x in r] for r in other.rows]
         return a, b
 
-    def index_in(self, other):
-        """[other : self]; int, "infinite", or None when not contained."""
+    def sum_index(self, other):
+        """[self + other : other], or None when other has rank below the
+        ambient dimension.
+
+        By the second isomorphism theorem this is [self : self cap
+        other], so no intersection is formed: the rows of other, over
+        the common denominator, stay an HNF, and their pivot product
+        over that of the HNF of the stacked rows is the index.
+        """
+        if len(other.rows) < self.ncols:
+            return None
         a, b = self._common(other)
-        return lattice_index_hnf(hnf(b), hnf(a))
+        return lattice_index_hnf(hnf(a + b), b)
 
     def contains(self, other):
         a, b = self._common(other)
         ha = hnf(a)
         return all(in_lattice(ha, r) for r in b)
-
-    def intersect(self, other):
-        a, b = self._common(other)
-        d = self.den * other.den // gcd(self.den, other.den)
-        return RatLattice(d, lattice_intersect(a, b) if a and b else [], self.ncols)
 
     def __eq__(self, other):
         return (isinstance(other, RatLattice) and self.den == other.den

@@ -405,11 +405,6 @@ def factor_mod_p(f, p):
     return sorted((list(k), v) for k, v in out.items())
 
 
-def roots_mod_p(f, p):
-    """Sorted roots in F_p (without multiplicity)."""
-    return sorted((-g[0]) % p for g, _ in factor_mod_p(f, p) if degree(g) == 1)
-
-
 # ---------------------------------------------------------------------------
 # Rational integer helpers.
 

@@ -17,9 +17,12 @@ negative valuation (the V test, automatic here because every finite
 exponent is >= 1).  Every property of the returned certificate is
 verified exactly before it is emitted.
 
-O_S itself is exhausted by the level filtration Lambda_k = B^-k O_K,
-B = prod beta_i: indices [O_S : Z[alpha^n]] are computed per level and
-accepted once three consecutive levels and a degree enlargement agree.
+O_S itself is exhausted by the levels Lambda_k = B^-k O_K, B = prod
+beta_i, which the S-unit basis builds once each (SUnitBasis.level):
+indices [O_S : Z[alpha^n]] are read per level as [Lambda_k + L_J : L_J],
+L_J a stage of the power span (one HNF of the stacked rows, no
+intersection), and accepted once three consecutive levels and a degree
+enlargement agree.
 """
 
 import itertools
@@ -102,7 +105,8 @@ def _torsion_units(field):
 
 class SUnitBasis:
     __slots__ = ("field", "S", "torsion_order", "torsion_gen", "fund_units",
-                 "s_gens", "class_witnesses", "valuation_matrix")
+                 "s_gens", "class_witnesses", "valuation_matrix", "_levels",
+                 "_binv", "_scale")
 
     def __init__(self, field, S, torsion_order, torsion_gen, fund_units,
                  s_gens, class_witnesses, valuation_matrix):
@@ -114,10 +118,29 @@ class SUnitBasis:
         self.s_gens = tuple(s_gens)
         self.class_witnesses = tuple(class_witnesses)
         self.valuation_matrix = tuple(tuple(r) for r in valuation_matrix)
+        self._levels = []
+        self._binv = None  # B^-1, B the product of the S-generators
+        self._scale = None  # B^-k for the next level k
 
     @property
     def rank(self):
         return len(self.fund_units) + len(self.s_gens)
+
+    def level(self, k):
+        """Lambda_k = B^-k O_K in integral-basis coordinates; the union
+        over k is O_S.  Each level is built once and kept on the basis."""
+        f = self.field
+        if self._binv is None:
+            b = f.one
+            for g in self.s_gens:
+                b = b * g
+            self._binv = b.inverse()
+            self._scale = f.one
+        while len(self._levels) <= k:
+            self._levels.append(element_lattice(
+                [self._scale * f.basis_element(i) for i in range(f.degree)]))
+            self._scale = self._scale * self._binv
+        return self._levels[k]
 
     def serialize(self):
         return {
@@ -611,28 +634,7 @@ def _certify_alpha(field, S, sbasis, alpha, c0, cf, cb, mp, spans, vec,
 
 
 # ---------------------------------------------------------------------------
-# The level filtration and ring indices.
-
-class LevelFiltration:
-    """Lambda_k = B^-k O_K (integral-basis coordinates), union = O_S."""
-
-    def __init__(self, field, sbasis):
-        self.field = field
-        b = field.one
-        for g in sbasis.s_gens:
-            b = b * g
-        self._binv = b.inverse()
-        self._scale = field.one  # B^-k for the next level k
-        self._levels = []
-
-    def level(self, k):
-        f = self.field
-        while len(self._levels) <= k:
-            self._levels.append(element_lattice(
-                [self._scale * f.basis_element(i) for i in range(f.degree)]))
-            self._scale = self._scale * self._binv
-        return self._levels[k]
-
+# Ring indices over the levels Lambda_k of the S-unit basis.
 
 def element_lattice(elements):
     """The Z-span of field elements, in integral-basis coordinates."""
@@ -642,12 +644,14 @@ def element_lattice(elements):
 
 class PowerSpan:
     """Stage J is the Z-span of scale * base^j, j = 0..J, and of their
-    multiples by each element of extra; each power is computed once."""
+    multiples by each element of extra; each power and each stage
+    lattice is computed once."""
 
     def __init__(self, base, scale, extra=()):
         self.base = base
         self.extra = extra
         self._pows = [scale]
+        self._lattices = {}
 
     def elements(self, J):
         """The stage-J generators, powers first."""
@@ -657,22 +661,23 @@ class PowerSpan:
         return pows + [g * p for g in self.extra for p in pows]
 
     def lattice(self, J):
-        return element_lattice(self.elements(J))
+        if J not in self._lattices:
+            self._lattices[J] = element_lattice(self.elements(J))
+        return self._lattices[J]
 
 
-def stabilized_index(filt, span):
-    """Index [union Lambda_k : span] by per-level agreement.
+def stabilized_index(sbasis, span):
+    """Index [O_S : span] by per-level agreement over the levels of sbasis.
 
-    Level k is tested with stage J = k + 2 of the PowerSpan.  A value is
-    accepted when levels k, k+1, k+2 agree and enlarging the degree at
-    level k does not change it.
+    Level k reads [Lambda_k : Lambda_k cap L_J] = [Lambda_k + L_J : L_J]
+    with L_J the stage J = k + 2 of the PowerSpan (None while L_J has
+    rank below the degree).  A value is accepted when levels k, k+1,
+    k+2 agree and enlarging the degree at level k does not change it.
     """
     per_level = []
 
     def idx(k, J):
-        lk = filt.level(k)
-        out = span.lattice(J).intersect(lk).index_in(lk)
-        return out if isinstance(out, int) else None
+        return sbasis.level(k).sum_index(span.lattice(J))
 
     for k in range(LEVEL_BOUND + 1):
         per_level.append(idx(k, k + 2))
@@ -689,7 +694,5 @@ def stabilized_index(filt, span):
 def zalpha_index(sbasis, alpha, n):
     """(index, level): [O_S : Z[alpha^n]] with its stabilization level, S
     the prime set of sbasis."""
-    filt = LevelFiltration(sbasis.field, sbasis)
-    span = PowerSpan(alpha ** n, sbasis.field.one)
-    v, lvl, _ = stabilized_index(filt, span)
+    v, lvl, _ = stabilized_index(sbasis, PowerSpan(alpha ** n, sbasis.field.one))
     return v, lvl

@@ -7,8 +7,9 @@ Four independent checks, each falsifiable on its own:
     elementary generators by powers of gamma, plus the Bruhat-style
     rewriting identities in the CM case), entry by entry over K.
   * ideal_ladder recomputes the ring indices behind the elementary
-    subgroup argument on the level filtration and checks the Lagrange
-    containments they imply.
+    subgroup argument on the levels of the S-unit basis, the ones the
+    alpha certificate's index table read in case 1, and checks the
+    Lagrange containments they imply.
   * elementary_witness writes a requested elementary matrix as an
     explicit word in the triple and evaluates the word exactly.
   * modp_surjectivity takes the triple reduced modulo an admissible prime
@@ -32,8 +33,8 @@ from .generators import m2_eq, m2_identity, m2_inv, m2_mul, m2_pow
 from .ideals import factor_rational_prime, valuation
 from .linalg import RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat
 from .polys import is_prime, prime_divisors
-from .sunits import (LevelFiltration, PowerSpan, contract_prime_set,
-                     s_unit_basis, stabilized_index)
+from .sunits import (PowerSpan, contract_prime_set, s_unit_basis,
+                     stabilized_index)
 
 # Work bounds: the orders N of a^2 that the case-2 ladder tries, and the
 # stages J of the witness module searched for a word.
@@ -154,10 +155,10 @@ def identity_suite(triple, r_range, s_range, n_range):
 # ---------------------------------------------------------------------------
 # Ring indices behind the elementary subgroup argument.
 
-def _check_scaled_containment(filt, index, span, level):
+def _check_scaled_containment(sbasis, index, span, level):
     """index * Lambda_level must land in stage level + 4 of the
-    PowerSpan (Lagrange)."""
-    lam = filt.level(level)
+    PowerSpan (Lagrange); stabilized_index already built that stage."""
+    lam = sbasis.level(level)
     scaled = RatLattice(lam.den, [[index * x for x in r] for r in lam.rows],
                         lam.ncols)
     return span.lattice(level + 4).contains(scaled)
@@ -180,7 +181,9 @@ def ideal_ladder(triple, n_select):
     (m) inside h Z[a^2].  Case 2 additionally works on the F side (m and
     the order N of a^2 modulo m) and extends the K-side ring by
     sqrt(-d), giving q_ideal = (M).  Every index is a stabilized
-    filtration limit and the Lagrange containment is rechecked.
+    filtration limit (stabilized_index over the levels of the S-unit
+    basis) and the Lagrange containment is rechecked on a stage the
+    index search already built.
 
     n_select is either "search" (try N = 1, ..., N_BOUND and keep the
     first that works) or an explicit positive integer to test alone.
@@ -191,12 +194,12 @@ def ideal_ladder(triple, n_select):
     hK = field.from_rational(h)
     a = triple.alpha_in_K ** h
     a2 = a * a
-    filt = LevelFiltration(field, triple.case_info.sbasis)
+    sbasis = triple.case_info.sbasis
 
     if triple.case_info.case == 1:
         span = PowerSpan(a2, hK)
-        m, lvl, seq = stabilized_index(filt, span)
-        if not _check_scaled_containment(filt, m, span, lvl):
+        m, lvl, seq = stabilized_index(sbasis, span)
+        if not _check_scaled_containment(sbasis, m, span, lvl):
             raise VerificationFailure("m * Lambda_k escapes h Z[a^2]")
         return {
             "case": 1,
@@ -212,13 +215,12 @@ def ideal_ladder(triple, n_select):
     F = Fd.subfield
     SF = contract_prime_set(triple.S, Fd)
     sbF = s_unit_basis(F, SF)
-    filtF = LevelFiltration(F, sbF)
     aF = triple.alpha_cert.alpha ** h
     aF2 = aF * aF
     hF = F.from_rational(h)
     spanF = PowerSpan(aF2, hF)
-    mF, lvlF, seqF = stabilized_index(filtF, spanF)
-    if not _check_scaled_containment(filtF, mF, spanF, lvlF):
+    mF, lvlF, seqF = stabilized_index(sbF, spanF)
+    if not _check_scaled_containment(sbF, mF, spanF, lvlF):
         raise VerificationFailure("m * Lambda_k escapes h Z[a^2] over F")
     # order of a^2 modulo m O_{S(F)}: h (a^{2N} - 1) must fall inside
     if n_select == "search":
@@ -241,8 +243,8 @@ def ideal_ladder(triple, n_select):
     delta = cm.sqrt_minus_d
     scale_K = hK * hK * hK * dK * field.from_rational(mF)
     spanK = PowerSpan(a2, scale_K, extra=(delta,))
-    M, lvlK, seqK = stabilized_index(filt, spanK)
-    if not _check_scaled_containment(filt, M, spanK, lvlK):
+    M, lvlK, seqK = stabilized_index(sbasis, spanK)
+    if not _check_scaled_containment(sbasis, M, spanK, lvlK):
         raise VerificationFailure("M * Lambda_k escapes the extended ring")
     return {
         "case": 2,
@@ -451,7 +453,8 @@ def reduce_triple(triple, prime, bound):
 def admissible_primes(triple, count, bound):
     """The first primes where the surjectivity check is meaningful, in
     canonical order, each as the pair (R, mats) of reduce_triple that
-    modp_surjectivity counts.
+    modp_surjectivity counts.  The walk ends at the first rational prime
+    past bound (ConfigInvalid if fewer than count were found).
 
     Requirements: residue field size <= bound; rational characteristic
     away from S (so reduction never divides by zero); both psi entries
@@ -474,6 +477,11 @@ def admissible_primes(triple, count, bound):
     while len(out) < count:
         while not is_prime(p) or p in schars:
             p += 1
+        if p > bound:
+            # a prime over p has a residue field of size at least p
+            raise ConfigInvalid(
+                f"not enough admissible primes with residue field size "
+                f"up to {bound}")
         for P in factor_rational_prime(field, p):
             if P.residue_size > bound:
                 continue
@@ -491,8 +499,6 @@ def admissible_primes(triple, count, bound):
             if len(out) == count:
                 break
         p += 1
-        if p > 10000:
-            raise ConfigInvalid("not enough admissible primes below 10000")
     return out
 
 

@@ -1,12 +1,12 @@
 """Independent cross-checks used to freeze expected values in the tests.
 
-The ring-index oracle builds Lambda_k from field-element products and
-computes [Lambda_k : M cap Lambda_k] as
-[Lambda_k + M : M] (second isomorphism), via a sum lattice and Smith
-invariant factors (computed here, by the oracle's own elimination),
-with a Bareiss determinant cross-check.  The library
-path intersects first and divides Hermite diagonals, so the two agree
-only if both compositions are right.
+The ring-index oracle builds Lambda_k from power-basis products and
+computes [Lambda_k : M cap Lambda_k] as [Lambda_k + M : M] (second
+isomorphism), via the Smith invariant factors (computed here, by the
+oracle's own elimination) of M's coordinates over the sum lattice,
+with a Bareiss determinant cross-check.  The library builds its levels
+by structure constants and divides the Hermite pivot products of M and
+of the sum, so the two share only the HNF of the sum.
 
 The matrix-group oracle counts |SL2| over tiny fields by direct
 enumeration of quadruples, and finds the subgroup that reduced matrices

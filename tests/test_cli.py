@@ -88,6 +88,10 @@ def test_malformed_configs_exit_1(tmp_path, capsys):
          "S": [{"p": 2}]},
         {"field": {"poly": [-(10 ** 2000 + 1), 0, 0, 0, 1]},
          "S": [{"p": 2}]},
+        # more admissible primes than q_bound allows: the prime walk
+        # ends at the first prime past q_bound
+        {"field": {"poly": [1, 0, 1]}, "S": [{"p": 5}],
+         "verify": {"primes": 1000}},
     ]
     for cfg in hostile:
         started = time.monotonic()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -103,6 +104,40 @@ def test_index_divisor_handled_not_misfactored():
     assert (q3.e, q3.f) == (1, 2)
     (q5,) = factor_rational_prime(k, 5)
     assert (q5.e, q5.f) == (2, 1)
+
+
+def old_rule_generator(k, prime):
+    """The generator the quadratic factorization used to pick by search:
+    theta - lift(r) for the first r in range(p) with (p, theta - lift(r))
+    equal to the prime, else w - lift(rho) for the first rho with
+    (p, w - lift(rho)) equal to it."""
+    p = prime.p
+    for gen in (k.theta, k.basis_element(1)):
+        for r in range(p):
+            pi = gen - k.from_rational(r if r <= p // 2 else r - p)
+            if IntegralIdeal.from_elements(k, [k.from_rational(p), pi]) == prime:
+                return pi
+    return None
+
+
+def test_quadratic_prime_generator_matches_search():
+    # a grid of x^2 + b x + c, with non-maximal Z[theta] (x^2 + 3, x^2 - 45,
+    # and x^2 + 28, x^2 - 68, where 2 splits and divides v in
+    # theta = u + v w)
+    polys_ = [[3, 0, 1], [-45, 0, 1], [28, 0, 1], [-68, 0, 1]]
+    polys_ += [[c, b, 1] for b in range(-2, 3) for c in range(-12, 13)
+               if b * b - 4 * c < 0 or isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c]
+    kinds = {"theta": 0, "omega": 0}
+    for poly in polys_:
+        k = create_field(poly)
+        for p in (2, 3, 5, 7, 11, 13):
+            for prime in factor_rational_prime(k, p):
+                if prime.f == 2:
+                    continue
+                pi = prime.two_element[1]
+                assert pi == old_rule_generator(k, prime)
+                kinds["theta" if k.theta.num[1] % p else "omega"] += 1
+    assert min(kinds.values()) >= 5, kinds
 
 
 def test_sum_ef_battery():

@@ -145,10 +145,16 @@ def test_factor_mod_p_recomposes():
             assert prod == polys.pp_monic(f, p)
 
 
+def linear_factors(f, p):
+    """(root, multiplicity) for each linear factor x - root of f mod p."""
+    return [((-g[0]) % p, mult) for g, mult in polys.factor_mod_p(f, p)
+            if polys.degree(g) == 1]
+
+
 def test_factor_mod_p_known_splits():
-    assert polys.roots_mod_p([1, 0, 1], 5) == [2, 3]       # x^2+1 mod 5
-    assert polys.roots_mod_p([1, 0, 1], 3) == []
-    assert polys.roots_mod_p([1, 0, 1], 2) == [1]
+    assert sorted(linear_factors([1, 0, 1], 5)) == [(2, 1), (3, 1)]  # x^2+1
+    assert linear_factors([1, 0, 1], 3) == []
+    assert linear_factors([1, 0, 1], 2) == [(1, 2)]
     # x^4 + 1 mod 7 = product of two irreducible quadratics
     fac = polys.factor_mod_p([1, 0, 0, 0, 1], 7)
     assert [polys.degree(g) for g, _ in fac] == [2, 2]

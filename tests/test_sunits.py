@@ -6,16 +6,17 @@ import pytest
 from sgen2.errors import (CardinalityTooSmall, HypothesisFails, NotASubfield,
                           NotStabilized, SearchExhausted)
 from sgen2.field import create_field
+from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime, valuation
 from sgen2.linalg import RatLattice
 from sgen2 import sunits
-from sgen2.sunits import (LevelFiltration, PrimeSet, SubfieldDescriptor,
+from sgen2.sunits import (PowerSpan, PrimeSet, SubfieldDescriptor,
                           SubfieldRank, contract_prime_set, default_subfields,
                           exponent_vector, is_cm, rank_of_intersection,
                           rational_subfield, s_unit_basis, zalpha_index)
 
 import oracles
-from instances import (ALL, gaussian_five, gaussian_two, rational_two,
+from instances import (ALL, DESK, gaussian_five, gaussian_two, rational_two,
                        search_alpha, sqrt2_seven, sqrt5_two, zeta5_nofinite)
 
 
@@ -375,13 +376,42 @@ def test_zalpha_not_stabilized():
         zalpha_index(s_unit_basis(k, S), k.theta, 1)
 
 
-def test_level_filtration_rational():
+def test_sunit_basis_levels_rational():
     k, S = rational_two()
-    filt = LevelFiltration(k, s_unit_basis(k, S))
+    sb = s_unit_basis(k, S)
     for j in range(4):
-        lam = filt.level(j)
+        lam = sb.level(j)
         assert lam.contains(RatLattice(2 ** j, [[1]], 1))
         assert not lam.contains(RatLattice(2 ** (j + 1), [[1]], 1))
+    # each level is built once and kept on the basis
+    assert sb.level(2) is sb.level(2)
+
+
+def test_level_index_matches_coset_oracle():
+    # [Lambda_k : Lambda_k cap L_J] at J = k + 2 for L_J the span of
+    # x^(n j), j <= J, read through the sum lattice, against the oracle's
+    # power-basis levels and Smith form
+    def levels(sb, x, n):
+        k = sb.field
+        span = PowerSpan(x ** n, k.one)
+        out = []
+        for lvl in range(5):
+            J = lvl + 2
+            gens = [oracles.pb_pow(k, x.power_coords(), n * j)
+                    for j in range(J + 1)]
+            got = sb.level(lvl).sum_index(span.lattice(J))
+            assert got == oracles.coset_index(k, sb, gens, lvl)
+            out.append(got)
+        return out
+
+    k, S = gaussian_five()
+    sb = s_unit_basis(k, S)
+    assert levels(sb, k.theta, 1) == [25 ** lvl for lvl in range(5)]
+    assert levels(sb, k.from_rational(2), 1) == [None] * 5  # rank 1
+    for make in DESK:
+        cert = build_generators(*make()).alpha_cert
+        for n in (1, 2, 3):
+            assert None not in levels(cert.sbasis, cert.alpha, n)
 
 
 def test_random_s_units_have_integer_exponents():

@@ -11,6 +11,7 @@ from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice, hnf
 from sgen2.sunits import PrimeSet, element_lattice
+from sgen2 import verification
 from sgen2.verification import (VERIFY_DEFAULTS, ResidueField,
                                 admissible_primes, elementary_witness,
                                 ideal_ladder, identity_suite, image_order,
@@ -283,6 +284,22 @@ def test_modp_shared_characteristic():
                 if not t.S.contains(p)]
     with pytest.raises(ConfigInvalid):
         reduce_triple(t, other, 100)
+
+
+def test_admissible_walk_ends_past_the_bound(monkeypatch):
+    # every prime over p has a residue field of size at least p, so the
+    # walk for more primes than the bound admits stops after p = 97
+    t = triple(gaussian_five)
+    walked = []
+
+    def factor(field, p):
+        walked.append(p)
+        return factor_rational_prime(field, p)
+
+    monkeypatch.setattr(verification, "factor_rational_prime", factor)
+    with pytest.raises(ConfigInvalid):
+        admissible_primes(t, 1000, 100)
+    assert max(walked) == 97
 
 
 def sqrt103_five():
