@@ -77,9 +77,15 @@ def test_hnf_with_transform_consistent():
             assert not any(prod)
         # the kernel is complete: its rank is the number of rows less the rank
         assert len(linalg.hnf(kern)) == len(a) - len(h)
+
+
+def test_kernel_rank():
     # rank-1 matrix with 3 rows: kernel rank 2
-    _, _, kern = linalg.hnf_with_transform([[1, 2], [2, 4], [3, 6]])
+    a = [[1, 2], [2, 4], [3, 6]]
+    _, _, kern = linalg.hnf_with_transform(a)
     assert len(linalg.hnf(kern)) == 2
+    for k in kern:
+        assert not any(sum(c * a[i][j] for i, c in enumerate(k)) for j in range(2))
 
 
 def test_solve_through_transform():
