@@ -172,21 +172,26 @@ def factor_rational_prime(field, p):
     if n == 1:
         primes = [PrimeIdeal(field, [[p]], p, 1, 1, (p, field.zero))]
     elif field.tier == "automatic":
+        # roots of x^2 + b x + s mod p: none (inert), one double or two
         s, b = _omega_minpoly(field)
-        fac = polys.factor_mod_p([s, b, 1], p)
-        degs = sorted((polys.degree(g), mult) for g, mult in fac)
-        if degs == [(2, 1)]:
-            rows = [[p if i == j else 0 for j in range(2)] for i in range(2)]
-            prime = PrimeIdeal(field, rows, p, 1, 2, (p, field.zero))
-            primes = [prime]
+        if p == 2:
+            roots = [x for x in (0, 1) if (x * x + b * x + s) % 2 == 0]
         else:
-            # each factor is x - rho, giving the prime (p, w - rho); with
-            # theta = u + v w, theta is u + v rho modulo it, so when p does
-            # not divide v, theta - lift(u + v rho) generates it with p
+            r = polys.sqrt_mod_p(b * b - 4 * s, p)
+            half = (p + 1) // 2  # the inverse of 2 mod p
+            roots = [] if r is None else sorted(
+                {(r - b) * half % p, (-r - b) * half % p})
+        if not roots:
+            rows = [[p if i == j else 0 for j in range(2)] for i in range(2)]
+            primes = [PrimeIdeal(field, rows, p, 1, 2, (p, field.zero))]
+        else:
+            # each root rho gives the prime (p, w - rho); with theta =
+            # u + v w, theta is u + v rho modulo it, so when p does not
+            # divide v, theta - lift(u + v rho) generates it with p
             u, v = field.theta.num
+            mult = 2 if len(roots) == 1 else 1
             primes = []
-            for g, mult in fac:
-                rho = (-g[0]) % p
+            for rho in roots:
                 if v % p:
                     pi = field.theta - field.from_rational(
                         _symmetric_lift(u + v * rho, p))

@@ -443,6 +443,23 @@ def is_prime(n):
     return True
 
 
+def sqrt_mod_p(a, p):
+    """A square root of a modulo the odd prime p, or None when a is not
+    a square (Tonelli-Shanks; Cohen, GTM 138, Alg. 1.5.1)."""
+    a %= p
+    if a == 0 or pow(a, (p - 1) // 2, p) != 1:
+        return None if a else 0
+    e = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^e q with q odd
+    q = (p - 1) >> e
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    y, x, b = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while b != 1:
+        m = next(m for m in range(1, e) if pow(b, 1 << m, p) == 1)
+        t = pow(y, 1 << (e - m - 1), p)
+        y, e, x, b = t * t % p, m, x * t % p, b * t * t % p
+    return x
+
+
 def integer_roots(f):
     """All integer roots of an integer polynomial.
 

@@ -353,7 +353,12 @@ def elementary_witness(triple, x, side):
 
 class ResidueField:
     """O_K / P as explicit tables, elements indexed by canonical coset
-    representatives below the Hermite rows of P."""
+    representatives below the Hermite rows of P.  The tables are index
+    arithmetic on the logs to one primitive element g, the first
+    representative whose powers reach every nonzero element (O(q)
+    products in O_K find and walk it): g^i g^j = g^(i + j), -g^i =
+    g^(i + (q - 1)/2) for odd q, and with the Zech logs
+    Z[k] = log(1 + g^k), g^i + g^j = g^(i + Z[j - i])."""
 
     def __init__(self, field, prime, bound):
         q = prime.residue_size
@@ -363,33 +368,48 @@ class ResidueField:
         self.prime = prime
         self.q = q
         self.p = prime.p
-        n = field.degree
-        rows = [list(r) for r in prime.hnf]
-        self._rows = rows
-        self._diag = [rows[i][i] for i in range(n)]
+        self._rows = rows = [list(r) for r in prime.hnf]
         reps = [()]
-        for d in self._diag:
-            reps = [r + (v,) for r in reps for v in range(d)]
+        for i in range(field.degree):
+            reps = [r + (v,) for r in reps for v in range(rows[i][i])]
         if len(reps) != q:
             raise InvariantViolated("coset representatives do not match |O_K/P|")
         self.reps = reps
         self._index = {r: i for i, r in enumerate(reps)}
-        self.zero = self._index[tuple([0] * n)]
-        self.one = self.reduce_ints(field.one.num)
-        # both tables are symmetric: fill j >= i and mirror
-        self.mul_table = [[0] * q for _ in range(q)]
-        self.add_table = [[0] * q for _ in range(q)]
-        self.inv_table = [None] * q
-        for i, ra in enumerate(reps):
-            for j in range(i, q):
-                rb = reps[j]
-                ab = self.reduce_ints(field.ib_mul(ra, rb))
-                self.mul_table[i][j] = self.mul_table[j][i] = ab
-                if ab == self.one:
-                    self.inv_table[i] = j
-                    self.inv_table[j] = i
-                self.add_table[i][j] = self.add_table[j][i] = self.reduce_ints(
-                    [x + y for x, y in zip(ra, rb)])
+        self.zero = 0  # the zero tuple is the first representative
+        self.one = one = self.reduce_ints(field.one.num)
+        m = q - 1
+        # powers of a rejected candidate are never primitive: skip them
+        seen = bytearray(q)
+        for g in range(1, q):
+            if seen[g]:
+                continue
+            exp, x = [one], g
+            while x != one and len(exp) < q:
+                exp.append(x)
+                seen[x] = 1
+                x = self.reduce_ints(field.ib_mul(reps[x], reps[g]))
+            if len(exp) == m:
+                break
+        else:
+            raise InvariantViolated("O_K/P has no primitive element")
+        # the zero has log 2m, and exp2 reads 0 at every k >= 2m
+        self._log = log = [2 * m] * q
+        for k, x in enumerate(exp):
+            log[x] = k
+        exp2 = exp + exp + [0] * m
+        zech = [log[self.reduce_ints(map(sum, zip(reps[x], reps[one])))]
+                for x in exp]
+        logs = log[1:]
+        self.mul_table = [[0] * q] + [[0] + [exp2[li + lj] for lj in logs]
+                                      for li in logs]
+        # zech[lj - li] wraps a negative difference modulo m
+        self.add_table = [list(range(q))] + [
+            [i] + [exp2[li + zech[lj - li]] for lj in logs]
+            for i, li in enumerate(logs, 1)]
+        self.inv_table = [None] + [exp[-li] for li in logs]
+        half = m // 2 if q % 2 else 0
+        self.neg_table = [0] + [exp2[li + half] for li in logs]
 
     def reduce_ints(self, vec):
         v = list(vec)
@@ -409,28 +429,13 @@ class ResidueField:
         i_den = self.reduce_ints([x.den] + [0] * (self.field.degree - 1))
         return self.mul_table[i_num][self.inv_table[i_den]]
 
-    def neg(self, i):
-        rep = self.reps[i]
-        return self.reduce_ints([-c for c in rep])
-
-    def pow(self, i, e):
-        out = self.one
-        base = i
-        while e:
-            if e & 1:
-                out = self.mul_table[out][base]
-            base = self.mul_table[base][base]
-            e >>= 1
-        return out
-
     def element_degree(self, i):
-        """Degree over the prime field (least e with x^{p^e} = x)."""
-        y = self.pow(i, self.p)
-        e = 1
-        while y != i:
-            y = self.pow(y, self.p)
-            e += 1
-        return e
+        """Degree over the prime field: the least e with x^(p^e) = x,
+        that is, with p^e = 1 modulo the multiplicative order of x."""
+        m = self.q - 1
+        order = m // gcd(self._log[i], m)
+        return next(e for e in range(1, self.prime.f + 1)
+                    if (self.p ** e - 1) % order == 0)
 
 
 def reduce_triple(triple, prime, bound):
@@ -520,7 +525,7 @@ def image_order(R, mats):
     q = R.q
     mul = R.mul_table
     add = R.add_table
-    neg = [R.neg(x) for x in range(q)]
+    neg = R.neg_table
     row_maps = []
     for (ma, mb), (mc, md) in mats:
         tab = [0] * (q * q)
@@ -576,7 +581,7 @@ def modp_surjectivity(R, mats):
     """
     q = R.q
     for (a, b), (c, d) in mats:
-        det = R.add_table[R.mul_table[a][d]][R.neg(R.mul_table[b][c])]
+        det = R.add_table[R.mul_table[a][d]][R.neg_table[R.mul_table[b][c]]]
         if det != R.one:
             raise VerificationFailure("reduced matrix leaves SL2")
     orbit, stabilizer = image_order(R, mats)

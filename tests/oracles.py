@@ -367,7 +367,7 @@ def sl2_image_bfs(R, mats):
     q = R.q
     inv_mats = []
     for (a, b), (c, d) in mats:
-        inv_mats.append(((d, R.neg(b)), (R.neg(c), a)))
+        inv_mats.append(((d, R.neg_table[b]), (R.neg_table[c], a)))
 
     mul = R.mul_table
     add = R.add_table

@@ -209,3 +209,24 @@ def test_sqrt_upper_is_upper():
         u = polys.sqrt_upper(n)
         assert u * u >= n
         assert (u - Fraction(1, 100)) ** 2 < n
+
+
+def test_sqrt_mod_p():
+    # every residue class of the odd primes below 300 (p - 1 has up to
+    # 2^6 in it at 193), then squares modulo 65537 = 2^16 + 1,
+    # 2^61 - 1 and 9 * 2^63 + 1
+    for p in polys.primes_below(300)[1:]:
+        squares = {x * x % p for x in range(p)}
+        for a in range(-p, p):
+            r = polys.sqrt_mod_p(a, p)
+            if a % p in squares:
+                assert r is not None and r * r % p == a % p, (a, p)
+            else:
+                assert r is None, (a, p)
+    rng = random.Random(5)
+    for p in (65537, 2 ** 61 - 1, 9 * 2 ** 63 + 1):
+        assert polys.is_prime(p)
+        for _ in range(20):
+            x = rng.randrange(1, p)
+            r = polys.sqrt_mod_p(x * x, p)
+            assert r in (x, p - x)

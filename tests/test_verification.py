@@ -10,6 +10,7 @@ from sgen2.field import create_field
 from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice, hnf
+from sgen2.polys import primes_below
 from sgen2.sunits import PrimeSet, element_lattice
 from sgen2 import verification
 from sgen2.verification import (VERIFY_DEFAULTS, ResidueField,
@@ -216,8 +217,8 @@ def test_residue_field_tables():
         else:
             assert R.mul_table[x][R.inv_table[x]] == one
     # i^2 = -1
-    assert R.mul_table[th][th] == R.neg(one)
-    assert R.pow(th, 4) == one
+    assert R.mul_table[th][th] == R.neg_table[one]
+    assert R.mul_table[R.mul_table[th][th]][R.mul_table[th][th]] == one
     assert R.add_table[zero][th] == th
 
 
@@ -231,6 +232,90 @@ def test_residue_field_denominator_guard():
     # denominators supported in S are fine: 1/2 = 2 mod 3
     assert R.reduce_element(k.from_rational(Fraction(1, 2))) == \
         R.reduce_ints([2, 0])
+
+
+def _pairwise_tables(R):
+    """mul, add, inv and neg of R built the direct way: one ib_mul and
+    one reduction per pair of representatives."""
+    k = R.field
+    q = R.q
+    mul = [[None] * q for _ in range(q)]
+    add = [[None] * q for _ in range(q)]
+    inv = [None] * q
+    for i, a in enumerate(R.reps):
+        for j in range(i, q):
+            b = R.reps[j]
+            mul[i][j] = mul[j][i] = R.reduce_ints(k.ib_mul(a, b))
+            add[i][j] = add[j][i] = R.reduce_ints([x + y for x, y in zip(a, b)])
+            if mul[i][j] == R.one:
+                inv[i], inv[j] = j, i
+    neg = [R.reduce_ints([-c for c in a]) for a in R.reps]
+    return mul, add, inv, neg
+
+
+def _frobenius_degrees(R):
+    """For each x, the least e with x^(p^e) = x, by iterating x -> x^p
+    through mul_table."""
+    def frob(x):
+        out, base, e = R.one, x, R.p
+        while e:
+            if e & 1:
+                out = R.mul_table[out][base]
+            base = R.mul_table[base][base]
+            e >>= 1
+        return out
+    step = [frob(x) for x in range(R.q)]
+    degrees = []
+    for x in range(R.q):
+        y, e = step[x], 1
+        while y != x:
+            y, e = step[y], e + 1
+        degrees.append(e)
+    return degrees
+
+
+def test_residue_tables_match_pairwise_construction():
+    # the fields of the desk and benchmark-ladder instances, every prime
+    # with q <= 150: Q(zeta5) at 2 and 3 gives q = 16 and 81, Q(i) at 11
+    # gives q = 121
+    fields = [create_field(poly) for poly in
+              ([-1, 1], [1, 0, 1], [-2, 0, 1], [-5, 0, 1], [-103, 0, 1])]
+    fields.append(zeta5_nofinite()[0])
+    sizes = set()
+    for k in fields:
+        for p in primes_below(151):
+            for P in factor_rational_prime(k, p):
+                if P.residue_size > 150:
+                    continue
+                R = ResidueField(k, P, 150)
+                mul, add, inv, neg = _pairwise_tables(R)
+                where = (k.poly, p, R.q)
+                assert R.mul_table == mul, where
+                assert R.add_table == add, where
+                assert R.inv_table == inv, where
+                assert R.neg_table == neg, where
+                assert [R.element_degree(x) for x in range(R.q)] == \
+                    _frobenius_degrees(R), where
+                sizes.add((k.degree, R.q))
+    assert {(4, 16), (4, 81), (2, 121), (2, 4)} <= sizes
+
+
+def test_residue_field_build_is_linear_in_q(monkeypatch):
+    k = create_field([1, 0, 1])
+    (p11,) = factor_rational_prime(k, 11)
+    calls = 0
+    ib_mul = k.ib_mul
+
+    def counted(u, v):
+        nonlocal calls
+        calls += 1
+        return ib_mul(u, v)
+
+    monkeypatch.setattr(k, "ib_mul", counted)
+    R = ResidueField(k, p11, 150)
+    assert R.q == 121
+    # the pairwise tables took q(q + 1)/2 = 7381 products
+    assert 0 < calls <= 3 * R.q
 
 
 # ---------------------------------------------------------------------------
