@@ -248,7 +248,8 @@ def analysis_section(field, S, info):
 
 
 def work_counters(report):
-    """Deterministic effort summary assembled from the report itself."""
+    """Deterministic effort summary assembled from the report itself;
+    identity_checks counts identities established, not products."""
     c = {}
     alpha = report.get("alpha")
     if alpha is not None:

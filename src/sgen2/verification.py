@@ -2,10 +2,10 @@
 
 Four independent checks, each falsifiable on its own:
 
-  * identity_suite multiplies the matrices out and compares against the
-    closed forms the construction promises (conjugation of the
-    elementary generators by powers of gamma, plus the Bruhat-style
-    rewriting identities in the CM case), entry by entry over K.
+  * identity_suite checks exactly that gamma, psi1 and psi2 have the
+    shapes of the construction, from which the conjugation identities
+    hold for every exponent, and checks each Bruhat-style rewriting
+    identity of the CM case as one matrix equation over K.
   * ideal_ladder recomputes the ring indices behind the elementary
     subgroup argument on the levels of the S-unit basis, the ones the
     alpha certificate's index table read in case 1, and checks the
@@ -29,7 +29,7 @@ from .errors import (ConfigInvalid, IdentityFailed, InvariantViolated,
                      NotInLattice, PrimeInS, ResidueFieldTooLarge,
                      VerificationFailure)
 from .field import FieldElement, integer_rows
-from .generators import m2_eq, m2_identity, m2_inv, m2_mul, m2_pow
+from .generators import m2_det, m2_eq, m2_identity, m2_inv, m2_mul
 from .ideals import factor_rational_prime, valuation
 from .linalg import RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat
 from .polys import is_prime, prime_divisors
@@ -43,8 +43,8 @@ J_BOUND = 16
 
 # The verify section of a config when it sets nothing: mod-P checks at
 # the first `primes` admissible primes with residue field size up to
-# q_bound, identity windows r and s (as [lo, hi]), and the number of
-# elementary witnesses.
+# q_bound, identity windows r and s (as [lo, hi], sizing the report
+# only), and the number of elementary witnesses.
 VERIFY_DEFAULTS = {
     "primes": 10,
     "q_bound": 100,
@@ -65,87 +65,74 @@ def _e12(field, x):
     return ((field.one, x), (field.zero, field.one))
 
 
-def identity_suite(triple, r_range, s_range, n_range):
-    """Check every defining identity of the triple over the given
-    exponent windows; raises IdentityFailed with the offending instance."""
+def _shape(triple):
+    """(a, tau), once gamma = diag(a, a^-1) with a = alpha^h, psi1 = E21(h)
+    and psi2 = E12(tau), tau = h (case 1) or h sqrt(-d) (case 2), are
+    checked exactly: the one place that ties the matrices to the
+    certificate.  IdentityFailed names the first matrix of another shape."""
     field = triple.field
-    g = triple.gamma.rows
+    h = field.from_rational(triple.h)
+    a = triple.alpha_in_K ** triple.h
+    tau = h
+    if triple.case_info.case == 2:
+        tau = h * triple.case_info.cm.sqrt_minus_d
+    shapes = {"gamma": ((a, field.zero), (field.zero, a.inverse())),
+              "psi1": _e21(field, h), "psi2": _e12(field, tau)}
+    for name, mat in zip(shapes, triple.matrices()):
+        if not m2_eq(mat.rows, shapes[name]):
+            raise IdentityFailed(f"{name} does not have the constructed "
+                                 f"shape", instance={"matrix": name})
+    return a, tau
+
+
+def identity_suite(triple, r_range, s_range, n_range):
+    """Prove every defining identity of the triple for all exponents;
+    raises IdentityFailed with the offending instance.
+
+    With the shapes _shape checks, gamma^r psi1^s gamma^-r =
+    E21(h s a^-2r) and gamma^r psi2^s gamma^-r = E12(tau s a^2r) for all
+    r and s.  In case 2, with t = 1/tau, u = E21(t) and w = diag(1,
+    sqrt(-d)^-1) E12(t), u gamma^-N u^-1 gamma^N = E21((1 - a^2N) t) and
+    w gamma^N w^-1 gamma^-N = E12((1 - a^2N) / h) for all N, as gamma is
+    diagonal.  A CM identity A E(x) A^-1 = B E'(c x) B^-1 is I + x (a
+    fixed matrix) on both sides, so it is checked once, at x = h.  The
+    windows only size the report: its counts are the window instances
+    the argument covers.
+    """
+    field = triple.field
     p1 = triple.psi1.rows
     p2 = triple.psi2.rows
-    a = triple.alpha_in_K ** triple.h
-    h = field.from_rational(triple.h)
-    tau = triple.psi2.entry(0, 1)
-    checked = 0
 
     def ensure(ok, name, instance):
         if not ok:
             raise IdentityFailed(f"identity {name} failed", instance=instance)
 
-    for mat, name in ((g, "gamma"), (p1, "psi1"), (p2, "psi2")):
-        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-        ensure(det == field.one, "determinant", {"matrix": name})
-        checked += 1
-
+    for mat, name in zip(triple.matrices(), ("gamma", "psi1", "psi2")):
+        ensure(m2_det(mat.rows) == field.one, "determinant", {"matrix": name})
     ensure(not m2_eq(m2_mul(p1, p2), m2_mul(p2, p1)), "non-commutation",
            {"matrices": ["psi1", "psi2"]})
-    checked += 1
-
-    p1_pows = {s: m2_pow(p1, s, field) for s in s_range}
-    p2_pows = {s: m2_pow(p2, s, field) for s in s_range}
-    for r in r_range:
-        gr = m2_pow(g, r, field)
-        grm = m2_pow(g, -r, field)
-        a2r = a ** (2 * r)
-        a2r_inv = a2r.inverse()
-        for s in s_range:
-            lhs1 = m2_mul(gr, m2_mul(p1_pows[s], grm))
-            rhs1 = _e21(field, h * s * a2r_inv)
-            ensure(m2_eq(lhs1, rhs1), "gamma^r psi1^s gamma^-r",
-                   {"r": r, "s": s})
-            lhs2 = m2_mul(gr, m2_mul(p2_pows[s], grm))
-            rhs2 = _e12(field, tau * s * a2r)
-            ensure(m2_eq(lhs2, rhs2), "gamma^r psi2^s gamma^-r",
-                   {"r": r, "s": s})
-            checked += 2
-
-    report = {"exponent_identities": checked,
+    _, tau = _shape(triple)
+    report = {"exponent_identities": 4 + 2 * len(r_range) * len(s_range),
               "r_range": [min(r_range), max(r_range)],
               "s_range": [min(s_range), max(s_range)]}
 
     if triple.case_info.case == 2:
-        cm = triple.case_info.cm
-        delta = cm.sqrt_minus_d
-        dK = -(delta * delta)
-        t_inv = (h * delta).inverse()
-        u = _e21(field, t_inv)
-        u_inv = m2_inv(u)
-        w = ((field.one, t_inv), (field.zero, delta.inverse()))
-        w_inv = m2_inv(w)
-        p1_inv = m2_inv(p1)
-        p2_inv = m2_inv(p2)
-        h2d = h * h * dK
-        cm_checked = 0
-        for s in s_range:
-            x = h * s
-            lhs = m2_mul(p2, m2_mul(_e21(field, x), p2_inv))
-            rhs = m2_mul(u, m2_mul(_e12(field, h2d * x), u_inv))
-            ensure(m2_eq(lhs, rhs), "psi2 E21 psi2^-1 = u E12 u^-1", {"s": s})
-            lhs = m2_mul(p1, m2_mul(_e12(field, x * delta), p1_inv))
-            rhs = m2_mul(w, m2_mul(_e21(field, h2d * x), w_inv))
-            ensure(m2_eq(lhs, rhs), "psi1 E12 psi1^-1 = w E21 w^-1", {"s": s})
-            cm_checked += 2
-        for N in n_range:
-            gN = m2_pow(g, N, field)
-            gNm = m2_pow(g, -N, field)
-            a2N = a ** (2 * N)
-            lhs = m2_mul(u, m2_mul(gNm, m2_mul(u_inv, gN)))
-            rhs = _e21(field, (field.one - a2N) * t_inv)
-            ensure(m2_eq(lhs, rhs), "u gamma^-N u^-1 gamma^N", {"N": N})
-            lhs = m2_mul(w, m2_mul(gN, m2_mul(w_inv, gNm)))
-            rhs = _e12(field, (field.one - a2N) * h.inverse())
-            ensure(m2_eq(lhs, rhs), "w gamma^N w^-1 gamma^-N", {"N": N})
-            cm_checked += 2
-        report["cm_identities"] = cm_checked
+        # at x = h, h^2 d x = -tau^2 h
+        h = field.from_rational(triple.h)
+        t = tau.inverse()
+        u = _e21(field, t)
+        w = ((field.one, t),
+             (field.zero, triple.case_info.cm.sqrt_minus_d.inverse()))
+        c = -(tau * tau * h)
+
+        def conj(A, x):
+            return m2_mul(A, m2_mul(x, m2_inv(A)))
+
+        ensure(m2_eq(conj(p2, _e21(field, h)), conj(u, _e12(field, c))),
+               "psi2 E21 psi2^-1 = u E12 u^-1", {"s": 1})
+        ensure(m2_eq(conj(p1, _e12(field, tau)), conj(w, _e21(field, c))),
+               "psi1 E12 psi1^-1 = w E21 w^-1", {"s": 1})
+        report["cm_identities"] = 2 * len(s_range) + 2 * len(n_range)
         report["n_values"] = sorted(n_range)
 
     report["passed"] = True
@@ -306,8 +293,7 @@ def elementary_witness(triple, x, side):
     is outside every stage up to J_BOUND.
     """
     field = triple.field
-    a = triple.alpha_in_K ** triple.h
-    a2 = a * a
+    a2 = triple.gamma.entry(0, 0) ** 2
     if side == "lower":
         unit_scale = field.from_rational(triple.h)
         base_mat = triple.psi1
@@ -474,7 +460,7 @@ def admissible_primes(triple, count, bound):
     """
     field = triple.field
     schars = {P.p for P in triple.S.finite}
-    x = triple.alpha_in_K ** (2 * triple.h) - field.one
+    x = triple.gamma.entry(0, 0) ** 2 - field.one
     num = x * x.den
     tau = triple.psi2.entry(0, 1)
     out = []
@@ -606,13 +592,13 @@ def run_verification(triple, verify, seed, n_select):
     the combined report.
 
     verify is a config's validated verify section (VERIFY_DEFAULTS
-    updated by the config): the identity windows r and s as [lo, hi],
-    the number of mod-P primes and their bound q_bound, and the number
-    of witness_samples, drawn with the seed.  n_select is as for
-    ideal_ladder.
+    updated by the config): the identity windows r and s as [lo, hi]
+    (sizing the report only), the number of mod-P primes and their bound
+    q_bound, and the number of witness_samples, drawn with the seed.
+    n_select is as for ideal_ladder.
 
-    The ladder runs first so that the identity suite can re-verify the
-    conjugation identities at whichever N the ladder settled on.
+    The N identities hold for every N, so the ladder's N needs no
+    recheck; n_values lists it only so that reports keep their bytes.
     """
     import random
     report = {}
@@ -626,7 +612,7 @@ def run_verification(triple, verify, seed, n_select):
                                           range(s_lo, s_hi + 1), n_range)
 
     field = triple.field
-    a2 = (triple.alpha_in_K ** triple.h) ** 2
+    a2 = triple.gamma.entry(0, 0) ** 2
     rng = random.Random(seed)
     witnesses = []
     for side in ("lower", "upper"):

@@ -20,6 +20,11 @@ along one axis.  The box of a real field needs the fundamental unit,
 which the oracle finds by trying y = 1, 2, ... until D y^2 +- 4 is a
 square, where the library walks a continued fraction.
 
+The identity oracle multiplies the triple's defining identities out
+over exponent windows, with 2x2 products of power-basis coordinates,
+where the library proves them for every exponent from the matrices'
+shapes.
+
 The power-basis oracle does field arithmetic on Fraction coordinates in
 1, t, ..., t^(n-1), reducing products by f term by term, where the
 library keeps integer integral-basis numerators and multiplies by
@@ -248,11 +253,16 @@ def pb_mul(field, a, b):
     n = field.degree
     conv = [Fraction(0)] * (2 * n - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            conv[i + j] += Fraction(x) * Fraction(y)
-    out = conv[:n]
-    for c, row in zip(conv[n:], _pb_reduction(field)):
-        out = [o + c * r for o, r in zip(out, row)]
+        if x:
+            x = Fraction(x)
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    out, high = conv[:n], conv[n:]
+    if any(high):
+        for c, row in zip(high, _pb_reduction(field)):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
     return out
 
 
@@ -307,6 +317,134 @@ def pb_to_ib(field, a):
     n = field.degree
     return [sum(Fraction(x) * inv[i][j] for i, x in enumerate(a))
             for j in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# The triple's identities multiplied out over exponent windows.
+
+def _pm_mul(field, x, y):
+    """Product of 2x2 matrices of power-basis coordinate vectors."""
+    def dot(p, q, r, s):
+        return [u + v for u, v in zip(pb_mul(field, p, q), pb_mul(field, r, s))]
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((dot(a, e, b, g), dot(a, f, b, h)),
+            (dot(c, e, d, g), dot(c, f, d, h)))
+
+
+def _pm_det(field, x):
+    (a, b), (c, d) = x
+    return [u - v for u, v in zip(pb_mul(field, a, d), pb_mul(field, b, c))]
+
+
+def _pm_inv(field, x):
+    (a, b), (c, d) = x
+    inv = pb_inverse(field, _pm_det(field, x))
+    return ((pb_mul(field, d, inv), pb_mul(field, [-v for v in b], inv)),
+            (pb_mul(field, [-v for v in c], inv), pb_mul(field, a, inv)))
+
+
+def _pm_conj(field, A, x):
+    return _pm_mul(field, A, _pm_mul(field, x, _pm_inv(field, A)))
+
+
+def identity_windows(triple, r_range, s_range, n_range):
+    """The (identity, instance) pairs of the triple's defining identities
+    that fail inside the windows, [] when all hold: the determinants,
+    the non-commutation of psi1 and psi2, gamma^r psi^s gamma^-r for
+    every (r, s), and in case 2 the CM identities for every s and the N
+    identities for every N, each multiplied out with power-basis
+    products.  a = alpha^h and tau (h, or h sqrt(-d) in case 2) come
+    from the certificate; the matrices' entries are read only through
+    power_coords."""
+    field = triple.field
+    n = field.degree
+    one = pb_one(field)
+    zero = [Fraction(0)] * n
+
+    def scale(c, v):
+        return [Fraction(c) * x for x in v]
+
+    def e21(x):
+        return ((one, zero), (x, one))
+
+    def e12(x):
+        return ((one, x), (zero, one))
+
+    def power(base, inverse, k):
+        return pb_pow(field, base if k >= 0 else inverse, abs(k))
+
+    def mpow(m, k):
+        out = e21(zero)
+        step = m if k >= 0 else _pm_inv(field, m)
+        for _ in range(abs(k)):
+            out = _pm_mul(field, out, step)
+        return out
+
+    g, p1, p2 = (tuple(tuple(list(m.entry(i, j).power_coords())
+                             for j in range(2)) for i in range(2))
+                 for m in triple.matrices())
+    h = scale(triple.h, one)
+    a = pb_pow(field, list(triple.alpha_in_K.power_coords()), triple.h)
+    a_inv = pb_inverse(field, a)
+    case2 = triple.case_info.case == 2
+    if case2:
+        delta = list(triple.case_info.cm.sqrt_minus_d.power_coords())
+        tau = scale(triple.h, delta)
+    else:
+        tau = h
+    failed = []
+
+    def check(ok, name, instance):
+        if not ok:
+            failed.append((name, instance))
+
+    for m, name in ((g, "gamma"), (p1, "psi1"), (p2, "psi2")):
+        check(_pm_det(field, m) == one, "determinant", {"matrix": name})
+    check(_pm_mul(field, p1, p2) != _pm_mul(field, p2, p1),
+          "non-commutation", {"matrices": ["psi1", "psi2"]})
+    p1_pows = {s: mpow(p1, s) for s in s_range}
+    p2_pows = {s: mpow(p2, s) for s in s_range}
+    for r in r_range:
+        gr, grm = mpow(g, r), mpow(g, -r)
+        a2r = power(a, a_inv, 2 * r)
+        a2r_inv = power(a, a_inv, -2 * r)
+        for s in s_range:
+            lhs = _pm_mul(field, gr, _pm_mul(field, p1_pows[s], grm))
+            check(lhs == e21(scale(s, pb_mul(field, h, a2r_inv))),
+                  "gamma^r psi1^s gamma^-r", {"r": r, "s": s})
+            lhs = _pm_mul(field, gr, _pm_mul(field, p2_pows[s], grm))
+            check(lhs == e12(scale(s, pb_mul(field, tau, a2r))),
+                  "gamma^r psi2^s gamma^-r", {"r": r, "s": s})
+    if not case2:
+        return failed
+
+    t = pb_inverse(field, tau)
+    u = e21(t)
+    w = ((one, t), (zero, pb_inverse(field, delta)))
+    # h^2 d with d = -sqrt(-d)^2
+    h2d = scale(-triple.h * triple.h, pb_mul(field, delta, delta))
+    for s in s_range:
+        x = scale(s, h)
+        c = pb_mul(field, h2d, x)
+        check(_pm_conj(field, p2, e21(x)) == _pm_conj(field, u, e12(c)),
+              "psi2 E21 psi2^-1 = u E12 u^-1", {"s": s})
+        check(_pm_conj(field, p1, e12(pb_mul(field, x, delta)))
+              == _pm_conj(field, w, e21(c)),
+              "psi1 E12 psi1^-1 = w E21 w^-1", {"s": s})
+    h_inv = pb_inverse(field, h)
+    for N in n_range:
+        gN, gNm = mpow(g, N), mpow(g, -N)
+        one_minus = [x - y for x, y in zip(one, power(a, a_inv, 2 * N))]
+        lhs = _pm_mul(field, u, _pm_mul(field, gNm,
+                                        _pm_mul(field, _pm_inv(field, u), gN)))
+        check(lhs == e21(pb_mul(field, one_minus, t)),
+              "u gamma^-N u^-1 gamma^N", {"N": N})
+        lhs = _pm_mul(field, w, _pm_mul(field, gN,
+                                        _pm_mul(field, _pm_inv(field, w), gNm)))
+        check(lhs == e12(pb_mul(field, one_minus, h_inv)),
+              "w gamma^N w^-1 gamma^-N", {"N": N})
+    return failed
 
 
 # ---------------------------------------------------------------------------

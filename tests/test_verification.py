@@ -6,7 +6,7 @@ import pytest
 
 from sgen2.errors import (ConfigInvalid, IdentityFailed, NotInLattice,
                           PrimeInS, ResidueFieldTooLarge, VerificationFailure)
-from sgen2.field import create_field
+from sgen2.field import NumberField, create_field
 from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice, hnf
@@ -68,13 +68,103 @@ def test_case2_n_identity_value():
     assert lhs.entry(1, 0).serialize() == ["0", "-3/4"]
 
 
+def tampered(t, **changes):
+    """The triple t with some fields replaced."""
+    return type(t)(**{k: changes.get(k, getattr(t, k)) for k in t.__slots__})
+
+
+def h2_tampering():
+    # the matrices of h = 1 under the certificate of h = 2
+    return tampered(triple(rational_two), h=2)
+
+
 def test_identity_suite_rejects_tampering():
-    t = triple(rational_two)
-    bad = type(t)(field=t.field, S=t.S, h=2, case_info=t.case_info,
-                  alpha_cert=t.alpha_cert, alpha_in_K=t.alpha_in_K,
-                  gamma=t.gamma, psi1=t.psi1, psi2=t.psi2)
+    with pytest.raises(IdentityFailed):
+        identity_suite(h2_tampering(), WINDOW, WINDOW, N_RANGE)
+
+
+def test_identity_windows_oracle_agrees():
+    # the window products, multiplied out by the oracle, hold wherever
+    # the shape argument passes, in both cases and at h = 2, and both
+    # reject the h = 2 tampering
+    cases = 0
+    for make, h in [(make, 1) for make in ALL] + [(sqrt5_two, 2)]:
+        t = triple(make, h)
+        assert oracles.identity_windows(t, WINDOW, WINDOW, N_RANGE) == [], \
+            (make.__name__, h)
+        assert identity_suite(t, WINDOW, WINDOW, N_RANGE)["passed"]
+        cases |= 1 << t.case_info.case
+    assert cases == 0b110
+    bad = h2_tampering()
+    assert oracles.identity_windows(bad, WINDOW, WINDOW, N_RANGE)
     with pytest.raises(IdentityFailed):
         identity_suite(bad, WINDOW, WINDOW, N_RANGE)
+
+
+def rows_of(t, rows):
+    return type(t.gamma)(t.field, rows)
+
+
+def test_run_verification_rejects_negated_gamma():
+    # -gamma has determinant 1 and conjugates exactly as gamma does
+    for make in ALL:
+        t = triple(make)
+        neg = tuple(tuple(-x for x in r) for r in t.gamma.rows)
+        with pytest.raises(IdentityFailed) as err:
+            run_verification(tampered(t, gamma=rows_of(t, neg)),
+                             VERIFY_DEFAULTS, 0, "search")
+        assert err.value.instance == {"matrix": "gamma"}, make.__name__
+
+
+def test_run_verification_rejects_doubled_psi2():
+    # psi2 = E12(2h) still satisfies every conjugation identity read off
+    # its own entry
+    for make in ALL:
+        t = triple(make)
+        if t.case_info.case != 1:
+            continue
+        k = t.field
+        psi2 = rows_of(t, ((k.one, k.from_rational(2 * t.h)),
+                           (k.zero, k.one)))
+        with pytest.raises(IdentityFailed) as err:
+            run_verification(tampered(t, psi2=psi2), VERIFY_DEFAULTS, 0,
+                             "search")
+        assert err.value.instance == {"matrix": "psi2"}, make.__name__
+
+
+def test_run_verification_names_a_misshapen_matrix():
+    t = triple(gaussian_five)
+    k = t.field
+    (a, _), (_, d) = t.gamma.rows
+    upper = rows_of(t, ((a, k.one), (k.zero, d)))
+    # determinant 1, lower-left entry h, but not unipotent
+    h = k.from_rational(t.h)
+    twisted = rows_of(t, ((-k.one, k.zero), (h, -k.one)))
+    for name, mat in (("gamma", upper), ("psi1", twisted)):
+        with pytest.raises(IdentityFailed) as err:
+            run_verification(tampered(t, **{name: mat}), VERIFY_DEFAULTS, 0,
+                             "search")
+        assert err.value.instance == {"matrix": name}
+
+
+def test_identity_suite_work_is_independent_of_the_windows(monkeypatch):
+    t = triple(gaussian_two)
+    calls = 0
+    ib_mul = NumberField.ib_mul
+
+    def counted(self, u, v):
+        nonlocal calls
+        calls += 1
+        return ib_mul(self, u, v)
+
+    monkeypatch.setattr(NumberField, "ib_mul", counted)
+    counts = []
+    for window in (range(0, 1), range(-50, 51)):
+        calls = 0
+        rep = identity_suite(t, window, window, N_RANGE)
+        counts.append(calls)
+        assert rep["exponent_identities"] == 4 + 2 * len(window) ** 2
+    assert 0 < counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
