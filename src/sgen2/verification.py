@@ -11,7 +11,8 @@ Four independent checks, each falsifiable on its own:
     alpha certificate's index table read in case 1, and checks the
     Lagrange containments they imply.
   * elementary_witness writes a requested elementary matrix as an
-    explicit word in the triple and evaluates the word exactly.
+    explicit word in the triple and evaluates the word exactly through
+    the shapes _shape proves.
   * modp_surjectivity takes the triple reduced modulo an admissible prime
     (reduce_triple, once per prime) and counts the generated subgroup of
     SL2 of the residue field as the orbit of the row vector (1, 0) times
@@ -29,7 +30,7 @@ from .errors import (ConfigInvalid, IdentityFailed, InvariantViolated,
                      NotInLattice, PrimeInS, ResidueFieldTooLarge,
                      VerificationFailure)
 from .field import FieldElement, integer_rows
-from .generators import m2_det, m2_eq, m2_identity, m2_inv, m2_mul
+from .generators import m2_det, m2_eq, m2_inv, m2_mul
 from .ideals import factor_rational_prime, valuation
 from .linalg import RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat
 from .polys import is_prime, prime_divisors
@@ -291,25 +292,27 @@ def elementary_witness(triple, x, side):
     contributes c h a^{2j}.  The upper side runs on tau a^{2j} with
     conjugator powers of the opposite sign.  Raises NotInLattice when x
     is outside every stage up to J_BOUND.
+
+    The word is evaluated through the shapes _shape proves here rather
+    than by multiplying matrices: gamma = diag(a, a^-1) gives gamma^j
+    E21(y) gamma^-j = E21(a^-2j y) and gamma^j E12(y) gamma^-j =
+    E12(a^2j y), and E(u) E(v) = E(u + v), so the word is E(sum of c
+    scale a^(2|j|)) and is exact when that sum is x.
     """
-    field = triple.field
-    a2 = triple.gamma.entry(0, 0) ** 2
+    a, tau = _shape(triple)
     if side == "lower":
-        unit_scale = field.from_rational(triple.h)
-        base_mat = triple.psi1
-        make = _e21
+        scale = triple.field.from_rational(triple.h)
         sign = -1
     elif side == "upper":
-        unit_scale = triple.psi2.entry(0, 1)
-        base_mat = triple.psi2
-        make = _e12
+        scale = tau
         sign = 1
     else:
         raise ValueError("side must be 'lower' or 'upper'")
 
+    a2 = a * a
     coeffs = None
     stage = None
-    span = PowerSpan(a2, unit_scale)
+    span = PowerSpan(a2, scale)
     for J in range(J_BOUND + 1):
         _, int_rows = integer_rows(span.elements(J) + [x])
         H, T, kernel = hnf_with_transform(int_rows[:-1])
@@ -322,16 +325,13 @@ def elementary_witness(triple, x, side):
         raise NotInLattice(
             f"target entry is outside stage {J_BOUND} of the witness module")
 
-    word = [(sign * j, c) for j, c in enumerate(coeffs) if c]
-    gamma = triple.gamma
-    acc_rows = m2_identity(field)
-    for j, c in word:
-        letter = ((gamma ** j) * (base_mat ** c) * (gamma ** -j)).rows
-        acc_rows = m2_mul(acc_rows, letter)
-    target = make(field, x)
-    if not m2_eq(acc_rows, target):
+    total = triple.field.zero
+    for c in reversed(coeffs):
+        total = total * a2 + c
+    if total * scale != x:
         raise VerificationFailure("witness word does not evaluate to the target")
-    return Witness(side, x, word, stage)
+    return Witness(side, x, [(sign * j, c) for j, c in enumerate(coeffs) if c],
+                   stage)
 
 
 # ---------------------------------------------------------------------------
@@ -505,54 +505,60 @@ def image_order(R, mats):
     first row (1, 0) and determinant 1, so it is E21(c) and the
     stabilizer is the additive subgroup of R spanned by these c.  The
     walk needs no inverse generators, because a finite group is also
-    generated by its generators as a monoid.  The work is O(q^2) table
-    lookups, where enumerating the group would cost q(q^2 - 1).
+    generated by its generators as a monoid.  The orbit walk always runs
+    to the end; the Schreier generators are read only until their span
+    is all of R, which no stabilizer can exceed, so both counts stay
+    exact.  The work is O(q^2) table lookups, where enumerating the
+    group would cost q(q^2 - 1).
     """
     q = R.q
     mul = R.mul_table
     add = R.add_table
     neg = R.neg_table
+    # (x, y) s = (x a + y c, x b + y d), built one row x at a time over
+    # the pairs (y c, y d), which depend on the generator alone
     row_maps = []
     for (ma, mb), (mc, md) in mats:
-        tab = [0] * (q * q)
-        for x in range(q):
-            xa = mul[x][ma]
-            xb = mul[x][mb]
-            for y in range(q):
-                tab[x * q + y] = (add[xa][mul[y][mc]] * q
-                                  + add[xb][mul[y][md]])
+        cols = list(zip([m[mc] for m in mul], [m[md] for m in mul]))
+        tab = []
+        for m in mul:
+            xa = add[m[ma]]
+            xb = add[m[mb]]
+            tab += [xa[yc] * q + xb[yd] for yc, yd in cols]
         row_maps.append(tab)
 
+    # second[v] is the second row of T_v, or -1 off the orbit so far
     start = R.one * q + R.zero
-    second = {start: R.zero * q + R.one}
+    second = [-1] * (q * q)
+    second[start] = R.zero * q + R.one
     frontier = [start]
     for v in frontier:
         w = second[v]
         for tab in row_maps:
             u = tab[v]
-            if u not in second:
+            if second[u] < 0:
                 second[u] = tab[w]
                 frontier.append(u)
 
     # T_v s has rows (vs, x) and T_{vs} has rows (vs, y); the second row
-    # of T_v s T_{vs}^-1 is (x0 y1 - x1 y0, 1).
-    shifts = set()
-    for v, w in second.items():
+    # of T_v s T_{vs}^-1 is (x0 y1 - x1 y0, 1).  An additive subgroup H
+    # of R is an F_p-space, so H + <c> is the union of the cosets H + k c
+    # for k < p; once H is all of R no Schreier generator can add to it.
+    stab = {R.zero}
+    for v in frontier:
+        if len(stab) == q:
+            break
+        w = second[v]
         for tab in row_maps:
             x0, x1 = divmod(tab[w], q)
             y0, y1 = divmod(second[tab[v]], q)
-            shifts.add(add[mul[x0][y1]][neg[mul[x1][y0]]])
-
-    # an additive subgroup H of R is an F_p-space, so H + <c> is the
-    # union of the cosets H + k c for k < p
-    stab = {R.zero}
-    for c in shifts:
-        if c not in stab:
-            coset = stab
-            for _ in range(R.p - 1):
-                coset = {add[x][c] for x in coset}
-                stab = stab | coset
-    return len(second), len(stab)
+            c = add[mul[x0][y1]][neg[mul[x1][y0]]]
+            if c not in stab:
+                coset = stab
+                for _ in range(R.p - 1):
+                    coset = {add[x][c] for x in coset}
+                    stab = stab | coset
+    return len(frontier), len(stab)
 
 
 def modp_surjectivity(R, mats):
@@ -612,12 +618,12 @@ def run_verification(triple, verify, seed, n_select):
                                           range(s_lo, s_hi + 1), n_range)
 
     field = triple.field
-    a2 = triple.gamma.entry(0, 0) ** 2
+    a, tau = _shape(triple)
+    a2 = a * a
     rng = random.Random(seed)
     witnesses = []
     for side in ("lower", "upper"):
-        scale = (field.from_rational(triple.h) if side == "lower"
-                 else triple.psi2.entry(0, 1))
+        scale = field.from_rational(triple.h) if side == "lower" else tau
         for _ in range(verify["witness_samples"] // 2):
             x = field.zero
             pw = scale

@@ -12,7 +12,7 @@ from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice, hnf
 from sgen2.polys import primes_below
 from sgen2.sunits import PrimeSet, element_lattice
-from sgen2 import verification
+from sgen2 import generators, verification
 from sgen2.verification import (VERIFY_DEFAULTS, ResidueField,
                                 admissible_primes, elementary_witness,
                                 ideal_ladder, identity_suite, image_order,
@@ -275,6 +275,60 @@ def test_witness_evaluates_on_quadratic():
             assert total == x
 
 
+def test_witness_rejects_a_misshapen_triple():
+    # the word is read through the shapes, so elementary_witness proves
+    # them itself: -gamma and psi1 = E21(2h) conjugate exactly as the
+    # constructed matrices do, but are not the constructed matrices
+    for make in (rational_two, gaussian_five):
+        t = triple(make)
+        k = t.field
+        neg = rows_of(t, tuple(tuple(-x for x in r) for r in t.gamma.rows))
+        psi1 = rows_of(t, ((k.one, k.zero), (k.from_rational(2 * t.h), k.one)))
+        for name, mat in (("gamma", neg), ("psi1", psi1)):
+            for side in ("lower", "upper"):
+                with pytest.raises(IdentityFailed) as err:
+                    elementary_witness(tampered(t, **{name: mat}), k.one, side)
+                assert err.value.instance == {"matrix": name}, \
+                    (make.__name__, side)
+
+
+def test_witness_rejects_a_wrong_sum(monkeypatch):
+    # a solve that misses the target is caught by the exact sum
+    t = triple(gaussian_five)
+    k = t.field
+    monkeypatch.setattr(verification, "_canonical_coeffs",
+                        lambda kernel, sol: [c + 1 for c in sol])
+    with pytest.raises(VerificationFailure):
+        elementary_witness(t, k.one, "lower")
+
+
+def test_witness_makes_no_matrix_products(monkeypatch):
+    t = triple(gaussian_five)
+    k = t.field
+    calls = {"m2_pow": 0, "m2_mul": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(generators, "m2_pow",
+                        counted("m2_pow", generators.m2_pow))
+    monkeypatch.setattr(verification, "m2_mul",
+                        counted("m2_mul", verification.m2_mul))
+    a2 = t.alpha_in_K ** 2
+    words = 0
+    for x in (k.one + a2 * 3, a2 * a2 * 2 - k.one, k.from_rational(t.h)):
+        for side in ("lower", "upper"):
+            words += len(elementary_witness(t, x, side).word)
+    assert words > 0 and calls == {"m2_pow": 0, "m2_mul": 0}
+    # both counters see the calls they are meant to see
+    t.gamma ** 2
+    identity_suite(t, WINDOW, WINDOW, N_RANGE)
+    assert calls["m2_pow"] == 1 and calls["m2_mul"] > 0
+
+
 def test_witness_serialize():
     t = triple(rational_two)
     w = elementary_witness(t, t.field.from_rational(Fraction(5, 4)), "upper")
@@ -527,6 +581,7 @@ def test_image_order_proper_subgroups():
     (p3,) = factor_rational_prime(k9, 3)
     F9 = ResidueField(k9, p3, 100)
     i = F9.reduce_element(k9.theta)
+    g = F9.reduce_element(k9.one + k9.theta)  # of order 8
     cases = [
         (F5, mats_over(F5, k5, e21, torus), (4, 5)),     # lower Borel
         (F5, mats_over(F5, k5, e12, torus), (20, 1)),    # upper Borel
@@ -536,6 +591,13 @@ def test_image_order_proper_subgroups():
         # E21 of the whole of F_9, spanned by two additive generators
         (F9, mats_over(F9, k9, e21) + [((F9.one, F9.zero), (i, F9.one))],
          (1, 9)),
+        # a lower Borel of F_9: the first orbit point already spans the
+        # whole stabilizer, and the orbit walk must still reach all of
+        # (F_9^*, 0)
+        (F9, mats_over(F9, k9, e21) + [((F9.one, F9.zero), (i, F9.one)),
+                                       ((g, F9.zero),
+                                        (F9.zero, F9.inv_table[g]))],
+         (8, 9)),
     ]
     for R, mats, expect in cases:
         assert image_order(R, mats) == expect, (R.q, expect)
