@@ -21,7 +21,7 @@ import json
 import sys
 import time
 
-from .errors import ConfigInvalid, SgenError
+from .errors import ConfigInvalid, DatasheetInvalid, SgenError
 from .field import create_field, format_rational, parse_rational
 from .generators import build_generators, classify_case
 from .ideals import factor_rational_prime
@@ -86,7 +86,8 @@ def load_config(path):
 
 
 def validate_config(cfg):
-    """Normalize a raw config dict, rejecting anything out of shape."""
+    """Normalize a raw config dict, rejecting anything out of shape; the
+    result is the report's instance echo, generator coordinates as strings."""
     _require(isinstance(cfg, dict), "config must be a JSON object")
     allowed = {"field", "S", "h", "N", "verify", "seed"}
     unknown = set(cfg) - allowed
@@ -130,15 +131,11 @@ def validate_config(cfg):
             gen = sel["generator"]
             _require(isinstance(gen, list) and gen,
                      f"S[{k}].select.generator must be a nonempty list")
-            coords = []
-            for c in gen:
-                try:
-                    coords.append(parse_rational(c))
-                except (ValueError, TypeError):
-                    raise ConfigInvalid(
-                        f"S[{k}].select.generator has a non-rational "
-                        f"entry: {c!r}") from None
-            sel = {"generator": coords}
+            try:
+                sel = {"generator": [format_rational(parse_rational(c))
+                                     for c in gen]}
+            except DatasheetInvalid as e:
+                raise ConfigInvalid(f"S[{k}].select.generator: {e}") from None
         else:
             raise ConfigInvalid(
                 f"S[{k}].select must be \"all\", {{\"index\": i}} or "
@@ -194,7 +191,7 @@ def resolve_prime_set(field, entries):
                      f"{len(factors)} primes above it")
             chosen.append(factors[i])
         else:
-            coords = list(sel["generator"])
+            coords = [parse_rational(c) for c in sel["generator"]]
             _require(len(coords) <= field.degree,
                      f"S[{k}]: generator has more than {field.degree} "
                      f"coordinates")
@@ -206,27 +203,6 @@ def resolve_prime_set(field, entries):
                      f"primes above {ent['p']}, need exactly 1")
             chosen.append(matches[0])
     return PrimeSet(field, chosen)
-
-
-def _echo_select(sel):
-    if sel == "all":
-        return "all"
-    if "index" in sel:
-        return {"index": sel["index"]}
-    return {"generator": [format_rational(c) for c in sel["generator"]]}
-
-
-def instance_echo(cfg):
-    return {
-        "field": {"poly": cfg["field"]["poly"],
-                  "datasheet": cfg["field"]["datasheet"]},
-        "S": [{"p": e["p"], "select": _echo_select(e["select"])}
-              for e in cfg["S"]],
-        "h": cfg["h"],
-        "N": cfg["N"],
-        "seed": cfg["seed"],
-        "verify": cfg["verify"],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +260,7 @@ def run_instance(cfg, command):
     report = {
         "schema": 1,
         "command": command,
-        "instance": instance_echo(cfg),
+        "instance": cfg,
         "analysis": analysis_section(field, S, info),
     }
     if command != "analyze":

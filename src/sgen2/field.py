@@ -19,11 +19,14 @@ split, and the inverse of the integral basis (power-basis coordinates
 to integral-basis ones) is solved once per field, which also checks
 that the basis is nonsingular and contains Z[t].
 
+The irreducibility screen proves f irreducible above degree 3 by a prime
+mod which factor_mod_p returns one simple factor, else asserts it.
 Degree <= 2 fields get their integral basis and discriminant computed
 from scratch.  A quadratic field is then its discriminant D and its
 second basis element omega = (D mod 2 + sqrt D) / 2: the squarefree
-core m, sqrt(m) and, for real fields, the fundamental unit (one
-continued-fraction period over D) are read off these two.  Higher
+core m, sqrt(m), omega's minimal polynomial and, for real fields, the
+fundamental unit (one continued-fraction period over D) are read off
+these two.  Higher
 degree fields must supply a datasheet carrying the integral basis and
 the other global data that cannot be recomputed here.  Everything a
 datasheet asserts is either verified exactly on load or verified at
@@ -365,6 +368,14 @@ class NumberField:
         D = self.field_discriminant
         return D if D % 2 else D // 4
 
+    def omega_minpoly(self):
+        """For degree 2: (constant, linear coefficient) of x^2 - r x +
+        (r - D) / 4, the minimal polynomial of omega = (r + sqrt D) / 2,
+        r = D mod 2 (Cohen, GTM 138, 5.2)."""
+        D = self.field_discriminant
+        r = D % 2
+        return (r - D) // 4, -r
+
     def sqrt_disc_core(self):
         """For degree 2: the element sqrt(m), m the squarefree core; that
         is 2 omega - 1 when D = m is odd, omega itself when D = 4m."""
@@ -390,7 +401,8 @@ class NumberField:
 # Construction.
 
 def _irreducibility_screen(poly):
-    """"proved" or "asserted"; raises Reducible when a factor is found."""
+    """"proved" or "asserted"; raises Reducible when a factor is found.
+    Above degree 3, "proved" means f is one simple factor mod some p < 100."""
     n = len(poly) - 1
     if n == 1:
         return "proved"
@@ -404,13 +416,8 @@ def _irreducibility_screen(poly):
         # a reducible monic integer quadratic or cubic has an integer root
         return "proved"
     for p in polys.primes_below(100):
-        fp = polys.pp_trim(list(poly), p)
-        if polys.degree(fp) != n:
-            continue
-        d = polys.pp_gcd(fp, polys.pp_trim(polys.pderiv(fp), p), p)
-        if polys.degree(d) != 0:
-            continue
-        if polys.is_irreducible_mod_p(list(poly), p):
+        fac = polys.factor_mod_p(list(poly), p)
+        if len(fac) == 1 and fac[0][1] == 1:
             return "proved"
     return "asserted"
 

@@ -152,7 +152,7 @@ def classify_case(field, S):
     """
     sbasis = s_unit_basis(field, S)
     rank = sbasis.rank
-    ranks = [SubfieldRank(field, S, F) for F in default_subfields(field)]
+    ranks = [SubfieldRank(S, F) for F in default_subfields(field)]
     attained = []
     for sr in ranks:
         if sr.rank > rank:
@@ -228,8 +228,7 @@ def build_generators(field, S, h=1):
     else:
         F = info.case2_subfield
         SF = next(sr.SF for sr in info.subfields if sr.F is F)
-        ranksF = [SubfieldRank(F.subfield, SF, G)
-                  for G in default_subfields(F.subfield)]
+        ranksF = [SubfieldRank(SF, G) for G in default_subfields(F.subfield)]
         cert = choose_alpha(F.subfield, SF, s_unit_basis(F.subfield, SF),
                             ranksF)
         alpha_K = F.map_element(cert.alpha)

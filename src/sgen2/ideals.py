@@ -6,10 +6,11 @@ matrices and sorting by matrix gives a canonical prime ordering.
 
 Prime factorization is complete for degree <= 2 (the maximal order is
 Z[omega], so the splitting of p mirrors the factorization of omega's
-minimal polynomial mod p for every p).  In the datasheet tier the same
-statement needs p coprime to the index of Z[t] in the maximal order;
-the Dedekind criterion detects the bad primes and IndexDivisor reports
-them as out of scope.
+minimal polynomial mod p for every p; NumberField.omega_minpoly reads
+that polynomial off the discriminant, and a square root mod p splits
+it).  In the datasheet tier the same statement needs p coprime to the
+index of Z[t] in the maximal order; the Dedekind criterion detects the
+bad primes and IndexDivisor reports them as out of scope.
 """
 
 from math import isqrt
@@ -149,15 +150,6 @@ def _symmetric_lift(r, p):
     return r if r <= p // 2 else r - p
 
 
-def _omega_minpoly(field):
-    """x^2 - (Tr w) x + N(w) for the second integral basis element."""
-    w = field.basis_element(1)
-    t, s = w.trace(), w.norm()
-    _check_invariant(t.denominator == 1 and s.denominator == 1,
-                     "the second integral basis element is not integral")
-    return int(s), -int(t)  # constant, linear coefficient
-
-
 def factor_rational_prime(field, p):
     """All primes above p, canonically ordered, with e and f attached.
 
@@ -173,7 +165,7 @@ def factor_rational_prime(field, p):
         primes = [PrimeIdeal(field, [[p]], p, 1, 1, (p, field.zero))]
     elif field.tier == "automatic":
         # roots of x^2 + b x + s mod p: none (inert), one double or two
-        s, b = _omega_minpoly(field)
+        s, b = field.omega_minpoly()
         if p == 2:
             roots = [x for x in (0, 1) if (x * x + b * x + s) % 2 == 0]
         else:
@@ -296,17 +288,20 @@ def _principal_generator_quadratic(ideal):
     absolute value, eps the fundamental unit; the box uses a rational
     upper bound for that with a safety factor of 4 on each side.
 
-    The norm is the integer form x^2 + t*x*y + s*y^2 (t, s the trace and
-    norm of w), so for each y the points of norm +-N are the integer
-    roots of a monic quadratic in x.  Of those inside the box, the first
-    in the order (x, |y|, y < 0) that lies in the ideal is returned.
+    The norm is the integer form x^2 + t*x*y + s*y^2, with t = D mod 2
+    and s = (t - D) / 4 the trace and norm of w, so for each y the points
+    of norm +-N are the integer roots of a monic quadratic in x.  Of
+    those inside the box, the first in the order (x, |y|, y < 0) that
+    lies in the ideal is returned.
     """
     field = ideal.field
     N = ideal.norm
+    D = field.field_discriminant
+    t = D % 2
     m = field.quadratic_core()
     if m < 0:
         am = -m
-        if field.field_discriminant % 2:  # omega = (1 + sqrt m)/2
+        if t:  # omega = (1 + sqrt m)/2
             ymax = isqrt(4 * N // am)
         else:
             ymax = isqrt(N // am)
@@ -321,22 +316,21 @@ def _principal_generator_quadratic(ideal):
         B = 4 * (isqrt(int(N * bound) + 1) + 1)
         xmax = B
         ymax = B // isqrt(m) + 1
-    s, minus_t = _omega_minpoly(field)
-    delta = minus_t * minus_t - 4 * s  # the field discriminant
     points = set()
     for y in range(ymax + 1):
         for target in (N, -N):
             # x^2 + t*y*x + s*y^2 - target = 0 has discriminant
-            # delta*y^2 + 4*target, congruent to (t*y)^2 mod 4, so both
-            # roots are integers when it is a square
-            disc = delta * y * y + 4 * target
+            # (t^2 - 4 s) y^2 + 4*target = D*y^2 + 4*target, congruent
+            # to (t*y)^2 mod 4, so both roots are integers when it is a
+            # square
+            disc = D * y * y + 4 * target
             if disc < 0:
                 continue
             r = isqrt(disc)
             if r * r != disc:
                 continue
             for yy in ((y, -y) if y else (0,)):
-                for x in ((minus_t * yy + r) // 2, (minus_t * yy - r) // 2):
+                for x in ((-t * yy + r) // 2, (-t * yy - r) // 2):
                     if 0 <= x <= xmax and (x or yy >= 0):
                         points.add((x, yy))
     for x, y in sorted(points, key=lambda q: (q[0], abs(q[1]), q[1] < 0)):

@@ -5,7 +5,9 @@ an exact factor), and gcds and Sturm chains run on signed primitive
 pseudo-remainders, so no rational arithmetic is needed; only the
 interval endpoints of isolate_real_roots and the bound of sqrt_upper
 are fractions.Fraction.  Mod-p work uses plain ints with a prime
-modulus.  No floating point anywhere.
+modulus; factor_mod_p (Cantor-Zassenhaus) is the one mod-p question,
+and irreducibility mod p is its answer with one factor of multiplicity
+1.  No floating point anywhere.
 """
 
 import random
@@ -238,26 +240,6 @@ def pp_powmod(base, e, mod, m):
     return result
 
 
-def is_irreducible_mod_p(f, p):
-    """Rabin's test; f need not be monic but must be nonconstant."""
-    f = pp_monic(f, p)
-    n = degree(f)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    h = pp_powmod(x, p ** n, f, p)
-    if pp_trim(psub(h, x), p):
-        return False
-    for q in prime_divisors(n):
-        h = pp_powmod(x, p ** (n // q), f, p)
-        g = pp_gcd(psub(h, x), f, p)
-        if degree(g) != 0:
-            return False
-    return True
-
-
 def prime_divisors(n):
     """The distinct primes dividing a positive integer, ascending."""
     out = []
@@ -390,18 +372,14 @@ def factor_mod_p(f, p):
     for g, mult in _squarefree_decomposition(f, p):
         for h, d in _distinct_degree(g, p):
             pieces = [h]
-            done = []
             while pieces:
                 q = pieces.pop()
                 if degree(q) == d:
-                    done.append(q)
+                    out[tuple(q)] = out.get(tuple(q), 0) + mult
                     continue
                 split = _equal_degree_split(q, d, p, rng)
                 rest, _ = pp_divmod(q, split, p)
                 pieces.extend([split, rest])
-            for q in done:
-                key = tuple(q)
-                out[key] = out.get(key, 0) + mult
     return sorted((list(k), v) for k, v in out.items())
 
 

@@ -10,6 +10,10 @@ closed form and the fundamental unit comes from field.fundamental_unit.
 Datasheet fields may declare less (their torsion is taken as +-1),
 which only shrinks the search space, never breaks exactness.
 
+A subfield F is a SubfieldDescriptor, which pairs each prime of F
+above p with the primes of K above it (lying_over); contract_prime_set
+and SubfieldRank both read that one table.
+
 Alpha is selected by exhaustive shell search over exponent vectors,
 rejecting vectors that fall into the rational span of the unit groups
 of intermediate fields (the W test) and vectors that miss a required
@@ -204,9 +208,11 @@ def s_unit_basis(field, S):
 # Subfields.
 
 class SubfieldDescriptor:
-    """A proper subfield F of K given by the image of its generator."""
+    """A proper subfield F of K given by the image of its generator g,
+    with the images 1, g, ..., g^(k-1) of F's power basis (powers) and,
+    per rational prime, the lying-over table, each built once."""
 
-    __slots__ = ("field", "subfield", "embedding")
+    __slots__ = ("field", "subfield", "embedding", "powers", "_lying_over")
 
     def __init__(self, field, subfield, embedding):
         self.field = field
@@ -218,21 +224,34 @@ class SubfieldDescriptor:
             raise NotASubfield(f"degree {k} does not properly divide {n}")
         if embedding.minimal_poly() != subfield.poly:
             raise NotASubfield("embedding does not satisfy the subfield polynomial")
+        self.powers = [embedding ** i for i in range(k)]
+        self._lying_over = {}
 
     def map_element(self, x):
         """Image in K of an element of F (power coordinates evaluated
         at the embedding)."""
         acc = self.field.zero
-        for k_, c in enumerate(x.power_coords()):
+        for g, c in zip(self.powers, x.power_coords()):
             if c:
-                acc = acc + self.embedding ** k_ * c
+                acc = acc + g * c
         return acc
 
-    def is_rationals(self):
-        return self.subfield.degree == 1
-
-    def power_images(self):
-        return [self.embedding ** i for i in range(self.subfield.degree)]
+    def lying_over(self, p):
+        """[(q, primes of K above q)] for the primes q = (p, pi) of F: P
+        lies over q when it contains the image of pi, and every P above p
+        must lie over exactly one q (InvariantViolated otherwise)."""
+        if p not in self._lying_over:
+            table = [(q, self.map_element(q.two_element[1]), [])
+                     for q in factor_rational_prime(self.subfield, p)]
+            for P in factor_rational_prime(self.field, p):
+                below = [Ps for _, pi, Ps in table
+                         if pi.is_zero() or P.contains(pi)]
+                if len(below) != 1:
+                    raise InvariantViolated(
+                        "a K-prime lies over exactly one F-prime")
+                below[0].append(P)
+            self._lying_over[p] = tuple((q, tuple(Ps)) for q, _, Ps in table)
+        return self._lying_over[p]
 
     def serialize(self):
         return {"poly": list(self.subfield.poly),
@@ -262,34 +281,12 @@ def default_subfields(field):
     return field._subfields
 
 
-def contract_prime(prime, F_desc):
-    """The prime of F below a prime of K."""
-    matches = []
-    for q in factor_rational_prime(F_desc.subfield, prime.p):
-        pi = F_desc.map_element(q.two_element[1])
-        if pi.is_zero() or prime.contains(pi):
-            matches.append(q)
-    if len(matches) != 1:
-        raise InvariantViolated("a K-prime lies over exactly one F-prime")
-    return matches[0]
-
-
-def primes_above(field, q, F_desc):
-    """All primes of K over a prime q of the subfield."""
-    pi = F_desc.map_element(q.two_element[1])
-    out = []
-    for P in factor_rational_prime(field, q.p):
-        if pi.is_zero() or P.contains(pi):
-            out.append(P)
-    return out
-
-
 def contract_prime_set(S, F_desc):
-    finite = {}
-    for P in S.finite:
-        q = contract_prime(P, F_desc)
-        finite[q.hnf] = q
-    return PrimeSet(F_desc.subfield, list(finite.values()), min_card=1)
+    """S(F): the primes of F below the finite primes of S."""
+    finite = [q for p in {P.p for P in S.finite}
+              for q, above in F_desc.lying_over(p)
+              if any(S.contains(P) for P in above)]
+    return PrimeSet(F_desc.subfield, finite, min_card=1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +338,8 @@ def is_cm(field):
         return CMStructure(F, F.subfield.from_rational(d),
                            field.from_rational(d), field.sqrt_disc_core())
     for F in default_subfields(field):
-        if F.is_rationals() or 2 * F.subfield.degree != n:
-            continue
-        if F.subfield.signature != (F.subfield.degree, 0):
+        if (2 * F.subfield.degree != n
+                or F.subfield.signature != (F.subfield.degree, 0)):
             continue
         cm = _split_off_sqrt(field, F)
         if cm is not None:
@@ -357,18 +353,15 @@ def _split_off_sqrt(field, F_desc):
     coordinates in F."""
     n = field.degree
     k = n // 2
-    g_powers = F_desc.power_images()
+    g_powers = F_desc.powers
     sol = span_solve(g_powers + [field.theta * g for g in g_powers],
                      field.theta * field.theta)
     if sol is None:
         return None
-    w_half = field.zero
-    for c, g in zip(sol[k:], g_powers):
-        if c:
-            w_half = w_half + g * (c / 2)
-    delta = field.theta - w_half
-    if span_solve(g_powers, delta * delta) is None:
-        return None
+    # theta^2 = A + B theta with A, B in F, so delta = theta - B/2 has
+    # delta^2 = A + B^2/4 in F
+    delta = field.theta - F_desc.map_element(
+        F_desc.subfield.element(sol[k:])) / 2
     # clear denominators and content so that delta is a primitive integer
     g = gcd(*delta.num)
     delta = field.from_ib([x // g for x in delta.num])
@@ -393,21 +386,20 @@ class SubfieldRank:
 
     __slots__ = ("F", "SF", "above", "qualifying", "rank")
 
-    def __init__(self, field, S, F_desc):
+    def __init__(self, S, F_desc):
         self.F = F_desc
         self.SF = contract_prime_set(S, F_desc)
-        self.above = [primes_above(field, q, F_desc) for q in self.SF.finite]
+        self.above = [dict(F_desc.lying_over(q.p))[q] for q in self.SF.finite]
         self.qualifying = [q for q, above in zip(self.SF.finite, self.above)
                            if all(S.contains(P) for P in above)]
         r1, r2 = F_desc.subfield.signature
         self.rank = r1 + r2 - 1 + len(self.qualifying)
 
     def unsplit(self):
-        """True when no finite prime of S(F) splits in K (each has a
-        single prime of K above it, necessarily the member of S it came
-        from)."""
-        return (len(self.qualifying) == len(self.above)
-                and all(len(above) == 1 for above in self.above))
+        """True when no finite prime of S(F) splits in K: each has a
+        single prime of K above it, the member of S it came from, so each
+        also qualifies."""
+        return all(len(above) == 1 for above in self.above)
 
     def unit_vectors(self, sbasis):
         """Exponent vectors spanning (over Q) the S-units of K coming
@@ -426,9 +418,9 @@ class SubfieldRank:
         return vectors, labels
 
 
-def rank_of_intersection(field, S, F_desc):
+def rank_of_intersection(S, F_desc):
     """rank of (units of the S(F)-integers of F that remain S-units)."""
-    return SubfieldRank(field, S, F_desc).rank
+    return SubfieldRank(S, F_desc).rank
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +453,6 @@ def exponent_vector(sbasis, w):
     if not (r.is_integral() and abs(r.norm()) == 1):
         raise InvariantViolated("residual must be a unit")
     nf = len(sbasis.fund_units)
-    if nf == 0:
-        if not _is_root_of_unity(field, r):
-            raise SearchExhausted("unit residual is not torsion")
-        return tuple(beta_exps)
     if nf == 1:
         eps = sbasis.fund_units[0]
         for k in range(DLOG_BOUND + 1):

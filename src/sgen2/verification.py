@@ -67,16 +67,23 @@ def _e12(field, x):
 
 
 def _shape(triple):
-    """(a, tau), once gamma = diag(a, a^-1) with a = alpha^h, psi1 = E21(h)
-    and psi2 = E12(tau), tau = h (case 1) or h sqrt(-d) (case 2), are
-    checked exactly: the one place that ties the matrices to the
-    certificate.  IdentityFailed names the first matrix of another shape."""
+    """(a, tau), once alpha_in_K is the certificate's alpha (in case 2 its
+    image in K), gamma = diag(a, a^-1) with a = alpha^h, psi1 = E21(h) and
+    psi2 = E12(tau), tau = h (case 1) or h sqrt(-d) (case 2), are checked
+    exactly: the one place that ties the triple to the certificate, and
+    the source of every a and tau the checks use.  IdentityFailed names
+    alpha_in_K or the first part of another shape."""
     field = triple.field
     h = field.from_rational(triple.h)
-    a = triple.alpha_in_K ** triple.h
+    alpha = triple.alpha_cert.alpha
     tau = h
     if triple.case_info.case == 2:
+        alpha = triple.case_info.case2_subfield.map_element(alpha)
         tau = h * triple.case_info.cm.sqrt_minus_d
+    if triple.alpha_in_K != alpha:
+        raise IdentityFailed("alpha_in_K is not the certificate's alpha",
+                             instance={"alpha": "alpha_in_K"})
+    a = alpha ** triple.h
     shapes = {"gamma": ((a, field.zero), (field.zero, a.inverse())),
               "psi1": _e21(field, h), "psi2": _e12(field, tau)}
     for name, mat in zip(shapes, triple.matrices()):
@@ -180,7 +187,7 @@ def ideal_ladder(triple, n_select):
     field = triple.field
     h = triple.h
     hK = field.from_rational(h)
-    a = triple.alpha_in_K ** h
+    a, _ = _shape(triple)
     a2 = a * a
     sbasis = triple.case_info.sbasis
 
@@ -460,9 +467,9 @@ def admissible_primes(triple, count, bound):
     """
     field = triple.field
     schars = {P.p for P in triple.S.finite}
-    x = triple.gamma.entry(0, 0) ** 2 - field.one
+    a, tau = _shape(triple)
+    x = a * a - field.one
     num = x * x.den
-    tau = triple.psi2.entry(0, 1)
     out = []
     p = 2
     while len(out) < count:

@@ -25,6 +25,11 @@ over exponent windows, with 2x2 products of power-basis coordinates,
 where the library proves them for every exponent from the matrices'
 shapes.
 
+The irreducibility oracle decides whether a polynomial is irreducible
+mod p by trial division by every monic polynomial of degree up to half
+its own, where the library reads the answer off its Cantor-Zassenhaus
+factorization.
+
 The power-basis oracle does field arithmetic on Fraction coordinates in
 1, t, ..., t^(n-1), reducing products by f term by term, where the
 library keeps integer integral-basis numerators and multiplies by
@@ -40,6 +45,7 @@ ring-index union lattice and its determinant cross-check.
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
 
 from sgen2 import linalg, polys
@@ -600,3 +606,30 @@ def principal_generator_box(ideal):
                 if ideal.contains(el):
                     return el
     return None
+
+
+# ---------------------------------------------------------------------------
+# Irreducibility mod p by trial division.
+
+def irreducible_mod_p(f, p):
+    """True iff the nonconstant integer polynomial f is irreducible over
+    F_p: no monic polynomial of degree 1 to n/2 leaves remainder zero
+    (n the degree of f mod p)."""
+    f = [c % p for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    n = len(f) - 1
+    if n < 1:
+        return False
+    for d in range(1, n // 2 + 1):
+        for low in product(range(p), repeat=d):
+            g = list(low) + [1]
+            rem = list(f)
+            for k in range(n - d, -1, -1):
+                c = rem[k + d]
+                if c:
+                    for i, b in enumerate(g):
+                        rem[k + i] = (rem[k + i] - c * b) % p
+            if not any(rem):
+                return False
+    return True

@@ -40,7 +40,7 @@ def test_criterion_1_example_i(capsys):
     info = classify_case(field, S)
     sb = info.sbasis
     fq = default_subfields(field)[0]
-    ri = rank_of_intersection(field, S, fq)
+    ri = rank_of_intersection(S, fq)
     dt = time.monotonic() - t0
     ok = (S.card == 2 and sb.rank == 1 and ri == 1 and info.case == 2
           and dt < 1.0)

@@ -229,6 +229,22 @@ def test_prime_selection_by_index_and_generator(tmp_path):
     assert rep2["instance"]["S"][0]["select"] == {"generator": ["1", "2"]}
 
 
+def test_generator_echo_is_normalized(tmp_path, capsys):
+    # the validated config is the echo: generator coordinates come back
+    # as normalized rational strings, and a non-rational one is a config
+    # error
+    cfg = {"field": {"poly": [1, 0, 1]},
+           "S": [{"p": 5, "select": {"generator": ["2/2", 2]}}]}
+    code, rep = run(tmp_path, cfg, "analyze")
+    assert code == 0
+    assert rep["instance"]["S"][0]["select"] == {"generator": ["1", "2"]}
+    cfg["S"][0]["select"]["generator"] = ["x"]
+    code, _ = run(tmp_path, cfg, "analyze")
+    assert code == 1
+    assert ("error: ConfigInvalid: S[0].select.generator: not a rational"
+            in capsys.readouterr().err)
+
+
 def test_alpha_command_sections(tmp_path):
     code, rep = run(tmp_path, GAUSSIAN_TWO, "alpha")
     assert code == 0

@@ -5,7 +5,7 @@ from math import gcd
 import oracles
 import pytest
 
-from sgen2 import linalg, polys
+from sgen2 import field, linalg, polys
 from sgen2.errors import (DatasheetInvalid, DatasheetRequired, DivisionByZero,
                           NotMonic, Reducible)
 from sgen2.field import (create_field, format_rational, fundamental_unit,
@@ -175,6 +175,27 @@ def test_datasheet_field_zeta5():
     g = k.element([-1, 0, -2, -2])
     assert g * g == k.from_rational(5)
     assert unit * 2 - 1 == g
+
+
+def test_irreducibility_screen_reads_one_factor_mod_p():
+    # Phi_5 is irreducible mod 2; x^4 + 1 is irreducible over Q but
+    # splits mod every prime, so no prime proves it
+    assert field._irreducibility_screen([1, 1, 1, 1, 1]) == "proved"
+    assert field._irreducibility_screen([1, 0, 0, 0, 1]) == "asserted"
+
+
+def test_omega_minpoly_is_norm_and_minus_trace():
+    # omega's minimal polynomial read off D agrees with the norm and
+    # trace of the second integral basis element
+    checked = 0
+    for d in range(-60, 61):
+        if d in (0, 1) or polys.squarefree_part(d) != d:
+            continue
+        k = create_field([-d, 0, 1])
+        w = k.basis_element(1)
+        assert k.omega_minpoly() == (w.norm(), -w.trace()), d
+        checked += 1
+    assert checked == 73
 
 
 def test_datasheet_rejects_bad_basis():

@@ -6,6 +6,8 @@ import pytest
 from sgen2 import polys
 from sgen2.errors import InvariantViolated
 
+import oracles
+
 
 def _rand_poly(rng, deg, lead):
     return [rng.randint(-9, 9) for _ in range(deg)] + [lead]
@@ -121,13 +123,23 @@ def test_isolation_exact_rational_root():
     assert lo < 1 < hi
 
 
+def one_factor(f, p):
+    """Irreducibility mod p as the field screen reads it: factor_mod_p
+    returns one factor of multiplicity 1."""
+    fac = polys.factor_mod_p(f, p)
+    return len(fac) == 1 and fac[0][1] == 1
+
+
 def test_irreducible_mod_p():
-    assert polys.is_irreducible_mod_p([1, 1, 1], 2)        # x^2+x+1 mod 2
-    assert not polys.is_irreducible_mod_p([1, 0, 1], 2)    # (x+1)^2 mod 2
-    assert polys.is_irreducible_mod_p([1, 0, 1], 3)        # x^2+1 mod 3
-    assert not polys.is_irreducible_mod_p([1, 0, 1], 5)
-    assert polys.is_irreducible_mod_p([1, 1, 0, 0, 1], 2)  # x^4+x+1 mod 2
-    assert not polys.is_irreducible_mod_p([1, 0, 0, 0, 1], 7)  # x^4+1 never irred
+    for f, p, irreducible in (
+            ([1, 1, 1], 2, True),            # x^2+x+1 mod 2
+            ([1, 0, 1], 2, False),           # (x+1)^2 mod 2
+            ([1, 0, 1], 3, True),            # x^2+1 mod 3
+            ([1, 0, 1], 5, False),
+            ([1, 1, 0, 0, 1], 2, True),      # x^4+x+1 mod 2
+            ([1, 0, 0, 0, 1], 7, False)):    # x^4+1 never irreducible
+        assert one_factor(f, p) == irreducible, (f, p)
+        assert oracles.irreducible_mod_p(f, p) == irreducible, (f, p)
 
 
 def test_factor_mod_p_recomposes():
@@ -139,7 +151,7 @@ def test_factor_mod_p_recomposes():
             prod = [1]
             for g, mult in fac:
                 assert g[-1] == 1
-                assert polys.is_irreducible_mod_p(g, p)
+                assert oracles.irreducible_mod_p(g, p)
                 for _ in range(mult):
                     prod = polys.pp_mul(prod, g, p)
             assert prod == polys.pp_monic(f, p)

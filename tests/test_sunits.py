@@ -160,7 +160,8 @@ def test_basis_valuations_recomputed():
 def test_rational_subfield_maps_constants():
     k = create_field([1, 0, 1])
     F = rational_subfield(k)
-    assert F.is_rationals
+    assert F.subfield.degree == 1
+    assert F.powers == [k.one]
     img = F.map_element(F.subfield.from_rational(Fraction(3, 7)))
     assert img == k.from_rational(Fraction(3, 7))
 
@@ -194,22 +195,46 @@ def test_contraction():
     assert SQ.card == 1 and not SQ.finite
 
 
+def test_lying_over_partitions_the_primes_above_p():
+    # Q(i) over Q at the ramified 2, the inert 3 and the split 5, and
+    # Q(zeta5) over Q(sqrt 5) at the ramified 5 and the split 11
+    k = create_field([1, 0, 1])
+    kz, _ = zeta5_nofinite()
+    shapes = {}
+    for F, p in ((rational_subfield(k), 2), (rational_subfield(k), 3),
+                 (rational_subfield(k), 5), (default_subfields(kz)[1], 5),
+                 (default_subfields(kz)[1], 11)):
+        table = F.lying_over(p)
+        assert [q for q, _ in table] == list(
+            factor_rational_prime(F.subfield, p))
+        listed = [P for _, above in table for P in above]
+        assert sorted(P.hnf for P in listed) == sorted(
+            P.hnf for P in factor_rational_prime(F.field, p))
+        index = F.field.degree // F.subfield.degree
+        for q, above in table:
+            assert sum(P.e * P.f for P in above) == index * q.e * q.f
+        shapes[(F.field.degree, p)] = [len(above) for _, above in table]
+        assert F.lying_over(p) is table
+    assert shapes == {(2, 2): [1], (2, 3): [1], (2, 5): [2], (4, 5): [1],
+                      (4, 11): [2, 2]}
+
+
 def test_rank_of_intersection_goldens():
     k, S = gaussian_two()
-    assert rank_of_intersection(k, S, rational_subfield(k)) == 1
+    assert rank_of_intersection(S, rational_subfield(k)) == 1
 
     k, S = gaussian_five()
-    assert rank_of_intersection(k, S, rational_subfield(k)) == 1
+    assert rank_of_intersection(S, rational_subfield(k)) == 1
 
     k, S = sqrt2_seven()
     # the other prime above 7 is outside S, so (7) does not qualify
-    assert rank_of_intersection(k, S, rational_subfield(k)) == 0
+    assert rank_of_intersection(S, rational_subfield(k)) == 0
 
     k, S = sqrt5_two()
-    assert rank_of_intersection(k, S, rational_subfield(k)) == 1
+    assert rank_of_intersection(S, rational_subfield(k)) == 1
 
     kz, Sz = zeta5_nofinite()
-    ranks = {tuple(F.subfield.poly): rank_of_intersection(kz, Sz, F)
+    ranks = {tuple(F.subfield.poly): rank_of_intersection(Sz, F)
              for F in default_subfields(kz)}
     assert ranks == {(-1, 1): 0, (-5, 0, 1): 1}
 
@@ -263,7 +288,7 @@ def test_exponent_vector_with_fundamental_part():
 def test_subfield_unit_vectors_sqrt5():
     k, S = sqrt5_two()
     sb = s_unit_basis(k, S)
-    vecs, labels = SubfieldRank(k, S, rational_subfield(k)).unit_vectors(sb)
+    vecs, labels = SubfieldRank(S, rational_subfield(k)).unit_vectors(sb)
     # 2 = beta * omega^-1, so the span of units from Q is (-1, 1)
     assert vecs == [(Fraction(-1), Fraction(1))]
     assert labels[0]["kind"] == "subfield_class_generator"
@@ -272,7 +297,7 @@ def test_subfield_unit_vectors_sqrt5():
 def test_subfield_unit_vectors_sqrt2_empty():
     k, S = sqrt2_seven()
     sb = s_unit_basis(k, S)
-    vecs, _ = SubfieldRank(k, S, rational_subfield(k)).unit_vectors(sb)
+    vecs, _ = SubfieldRank(S, rational_subfield(k)).unit_vectors(sb)
     assert vecs == []
 
 

@@ -147,6 +147,47 @@ def test_run_verification_names_a_misshapen_matrix():
         assert err.value.instance == {"matrix": name}
 
 
+def with_cert_alpha(t, alpha):
+    """The triple t whose certificate claims alpha instead."""
+    c = t.alpha_cert
+    cert = type(c)(**{k: getattr(c, k) for k in c.__slots__})
+    cert.alpha = alpha
+    return tampered(t, alpha_cert=cert)
+
+
+def assert_alpha_tampering_rejected(makes, powers):
+    for make in makes:
+        t = triple(make)
+        honest = run_verification(t, VERIFY_DEFAULTS, 0, "search")
+        assert honest["passed"], make.__name__
+        alpha = t.alpha_cert.alpha
+        for bad in powers(alpha):
+            with pytest.raises(IdentityFailed) as err:
+                run_verification(with_cert_alpha(t, bad), VERIFY_DEFAULTS,
+                                 0, "search")
+            assert err.value.instance == {"alpha": "alpha_in_K"}, \
+                (make.__name__, bad)
+
+
+def test_run_verification_rejects_a_case1_certificate_alpha():
+    # case 1 builds every matrix from alpha_in_K, so a certificate whose
+    # alpha is alpha^2 would pass every other check
+    for make in (gaussian_five, sqrt2_seven, rational_two):
+        assert triple(make).case_info.case == 1
+    assert_alpha_tampering_rejected(
+        (gaussian_five, sqrt2_seven, rational_two), lambda a: [a * a])
+
+
+def test_run_verification_rejects_a_case2_certificate_alpha():
+    # the F-side ladder reads the certificate's alpha; on zeta5 alpha^2
+    # moved it to m = 3, N = 2, M = 8100 and the triple still passed
+    for make in (gaussian_two, gaussian_three, zeta5_nofinite):
+        assert triple(make).case_info.case == 2
+    assert_alpha_tampering_rejected(
+        (gaussian_two, gaussian_three, zeta5_nofinite),
+        lambda a: [a * a, a * a * a, -a])
+
+
 def test_identity_suite_work_is_independent_of_the_windows(monkeypatch):
     t = triple(gaussian_two)
     calls = 0
