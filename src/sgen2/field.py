@@ -28,13 +28,17 @@ core m, sqrt(m), omega's minimal polynomial and, for real fields, the
 fundamental unit (one continued-fraction period over D) are read off
 these two.  Higher
 degree fields must supply a datasheet carrying the integral basis and
-the other global data that cannot be recomputed here.  Everything a
-datasheet asserts is either verified exactly on load or verified at
-first use.  Three quantities are accepted as asserted: the two that
-cannot be checked without analytic input (multiplicative independence
-of the declared units, minimality of declared class orders), and the
-maximality of the order the declared basis spans, which is checked to
-be an order but not to be maximal (ROADMAP item 6).
+the other global data that cannot be recomputed here.  create_field is
+the one reader of a sheet: it checks every entry's shape (each
+coordinate list holds exactly n rationals) and keeps the units,
+subfields and class orders as typed sheet_ attributes of the field.
+Everything a datasheet asserts is verified exactly on load (a unit of
+finite order is rejected) or at first use (a class order, when its
+ideal enters S).  Three quantities are accepted as asserted: the two
+that cannot be checked without analytic input (multiplicative
+independence of the declared units, minimality of declared class
+orders), and the maximality of the order the declared basis spans,
+which is checked to be an order but not to be maximal (ROADMAP item 6).
 """
 
 from fractions import Fraction
@@ -251,7 +255,7 @@ def span_solve(elements, x):
 
 class NumberField:
     def __init__(self, poly, integral_basis, signature, field_discriminant,
-                 tier, irreducibility, datasheet=None):
+                 tier, irreducibility):
         self.poly = tuple(int(c) for c in poly)
         self.degree = len(self.poly) - 1
         self.integral_basis = tuple(tuple(Fraction(x) for x in row) for row in integral_basis)
@@ -259,7 +263,11 @@ class NumberField:
         self.field_discriminant = field_discriminant
         self.tier = tier
         self.irreducibility = irreducibility
-        self.datasheet = datasheet
+        # what a datasheet declares, read once by create_field: units,
+        # (subfield, embedding) pairs, and ideal HNF -> (order, generator)
+        self.sheet_units = ()
+        self.sheet_subfields = ()
+        self.sheet_class_orders = {}
         n = self.degree
         # the integral basis as integer rows _ib_rows over one denominator
         # _ib_den, and its inverse
@@ -444,26 +452,15 @@ def _quadratic_integral_data(poly):
     return basis, disc
 
 
-def _validate_datasheet_shape(ds):
-    if not isinstance(ds, dict):
-        raise DatasheetInvalid("datasheet must be an object")
-    allowed = {"integral_basis", "fundamental_units", "subfields", "class_orders"}
-    extra = set(ds) - allowed
-    if extra:
-        raise DatasheetInvalid(f"unknown datasheet keys: {sorted(extra)}")
-    if "integral_basis" not in ds:
-        raise DatasheetInvalid("datasheet lacks integral_basis")
-
-
 def create_field(poly, datasheet=None):
     """Build a NumberField from a monic integer polynomial.
 
-    Degree 1 and 2 need no datasheet.  Higher degrees require one; its
-    integral basis is verified (unit first row, contains Z[t], closed
-    under multiplication, nonsingular trace Gram with determinant of the
-    right sign).  The Gram is integral without a check: integer structure
-    constants make the basis span an order, whose elements have integer
-    traces.
+    Degree 1 and 2 need no datasheet.  Higher degrees require one, read
+    here and nowhere else.  Its integral basis is verified (unit first
+    row, contains Z[t], closed under multiplication, nonsingular trace
+    Gram with determinant of the right sign).  The Gram is integral
+    without a check: integer structure constants make the basis span an
+    order, whose elements have integer traces.
     """
     try:
         coeffs = [Fraction(c) for c in poly]
@@ -489,32 +486,29 @@ def create_field(poly, datasheet=None):
         basis = [(Fraction(1),)]
         disc = 1
         tier = "automatic"
-        ds_norm = None
     elif n == 2:
         basis, disc = _quadratic_integral_data(poly)
         tier = "automatic"
-        ds_norm = None
     else:
         if datasheet is None:
             raise DatasheetRequired(f"degree {n} needs a datasheet")
-        _validate_datasheet_shape(datasheet)
-        datasheet = dict(datasheet)  # never mutate caller data
-        basis = []
-        raw = datasheet["integral_basis"]
-        if not (isinstance(raw, list) and len(raw) == n):
-            raise DatasheetInvalid("integral_basis must have one row per degree")
-        for row in raw:
-            if not (isinstance(row, list) and len(row) == n):
-                raise DatasheetInvalid("integral_basis rows must have length n")
-            basis.append(tuple(parse_rational(x) for x in row))
-        if basis[0] != tuple([Fraction(1)] + [Fraction(0)] * (n - 1)):
-            raise DatasheetInvalid("first basis row must be 1")
+        if not (isinstance(datasheet, dict) and "integral_basis" in datasheet):
+            raise DatasheetInvalid("datasheet must be an object with an "
+                                   "integral_basis")
+        extra = set(datasheet) - {"integral_basis", "fundamental_units",
+                                  "subfields", "class_orders"}
+        if extra:
+            raise DatasheetInvalid(f"unknown datasheet keys: {sorted(extra)}")
+        basis = [tuple(_sheet_row(row, "an integral_basis row", n))
+                 for row in _sheet_list(datasheet, "integral_basis")]
+        if (len(basis) != n
+                or basis[0] != tuple([Fraction(1)] + [Fraction(0)] * (n - 1))):
+            raise DatasheetInvalid("integral_basis must have one row per "
+                                   "degree, the first one 1")
         disc = None  # computed from the trace Gram below
         tier = "datasheet"
-        ds_norm = datasheet
 
-    field = NumberField(poly, basis, sig, disc, tier, irreducibility,
-                        datasheet=ds_norm)
+    field = NumberField(poly, basis, sig, disc, tier, irreducibility)
 
     gram_det = linalg.int_det(field.trace_gram())
     if gram_det == 0:
@@ -526,52 +520,77 @@ def create_field(poly, datasheet=None):
     if (field.field_discriminant < 0) != (sig[1] % 2 == 1):
         raise DatasheetInvalid("discriminant sign inconsistent with signature")
 
-    if ds_norm is not None:
-        _validate_datasheet_content(field, ds_norm)
+    if tier == "datasheet":
+        _read_sheet(field, datasheet)
     return field
 
 
-def _validate_datasheet_content(field, ds):
+def _sheet_list(ds, key, keys=None):
+    """ds[key] or []: a list, of objects with exactly these keys if given."""
+    entries = ds.get(key, [])
+    if not (isinstance(entries, list) and (keys is None or all(
+            isinstance(e, dict) and set(e) == keys for e in entries))):
+        raise DatasheetInvalid(f"{key} must be a list" + (
+            f" of objects with exactly the keys {sorted(keys)}" if keys else ""))
+    return entries
+
+
+def _sheet_row(v, what, n=None, integers=False):
+    """A list of n (any number if n is None) rationals, or of integers."""
+    if not (isinstance(v, list) and len(v) == (n or len(v))
+            and (not integers or all(type(c) is int for c in v))):
+        raise DatasheetInvalid(f"{what} must be a list of {f'{n} ' if n else ''}"
+                               f"{'integers' if integers else 'rationals'}")
+    return v if integers else [parse_rational(c) for c in v]
+
+
+def _read_sheet(field, ds):
+    """Check the sheet's units, subfields and class orders on the built
+    field and keep them as its sheet_ attributes.  An embedding with the
+    declared minimal polynomial makes the subfield's degree divide n."""
     n = field.degree
-    units = ds.get("fundamental_units", [])
-    if not isinstance(units, list):
-        raise DatasheetInvalid("fundamental_units must be a list")
+    for raw in _sheet_list(ds, "fundamental_units"):
+        u = field.element(_sheet_row(raw, "a fundamental unit", n))
+        if not u.is_integral() or abs(u.norm()) != 1:
+            raise DatasheetInvalid(f"not a unit: {raw}")
+        # a root of unity of order k in degree n has sqrt(k / 2) <= phi(k)
+        # <= n, and its powers have every conjugate of absolute value 1
+        power = u
+        for _ in range(2 * n * n):
+            if power == field.one:
+                raise DatasheetInvalid(f"unit {raw} has finite order")
+            if abs(power.trace()) > n:
+                break
+            power = power * u
+        field.sheet_units += (u,)
     expected = field.signature[0] + field.signature[1] - 1
-    if len(units) != expected:
-        raise DatasheetInvalid(
-            f"expected {expected} fundamental units, got {len(units)}")
-    parsed_units = []
-    for u in units:
-        el = field.element([parse_rational(x) for x in u])
-        if not el.is_integral() or abs(el.norm()) != 1:
-            raise DatasheetInvalid(f"not a unit: {u}")
-        parsed_units.append(el)
-    ds["fundamental_units"] = parsed_units
+    if len(field.sheet_units) != expected:
+        raise DatasheetInvalid(f"expected {expected} fundamental units, "
+                               f"got {len(field.sheet_units)}")
 
-    subs = ds.get("subfields", [])
-    if not isinstance(subs, list):
-        raise DatasheetInvalid("subfields must be a list")
-    for s in subs:
-        if not isinstance(s, dict) or set(s) - {"poly", "embedding"} or \
-                "poly" not in s or "embedding" not in s:
-            raise DatasheetInvalid("subfield entries need poly and embedding")
-        g = field.element([parse_rational(x) for x in s["embedding"]])
-        mp = g.minimal_poly()
-        declared = [int(c) for c in s["poly"]]
-        if list(mp) != declared:
+    for s in _sheet_list(ds, "subfields", {"poly", "embedding"}):
+        sub_poly = _sheet_row(s["poly"], "a subfield poly", integers=True)
+        g = field.element(_sheet_row(s["embedding"], "a subfield embedding", n))
+        if list(g.minimal_poly()) != sub_poly:
             raise DatasheetInvalid(
-                f"embedding does not satisfy the declared polynomial {s['poly']}")
-        if (len(declared) - 1) == 0 or n % (len(declared) - 1):
-            raise DatasheetInvalid("subfield degree must divide the field degree")
+                f"embedding does not satisfy the declared polynomial {sub_poly}")
+        field.sheet_subfields += ((create_field(sub_poly), g),)
 
-    orders = ds.get("class_orders", [])
-    if not isinstance(orders, list):
-        raise DatasheetInvalid("class_orders must be a list")
-    for entry in orders:
-        if not isinstance(entry, dict) or set(entry) != {"ideal", "order", "generator"}:
-            raise DatasheetInvalid("class_orders entries need ideal, order, generator")
-        if not isinstance(entry["order"], int) or entry["order"] < 1:
-            raise DatasheetInvalid("class order must be a positive integer")
+    orders = field.sheet_class_orders
+    for e in _sheet_list(ds, "class_orders", {"ideal", "order", "generator"}):
+        hnf = tuple(linalg.hnf([_sheet_row(r, "a class_orders ideal row", n,
+                                           integers=True)
+                                for r in _sheet_list(e, "ideal")]))
+        if len(hnf) != n or hnf in orders:
+            raise DatasheetInvalid("each class_orders ideal must have full "
+                                   "rank and be listed once")
+        gen = field.element(_sheet_row(e["generator"],
+                                       "a class_orders generator", n))
+        if (type(e["order"]) is not int or e["order"] < 1 or gen.is_zero()
+                or not gen.is_integral()):
+            raise DatasheetInvalid("a class order must be a positive integer "
+                                   "and its generator a nonzero integral element")
+        orders[hnf] = (e["order"], gen)
 
 
 # ---------------------------------------------------------------------------

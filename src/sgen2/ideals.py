@@ -19,7 +19,7 @@ from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
                      IndexDivisor, InvariantViolated, OrderBoundExceeded,
                      ZeroElement)
-from .field import FieldElement, fundamental_unit, parse_rational
+from .field import FieldElement, fundamental_unit
 
 # Largest power a tried by class_order before giving up.
 CLASS_ORDER_BOUND = 10000
@@ -351,9 +351,9 @@ def class_order(ideal):
     """Smallest a >= 1 with ideal^a principal, plus a verified generator.
 
     Automatic tier: exhaustive, so minimality is proved.  Datasheet
-    tier: the declared order is verified to be an order (the power is
-    principal with the declared generator); its minimality is taken on
-    faith from the datasheet.
+    tier: the field's sheet_class_orders entry for the ideal is verified
+    to be an order of at most CLASS_ORDER_BOUND (the power is principal
+    with the declared generator); its minimality is taken on faith.
     """
     field = ideal.field
     if field.tier == "automatic":
@@ -368,16 +368,14 @@ def class_order(ideal):
         raise OrderBoundExceeded(
             f"no principal power up to {CLASS_ORDER_BOUND}")
 
-    ds = field.datasheet or {}
-    for entry in ds.get("class_orders", []):
-        declared = IntegralIdeal(field, entry["ideal"])
-        if declared == ideal:
-            a = entry["order"]
-            gen = field.element([parse_rational(x) for x in entry["generator"]])
-            if not (ideal ** a == IntegralIdeal.principal(field, gen)):
-                raise DatasheetInvalid(
-                    f"declared class order {a} is not witnessed by the generator")
-            return ClassOrderWitness(ideal, a, gen, False)
-    raise DatasheetRequired(
-        f"no class_orders entry for the ideal with HNF {[list(r) for r in ideal.hnf]}")
+    entry = field.sheet_class_orders.get(ideal.hnf)
+    if entry is None:
+        raise DatasheetRequired(
+            f"no class_orders entry for the ideal with HNF {[list(r) for r in ideal.hnf]}")
+    a, gen = entry
+    if not (a <= CLASS_ORDER_BOUND
+            and ideal ** a == IntegralIdeal.principal(field, gen)):
+        raise DatasheetInvalid(f"declared class order {a} is above "
+                               f"{CLASS_ORDER_BOUND} or not witnessed")
+    return ClassOrderWitness(ideal, a, gen, False)
 

@@ -36,9 +36,8 @@ from math import gcd, lcm
 from .errors import (CardinalityTooSmall, HypothesisFails,
                      InvariantViolated, NotASubfield, NotStabilized,
                      SearchExhausted)
-from .field import (RATIONALS, create_field, format_rational,
-                    fundamental_unit, integer_rows, parse_rational,
-                    span_solve)
+from .field import (RATIONALS, format_rational, fundamental_unit,
+                    integer_rows, span_solve)
 from .ideals import class_order, factor_rational_prime, valuation
 from .linalg import RatLattice, hnf
 from .polys import count_roots_in, root_bound, sturm_chain
@@ -161,13 +160,7 @@ class SUnitBasis:
 
 
 def _fund_units_of(F):
-    if F.degree == 1:
-        return []
-    if F.tier == "datasheet":
-        return list(F.datasheet["fundamental_units"])
-    if F.is_quadratic_real():
-        return [fundamental_unit(F)]
-    return []
+    return [fundamental_unit(F)] if F.is_quadratic_real() else list(F.sheet_units)
 
 
 def s_unit_basis(field, S):
@@ -271,12 +264,8 @@ def default_subfields(field):
     Built once per field and kept on it."""
     if field._subfields is None:
         out = [rational_subfield(field)] if field.degree > 1 else []
-        if field.tier == "datasheet":
-            for entry in field.datasheet.get("subfields", []):
-                emb = field.element([parse_rational(x)
-                                     for x in entry["embedding"]])
-                sub = create_field([int(c) for c in entry["poly"]])
-                out.append(SubfieldDescriptor(field, sub, emb))
+        out += [SubfieldDescriptor(field, sub, emb)
+                for sub, emb in field.sheet_subfields]
         field._subfields = tuple(out)
     return field._subfields
 

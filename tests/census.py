@@ -1,0 +1,139 @@
+"""Census of small instances: `verify` on every row, each outcome compared
+with the frozen table tests/census_expected.json.
+
+    PYTHONPATH=src python3 tests/census.py            # check the table
+    PYTHONPATH=src python3 tests/census.py --freeze   # rewrite it
+
+Each row runs in-process through cli.main, stopped after LIMIT_S seconds.
+Its outcome is the exit code and the error class that cli.main names on
+stderr: [0, null] for a report, [null, "Timeout"] past the limit.  The
+file is not collected by the tier-1 suite.
+
+The table keeps today's failures as failures.  A fix flips its rows to
+exit 0 in the same change; no row may go from exit 0 to another code,
+and the grid is never shrunk to drop a failing row.
+"""
+
+import contextlib
+import io
+import json
+import os
+import signal
+import sys
+import tempfile
+import time
+
+from sgen2 import cli
+
+from test_field import ZETA5_CLASS_ORDER, ZETA5_DATASHEET
+
+EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "census_expected.json")
+LIMIT_S = 5
+PRIME_SETS = [(2,), (3,), (5,), (7,), (2, 3), (2, 5), (3, 5), (2, 7)]
+IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+IDENTITY_4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def _squarefree(d):
+    return all(d % (p * p) for p in range(2, abs(d) + 1))
+
+
+def _config(poly, primes, datasheet=None):
+    field = {"poly": poly}
+    if datasheet is not None:
+        field["datasheet"] = datasheet
+    return {"field": field, "S": [{"p": p} for p in primes]}
+
+
+def rows():
+    """(name, config) for every census row, in a fixed order."""
+    out = []
+    for d in range(-60, 61):
+        if d in (0, 1) or not _squarefree(d):
+            continue
+        for primes in PRIME_SETS:
+            out.append((f"Q(sqrt {d}) over {','.join(map(str, primes))}",
+                        _config([-d, 0, 1], primes)))
+    zeta5 = [1, 1, 1, 1, 1]
+    out += [
+        ("zeta5_nofinite", _config(zeta5, (), ZETA5_DATASHEET)),
+        ("Q(cbrt 2), unit t - 1",
+         _config([-2, 0, 0, 1], (), {"integral_basis": IDENTITY_3,
+                                     "fundamental_units": [[-1, 1, 0]]})),
+        ("x^4 + 16 on 1, t, t^2, t^3",
+         _config([16, 0, 0, 0, 1], (),
+                 {"integral_basis": IDENTITY_4,
+                  "fundamental_units": [[577, 204, 0, -51]]})),
+        ("Q(i) over 5,13,17,29,37,41,53,61",
+         _config([1, 0, 1], (5, 13, 17, 29, 37, 41, 53, 61))),
+        ("zeta5 over 5, class order declared",
+         _config(zeta5, (5,), dict(ZETA5_DATASHEET,
+                                   class_orders=[ZETA5_CLASS_ORDER]))),
+        ("zeta5, unit zeta5",
+         _config(zeta5, (), dict(ZETA5_DATASHEET,
+                                 fundamental_units=[[0, 1, 0, 0]]))),
+        ("zeta5, unit -1",
+         _config(zeta5, (), dict(ZETA5_DATASHEET,
+                                 fundamental_units=[[-1, 0, 0, 0]]))),
+    ]
+    return out
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _on_alarm(_signum, _frame):
+    raise _Timeout
+
+
+def outcome(cfg, workdir):
+    """[exit code, error class or None] of `verify` on cfg."""
+    path = os.path.join(workdir, "config.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    err = io.StringIO()
+    signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--config", path])
+    except _Timeout:
+        return [None, "Timeout"]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    names = [line.split(":")[1].strip() for line in err.getvalue().splitlines()
+             if line.startswith("error: ")]
+    return [code, names[0] if names else None]
+
+
+def main(argv):
+    signal.signal(signal.SIGALRM, _on_alarm)
+    started = time.monotonic()
+    got = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, cfg in rows():
+            got[name] = outcome(cfg, workdir)
+    elapsed = time.monotonic() - started
+    if "--freeze" in argv:
+        with open(EXPECTED, "w") as fh:
+            fh.write("{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}"
+                                        for k, v in got.items()) + "\n}\n")
+    with open(EXPECTED) as fh:
+        expected = json.load(fh)
+    tally = {}
+    for code, error in got.values():
+        key = f"exit {code}" + (f" {error}" if error else "")
+        tally[key] = tally.get(key, 0) + 1
+    print(f"{len(got)} rows in {elapsed:.1f}s: "
+          + ", ".join(f"{n} {k}" for k, n in sorted(tally.items(), key=str)))
+    bad = [f"{name}: expected {expected.get(name)}, got {got.get(name)}"
+           for name in sorted(set(expected) | set(got))
+           if expected.get(name) != got.get(name)]
+    print("\n".join(bad) or "every row matches the frozen table")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,7 +14,7 @@ from collections import Counter
 
 from sgen2 import cli, generators, ideals, sunits
 from sgen2 import field as field_module
-from test_field import ZETA5_DATASHEET
+from test_field import ZETA5_CLASS_ORDER, ZETA5_DATASHEET, zeta5_with
 
 RATIONAL_TWO = {"field": {"poly": [0, 1]}, "S": [{"p": 2}]}
 GAUSSIAN_TWO = {"field": {"poly": [1, 0, 1]}, "S": [{"p": 2}]}
@@ -363,6 +363,51 @@ def test_datasheet_field_through_cli(tmp_path):
     info = a["classification"]
     assert info["case"] == 2
     assert info["cm"]["subfield"]["poly"] == [-5, 0, 1]
+
+
+def zeta5_config(sheet, primes=(5,)):
+    return {"field": {"poly": [1, 1, 1, 1, 1], "datasheet": sheet},
+            "S": [{"p": p} for p in primes]}
+
+
+def test_malformed_datasheet_exits_1_without_traceback(tmp_path, capsys):
+    # a unit that is not a list and an ideal that is not a list crashed
+    # on first use, and zeta5 and -1 (norm 1, finite order) were taken as
+    # fundamental units; all four now end at load
+    for sheet in (dict(ZETA5_DATASHEET, fundamental_units=[5]),
+                  zeta5_with("class_orders", ideal=5),
+                  dict(ZETA5_DATASHEET, fundamental_units=[[0, 1, 0, 0]]),
+                  dict(ZETA5_DATASHEET, fundamental_units=[[-1, 0, 0, 0]])):
+        for command in ("analyze", "verify"):
+            code, _ = run(tmp_path, zeta5_config(sheet), command)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "error: DatasheetInvalid" in err and "Traceback" not in err
+
+
+def test_datasheet_class_order_path(tmp_path, capsys):
+    # Q(zeta5) over 5: the prime above 5 is (1 - t), declared of order 1
+    cfg = zeta5_config(dict(ZETA5_DATASHEET, class_orders=[ZETA5_CLASS_ORDER]))
+    for command in ("analyze", "alpha", "generate", "verify"):
+        code, rep = run(tmp_path, cfg, command)
+        assert code == 0, command
+        assert rep["analysis"]["classification"]["case"] == 2
+        assert rep["analysis"]["s_units"]["s_generators"] == [
+            {"element": ["1", "-1", "0", "0"], "class_order": 1,
+             "minimal_verified": False}]
+    # a wrong order is caught by the principal-power check, an order
+    # past ideals.CLASS_ORDER_BOUND before any power is formed, and a
+    # missing entry asks for the sheet
+    started = time.monotonic()
+    for sheet, error in ((zeta5_with("class_orders", order=2),
+                          "DatasheetInvalid"),
+                         (zeta5_with("class_orders", order=20000),
+                          "DatasheetInvalid"),
+                         (ZETA5_DATASHEET, "DatasheetRequired")):
+        code, _ = run(tmp_path, zeta5_config(sheet), "analyze")
+        assert code == 1
+        assert f"error: {error}" in capsys.readouterr().err
+    assert time.monotonic() - started < 2
 
 
 def test_examples_command(tmp_path):

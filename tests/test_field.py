@@ -169,12 +169,27 @@ def test_datasheet_field_zeta5():
     assert k.irreducibility == "proved"
     z = k.theta
     assert z ** 5 == k.one
-    unit = k.datasheet["fundamental_units"][0]
+    (unit,) = k.sheet_units
     assert abs(unit.norm()) == 1
     # unit is (1 + sqrt 5)/2 under the declared embedding of sqrt 5
     g = k.element([-1, 0, -2, -2])
     assert g * g == k.from_rational(5)
     assert unit * 2 - 1 == g
+
+
+def test_datasheet_read_once_into_typed_attributes():
+    sheet = dict(ZETA5_DATASHEET, class_orders=[ZETA5_CLASS_ORDER])
+    k = create_field([1, 1, 1, 1, 1], datasheet=sheet)
+    assert k.sheet_units == (k.element([0, 0, -1, -1]),)
+    ((sub, emb),) = k.sheet_subfields
+    assert sub.poly == (-5, 0, 1) and emb == k.element([-1, 0, -2, -2])
+    hnf = tuple(tuple(r) for r in ZETA5_CLASS_ORDER["ideal"])
+    assert k.sheet_class_orders == {hnf: (1, k.element([1, -1, 0, 0]))}
+    # the caller's sheet is left as it was
+    assert sheet["fundamental_units"] == [[0, 0, -1, -1]]
+    q = create_field([-2, 1])
+    assert (q.sheet_units, q.sheet_subfields, q.sheet_class_orders) == \
+        ((), (), {})
 
 
 def test_irreducibility_screen_reads_one_factor_mod_p():
@@ -198,6 +213,51 @@ def test_omega_minpoly_is_norm_and_minus_trace():
     assert checked == 73
 
 
+# the prime above 5 in Q(zeta5), in integral-basis rows, generated by 1 - t
+ZETA5_CLASS_ORDER = {"ideal": [[1, 0, 0, 4], [0, 1, 0, 4], [0, 0, 1, 4],
+                               [0, 0, 0, 5]],
+                     "order": 1, "generator": [1, -1, 0, 0]}
+
+
+def zeta5_with(key, **entry):
+    """The Q(zeta5) sheet with its one subfield or class-order entry
+    changed."""
+    base = {"subfields": ZETA5_DATASHEET["subfields"][0],
+            "class_orders": ZETA5_CLASS_ORDER}[key]
+    return dict(ZETA5_DATASHEET, **{key: [dict(base, **entry)]})
+
+
+# Sheets that load must reject: each coordinate list holds exactly n = 4
+# rationals, polynomials and ideal rows hold integers (a bool is neither
+# an integer nor an order), an ideal has full rank and is listed once, a
+# class-order generator is a nonzero algebraic integer, and a unit has
+# infinite order.
+MALFORMED_ZETA5_SHEETS = [
+    dict(ZETA5_DATASHEET, fundamental_units=[5]),
+    dict(ZETA5_DATASHEET, fundamental_units=[[0, 0, -1, -1, 0]]),
+    dict(ZETA5_DATASHEET, fundamental_units=[[0, 0, -1]]),
+    dict(ZETA5_DATASHEET, fundamental_units=[[0, 1, 0, 0]]),      # zeta5
+    dict(ZETA5_DATASHEET, fundamental_units=[[-1, 0, 0, 0]]),     # -1
+    zeta5_with("subfields", embedding=5),
+    zeta5_with("subfields", embedding=[-1, 0, -2, -2, 0]),
+    zeta5_with("subfields", poly=["-5/1", 0, 1]),
+    zeta5_with("subfields", poly=[-5.5, 0, 1]),
+    zeta5_with("subfields", poly=[-5, 0, True]),
+    zeta5_with("class_orders", ideal=5),
+    zeta5_with("class_orders", ideal=[[1, 0, 0, 4], [0, 1, 0, 4],
+                                       [0, 0, 1, "4"], [0, 0, 0, 5]]),
+    zeta5_with("class_orders", ideal=[[1, 0, 0, 4], [0, 1, 0, 4],
+                                       [0, 0, 1, 4]]),
+    zeta5_with("class_orders", generator=5),
+    zeta5_with("class_orders", generator=[1, -1, 0]),
+    zeta5_with("class_orders", generator=[1, -1, 0, 0, 0]),
+    zeta5_with("class_orders", generator=[0, 0, 0, 0]),
+    zeta5_with("class_orders", order=True),
+    zeta5_with("class_orders", extra=1),
+    dict(ZETA5_DATASHEET, class_orders=[ZETA5_CLASS_ORDER] * 2),
+]
+
+
 def test_datasheet_rejects_bad_basis():
     bad = dict(ZETA5_DATASHEET, integral_basis=[[1, 0, 0, 0], [0, 2, 0, 0],
                                                 [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -219,6 +279,10 @@ def test_datasheet_rejects_bad_basis():
                                             "embedding": [-1, 0, -2, -2]}])
     with pytest.raises(DatasheetInvalid):
         create_field([1, 1, 1, 1, 1], datasheet=bad)   # wrong minimal poly
+    for sheet in MALFORMED_ZETA5_SHEETS:
+        with pytest.raises(DatasheetInvalid):
+            create_field([1, 1, 1, 1, 1], datasheet=sheet)
+
 
 
 def test_structure_constants_match_direct_products():
