@@ -10,16 +10,18 @@ Five subcommands, each a strict superset of the previous one's work:
 
 All commands except ``examples`` read a JSON config via ``--config``.
 The report is JSON with ``"schema": 1`` written to stdout (or ``--out``)
-and is byte-identical across runs of the same config: anything
-nondeterministic (wall clock) goes to stderr.  Exit codes: 0 success,
-1 malformed input, 2 a hypothesis or search genuinely fails, 3 a
-verification check fails.
+by write_report, in the bytes of ``json.dumps(report, indent=2,
+sort_keys=True)``, and is byte-identical across runs of the same config:
+anything nondeterministic (wall clock) goes to stderr.  Exit codes:
+0 success, 1 malformed input, 2 a hypothesis or search genuinely fails,
+3 a verification check fails.
 """
 
 import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigInvalid, DatasheetInvalid, SgenError
 from .field import create_field, format_rational, parse_rational
@@ -82,6 +84,10 @@ def load_config(path):
         raise ConfigInvalid(f"cannot read config: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigInvalid(f"config is not valid JSON: {e}") from None
+    except (ValueError, RecursionError) as e:
+        # an integer past int's digit limit, or nesting past the
+        # recursion limit
+        raise ConfigInvalid(f"config cannot be read: {e}") from None
     return validate_config(cfg)
 
 
@@ -112,6 +118,17 @@ def validate_config(cfg):
     datasheet = fld.get("datasheet")
     _require(datasheet is None or isinstance(datasheet, dict),
              "datasheet must be an object")
+    # the report echoes the datasheet and write_report writes no float;
+    # create_field reads a sheet only above degree 2, so look at it here
+    nodes = [datasheet]
+    while nodes:
+        node = nodes.pop()
+        _require(not isinstance(node, float), "datasheet numbers must be "
+                 "integers (rationals are \"p/q\" strings)")
+        if isinstance(node, dict):
+            nodes.extend(node.values())
+        elif isinstance(node, list):
+            nodes.extend(node)
 
     _require("S" in cfg, "config needs an S section")
     raw_s = cfg["S"]
@@ -338,6 +355,63 @@ def run_examples():
 
 
 # ---------------------------------------------------------------------------
+# Report writer.
+
+# json.dumps(obj, indent=2, sort_keys=True) runs CPython's pure-Python
+# encoder (the C encoder does not indent); write_report gives the same
+# bytes for the types a report holds, each scalar by the text json.dumps
+# writes for it.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def write_report(obj):
+    """json.dumps(obj, indent=2, sort_keys=True) for dicts with str keys,
+    lists, tuples, str, int, bool and None; TypeError on anything else."""
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, newline, out):
+    """Append obj's text to out; newline is the line break and indent of
+    obj's own level.  Pieces go to one list, joined once, so a deep tree
+    is not copied once per level; one frame per level, as in the encoder
+    of json.dumps, lets it nest as deep."""
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        out.append(scalar(obj))
+        return
+    inner = newline + "  "
+    if type(obj) is dict:
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif type(obj) is list or type(obj) is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"a report holds no {type(obj).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # Entry point.
 
 class _Parser(argparse.ArgumentParser):
@@ -395,7 +469,7 @@ def main(argv=None):
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return e.exit_code
 
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = write_report(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -20,7 +20,8 @@ to integral-basis ones) is solved once per field, which also checks
 that the basis is nonsingular and contains Z[t].
 
 The irreducibility screen proves f irreducible above degree 3 by a prime
-mod which factor_mod_p returns one simple factor, else asserts it.
+mod which f is one simple factor (polys.is_one_simple_factor_mod_p),
+else asserts it.
 Degree <= 2 fields get their integral basis and discriminant computed
 from scratch.  A quadratic field is then its discriminant D and its
 second basis element omega = (D mod 2 + sqrt D) / 2: the squarefree
@@ -219,7 +220,14 @@ class FieldElement:
         return self.den == 1
 
     def serialize(self):
-        return [format_rational(c) for c in self.power_coords()]
+        """format_rational of each power-basis coordinate, in integers."""
+        f = self.field
+        den = self.den * f._ib_den
+        out = []
+        for x in linalg.vec_mat(self.num, f._ib_rows):
+            g = gcd(x, den)
+            out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return out
 
     def __repr__(self):
         terms = []
@@ -424,8 +432,7 @@ def _irreducibility_screen(poly):
         # a reducible monic integer quadratic or cubic has an integer root
         return "proved"
     for p in polys.primes_below(100):
-        fac = polys.factor_mod_p(list(poly), p)
-        if len(fac) == 1 and fac[0][1] == 1:
+        if polys.is_one_simple_factor_mod_p(list(poly), p):
             return "proved"
     return "asserted"
 

@@ -347,6 +347,19 @@ def _principal_generator(ideal):
     return _principal_generator_quadratic(ideal)
 
 
+def _power_by_squaring(ideal, e):
+    """ideal^e for e >= 1 in O(log e) products, caching no power on the
+    ideal (IntegralIdeal.__pow__ keeps every power up to e)."""
+    power, square = None, ideal
+    while True:
+        if e & 1:
+            power = square if power is None else power * square
+        e >>= 1
+        if not e:
+            return power
+        square = square * square
+
+
 def class_order(ideal):
     """Smallest a >= 1 with ideal^a principal, plus a verified generator.
 
@@ -374,7 +387,8 @@ def class_order(ideal):
             f"no class_orders entry for the ideal with HNF {[list(r) for r in ideal.hnf]}")
     a, gen = entry
     if not (a <= CLASS_ORDER_BOUND
-            and ideal ** a == IntegralIdeal.principal(field, gen)):
+            and _power_by_squaring(ideal, a)
+            == IntegralIdeal.principal(field, gen)):
         raise DatasheetInvalid(f"declared class order {a} is above "
                                f"{CLASS_ORDER_BOUND} or not witnessed")
     return ClassOrderWitness(ideal, a, gen, False)

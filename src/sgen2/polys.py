@@ -5,9 +5,10 @@ an exact factor), and gcds and Sturm chains run on signed primitive
 pseudo-remainders, so no rational arithmetic is needed; only the
 interval endpoints of isolate_real_roots and the bound of sqrt_upper
 are fractions.Fraction.  Mod-p work uses plain ints with a prime
-modulus; factor_mod_p (Cantor-Zassenhaus) is the one mod-p question,
-and irreducibility mod p is its answer with one factor of multiplicity
-1.  No floating point anywhere.
+modulus.  factor_mod_p (squarefree, distinct-degree, then
+Cantor-Zassenhaus equal-degree splits) is the one mod-p factorization;
+is_one_simple_factor_mod_p runs only its first two steps.  No floating
+point anywhere.
 """
 
 import random
@@ -381,6 +382,17 @@ def factor_mod_p(f, p):
                 rest, _ = pp_divmod(q, split, p)
                 pieces.extend([split, rest])
     return sorted((list(k), v) for k, v in out.items())
+
+
+def is_one_simple_factor_mod_p(f, p):
+    """Whether factor_mod_p(f, p) is one factor of multiplicity 1 (f
+    irreducible mod p), without its equal-degree splits: f must be
+    squarefree mod p with one distinct-degree part, of degree deg f."""
+    parts = _squarefree_decomposition(f, p)
+    if len(parts) != 1 or parts[0][1] != 1:
+        return False
+    g = parts[0][0]
+    return _distinct_degree(g, p) == [(g, degree(g))]
 
 
 # ---------------------------------------------------------------------------

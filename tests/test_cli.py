@@ -11,6 +11,9 @@ import random
 import sys
 import time
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from sgen2 import cli, generators, ideals, sunits
 from sgen2 import field as field_module
@@ -23,6 +26,8 @@ SQRT5_TWO = {"field": {"poly": [-5, 0, 1]}, "S": [{"p": 2}]}
 # 1728148040 + 140634693 sqrt 151
 SQRT94_FIVE = {"field": {"poly": [-94, 0, 1]}, "S": [{"p": 5}]}
 SQRT151_FIVE = {"field": {"poly": [-151, 0, 1]}, "S": [{"p": 5}]}
+# the benchmark's table of every report it runs, keyed "command config"
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 
 def write_config(tmp_path, cfg):
@@ -111,6 +116,25 @@ def test_unreadable_or_invalid_config_exits_1(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert cli.main(["analyze", "--config", str(broken)]) == 1
+
+
+def test_config_past_json_limits_exits_1_without_traceback(tmp_path,
+                                                          capsys):
+    # json.load raises a plain ValueError for an integer past int's digit
+    # limit and RecursionError for nesting past the recursion limit
+    texts = ['{"field": {"poly": [1, 0, 1], "datasheet": {"x": '
+             + "[" * 100000 + "]" * 100000 + '}}, "S": [{"p": 2}]}']
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        texts.append('{"field": {"poly": [1, 0, 1], "datasheet": {"x": '
+                     + "7" * (limit + 1) + '}}, "S": [{"p": 2}]}')
+    for text in texts:
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli.main(["analyze", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: ConfigInvalid: config cannot be read" in err
+        assert "Traceback" not in err
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -408,6 +432,107 @@ def test_datasheet_class_order_path(tmp_path, capsys):
         assert code == 1
         assert f"error: {error}" in capsys.readouterr().err
     assert time.monotonic() - started < 2
+
+
+def test_datasheet_class_order_bound_checked_by_squaring(tmp_path, capsys,
+                                                         monkeypatch):
+    # the largest declared order accepted costs about 2 log2 of it in
+    # ideal products (a handful more come before class_order), not one
+    # product per power
+    products = Counter()
+    multiply = ideals.IntegralIdeal.__mul__
+
+    def counted(a, b):
+        products["mul"] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(ideals.IntegralIdeal, "__mul__", counted)
+    cfg = zeta5_config(zeta5_with("class_orders",
+                                  order=ideals.CLASS_ORDER_BOUND))
+    code, _ = run(tmp_path, cfg, "analyze")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: DatasheetInvalid" in err and "Traceback" not in err
+    assert 0 < products["mul"] <= 2 * ideals.CLASS_ORDER_BOUND.bit_length()
+
+
+def test_float_in_datasheet_exits_1_without_traceback(tmp_path, capsys):
+    # a report echoes the datasheet, and a float (NaN included) has no
+    # report text; create_field reads no sheet below degree 3, so the
+    # config check refuses it on every field
+    quadratic = {"poly": [1, 0, 1]}
+    configs = [
+        {"field": dict(quadratic, datasheet={"x": 1.5}), "S": [{"p": 2}]},
+        {"field": dict(quadratic, datasheet={"x": [[0, {"y": -2.0}]]}),
+         "S": [{"p": 2}]},
+        {"field": {"poly": [0, 1], "datasheet": {"x": float("nan")}},
+         "S": [{"p": 2}, {"p": 3}]},
+        zeta5_config(zeta5_with("subfields", poly=[-5.5, 0, 1])),
+    ]
+    for cfg in configs:
+        code, _ = run(tmp_path, cfg, "analyze")
+        assert code == 1, cfg
+        err = capsys.readouterr().err
+        assert "error: ConfigInvalid: datasheet numbers" in err
+        assert "Traceback" not in err
+    # a sheet without floats on a quadratic field is still echoed, also
+    # nested 800 deep
+    deep = [1, "1/2", None]
+    for _ in range(800):
+        deep = [deep]
+    cfg = {"field": dict(quadratic, datasheet={"x": deep}), "S": [{"p": 2}]}
+    code, report = run(tmp_path, cfg, "analyze")
+    assert code == 0
+    assert report["instance"]["field"]["datasheet"] == {"x": deep}
+    assert (tmp_path / "report.json").read_text() == dumps(report) + "\n"
+
+
+def dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_report_writer_matches_json_dumps_on_every_golden_report():
+    reports = [cli.run_examples()]
+    for key, entry in json.loads(GOLDEN.read_text())["reports"].items():
+        if entry["exit"] == 0:
+            command, config = key.split(" ", 1)
+            reports.append(cli.run_instance(
+                cli.validate_config(json.loads(config)), command))
+    assert len(reports) == 601
+    assert Counter(r["command"] for r in reports) == {
+        "examples": 1, "analyze": 294, "alpha": 293, "generate": 3,
+        "verify": 10}
+    for report in reports:
+        assert cli.write_report(report) == dumps(report)
+
+
+def test_report_writer_edge_trees():
+    big = 10 ** 299 + 7
+    trees = [
+        {}, [], (), {"a": {}, "b": [], "c": ()},
+        [[], {}, [[]], [{}], ((),)], ("x", (1, ("y",)), [], {}),
+        {"z": [1, {"b": [True, None], "a": ()}], "a": ([], {"y": {}})},
+        {"\u00e9": "\u00fcn\u00ef\u20ac\U0001f600",
+         "ctl": "\x00\x01\x1f\t\n\r\b\f\x7f",
+         "quote": 'say "hi"', "slash": "a\\b/c\\", "": ""},
+        [True, False, 1, 0, None, -1, big, -big],
+        {"t": True, "one": 1, "f": False, "zero": 0, "none": None,
+         "big": big},
+        "top", 0, True, None, big,
+    ]
+    # 800 levels: the writer takes one frame per level, as json.dumps's
+    # encoder does, so it nests as deep
+    deep_list, deep_dict = [1], {"a": None}
+    for _ in range(800):
+        deep_list, deep_dict = [deep_list], {"a": deep_dict}
+    trees += [deep_list, deep_dict]
+    for tree in trees:
+        assert cli.write_report(tree) == dumps(tree)
+    assert len(str(big)) == 300
+    for bad in (1.5, [1, 2.0], {"a": {"b": 0.5}}, ("x", {1, 2}),
+                {1: "a"}, {"a": 1, 2: "b"}, {True: 0}, {("k",): 0}):
+        with pytest.raises(TypeError):
+            cli.write_report(bad)
 
 
 def test_examples_command(tmp_path):

@@ -199,6 +199,45 @@ def test_irreducibility_screen_reads_one_factor_mod_p():
     assert field._irreducibility_screen([1, 0, 0, 0, 1]) == "asserted"
 
 
+def test_irreducibility_screen_needs_no_equal_degree_split(monkeypatch):
+    # Phi_32 = x^16 + 1 splits mod every odd prime into factors of one
+    # degree below 16; the distinct-degree split shows that without
+    # splitting them apart
+    calls = []
+    split = polys._equal_degree_split
+    monkeypatch.setattr(polys, "_equal_degree_split",
+                        lambda *a: calls.append(a) or split(*a))
+    phi32 = [1] + [0] * 15 + [1]
+    assert field._irreducibility_screen(phi32) == "asserted"
+    assert field._irreducibility_screen([1, 1, 1, 1, 1]) == "proved"
+    assert calls == []
+    # the counter is live: factoring Phi_32 mod 3 splits
+    assert len(polys.factor_mod_p(phi32, 3)) > 1 and calls
+
+
+def test_serialize_is_format_rational_of_power_coords():
+    # integer coordinates against the Fraction path, with negative
+    # numerators over denominators from the element and from the
+    # integral basis (Q(sqrt 5)'s omega = (1 + t) / 2)
+    rng = random.Random(18)
+    fields = (QQ(), QI(), create_field([-5, 0, 1]),
+              create_field([1, 1, 1, 1, 1], datasheet=ZETA5_DATASHEET))
+    for k in fields:
+        samples = [k.basis_element(k.degree - 1),
+                   field.FieldElement(k, [-3] * k.degree, 4)]
+        samples += [field.FieldElement(k, [rng.randint(-40, 40)
+                                           for _ in range(k.degree)],
+                                       rng.randint(1, 24))
+                    for _ in range(60)]
+        for x in samples:
+            assert x.serialize() == [format_rational(c)
+                                     for c in x.power_coords()]
+        assert any("/" in c and c.startswith("-")
+                   for x in samples for c in x.serialize())
+    assert create_field([-5, 0, 1]).basis_element(1).serialize() == \
+        ["1/2", "1/2"]
+
+
 def test_omega_minpoly_is_norm_and_minus_trace():
     # omega's minimal polynomial read off D agrees with the norm and
     # trace of the second integral basis element

@@ -5,14 +5,14 @@ from math import isqrt
 import pytest
 
 from sgen2 import ideals, linalg, polys
-from sgen2.errors import (ConfigInvalid, IndexDivisor, OrderBoundExceeded,
-                          ZeroElement)
+from sgen2.errors import (ConfigInvalid, DatasheetInvalid, IndexDivisor,
+                          OrderBoundExceeded, ZeroElement)
 from sgen2.field import create_field
 from sgen2.ideals import (ClassOrderWitness, IntegralIdeal, PrimeIdeal,
                           class_order, factor_rational_prime, valuation)
 
 import oracles
-from test_field import ZETA5_DATASHEET
+from test_field import ZETA5_DATASHEET, zeta5_with
 
 
 def QI():
@@ -215,6 +215,28 @@ def test_valuation_ramified_datasheet():
     (q5,) = factor_rational_prime(k, 5)
     assert valuation(k.from_rational(5), q5) == 4
     assert valuation(k.theta - k.one, q5) == 1  # (zeta - 1) generates the prime
+
+
+def test_datasheet_class_order_checks_the_declared_power():
+    # an order a declared with generator (1 - t)^a holds for each a (its
+    # minimality is taken on faith) and one with (1 - t)^(a + 1) fails;
+    # the check powers by squaring and adds no power to the ideal's cache
+    k0 = create_field([1, 1, 1, 1, 1], datasheet=ZETA5_DATASHEET)
+    for a in range(1, 10):
+        for e in (a, a + 1):
+            gen = [int(c) for c in ((k0.one - k0.theta) ** e).power_coords()]
+            k = create_field([1, 1, 1, 1, 1], datasheet=zeta5_with(
+                "class_orders", order=a, generator=gen))
+            (q5,) = factor_rational_prime(k, 5)
+            cached = list(q5._powers or ())
+            if e == a:
+                w = class_order(q5)
+                assert (w.order, w.minimal_verified) == (a, False)
+                assert w.generator == k.element(gen)
+            else:
+                with pytest.raises(DatasheetInvalid):
+                    class_order(q5)
+            assert list(q5._powers or ()) == cached
 
 
 def test_class_order_principal_cases():

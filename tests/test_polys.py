@@ -124,7 +124,7 @@ def test_isolation_exact_rational_root():
 
 
 def one_factor(f, p):
-    """Irreducibility mod p as the field screen reads it: factor_mod_p
+    """Irreducibility mod p read off the full factorization: factor_mod_p
     returns one factor of multiplicity 1."""
     fac = polys.factor_mod_p(f, p)
     return len(fac) == 1 and fac[0][1] == 1
@@ -139,6 +139,7 @@ def test_irreducible_mod_p():
             ([1, 1, 0, 0, 1], 2, True),      # x^4+x+1 mod 2
             ([1, 0, 0, 0, 1], 7, False)):    # x^4+1 never irreducible
         assert one_factor(f, p) == irreducible, (f, p)
+        assert polys.is_one_simple_factor_mod_p(f, p) == irreducible, (f, p)
         assert oracles.irreducible_mod_p(f, p) == irreducible, (f, p)
 
 
@@ -148,6 +149,9 @@ def test_factor_mod_p_recomposes():
         for _ in range(25):
             f = [rng.randrange(p) for _ in range(rng.randint(2, 7))] + [1]
             fac = polys.factor_mod_p(f, p)
+            # the screen's shortcut agrees with the full factorization
+            assert polys.is_one_simple_factor_mod_p(f, p) == (
+                len(fac) == 1 and fac[0][1] == 1), (f, p)
             prod = [1]
             for g, mult in fac:
                 assert g[-1] == 1
