@@ -4,8 +4,8 @@ arithmetic; no floating point enters any correctness path."""
 
 from .errors import (CardinalityTooSmall, ConfigInvalid, DatasheetInvalid,
                      DatasheetRequired, HypothesisFails, IdentityFailed,
-                     InconsistentCM, NotASubfield, NotInLattice, NotMonic,
-                     NotStabilized, PrimeInS, Reducible, ResidueFieldTooLarge,
+                     InconsistentCM, NotInLattice, NotMonic, NotStabilized,
+                     PrimeInS, Reducible, ResidueFieldTooLarge,
                      SearchExhausted, SgenError, VerificationFailure)
 from .field import FieldElement, NumberField, create_field
 from .ideals import (IntegralIdeal, PrimeIdeal, class_order,
@@ -18,6 +18,7 @@ from .generators import (CaseInfo, GeneratorTriple, SL2Element,
                          build_generators, classify_case)
 from .verification import (ResidueField, Witness, admissible_primes,
                            elementary_witness, ideal_ladder, identity_suite,
-                           modp_surjectivity, reduce_triple, run_verification)
+                           modp_surjectivity, prove_shape, reduce_triple,
+                           run_verification)
 
 __version__ = "0.1.0"

@@ -465,16 +465,18 @@ def main(argv=None):
                         f"{args.N!r}") from None
                 cfg["N"] = _check_n(big_n)
             report = run_instance(cfg, args.command)
+        text = write_report(report) + "\n"
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise ConfigInvalid(f"cannot write report: {e}") from None
+        else:
+            sys.stdout.write(text)
     except SgenError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return e.exit_code
-
-    text = write_report(report) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     elapsed = time.monotonic() - started
     print(f"done in {elapsed:.3f}s", file=sys.stderr)
     return 0

@@ -45,10 +45,6 @@ class IndexDivisor(SgenError):
     exit_code = 1
 
 
-class NotASubfield(SgenError):
-    exit_code = 1
-
-
 class NotInLattice(SgenError):
     exit_code = 1
 

@@ -35,11 +35,13 @@ coordinate list holds exactly n rationals) and keeps the units,
 subfields and class orders as typed sheet_ attributes of the field.
 Everything a datasheet asserts is verified exactly on load (a unit of
 finite order is rejected) or at first use (a class order, when its
-ideal enters S).  Three quantities are accepted as asserted: the two
-that cannot be checked without analytic input (multiplicative
-independence of the declared units, minimality of declared class
-orders), and the maximality of the order the declared basis spans,
-which is checked to be an order but not to be maximal (ROADMAP item 6).
+ideal enters S).  Three quantities are accepted as asserted: the
+multiplicative independence of the declared units, which residue-field
+logs could prove exactly but are not used for yet (ROADMAP item 8;
+only their fundamentality needs a regulator bound), the minimality of
+declared class orders, and the maximality of the order the declared
+basis spans, which is checked to be an order but not to be maximal
+(ROADMAP item 6).
 """
 
 from fractions import Fraction

@@ -122,18 +122,12 @@ class PrimeIdeal(IntegralIdeal):
 
 
 class ClassOrderWitness:
-    __slots__ = ("ideal", "order", "generator", "minimal_verified")
+    __slots__ = ("order", "generator", "minimal_verified")
 
-    def __init__(self, ideal, order, generator, minimal_verified):
-        self.ideal = ideal
+    def __init__(self, order, generator, minimal_verified):
         self.order = order
         self.generator = generator
         self.minimal_verified = minimal_verified
-
-    def serialize(self):
-        return {"order": self.order,
-                "generator": self.generator.serialize(),
-                "minimal_verified": self.minimal_verified}
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +371,7 @@ def class_order(ideal):
                 _check_invariant(IntegralIdeal.principal(field, gen) == power,
                                  "the principal generator does not generate "
                                  "the ideal power")
-                return ClassOrderWitness(ideal, a, gen, True)
+                return ClassOrderWitness(a, gen, True)
         raise OrderBoundExceeded(
             f"no principal power up to {CLASS_ORDER_BOUND}")
 
@@ -391,5 +385,5 @@ def class_order(ideal):
             == IntegralIdeal.principal(field, gen)):
         raise DatasheetInvalid(f"declared class order {a} is above "
                                f"{CLASS_ORDER_BOUND} or not witnessed")
-    return ClassOrderWitness(ideal, a, gen, False)
+    return ClassOrderWitness(a, gen, False)
 

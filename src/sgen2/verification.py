@@ -1,18 +1,19 @@
 """Exact verification of the generating triple.
 
-Four independent checks, each falsifiable on its own:
+run_verification proves the triple's shape once (prove_shape).  The
+Shape is the only input of the checks below, so none of them can run on
+an unproved triple.  Four checks, each falsifiable on its own:
 
-  * identity_suite checks exactly that gamma, psi1 and psi2 have the
-    shapes of the construction, from which the conjugation identities
-    hold for every exponent, and checks each Bruhat-style rewriting
-    identity of the CM case as one matrix equation over K.
+  * identity_suite derives the conjugation identities for every
+    exponent from the proved shapes, and checks each Bruhat-style
+    rewriting identity of the CM case as one matrix equation over K.
   * ideal_ladder recomputes the ring indices behind the elementary
     subgroup argument on the levels of the S-unit basis, the ones the
     alpha certificate's index table read in case 1, and checks the
     Lagrange containments they imply.
   * elementary_witness writes a requested elementary matrix as an
     explicit word in the triple and evaluates the word exactly through
-    the shapes _shape proves.
+    the proved shapes.
   * modp_surjectivity takes the triple reduced modulo an admissible prime
     (reduce_triple, once per prime) and counts the generated subgroup of
     SL2 of the residue field as the orbit of the row vector (1, 0) times
@@ -66,13 +67,29 @@ def _e12(field, x):
     return ((field.one, x), (field.zero, field.one))
 
 
-def _shape(triple):
-    """(a, tau), once alpha_in_K is the certificate's alpha (in case 2 its
-    image in K), gamma = diag(a, a^-1) with a = alpha^h, psi1 = E21(h) and
-    psi2 = E12(tau), tau = h (case 1) or h sqrt(-d) (case 2), are checked
-    exactly: the one place that ties the triple to the certificate, and
-    the source of every a and tau the checks use.  IdentityFailed names
-    alpha_in_K or the first part of another shape."""
+class Shape:
+    """A triple with the shapes prove_shape checked: h, tau, a2 = a^2 and
+    the witness modules lower (spanned by h a^2j) and upper (tau a^2j).
+    Only prove_shape builds one."""
+
+    __slots__ = ("triple", "h", "a2", "tau", "lower", "upper")
+
+    def __init__(self, triple, h, a2, tau):
+        self.triple = triple
+        self.h = h
+        self.a2 = a2
+        self.tau = tau
+        self.lower = PowerSpan(a2, h)
+        self.upper = PowerSpan(a2, tau)
+
+
+def prove_shape(triple):
+    """The Shape of triple, once alpha_in_K is the certificate's alpha
+    (in case 2 its image in K), gamma = diag(a, a^-1) with a = alpha^h,
+    psi1 = E21(h) and psi2 = E12(tau), tau = h (case 1) or h sqrt(-d)
+    (case 2), are checked exactly: the one place that ties the triple to
+    the certificate.  IdentityFailed names alpha_in_K or the first part
+    of another shape."""
     field = triple.field
     h = field.from_rational(triple.h)
     alpha = triple.alpha_cert.alpha
@@ -90,14 +107,14 @@ def _shape(triple):
         if not m2_eq(mat.rows, shapes[name]):
             raise IdentityFailed(f"{name} does not have the constructed "
                                  f"shape", instance={"matrix": name})
-    return a, tau
+    return Shape(triple, h, a * a, tau)
 
 
-def identity_suite(triple, r_range, s_range, n_range):
-    """Prove every defining identity of the triple for all exponents;
-    raises IdentityFailed with the offending instance.
+def identity_suite(shape, r_range, s_range, n_range):
+    """Prove every defining identity of the proved triple for all
+    exponents; raises IdentityFailed with the offending instance.
 
-    With the shapes _shape checks, gamma^r psi1^s gamma^-r =
+    With the shapes prove_shape checked, gamma^r psi1^s gamma^-r =
     E21(h s a^-2r) and gamma^r psi2^s gamma^-r = E12(tau s a^2r) for all
     r and s.  In case 2, with t = 1/tau, u = E21(t) and w = diag(1,
     sqrt(-d)^-1) E12(t), u gamma^-N u^-1 gamma^N = E21((1 - a^2N) t) and
@@ -107,6 +124,7 @@ def identity_suite(triple, r_range, s_range, n_range):
     windows only size the report: its counts are the window instances
     the argument covers.
     """
+    triple = shape.triple
     field = triple.field
     p1 = triple.psi1.rows
     p2 = triple.psi2.rows
@@ -119,14 +137,13 @@ def identity_suite(triple, r_range, s_range, n_range):
         ensure(m2_det(mat.rows) == field.one, "determinant", {"matrix": name})
     ensure(not m2_eq(m2_mul(p1, p2), m2_mul(p2, p1)), "non-commutation",
            {"matrices": ["psi1", "psi2"]})
-    _, tau = _shape(triple)
     report = {"exponent_identities": 4 + 2 * len(r_range) * len(s_range),
               "r_range": [min(r_range), max(r_range)],
               "s_range": [min(s_range), max(s_range)]}
 
     if triple.case_info.case == 2:
         # at x = h, h^2 d x = -tau^2 h
-        h = field.from_rational(triple.h)
+        h, tau = shape.h, shape.tau
         t = tau.inverse()
         u = _e21(field, t)
         w = ((field.one, t),
@@ -150,13 +167,18 @@ def identity_suite(triple, r_range, s_range, n_range):
 # ---------------------------------------------------------------------------
 # Ring indices behind the elementary subgroup argument.
 
-def _check_scaled_containment(sbasis, index, span, level):
-    """index * Lambda_level must land in stage level + 4 of the
-    PowerSpan (Lagrange); stabilized_index already built that stage."""
+def _checked_index(sbasis, span, escapes):
+    """(index, level, per-level values but None) of stabilized_index,
+    with the Lagrange containment rechecked: index * Lambda_level must
+    land in stage level + 4 of span, which stabilized_index already
+    built, or VerificationFailure(escapes) is raised."""
+    index, level, seq = stabilized_index(sbasis, span)
     lam = sbasis.level(level)
     scaled = RatLattice(lam.den, [[index * x for x in r] for r in lam.rows],
                         lam.ncols)
-    return span.lattice(level + 4).contains(scaled)
+    if not span.lattice(level + 4).contains(scaled):
+        raise VerificationFailure(escapes)
+    return index, level, [v for v in seq if v is not None]
 
 
 def _in_s_integers(field, S, x):
@@ -169,8 +191,9 @@ def _in_s_integers(field, S, x):
     return True
 
 
-def ideal_ladder(triple, n_select):
-    """The index data for the elementary subgroup argument.
+def ideal_ladder(shape, n_select):
+    """The index data for the elementary subgroup argument on the proved
+    triple.
 
     Case 1: m = [O_S : h Z[a^2]] with a = alpha^h, giving the O_S-ideal
     (m) inside h Z[a^2].  Case 2 additionally works on the F side (m and
@@ -184,39 +207,33 @@ def ideal_ladder(triple, n_select):
     first that works) or an explicit positive integer to test alone.
     The case 2 report records every N tried.
     """
-    field = triple.field
+    triple = shape.triple
     h = triple.h
-    hK = field.from_rational(h)
-    a, _ = _shape(triple)
-    a2 = a * a
     sbasis = triple.case_info.sbasis
 
     if triple.case_info.case == 1:
-        span = PowerSpan(a2, hK)
-        m, lvl, seq = stabilized_index(sbasis, span)
-        if not _check_scaled_containment(sbasis, m, span, lvl):
-            raise VerificationFailure("m * Lambda_k escapes h Z[a^2]")
+        # h Z[a^2] is the lower witness module
+        m, lvl, seq = _checked_index(sbasis, shape.lower,
+                                     "m * Lambda_k escapes h Z[a^2]")
         return {
             "case": 1,
             "m": m,
             "m_level": lvl,
-            "m_per_level": [v for v in seq if v is not None],
+            "m_per_level": seq,
             "a_ideal": {"generator": str(m), "meaning": "m * O_S"},
             "containment_checked": True,
         }
 
+    field = triple.field
     cm = triple.case_info.cm
     Fd = triple.case_info.case2_subfield
     F = Fd.subfield
     SF = contract_prime_set(triple.S, Fd)
     sbF = s_unit_basis(F, SF)
-    aF = triple.alpha_cert.alpha ** h
-    aF2 = aF * aF
+    aF2 = triple.alpha_cert.alpha ** (2 * h)
     hF = F.from_rational(h)
-    spanF = PowerSpan(aF2, hF)
-    mF, lvlF, seqF = stabilized_index(sbF, spanF)
-    if not _check_scaled_containment(sbF, mF, spanF, lvlF):
-        raise VerificationFailure("m * Lambda_k escapes h Z[a^2] over F")
+    mF, lvlF, seqF = _checked_index(sbF, PowerSpan(aF2, hF),
+                                    "m * Lambda_k escapes h Z[a^2] over F")
     # order of a^2 modulo m O_{S(F)}: h (a^{2N} - 1) must fall inside
     if n_select == "search":
         candidates = range(1, N_BOUND + 1)
@@ -234,18 +251,15 @@ def ideal_ladder(triple, n_select):
     if big_n is None:
         raise VerificationFailure(
             f"no N in {tried} with h (a^{{2N}} - 1) in m O_S(F)")
-    dK = cm.d_in_K
-    delta = cm.sqrt_minus_d
-    scale_K = hK * hK * hK * dK * field.from_rational(mF)
-    spanK = PowerSpan(a2, scale_K, extra=(delta,))
-    M, lvlK, seqK = stabilized_index(sbasis, spanK)
-    if not _check_scaled_containment(sbasis, M, spanK, lvlK):
-        raise VerificationFailure("M * Lambda_k escapes the extended ring")
+    scale_K = shape.h ** 3 * cm.d_in_K * field.from_rational(mF)
+    M, lvlK, seqK = _checked_index(
+        sbasis, PowerSpan(shape.a2, scale_K, extra=(cm.sqrt_minus_d,)),
+        "M * Lambda_k escapes the extended ring")
     return {
         "case": 2,
         "m": mF,
         "m_level": lvlF,
-        "m_per_level": [v for v in seqF if v is not None],
+        "m_per_level": seqF,
         "a_ideal": {"generator": str(mF), "meaning": "m * O_S(F)"},
         "N": big_n,
         "N_tried": tried,
@@ -253,7 +267,7 @@ def ideal_ladder(triple, n_select):
                     "meaning": "h^2 d m * O_S(F)"},
         "M": M,
         "M_level": lvlK,
-        "M_per_level": [v for v in seqK if v is not None],
+        "M_per_level": seqK,
         "q_ideal": {"generator": str(M), "meaning": "M * O_S"},
         "containment_checked": True,
     }
@@ -291,54 +305,42 @@ def _canonical_coeffs(kernel, sol):
     return list(reversed(out))
 
 
-def elementary_witness(triple, x, side):
+def elementary_witness(shape, x, side):
     """A word in gamma and psi producing E21(x) (side "lower") or
     E12(x) (side "upper"), verified by exact evaluation.
 
-    E21(x) needs x in the Z-span of h a^{2j}; gamma^-j psi1^c gamma^j
-    contributes c h a^{2j}.  The upper side runs on tau a^{2j} with
-    conjugator powers of the opposite sign.  Raises NotInLattice when x
-    is outside every stage up to J_BOUND.
+    E21(x) needs x in shape.lower, the Z-span of h a^{2j}; gamma^-j
+    psi1^c gamma^j contributes c h a^{2j}.  The upper side runs on tau
+    a^{2j} with conjugator powers of the opposite sign.  Raises
+    NotInLattice when x is outside every stage up to J_BOUND.
 
-    The word is evaluated through the shapes _shape proves here rather
-    than by multiplying matrices: gamma = diag(a, a^-1) gives gamma^j
-    E21(y) gamma^-j = E21(a^-2j y) and gamma^j E12(y) gamma^-j =
-    E12(a^2j y), and E(u) E(v) = E(u + v), so the word is E(sum of c
-    scale a^(2|j|)) and is exact when that sum is x.
+    The word is evaluated through the proved shapes rather than by
+    multiplying matrices: gamma = diag(a, a^-1) gives gamma^j E21(y)
+    gamma^-j = E21(a^-2j y) and gamma^j E12(y) gamma^-j = E12(a^2j y),
+    and E(u) E(v) = E(u + v), so the word is E(sum of c scale a^(2|j|))
+    and is exact when that sum is x.
     """
-    a, tau = _shape(triple)
-    if side == "lower":
-        scale = triple.field.from_rational(triple.h)
-        sign = -1
-    elif side == "upper":
-        scale = tau
-        sign = 1
-    else:
+    if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
-
-    a2 = a * a
-    coeffs = None
-    stage = None
-    span = PowerSpan(a2, scale)
+    span = getattr(shape, side)
     for J in range(J_BOUND + 1):
         _, int_rows = integer_rows(span.elements(J) + [x])
         H, T, kernel = hnf_with_transform(int_rows[:-1])
         y = solve_hnf(H, int_rows[-1])
         if y is not None:
             coeffs = _canonical_coeffs(kernel, vec_mat(y, T))
-            stage = J
             break
-    if coeffs is None:
+    else:
         raise NotInLattice(
             f"target entry is outside stage {J_BOUND} of the witness module")
 
-    total = triple.field.zero
-    for c in reversed(coeffs):
-        total = total * a2 + c
-    if total * scale != x:
+    total = sum((g * c for g, c in zip(span.elements(J), coeffs)),
+                shape.triple.field.zero)
+    if total != x:
         raise VerificationFailure("witness word does not evaluate to the target")
+    sign = -1 if side == "lower" else 1
     return Witness(side, x, [(sign * j, c) for j, c in enumerate(coeffs) if c],
-                   stage)
+                   J)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +450,7 @@ def reduce_triple(triple, prime, bound):
     return R, mats
 
 
-def admissible_primes(triple, count, bound):
+def admissible_primes(shape, count, bound):
     """The first primes where the surjectivity check is meaningful, in
     canonical order, each as the pair (R, mats) of reduce_triple that
     modp_surjectivity counts.  The walk ends at the first rational prime
@@ -465,10 +467,10 @@ def admissible_primes(triple, count, bound):
     image genuinely drops (finite index notwithstanding), so such primes
     say nothing about the construction.
     """
+    triple = shape.triple
     field = triple.field
     schars = {P.p for P in triple.S.finite}
-    a, tau = _shape(triple)
-    x = a * a - field.one
+    x = shape.a2 - field.one
     num = x * x.den
     out = []
     p = 2
@@ -483,7 +485,7 @@ def admissible_primes(triple, count, bound):
         for P in factor_rational_prime(field, p):
             if P.residue_size > bound:
                 continue
-            if triple.h % p == 0 or P.contains(tau):
+            if triple.h % p == 0 or P.contains(shape.tau):
                 continue
             if P.f > 1 and P.contains(num):
                 continue
@@ -601,8 +603,8 @@ def modp_surjectivity(R, mats):
 # Orchestration.
 
 def run_verification(triple, verify, seed, n_select):
-    """Run every check; raises on the first failure, otherwise returns
-    the combined report.
+    """Prove the triple's shape once and run every check on it; raises
+    on the first failure, otherwise returns the combined report.
 
     verify is a config's validated verify section (VERIFY_DEFAULTS
     updated by the config): the identity windows r and s as [lo, hi]
@@ -614,36 +616,32 @@ def run_verification(triple, verify, seed, n_select):
     recheck; n_values lists it only so that reports keep their bytes.
     """
     import random
+    shape = prove_shape(triple)
     report = {}
-    report["ladder"] = ideal_ladder(triple, n_select)
+    report["ladder"] = ideal_ladder(shape, n_select)
     n_range = range(1, 6)
     if triple.case_info.case == 2:
         n_range = sorted(set(n_range) | {report["ladder"]["N"]})
     r_lo, r_hi = verify["r"]
     s_lo, s_hi = verify["s"]
-    report["identities"] = identity_suite(triple, range(r_lo, r_hi + 1),
+    report["identities"] = identity_suite(shape, range(r_lo, r_hi + 1),
                                           range(s_lo, s_hi + 1), n_range)
 
-    field = triple.field
-    a, tau = _shape(triple)
-    a2 = a * a
     rng = random.Random(seed)
     witnesses = []
     for side in ("lower", "upper"):
-        scale = field.from_rational(triple.h) if side == "lower" else tau
+        span = getattr(shape, side)
         for _ in range(verify["witness_samples"] // 2):
-            x = field.zero
-            pw = scale
-            for _ in range(rng.randrange(1, 4)):
-                x = x + pw * rng.randrange(-3, 4)
-                pw = pw * a2
+            pows = span.elements(rng.randrange(1, 4) - 1)
+            x = sum((g * rng.randrange(-3, 4) for g in pows),
+                    triple.field.zero)
             if x.is_zero():
-                x = scale
-            witnesses.append(elementary_witness(triple, x, side).serialize())
+                x = pows[0]
+            witnesses.append(elementary_witness(shape, x, side).serialize())
     report["witnesses"] = {"count": len(witnesses), "items": witnesses}
 
     modp = []
-    for R, mats in admissible_primes(triple, verify["primes"],
+    for R, mats in admissible_primes(shape, verify["primes"],
                                      verify["q_bound"]):
         res = modp_surjectivity(R, mats)
         modp.append(res)

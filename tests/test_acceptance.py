@@ -16,7 +16,8 @@ from sgen2.sunits import (choose_alpha, contract_prime_set,
                           default_subfields, rank_of_intersection,
                           s_unit_basis, zalpha_index)
 from sgen2.verification import (admissible_primes, elementary_witness,
-                                identity_suite, modp_surjectivity)
+                                identity_suite, modp_surjectivity,
+                                prove_shape)
 
 from instances import (ALL, DESK, gaussian_five, gaussian_two, rational_two,
                        sqrt2_seven, sqrt5_two)
@@ -74,10 +75,11 @@ def test_criterion_3_generator_suite(capsys):
     for build in DESK:
         field, S = build()
         t = build_generators(field, S)
-        rep = identity_suite(t, range(-5, 6), range(-5, 6), range(1, 6))
+        shape = prove_shape(t)
+        rep = identity_suite(shape, range(-5, 6), range(-5, 6), range(1, 6))
         assert rep["passed"], build.__name__
         identity_total += rep["exponent_identities"]
-        for R, mats in admissible_primes(t, 10, 100):
+        for R, mats in admissible_primes(shape, 10, 100):
             m = modp_surjectivity(R, mats)
             assert m["passed"], (build.__name__, m["q"])
             modp_total += 1
@@ -119,6 +121,7 @@ def test_criterion_4_alpha_certificates(capsys):
 def test_criterion_5_witness_suite(capsys):
     field, S = gaussian_five()
     t = build_generators(field, S)
+    shape = prove_shape(t)
     k = t.field
     a2 = t.alpha_in_K ** 2
     rng = random.Random(2026)
@@ -127,7 +130,7 @@ def test_criterion_5_witness_suite(capsys):
     for _ in range(100):
         c0, c1, c2 = (rng.randrange(-5, 6) for _ in range(3))
         x = (k.one * c0 + a2 * c1 + a2 * a2 * c2) * t.h
-        w = elementary_witness(t, x, "lower")
+        w = elementary_witness(shape, x, "lower")
         acc = t.gamma ** 0
         for j, c in w.word:
             acc = acc * (t.gamma ** j) * (t.psi1 ** c) * (t.gamma ** -j)

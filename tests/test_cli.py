@@ -377,6 +377,19 @@ def test_report_on_stdout_without_out(tmp_path, capsys):
     assert "done in" in captured.err
 
 
+def test_unwritable_out_exits_1_without_traceback(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    cp = write_config(tmp_path, RATIONAL_TWO)
+    for argv in (["analyze", "--config", cp], ["examples"]):
+        code = cli.main(argv + ["--out", str(missing / "report.json")])
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert "error: ConfigInvalid: cannot write report: " in captured.err
+        assert "done in" not in captured.err
+    assert not missing.exists()
+
+
 def test_datasheet_field_through_cli(tmp_path):
     cfg = {"field": {"poly": [1, 1, 1, 1, 1], "datasheet": ZETA5_DATASHEET},
            "S": []}

@@ -8,8 +8,8 @@ from sgen2 import ideals, linalg, polys
 from sgen2.errors import (ConfigInvalid, DatasheetInvalid, IndexDivisor,
                           OrderBoundExceeded, ZeroElement)
 from sgen2.field import create_field
-from sgen2.ideals import (ClassOrderWitness, IntegralIdeal, PrimeIdeal,
-                          class_order, factor_rational_prime, valuation)
+from sgen2.ideals import (IntegralIdeal, PrimeIdeal, class_order,
+                          factor_rational_prime, valuation)
 
 import oracles
 from test_field import ZETA5_DATASHEET, zeta5_with

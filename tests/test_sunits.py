@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from sgen2.errors import (CardinalityTooSmall, HypothesisFails, NotASubfield,
+from sgen2.errors import (CardinalityTooSmall, HypothesisFails,
                           NotStabilized, SearchExhausted)
 from sgen2.field import create_field
 from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime, valuation
 from sgen2.linalg import RatLattice
 from sgen2 import sunits
-from sgen2.sunits import (PowerSpan, PrimeSet, SubfieldDescriptor,
-                          SubfieldRank, contract_prime_set, default_subfields,
+from sgen2.sunits import (PowerSpan, PrimeSet, SubfieldRank,
+                          contract_prime_set, default_subfields,
                           exponent_vector, is_cm, rank_of_intersection,
                           rational_subfield, s_unit_basis, zalpha_index)
 
@@ -164,13 +164,6 @@ def test_rational_subfield_maps_constants():
     assert F.powers == [k.one]
     img = F.map_element(F.subfield.from_rational(Fraction(3, 7)))
     assert img == k.from_rational(Fraction(3, 7))
-
-
-def test_subfield_descriptor_rejects_non_roots():
-    # zeta itself is not a root of x^2 - 5
-    kz, _ = zeta5_nofinite()
-    with pytest.raises(NotASubfield):
-        SubfieldDescriptor(kz, create_field([-5, 0, 1]), kz.theta)
 
 
 def test_default_subfields():

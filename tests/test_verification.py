@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction
 from math import lcm
@@ -12,11 +13,11 @@ from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice, hnf
 from sgen2.polys import primes_below
 from sgen2.sunits import PrimeSet, element_lattice
-from sgen2 import generators, verification
+from sgen2 import cli, generators, verification
 from sgen2.verification import (VERIFY_DEFAULTS, ResidueField,
                                 admissible_primes, elementary_witness,
                                 ideal_ladder, identity_suite, image_order,
-                                modp_surjectivity, reduce_triple,
+                                modp_surjectivity, prove_shape, reduce_triple,
                                 run_verification)
 
 import oracles
@@ -35,13 +36,17 @@ def triple(make, h=1):
     return build_generators(k, S, h=h)
 
 
+def shaped(make, h=1):
+    return prove_shape(triple(make, h))
+
+
 # ---------------------------------------------------------------------------
 # Identities.
 
 def test_identity_suite_all_instances():
     for make in ALL:
         t = triple(make)
-        rep = identity_suite(t, WINDOW, WINDOW, N_RANGE)
+        rep = identity_suite(prove_shape(t), WINDOW, WINDOW, N_RANGE)
         assert rep["passed"], make.__name__
         assert rep["exponent_identities"] == 246
         if t.case_info.case == 2:
@@ -49,7 +54,7 @@ def test_identity_suite_all_instances():
 
 
 def test_identity_suite_h2():
-    rep = identity_suite(triple(sqrt5_two, h=2), WINDOW, WINDOW, N_RANGE)
+    rep = identity_suite(shaped(sqrt5_two, h=2), WINDOW, WINDOW, N_RANGE)
     assert rep["passed"]
 
 
@@ -79,8 +84,10 @@ def h2_tampering():
 
 
 def test_identity_suite_rejects_tampering():
-    with pytest.raises(IdentityFailed):
-        identity_suite(h2_tampering(), WINDOW, WINDOW, N_RANGE)
+    # the suite takes a proved shape only, and the proof fails
+    with pytest.raises(IdentityFailed) as err:
+        prove_shape(h2_tampering())
+    assert err.value.instance == {"matrix": "gamma"}
 
 
 def test_identity_windows_oracle_agrees():
@@ -92,13 +99,15 @@ def test_identity_windows_oracle_agrees():
         t = triple(make, h)
         assert oracles.identity_windows(t, WINDOW, WINDOW, N_RANGE) == [], \
             (make.__name__, h)
-        assert identity_suite(t, WINDOW, WINDOW, N_RANGE)["passed"]
+        assert identity_suite(prove_shape(t), WINDOW, WINDOW,
+                              N_RANGE)["passed"]
         cases |= 1 << t.case_info.case
     assert cases == 0b110
     bad = h2_tampering()
     assert oracles.identity_windows(bad, WINDOW, WINDOW, N_RANGE)
-    with pytest.raises(IdentityFailed):
-        identity_suite(bad, WINDOW, WINDOW, N_RANGE)
+    with pytest.raises(IdentityFailed) as err:
+        prove_shape(bad)
+    assert err.value.instance == {"matrix": "gamma"}
 
 
 def rows_of(t, rows):
@@ -199,10 +208,11 @@ def test_identity_suite_work_is_independent_of_the_windows(monkeypatch):
         return ib_mul(self, u, v)
 
     monkeypatch.setattr(NumberField, "ib_mul", counted)
+    shape = prove_shape(t)
     counts = []
     for window in (range(0, 1), range(-50, 51)):
         calls = 0
-        rep = identity_suite(t, window, window, N_RANGE)
+        rep = identity_suite(shape, window, window, N_RANGE)
         counts.append(calls)
         assert rep["exponent_identities"] == 4 + 2 * len(window) ** 2
     assert 0 < counts[0] == counts[1]
@@ -214,7 +224,7 @@ def test_identity_suite_work_is_independent_of_the_windows(monkeypatch):
 def test_ladder_goldens_case1():
     for make, m in ((rational_two, 1), (gaussian_five, 4),
                     (sqrt2_seven, 4), (sqrt5_two, 1)):
-        lad = ideal_ladder(triple(make), "search")
+        lad = ideal_ladder(shaped(make), "search")
         assert lad["case"] == 1
         assert lad["m"] == m, make.__name__
         assert lad["m_level"] == 0
@@ -225,7 +235,7 @@ def test_ladder_goldens_case1():
 def test_ladder_goldens_case2():
     for make, mM in ((gaussian_two, (1, 1)), (gaussian_three, (1, 1)),
                      (zeta5_nofinite, (1, 100))):
-        lad = ideal_ladder(triple(make), "search")
+        lad = ideal_ladder(shaped(make), "search")
         assert lad["case"] == 2
         assert (lad["m"], lad["M"]) == mM, make.__name__
         assert lad["N"] == 1 and lad["N_tried"] == [1]
@@ -233,12 +243,12 @@ def test_ladder_goldens_case2():
 
 
 def test_ladder_h2():
-    lad = ideal_ladder(triple(sqrt5_two, h=2), "search")
+    lad = ideal_ladder(shaped(sqrt5_two, h=2), "search")
     assert lad["m"] == 3
 
 
 def test_ladder_explicit_n():
-    lad = ideal_ladder(triple(gaussian_two), 4)
+    lad = ideal_ladder(shaped(gaussian_two), 4)
     assert lad["N"] == 4 and lad["N_tried"] == [4]
 
 
@@ -254,7 +264,7 @@ def test_ladder_containment_forms():
     # case 1: m Lambda_k lands inside the Z-span of h a^{2j}
     t = triple(gaussian_five)
     k = t.field
-    lad = ideal_ladder(t, "search")
+    lad = ideal_ladder(prove_shape(t), "search")
     a2 = t.alpha_in_K ** 2
     gens = [k.from_rational(t.h) * a2 ** j for j in range(9)]
     span = element_lattice(gens)
@@ -263,7 +273,7 @@ def test_ladder_containment_forms():
     # case 2: M Lambda_k lands inside span + sqrt(-d) span
     t = triple(gaussian_two)
     k = t.field
-    lad = ideal_ladder(t, "search")
+    lad = ideal_ladder(prove_shape(t), "search")
     a2 = t.alpha_in_K ** 2
     d = t.case_info.cm.d_in_K
     delta = t.case_info.cm.sqrt_minus_d
@@ -278,36 +288,38 @@ def test_ladder_containment_forms():
 # Witness words.
 
 def test_witness_canonical_words():
-    t = triple(rational_two)
-    k = t.field
-    w = elementary_witness(t, k.from_rational(Fraction(1, 4)), "upper")
+    shape = shaped(rational_two)
+    k = shape.triple.field
+    w = elementary_witness(shape, k.from_rational(Fraction(1, 4)), "upper")
     assert w.word == [(1, 1)]
-    w = elementary_witness(t, k.from_rational(Fraction(5, 4)), "upper")
+    w = elementary_witness(shape, k.from_rational(Fraction(5, 4)), "upper")
     assert w.word == [(0, 1), (1, 1)]
-    w = elementary_witness(t, k.zero, "upper")
+    w = elementary_witness(shape, k.zero, "upper")
     assert w.word == [] and w.stage == 0
 
 
 def test_witness_lower_side_sign():
-    t = triple(rational_two)
-    k = t.field
-    w = elementary_witness(t, k.from_rational(Fraction(3, 4)), "lower")
+    shape = shaped(rational_two)
+    k = shape.triple.field
+    w = elementary_witness(shape, k.from_rational(Fraction(3, 4)), "lower")
     assert w.word == [(-1, 3)]
 
 
 def test_witness_not_in_lattice():
-    t = triple(rational_two)
+    shape = shaped(rational_two)
     with pytest.raises(NotInLattice):
-        elementary_witness(t, t.field.from_rational(Fraction(1, 3)), "lower")
+        elementary_witness(shape, shape.triple.field.from_rational(
+            Fraction(1, 3)), "lower")
 
 
 def test_witness_evaluates_on_quadratic():
     t = triple(gaussian_five)
+    shape = prove_shape(t)
     k = t.field
     a2 = t.alpha_in_K ** 2
     for x in (k.one + a2 * 3, a2 * a2 * 2 - k.one, k.theta * 0):
         for side in ("lower", "upper"):
-            w = elementary_witness(t, x, side)
+            w = elementary_witness(shape, x, side)
             total = k.zero
             scale = k.from_rational(t.h) if side == "lower" \
                 else t.psi2.entry(0, 1)
@@ -317,34 +329,32 @@ def test_witness_evaluates_on_quadratic():
 
 
 def test_witness_rejects_a_misshapen_triple():
-    # the word is read through the shapes, so elementary_witness proves
-    # them itself: -gamma and psi1 = E21(2h) conjugate exactly as the
-    # constructed matrices do, but are not the constructed matrices
+    # the word is read through the shapes, so elementary_witness takes
+    # only a proved shape: -gamma and psi1 = E21(2h) conjugate exactly as
+    # the constructed matrices do, but are not the constructed matrices
     for make in (rational_two, gaussian_five):
         t = triple(make)
         k = t.field
         neg = rows_of(t, tuple(tuple(-x for x in r) for r in t.gamma.rows))
         psi1 = rows_of(t, ((k.one, k.zero), (k.from_rational(2 * t.h), k.one)))
         for name, mat in (("gamma", neg), ("psi1", psi1)):
-            for side in ("lower", "upper"):
-                with pytest.raises(IdentityFailed) as err:
-                    elementary_witness(tampered(t, **{name: mat}), k.one, side)
-                assert err.value.instance == {"matrix": name}, \
-                    (make.__name__, side)
+            with pytest.raises(IdentityFailed) as err:
+                prove_shape(tampered(t, **{name: mat}))
+            assert err.value.instance == {"matrix": name}, make.__name__
 
 
 def test_witness_rejects_a_wrong_sum(monkeypatch):
     # a solve that misses the target is caught by the exact sum
-    t = triple(gaussian_five)
-    k = t.field
+    shape = shaped(gaussian_five)
     monkeypatch.setattr(verification, "_canonical_coeffs",
                         lambda kernel, sol: [c + 1 for c in sol])
     with pytest.raises(VerificationFailure):
-        elementary_witness(t, k.one, "lower")
+        elementary_witness(shape, shape.triple.field.one, "lower")
 
 
 def test_witness_makes_no_matrix_products(monkeypatch):
     t = triple(gaussian_five)
+    shape = prove_shape(t)
     k = t.field
     calls = {"m2_pow": 0, "m2_mul": 0}
 
@@ -362,17 +372,18 @@ def test_witness_makes_no_matrix_products(monkeypatch):
     words = 0
     for x in (k.one + a2 * 3, a2 * a2 * 2 - k.one, k.from_rational(t.h)):
         for side in ("lower", "upper"):
-            words += len(elementary_witness(t, x, side).word)
+            words += len(elementary_witness(shape, x, side).word)
     assert words > 0 and calls == {"m2_pow": 0, "m2_mul": 0}
     # both counters see the calls they are meant to see
     t.gamma ** 2
-    identity_suite(t, WINDOW, WINDOW, N_RANGE)
+    identity_suite(shape, WINDOW, WINDOW, N_RANGE)
     assert calls["m2_pow"] == 1 and calls["m2_mul"] > 0
 
 
 def test_witness_serialize():
-    t = triple(rational_two)
-    w = elementary_witness(t, t.field.from_rational(Fraction(5, 4)), "upper")
+    shape = shaped(rational_two)
+    w = elementary_witness(shape, shape.triple.field.from_rational(
+        Fraction(5, 4)), "upper")
     out = w.serialize()
     assert out["side"] == "upper"
     assert out["word"] == [{"conjugator_power": 0, "psi_exponent": 1},
@@ -559,7 +570,7 @@ def test_modp_shared_characteristic():
 def test_admissible_walk_ends_past_the_bound(monkeypatch):
     # every prime over p has a residue field of size at least p, so the
     # walk for more primes than the bound admits stops after p = 97
-    t = triple(gaussian_five)
+    shape = shaped(gaussian_five)
     walked = []
 
     def factor(field, p):
@@ -568,7 +579,7 @@ def test_admissible_walk_ends_past_the_bound(monkeypatch):
 
     monkeypatch.setattr(verification, "factor_rational_prime", factor)
     with pytest.raises(ConfigInvalid):
-        admissible_primes(t, 1000, 100)
+        admissible_primes(shape, 1000, 100)
     assert max(walked) == 97
 
 
@@ -590,7 +601,8 @@ def test_modp_count_matches_bfs_oracle():
     cases = []
     for make in DESK + [sqrt103_five]:
         t = triple(make)
-        cases += [(t, R, mats) for R, mats in admissible_primes(t, 10, 100)]
+        cases += [(t, R, mats)
+                  for R, mats in admissible_primes(prove_shape(t), 10, 100)]
     t = triple(gaussian_two)
     cases += [(t,) + reduce_triple(t, P, 100)
               for P in factor_rational_prime(t.field, 3)]
@@ -670,23 +682,21 @@ def test_admissible_prime_goldens():
         zeta5_nofinite: [81, 11, 11, 11, 11, 31, 31, 31, 31, 41],
     }
     for make, qs in expected.items():
-        t = triple(make)
-        got = [R.q for R, _ in admissible_primes(t, 10, 100)]
+        got = [R.q for R, _ in admissible_primes(shaped(make), 10, 100)]
         assert got == qs, make.__name__
 
 
 def test_admissible_primes_honor_bound_above_100():
     # the residue fields are built under the caller's bound, so q = 121
     # (11 is inert in Z[i]) is admissible once the bound allows it
-    t = triple(gaussian_two)
-    got = [(R.p, R.q) for R, _ in admissible_primes(t, 4, 150)]
+    got = [(R.p, R.q) for R, _ in admissible_primes(shaped(gaussian_two), 4,
+                                                    150)]
     assert got == [(5, 5), (5, 5), (7, 49), (11, 121)]
 
 
 def test_admissible_primes_all_pass():
     for make in ALL:
-        t = triple(make)
-        for R, mats in admissible_primes(t, 10, 100):
+        for R, mats in admissible_primes(shaped(make), 10, 100):
             rep = modp_surjectivity(R, mats)
             assert rep["passed"], (make.__name__, R.p, rep["reached"])
 
@@ -711,3 +721,43 @@ def test_run_verification_respects_explicit_n():
     rep = run_verification(triple(gaussian_two), verify, 0, 7)
     assert rep["ladder"]["N"] == 7
     assert rep["identities"]["n_values"] == [1, 2, 3, 4, 5, 7]
+
+
+# The desk instances of tests/instances.py as verify configs.
+DESK_CONFIGS = [
+    {"field": {"poly": [-1, 1]}, "S": [{"p": 2}]},
+    {"field": {"poly": [1, 0, 1]}, "S": [{"p": 2}]},
+    {"field": {"poly": [1, 0, 1]}, "S": [{"p": 3}]},
+    {"field": {"poly": [1, 0, 1]}, "S": [{"p": 5}]},
+    {"field": {"poly": [-2, 0, 1]},
+     "S": [{"p": 7, "select": {"generator": [3, 1]}}]},
+    {"field": {"poly": [-5, 0, 1]}, "S": [{"p": 2}]},
+]
+
+
+def test_shape_proved_once_per_report(tmp_path, monkeypatch):
+    # every check of a report reads the one Shape run_verification
+    # proves, however many witnesses it draws
+    proved = []
+    prove = verification.prove_shape
+
+    def counted(t):
+        proved.append(t)
+        return prove(t)
+
+    monkeypatch.setattr(verification, "prove_shape", counted)
+    config = tmp_path / "config.json"
+    out = tmp_path / "report.json"
+    cases = set()
+    for cfg in DESK_CONFIGS + [dict(DESK_CONFIGS[3],
+                                    verify={"witness_samples": 200})]:
+        config.write_text(json.dumps(cfg))
+        proved.clear()
+        assert cli.main(["verify", "--config", str(config),
+                         "--out", str(out)]) == 0, cfg
+        assert len(proved) == 1, cfg
+        rep = json.loads(out.read_text())
+        cases.add(rep["analysis"]["classification"]["case"])
+        assert rep["verification"]["witnesses"]["count"] == \
+            cfg.get("verify", VERIFY_DEFAULTS)["witness_samples"]
+    assert cases == {1, 2}
