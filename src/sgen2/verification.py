@@ -15,14 +15,16 @@ an unproved triple.  Four checks, each falsifiable on its own:
     explicit word in the triple and evaluates the word exactly through
     the proved shapes.
   * modp_surjectivity takes the triple reduced modulo an admissible prime
-    (reduce_triple, once per prime) and counts the generated subgroup of
-    SL2 of the residue field as the orbit of the row vector (1, 0) times
-    its stabilizer, which Schreier's lemma presents as an additive
-    subgroup of the residue field; O(q^2) table lookups per prime.  The
-    count is compared against the group order q(q^2 - 1).  Each report
-    entry still carries bfs_expansions, now generators (with inverses) x
-    |image|, so that reports keep their bytes until the modp entries
-    change shape.
+    (reduce_triple, once per prime; the residue field keeps only O(q)
+    log, Zech-log, inverse and negation lists) and counts the generated
+    subgroup of SL2 of the residue field on the projective line: the
+    orbit of the point (1 : 0) times its stabilizer, a subgroup of the
+    Borel group that Schreier's lemma presents and that is counted as
+    torus part times unipotent part; O(q) residue operations per prime.
+    The count is compared against the group order q(q^2 - 1).  Each
+    report entry still carries bfs_expansions, now generators (with
+    inverses) x |image|, so that reports keep their bytes until the
+    modp entries change shape.
 """
 
 from math import gcd
@@ -31,9 +33,10 @@ from .errors import (ConfigInvalid, IdentityFailed, InvariantViolated,
                      NotInLattice, PrimeInS, ResidueFieldTooLarge,
                      VerificationFailure)
 from .field import FieldElement, integer_rows
-from .generators import m2_det, m2_eq, m2_inv, m2_mul
+from .generators import m2_eq, m2_inv, m2_mul
 from .ideals import factor_rational_prime, valuation
-from .linalg import RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat
+from .linalg import (RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat,
+                     xgcd)
 from .polys import is_prime, prime_divisors
 from .sunits import (PowerSpan, contract_prime_set, s_unit_basis,
                      stabilized_index)
@@ -121,27 +124,26 @@ def identity_suite(shape, r_range, s_range, n_range):
     w gamma^N w^-1 gamma^-N = E12((1 - a^2N) / h) for all N, as gamma is
     diagonal.  A CM identity A E(x) A^-1 = B E'(c x) B^-1 is I + x (a
     fixed matrix) on both sides, so it is checked once, at x = h.  The
-    windows only size the report: its counts are the window instances
-    the argument covers.
+    shapes also settle the determinants (det diag(a, a^-1) = det E(x) =
+    1) and the non-commutation of psi1 and psi2 (h tau != 0), so neither
+    is checked again.  The windows only size the report: its counts are
+    the window instances the argument covers.
     """
     triple = shape.triple
-    field = triple.field
-    p1 = triple.psi1.rows
-    p2 = triple.psi2.rows
-
-    def ensure(ok, name, instance):
-        if not ok:
-            raise IdentityFailed(f"identity {name} failed", instance=instance)
-
-    for mat, name in zip(triple.matrices(), ("gamma", "psi1", "psi2")):
-        ensure(m2_det(mat.rows) == field.one, "determinant", {"matrix": name})
-    ensure(not m2_eq(m2_mul(p1, p2), m2_mul(p2, p1)), "non-commutation",
-           {"matrices": ["psi1", "psi2"]})
     report = {"exponent_identities": 4 + 2 * len(r_range) * len(s_range),
               "r_range": [min(r_range), max(r_range)],
               "s_range": [min(s_range), max(s_range)]}
 
     if triple.case_info.case == 2:
+        field = triple.field
+        p1 = triple.psi1.rows
+        p2 = triple.psi2.rows
+
+        def ensure(ok, name, instance):
+            if not ok:
+                raise IdentityFailed(f"identity {name} failed",
+                                     instance=instance)
+
         # at x = h, h^2 d x = -tau^2 h
         h, tau = shape.h, shape.tau
         t = tau.inverse()
@@ -347,13 +349,14 @@ def elementary_witness(shape, x, side):
 # Surjectivity modulo admissible primes.
 
 class ResidueField:
-    """O_K / P as explicit tables, elements indexed by canonical coset
-    representatives below the Hermite rows of P.  The tables are index
-    arithmetic on the logs to one primitive element g, the first
-    representative whose powers reach every nonzero element (O(q)
-    products in O_K find and walk it): g^i g^j = g^(i + j), -g^i =
-    g^(i + (q - 1)/2) for odd q, and with the Zech logs
-    Z[k] = log(1 + g^k), g^i + g^j = g^(i + Z[j - i])."""
+    """O_K / P with elements indexed by canonical coset representatives
+    below the Hermite rows of P.  Arithmetic is index arithmetic on the
+    logs to one primitive element g, the first representative whose
+    powers reach every nonzero element (O(q) products in O_K find and
+    walk it).  Only lists of length O(q) are kept: exp and log, the Zech
+    logs Z[k] = log(1 + g^k), and the inverse and negation tables.  Then
+    g^i g^j = g^(i + j), g^i + g^j = g^(i + Z[j - i]), and -g^i =
+    g^(i + (q - 1)/2) for odd q (-x = x when q is even)."""
 
     def __init__(self, field, prime, bound):
         q = prime.residue_size
@@ -388,23 +391,27 @@ class ResidueField:
                 break
         else:
             raise InvariantViolated("O_K/P has no primitive element")
-        # the zero has log 2m, and exp2 reads 0 at every k >= 2m
+        # the zero has log 2m and _exp reads 0 at every k >= 2m, so a sum
+        # of two logs needs neither a reduction nor a test for zero
         self._log = log = [2 * m] * q
         for k, x in enumerate(exp):
             log[x] = k
-        exp2 = exp + exp + [0] * m
-        zech = [log[self.reduce_ints(map(sum, zip(reps[x], reps[one])))]
-                for x in exp]
-        logs = log[1:]
-        self.mul_table = [[0] * q] + [[0] + [exp2[li + lj] for lj in logs]
-                                      for li in logs]
-        # zech[lj - li] wraps a negative difference modulo m
-        self.add_table = [list(range(q))] + [
-            [i] + [exp2[li + zech[lj - li]] for lj in logs]
-            for i, li in enumerate(logs, 1)]
-        self.inv_table = [None] + [exp[-li] for li in logs]
+        self._zech = [log[self.reduce_ints(map(sum, zip(reps[x], reps[one])))]
+                      for x in exp]
+        self.inv_table = [None] + [exp[-li] for li in log[1:]]
+        self._exp = exp = exp + exp + [0] * (2 * m + 1)
         half = m // 2 if q % 2 else 0
-        self.neg_table = [0] + [exp2[li + half] for li in logs]
+        self.neg_table = [exp[li + half] for li in log]
+
+    def mul(self, i, j):
+        return self._exp[self._log[i] + self._log[j]]
+
+    def add(self, i, j):
+        if not (i and j):
+            return i or j
+        li = self._log[i]
+        # a negative difference wraps modulo q - 1
+        return self._exp[li + self._zech[self._log[j] - li]]
 
     def reduce_ints(self, vec):
         v = list(vec)
@@ -422,7 +429,7 @@ class ResidueField:
                 "element denominator shares the residue characteristic")
         i_num = self.reduce_ints(x.num)
         i_den = self.reduce_ints([x.den] + [0] * (self.field.degree - 1))
-        return self.mul_table[i_num][self.inv_table[i_den]]
+        return self.mul(i_num, self.inv_table[i_den])
 
     def element_degree(self, i):
         """Degree over the prime field: the least e with x^(p^e) = x,
@@ -502,78 +509,189 @@ def admissible_primes(shape, count, bound):
     return out
 
 
+def _borel_order(R, elements):
+    """(|T|, |V|) for the group H generated by elements, pairs (t, c)
+    of residue indices standing for ((t, 0), (c, t^-1)) in the lower
+    Borel subgroup of SL2(R): T is the image of H under (t, c) -> t and
+    V = H cap {E21(c)} its kernel, so |H| = |T| |V|.
+
+    T is cyclic: g^d generates it, with d the gcd of q - 1 and the logs
+    of the t read so far, and b* in H is kept with image exactly g^d.
+    Conjugation by (t, c) scales E21(x) to E21(t^-2 x), so V is an
+    F_p(T^2)-space, spanned by the kernel parts of the generators: b
+    b*^-k for each b with t = g^(dk).  When a b grows T, an extended gcd
+    over the logs gives b*' = b*^x b^y mapping onto the larger T, and V
+    gains the kernel parts of b and of the old b* over b*' (the first
+    growth adds b*'^-|T| this way; later ones keep b*'^|T| in the span).
+    The elements are read only until T = R^* and V = R, past which
+    nothing can grow.
+    """
+    q, m = R.q, R.q - 1
+    mul, add, neg, inv, log = R.mul, R.add, R.neg_table, R.inv_table, R._log
+    one, zero = R.one, R.zero
+
+    def bmul(x, y):
+        (t, c), (u, e) = x, y
+        return mul(t, u), add(mul(c, u), mul(inv[t], e))
+
+    def bpow(x, k):
+        if k < 0:
+            x, k = (inv[x[0]], neg[x[1]]), -k
+        out = (one, zero)
+        while k:
+            if k & 1:
+                out = bmul(out, x)
+            x = bmul(x, x)
+            k >>= 1
+        return out
+
+    # V as a membership mask, its members and an F_p-basis
+    span = bytearray(q)
+    span[zero] = 1
+    members = [zero]
+    basis = []
+
+    def grow(x, lam):
+        # V + F_p[lam] x: add x, lam x, lam^2 x, ... until one is in V,
+        # each as the p - 1 new cosets V + k x of the F_p-space V
+        while not span[x]:
+            basis.append(x)
+            multiples = [x]
+            for _ in range(R.p - 2):
+                multiples.append(add(multiples[-1], x))
+            new = [add(v, w) for w in multiples for v in members]
+            for v in new:
+                span[v] = 1
+            members.extend(new)
+            x = mul(x, lam)
+
+    d, bstar, lam = m, (one, zero), one
+    for b in elements:
+        lt = log[b[0]]
+        if lt % d == 0:
+            # b*^|T| is in V, so the nearer of k and k - |T| will do
+            k = lt // d
+            if 2 * k > m // d:
+                k -= m // d
+            grow(bmul(b, bpow(bstar, -k))[1], lam)
+        else:
+            g, x, y = xgcd(d, lt)
+            grown = bmul(bpow(bstar, x), bpow(b, y))
+            rel = (bmul(bstar, bpow(grown, -(d // g))),
+                   bmul(b, bpow(grown, -(lt // g))))
+            d, bstar = g, grown
+            lam = mul(grown[0], grown[0])
+            for v in list(basis):
+                grow(mul(v, lam), lam)
+            for v in rel:
+                grow(v[1], lam)
+        if d == 1 and len(members) == q:
+            break
+    return m // d, len(members)
+
+
+def _m2_mul(R, A, B):
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    mul, add = R.mul, R.add
+    return ((add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h))),
+            (add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h))))
+
+
+def _point_map(R, mat):
+    """The action of mat on the projective line over R, as the list of
+    images of the points (1 : y), indexed by y, and then of (0 : 1),
+    with the point (1 : y) written y and (0 : 1) written q:
+    (1 : y) mat = (a + y c : b + y d) and (0 : 1) mat = (c : d)."""
+    q, m = R.q, R.q - 1
+    exp, log, zech = R._exp, R._log, R._zech
+
+    def line(a, c):
+        # a + y c for every y, by logs: y c = g^(log y + log c)
+        yc = [exp[ly + log[c]] for ly in log]
+        if not a:
+            return yc
+        la = log[a]
+        return [exp[la + zech[log[w] - la]] if w else a for w in yc]
+
+    (a, b), (c, d) = mat
+    # z / x = g^(log z - log x) for x != 0; a zero z has log 2m
+    pts = [exp[log[z] + m - log[x]] if x else q
+           for x, z in zip(line(a, c), line(b, d))]
+    pts.append(exp[log[d] + m - log[c]] if c else q)
+    return pts
+
+
 def image_order(R, mats):
-    """(|orbit|, |stabilizer|) of the row vector (1, 0) under the group
+    """(|orbit|, |stabilizer|) of the row vector (1, 0) under the group G
     generated by mats inside SL2(R); mats are 2x2 tuples of residue
     indices, and the group order is the product of the two.
 
-    The orbit walk keeps, for each orbit point v, the second row of a
-    transversal matrix T_v (a product of generators with first row v).
-    By Schreier's lemma the stabilizer of (1, 0) is generated by the
-    T_v s T_{vs}^-1 over orbit points v and generators s.  Each has
-    first row (1, 0) and determinant 1, so it is E21(c) and the
-    stabilizer is the additive subgroup of R spanned by these c.  The
-    walk needs no inverse generators, because a finite group is also
-    generated by its generators as a monoid.  The orbit walk always runs
-    to the end; the Schreier generators are read only until their span
-    is all of R, which no stabilizer can exceed, so both counts stay
-    exact.  The work is O(q^2) table lookups, where enumerating the
-    group would cost q(q^2 - 1).
+    G is counted on the projective line: |G| = |orbit of (1 : 0)| |G cap
+    B|, with B = {((t, 0), (c, t^-1))} the stabilizer of (1 : 0) in SL2.
+    The orbit walk has at most q + 1 points and one O(q) point map per
+    generator; it keeps, for each point, the edge that reached it, so
+    that a transversal matrix T_P (a product of generators taking
+    (1 : 0) to P) is multiplied out only when it is read.  By Schreier's
+    lemma G cap B is generated by the T_P s T_Ps^-1 over orbit points P
+    and generators s; no inverse generators are needed, because a finite
+    group is also generated by its generators as a monoid.  They are
+    read lazily in walk order and counted by _borel_order as |T| |V|,
+    with V = G cap {E21(c)} the stabilizer of the vector (1, 0), so the
+    orbit of that vector has |orbit of (1 : 0)| |T| points.  The work is
+    O(q) residue operations, where enumerating G would cost q(q^2 - 1).
     """
     q = R.q
-    mul = R.mul_table
-    add = R.add_table
-    neg = R.neg_table
-    # (x, y) s = (x a + y c, x b + y d), built one row x at a time over
-    # the pairs (y c, y d), which depend on the generator alone
-    row_maps = []
-    for (ma, mb), (mc, md) in mats:
-        cols = list(zip([m[mc] for m in mul], [m[md] for m in mul]))
-        tab = []
-        for m in mul:
-            xa = add[m[ma]]
-            xb = add[m[mb]]
-            tab += [xa[yc] * q + xb[yd] for yc, yd in cols]
-        row_maps.append(tab)
+    mul, add, neg = R.mul, R.add, R.neg_table
+    maps = [_point_map(R, mat) for mat in mats]
 
-    # second[v] is the second row of T_v, or -1 off the orbit so far
-    start = R.one * q + R.zero
-    second = [-1] * (q * q)
-    second[start] = R.zero * q + R.one
-    frontier = [start]
-    for v in frontier:
-        w = second[v]
-        for tab in row_maps:
-            u = tab[v]
-            if second[u] < 0:
-                second[u] = tab[w]
-                frontier.append(u)
+    # edge[u] = (v, s): u is the image of the earlier point v under mats[s]
+    start = R.zero
+    edge = [None] * (q + 1)
+    edge[start] = (start, -1)
+    orbit = [start]
+    for v in orbit:
+        for s, pts in enumerate(maps):
+            u = pts[v]
+            if edge[u] is None:
+                edge[u] = (v, s)
+                orbit.append(u)
 
-    # T_v s has rows (vs, x) and T_{vs} has rows (vs, y); the second row
-    # of T_v s T_{vs}^-1 is (x0 y1 - x1 y0, 1).  An additive subgroup H
-    # of R is an F_p-space, so H + <c> is the union of the cosets H + k c
-    # for k < p; once H is all of R no Schreier generator can add to it.
-    stab = {R.zero}
-    for v in frontier:
-        if len(stab) == q:
-            break
-        w = second[v]
-        for tab in row_maps:
-            x0, x1 = divmod(tab[w], q)
-            y0, y1 = divmod(second[tab[v]], q)
-            c = add[mul[x0][y1]][neg[mul[x1][y0]]]
-            if c not in stab:
-                coset = stab
-                for _ in range(R.p - 1):
-                    coset = {add[x][c] for x in coset}
-                    stab = stab | coset
-    return len(frontier), len(stab)
+    trans = [None] * (q + 1)
+    trans[start] = ((R.one, R.zero), (R.zero, R.one))
+
+    def transversal(u):
+        path = []
+        while trans[u] is None:
+            path.append(u)
+            u = edge[u][0]
+        t = trans[u]
+        for w in reversed(path):
+            t = trans[w] = _m2_mul(R, t, mats[edge[w][1]])
+        return t
+
+    def schreier():
+        # the (t, c) entries of T_v s T_u^-1, u = v s; tree edges give 1
+        for v in orbit:
+            for s, pts in enumerate(maps):
+                u = pts[v]
+                if edge[u] == (v, s):
+                    continue
+                (x0, x1), (x2, x3) = _m2_mul(R, transversal(v), mats[s])
+                (y0, y1), (y2, y3) = transversal(u)
+                yield (add(mul(x0, y3), neg[mul(x1, y2)]),
+                       add(mul(x2, y3), neg[mul(x3, y2)]))
+
+    torus, unipotent = _borel_order(R, schreier())
+    return len(orbit) * torus, unipotent
 
 
 def modp_surjectivity(R, mats):
     """Count the subgroup that the reduced triple mats (from reduce_triple)
-    generates inside SL2 of the residue field R by orbit and stabilizer
-    (image_order), comparing against the group order q(q^2 - 1).
+    generates inside SL2 of the residue field R on the projective line
+    (image_order: orbit of (1 : 0) times the Borel stabilizer), after
+    checking that each matrix has determinant 1, and compare the count
+    against the group order q(q^2 - 1).
 
     bfs_expansions is (number of generators and their inverses) x
     |image|, the count an enumeration of the image expanding each element
@@ -582,8 +700,7 @@ def modp_surjectivity(R, mats):
     """
     q = R.q
     for (a, b), (c, d) in mats:
-        det = R.add_table[R.mul_table[a][d]][R.neg_table[R.mul_table[b][c]]]
-        if det != R.one:
+        if R.add(R.mul(a, d), R.neg_table[R.mul(b, c)]) != R.one:
             raise VerificationFailure("reduced matrix leaves SL2")
     orbit, stabilizer = image_order(R, mats)
     reached = orbit * stabilizer

@@ -11,7 +11,11 @@ of the sum, so the two share only the HNF of the sum.
 The matrix-group oracle counts |SL2| over tiny fields by direct
 enumeration of quadruples, and finds the subgroup that reduced matrices
 generate inside SL2 of a residue field by walking all of its elements
-breadth first, where the library counts it by orbit and stabilizer.
+breadth first, where the library counts it on the projective line by
+orbit and Borel stabilizer.  Its residue arithmetic is a q x q table
+built pair by pair from the coset representatives (residue_tables),
+where the library walks the powers of a primitive element and adds by
+Zech logs.
 
 The principal-ideal oracle walks the whole coordinate box of the
 quadratic principal-generator search point by point, taking a Fraction
@@ -503,18 +507,39 @@ def sl2_order_quadratic(p, red):
     return count
 
 
+def residue_tables(R):
+    """mul, add, inv and neg of the residue field R built the direct way,
+    from R.reps alone: one ib_mul and one reduction per pair of
+    representatives, where the library walks the powers of a primitive
+    element and adds by Zech logs."""
+    k = R.field
+    q = R.q
+    mul = [[None] * q for _ in range(q)]
+    add = [[None] * q for _ in range(q)]
+    inv = [None] * q
+    for i, a in enumerate(R.reps):
+        for j in range(i, q):
+            b = R.reps[j]
+            mul[i][j] = mul[j][i] = R.reduce_ints(k.ib_mul(a, b))
+            add[i][j] = add[j][i] = R.reduce_ints([x + y for x, y in zip(a, b)])
+            if mul[i][j] == R.one:
+                inv[i], inv[j] = j, i
+    neg = [R.reduce_ints([-c for c in a]) for a in R.reps]
+    return mul, add, inv, neg
+
+
 def sl2_image_bfs(R, mats):
     """(reached, expansions): the order of the subgroup that mats (2x2
     tuples of indices of the residue field R) generate inside SL2(R),
     found by a breadth-first walk over its elements that expands each
-    element once per generator and inverse."""
+    element once per generator and inverse.  The arithmetic comes from
+    residue_tables, not from the library's log tables."""
     q = R.q
+    mul, add, _, neg = residue_tables(R)
     inv_mats = []
     for (a, b), (c, d) in mats:
-        inv_mats.append(((d, R.neg_table[b]), (R.neg_table[c], a)))
+        inv_mats.append(((d, neg[b]), (neg[c], a)))
 
-    mul = R.mul_table
-    add = R.add_table
     row_maps = []
     for (ma, mb), (mc, md) in mats + inv_mats:
         tab = [0] * (q * q)

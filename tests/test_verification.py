@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 from math import lcm
@@ -374,9 +375,10 @@ def test_witness_makes_no_matrix_products(monkeypatch):
         for side in ("lower", "upper"):
             words += len(elementary_witness(shape, x, side).word)
     assert words > 0 and calls == {"m2_pow": 0, "m2_mul": 0}
-    # both counters see the calls they are meant to see
+    # both counters see the calls they are meant to see: the CM
+    # conjugations of a case-2 triple still multiply matrices
     t.gamma ** 2
-    identity_suite(shape, WINDOW, WINDOW, N_RANGE)
+    identity_suite(shaped(gaussian_two), WINDOW, WINDOW, N_RANGE)
     assert calls["m2_pow"] == 1 and calls["m2_mul"] > 0
 
 
@@ -411,11 +413,11 @@ def test_residue_field_tables():
         if x == zero:
             assert R.inv_table[x] is None
         else:
-            assert R.mul_table[x][R.inv_table[x]] == one
+            assert R.mul(x, R.inv_table[x]) == one
     # i^2 = -1
-    assert R.mul_table[th][th] == R.neg_table[one]
-    assert R.mul_table[R.mul_table[th][th]][R.mul_table[th][th]] == one
-    assert R.add_table[zero][th] == th
+    assert R.mul(th, th) == R.neg_table[one]
+    assert R.mul(R.mul(th, th), R.mul(th, th)) == one
+    assert R.add(zero, th) == th
 
 
 def test_residue_field_denominator_guard():
@@ -430,34 +432,15 @@ def test_residue_field_denominator_guard():
         R.reduce_ints([2, 0])
 
 
-def _pairwise_tables(R):
-    """mul, add, inv and neg of R built the direct way: one ib_mul and
-    one reduction per pair of representatives."""
-    k = R.field
-    q = R.q
-    mul = [[None] * q for _ in range(q)]
-    add = [[None] * q for _ in range(q)]
-    inv = [None] * q
-    for i, a in enumerate(R.reps):
-        for j in range(i, q):
-            b = R.reps[j]
-            mul[i][j] = mul[j][i] = R.reduce_ints(k.ib_mul(a, b))
-            add[i][j] = add[j][i] = R.reduce_ints([x + y for x, y in zip(a, b)])
-            if mul[i][j] == R.one:
-                inv[i], inv[j] = j, i
-    neg = [R.reduce_ints([-c for c in a]) for a in R.reps]
-    return mul, add, inv, neg
-
-
-def _frobenius_degrees(R):
+def _frobenius_degrees(R, mul):
     """For each x, the least e with x^(p^e) = x, by iterating x -> x^p
-    through mul_table."""
+    through the oracle's multiplication table mul."""
     def frob(x):
         out, base, e = R.one, x, R.p
         while e:
             if e & 1:
-                out = R.mul_table[out][base]
-            base = R.mul_table[base][base]
+                out = mul[out][base]
+            base = mul[base][base]
             e >>= 1
         return out
     step = [frob(x) for x in range(R.q)]
@@ -484,14 +467,17 @@ def test_residue_tables_match_pairwise_construction():
                 if P.residue_size > 150:
                     continue
                 R = ResidueField(k, P, 150)
-                mul, add, inv, neg = _pairwise_tables(R)
+                mul, add, inv, neg = oracles.residue_tables(R)
                 where = (k.poly, p, R.q)
-                assert R.mul_table == mul, where
-                assert R.add_table == add, where
+                elements = range(R.q)
+                assert [[R.mul(x, y) for y in elements]
+                        for x in elements] == mul, where
+                assert [[R.add(x, y) for y in elements]
+                        for x in elements] == add, where
                 assert R.inv_table == inv, where
                 assert R.neg_table == neg, where
-                assert [R.element_degree(x) for x in range(R.q)] == \
-                    _frobenius_degrees(R), where
+                assert [R.element_degree(x) for x in elements] == \
+                    _frobenius_degrees(R, mul), where
                 sizes.add((k.degree, R.q))
     assert {(4, 16), (4, 81), (2, 121), (2, 4)} <= sizes
 
@@ -657,6 +643,117 @@ def test_image_order_proper_subgroups():
         reached, expansions = oracles.sl2_image_bfs(R, mats)
         assert reached == expect[0] * expect[1]
         assert expansions == 2 * len(mats) * reached
+
+
+# x^3 - x - 1 (discriminant -23, so Z[t] is maximal; t is the
+# fundamental unit): 2 and 3 are inert in it, giving q = 8 and 27, which
+# no field of the verify benchmark's ladder has.
+CUBIC_DATASHEET = {
+    "integral_basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "fundamental_units": [[0, 1, 0]],
+    "subfields": [],
+    "class_orders": [],
+}
+
+
+def small_residue_fields(bound):
+    """Every residue field of size up to bound of the verify ladder's
+    fields (Q, Q(i), Q(sqrt 2), Q(sqrt 5), Q(sqrt 103), Q(zeta5)) and of
+    the cubic field above."""
+    fields = [create_field(poly) for poly in
+              ([-1, 1], [1, 0, 1], [-2, 0, 1], [-5, 0, 1], [-103, 0, 1])]
+    fields += [zeta5_nofinite()[0],
+               create_field([-1, -1, 0, 1], datasheet=CUBIC_DATASHEET)]
+    return [ResidueField(k, P, bound) for k in fields
+            for p in primes_below(bound + 1)
+            for P in factor_rational_prime(k, p) if P.residue_size <= bound]
+
+
+def generating_sets(R, rng):
+    """Seeded subsets of SL2(R), built on the oracle's pairwise tables:
+    1-3 random matrices, lower and upper Borels, a torus, SL2 of each
+    subfield k, and SL2(k) diag(a, a^-1) for a generator a of R^* and,
+    where one exists, for an a outside k with a^2 in k (the shape of
+    the order-672 image at q = 49)."""
+    mul, add, inv, _ = oracles.residue_tables(R)
+    q, one, zero = R.q, R.one, R.zero
+    nonzero = [x for x in range(q) if x != zero]
+
+    def power(x, e):
+        out = one
+        for _ in range(e):
+            out = mul[out][x]
+        return out
+
+    def order(x):
+        return next(e for e in range(1, q) if power(x, e) == one)
+
+    def diag(a):
+        return ((a, zero), (zero, inv[a]))
+
+    def e12(x):
+        return ((one, x), (zero, one))
+
+    def e21(x):
+        return ((one, zero), (x, one))
+
+    def random_sl2():
+        a = rng.choice(nonzero)
+        b, c = rng.randrange(q), rng.randrange(q)
+        return ((a, b), (c, mul[add[one][mul[b][c]]][inv[a]]))
+
+    g = next(x for x in nonzero if order(x) == q - 1)
+    x, t = rng.choice(nonzero), rng.choice(nonzero)
+    sets = [[random_sl2() for _ in range(n)] for n in (1, 2, 3)]
+    sets += [[e21(x), diag(t)], [e12(x), diag(t)], [diag(t)]]
+    for e in range(1, R.prime.f + 1):
+        if R.prime.f % e:
+            continue
+        size = R.p ** e
+        # w generates k^*, so 1, w, ..., w^(e-1) is an F_p-basis of k
+        w = power(g, (q - 1) // (size - 1))
+        basis = [power(w, j) for j in range(e)]
+        sl2k = [e12(b) for b in basis] + [e21(b) for b in basis]
+        sets.append(sl2k)
+        if size < q:
+            sets.append(sl2k + [diag(g)])
+            if (q - 1) // (size - 1) % 2 == 0:
+                sets.append(sl2k + [diag(power(g, (q - 1) // (2 * size - 2)))])
+    return sets
+
+
+def test_image_order_matches_bfs_on_seeded_sets():
+    rng = random.Random(20)
+    sizes = set()
+    proper = set()
+    for R in small_residue_fields(27):
+        for mats in generating_sets(R, rng):
+            orbit, stabilizer = image_order(R, mats)
+            reached, expansions = oracles.sl2_image_bfs(R, mats)
+            assert orbit * stabilizer == reached, (R.field.poly, R.p, R.q,
+                                                   mats)
+            assert expansions == 2 * len(mats) * reached
+            if reached < R.q * (R.q * R.q - 1):
+                proper.add((R.q, reached))
+        sizes.add(R.q)
+    assert {4, 8, 9, 16, 25, 27} <= sizes
+    # 2 |SL2(F_p)| at q = p^2, as in the census's exit-3 reports
+    assert {(9, 48), (25, 240)} <= proper
+
+
+def test_modp_count_is_linear_in_q():
+    # E21(1) and E12(1) generate SL2(F_p); the tables of the former
+    # count had 10^8 entries at p = 10007
+    k = create_field([-1, 1])
+    for p in (1009, 10007):
+        started = time.process_time()
+        (P,) = factor_rational_prime(k, p)
+        R = ResidueField(k, P, p)
+        one, zero = R.one, R.zero
+        orbit, stabilizer = image_order(R, [((one, zero), (one, one)),
+                                            ((one, one), (zero, one))])
+        assert time.process_time() - started < 2, p
+        assert (orbit, stabilizer) == (p * p - 1, p)
 
 
 def test_modp_above_q_100_at_speed():
