@@ -16,6 +16,7 @@ and the grid is never shrunk to drop a failing row.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import signal
@@ -24,6 +25,8 @@ import tempfile
 import time
 
 from sgen2 import cli
+from sgen2.field import create_field
+from sgen2.ideals import factor_rational_prime
 
 from test_field import ZETA5_CLASS_ORDER, ZETA5_DATASHEET
 
@@ -33,6 +36,13 @@ LIMIT_S = 5
 PRIME_SETS = [(2,), (3,), (5,), (7,), (2, 3), (2, 5), (3, 5), (2, 7)]
 IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 IDENTITY_4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+# Shanks' simplest cubics x^3 - a x^2 - (a + 3) x - 1 (conductors 7, 9,
+# 13, 19, 37, 79, 97), each over one prime or two small primes
+SHANKS_A = (-1, 0, 1, 2, 4, 7, 8)
+SHANKS_PRIME_SETS = ([(p,) for p in (2, 3, 5, 7, 11, 13)]
+                     + list(itertools.combinations((2, 3, 5, 7), 2)))
+# generators are searched among the elements with coordinates in this box
+SHANKS_BOX = range(-3, 4)
 
 
 def _squarefree(d):
@@ -44,6 +54,35 @@ def _config(poly, primes, datasheet=None):
     if datasheet is not None:
         field["datasheet"] = datasheet
     return {"field": field, "S": [{"p": p} for p in primes]}
+
+
+def _shanks_sheet(a, primes):
+    """The datasheet of x^3 - a x^2 - (a + 3) x - 1 over the given primes.
+
+    disc f_a = (a^2 + 3a + 9)^2 is the field discriminant for these a, so
+    1, t, t^2 is an integral basis, and t, t + 1 are fundamental units
+    (Thomas 1979).  Each prime P over the given primes gets class order
+    1 with a generator: p itself when p is inert, otherwise the first
+    element of norm +-N(P) in P among the coordinates in SHANKS_BOX,
+    smallest first.  A prime with no generator there is left out, and
+    create_field then names it.
+    """
+    sheet = {"integral_basis": IDENTITY_3,
+             "fundamental_units": [[0, 1, 0], [1, 1, 0]], "subfields": []}
+    field = create_field([-1, -(a + 3), -a, 1], dict(sheet, class_orders=[]))
+    box = sorted(itertools.product(SHANKS_BOX, repeat=3),
+                 key=lambda c: (max(map(abs, c)), c))
+    orders = []
+    for p in primes:
+        for P in factor_rational_prime(field, p):
+            candidates = [(p, 0, 0)] if P.f == 3 else box
+            for coords in candidates:
+                x = field.element(coords)
+                if abs(x.norm()) == P.norm and P.contains(x):
+                    orders.append({"ideal": [list(r) for r in P.hnf],
+                                   "order": 1, "generator": list(coords)})
+                    break
+    return dict(sheet, class_orders=orders)
 
 
 def rows():
@@ -77,6 +116,12 @@ def rows():
          _config(zeta5, (), dict(ZETA5_DATASHEET,
                                  fundamental_units=[[-1, 0, 0, 0]]))),
     ]
+    for a in SHANKS_A:
+        for primes in SHANKS_PRIME_SETS:
+            out.append((f"simplest cubic a = {a} over "
+                        f"{','.join(map(str, primes))}",
+                        _config([-1, -(a + 3), -a, 1], primes,
+                                _shanks_sheet(a, primes))))
     return out
 
 
