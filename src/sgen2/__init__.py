@@ -8,8 +8,8 @@ from .errors import (CardinalityTooSmall, ConfigInvalid, DatasheetInvalid,
                      PrimeInS, Reducible, ResidueFieldTooLarge,
                      SearchExhausted, SgenError, VerificationFailure)
 from .field import FieldElement, NumberField, create_field
-from .ideals import (IntegralIdeal, PrimeIdeal, class_order,
-                     factor_rational_prime, valuation)
+from .ideals import (IntegralIdeal, PrimeIdeal, ResidueMap, class_order,
+                     factor_rational_prime, residue_maps, valuation)
 from .sunits import (AlphaCertificate, CMStructure, PrimeSet, SubfieldDescriptor,
                      SUnitBasis, choose_alpha, contract_prime_set,
                      default_subfields, exponent_vector, is_cm,

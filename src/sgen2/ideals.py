@@ -1,18 +1,23 @@
-"""Nonzero integral ideals of the maximal order.
+"""Nonzero integral ideals of the maximal order, and its primes as ring
+maps.
 
 An ideal is stored as the canonical HNF of its Z-lattice in
 integral-basis coordinates, so equality of ideals is equality of
 matrices and sorting by matrix gives a canonical prime ordering.
 
-Prime factorization is complete for degree <= 2 (the maximal order is
-Z[omega], so the splitting of p mirrors the factorization of omega's
-minimal polynomial mod p for every p; NumberField.omega_minpoly reads
-that polynomial off the discriminant, and a square root mod p splits
-it).  In the datasheet tier the same statement needs p coprime to the
-index of Z[t] in the maximal order; the Dedekind criterion detects the
-bad primes and IndexDivisor reports them as out of scope.
+The primes above p come from the factorization of a polynomial mod p
+(residue_maps): each monic irreducible factor g gives the ring map O_K
+-> F_p[x] / (g) of one prime (ResidueMap), whose kernel is the prime.
+This is complete for degree <= 2 (the maximal order is Z[omega], and
+NumberField.omega_minpoly reads omega's minimal polynomial off the
+discriminant; a square root mod p splits it).  In the datasheet tier it
+needs p coprime to the index of Z[t] in the maximal order; the Dedekind
+criterion detects the bad primes and IndexDivisor reports them as out
+of scope.  A prime that S, a valuation or a report reads is a PrimeIdeal
+(factor_rational_prime); the mod-P check reads only the ring map.
 """
 
+import operator
 from math import isqrt
 
 from . import linalg, polys
@@ -84,9 +89,6 @@ class IntegralIdeal:
     def __hash__(self):
         return hash((id(self.field), self.hnf))
 
-    def sort_key(self):
-        return self.hnf
-
     def serialize(self):
         return {"hnf": [list(r) for r in self.hnf], "norm": self.norm}
 
@@ -99,14 +101,7 @@ class PrimeIdeal(IntegralIdeal):
 
     def __init__(self, field, rows, p, e, f, two_element):
         super().__init__(field, rows)
-        self.p = p
-        self.e = e
-        self.f = f
-        self.two_element = two_element
-
-    @property
-    def residue_size(self):
-        return self.p ** self.f
+        self.p, self.e, self.f, self.two_element = p, e, f, two_element
 
     def serialize(self):
         out = super().serialize()
@@ -144,8 +139,165 @@ def _symmetric_lift(r, p):
     return r if r <= p // 2 else r - p
 
 
+class ResidueMap:
+    """The prime P over p of a monic irreducible factor g of the defining
+    polynomial mod p (omega's minimal polynomial on the automatic tier),
+    p prime to [O_K : Z[t]], as the ring map O_K -> O_K / P = F_p[x] / (g)
+    sending t (omega) to x (Kummer-Dedekind; Cohen, GTM 138, 4.8).  A
+    residue is the integer sum c_k p^k of its coordinates over 1, x, ...,
+    x^(f - 1); for f = 1, its value mod p.  _cols[k][i] is c_k of the
+    image of the integral-basis element b_i.  The map is checked to be a
+    ring map (1 maps to 1, b_i b_j to the image of sum_k c_ijk b_k), or
+    InvariantViolated is raised; hnf, its kernel's canonical HNF, sorts
+    the maps as the PrimeIdeals sort."""
+
+    __slots__ = ("p", "g", "e", "f", "hnf", "_cols")
+
+    def __init__(self, field, p, g, e, rows, den):
+        # b_i is sum_k rows[i][k] t^k / den, with p prime to den
+        self.p, self.g, self.e, self.f = p, g, e, len(g) - 1
+        _check_invariant(den % p, "the integral basis has p in a denominator")
+        b = [self._fold([c * pow(den, -1, p) for c in row]) for row in rows]
+        images = [[r // p ** k % p for k in range(self.f)] for r in b]
+        self._cols = list(zip(*images))
+        n = field.degree
+        _check_invariant(
+            self._residue(field.one.num) == 1
+            and all(self.mul(b[i], b[j]) == self._residue(field.mult_table[i][j])
+                    for i in range(n) for j in range(i, n)),
+            "the basis images do not make a ring map")
+        self.hnf = _kernel_hnf(images, p)
+
+    @property
+    def residue_size(self):
+        return self.p ** self.f
+
+    def _fold(self, c):
+        # the residue of the polynomial c, an integer list that is used
+        # up, modulo (p, g): x^d = -(g - x^f) x^(d - f) from the top down
+        p, f, g = self.p, self.f, self.g
+        out = 0
+        for d in range(len(c) - 1, -1, -1):
+            x = c[d] % p
+            if d >= f:
+                for k in range(f):
+                    c[d - f + k] -= x * g[k]
+            else:
+                out = out * p + x
+        return out
+
+    def _residue(self, vec):
+        p, out = self.p, 0
+        for col in reversed(self._cols):
+            out = out * p + sum(map(operator.mul, vec, col)) % p
+        return out
+
+    def reduce(self, x):
+        """The residue of an element x whose denominator is prime to p."""
+        if x.den % self.p == 0:
+            raise ConfigInvalid(
+                "element denominator shares the residue characteristic")
+        r = self._residue(x.num)
+        return r if x.den == 1 else self.mul(r, pow(x.den, -1, self.p))
+
+    def mul(self, r, s):
+        """The residue of a product, from the residues of its factors."""
+        p, f = self.p, self.f
+        if f == 1:
+            return r * s % p
+        b = []
+        for _ in range(f):
+            s, y = divmod(s, p)
+            b.append(y)
+        prod = [0] * (2 * f - 1)
+        for i in range(f):
+            r, x = divmod(r, p)
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+        return self._fold(prod)
+
+    def power(self, r, k):
+        """The residue of r^k, by squaring."""
+        return 1 if not k else self.mul(self.power(self.mul(r, r), k >> 1),
+                                        r if k & 1 else 1)
+
+
+def _kernel_hnf(images, p):
+    """The canonical HNF of {v : sum v_i images_i = 0 mod p}.  From the
+    last column: column i has pivot p (the row p e_i) when images_i is
+    outside the span of the later pivot-p images, and otherwise pivot 1,
+    with the row e_i - sum_j c_j e_j for images_i = sum_j c_j images_j."""
+    n = len(images)
+    rows = [None] * n
+    echelon = []  # (pivot, w, c) with w = sum_j c_j images_j, w[pivot] = 1
+    for i in reversed(range(n)):
+        w, combo = images[i], [0] * n
+        for piv, v, comb in echelon:
+            c = w[piv]
+            w = [(x - c * y) % p for x, y in zip(w, v)]
+            combo = [(x + c * y) % p for x, y in zip(combo, comb)]
+        if any(w):
+            rows[i] = tuple(p * (j == i) for j in range(n))
+            piv = next(k for k, x in enumerate(w) if x)
+            d = pow(w[piv], -1, p)
+            echelon.append((piv, [d * x % p for x in w],
+                            [d * (j == i) - d * x for j, x in enumerate(combo)]))
+        else:
+            rows[i] = tuple(1 if j == i else -combo[j] % p for j in range(n))
+    return tuple(rows)
+
+
+def _kummer_factors(field, p):
+    """(rows, den, factors) for the primes above p: the integral basis
+    b_i = sum_k rows[i][k] t^k / den in powers of t (of omega on the
+    automatic tier), and [(g, e)], one monic irreducible factor g of the
+    defining polynomial (of omega's minimal polynomial) mod p per prime,
+    with e = its multiplicity and f = deg g.  The datasheet tier first
+    runs Dedekind's criterion and raises IndexDivisor when p divides
+    [O_K : Z[t]].
+    """
+    n = field.degree
+    if n == 1:
+        rows, den, fac = [[1]], 1, [([0, 1], 1)]
+    elif field.tier == "automatic":
+        # roots of x^2 + b x + s mod p: none (inert), one double or two
+        s, b = field.omega_minpoly()
+        rows, den = [[1, 0], [0, 1]], 1
+        if p == 2:
+            roots = [x for x in (0, 1) if (x * x + b * x + s) % 2 == 0]
+        else:
+            r = polys.sqrt_mod_p(b * b - 4 * s, p)
+            half = (p + 1) // 2  # the inverse of 2 mod p
+            roots = [] if r is None else sorted(
+                {(r - b) * half % p, (-r - b) * half % p})
+        mult = 2 if len(roots) == 1 else 1
+        fac = ([([-rho % p, 1], mult) for rho in roots]
+               or [([s % p, b % p, 1], 1)])
+    else:
+        rows, den = field._ib_rows, field._ib_den
+        fac = polys.factor_mod_p(list(field.poly), p)
+        if _dedekind_index_divisor(field.poly, fac, p):
+            raise IndexDivisor(
+                f"p = {p} divides the index of Z[t]; factorization out of scope")
+    _check_invariant(sum(e * (len(g) - 1) for g, e in fac) == n,
+                     "sum of e*f must equal the degree")
+    return rows, den, fac
+
+
+def residue_maps(field, p, bound=None):
+    """The ResidueMaps of the primes above the rational prime p, in
+    canonical (HNF) order; with a bound, only those with residue fields
+    of size up to it."""
+    rows, den, fac = _kummer_factors(field, p)
+    return sorted((ResidueMap(field, p, g, e, rows, den) for g, e in fac
+                   if bound is None or p ** (len(g) - 1) <= bound),
+                  key=lambda M: M.hnf)
+
+
 def factor_rational_prime(field, p):
-    """All primes above p, canonically ordered, with e and f attached.
+    """All primes above p as PrimeIdeals, canonically ordered, each
+    generated by p and an element pi that its factor g gives (a lift of
+    g at t on the datasheet tier); the primes must multiply to (p).
 
     The tuple is kept on the field, so every later call for the same p
     returns the same prime objects.
@@ -154,61 +306,32 @@ def factor_rational_prime(field, p):
         raise ConfigInvalid(f"not a rational prime: {p}")
     if p in field._primes_above:
         return field._primes_above[p]
-    n = field.degree
-    if n == 1:
-        primes = [PrimeIdeal(field, [[p]], p, 1, 1, (p, field.zero))]
-    elif field.tier == "automatic":
-        # roots of x^2 + b x + s mod p: none (inert), one double or two
-        s, b = field.omega_minpoly()
-        if p == 2:
-            roots = [x for x in (0, 1) if (x * x + b * x + s) % 2 == 0]
-        else:
-            r = polys.sqrt_mod_p(b * b - 4 * s, p)
-            half = (p + 1) // 2  # the inverse of 2 mod p
-            roots = [] if r is None else sorted(
-                {(r - b) * half % p, (-r - b) * half % p})
-        if not roots:
-            rows = [[p if i == j else 0 for j in range(2)] for i in range(2)]
-            primes = [PrimeIdeal(field, rows, p, 1, 2, (p, field.zero))]
-        else:
-            # each root rho gives the prime (p, w - rho); with theta =
-            # u + v w, theta is u + v rho modulo it, so when p does not
+    primes = []
+    for g, e in _kummer_factors(field, p)[2]:
+        f = len(g) - 1
+        pi = field.zero  # for Q and for an inert p on the automatic tier
+        if field.tier == "datasheet":
+            pi = sum((field.theta ** k * _symmetric_lift(c, p)
+                      for k, c in enumerate(g)), pi)
+        elif f < field.degree:
+            # the root rho of g gives the prime (p, w - rho); with theta
+            # = u + v w, theta is u + v rho modulo it, so when p does not
             # divide v, theta - lift(u + v rho) generates it with p
+            rho = -g[0] % p
             u, v = field.theta.num
-            mult = 2 if len(roots) == 1 else 1
-            primes = []
-            for rho in roots:
-                if v % p:
-                    pi = field.theta - field.from_rational(
-                        _symmetric_lift(u + v * rho, p))
-                else:
-                    pi = field.basis_element(1) - field.from_rational(
-                        _symmetric_lift(rho, p))
-                rows = _ideal_rows(field, [field.from_rational(p), pi])
-                primes.append(PrimeIdeal(field, rows, p, mult, 1, (p, pi)))
-    else:
-        fac = polys.factor_mod_p(list(field.poly), p)
-        if _dedekind_index_divisor(field.poly, fac, p):
-            raise IndexDivisor(
-                f"p = {p} divides the index of Z[t]; factorization out of scope")
-        primes = []
-        for g, mult in fac:
-            # pi = (lift of the factor) evaluated at theta
-            pi = field.zero
-            for k, c in enumerate(_symmetric_lift(ci, p) for ci in g):
-                if c:
-                    pi = pi + field.theta ** k * c
-            rows = _ideal_rows(field, [field.from_rational(p), pi])
-            primes.append(PrimeIdeal(field, rows, p, mult, polys.degree(g), (p, pi)))
-
-    primes.sort(key=lambda q: q.sort_key())
-    check = primes[0] ** 0
-    total = 0
-    prod = check
-    for q in primes:
-        total += q.e * q.f
+            if v % p:
+                pi = field.theta - field.from_rational(
+                    _symmetric_lift(u + v * rho, p))
+            else:
+                pi = field.basis_element(1) - field.from_rational(
+                    _symmetric_lift(rho, p))
+        primes.append(PrimeIdeal(
+            field, _ideal_rows(field, [field.from_rational(p), pi]), p, e, f,
+            (p, pi)))
+    primes.sort(key=lambda q: q.hnf)
+    prod = primes[0] ** primes[0].e
+    for q in primes[1:]:
         prod = prod * (q ** q.e)
-    _check_invariant(total == n, "sum of e*f must equal the degree")
     _check_invariant(
         prod == IntegralIdeal.from_elements(field, [field.from_rational(p)]),
         "product of prime powers must be (p)")
@@ -229,22 +352,17 @@ def _ideal_rows(field, elements):
 
 
 def _dedekind_index_divisor(poly, fac, p):
-    """True iff p divides [O_K : Z[t]] (Dedekind's criterion)."""
-    gbar = [1]
-    hbar = [1]
-    for g, mult in fac:
-        gbar = polys.pp_mul(gbar, g, p)
-        for _ in range(mult - 1):
-            hbar = polys.pp_mul(hbar, g, p)
-    gl = [_symmetric_lift(c, p) for c in gbar]
-    hl = [_symmetric_lift(c, p) for c in hbar]
-    prod = polys.pmul(gl, hl)
-    diff = polys.psub(prod, list(poly))
-    T = [c // p for c in diff]
+    """True iff p divides [O_K : Z[t]] (Dedekind's criterion): with f =
+    prod g^e mod p, some g with e > 1 divides (f - prod lift(g)^e) / p."""
+    lifted = [1]
+    for g, e in fac:
+        for _ in range(e):
+            lifted = polys.pmul(lifted, [_symmetric_lift(c, p) for c in g])
+    diff = polys.psub(list(poly), lifted)
     _check_invariant(all(c % p == 0 for c in diff),
                      "the lifted factorization does not reduce to f mod p")
-    d = polys.pp_gcd(polys.pp_gcd(polys.pp_trim(T, p), gbar, p), hbar, p)
-    return polys.degree(d) > 0
+    T = [c // p for c in diff]
+    return any(e > 1 and not polys.pp_divmod(T, g, p)[1] for g, e in fac)
 
 
 # ---------------------------------------------------------------------------

@@ -186,31 +186,27 @@ def pp_trim(p, m):
 
 
 def pp_mul(a, b, m):
-    a, b = pp_trim(a, m), pp_trim(b, m)
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b))
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % m
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return pp_trim(out, m)
 
 
 def pp_divmod(a, b, m):
-    a, b = pp_trim(a, m), pp_trim(b, m)
+    rem, b = pp_trim(a, m), pp_trim(b, m)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     inv_lead = pow(b[-1], m - 2, m)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    rem = a[:]
-    while rem and len(rem) >= len(b):
-        c = rem[-1] * inv_lead % m
+    quo = [0] * max(len(rem) - len(b) + 1, 0)
+    # each step cancels the top coefficient of rem, which is then dropped
+    while len(rem) >= len(b):
         k = len(rem) - len(b)
-        quo[k] = c
-        for i, y in enumerate(b):
-            rem[k + i] = (rem[k + i] - c * y) % m
-        rem = pp_trim(rem, m)
-    return pp_trim(quo, m), rem
+        c = quo[k] = rem.pop() * inv_lead % m
+        for i in range(len(b) - 1):
+            rem[k + i] -= c * b[i]
+    return pp_trim(quo, m), pp_trim(rem, m)
 
 
 def pp_monic(a, m):

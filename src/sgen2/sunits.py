@@ -59,7 +59,7 @@ class PrimeSet:
     def __init__(self, field, finite, min_card=2):
         self.field = field
         by_key = {p.hnf: p for p in finite}
-        self.finite = tuple(sorted(by_key.values(), key=lambda p: p.sort_key()))
+        self.finite = tuple(sorted(by_key.values(), key=lambda p: p.hnf))
         self.infinite_count = field.signature[0] + field.signature[1]
         if self.card < min_card:
             raise CardinalityTooSmall(

@@ -15,8 +15,10 @@ an unproved triple.  Four checks, each falsifiable on its own:
     explicit word in the triple and evaluates the word exactly through
     the proved shapes.
   * modp_surjectivity takes the triple reduced modulo an admissible prime
-    (reduce_triple, once per prime; the residue field keeps only O(q)
-    log, Zech-log, inverse and negation lists) and counts the generated
+    (reduce_triple, once per prime, through the prime's ring map O_K ->
+    F_p[x] / (g), ideals.ResidueMap: no ideal HNF and no coset table; the
+    residue field keeps only O(q) log, Zech-log, inverse and negation
+    lists, built after every cheap filter) and counts the generated
     subgroup of SL2 of the residue field on the projective line: the
     orbit of the point (1 : 0) times its stabilizer, a subgroup of the
     Borel group that Schreier's lemma presents and that is counted as
@@ -27,14 +29,12 @@ an unproved triple.  Four checks, each falsifiable on its own:
     modp entries change shape.
 """
 
-from math import gcd
-
 from .errors import (ConfigInvalid, IdentityFailed, InvariantViolated,
                      NotInLattice, PrimeInS, ResidueFieldTooLarge,
                      VerificationFailure)
 from .field import FieldElement, integer_rows
 from .generators import m2_eq, m2_inv, m2_mul
-from .ideals import factor_rational_prime, valuation
+from .ideals import factor_rational_prime, residue_maps, valuation
 from .linalg import (RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat,
                      xgcd)
 from .polys import is_prime, prime_divisors
@@ -349,44 +349,36 @@ def elementary_witness(shape, x, side):
 # Surjectivity modulo admissible primes.
 
 class ResidueField:
-    """O_K / P with elements indexed by canonical coset representatives
-    below the Hermite rows of P.  Arithmetic is index arithmetic on the
-    logs to one primitive element g, the first representative whose
-    powers reach every nonzero element (O(q) products in O_K find and
-    walk it).  Only lists of length O(q) are kept: exp and log, the Zech
-    logs Z[k] = log(1 + g^k), and the inverse and negation tables.  Then
-    g^i g^j = g^(i + j), g^i + g^j = g^(i + Z[j - i]), and -g^i =
-    g^(i + (q - 1)/2) for odd q (-x = x when q is even)."""
+    """O_K / P = F_p[x] / (g) through P's ring map M (ideals.ResidueMap):
+    the elements are M's residues 0, ..., q - 1, the integers sum c_k p^k
+    of their coordinates over 1, x, ..., x^(f - 1), and reduce_element is
+    M.reduce.  Arithmetic is index arithmetic on the logs to one
+    primitive element g, the first residue whose powers reach every
+    nonzero element (O(q) products in F_p[x] / (g) find and walk it).
+    Only lists of length O(q) are kept: exp and log, the Zech logs Z[k]
+    = log(1 + g^k), and the inverse and negation tables.  Then g^i g^j =
+    g^(i + j), g^i + g^j = g^(i + Z[j - i]), and -g^i = g^(i + (q - 1)/2)
+    for odd q (-x = x when q is even)."""
 
-    def __init__(self, field, prime, bound):
-        q = prime.residue_size
+    def __init__(self, M, bound):
+        q = M.residue_size
         if q > bound:
             raise ResidueFieldTooLarge(f"residue field of size {q} > {bound}")
-        self.field = field
-        self.prime = prime
-        self.q = q
-        self.p = prime.p
-        self._rows = rows = [list(r) for r in prime.hnf]
-        reps = [()]
-        for i in range(field.degree):
-            reps = [r + (v,) for r in reps for v in range(rows[i][i])]
-        if len(reps) != q:
-            raise InvariantViolated("coset representatives do not match |O_K/P|")
-        self.reps = reps
-        self._index = {r: i for i, r in enumerate(reps)}
-        self.zero = 0  # the zero tuple is the first representative
-        self.one = one = self.reduce_ints(field.one.num)
+        self.prime = M
+        self.q, self.p = q, M.p
+        self.reduce_element = M.reduce
+        self.zero, self.one = 0, 1
         m = q - 1
         # powers of a rejected candidate are never primitive: skip them
-        seen = bytearray(q)
+        seen, mul = bytearray(q), M.mul
         for g in range(1, q):
             if seen[g]:
                 continue
-            exp, x = [one], g
-            while x != one and len(exp) < q:
+            exp, x = [1], g
+            while x != 1 and len(exp) < q:
                 exp.append(x)
                 seen[x] = 1
-                x = self.reduce_ints(field.ib_mul(reps[x], reps[g]))
+                x = mul(x, g)
             if len(exp) == m:
                 break
         else:
@@ -396,8 +388,9 @@ class ResidueField:
         self._log = log = [2 * m] * q
         for k, x in enumerate(exp):
             log[x] = k
-        self._zech = [log[self.reduce_ints(map(sum, zip(reps[x], reps[one])))]
-                      for x in exp]
+        # x + 1 adds 1 to the constant coordinate only
+        p = self.p
+        self._zech = [log[x - x % p + (x + 1) % p] for x in exp]
         self.inv_table = [None] + [exp[-li] for li in log[1:]]
         self._exp = exp = exp + exp + [0] * (2 * m + 1)
         half = m // 2 if q % 2 else 0
@@ -413,55 +406,42 @@ class ResidueField:
         # a negative difference wraps modulo q - 1
         return self._exp[li + self._zech[self._log[j] - li]]
 
-    def reduce_ints(self, vec):
-        v = list(vec)
-        n = len(v)
-        for i in range(n):
-            f = v[i] // self._rows[i][i]
-            if f:
-                for j in range(i, n):
-                    v[j] -= f * self._rows[i][j]
-        return self._index[tuple(v)]
 
-    def reduce_element(self, x):
-        if gcd(x.den, self.p) != 1:
-            raise ConfigInvalid(
-                "element denominator shares the residue characteristic")
-        i_num = self.reduce_ints(x.num)
-        i_den = self.reduce_ints([x.den] + [0] * (self.field.degree - 1))
-        return self.mul(i_num, self.inv_table[i_den])
-
-    def element_degree(self, i):
-        """Degree over the prime field: the least e with x^(p^e) = x,
-        that is, with p^e = 1 modulo the multiplicative order of x."""
-        m = self.q - 1
-        order = m // gcd(self._log[i], m)
-        return next(e for e in range(1, self.prime.f + 1)
-                    if (self.p ** e - 1) % order == 0)
-
-
-def reduce_triple(triple, prime, bound):
-    """(R, mats): the residue field R = O_K / prime, of size at most
-    bound, and the triple's matrices reduced into it as 2x2 tuples of
-    residue indices.  The prime must lie outside S and over a rational
-    prime that no member of S lies over."""
-    if triple.S.contains(prime):
-        raise PrimeInS(f"{prime.p} lies in S")
+def reduce_triple(triple, M):
+    """The triple's matrices reduced by the ring map M of a prime outside
+    S, over a rational prime that no member of S lies over, as 2x2
+    tuples of residues."""
     for P in triple.S.finite:
-        if P.p == prime.p:
+        if P.p == M.p:
+            if P.hnf == M.hnf:
+                raise PrimeInS(f"{M.p} lies in S")
             raise ConfigInvalid(
                 "prime shares its residue characteristic with a member of S")
-    R = ResidueField(triple.field, prime, bound)
-    mats = [tuple(tuple(R.reduce_element(m.entry(i, j)) for j in range(2))
+    return [tuple(tuple(M.reduce(m.entry(i, j)) for j in range(2))
                   for i in range(2)) for m in triple.matrices()]
-    return R, mats
+
+
+def _generates(M, residues):
+    """Whether the residues generate F_q over F_p, that is, lie together
+    in no maximal proper subfield F_(p^(f/r)), r a prime dividing f: the
+    fixed field of x -> x^(p^(f/r)).  The residues below p, the prime
+    field, lie in every subfield."""
+    residues = {v for v in residues if v >= M.p}
+    for r in prime_divisors(M.f):
+        k = M.p ** (M.f // r)
+        if all(M.power(v, k) == v for v in residues):
+            return False
+    return True
 
 
 def admissible_primes(shape, count, bound):
     """The first primes where the surjectivity check is meaningful, in
-    canonical order, each as the pair (R, mats) of reduce_triple that
-    modp_surjectivity counts.  The walk ends at the first rational prime
-    past bound (ConfigInvalid if fewer than count were found).
+    canonical order, each as the pair (R, mats) that modp_surjectivity
+    counts: the residue field R and the triple reduced into it.  The
+    walk ends at the first rational prime past bound (ConfigInvalid if
+    fewer than count were found).  Each prime is read through its ring
+    map (ideals.residue_maps), and R is built only for a prime that
+    every requirement admits.
 
     Requirements: residue field size <= bound; rational characteristic
     away from S (so reduction never divides by zero); both psi entries
@@ -482,27 +462,20 @@ def admissible_primes(shape, count, bound):
     out = []
     p = 2
     while len(out) < count:
-        while not is_prime(p) or p in schars:
+        while not is_prime(p) or p in schars or triple.h % p == 0:
             p += 1
         if p > bound:
             # a prime over p has a residue field of size at least p
             raise ConfigInvalid(
                 f"not enough admissible primes with residue field size "
                 f"up to {bound}")
-        for P in factor_rational_prime(field, p):
-            if P.residue_size > bound:
+        for M in residue_maps(field, p, bound):
+            if not M.reduce(shape.tau) or M.f > 1 and not M.reduce(num):
                 continue
-            if triple.h % p == 0 or P.contains(shape.tau):
+            mats = reduce_triple(triple, M)
+            if not _generates(M, [v for m in mats for r in m for v in r]):
                 continue
-            if P.f > 1 and P.contains(num):
-                continue
-            R, mats = reduce_triple(triple, P, bound)
-            deg = 1
-            for e in (R.element_degree(v) for m in mats for r in m for v in r):
-                deg = deg * e // gcd(deg, e)
-            if deg != P.f:
-                continue
-            out.append((R, mats))
+            out.append((ResidueField(M, bound), mats))
             if len(out) == count:
                 break
         p += 1

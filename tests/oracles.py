@@ -13,8 +13,9 @@ enumeration of quadruples, and finds the subgroup that reduced matrices
 generate inside SL2 of a residue field by walking all of its elements
 breadth first, where the library counts it on the projective line by
 orbit and Borel stabilizer.  Its residue arithmetic is a q x q table
-built pair by pair from the coset representatives (residue_tables),
-where the library walks the powers of a primitive element and adds by
+built pair by pair from coset representatives below the prime's own
+HNF (residue_tables), where the library reduces through the ring map
+O_K -> F_p[x] / (g), walks the powers of a primitive element and adds by
 Zech logs.
 
 The principal-ideal oracle walks the whole coordinate box of the
@@ -507,35 +508,72 @@ def sl2_order_quadratic(p, red):
     return count
 
 
-def residue_tables(R):
-    """mul, add, inv and neg of the residue field R built the direct way,
-    from R.reps alone: one ib_mul and one reduction per pair of
-    representatives, where the library walks the powers of a primitive
-    element and adds by Zech logs."""
-    k = R.field
+def residue_tables(R, P):
+    """mul, add, inv and neg of the residue field R = O_K / P built the
+    direct way, indexed by R's residues: the coset representatives below
+    the Hermite rows of P (linalg.hnf of its generators p and pi times
+    the integral basis), one ib_mul and one reduction per pair.
+
+    Raises AssertionError unless R.reduce_element sends P's rows to zero
+    and the representatives one to one onto 0, ..., q - 1, and carries
+    their sum and product to R.add and R.mul: then R's arithmetic is
+    that of O_K / P.
+    """
+    k = P.field
+    n = k.degree
+    p, pi = P.two_element
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = linalg.hnf([[p * x for x in e] for e in unit]
+                      + [k.ib_mul(pi.num, e) for e in unit])
+    reps = [()]
+    for i in range(n):
+        reps = [r + (v,) for r in reps for v in range(rows[i][i])]
+    index = {r: i for i, r in enumerate(reps)}
+    image = [R.reduce_element(k.from_ib(r)) for r in reps]
+
+    def coset(vec):
+        # R's index of the coset of vec
+        v = list(vec)
+        for i in range(n):
+            f = v[i] // rows[i][i]
+            if f:
+                for j in range(i, n):
+                    v[j] -= f * rows[i][j]
+        return image[index[tuple(v)]]
+
+    if (sorted(image) != list(range(R.q))
+            or any(R.reduce_element(k.from_ib(r)) != R.zero for r in rows)):
+        raise AssertionError(f"R.reduce_element is not O_K / P at {P!r}")
     q = R.q
     mul = [[None] * q for _ in range(q)]
     add = [[None] * q for _ in range(q)]
     inv = [None] * q
-    for i, a in enumerate(R.reps):
+    for i, a in enumerate(reps):
+        x = image[i]
         for j in range(i, q):
-            b = R.reps[j]
-            mul[i][j] = mul[j][i] = R.reduce_ints(k.ib_mul(a, b))
-            add[i][j] = add[j][i] = R.reduce_ints([x + y for x, y in zip(a, b)])
-            if mul[i][j] == R.one:
-                inv[i], inv[j] = j, i
-    neg = [R.reduce_ints([-c for c in a]) for a in R.reps]
+            b = reps[j]
+            y = image[j]
+            mul[x][y] = mul[y][x] = coset(k.ib_mul(a, b))
+            add[x][y] = add[y][x] = coset([s + t for s, t in zip(a, b)])
+            if (mul[x][y], add[x][y]) != (R.mul(x, y), R.add(x, y)):
+                raise AssertionError(f"R's arithmetic is not O_K / P at "
+                                     f"{P!r}: {x}, {y}")
+            if mul[x][y] == R.one:
+                inv[x], inv[y] = y, x
+    neg = [None] * q
+    for i, a in enumerate(reps):
+        neg[image[i]] = coset([-c for c in a])
     return mul, add, inv, neg
 
 
-def sl2_image_bfs(R, mats):
+def sl2_image_bfs(R, P, mats):
     """(reached, expansions): the order of the subgroup that mats (2x2
-    tuples of indices of the residue field R) generate inside SL2(R),
-    found by a breadth-first walk over its elements that expands each
-    element once per generator and inverse.  The arithmetic comes from
-    residue_tables, not from the library's log tables."""
+    tuples of indices of the residue field R = O_K / P) generate inside
+    SL2(R), found by a breadth-first walk over its elements that expands
+    each element once per generator and inverse.  The arithmetic comes
+    from residue_tables, not from the library's log tables."""
     q = R.q
-    mul, add, _, neg = residue_tables(R)
+    mul, add, _, neg = residue_tables(R, P)
     inv_mats = []
     for (a, b), (c, d) in mats:
         inv_mats.append(((d, neg[b]), (neg[c], a)))

@@ -6,11 +6,12 @@ from math import lcm
 
 import pytest
 
-from sgen2.errors import (ConfigInvalid, IdentityFailed, NotInLattice,
-                          PrimeInS, ResidueFieldTooLarge, VerificationFailure)
+from sgen2.errors import (ConfigInvalid, IdentityFailed, IndexDivisor,
+                          InvariantViolated, NotInLattice, PrimeInS,
+                          ResidueFieldTooLarge, VerificationFailure)
 from sgen2.field import NumberField, create_field
 from sgen2.generators import build_generators
-from sgen2.ideals import factor_rational_prime
+from sgen2.ideals import ResidueMap, factor_rational_prime, residue_maps
 from sgen2.linalg import RatLattice, hnf
 from sgen2.polys import primes_below
 from sgen2.sunits import PrimeSet, element_lattice
@@ -398,16 +399,16 @@ def test_witness_serialize():
 def test_residue_field_tables():
     t = triple(gaussian_two)
     k = t.field
-    (p3,) = factor_rational_prime(k, 3)
-    R = ResidueField(k, p3, 100)
+    (p3,) = residue_maps(k, 3)
+    R = ResidueField(p3, 100)
     assert R.q == 9
     zero = R.reduce_element(k.zero)
     one = R.reduce_element(k.one)
     th = R.reduce_element(k.theta)
-    assert (zero, one) == (R.zero, R.one)
+    assert (zero, one) == (R.zero, R.one) == (0, 1)
     # i generates F9 over F3
-    assert R.element_degree(th) == 2
-    assert R.element_degree(one) == 1
+    assert verification._generates(p3, [th])
+    assert not verification._generates(p3, [one, zero])
     # every nonzero element has a working inverse
     for x in range(R.q):
         if x == zero:
@@ -423,13 +424,13 @@ def test_residue_field_tables():
 def test_residue_field_denominator_guard():
     t = triple(gaussian_two)
     k = t.field
-    (p3,) = factor_rational_prime(k, 3)
-    R = ResidueField(k, p3, 100)
+    (p3,) = residue_maps(k, 3)
+    R = ResidueField(p3, 100)
     with pytest.raises(ConfigInvalid):
         R.reduce_element(k.from_rational(Fraction(1, 3)))
-    # denominators supported in S are fine: 1/2 = 2 mod 3
+    # denominators supported in S are fine: 1/2 = 2 mod 3, the residue 2
     assert R.reduce_element(k.from_rational(Fraction(1, 2))) == \
-        R.reduce_ints([2, 0])
+        R.reduce_element(k.from_rational(2)) == 2
 
 
 def _frobenius_degrees(R, mul):
@@ -459,15 +460,18 @@ def test_residue_tables_match_pairwise_construction():
     # gives q = 121
     fields = [create_field(poly) for poly in
               ([-1, 1], [1, 0, 1], [-2, 0, 1], [-5, 0, 1], [-103, 0, 1])]
-    fields.append(zeta5_nofinite()[0])
+    fields += [zeta5_nofinite()[0],
+               create_field([-1, -1, 0, 1], datasheet=CUBIC_DATASHEET),
+               shanks_cubic(-1)]
     sizes = set()
     for k in fields:
         for p in primes_below(151):
-            for P in factor_rational_prime(k, p):
-                if P.residue_size > 150:
+            for P, M in zip(factor_rational_prime(k, p),
+                            residue_maps(k, p)):
+                if M.residue_size > 150:
                     continue
-                R = ResidueField(k, P, 150)
-                mul, add, inv, neg = oracles.residue_tables(R)
+                R = ResidueField(M, 150)
+                mul, add, inv, neg = oracles.residue_tables(R, P)
                 where = (k.poly, p, R.q)
                 elements = range(R.q)
                 assert [[R.mul(x, y) for y in elements]
@@ -476,25 +480,77 @@ def test_residue_tables_match_pairwise_construction():
                         for x in elements] == add, where
                 assert R.inv_table == inv, where
                 assert R.neg_table == neg, where
-                assert [R.element_degree(x) for x in elements] == \
-                    _frobenius_degrees(R, mul), where
+                assert [verification._generates(M, [x])
+                        for x in elements] == \
+                    [d == M.f for d in _frobenius_degrees(R, mul)], where
                 sizes.add((k.degree, R.q))
-    assert {(4, 16), (4, 81), (2, 121), (2, 4)} <= sizes
+    # x^3 - x - 1 gives f = 2 at 5 (q = 25), the simplest cubic f = 3
+    # at 2, 3 and 5 (q = 8, 27 and 125)
+    assert {(4, 16), (4, 81), (2, 121), (2, 4), (3, 8), (3, 25), (3, 27),
+            (3, 125)} <= sizes
+
+
+def test_residue_maps_order_primes_as_factor_rational_prime():
+    # the ring maps come in the PrimeIdeals' order, with their p, e, f
+    # and HNF, for every p <= 150 of the ladder fields and the cubics
+    fields = [create_field(poly) for poly in
+              ([-1, 1], [1, 0, 1], [-2, 0, 1], [-5, 0, 1], [-103, 0, 1])]
+    fields += [zeta5_nofinite()[0],
+               create_field([-1, -1, 0, 1], datasheet=CUBIC_DATASHEET)]
+    fields += [shanks_cubic(a) for a in (-1, 0, 1, 2, 4, 7, 8)]
+    fs = set()
+    for k in fields:
+        for p in primes_below(151):
+            maps = residue_maps(k, p)
+            assert [(M.p, M.e, M.f, M.hnf) for M in maps] == \
+                [(P.p, P.e, P.f, P.hnf) for P in factor_rational_prime(k, p)]
+            fs |= {(k.degree, M.e, M.f) for M in maps}
+    assert {(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 3, 1), (4, 1, 4),
+            (4, 4, 1), (2, 2, 1)} <= fs
+    # Dedekind's cubic x^3 + x^2 - 2x + 8: 2 divides [O_K : Z[t]]
+    k = create_field([8, -2, 1, 1], datasheet={
+        "integral_basis": [[1, 0, 0], [0, 1, 0],
+                           [0, Fraction(1, 2), Fraction(1, 2)]],
+        "fundamental_units": [[-13, -13, -3]], "subfields": [],
+        "class_orders": []})
+    with pytest.raises(IndexDivisor):
+        residue_maps(k, 2)
+    assert [M.f for M in residue_maps(k, 3)] == [3]  # x^3 + x^2 + x + 2 mod 3
+
+
+def test_residue_map_checks_the_ring_map():
+    # Z[i] at 5: i -> 2 is a ring map onto F_5, since 2^2 = -1 mod 5
+    k = create_field([1, 0, 1])
+    g = [-2 % 5, 1]
+    M = ResidueMap(k, 5, g, 1, [[1, 0], [0, 1]], 1)
+    assert M.reduce(k.theta) == 2
+    assert M.hnf == ((1, 2), (0, 5))
+    # a wrong image of i (2 + 2 = 4 or 2 * 2 = 4 under g = x - 2, where
+    # 4^2 = 1 != -1) or of 1 is refused; i -> 1 + 2 = 3 is the ring map
+    # of the other prime over 5
+    assert ResidueMap(k, 5, g, 1, [[1, 0], [1, 1]], 1).hnf == ((1, 3), (0, 5))
+    for rows in ([[1, 0], [2, 1]], [[2, 0], [0, 1]], [[1, 0], [0, 2]]):
+        with pytest.raises(InvariantViolated):
+            ResidueMap(k, 5, g, 1, rows, 1)
+    # and so is a wrong image in F_9 = F_3[x] / (x^2 + 1)
+    with pytest.raises(InvariantViolated):
+        ResidueMap(k, 3, [1, 0, 1], 1, [[1, 0], [1, 1]], 1)
+    assert ResidueMap(k, 3, [1, 0, 1], 1, [[1, 0], [0, 1]], 1).f == 2
 
 
 def test_residue_field_build_is_linear_in_q(monkeypatch):
     k = create_field([1, 0, 1])
-    (p11,) = factor_rational_prime(k, 11)
+    (p11,) = residue_maps(k, 11)
     calls = 0
-    ib_mul = k.ib_mul
+    mul = ResidueMap.mul
 
-    def counted(u, v):
+    def counted(M, r, s):
         nonlocal calls
         calls += 1
-        return ib_mul(u, v)
+        return mul(M, r, s)
 
-    monkeypatch.setattr(k, "ib_mul", counted)
-    R = ResidueField(k, p11, 150)
+    monkeypatch.setattr(ResidueMap, "mul", counted)
+    R = ResidueField(p11, 150)
     assert R.q == 121
     # the pairwise tables took q(q + 1)/2 = 7381 products
     assert 0 < calls <= 3 * R.q
@@ -503,20 +559,32 @@ def test_residue_field_build_is_linear_in_q(monkeypatch):
 # ---------------------------------------------------------------------------
 # Surjectivity mod P.
 
+def at(t, M, bound=100):
+    """(R, mats) for modp_surjectivity: the triple t at the prime of the
+    ring map M."""
+    return ResidueField(M, bound), reduce_triple(t, M)
+
+
+def ideal_of(k, R):
+    """The PrimeIdeal of k whose residue field is R, for the oracle."""
+    (P,) = [P for P in factor_rational_prime(k, R.p) if P.hnf == R.prime.hnf]
+    return P
+
+
 def test_modp_rational_goldens():
     t = triple(rational_two)
     k = t.field
-    (p3,) = factor_rational_prime(k, 3)
-    rep = modp_surjectivity(*reduce_triple(t, p3, 100))
+    (p3,) = residue_maps(k, 3)
+    rep = modp_surjectivity(*at(t, p3))
     assert rep["q"] == 3
     assert rep["reached"] == 24 == rep["group_order"]
     assert rep["passed"]
     assert rep["bfs_expansions"] == 144
-    (p5,) = factor_rational_prime(k, 5)
-    assert modp_surjectivity(*reduce_triple(t, p5, 100))["reached"] == 120
-    (p2,) = factor_rational_prime(k, 2)
+    (p5,) = residue_maps(k, 5)
+    assert modp_surjectivity(*at(t, p5))["reached"] == 120
+    (p2,) = residue_maps(k, 2)
     with pytest.raises(PrimeInS):
-        reduce_triple(t, p2, 100)
+        reduce_triple(t, p2)
 
 
 def test_modp_group_orders_against_oracle():
@@ -530,8 +598,8 @@ def test_modp_central_gamma_breaks_surjectivity():
     # alpha^2 = 1 mod 3 makes gamma central in SL2(F9): the closure is
     # the order-120 subgroup, honestly reported as a failure
     t = triple(gaussian_two)
-    (p3,) = factor_rational_prime(t.field, 3)
-    rep = modp_surjectivity(*reduce_triple(t, p3, 100))
+    (p3,) = residue_maps(t.field, 3)
+    rep = modp_surjectivity(*at(t, p3))
     assert rep["q"] == 9
     assert rep["group_order"] == 720
     assert rep["reached"] == 120
@@ -540,33 +608,39 @@ def test_modp_central_gamma_breaks_surjectivity():
 
 def test_modp_residue_field_bound():
     t = triple(gaussian_two)
-    (p11,) = factor_rational_prime(t.field, 11)
+    (p11,) = residue_maps(t.field, 11)
     with pytest.raises(ResidueFieldTooLarge):
-        reduce_triple(t, p11, 100)
+        at(t, p11)
 
 
 def test_modp_shared_characteristic():
     t = triple(sqrt2_seven)
-    (other,) = [p for p in factor_rational_prime(t.field, 7)
-                if not t.S.contains(p)]
+    (other,) = [M for M in residue_maps(t.field, 7)
+                if not any(P.hnf == M.hnf for P in t.S.finite)]
     with pytest.raises(ConfigInvalid):
-        reduce_triple(t, other, 100)
+        reduce_triple(t, other)
 
 
 def test_admissible_walk_ends_past_the_bound(monkeypatch):
     # every prime over p has a residue field of size at least p, so the
-    # walk for more primes than the bound admits stops after p = 97
+    # walk for more primes than the bound admits stops after p = 97; it
+    # reads each prime through its ring map, never as a PrimeIdeal
     shape = shaped(gaussian_five)
     walked = []
 
-    def factor(field, p):
+    def maps(field, p, bound):
         walked.append(p)
-        return factor_rational_prime(field, p)
+        return residue_maps(field, p, bound)
 
+    def factor(field, p):
+        raise AssertionError(f"the walk factored {p} into PrimeIdeals")
+
+    monkeypatch.setattr(verification, "residue_maps", maps)
     monkeypatch.setattr(verification, "factor_rational_prime", factor)
     with pytest.raises(ConfigInvalid):
         admissible_primes(shape, 1000, 100)
     assert max(walked) == 97
+    assert walked == [p for p in primes_below(98) if p != 5]
 
 
 def sqrt103_five():
@@ -590,13 +664,13 @@ def test_modp_count_matches_bfs_oracle():
         cases += [(t, R, mats)
                   for R, mats in admissible_primes(prove_shape(t), 10, 100)]
     t = triple(gaussian_two)
-    cases += [(t,) + reduce_triple(t, P, 100)
-              for P in factor_rational_prime(t.field, 3)]
+    cases += [(t,) + at(t, M) for M in residue_maps(t.field, 3)]
     proper = []
     for t, R, mats in cases:
         rep = modp_surjectivity(R, mats)
         assert mats == reduced(R, t.matrices())
-        expect = oracles.sl2_image_bfs(R, reduced(R, t.matrices()))
+        expect = oracles.sl2_image_bfs(R, ideal_of(t.field, R),
+                                       reduced(R, t.matrices()))
         assert (rep["reached"], rep["bfs_expansions"]) == expect, \
             (t.field.poly, R.p, rep["q"])
         if not rep["passed"]:
@@ -610,37 +684,39 @@ def test_image_order_proper_subgroups():
                       for row in m) for m in entries]
 
     k5 = create_field([-1, 1])
-    (p5,) = factor_rational_prime(k5, 5)
-    F5 = ResidueField(k5, p5, 100)
+    (p5,) = residue_maps(k5, 5)
+    F5 = ResidueField(p5, 100)
     e21 = ((1, 0), (1, 1))
     e12 = ((1, 1), (0, 1))
     torus = ((2, 0), (0, 3))
     minus = ((-1, 0), (0, -1))
     k9 = create_field([1, 0, 1])
-    (p3,) = factor_rational_prime(k9, 3)
-    F9 = ResidueField(k9, p3, 100)
+    (p3,) = residue_maps(k9, 3)
+    F9 = ResidueField(p3, 100)
     i = F9.reduce_element(k9.theta)
     g = F9.reduce_element(k9.one + k9.theta)  # of order 8
     cases = [
-        (F5, mats_over(F5, k5, e21, torus), (4, 5)),     # lower Borel
-        (F5, mats_over(F5, k5, e12, torus), (20, 1)),    # upper Borel
-        (F5, mats_over(F5, k5, torus), (4, 1)),          # diagonal torus
-        (F5, mats_over(F5, k5, minus), (2, 1)),          # {+-1}
-        (F9, mats_over(F9, k9, e12, e21), (8, 3)),       # SL2(F_3)
+        (F5, k5, mats_over(F5, k5, e21, torus), (4, 5)),   # lower Borel
+        (F5, k5, mats_over(F5, k5, e12, torus), (20, 1)),  # upper Borel
+        (F5, k5, mats_over(F5, k5, torus), (4, 1)),        # diagonal torus
+        (F5, k5, mats_over(F5, k5, minus), (2, 1)),        # {+-1}
+        (F9, k9, mats_over(F9, k9, e12, e21), (8, 3)),     # SL2(F_3)
         # E21 of the whole of F_9, spanned by two additive generators
-        (F9, mats_over(F9, k9, e21) + [((F9.one, F9.zero), (i, F9.one))],
+        (F9, k9,
+         mats_over(F9, k9, e21) + [((F9.one, F9.zero), (i, F9.one))],
          (1, 9)),
         # a lower Borel of F_9: the first orbit point already spans the
         # whole stabilizer, and the orbit walk must still reach all of
         # (F_9^*, 0)
-        (F9, mats_over(F9, k9, e21) + [((F9.one, F9.zero), (i, F9.one)),
-                                       ((g, F9.zero),
-                                        (F9.zero, F9.inv_table[g]))],
+        (F9, k9,
+         mats_over(F9, k9, e21) + [((F9.one, F9.zero), (i, F9.one)),
+                                   ((g, F9.zero),
+                                    (F9.zero, F9.inv_table[g]))],
          (8, 9)),
     ]
-    for R, mats, expect in cases:
+    for R, k, mats, expect in cases:
         assert image_order(R, mats) == expect, (R.q, expect)
-        reached, expansions = oracles.sl2_image_bfs(R, mats)
+        reached, expansions = oracles.sl2_image_bfs(R, ideal_of(k, R), mats)
         assert reached == expect[0] * expect[1]
         assert expansions == 2 * len(mats) * reached
 
@@ -656,26 +732,37 @@ CUBIC_DATASHEET = {
 }
 
 
+def shanks_cubic(a):
+    """Shanks' simplest cubic field x^3 - a x^2 - (a + 3) x - 1 on the
+    basis 1, t, t^2 with the units t and t + 1, as the census builds it
+    (for the a listed there, Z[t] is maximal)."""
+    return create_field([-1, -(a + 3), -a, 1], datasheet={
+        "integral_basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "fundamental_units": [[0, 1, 0], [1, 1, 0]], "subfields": [],
+        "class_orders": []})
+
+
 def small_residue_fields(bound):
-    """Every residue field of size up to bound of the verify ladder's
-    fields (Q, Q(i), Q(sqrt 2), Q(sqrt 5), Q(sqrt 103), Q(zeta5)) and of
-    the cubic field above."""
+    """(R, P) for every residue field R = O_K / P of size up to bound of
+    the verify ladder's fields (Q, Q(i), Q(sqrt 2), Q(sqrt 5), Q(sqrt
+    103), Q(zeta5)) and of the cubic field above."""
     fields = [create_field(poly) for poly in
               ([-1, 1], [1, 0, 1], [-2, 0, 1], [-5, 0, 1], [-103, 0, 1])]
     fields += [zeta5_nofinite()[0],
                create_field([-1, -1, 0, 1], datasheet=CUBIC_DATASHEET)]
-    return [ResidueField(k, P, bound) for k in fields
+    return [(ResidueField(M, bound), P) for k in fields
             for p in primes_below(bound + 1)
-            for P in factor_rational_prime(k, p) if P.residue_size <= bound]
+            for P, M in zip(factor_rational_prime(k, p), residue_maps(k, p))
+            if M.residue_size <= bound]
 
 
-def generating_sets(R, rng):
+def generating_sets(R, P, rng):
     """Seeded subsets of SL2(R), built on the oracle's pairwise tables:
     1-3 random matrices, lower and upper Borels, a torus, SL2 of each
     subfield k, and SL2(k) diag(a, a^-1) for a generator a of R^* and,
     where one exists, for an a outside k with a^2 in k (the shape of
     the order-672 image at q = 49)."""
-    mul, add, inv, _ = oracles.residue_tables(R)
+    mul, add, inv, _ = oracles.residue_tables(R, P)
     q, one, zero = R.q, R.one, R.zero
     nonzero = [x for x in range(q) if x != zero]
 
@@ -726,11 +813,11 @@ def test_image_order_matches_bfs_on_seeded_sets():
     rng = random.Random(20)
     sizes = set()
     proper = set()
-    for R in small_residue_fields(27):
-        for mats in generating_sets(R, rng):
+    for R, P in small_residue_fields(27):
+        for mats in generating_sets(R, P, rng):
             orbit, stabilizer = image_order(R, mats)
-            reached, expansions = oracles.sl2_image_bfs(R, mats)
-            assert orbit * stabilizer == reached, (R.field.poly, R.p, R.q,
+            reached, expansions = oracles.sl2_image_bfs(R, P, mats)
+            assert orbit * stabilizer == reached, (P.field.poly, R.p, R.q,
                                                    mats)
             assert expansions == 2 * len(mats) * reached
             if reached < R.q * (R.q * R.q - 1):
@@ -747,8 +834,8 @@ def test_modp_count_is_linear_in_q():
     k = create_field([-1, 1])
     for p in (1009, 10007):
         started = time.process_time()
-        (P,) = factor_rational_prime(k, p)
-        R = ResidueField(k, P, p)
+        (M,) = residue_maps(k, p)
+        R = ResidueField(M, p)
         one, zero = R.one, R.zero
         orbit, stabilizer = image_order(R, [((one, zero), (one, one)),
                                             ((one, one), (zero, one))])
@@ -759,9 +846,9 @@ def test_modp_count_is_linear_in_q():
 def test_modp_above_q_100_at_speed():
     # 11 is inert in Z[i]: q = 121, whose group has 1.77 M elements
     t = triple(gaussian_two)
-    (p11,) = factor_rational_prime(t.field, 11)
+    (p11,) = residue_maps(t.field, 11)
     started = time.process_time()
-    rep = modp_surjectivity(*reduce_triple(t, p11, 150))
+    rep = modp_surjectivity(*at(t, p11, 150))
     assert time.process_time() - started < 3
     assert rep["q"] == 121
     assert rep["reached"] == rep["group_order"] == 1771440
