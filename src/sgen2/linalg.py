@@ -8,20 +8,20 @@ per row span, so equality of spans is equality of forms.
 Two eliminations do all the work (Cohen, GTM 138, sections 2.2 and
 2.4):
 
-- ``_echelon``, the integer Hermite elimination behind ``hnf``,
-  ``hnf_with_transform`` and everything built on them, ``solve``
-  included: a rational solution of c @ rows = target is read off an
-  integer kernel vector of [target; rows];
+- the integer Hermite elimination, ``_echelon`` behind ``hnf``,
+  ``hnf_with_transform`` and ``solve`` (c @ rows = target is read off
+  an integer kernel vector of [target; rows]), and ``_insert``, one row
+  into a kept triangle, modulo its determinant D once that holds D * Z^n
+  (HNF modulo the determinant, section 2.4.2);
 - ``int_det``, the fraction-free Bareiss determinant.
 
 Callers hand in integer rows (``field.integer_rows`` clears a list of
 field elements to one denominator), so no elimination runs on
-``Fraction`` entries.  No lattice is intersected: an index
-[A : A cap B] is [A + B : B] (``RatLattice.sum_index``), one HNF of the
-stacked rows.  ``mat_det``, the rational determinant through
-``int_det``, has no caller in ``src/``: the benchmark's tracer still
-binds it, and it goes when the tracer reads spans instead (ROADMAP
-item 4).
+``Fraction`` entries.  No lattice is intersected: [A : A cap B] is
+[A + B : B] (``RatLattice.sum_index``), A's rows in B's triangle.
+``mat_det``, the rational determinant through ``int_det``, has no
+caller in ``src/``: the benchmark's tracer still binds it, and it goes
+when the tracer reads spans instead (ROADMAP item 4).
 """
 
 from fractions import Fraction
@@ -53,6 +53,19 @@ def _pivot(row):
     return None
 
 
+def _reduce_above(pivoted):
+    """Canonical HNF of echelon rows given as (pivot column, row) pairs."""
+    result = []
+    for col, carrier in pivoted:
+        piv = carrier[col]
+        for i, row in enumerate(result):
+            q = row[col] // piv
+            if q:
+                result[i] = [x - q * y for x, y in zip(row, carrier)]
+        result.append(carrier)
+    return result
+
+
 def _echelon(rows, ncols):
     """Hermite elimination on the first ncols columns of integer rows.
 
@@ -62,7 +75,7 @@ def _echelon(rows, ncols):
     whose first ncols entries were eliminated (all-zero rows dropped).
     """
     work = [list(map(int, r)) for r in rows if any(r)]
-    result = []
+    pivoted = []
     for col in range(ncols):
         rest = []
         carrier = None
@@ -79,17 +92,39 @@ def _echelon(rows, ncols):
                 if any(left):
                     rest.append(left)
         if carrier is not None:
-            piv = carrier[col]
-            if piv < 0:
-                carrier, piv = [-x for x in carrier], -piv
-            # reduce the entries above the new pivot into [0, pivot)
-            for i, row in enumerate(result):
-                q = row[col] // piv
-                if q:
-                    result[i] = [x - q * y for x, y in zip(row, carrier)]
-            result.append(carrier)
+            if carrier[col] < 0:
+                carrier = [-x for x in carrier]
+            pivoted.append((col, carrier))
         work = rest
-    return result, work
+    return _reduce_above(pivoted), work
+
+
+def _insert(tri, row, mod=0):
+    """Fold an integer row into tri (echelon rows by pivot column, None
+    where there is none) in place.  With mod > 0, tri is full and holds
+    mod * Z^n, so entries past the current column are reduced mod `mod`:
+    mod * e_j is a combination of the untouched rows with pivot >= j."""
+    if mod:
+        row = [x % mod for x in row]
+    for col, carrier in enumerate(tri):
+        x = row[col]
+        if not x:
+            continue
+        if carrier is None:
+            tri[col] = row if x > 0 else [-y for y in row]
+            return
+        # s * a + t * b = 1: a unimodular step that leaves the gcd of
+        # the two entries at col in the carrier and 0 in the row
+        g = gcd(carrier[col], x)
+        a, b = carrier[col] // g, x // g
+        s = pow(a, -1, abs(b))
+        t = (1 - s * a) // b
+        if mod:
+            tri[col] = [(s * z + t * y) % mod for z, y in zip(carrier, row)]
+            row = [(a * y - b * z) % mod for z, y in zip(carrier, row)]
+        else:
+            tri[col] = [s * z + t * y for z, y in zip(carrier, row)]
+            row = [a * y - b * z for z, y in zip(carrier, row)]
 
 
 def hnf(rows):
@@ -126,22 +161,6 @@ def solve_hnf(H, vec):
 
 def in_lattice(H, vec):
     return solve_hnf(H, vec) is not None
-
-
-def lattice_index_hnf(H1, H2):
-    """[span H1 : span H2] for HNF inputs.
-
-    Returns a positive int, the string "infinite" on a rank drop, or
-    None when H2 is not contained in H1.  A contained lattice of equal
-    rank has the same pivot columns, so the index is the ratio of the
-    pivot products.
-    """
-    if any(solve_hnf(H1, row) is None for row in H2):
-        return None
-    if len(H2) < len(H1):
-        return "infinite"
-    return (prod(r[_pivot(r)] for r in H2)
-            // prod(r[_pivot(r)] for r in H1))
 
 
 def solve(rows, target):
@@ -226,29 +245,42 @@ class RatLattice:
     def _common(self, other):
         if self.ncols != other.ncols:
             raise ValueError("ambient dimension mismatch")
-        d = self.den * other.den // gcd(self.den, other.den)
-        a = [[x * (d // self.den) for x in r] for r in self.rows]
-        b = [[x * (d // other.den) for x in r] for r in other.rows]
-        return a, b
+        d = lcm(self.den, other.den)
+        f, g = d // self.den, d // other.den
+        return ([[f * x for x in r] for r in self.rows],
+                [[g * x for x in r] for r in other.rows])
+
+    def extend(self, den, rows):
+        """self + span(rows) / den, the integer rows inserted into self's
+        triangle over the common denominator."""
+        d = lcm(self.den, den)
+        f, g = d // self.den, d // den
+        tri = [None] * self.ncols
+        for r in self.rows:
+            tri[_pivot(r)] = [f * x for x in r]
+        D = prod(r[c] if r else 0 for c, r in enumerate(tri))
+        for r in rows:
+            _insert(tri, [g * x for x in r], D)
+        return RatLattice(d, _reduce_above(
+            [(c, r) for c, r in enumerate(tri) if r is not None]), self.ncols)
 
     def sum_index(self, other):
-        """[self + other : other], or None when other has rank below the
-        ambient dimension.
-
-        By the second isomorphism theorem this is [self : self cap
-        other], so no intersection is formed: the rows of other, over
-        the common denominator, stay an HNF, and their pivot product
-        over that of the HNF of the stacked rows is the index.
-        """
+        """[self + other : other] = [self : self cap other], or None when
+        other has rank below the ambient dimension.  Over the common
+        denominator other's triangle has determinant D and holds D * Z^n;
+        the index is D over its diagonal with self's rows inserted."""
         if len(other.rows) < self.ncols:
             return None
-        a, b = self._common(other)
-        return lattice_index_hnf(hnf(a + b), b)
+        a, tri = self._common(other)
+        D = prod(r[c] for c, r in enumerate(tri))
+        for r in a:
+            _insert(tri, r, D)
+        return D // prod(r[c] for c, r in enumerate(tri))
 
     def contains(self, other):
+        # over the common denominator self's rows are still an HNF
         a, b = self._common(other)
-        ha = hnf(a)
-        return all(in_lattice(ha, r) for r in b)
+        return all(in_lattice(a, r) for r in b)
 
     def __eq__(self, other):
         return (isinstance(other, RatLattice) and self.den == other.den

@@ -24,9 +24,9 @@ verified exactly before it is emitted.
 O_S itself is exhausted by the levels Lambda_k = B^-k O_K, B = prod
 beta_i, which the S-unit basis builds once each (SUnitBasis.level):
 indices [O_S : Z[alpha^n]] are read per level as [Lambda_k + L_J : L_J],
-L_J a stage of the power span (one HNF of the stacked rows, no
-intersection), and accepted once three consecutive levels and a degree
-enlargement agree.
+L_J a stage of the power span (its triangle, grown from stage J - 1,
+with Lambda_k's rows inserted), and accepted once three consecutive
+levels and a degree enlargement agree.
 """
 
 import itertools
@@ -615,26 +615,31 @@ def element_lattice(elements):
 
 class PowerSpan:
     """Stage J is the Z-span of scale * base^j, j = 0..J, and of their
-    multiples by each element of extra; each power and each stage
-    lattice is computed once."""
+    multiples by each element of extra; each power is computed once and
+    stage J is stage J - 1 with the new rows inserted."""
 
     def __init__(self, base, scale, extra=()):
         self.base = base
         self.extra = extra
         self._pows = [scale]
-        self._lattices = {}
+        self._stages = [RatLattice(1, (), base.field.degree)]  # stage -1: zero
+
+    def _power(self, j):
+        while len(self._pows) <= j:
+            self._pows.append(self._pows[-1] * self.base)
+        return self._pows[j]
 
     def elements(self, J):
         """The stage-J generators, powers first."""
-        while len(self._pows) <= J:
-            self._pows.append(self._pows[-1] * self.base)
-        pows = self._pows[:J + 1]
+        pows = [self._power(j) for j in range(J + 1)]
         return pows + [g * p for g in self.extra for p in pows]
 
     def lattice(self, J):
-        if J not in self._lattices:
-            self._lattices[J] = element_lattice(self.elements(J))
-        return self._lattices[J]
+        while len(self._stages) <= J + 1:
+            p = self._power(len(self._stages) - 1)
+            self._stages.append(self._stages[-1].extend(
+                *integer_rows([p] + [g * p for g in self.extra])))
+        return self._stages[J + 1]
 
 
 def stabilized_index(sbasis, span):

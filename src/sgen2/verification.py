@@ -172,8 +172,8 @@ def identity_suite(shape, r_range, s_range, n_range):
 def _checked_index(sbasis, span, escapes):
     """(index, level, per-level values but None) of stabilized_index,
     with the Lagrange containment rechecked: index * Lambda_level must
-    land in stage level + 4 of span, which stabilized_index already
-    built, or VerificationFailure(escapes) is raised."""
+    land in stage level + 4 of span, whose triangle stabilized_index
+    already built, or VerificationFailure(escapes) is raised."""
     index, level, seq = stabilized_index(sbasis, span)
     lam = sbasis.level(level)
     scaled = RatLattice(lam.den, [[index * x for x in r] for r in lam.rows],

@@ -11,7 +11,7 @@ import time
 
 from sgen2.generators import build_generators, classify_case, m2_eq
 from sgen2.ideals import factor_rational_prime, valuation
-from sgen2.linalg import hnf, int_det, lattice_index_hnf
+from sgen2.linalg import RatLattice, hnf, int_det
 from sgen2.sunits import (choose_alpha, contract_prime_set,
                           default_subfields, rank_of_intersection,
                           s_unit_basis, zalpha_index)
@@ -172,10 +172,11 @@ def test_criterion_6_invariant_battery(capsys):
             continue
         b = _mat_mul(m, a)
         c = _mat_mul(w, b)
-        ha, hb, hc = hnf(a), hnf(b), hnf(c)
-        ab = lattice_index_hnf(ha, hb)
-        bc = lattice_index_hnf(hb, hc)
-        ac = lattice_index_hnf(ha, hc)
+        # a > b > c, so [a : b] = [a + b : b] and so on
+        la, lb, lc = (RatLattice(1, hnf(x), n) for x in (a, b, c))
+        ab = la.sum_index(lb)
+        bc = lb.sum_index(lc)
+        ac = la.sum_index(lc)
         assert ab == abs(int_det(m)) and bc == abs(int_det(w))
         assert ac == ab * bc
         triples += 1

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, prod
 
 from sgen2 import linalg
 from sgen2.linalg import RatLattice
@@ -126,14 +127,8 @@ def test_mat_det_matches_leibniz():
 
 
 def test_lattice_index_known():
-    # [Z^2 : 2Z x 3Z] = 6
-    h1 = linalg.hnf([[1, 0], [0, 1]])
-    h2 = linalg.hnf([[2, 0], [0, 3]])
-    assert linalg.lattice_index_hnf(h1, h2) == 6
-    # not contained
-    assert linalg.lattice_index_hnf(h2, h1) is None
-    # rank drop
-    assert linalg.lattice_index_hnf(h1, linalg.hnf([[1, 1]])) == "infinite"
+    # [Z^2 : 2Z x 3Z] = 6, read as [Z^2 + L : L] with L inside Z^2
+    assert lat(1, [[1, 0], [0, 1]]).sum_index(lat(1, [[2, 0], [0, 3]])) == 6
 
 
 def test_lattice_index_multiplicative():
@@ -149,13 +144,16 @@ def test_lattice_index_multiplicative():
         m2 = rand_matrix(rng, n, n, -3, 3)
         while linalg.int_det(m2) == 0:
             m2 = rand_matrix(rng, n, n, -3, 3)
-        l1 = base
-        l2 = [[int(x) for x in r] for r in mat_mul(m1, base)]
-        l3 = [[int(x) for x in r] for r in mat_mul(mat_mul(m2, m1), base)]
-        h1, h2, h3 = linalg.hnf(l1), linalg.hnf(l2), linalg.hnf(l3)
-        i12 = linalg.lattice_index_hnf(h1, h2)
-        i23 = linalg.lattice_index_hnf(h2, h3)
-        i13 = linalg.lattice_index_hnf(h1, h3)
+        l1 = lat(1, base)
+        l2 = lat(1, [[int(x) for x in r] for r in mat_mul(m1, base)])
+        l3 = lat(1, [[int(x) for x in r]
+                     for r in mat_mul(mat_mul(m2, m1), base)])
+        # l1 > l2 > l3, so each sum is the larger lattice
+        i12 = l1.sum_index(l2)
+        i23 = l2.sum_index(l3)
+        i13 = l1.sum_index(l3)
+        assert i12 == abs(linalg.int_det(m1))
+        assert i23 == abs(linalg.int_det(m2))
         assert i13 == i12 * i23
 
 
@@ -192,6 +190,10 @@ def intersect(a, b):
     return linalg.hnf([linalg.vec_mat(k[:len(a)], a) for k in kern])
 
 
+def pivot_product(H):
+    return prod(next(x for x in r if x) for r in H)
+
+
 def test_intersect_and_sum():
     a = [[2, 0], [0, 1]]
     b = [[1, 0], [0, 3]]
@@ -214,8 +216,12 @@ def test_intersect_second_isomorphism():
         if linalg.int_det(b) == 0:
             assert lat(1, a).sum_index(lat(1, b)) is None
             continue
-        cap = intersect(a, b)
-        assert (linalg.lattice_index_hnf(linalg.hnf(a), cap)
+        # cap has A's rank and lies in A: the index is the ratio of
+        # the pivot products of the two Hermite forms
+        ha, cap = linalg.hnf(a), intersect(a, b)
+        assert len(cap) == len(ha)
+        assert all(linalg.in_lattice(ha, r) for r in cap)
+        assert (pivot_product(cap) // pivot_product(ha)
                 == lat(1, a).sum_index(lat(1, b)))
 
 
@@ -311,6 +317,49 @@ def test_ratlattice_sum_index():
     assert total.contains(a) and total.contains(b)
     assert a.contains(lat(2, [[5, 14]]))  # (5/2, 7)
     assert not a.contains(lat(3, [[1, 0]]))  # (1/3, 0)
+
+
+def test_extend_matches_hnf_from_scratch():
+    # rows inserted batch by batch into the kept triangle, over growing
+    # denominators and modulo the determinant once it has full rank,
+    # give the canonical form of all rows at once
+    rng = random.Random(53)
+    full = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        grown = RatLattice(1, (), n)
+        den, rows = 1, []
+        for _ in range(rng.randint(1, 5)):
+            d = rng.randint(1, 12)
+            batch = rand_matrix(rng, rng.randint(1, 3), n, -20, 20)
+            grown = grown.extend(d, batch)
+            new = den * d // gcd(den, d)
+            rows = ([[x * (new // den) for x in r] for r in rows]
+                    + [[x * (new // d) for x in r] for r in batch])
+            den = new
+            assert grown == lat(den, rows)
+        full += len(grown.rows) == n
+    assert full >= 40
+
+
+def test_sum_index_matches_stacked_hnf():
+    # A's rows inserted into B's triangle modulo its determinant give
+    # the index of the from-scratch route: over the common denominator,
+    # B's pivot product over that of the HNF of A and B stacked
+    rng = random.Random(61)
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        da, db = rng.randint(1, 30), rng.randint(1, 30)
+        a = rand_matrix(rng, rng.randint(1, n + 1), n, -40, 40)
+        b = rand_matrix(rng, n, n, -40, 40)
+        if linalg.int_det(b) == 0 or not any(map(any, a)):
+            continue
+        d = da * db // gcd(da, db)
+        sa = [[x * (d // da) for x in r] for r in a]
+        sb = [[x * (d // db) for x in r] for r in b]
+        want = (pivot_product(linalg.hnf(sb))
+                // pivot_product(linalg.hnf(sa + sb)))
+        assert lat(da, a).sum_index(lat(db, b)) == want
 
 
 def test_ratlattice_rank_deficient():

@@ -9,10 +9,11 @@ from sgen2.field import create_field
 from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime, valuation
 from sgen2.linalg import RatLattice
-from sgen2 import sunits
+from sgen2 import linalg, sunits, verification
 from sgen2.sunits import (PowerSpan, PrimeSet, SubfieldRank,
                           contract_prime_set, default_subfields,
-                          exponent_vector, is_cm, rank_of_intersection,
+                          element_lattice, exponent_vector, is_cm,
+                          rank_of_intersection,
                           rational_subfield, s_unit_basis, zalpha_index)
 
 import oracles
@@ -430,6 +431,129 @@ def test_level_index_matches_coset_oracle():
         cert = build_generators(*make()).alpha_cert
         for n in (1, 2, 3):
             assert None not in levels(cert.sbasis, cert.alpha, n)
+
+
+def _over(poly, *primes):
+    k = create_field(poly)
+    return k, PrimeSet(k, [P for p in primes
+                           for P in factor_rational_prime(k, p)])
+
+
+def _bare_alpha(monkeypatch, k, S):
+    """The alpha the search picks, without the certificate's index table
+    (which raises NotStabilized on some of these fields)."""
+    with monkeypatch.context() as m:
+        m.setattr(sunits, "INDEX_EXPONENTS", ())
+        return search_alpha(k, S)
+
+
+def _oracle_stage(k, scale, base, extra, J):
+    """Power-basis coordinates of the stage-J generators of
+    PowerSpan(base, scale, extra), from the oracle's products."""
+    pows = [scale.power_coords()]
+    for _ in range(J):
+        pows.append(oracles.pb_mul(k, pows[-1], base.power_coords()))
+    return pows + [oracles.pb_mul(k, g.power_coords(), p)
+                   for g in extra for p in pows]
+
+
+def _case2_span(t):
+    """The K-side span of the case-2 ladder of triple t, with the shape."""
+    shape = verification.prove_shape(t)
+    mF = verification.ideal_ladder(shape, "search")["m"]
+    cm = t.case_info.cm
+    scale = shape.h ** 3 * cm.d_in_K * t.field.from_rational(mF)
+    return shape, scale, PowerSpan(shape.a2, scale,
+                                   extra=(cm.sqrt_minus_d,))
+
+
+def test_power_span_stages_match_scratch():
+    # stage J grows from stage J - 1 by inserting its new rows; it must
+    # equal the lattice of all stage-J generators eliminated from scratch
+    def check(span):
+        span.lattice(8)
+        for J in range(9):
+            assert span.lattice(J) == element_lattice(span.elements(J)), J
+
+    for make in DESK:
+        cert = build_generators(*make()).alpha_cert
+        for n in (1, 2, 3):
+            check(PowerSpan(cert.alpha ** n, cert.field.one))
+    shape = verification.prove_shape(build_generators(*gaussian_five()))
+    assert shape.triple.case_info.case == 1
+    check(shape.lower)
+    check(shape.upper)
+    t = build_generators(*gaussian_two())
+    assert t.case_info.case == 2
+    check(_case2_span(t)[2])
+
+
+def test_level_index_matches_oracle_beyond_desk(monkeypatch):
+    # [Lambda_k + L_{k+2} : L_{k+2}] for k <= 4 against the oracle's
+    # Smith form, on fields and prime sets outside the desk instances
+    def check(k, sb, span, base, scale, extra=()):
+        out = []
+        for lvl in range(5):
+            J = lvl + 2
+            got = sb.level(lvl).sum_index(span.lattice(J))
+            gens = _oracle_stage(k, scale, base, extra, J)
+            assert got == oracles.coset_index(k, sb, gens, lvl), lvl
+            out.append(got)
+        return out
+
+    cases = {"Q over 2, 3": ([-1, 1], (2, 3)),
+             "Q(sqrt 2) over 7, 17": ([-2, 0, 1], (7, 17)),
+             "Q(sqrt 13) over 3": ([-13, 0, 1], (3,)),
+             "Q(sqrt -3) over 2, 13": ([1, 1, 1], (2, 13))}
+    seen = {}
+    for name, (poly, primes) in cases.items():
+        k, S = _over(poly, *primes)
+        cert = _bare_alpha(monkeypatch, k, S)
+        for n in (1, 2, 3):
+            a = cert.alpha ** n
+            seen[name, n] = check(k, cert.sbasis, PowerSpan(a, k.one), a,
+                                  k.one)
+    assert seen["Q(sqrt 2) over 7, 17", 3] == [5] * 5
+    assert seen["Q(sqrt 13) over 3", 3] == [10] * 5
+    # the per-level values of alpha itself agree, but enlarging the
+    # degree at each level changes them: still no stabilized index
+    k, S = _over([1, 1, 1], 2, 13)
+    cert = _bare_alpha(monkeypatch, k, S)
+    assert seen["Q(sqrt -3) over 2, 13", 1] == [2] * 5
+    with pytest.raises(NotStabilized):
+        zalpha_index(cert.sbasis, cert.alpha, 1)
+    # the quartic sheet: four-row triangles on its case-2 K-side span
+    t = build_generators(*zeta5_nofinite())
+    shape, scale, span = _case2_span(t)
+    assert check(t.field, t.case_info.sbasis, span, shape.a2, scale,
+                 (t.case_info.cm.sqrt_minus_d,)) == [100] * 5
+
+
+def test_alpha_index_table_work_count(monkeypatch):
+    # the three zalpha_index calls of an alpha report on Q(sqrt 118)
+    # over 5: one elimination per level Lambda_0..2 (kept on the basis),
+    # then only row insertions, one per stage row and one per level row
+    # of each (level, stage) pair; eliminating every pair from scratch
+    # took 24 eliminations
+    counts = {"_echelon": 0, "_insert": 0}
+    inside = []
+    for name in counts:
+        def counted(*args, _f=getattr(linalg, name), _n=name):
+            counts[_n] += bool(inside)
+            return _f(*args)
+        monkeypatch.setattr(linalg, name, counted)
+
+    def zalpha(sbasis, alpha, n):
+        inside.append(n)
+        try:
+            return zalpha_index(sbasis, alpha, n)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(sunits, "zalpha_index", zalpha)
+    cert = search_alpha(*_over([-118, 0, 1], 5))
+    assert [row[1:] for row in cert.index_table] == [
+        (28254, 0), (17343265836, 0), (2129177248229394, 0)]
+    assert counts == {"_echelon": 3, "_insert": 39}
 
 
 def test_random_s_units_have_integer_exponents():
