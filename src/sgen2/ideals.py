@@ -216,6 +216,30 @@ class ResidueMap:
                 prod[j] += x * y
         return self._fold(prod)
 
+    def powers(self, r):
+        """The residues of r, r^2, r^3, ..., without end, each the last
+        times r by one fixed F_p-linear map on the coordinates: the f x f
+        matrix whose column k holds those of r x^k (each column the last
+        times x: shifted up, x^f folded by g).  No product is folded."""
+        p, f = self.p, self.f
+        x = r
+        if f == 1:
+            while True:
+                yield x
+                x = x * r % p
+        col, cols = [r // p ** k % p for k in range(f)], []
+        for _ in range(f):
+            cols.append(col)
+            col = [(c - col[-1] * b) % p
+                   for c, b in zip([0] + col[:-1], self.g)]
+        rows = list(zip(*cols))
+        weights = [p ** k for k in range(f)]
+        col = cols[0]
+        while True:
+            yield x
+            col = [sum(map(operator.mul, col, row)) % p for row in rows]
+            x = sum(map(operator.mul, col, weights))
+
     def power(self, r, k):
         """The residue of r^k, by squaring."""
         return 1 if not k else self.mul(self.power(self.mul(r, r), k >> 1),
@@ -247,16 +271,20 @@ def _kernel_hnf(images, p):
     return tuple(rows)
 
 
-def _kummer_factors(field, p):
+def _kummer_factors(field, p, max_degree=None):
     """(rows, den, factors) for the primes above p: the integral basis
     b_i = sum_k rows[i][k] t^k / den in powers of t (of omega on the
     automatic tier), and [(g, e)], one monic irreducible factor g of the
     defining polynomial (of omega's minimal polynomial) mod p per prime,
     with e = its multiplicity and f = deg g.  The datasheet tier first
     runs Dedekind's criterion and raises IndexDivisor when p divides
-    [O_K : Z[t]].
+    [O_K : Z[t]].  With a max_degree, the factors of degree above it
+    may be left out: polys.factor_mod_p leaves them as one unsplit rest
+    when the defining polynomial is squarefree mod p (then p is prime
+    to its discriminant, so to the index), and the checks count it.
     """
     n = field.degree
+    rest = [1]
     if n == 1:
         rows, den, fac = [[1]], 1, [([0, 1], 1)]
     elif field.tier == "automatic":
@@ -275,22 +303,29 @@ def _kummer_factors(field, p):
                or [([s % p, b % p, 1], 1)])
     else:
         rows, den = field._ib_rows, field._ib_den
-        fac = polys.factor_mod_p(list(field.poly), p)
-        if _dedekind_index_divisor(field.poly, fac, p):
+        fac, rest = polys.factor_mod_p(list(field.poly), p, max_degree)
+        if _dedekind_index_divisor(field.poly, fac, rest, p):
             raise IndexDivisor(
                 f"p = {p} divides the index of Z[t]; factorization out of scope")
-    _check_invariant(sum(e * (len(g) - 1) for g, e in fac) == n,
-                     "sum of e*f must equal the degree")
+    _check_invariant(
+        sum(e * (len(g) - 1) for g, e in fac) + len(rest) - 1 == n,
+        "sum of e*f, with the unsplit rest's degree, must equal the degree")
     return rows, den, fac
 
 
 def residue_maps(field, p, bound=None):
     """The ResidueMaps of the primes above the rational prime p, in
     canonical (HNF) order; with a bound, only those with residue fields
-    of size up to it."""
-    rows, den, fac = _kummer_factors(field, p)
+    of size up to it, that is of degree f up to floor(log_p bound): no
+    factor of higher degree is split off."""
+    max_degree = None
+    if bound is not None:
+        max_degree = 0
+        while p ** (max_degree + 1) <= bound:
+            max_degree += 1
+    rows, den, fac = _kummer_factors(field, p, max_degree)
     return sorted((ResidueMap(field, p, g, e, rows, den) for g, e in fac
-                   if bound is None or p ** (len(g) - 1) <= bound),
+                   if bound is None or len(g) - 1 <= max_degree),
                   key=lambda M: M.hnf)
 
 
@@ -351,10 +386,12 @@ def _ideal_rows(field, elements):
     return rows
 
 
-def _dedekind_index_divisor(poly, fac, p):
+def _dedekind_index_divisor(poly, fac, rest, p):
     """True iff p divides [O_K : Z[t]] (Dedekind's criterion): with f =
-    prod g^e mod p, some g with e > 1 divides (f - prod lift(g)^e) / p."""
-    lifted = [1]
+    rest * prod g^e mod p, some g with e > 1 divides (f - lift(rest)
+    prod lift(g)^e) / p.  rest, the product of the factors left unsplit,
+    is squarefree and prime to every g."""
+    lifted = [_symmetric_lift(c, p) for c in rest]
     for g, e in fac:
         for _ in range(e):
             lifted = polys.pmul(lifted, [_symmetric_lift(c, p) for c in g])

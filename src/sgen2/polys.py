@@ -7,6 +7,9 @@ interval endpoints of isolate_real_roots and the bound of sqrt_upper
 are fractions.Fraction.  Mod-p work uses plain ints with a prime
 modulus.  factor_mod_p (squarefree, distinct-degree, then
 Cantor-Zassenhaus equal-degree splits) is the one mod-p factorization;
+with a degree cap on a squarefree polynomial it reads the linear
+factors off by evaluation, stops the distinct-degree steps at the cap
+and leaves the factors above it as one unsplit rest.
 is_one_simple_factor_mod_p runs only its first two steps.  No floating
 point anywhere.
 """
@@ -287,6 +290,9 @@ def _squarefree_decomposition(f, p):
             walk(g, scale * p)
             return
         w = pp_gcd(f, d, p)
+        if len(w) == 1:
+            out.append((f, scale))
+            return
         v, _ = pp_divmod(f, w, p)
         mult = 1
         while degree(v) > 0:
@@ -304,14 +310,18 @@ def _squarefree_decomposition(f, p):
     return out
 
 
-def _distinct_degree(f, p):
-    """[(product-of-factors, degree)] for squarefree monic f over F_p."""
+def _distinct_degree(f, p, max_degree=None):
+    """([(product-of-factors, degree)], rest) for squarefree monic f over
+    F_p.  With a max_degree, the steps stop there: the parts list only
+    the factors of degree up to it, and rest is the product of all
+    others, unsplit; rest is [1] when every factor is in the parts."""
     out = []
     x = [0, 1]
     h = x[:]
     rest = f[:]
     d = 0
-    while degree(rest) >= 2 * (d + 1):
+    cap = degree(f) if max_degree is None else max_degree
+    while degree(rest) >= 2 * (d + 1) and d < cap:
         d += 1
         h = pp_powmod(h, p, rest, p)
         g = pp_gcd(psub(h, x), rest, p)
@@ -319,9 +329,21 @@ def _distinct_degree(f, p):
             out.append((g, d))
             rest, _ = pp_divmod(rest, g, p)
             h = pp_divmod(h, rest, p)[1] if degree(rest) > 0 else h
-    if degree(rest) > 0:
+    # below 2(d + 1), rest has no two factors of degree above d: it is
+    # irreducible, or 1; past the cap it holds no factor up to the cap
+    if 0 < degree(rest) <= cap:
         out.append((rest, degree(rest)))
-    return out
+        rest = [1]
+    return out, rest
+
+
+def _roots(f, p):
+    """The roots of f in F_p, by evaluation at 0, 1, ..., p - 1."""
+    points = range(p)
+    values = [0] * p
+    for c in reversed(f):
+        values = [(v * a + c) % p for v, a in zip(values, points)]
+    return [a for a, v in zip(points, values) if not v]
 
 
 def _equal_degree_split(f, d, p, rng):
@@ -352,32 +374,51 @@ def _equal_degree_split(f, d, p, rng):
             return g
 
 
-def factor_mod_p(f, p):
-    """Full monic factorization over F_p: sorted [(factor, multiplicity)].
+def factor_mod_p(f, p, max_degree=None):
+    """Monic factorization over F_p: (sorted [(factor, multiplicity)],
+    rest), f = rest * prod factor^multiplicity.
+
+    Without a max_degree, or when f is not squarefree mod p, every
+    factor is listed and rest is [1].  For a squarefree f with a
+    max_degree, only the factors of degree up to it are listed and rest
+    is the product of the others, unsplit: the linear factors are read
+    off by evaluating f at every residue, O(p deg f) (a cap d >= 1 comes
+    from a bound of at least p^d), and the distinct-degree steps stop at
+    max_degree.
 
     Deterministic: the equal-degree splitting RNG is seeded from
     (f, p) only.
     """
     f = pp_monic(f, p)
     if degree(f) < 1:
-        return []
+        return [], [1]
     mix = p
     for c in f:
         mix = (mix * 1000003 + c) & 0xFFFFFFFFFFFF
     rng = random.Random(mix)
+    parts = _squarefree_decomposition(f, p)
+    if max_degree is None or parts != [(f, 1)]:
+        rest = [1]
+        ddf = [(h, d, mult) for g, mult in parts
+               for h, d in _distinct_degree(g, p)[0]]
+    else:
+        linear = [[-a % p, 1] for a in _roots(f, p)] if max_degree else []
+        for g in linear:
+            f = pp_divmod(f, g, p)[0]
+        ddf, rest = (_distinct_degree(f, p, max_degree) if max_degree > 1
+                     else ([], f))
+        ddf = [(g, 1, 1) for g in linear] + [(h, d, 1) for h, d in ddf]
     out = {}
-    for g, mult in _squarefree_decomposition(f, p):
-        for h, d in _distinct_degree(g, p):
-            pieces = [h]
-            while pieces:
-                q = pieces.pop()
-                if degree(q) == d:
-                    out[tuple(q)] = out.get(tuple(q), 0) + mult
-                    continue
-                split = _equal_degree_split(q, d, p, rng)
-                rest, _ = pp_divmod(q, split, p)
-                pieces.extend([split, rest])
-    return sorted((list(k), v) for k, v in out.items())
+    for h, d, mult in ddf:
+        pieces = [h]
+        while pieces:
+            q = pieces.pop()
+            if degree(q) == d:
+                out[tuple(q)] = out.get(tuple(q), 0) + mult
+                continue
+            split = _equal_degree_split(q, d, p, rng)
+            pieces.extend([split, pp_divmod(q, split, p)[0]])
+    return sorted((list(k), v) for k, v in out.items()), rest
 
 
 def is_one_simple_factor_mod_p(f, p):
@@ -388,7 +429,7 @@ def is_one_simple_factor_mod_p(f, p):
     if len(parts) != 1 or parts[0][1] != 1:
         return False
     g = parts[0][0]
-    return _distinct_degree(g, p) == [(g, degree(g))]
+    return _distinct_degree(g, p)[0] == [(g, degree(g))]
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,8 @@ class ResidueField:
     of their coordinates over 1, x, ..., x^(f - 1), and reduce_element is
     M.reduce.  Arithmetic is index arithmetic on the logs to one
     primitive element g, the first residue whose powers reach every
-    nonzero element (O(q) products in F_p[x] / (g) find and walk it).
+    nonzero element (O(q) products find and walk it, each candidate's
+    by its fixed map M.powers).
     Only lists of length O(q) are kept: exp and log, the Zech logs Z[k]
     = log(1 + g^k), and the inverse and negation tables.  Then g^i g^j =
     g^(i + j), g^i + g^j = g^(i + Z[j - i]), and -g^i = g^(i + (q - 1)/2)
@@ -370,15 +371,16 @@ class ResidueField:
         self.zero, self.one = 0, 1
         m = q - 1
         # powers of a rejected candidate are never primitive: skip them
-        seen, mul = bytearray(q), M.mul
+        seen = bytearray(q)
         for g in range(1, q):
             if seen[g]:
                 continue
-            exp, x = [1], g
-            while x != 1 and len(exp) < q:
+            exp = [1]
+            for x in M.powers(g):
+                if x == 1 or len(exp) == q:
+                    break
                 exp.append(x)
                 seen[x] = 1
-                x = mul(x, g)
             if len(exp) == m:
                 break
         else:

@@ -126,8 +126,8 @@ def test_isolation_exact_rational_root():
 def one_factor(f, p):
     """Irreducibility mod p read off the full factorization: factor_mod_p
     returns one factor of multiplicity 1."""
-    fac = polys.factor_mod_p(f, p)
-    return len(fac) == 1 and fac[0][1] == 1
+    fac, rest = polys.factor_mod_p(f, p)
+    return len(fac) == 1 and fac[0][1] == 1 and rest == [1]
 
 
 def test_irreducible_mod_p():
@@ -143,27 +143,47 @@ def test_irreducible_mod_p():
         assert oracles.irreducible_mod_p(f, p) == irreducible, (f, p)
 
 
+def recompose(fac, rest, p):
+    prod = rest
+    for g, mult in fac:
+        for _ in range(mult):
+            prod = polys.pp_mul(prod, g, p)
+    return prod
+
+
 def test_factor_mod_p_recomposes():
     rng = random.Random(5)
-    for p in (2, 3, 5, 13):
-        for _ in range(25):
-            f = [rng.randrange(p) for _ in range(rng.randint(2, 7))] + [1]
-            fac = polys.factor_mod_p(f, p)
-            # the screen's shortcut agrees with the full factorization
-            assert polys.is_one_simple_factor_mod_p(f, p) == (
-                len(fac) == 1 and fac[0][1] == 1), (f, p)
-            prod = [1]
-            for g, mult in fac:
-                assert g[-1] == 1
+    cases = [(p, [rng.randrange(p) for _ in range(rng.randint(2, 7))] + [1])
+             for p in (2, 3, 5, 13) for _ in range(25)]
+    # degree 2 to 6 below 100, for the capped factorization
+    cases += [(p, [rng.randrange(p) for _ in range(rng.randint(2, 6))] + [1])
+              for p in (7, 31, 61, 89, 97) for _ in range(12)]
+    for p, f in cases:
+        fac, rest = polys.factor_mod_p(f, p)
+        assert rest == [1]
+        # the screen's shortcut agrees with the full factorization
+        assert polys.is_one_simple_factor_mod_p(f, p) == (
+            len(fac) == 1 and fac[0][1] == 1), (f, p)
+        for g, mult in fac:
+            assert g[-1] == 1
+            # the oracle tries every monic divisor up to half the degree
+            if p ** ((len(g) - 1) // 2) <= 2000:
                 assert oracles.irreducible_mod_p(g, p)
-                for _ in range(mult):
-                    prod = polys.pp_mul(prod, g, p)
-            assert prod == polys.pp_monic(f, p)
+        assert recompose(fac, rest, p) == polys.pp_monic(f, p)
+        squarefree = all(mult == 1 for _, mult in fac)
+        for cap in range(len(f)):
+            # capped at degree cap: a squarefree f lists its factors up
+            # to it and leaves the others as one rest; any other f is
+            # factored in full
+            capped, rest = polys.factor_mod_p(f, p, cap)
+            assert capped == ([(g, m) for g, m in fac if len(g) - 1 <= cap]
+                              if squarefree else fac), (f, p, cap)
+            assert recompose(capped, rest, p) == polys.pp_monic(f, p)
 
 
 def linear_factors(f, p):
     """(root, multiplicity) for each linear factor x - root of f mod p."""
-    return [((-g[0]) % p, mult) for g, mult in polys.factor_mod_p(f, p)
+    return [((-g[0]) % p, mult) for g, mult in polys.factor_mod_p(f, p)[0]
             if polys.degree(g) == 1]
 
 
@@ -172,8 +192,10 @@ def test_factor_mod_p_known_splits():
     assert linear_factors([1, 0, 1], 3) == []
     assert linear_factors([1, 0, 1], 2) == [(1, 2)]
     # x^4 + 1 mod 7 = product of two irreducible quadratics
-    fac = polys.factor_mod_p([1, 0, 0, 0, 1], 7)
-    assert [polys.degree(g) for g, _ in fac] == [2, 2]
+    fac, rest = polys.factor_mod_p([1, 0, 0, 0, 1], 7)
+    assert [polys.degree(g) for g, _ in fac] == [2, 2] and rest == [1]
+    # capped at degree 1, the two quadratics stay one unsplit quartic
+    assert polys.factor_mod_p([1, 0, 0, 0, 1], 7, 1) == ([], [1, 0, 0, 0, 1])
 
 
 def test_factor_mod_p_deterministic():

@@ -15,7 +15,7 @@ from sgen2.ideals import ResidueMap, factor_rational_prime, residue_maps
 from sgen2.linalg import RatLattice, hnf
 from sgen2.polys import primes_below
 from sgen2.sunits import PrimeSet, element_lattice
-from sgen2 import cli, generators, verification
+from sgen2 import cli, generators, polys, verification
 from sgen2.verification import (VERIFY_DEFAULTS, ResidueField,
                                 admissible_primes, elementary_witness,
                                 ideal_ladder, identity_suite, image_order,
@@ -508,14 +508,77 @@ def test_residue_maps_order_primes_as_factor_rational_prime():
     assert {(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 3, 1), (4, 1, 4),
             (4, 4, 1), (2, 2, 1)} <= fs
     # Dedekind's cubic x^3 + x^2 - 2x + 8: 2 divides [O_K : Z[t]]
-    k = create_field([8, -2, 1, 1], datasheet={
+    k = dedekind_cubic()
+    with pytest.raises(IndexDivisor):
+        residue_maps(k, 2)
+    assert [M.f for M in residue_maps(k, 3)] == [3]  # x^3 + x^2 + x + 2 mod 3
+
+
+def dedekind_cubic():
+    # x^3 + x^2 - 2x + 8: 2 divides [O_K : Z[t]]
+    return create_field([8, -2, 1, 1], datasheet={
         "integral_basis": [[1, 0, 0], [0, 1, 0],
                            [0, Fraction(1, 2), Fraction(1, 2)]],
         "fundamental_units": [[-13, -13, -3]], "subfields": [],
         "class_orders": []})
-    with pytest.raises(IndexDivisor):
-        residue_maps(k, 2)
-    assert [M.f for M in residue_maps(k, 3)] == [3]  # x^3 + x^2 + x + 2 mod 3
+
+
+def test_bounded_residue_maps_match_the_full_ones():
+    # with a bound, only the factors of degree up to floor(log_p bound)
+    # are split off (the squarefree primes) or kept (the others): the
+    # same maps as the full factorization filtered by residue field size
+    fields = [create_field(poly) for poly in
+              ([-1, 1], [1, 0, 1], [-2, 0, 1], [-5, 0, 1], [-103, 0, 1])]
+    fields += [zeta5_nofinite()[0],
+               create_field([-1, -1, 0, 1], datasheet=CUBIC_DATASHEET)]
+    fields += [shanks_cubic(a) for a in (-1, 0, 1, 2, 4, 7, 8)]
+    key = lambda maps: [(M.p, M.e, M.f, M.hnf) for M in maps]
+    for k in fields:
+        for p in primes_below(151):
+            full = residue_maps(k, p)
+            for bound in (p, p * p, 100, 150):
+                assert key(residue_maps(k, p, bound)) == key(
+                    [M for M in full if M.residue_size <= bound]), \
+                    (k.poly, p, bound)
+    k = dedekind_cubic()
+    for bound in (2, 4, 100, 150):
+        with pytest.raises(IndexDivisor):
+            residue_maps(k, 2, bound)
+
+
+def test_admissible_walk_work_count(monkeypatch):
+    # one zeta5_nofinite verify, the field's irreducibility screen
+    # included.  Factoring every prime of the walk in full took 37
+    # pp_powmod and 11 _equal_degree_split calls; capped at floor(log_p
+    # q_bound), the primes past 10 read their linear factors by
+    # evaluation and run no distinct-degree step, and no split is left
+    counts = {"pp_powmod": 0, "_equal_degree_split": 0}
+    for name in counts:
+        def counted(*args, _f=getattr(polys, name), _n=name):
+            counts[_n] += 1
+            return _f(*args)
+        monkeypatch.setattr(polys, name, counted)
+    steps = []  # (p, degree cap, distinct-degree steps) per call
+    distinct_degree = polys._distinct_degree
+
+    def counted_ddf(f, p, max_degree=None):
+        before = counts["pp_powmod"]
+        out = distinct_degree(f, p, max_degree)
+        steps.append((p, max_degree, counts["pp_powmod"] - before))
+        return out
+    monkeypatch.setattr(polys, "_distinct_degree", counted_ddf)
+    t = build_generators(*zeta5_nofinite())
+    rep = run_verification(t, VERIFY_DEFAULTS, 0, "search")
+    assert [m["q"] for m in rep["modp"]] == [81] + [11] * 4 + [31] * 4 + [41]
+    assert counts == {"pp_powmod": 8, "_equal_degree_split": 0}
+    # the screen at 2, then the walk: 2, 3 and 7 (p^2 <= 100) step to
+    # the degree of their last factor or to the cap, 5 (x^4 + ... + 1 =
+    # (x - 1)^4) takes the full path, and 11 to 41 take no step
+    assert steps == [(2, None, 2), (2, 6, 2), (3, 4, 2), (5, None, 0),
+                     (7, 2, 2)]
+    # factor_mod_p caps only a squarefree f, and no capped call steps
+    # past its cap
+    assert all(n <= cap for _, cap, n in steps if cap is not None)
 
 
 def test_residue_map_checks_the_ring_map():
@@ -542,17 +605,19 @@ def test_residue_field_build_is_linear_in_q(monkeypatch):
     k = create_field([1, 0, 1])
     (p11,) = residue_maps(k, 11)
     calls = 0
-    mul = ResidueMap.mul
+    powers = ResidueMap.powers
 
-    def counted(M, r, s):
+    def counted(M, r):
         nonlocal calls
-        calls += 1
-        return mul(M, r, s)
+        for x in powers(M, r):
+            calls += 1
+            yield x
 
-    monkeypatch.setattr(ResidueMap, "mul", counted)
+    monkeypatch.setattr(ResidueMap, "powers", counted)
     R = ResidueField(p11, 150)
     assert R.q == 121
-    # the pairwise tables took q(q + 1)/2 = 7381 products
+    # powers walked by the fixed multiply-by-candidate maps, one product
+    # each; the pairwise tables took q(q + 1)/2 = 7381 products
     assert 0 < calls <= 3 * R.q
 
 
