@@ -219,19 +219,18 @@ class ResidueMap:
     def powers(self, r):
         """The residues of r, r^2, r^3, ..., without end, each the last
         times r by one fixed F_p-linear map on the coordinates: the f x f
-        matrix whose column k holds those of r x^k (each column the last
-        times x: shifted up, x^f folded by g).  No product is folded."""
+        matrix whose column k holds those of r x^k (each the last times
+        x: shifted up and folded).  No product is folded per step."""
         p, f = self.p, self.f
         x = r
         if f == 1:
             while True:
                 yield x
                 x = x * r % p
-        col, cols = [r // p ** k % p for k in range(f)], []
+        cols, y = [], r
         for _ in range(f):
-            cols.append(col)
-            col = [(c - col[-1] * b) % p
-                   for c, b in zip([0] + col[:-1], self.g)]
+            cols.append([y // p ** j % p for j in range(f)])
+            y = self._fold([0] + cols[-1])
         rows = list(zip(*cols))
         weights = [p ** k for k in range(f)]
         col = cols[0]

@@ -166,8 +166,10 @@ def test_factor_mod_p_recomposes():
             len(fac) == 1 and fac[0][1] == 1), (f, p)
         for g, mult in fac:
             assert g[-1] == 1
-            # the oracle tries every monic divisor up to half the degree
-            if p ** ((len(g) - 1) // 2) <= 2000:
+            # the oracle tries every monic divisor up to half the degree:
+            # every factor at p <= 13 is checked, at the larger primes
+            # only those of degree <= 3 (degree <= 5 at p = 31)
+            if p ** ((len(g) - 1) // 2) <= 13 ** 3:
                 assert oracles.irreducible_mod_p(g, p)
         assert recompose(fac, rest, p) == polys.pp_monic(f, p)
         squarefree = all(mult == 1 for _, mult in fac)
