@@ -31,7 +31,8 @@ from .sunits import PrimeSet
 from .verification import VERIFY_DEFAULTS, run_verification
 
 # Largest verify.q_bound accepted.  A residue field of size q is held as
-# dense q x q multiplication and addition tables, 22500 entries each at 150.
+# O(q) log, Zech-log, inverse and negation tables, and its primitive
+# element is found and walked in O(q) products.
 MAX_Q_BOUND = 150
 # Size caps on the other numeric inputs, so that every accepted config
 # ends in seconds: the identity windows verify.r and verify.s (|bound|),
@@ -63,16 +64,6 @@ def _int_in(value, name, low=None, high=None):
         _require(value >= low, f"{name} must be >= {low}")
     if high is not None:
         _require(value <= high, f"{name} must be <= {high}")
-    return value
-
-
-def _check_h(value):
-    return _int_in(value, "h", 1, MAX_H)
-
-
-def _check_n(value):
-    if value != "search":
-        _int_in(value, "N", 1, MAX_N)
     return value
 
 
@@ -159,8 +150,10 @@ def validate_config(cfg):
                 f"{{\"generator\": [...]}}")
         entries.append({"p": p, "select": sel})
 
-    h = _check_h(cfg.get("h", 1))
-    big_n = _check_n(cfg.get("N", "search"))
+    h = _int_in(cfg.get("h", 1), "h", 1, MAX_H)
+    big_n = cfg.get("N", "search")
+    if big_n != "search":
+        _int_in(big_n, "N", 1, MAX_N)
     seed = _int_in(cfg.get("seed", 0), "seed", 0)
 
     verify = dict(VERIFY_DEFAULTS)
@@ -429,15 +422,13 @@ def build_parser():
                        ("alpha", "analyze plus the certified unit"),
                        ("generate", "alpha plus the matrix triple"),
                        ("verify", "generate plus all checks")):
-        sp = sub.add_parser(name, help=desc)
+        # no prefix matching: "--h" would otherwise read as "--help"
+        sp = sub.add_parser(name, help=desc, allow_abbrev=False)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--h", type=int, default=None,
-                        help="override the exponent h from the config")
-        sp.add_argument("--N", default=None,
-                        help="override N: a positive integer or 'search'")
         sp.add_argument("--out", default=None,
                         help="write the report here instead of stdout")
-    ex = sub.add_parser("examples", help="run the built-in sample instances")
+    ex = sub.add_parser("examples", help="run the built-in sample instances",
+                        allow_abbrev=False)
     ex.add_argument("--out", default=None)
     return p
 
@@ -453,18 +444,7 @@ def main(argv=None):
         if args.command == "examples":
             report = run_examples()
         else:
-            cfg = load_config(args.config)
-            if args.h is not None:
-                cfg["h"] = _check_h(args.h)
-            if args.N is not None:
-                try:
-                    big_n = args.N if args.N == "search" else int(args.N)
-                except ValueError:
-                    raise ConfigInvalid(
-                        f"N must be an integer or 'search', got "
-                        f"{args.N!r}") from None
-                cfg["N"] = _check_n(big_n)
-            report = run_instance(cfg, args.command)
+            report = run_instance(load_config(args.config), args.command)
         text = write_report(report) + "\n"
         if args.out:
             try:

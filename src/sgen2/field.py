@@ -200,6 +200,20 @@ class FieldElement:
         m = self._num_rows()
         return Fraction(sum(m[i][i] for i in range(len(m))), self.den)
 
+    def is_root_of_unity(self):
+        """Whether some power of self is 1.  A root of unity of order k
+        in degree n has sqrt(k / 2) <= phi(k) <= n, and its powers have
+        every conjugate of absolute value 1, so |trace| <= n."""
+        n = self.field.degree
+        power = self
+        for _ in range(2 * n * n):
+            if power == self.field.one:
+                return True
+            if abs(power.trace()) > n:
+                return False
+            power = power * self
+        return False
+
     def minimal_poly(self):
         """Monic minimal polynomial, constant coefficient first."""
         powers = [self.field.one]
@@ -562,15 +576,8 @@ def _read_sheet(field, ds):
         u = field.element(_sheet_row(raw, "a fundamental unit", n))
         if not u.is_integral() or abs(u.norm()) != 1:
             raise DatasheetInvalid(f"not a unit: {raw}")
-        # a root of unity of order k in degree n has sqrt(k / 2) <= phi(k)
-        # <= n, and its powers have every conjugate of absolute value 1
-        power = u
-        for _ in range(2 * n * n):
-            if power == field.one:
-                raise DatasheetInvalid(f"unit {raw} has finite order")
-            if abs(power.trace()) > n:
-                break
-            power = power * u
+        if u.is_root_of_unity():
+            raise DatasheetInvalid(f"unit {raw} has finite order")
         field.sheet_units += (u,)
     expected = field.signature[0] + field.signature[1] - 1
     if len(field.sheet_units) != expected:

@@ -3,7 +3,9 @@ maps.
 
 An ideal is stored as the canonical HNF of its Z-lattice in
 integral-basis coordinates, so equality of ideals is equality of
-matrices and sorting by matrix gives a canonical prime ordering.
+matrices and sorting by matrix gives a canonical prime ordering.  The
+lattice of an ideal with given generators is spanned by the rows of
+their multiplication matrices (FieldElement._num_rows).
 
 The primes above p come from the factorization of a polynomial mod p
 (residue_maps): each monic irreducible factor g gives the ring map O_K
@@ -15,10 +17,12 @@ needs p coprime to the index of Z[t] in the maximal order; the Dedekind
 criterion detects the bad primes and IndexDivisor reports them as out
 of scope.  A prime that S, a valuation or a report reads is a PrimeIdeal
 (factor_rational_prime); the mod-P check reads only the ring map.
+Residues are multiplied, reduced mod g and raised to powers by the
+F_p[x] arithmetic of polys; the map adds only their base-p encoding.
 """
 
 import operator
-from math import isqrt
+from math import isqrt, prod
 
 from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
@@ -31,7 +35,7 @@ CLASS_ORDER_BOUND = 10000
 
 
 class IntegralIdeal:
-    __slots__ = ("field", "hnf", "_norm", "_powers")
+    __slots__ = ("field", "hnf", "_powers")
 
     def __init__(self, field, rows):
         self.field = field
@@ -39,12 +43,11 @@ class IntegralIdeal:
         if len(h) != field.degree:
             raise ValueError("not a full-rank (nonzero) ideal lattice")
         self.hnf = tuple(h)
-        self._norm = None
         self._powers = None
 
     @classmethod
     def from_elements(cls, field, elements):
-        return cls(field, _ideal_rows(field, elements))
+        return cls(field, _ideal_rows(elements))
 
     @classmethod
     def principal(cls, field, element):
@@ -52,12 +55,7 @@ class IntegralIdeal:
 
     @property
     def norm(self):
-        if self._norm is None:
-            n = 1
-            for i, row in enumerate(self.hnf):
-                n *= row[i]
-            self._norm = n
-        return self._norm
+        return prod(row[i] for i, row in enumerate(self.hnf))
 
     def contains(self, element):
         return element.den == 1 and linalg.in_lattice(self.hnf, element.num)
@@ -157,8 +155,9 @@ class ResidueMap:
         # b_i is sum_k rows[i][k] t^k / den, with p prime to den
         self.p, self.g, self.e, self.f = p, g, e, len(g) - 1
         _check_invariant(den % p, "the integral basis has p in a denominator")
-        b = [self._fold([c * pow(den, -1, p) for c in row]) for row in rows]
-        images = [[r // p ** k % p for k in range(self.f)] for r in b]
+        inv = pow(den, -1, p)
+        b = [self._number([c * inv for c in row]) for row in rows]
+        images = [self._digits(r) for r in b]
         self._cols = list(zip(*images))
         n = field.degree
         _check_invariant(
@@ -172,18 +171,19 @@ class ResidueMap:
     def residue_size(self):
         return self.p ** self.f
 
-    def _fold(self, c):
-        # the residue of the polynomial c, an integer list that is used
-        # up, modulo (p, g): x^d = -(g - x^f) x^(d - f) from the top down
-        p, f, g = self.p, self.f, self.g
-        out = 0
-        for d in range(len(c) - 1, -1, -1):
-            x = c[d] % p
-            if d >= f:
-                for k in range(f):
-                    c[d - f + k] -= x * g[k]
-            else:
-                out = out * p + x
+    def _digits(self, r):
+        # the coordinates c_0, ..., c_(f - 1) of the residue r
+        p, out = self.p, []
+        for _ in range(self.f):
+            r, c = divmod(r, p)
+            out.append(c)
+        return out
+
+    def _number(self, c):
+        # the residue of the integer polynomial c, reduced mod (p, g)
+        p, out = self.p, 0
+        for x in reversed(polys.pp_divmod(c, self.g, p)[1]):
+            out = out * p + x
         return out
 
     def _residue(self, vec):
@@ -202,25 +202,16 @@ class ResidueMap:
 
     def mul(self, r, s):
         """The residue of a product, from the residues of its factors."""
-        p, f = self.p, self.f
-        if f == 1:
-            return r * s % p
-        b = []
-        for _ in range(f):
-            s, y = divmod(s, p)
-            b.append(y)
-        prod = [0] * (2 * f - 1)
-        for i in range(f):
-            r, x = divmod(r, p)
-            for j, y in enumerate(b, i):
-                prod[j] += x * y
-        return self._fold(prod)
+        if self.f == 1:
+            return r * s % self.p
+        return self._number(polys.pp_mul(self._digits(r), self._digits(s),
+                                         self.p))
 
     def powers(self, r):
         """The residues of r, r^2, r^3, ..., without end, each the last
         times r by one fixed F_p-linear map on the coordinates: the f x f
         matrix whose column k holds those of r x^k (each the last times
-        x: shifted up and folded).  No product is folded per step."""
+        x: shifted up and reduced).  No product is reduced per step."""
         p, f = self.p, self.f
         x = r
         if f == 1:
@@ -229,8 +220,8 @@ class ResidueMap:
                 x = x * r % p
         cols, y = [], r
         for _ in range(f):
-            cols.append([y // p ** j % p for j in range(f)])
-            y = self._fold([0] + cols[-1])
+            cols.append(self._digits(y))
+            y = self._number([0] + cols[-1])
         rows = list(zip(*cols))
         weights = [p ** k for k in range(f)]
         col = cols[0]
@@ -240,9 +231,9 @@ class ResidueMap:
             x = sum(map(operator.mul, col, weights))
 
     def power(self, r, k):
-        """The residue of r^k, by squaring."""
-        return 1 if not k else self.mul(self.power(self.mul(r, r), k >> 1),
-                                        r if k & 1 else 1)
+        """The residue of r^k."""
+        return self._number(polys.pp_powmod(self._digits(r), k, self.g,
+                                            self.p))
 
 
 def _kernel_hnf(images, p):
@@ -360,28 +351,26 @@ def factor_rational_prime(field, p):
                 pi = field.basis_element(1) - field.from_rational(
                     _symmetric_lift(rho, p))
         primes.append(PrimeIdeal(
-            field, _ideal_rows(field, [field.from_rational(p), pi]), p, e, f,
+            field, _ideal_rows([field.from_rational(p), pi]), p, e, f,
             (p, pi)))
     primes.sort(key=lambda q: q.hnf)
-    prod = primes[0] ** primes[0].e
+    product = primes[0] ** primes[0].e
     for q in primes[1:]:
-        prod = prod * (q ** q.e)
+        product = product * (q ** q.e)
     _check_invariant(
-        prod == IntegralIdeal.from_elements(field, [field.from_rational(p)]),
+        product == IntegralIdeal.from_elements(field, [field.from_rational(p)]),
         "product of prime powers must be (p)")
     field._primes_above[p] = tuple(primes)
     return field._primes_above[p]
 
 
-def _ideal_rows(field, elements):
+def _ideal_rows(elements):
     """Integral-basis rows of every generator times every basis element."""
-    n = field.degree
     rows = []
     for e in elements:
         if e.den != 1:
             raise ValueError(f"generator {e!r} is not integral")
-        rows += [field.ib_mul(e.num, [int(i == j) for j in range(n)])
-                 for i in range(n)]
+        rows += e._num_rows()
     return rows
 
 

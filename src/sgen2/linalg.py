@@ -8,11 +8,12 @@ per row span, so equality of spans is equality of forms.
 Two eliminations do all the work (Cohen, GTM 138, sections 2.2 and
 2.4):
 
-- the integer Hermite elimination, ``_echelon`` behind ``hnf``,
-  ``hnf_with_transform`` and ``solve`` (c @ rows = target is read off
-  an integer kernel vector of [target; rows]), and ``_insert``, one row
-  into a kept triangle, modulo its determinant D once that holds D * Z^n
-  (HNF modulo the determinant, section 2.4.2);
+- the integer Hermite step ``_insert``, one row into a triangle of
+  echelon rows, modulo its determinant D once that holds D * Z^n (HNF
+  modulo the determinant, section 2.4.2).  ``_echelon`` folds rows into
+  an empty triangle with it, behind ``hnf``, ``hnf_with_transform`` and
+  ``solve`` (c @ rows = target is read off an integer kernel vector of
+  [target; rows]); ``RatLattice`` inserts into a kept triangle;
 - ``int_det``, the fraction-free Bareiss determinant.
 
 Callers hand in integer rows (``field.integer_rows`` clears a list of
@@ -74,36 +75,23 @@ def _echelon(rows, ncols):
     ncols columns, each with its carried columns, and zero the rows
     whose first ncols entries were eliminated (all-zero rows dropped).
     """
-    work = [list(map(int, r)) for r in rows if any(r)]
-    pivoted = []
-    for col in range(ncols):
-        rest = []
-        carrier = None
-        for r in work:
-            if r[col] == 0:
-                rest.append(r)
-            elif carrier is None:
-                carrier = r
-            else:
-                g, s, t = xgcd(carrier[col], r[col])
-                a, b = carrier[col] // g, r[col] // g
-                left = [a * y - b * x for x, y in zip(carrier, r)]
-                carrier = [s * x + t * y for x, y in zip(carrier, r)]
-                if any(left):
-                    rest.append(left)
-        if carrier is not None:
-            if carrier[col] < 0:
-                carrier = [-x for x in carrier]
-            pivoted.append((col, carrier))
-        work = rest
-    return _reduce_above(pivoted), work
+    tri, zero = [None] * ncols, []
+    for r in rows:
+        left = _insert(tri, list(map(int, r)))
+        if left is not None and any(left):
+            zero.append(left)
+    return _reduce_above([(c, r) for c, r in enumerate(tri)
+                          if r is not None]), zero
 
 
 def _insert(tri, row, mod=0):
     """Fold an integer row into tri (echelon rows by pivot column, None
-    where there is none) in place.  With mod > 0, tri is full and holds
-    mod * Z^n, so entries past the current column are reduced mod `mod`:
-    mod * e_j is a combination of the untouched rows with pivot >= j."""
+    where there is none) in place, and return what is left of it: None
+    once it takes a free pivot, else the row with every column of tri
+    eliminated, the columns past them carried.  With mod > 0, tri is
+    full and holds mod * Z^n, so entries past the current column are
+    reduced mod `mod`: mod * e_j is a combination of the untouched rows
+    with pivot >= j."""
     if mod:
         row = [x % mod for x in row]
     for col, carrier in enumerate(tri):
@@ -112,7 +100,7 @@ def _insert(tri, row, mod=0):
             continue
         if carrier is None:
             tri[col] = row if x > 0 else [-y for y in row]
-            return
+            return None
         # s * a + t * b = 1: a unimodular step that leaves the gcd of
         # the two entries at col in the carrier and 0 in the row
         g = gcd(carrier[col], x)
@@ -125,6 +113,7 @@ def _insert(tri, row, mod=0):
         else:
             tri[col] = [s * z + t * y for z, y in zip(carrier, row)]
             row = [a * y - b * z for z, y in zip(carrier, row)]
+    return row
 
 
 def hnf(rows):

@@ -14,6 +14,10 @@ A subfield F is a SubfieldDescriptor, which pairs each prime of F
 above p with the primes of K above it (lying_over); contract_prime_set
 and SubfieldRank both read that one table.
 
+Exponent vectors of S-units are read modulo torsion: the unit left
+after the discrete log is torsion when FieldElement.is_root_of_unity
+says so, the one finite-order test of the package.
+
 Alpha is selected by exhaustive shell search over exponent vectors,
 rejecting vectors that fall into the rational span of the unit groups
 of intermediate fields (the W test) and vectors that miss a required
@@ -42,13 +46,11 @@ from .linalg import RatLattice, hnf
 from .polys import count_roots_in, root_bound, sturm_chain
 
 # Work bounds: alpha-search exponent shells, the n of the [O_S : Z[alpha^n]]
-# table, filtration levels, the window of the unit discrete log, and the
-# largest order of a root of unity that the torsion test tries.
+# table, filtration levels, and the window of the unit discrete log.
 MAX_SHELL = 32
 INDEX_EXPONENTS = (1, 2, 3)
 LEVEL_BOUND = 12
 DLOG_BOUND = 64
-MAX_ROOT_ORDER = 24
 
 
 class PrimeSet:
@@ -409,20 +411,10 @@ def rank_of_intersection(S, F_desc):
 # ---------------------------------------------------------------------------
 # Exponent vectors of S-units over a basis.
 
-def _is_root_of_unity(field, t):
-    power = t
-    for _ in range(MAX_ROOT_ORDER):
-        if power == field.one:
-            return True
-        power = power * t
-    return False
-
-
 def exponent_vector(sbasis, w):
     """Rational exponents (over fund_units + s_gens) of an S-unit w,
     modulo torsion.  Exact: the residual after stripping the beta part
     is resolved by bounded search with exact equality."""
-    field = sbasis.field
     beta_exps = []
     for P, wit in zip(sbasis.S.finite, sbasis.class_witnesses):
         v = valuation(w, P)
@@ -441,14 +433,14 @@ def exponent_vector(sbasis, w):
         for k in range(DLOG_BOUND + 1):
             for kk in ((k, -k) if k else (0,)):
                 t = r * eps ** (-kk)
-                if _is_root_of_unity(field, t):
+                if t.is_root_of_unity():
                     return (Fraction(kk, M),) + tuple(beta_exps)
         raise SearchExhausted("unit discrete log out of range")
     for combo in itertools.product(range(-8, 9), repeat=nf):
         t = r
         for e, eps in zip(combo, sbasis.fund_units):
             t = t * eps ** (-e)
-        if _is_root_of_unity(field, t):
+        if t.is_root_of_unity():
             return tuple(Fraction(e, M) for e in combo) + tuple(beta_exps)
     raise SearchExhausted("unit discrete log out of range")
 

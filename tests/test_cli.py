@@ -143,6 +143,8 @@ def test_usage_errors_exit_1(tmp_path):
     assert cli.main([]) == 1
     assert cli.main(["frobnicate", "--config", cp]) == 1
     assert cli.main(["generate", "--config", cp, "--h", "x"]) == 1
+    # h and N are config keys only: a flag is not known
+    assert cli.main(["verify", "--config", cp, "--N", "2"]) == 1
 
 
 def test_too_few_places_exits_2(tmp_path, capsys):
@@ -323,13 +325,13 @@ def test_verify_rational_small_windows(tmp_path):
 
 
 def test_h_and_n_overrides(tmp_path):
-    code, rep = run(tmp_path, RATIONAL_TWO, "generate", ("--h", "2"))
+    code, rep = run(tmp_path, {**RATIONAL_TWO, "h": 2}, "generate")
     assert code == 0
     assert rep["instance"]["h"] == 2
     assert rep["triple"]["gamma"][0][0] == ["1/4"]
     assert rep["triple"]["psi2"][0][1] == ["2"]
 
-    code, rep = run(tmp_path, GAUSSIAN_TWO, "verify", ("--N", "2"))
+    code, rep = run(tmp_path, {**GAUSSIAN_TWO, "N": 2}, "verify")
     assert code == 0
     assert rep["instance"]["N"] == 2
     ladder = rep["verification"]["ladder"]
@@ -337,17 +339,15 @@ def test_h_and_n_overrides(tmp_path):
     # the chosen N is folded into the conjugation identity range
     assert rep["verification"]["identities"]["n_values"] == [1, 2, 3, 4, 5]
 
-    code, rep = run(tmp_path, GAUSSIAN_TWO, "alpha", ("--N", "search"))
+    code, rep = run(tmp_path, {**GAUSSIAN_TWO, "N": "search"}, "alpha")
     assert code == 0 and rep["instance"]["N"] == "search"
 
-    code, _ = run(tmp_path, RATIONAL_TWO, "generate", ("--h", "0"))
+    code, _ = run(tmp_path, {**RATIONAL_TWO, "h": 0}, "generate")
     assert code == 1
-    # the overrides meet the same caps as the config keys
-    code, _ = run(tmp_path, RATIONAL_TWO, "generate",
-                  ("--h", str(cli.MAX_H + 1)))
+    # the config keys meet their caps
+    code, _ = run(tmp_path, {**RATIONAL_TWO, "h": cli.MAX_H + 1}, "generate")
     assert code == 1
-    code, _ = run(tmp_path, GAUSSIAN_TWO, "verify",
-                  ("--N", str(cli.MAX_N + 1)))
+    code, _ = run(tmp_path, {**GAUSSIAN_TWO, "N": cli.MAX_N + 1}, "verify")
     assert code == 1
 
 

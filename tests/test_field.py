@@ -55,6 +55,15 @@ def test_gaussian_field():
     assert (1 + 2 * i).trace() == 2
     assert (1 + i).is_integral()
     assert ((1 + i) * Fraction(1, 2)).is_integral() is False
+    assert i.is_root_of_unity() and (-i).is_root_of_unity()
+    assert not (1 + i).is_root_of_unity()
+    assert not k.from_rational(2).is_root_of_unity()
+    # the sixth roots of unity of Q(sqrt -3): powers of (1 + sqrt -3)/2,
+    # of order 6; the field's trace bound stops 1 + sqrt -3 at once
+    k3 = create_field([3, 0, 1])
+    zeta6 = (k3.one + k3.theta) * Fraction(1, 2)
+    assert all((zeta6 ** j).is_root_of_unity() for j in range(6))
+    assert not (k3.one + k3.theta).is_root_of_unity()
 
 
 def test_sqrt5_integral_basis():
@@ -169,8 +178,13 @@ def test_datasheet_field_zeta5():
     assert k.irreducibility == "proved"
     z = k.theta
     assert z ** 5 == k.one
+    # the ten roots of unity +-zeta5^j, of orders 1, 2, 5 and 10
+    assert all((s * z ** j).is_root_of_unity()
+               for s in (1, -1) for j in range(5))
     (unit,) = k.sheet_units
     assert abs(unit.norm()) == 1
+    assert not unit.is_root_of_unity() and not (-unit).is_root_of_unity()
+    assert not k.from_rational(2).is_root_of_unity()
     # unit is (1 + sqrt 5)/2 under the declared embedding of sqrt 5
     g = k.element([-1, 0, -2, -2])
     assert g * g == k.from_rational(5)
@@ -441,6 +455,9 @@ def test_fundamental_unit_golden():
         u = fundamental_unit(k)
         assert u == k.from_rational(xy[0]) + k.from_rational(xy[1]) * k.theta
         assert abs(u.norm()) == 1
+    for poly in cases:
+        u = fundamental_unit(create_field(list(poly)))
+        assert not u.is_root_of_unity() and not (-u).is_root_of_unity()
 
 
 def test_fundamental_unit_matches_brute_force():
@@ -474,6 +491,7 @@ def test_fundamental_unit_is_a_unit_always():
         assert u.is_integral()
         assert abs(u.norm()) == 1
         assert u.inverse().is_integral()
+        assert not u.is_root_of_unity()
 
 
 def test_parse_rational():

@@ -47,37 +47,74 @@ def test_hnf_canonical_under_unimodular_transform():
         assert linalg.hnf([[int(x) for x in r] for r in ua]) == h1
 
 
+def hermite_inputs(rng, count):
+    """Random integer matrices of up to 6 rows, entries in [-9, 9], with
+    zero rows, repeated rows and rows that combine earlier ones, so that
+    many are rank-deficient."""
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        rows = []
+        for _ in range(m):
+            kind = rng.random()
+            if kind < 0.15:
+                rows.append([0] * n)
+            elif rows and kind < 0.3:
+                rows.append(list(rng.choice(rows)))
+            elif rows and kind < 0.5:
+                u, v = rng.choice(rows), rng.choice(rows)
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append([a * x + b * y for x, y in zip(u, v)])
+            else:
+                rows.append([rng.randint(-9, 9) for _ in range(n)])
+        yield rows
+
+
+def assert_hermite(h):
+    """h is in echelon form, pivots positive and the entries above each
+    pivot reduced into [0, pivot)."""
+    pivots = []
+    for row in h:
+        pc = next(i for i, x in enumerate(row) if x)
+        assert row[pc] > 0
+        pivots.append(pc)
+    assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
+    for j, row in enumerate(h):
+        pc = pivots[j]
+        for i in range(j):
+            assert 0 <= h[i][pc] < row[pc]
+
+
 def test_hnf_shape():
     rng = random.Random(9)
     for _ in range(30):
-        a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        h = linalg.hnf(a)
-        pivots = []
-        for row in h:
-            pc = next(i for i, x in enumerate(row) if x)
-            assert row[pc] > 0
-            pivots.append(pc)
-        assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
-        for j, row in enumerate(h):
-            pc = pivots[j]
-            for i in range(j):
-                assert 0 <= h[i][pc] < row[pc]
+        assert_hermite(linalg.hnf(rand_matrix(rng, rng.randint(1, 5),
+                                              rng.randint(1, 5))))
 
 
 def test_hnf_with_transform_consistent():
     rng = random.Random(3)
-    for _ in range(30):
-        a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+    inputs = [rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+              for _ in range(30)]
+    for a in inputs + list(hermite_inputs(rng, 200)):
         h, t, kern = linalg.hnf_with_transform(a)
         assert h == linalg.hnf(a)
-        for trow, hrow in zip(t, h):
-            prod = [sum(c * a[i][j] for i, c in enumerate(trow)) for j in range(len(a[0]))]
-            assert tuple(prod) == hrow
-        for k in kern:
-            prod = [sum(c * a[i][j] for i, c in enumerate(k)) for j in range(len(a[0]))]
-            assert not any(prod)
+        assert_hermite(h)
+        # the same row lattice both ways: every row of a over H, and H
+        # from a through T
+        assert all(linalg.solve_hnf(h, r) is not None for r in a)
+        assert [tuple(r) for r in mat_mul(t, a)] == h
+        assert all(not any(r) for r in mat_mul(kern, a))
         # the kernel is complete: its rank is the number of rows less the rank
         assert len(linalg.hnf(kern)) == len(a) - len(h)
+        # a carried column rides along: each row _echelon returns is u @
+        # (a with that column), u its block of the carried identity
+        m, n = len(a), len(a[0])
+        wide = [r + [rng.randint(-9, 9)] for r in a]
+        H, zero = linalg._echelon([r + [int(i == k) for k in range(m)]
+                                   for i, r in enumerate(wide)], n)
+        assert [tuple(r[:n]) for r in H] == h
+        assert all(r[:n + 1] == mat_mul([r[n + 1:]], wide)[0]
+                   for r in H + zero)
 
 
 def test_kernel_rank():

@@ -534,14 +534,25 @@ def test_alpha_index_table_work_count(monkeypatch):
     # over 5: one elimination per level Lambda_0..2 (kept on the basis),
     # then only row insertions, one per stage row and one per level row
     # of each (level, stage) pair; eliminating every pair from scratch
-    # took 24 eliminations
+    # took 24 eliminations.  _echelon runs on _insert too: only the
+    # insertions made outside an elimination are counted
     counts = {"_echelon": 0, "_insert": 0}
-    inside = []
-    for name in counts:
-        def counted(*args, _f=getattr(linalg, name), _n=name):
-            counts[_n] += bool(inside)
-            return _f(*args)
-        monkeypatch.setattr(linalg, name, counted)
+    inside, eliminating = [], []
+    echelon, insert = linalg._echelon, linalg._insert
+
+    def counted_echelon(*args):
+        counts["_echelon"] += bool(inside)
+        eliminating.append(1)
+        try:
+            return echelon(*args)
+        finally:
+            eliminating.pop()
+
+    def counted_insert(*args):
+        counts["_insert"] += bool(inside) and not eliminating
+        return insert(*args)
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(linalg, "_insert", counted_insert)
 
     def zalpha(sbasis, alpha, n):
         inside.append(n)

@@ -13,7 +13,7 @@ from sgen2.field import NumberField, create_field
 from sgen2.generators import build_generators
 from sgen2.ideals import ResidueMap, factor_rational_prime, residue_maps
 from sgen2.linalg import RatLattice, hnf
-from sgen2.polys import primes_below
+from sgen2.polys import prime_divisors, primes_below
 from sgen2.sunits import PrimeSet, element_lattice
 from sgen2 import cli, generators, polys, verification
 from sgen2.verification import (VERIFY_DEFAULTS, ResidueField,
@@ -433,18 +433,21 @@ def test_residue_field_denominator_guard():
         R.reduce_element(k.from_rational(2)) == 2
 
 
+def _table_power(mul, x, e):
+    """x^e by squaring through the oracle's multiplication table mul."""
+    out, base = 1, x
+    while e:
+        if e & 1:
+            out = mul[out][base]
+        base = mul[base][base]
+        e >>= 1
+    return out
+
+
 def _frobenius_degrees(R, mul):
     """For each x, the least e with x^(p^e) = x, by iterating x -> x^p
     through the oracle's multiplication table mul."""
-    def frob(x):
-        out, base, e = R.one, x, R.p
-        while e:
-            if e & 1:
-                out = mul[out][base]
-            base = mul[base][base]
-            e >>= 1
-        return out
-    step = [frob(x) for x in range(R.q)]
+    step = [_table_power(mul, x, R.p) for x in range(R.q)]
     degrees = []
     for x in range(R.q):
         y, e = step[x], 1
@@ -483,6 +486,15 @@ def test_residue_tables_match_pairwise_construction():
                 assert [verification._generates(M, [x])
                         for x in elements] == \
                     [d == M.f for d in _frobenius_degrees(R, mul)], where
+                if R.q <= 27:
+                    # the ring map's own product and the power that
+                    # _generates takes, against the oracle's table
+                    assert [[M.mul(x, y) for y in elements]
+                            for x in elements] == mul, where
+                    for r in prime_divisors(M.f):
+                        e = M.p ** (M.f // r)
+                        assert [M.power(x, e) for x in elements] == [
+                            _table_power(mul, x, e) for x in elements], where
                 sizes.add((k.degree, R.q))
     # x^3 - x - 1 gives f = 2 at 5 (q = 25), the simplest cubic f = 3
     # at 2, 3 and 5 (q = 8, 27 and 125)
@@ -551,13 +563,24 @@ def test_admissible_walk_work_count(monkeypatch):
     # included.  Factoring every prime of the walk in full took 37
     # pp_powmod and 11 _equal_degree_split calls; capped at floor(log_p
     # q_bound), the primes past 10 read their linear factors by
-    # evaluation and run no distinct-degree step, and no split is left
+    # evaluation and run no distinct-degree step, and no split is left.
+    # Only the factorization's pp_powmod calls, the screen's and
+    # factor_mod_p's, are counted: ResidueMap.power makes others
     counts = {"pp_powmod": 0, "_equal_degree_split": 0}
+    factoring = []
     for name in counts:
         def counted(*args, _f=getattr(polys, name), _n=name):
-            counts[_n] += 1
+            counts[_n] += bool(factoring)
             return _f(*args)
         monkeypatch.setattr(polys, name, counted)
+    for name in ("factor_mod_p", "is_one_simple_factor_mod_p"):
+        def factor(*args, _f=getattr(polys, name)):
+            factoring.append(1)
+            try:
+                return _f(*args)
+            finally:
+                factoring.pop()
+        monkeypatch.setattr(polys, name, factor)
     steps = []  # (p, degree cap, distinct-degree steps) per call
     distinct_degree = polys._distinct_degree
 
