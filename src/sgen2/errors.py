@@ -53,10 +53,6 @@ class PrimeInS(SgenError):
     exit_code = 1
 
 
-class ResidueFieldTooLarge(SgenError):
-    exit_code = 1
-
-
 class CardinalityTooSmall(SgenError):
     exit_code = 2
 

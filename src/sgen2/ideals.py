@@ -16,9 +16,11 @@ discriminant; a square root mod p splits it).  In the datasheet tier it
 needs p coprime to the index of Z[t] in the maximal order; the Dedekind
 criterion detects the bad primes and IndexDivisor reports them as out
 of scope.  A prime that S, a valuation or a report reads is a PrimeIdeal
-(factor_rational_prime); the mod-P check reads only the ring map.
-Residues are multiplied, reduced mod g and raised to powers by the
-F_p[x] arithmetic of polys; the map adds only their base-p encoding.
+(factor_rational_prime); the mod-P check reads only the ring map,
+which is also the residue field: it builds log tables from one
+primitive element (the F_p[x] arithmetic of polys reduces mod g only
+on that walk) and then multiplies and adds residues by table lookups.
+No other module reads the residues' base-p encoding.
 """
 
 import operator
@@ -141,20 +143,58 @@ class ResidueMap:
     """The prime P over p of a monic irreducible factor g of the defining
     polynomial mod p (omega's minimal polynomial on the automatic tier),
     p prime to [O_K : Z[t]], as the ring map O_K -> O_K / P = F_p[x] / (g)
-    sending t (omega) to x (Kummer-Dedekind; Cohen, GTM 138, 4.8).  A
-    residue is the integer sum c_k p^k of its coordinates over 1, x, ...,
-    x^(f - 1); for f = 1, its value mod p.  _cols[k][i] is c_k of the
-    image of the integral-basis element b_i.  The map is checked to be a
-    ring map (1 maps to 1, b_i b_j to the image of sum_k c_ijk b_k), or
-    InvariantViolated is raised; hnf, its kernel's canonical HNF, sorts
-    the maps as the PrimeIdeals sort."""
+    sending t (omega) to x (Kummer-Dedekind; Cohen, GTM 138, 4.8), and as
+    that residue field of size q = p^f.  A residue 0, ..., q - 1 (0 the
+    zero, 1 the one) is the sum c_k p^k of its coordinates over 1, x, ...,
+    x^(f - 1).  _cols[k][i] is c_k of the image of the integral-basis
+    element b_i.
 
-    __slots__ = ("p", "g", "e", "f", "hnf", "_cols")
+    Arithmetic runs on the logs to one primitive element w, the first
+    residue whose powers, walked by the fixed map powers, reach every
+    nonzero one (O(q) steps; none does when g is reducible, and then
+    InvariantViolated is raised).  Only O(q) lists are kept: exp, log,
+    the Zech logs Z[k] = log(1 + w^k) and the inverse and negation
+    tables; w^i w^j = w^(i + j), w^i + w^j = w^(i + Z[j - i]), and -w^i =
+    w^(i + (q - 1)/2) for odd q (-x = x for even q).  The map is checked
+    to be a ring map on the tables (1 maps to 1, b_i b_j to the image of
+    sum_k c_ijk b_k), or InvariantViolated is raised; hnf, its kernel's
+    canonical HNF, sorts the maps as the PrimeIdeals sort."""
+
+    __slots__ = ("p", "g", "e", "f", "q", "hnf", "inv_table", "neg_table",
+                 "_cols", "_exp", "_log", "_zech")
 
     def __init__(self, field, p, g, e, rows, den):
         # b_i is sum_k rows[i][k] t^k / den, with p prime to den
         self.p, self.g, self.e, self.f = p, g, e, len(g) - 1
+        self.q = q = p ** self.f
         _check_invariant(den % p, "the integral basis has p in a denominator")
+        m = q - 1
+        # powers of a rejected candidate are never primitive: skip them
+        seen = bytearray(q)
+        for w in range(1, q):
+            if seen[w]:
+                continue
+            exp = [1]
+            for x in self.powers(w):
+                if x == 1 or len(exp) == q:
+                    break
+                exp.append(x)
+                seen[x] = 1
+            if len(exp) == m:
+                break
+        else:
+            raise InvariantViolated("O_K/P has no primitive element")
+        # the zero has log 2m and _exp reads 0 at every k >= 2m, so a sum
+        # of two logs needs neither a reduction nor a test for zero
+        self._log = log = [2 * m] * q
+        for k, x in enumerate(exp):
+            log[x] = k
+        # x + 1 adds 1 to the constant coordinate only
+        self._zech = [log[x - x % p + (x + 1) % p] for x in exp]
+        self.inv_table = [None] + [exp[-li] for li in log[1:]]
+        self._exp = exp = exp + exp + [0] * (2 * m + 1)
+        half = m // 2 if q % 2 else 0
+        self.neg_table = [exp[li + half] for li in log]
         inv = pow(den, -1, p)
         b = [self._number([c * inv for c in row]) for row in rows]
         images = [self._digits(r) for r in b]
@@ -166,10 +206,6 @@ class ResidueMap:
                     for i in range(n) for j in range(i, n)),
             "the basis images do not make a ring map")
         self.hnf = _kernel_hnf(images, p)
-
-    @property
-    def residue_size(self):
-        return self.p ** self.f
 
     def _digits(self, r):
         # the coordinates c_0, ..., c_(f - 1) of the residue r
@@ -193,19 +229,27 @@ class ResidueMap:
         return out
 
     def reduce(self, x):
-        """The residue of an element x whose denominator is prime to p."""
+        """The residue of an element x whose denominator is prime to p:
+        the map is F_p-linear, so that of den^-1 mod p times x.num."""
+        if x.den == 1:
+            return self._residue(x.num)
         if x.den % self.p == 0:
             raise ConfigInvalid(
                 "element denominator shares the residue characteristic")
-        r = self._residue(x.num)
-        return r if x.den == 1 else self.mul(r, pow(x.den, -1, self.p))
+        inv = pow(x.den, -1, self.p)
+        return self._residue([c * inv for c in x.num])
 
     def mul(self, r, s):
         """The residue of a product, from the residues of its factors."""
-        if self.f == 1:
-            return r * s % self.p
-        return self._number(polys.pp_mul(self._digits(r), self._digits(s),
-                                         self.p))
+        return self._exp[self._log[r] + self._log[s]]
+
+    def add(self, r, s):
+        """The residue of a sum, from the residues of its terms."""
+        if not (r and s):
+            return r or s
+        lr = self._log[r]
+        # a negative difference wraps modulo q - 1
+        return self._exp[lr + self._zech[self._log[s] - lr]]
 
     def powers(self, r):
         """The residues of r, r^2, r^3, ..., without end, each the last
@@ -229,11 +273,6 @@ class ResidueMap:
             yield x
             col = [sum(map(operator.mul, col, row)) % p for row in rows]
             x = sum(map(operator.mul, col, weights))
-
-    def power(self, r, k):
-        """The residue of r^k."""
-        return self._number(polys.pp_powmod(self._digits(r), k, self.g,
-                                            self.p))
 
 
 def _kernel_hnf(images, p):
@@ -303,20 +342,17 @@ def _kummer_factors(field, p, max_degree=None):
     return rows, den, fac
 
 
-def residue_maps(field, p, bound=None):
-    """The ResidueMaps of the primes above the rational prime p, in
-    canonical (HNF) order; with a bound, only those with residue fields
-    of size up to it, that is of degree f up to floor(log_p bound): no
-    factor of higher degree is split off."""
-    max_degree = None
-    if bound is not None:
-        max_degree = 0
-        while p ** (max_degree + 1) <= bound:
-            max_degree += 1
+def residue_maps(field, p, bound):
+    """The ResidueMaps of the primes above the rational prime p whose
+    residue fields have size up to bound, that is degree f up to
+    floor(log_p bound), in canonical (HNF) order: no factor of higher
+    degree is split off."""
+    max_degree = 0
+    while p ** (max_degree + 1) <= bound:
+        max_degree += 1
     rows, den, fac = _kummer_factors(field, p, max_degree)
     return sorted((ResidueMap(field, p, g, e, rows, den) for g, e in fac
-                   if bound is None or len(g) - 1 <= max_degree),
-                  key=lambda M: M.hnf)
+                   if len(g) - 1 <= max_degree), key=lambda M: M.hnf)
 
 
 def factor_rational_prime(field, p):

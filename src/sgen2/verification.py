@@ -16,9 +16,9 @@ an unproved triple.  Four checks, each falsifiable on its own:
     the proved shapes.
   * modp_surjectivity takes the triple reduced modulo an admissible prime
     (reduce_triple, once per prime, through the prime's ring map O_K ->
-    F_p[x] / (g), ideals.ResidueMap: no ideal HNF and no coset table; the
-    residue field keeps only O(q) log, Zech-log, inverse and negation
-    lists, built after every cheap filter) and counts the generated
+    F_p[x] / (g), ideals.ResidueMap, which is also the residue field: no
+    ideal HNF and no coset table, only the map's O(q) log, Zech-log,
+    inverse and negation lists) and counts the generated
     subgroup of SL2 of the residue field on the projective line: the
     orbit of the point (1 : 0) times its stabilizer, a subgroup of the
     Borel group that Schreier's lemma presents and that is counted as
@@ -29,8 +29,7 @@ an unproved triple.  Four checks, each falsifiable on its own:
     modp entries change shape.
 """
 
-from .errors import (ConfigInvalid, IdentityFailed, InvariantViolated,
-                     NotInLattice, PrimeInS, ResidueFieldTooLarge,
+from .errors import (ConfigInvalid, IdentityFailed, NotInLattice, PrimeInS,
                      VerificationFailure)
 from .field import FieldElement, integer_rows
 from .generators import m2_eq, m2_inv, m2_mul
@@ -348,67 +347,6 @@ def elementary_witness(shape, x, side):
 # ---------------------------------------------------------------------------
 # Surjectivity modulo admissible primes.
 
-class ResidueField:
-    """O_K / P = F_p[x] / (g) through P's ring map M (ideals.ResidueMap):
-    the elements are M's residues 0, ..., q - 1, the integers sum c_k p^k
-    of their coordinates over 1, x, ..., x^(f - 1), and reduce_element is
-    M.reduce.  Arithmetic is index arithmetic on the logs to one
-    primitive element g, the first residue whose powers reach every
-    nonzero element (O(q) products find and walk it, each candidate's
-    by its fixed map M.powers).
-    Only lists of length O(q) are kept: exp and log, the Zech logs Z[k]
-    = log(1 + g^k), and the inverse and negation tables.  Then g^i g^j =
-    g^(i + j), g^i + g^j = g^(i + Z[j - i]), and -g^i = g^(i + (q - 1)/2)
-    for odd q (-x = x when q is even)."""
-
-    def __init__(self, M, bound):
-        q = M.residue_size
-        if q > bound:
-            raise ResidueFieldTooLarge(f"residue field of size {q} > {bound}")
-        self.prime = M
-        self.q, self.p = q, M.p
-        self.reduce_element = M.reduce
-        self.zero, self.one = 0, 1
-        m = q - 1
-        # powers of a rejected candidate are never primitive: skip them
-        seen = bytearray(q)
-        for g in range(1, q):
-            if seen[g]:
-                continue
-            exp = [1]
-            for x in M.powers(g):
-                if x == 1 or len(exp) == q:
-                    break
-                exp.append(x)
-                seen[x] = 1
-            if len(exp) == m:
-                break
-        else:
-            raise InvariantViolated("O_K/P has no primitive element")
-        # the zero has log 2m and _exp reads 0 at every k >= 2m, so a sum
-        # of two logs needs neither a reduction nor a test for zero
-        self._log = log = [2 * m] * q
-        for k, x in enumerate(exp):
-            log[x] = k
-        # x + 1 adds 1 to the constant coordinate only
-        p = self.p
-        self._zech = [log[x - x % p + (x + 1) % p] for x in exp]
-        self.inv_table = [None] + [exp[-li] for li in log[1:]]
-        self._exp = exp = exp + exp + [0] * (2 * m + 1)
-        half = m // 2 if q % 2 else 0
-        self.neg_table = [exp[li + half] for li in log]
-
-    def mul(self, i, j):
-        return self._exp[self._log[i] + self._log[j]]
-
-    def add(self, i, j):
-        if not (i and j):
-            return i or j
-        li = self._log[i]
-        # a negative difference wraps modulo q - 1
-        return self._exp[li + self._zech[self._log[j] - li]]
-
-
 def reduce_triple(triple, M):
     """The triple's matrices reduced by the ring map M of a prime outside
     S, over a rational prime that no member of S lies over, as 2x2
@@ -426,24 +364,23 @@ def reduce_triple(triple, M):
 def _generates(M, residues):
     """Whether the residues generate F_q over F_p, that is, lie together
     in no maximal proper subfield F_(p^(f/r)), r a prime dividing f: the
-    fixed field of x -> x^(p^(f/r)).  The residues below p, the prime
-    field, lie in every subfield."""
-    residues = {v for v in residues if v >= M.p}
+    residues whose logs (2(q - 1) for the zero) are multiples of (q - 1)
+    / (p^(f/r) - 1)."""
+    logs = {M._log[v] for v in residues}
     for r in prime_divisors(M.f):
-        k = M.p ** (M.f // r)
-        if all(M.power(v, k) == v for v in residues):
+        step = (M.q - 1) // (M.p ** (M.f // r) - 1)
+        if all(li % step == 0 for li in logs):
             return False
     return True
 
 
 def admissible_primes(shape, count, bound):
     """The first primes where the surjectivity check is meaningful, in
-    canonical order, each as the pair (R, mats) that modp_surjectivity
-    counts: the residue field R and the triple reduced into it.  The
-    walk ends at the first rational prime past bound (ConfigInvalid if
-    fewer than count were found).  Each prime is read through its ring
-    map (ideals.residue_maps), and R is built only for a prime that
-    every requirement admits.
+    canonical order, each as the pair (M, mats) that modp_surjectivity
+    counts: the prime's ring map M (ideals.residue_maps), which is its
+    residue field, and the triple reduced by it.  The walk ends at the
+    first rational prime past bound (ConfigInvalid if fewer than count
+    were found).
 
     Requirements: residue field size <= bound; rational characteristic
     away from S (so reduction never divides by zero); both psi entries
@@ -457,10 +394,7 @@ def admissible_primes(shape, count, bound):
     say nothing about the construction.
     """
     triple = shape.triple
-    field = triple.field
     schars = {P.p for P in triple.S.finite}
-    x = shape.a2 - field.one
-    num = x * x.den
     out = []
     p = 2
     while len(out) < count:
@@ -471,15 +405,15 @@ def admissible_primes(shape, count, bound):
             raise ConfigInvalid(
                 f"not enough admissible primes with residue field size "
                 f"up to {bound}")
-        for M in residue_maps(field, p, bound):
-            if not M.reduce(shape.tau) or M.f > 1 and not M.reduce(num):
-                continue
+        for M in residue_maps(triple.field, p, bound):
             mats = reduce_triple(triple, M)
-            if not _generates(M, [v for m in mats for r in m for v in r]):
-                continue
-            out.append((ResidueField(M, bound), mats))
-            if len(out) == count:
-                break
+            # the corners of gamma = diag(a, a^-1) and psi2 = E12(tau)
+            a, tau = mats[0][0][0], mats[2][0][1]
+            if (tau and not (M.f > 1 and M.mul(a, a) == 1)
+                    and _generates(M, [v for m in mats for r in m for v in r])):
+                out.append((M, mats))
+                if len(out) == count:
+                    break
         p += 1
     return out
 
@@ -490,11 +424,11 @@ def _borel_order(R, elements):
     Borel subgroup of SL2(R): T is the image of H under (t, c) -> t and
     V = H cap {E21(c)} its kernel, so |H| = |T| |V|.
 
-    T is cyclic: g^d generates it, with d the gcd of q - 1 and the logs
-    of the t read so far, and b* in H is kept with image exactly g^d.
+    T is cyclic: w^d generates it, with d the gcd of q - 1 and the logs
+    of the t read so far, and b* in H is kept with image exactly w^d.
     Conjugation by (t, c) scales E21(x) to E21(t^-2 x), so V is an
     F_p(T^2)-space, spanned by the kernel parts of the generators: b
-    b*^-k for each b with t = g^(dk).  When a b grows T, an extended gcd
+    b*^-k for each b with t = w^(dk).  When a b grows T, an extended gcd
     over the logs gives b*' = b*^x b^y mapping onto the larger T, and V
     gains the kernel parts of b and of the old b* over b*' (the first
     growth adds b*'^-|T| this way; later ones keep b*'^|T| in the span).
@@ -503,7 +437,6 @@ def _borel_order(R, elements):
     """
     q, m = R.q, R.q - 1
     mul, add, neg, inv, log = R.mul, R.add, R.neg_table, R.inv_table, R._log
-    one, zero = R.one, R.zero
 
     def bmul(x, y):
         (t, c), (u, e) = x, y
@@ -512,7 +445,7 @@ def _borel_order(R, elements):
     def bpow(x, k):
         if k < 0:
             x, k = (inv[x[0]], neg[x[1]]), -k
-        out = (one, zero)
+        out = (1, 0)
         while k:
             if k & 1:
                 out = bmul(out, x)
@@ -522,8 +455,8 @@ def _borel_order(R, elements):
 
     # V as a membership mask, its members and an F_p-basis
     span = bytearray(q)
-    span[zero] = 1
-    members = [zero]
+    span[0] = 1
+    members = [0]
     basis = []
 
     def grow(x, lam):
@@ -540,7 +473,7 @@ def _borel_order(R, elements):
             members.extend(new)
             x = mul(x, lam)
 
-    d, bstar, lam = m, (one, zero), one
+    d, bstar, lam = m, (1, 0), 1
     for b in elements:
         lt = log[b[0]]
         if lt % d == 0:
@@ -582,7 +515,7 @@ def _point_map(R, mat):
     exp, log, zech = R._exp, R._log, R._zech
 
     def line(a, c):
-        # a + y c for every y, by logs: y c = g^(log y + log c)
+        # a + y c for every y, by logs: y c = w^(log y + log c)
         yc = [exp[ly + log[c]] for ly in log]
         if not a:
             return yc
@@ -590,7 +523,7 @@ def _point_map(R, mat):
         return [exp[la + zech[log[w] - la]] if w else a for w in yc]
 
     (a, b), (c, d) = mat
-    # z / x = g^(log z - log x) for x != 0; a zero z has log 2m
+    # z / x = w^(log z - log x) for x != 0; a zero z has log 2m
     pts = [exp[log[z] + m - log[x]] if x else q
            for x, z in zip(line(a, c), line(b, d))]
     pts.append(exp[log[d] + m - log[c]] if c else q)
@@ -621,7 +554,7 @@ def image_order(R, mats):
     maps = [_point_map(R, mat) for mat in mats]
 
     # edge[u] = (v, s): u is the image of the earlier point v under mats[s]
-    start = R.zero
+    start = 0
     edge = [None] * (q + 1)
     edge[start] = (start, -1)
     orbit = [start]
@@ -633,7 +566,7 @@ def image_order(R, mats):
                 orbit.append(u)
 
     trans = [None] * (q + 1)
-    trans[start] = ((R.one, R.zero), (R.zero, R.one))
+    trans[start] = ((1, 0), (0, 1))
 
     def transversal(u):
         path = []
@@ -663,10 +596,11 @@ def image_order(R, mats):
 
 def modp_surjectivity(R, mats):
     """Count the subgroup that the reduced triple mats (from reduce_triple)
-    generates inside SL2 of the residue field R on the projective line
-    (image_order: orbit of (1 : 0) times the Borel stabilizer), after
-    checking that each matrix has determinant 1, and compare the count
-    against the group order q(q^2 - 1).
+    generates inside SL2 of the residue field R, a prime's ring map
+    (ideals.ResidueMap), on the projective line (image_order: orbit of
+    (1 : 0) times the Borel stabilizer), after checking that each matrix
+    has determinant 1, and compare the count against the group order
+    q(q^2 - 1).
 
     bfs_expansions is (number of generators and their inverses) x
     |image|, the count an enumeration of the image expanding each element
@@ -675,14 +609,14 @@ def modp_surjectivity(R, mats):
     """
     q = R.q
     for (a, b), (c, d) in mats:
-        if R.add(R.mul(a, d), R.neg_table[R.mul(b, c)]) != R.one:
+        if R.add(R.mul(a, d), R.neg_table[R.mul(b, c)]) != 1:
             raise VerificationFailure("reduced matrix leaves SL2")
     orbit, stabilizer = image_order(R, mats)
     reached = orbit * stabilizer
     order = q * (q * q - 1)
     return {
         "p": R.p,
-        "f": R.prime.f,
+        "f": R.f,
         "q": q,
         "reached": reached,
         "group_order": order,

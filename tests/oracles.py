@@ -514,10 +514,10 @@ def residue_tables(R, P):
     the Hermite rows of P (linalg.hnf of its generators p and pi times
     the integral basis), one ib_mul and one reduction per pair.
 
-    Raises AssertionError unless R.reduce_element sends P's rows to zero
-    and the representatives one to one onto 0, ..., q - 1, and carries
-    their sum and product to R.add and R.mul: then R's arithmetic is
-    that of O_K / P.
+    Raises AssertionError unless R.reduce sends P's rows to zero and the
+    representatives one to one onto 0, ..., q - 1, and carries their sum
+    and product to R.add and R.mul: then R's arithmetic is that of
+    O_K / P.
     """
     k = P.field
     n = k.degree
@@ -529,7 +529,7 @@ def residue_tables(R, P):
     for i in range(n):
         reps = [r + (v,) for r in reps for v in range(rows[i][i])]
     index = {r: i for i, r in enumerate(reps)}
-    image = [R.reduce_element(k.from_ib(r)) for r in reps]
+    image = [R.reduce(k.from_ib(r)) for r in reps]
 
     def coset(vec):
         # R's index of the coset of vec
@@ -542,9 +542,10 @@ def residue_tables(R, P):
         return image[index[tuple(v)]]
 
     if (sorted(image) != list(range(R.q))
-            or any(R.reduce_element(k.from_ib(r)) != R.zero for r in rows)):
-        raise AssertionError(f"R.reduce_element is not O_K / P at {P!r}")
-    q = R.q
+            or any(R.reduce(k.from_ib(r)) != R.reduce(k.zero)
+                   for r in rows)):
+        raise AssertionError(f"R.reduce is not O_K / P at {P!r}")
+    q, one = R.q, R.reduce(k.one)
     mul = [[None] * q for _ in range(q)]
     add = [[None] * q for _ in range(q)]
     inv = [None] * q
@@ -558,7 +559,7 @@ def residue_tables(R, P):
             if (mul[x][y], add[x][y]) != (R.mul(x, y), R.add(x, y)):
                 raise AssertionError(f"R's arithmetic is not O_K / P at "
                                      f"{P!r}: {x}, {y}")
-            if mul[x][y] == R.one:
+            if mul[x][y] == one:
                 inv[x], inv[y] = y, x
     neg = [None] * q
     for i, a in enumerate(reps):
@@ -591,7 +592,8 @@ def sl2_image_bfs(R, P, mats):
         row_maps.append(tab)
 
     q2 = q * q
-    start = (R.one * q + R.zero) * q2 + (R.zero * q + R.one)
+    one, zero = R.reduce(P.field.one), R.reduce(P.field.zero)
+    start = (one * q + zero) * q2 + (zero * q + one)
     seen = {start}
     frontier = deque([start])
     expansions = 0
