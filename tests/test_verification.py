@@ -491,11 +491,11 @@ def test_residue_tables_match_pairwise_construction():
             (3, 125)} <= sizes
 
 
-def test_residue_maps_are_the_primes_under_the_bound():
-    # the ring maps are the PrimeIdeals with p^f <= bound, in their
-    # order, with their p, e, f and HNF, for every p <= 150 of the ladder
-    # fields and the cubics: only the factors of degree up to floor(log_p
-    # bound) are split off (the squarefree primes) or kept (the others)
+def test_residue_maps_order_primes_as_factor_rational_prime():
+    # under the bound p^n (n the degree) every prime is kept: the ring
+    # maps come in the PrimeIdeals' order, with their p, e, f and HNF,
+    # for every p <= 150 of the ladder fields and the cubics where p^n
+    # stays within 13^3 (the tables take O(q) to build)
     fields = [create_field(poly) for poly in
               ([-1, 1], [1, 0, 1], [-2, 0, 1], [-5, 0, 1], [-103, 0, 1])]
     fields += [zeta5_nofinite()[0],
@@ -504,23 +504,19 @@ def test_residue_maps_are_the_primes_under_the_bound():
     fs = set()
     for k in fields:
         for p in primes_below(151):
-            primes = factor_rational_prime(k, p)
-            for bound in (p, p * p, 100, 150):
-                maps = residue_maps(k, p, bound)
-                assert [(M.p, M.e, M.f, M.hnf) for M in maps] == \
-                    [(P.p, P.e, P.f, P.hnf) for P in primes
-                     if p ** P.f <= bound], (k.poly, p, bound)
-                fs |= {(k.degree, M.e, M.f) for M in maps}
+            if p ** k.degree > 13 ** 3:
+                break
+            maps = residue_maps(k, p, p ** k.degree)
+            assert [(M.p, M.e, M.f, M.hnf) for M in maps] == \
+                [(P.p, P.e, P.f, P.hnf) for P in factor_rational_prime(k, p)]
+            fs |= {(k.degree, M.e, M.f) for M in maps}
     assert {(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 3, 1), (4, 1, 4),
             (4, 4, 1), (2, 2, 1)} <= fs
     # Dedekind's cubic x^3 + x^2 - 2x + 8: 2 divides [O_K : Z[t]]
     k = dedekind_cubic()
-    for bound in (2, 4, 100, 150):
-        with pytest.raises(IndexDivisor):
-            residue_maps(k, 2, bound)
-    # x^3 + x^2 + x + 2 is irreducible mod 3
-    assert [M.f for M in residue_maps(k, 3, 27)] == [3]
-    assert residue_maps(k, 3, 26) == []
+    with pytest.raises(IndexDivisor):
+        residue_maps(k, 2, 8)
+    assert [M.f for M in residue_maps(k, 3, 27)] == [3]  # x^3 + x^2 + x + 2 mod 3
 
 
 def dedekind_cubic():
@@ -530,6 +526,31 @@ def dedekind_cubic():
                            [0, Fraction(1, 2), Fraction(1, 2)]],
         "fundamental_units": [[-13, -13, -3]], "subfields": [],
         "class_orders": []})
+
+
+def test_bounded_residue_maps_match_the_full_ones():
+    # with a bound, only the factors of degree up to floor(log_p bound)
+    # are split off (the squarefree primes) or kept (the others): the
+    # same maps as the full factorization filtered by residue field size
+    fields = [create_field(poly) for poly in
+              ([-1, 1], [1, 0, 1], [-2, 0, 1], [-5, 0, 1], [-103, 0, 1])]
+    fields += [zeta5_nofinite()[0],
+               create_field([-1, -1, 0, 1], datasheet=CUBIC_DATASHEET)]
+    fields += [shanks_cubic(a) for a in (-1, 0, 1, 2, 4, 7, 8)]
+    key = lambda primes: [(P.p, P.e, P.f, P.hnf) for P in primes]
+    for k in fields:
+        for p in primes_below(151):
+            full = factor_rational_prime(k, p)
+            for bound in (p, p * p, 100, 150):
+                assert key(residue_maps(k, p, bound)) == key(
+                    [P for P in full if p ** P.f <= bound]), \
+                    (k.poly, p, bound)
+    k = dedekind_cubic()
+    for bound in (2, 4, 100, 150):
+        with pytest.raises(IndexDivisor):
+            residue_maps(k, 2, bound)
+    # x^3 + x^2 + x + 2 is irreducible mod 3: no map under 27
+    assert residue_maps(k, 3, 26) == []
 
 
 def test_admissible_walk_work_count(monkeypatch):
