@@ -45,6 +45,13 @@ class IndexDivisor(SgenError):
     exit_code = 1
 
 
+class UnitTooLarge(SgenError):
+    """A real quadratic field whose fundamental unit has a coordinate of
+    more than field.MAX_UNIT_DIGITS digits: out of the supported range,
+    like a discriminant above field.MAX_QUADRATIC_DISCRIMINANT."""
+    exit_code = 1
+
+
 class NotInLattice(SgenError):
     exit_code = 1
 

@@ -49,12 +49,19 @@ from math import gcd, isqrt, lcm
 
 from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
-                     DivisionByZero, InvariantViolated, NotMonic, Reducible)
+                     DivisionByZero, InvariantViolated, NotMonic, Reducible,
+                     UnitTooLarge)
 
 # Largest |b^2 - 4c| of a quadratic x^2 + b x + c that the automatic tier
 # factors to find its squarefree core: trial division up to the square
 # root, at most about 10^6 trial divisions.
 MAX_QUADRATIC_DISCRIMINANT = 10 ** 12
+
+# Most decimal digits a coordinate of the fundamental unit of a real
+# quadratic field may have (Q(sqrt 1000003)'s has 251); a larger unit is
+# UnitTooLarge.  A fixed constant, so that whether a field is accepted
+# does not depend on the interpreter's int-to-str limit.
+MAX_UNIT_DIGITS = 1000
 
 
 def parse_rational(v):
@@ -309,6 +316,7 @@ class NumberField:
         self.one = self.from_rational(1)
         self.theta = self.element([0, 1] + [0] * (n - 2)) if n >= 2 else self.one
         self._fund_unit = None
+        self._unit_box = None  # set by ideals._unit_box
         self._subfields = None  # set by sunits.default_subfields
         self._primes_above = {}  # p -> primes, set by ideals.factor_rational_prime
 
@@ -612,6 +620,17 @@ def _read_sheet(field, ds):
 # ---------------------------------------------------------------------------
 # Fundamental unit of a real quadratic field.
 
+def continued_fraction_step(P, Q, D, r):
+    """One step of the continued fraction of xi = (P + sqrt D) / Q, for D
+    not a square, r = isqrt(D) and Q dividing D - P^2: (a, P', Q') with
+    a = floor(xi) and 1 / (xi - a) = (P' + sqrt D) / Q', Q' again
+    dividing D - P'^2.  sqrt D lies strictly between r and r + 1, so a
+    is (P + r) // Q for Q > 0 and (P + r + 1) // Q for Q < 0."""
+    a = (P + r + (Q < 0)) // Q
+    P = a * Q - P
+    return a, P, (D - P * P) // Q
+
+
 def fundamental_unit(field):
     """The fundamental unit of a real quadratic field, normalized > 1.
 
@@ -621,6 +640,11 @@ def fundamental_unit(field):
     the last two convergent denominators of the period, q1 w + q0 is the
     fundamental unit of Z[w], the maximal order.  The complete quotients
     are (P + sqrt D) / Q; the walk stops when (P, Q) returns to (b, 2).
+
+    q1 is the unit's omega coordinate and at least doubles every two
+    steps, so the walk stops with UnitTooLarge after at most about 6,650
+    steps, as soon as q1, or at the end the other coordinate, passes
+    MAX_UNIT_DIGITS digits.
     """
     if not field.is_quadratic_real():
         raise ValueError("fundamental_unit needs a real quadratic field")
@@ -629,17 +653,21 @@ def fundamental_unit(field):
     D = field.field_discriminant
     r = isqrt(D)
     b = r if (r - D) % 2 == 0 else r - 1
+    limit = 10 ** MAX_UNIT_DIGITS
     P, Q = b, 2
     q0, q1 = 1, 0
     while True:
-        a = (P + r) // Q
+        a, P, Q = continued_fraction_step(P, Q, D, r)
         q0, q1 = q1, a * q1 + q0
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        if (P, Q) == (b, 2):
+        if (P, Q) == (b, 2) or q1 >= limit:
             break
     # w = omega + (b - D mod 2) / 2, and b - D mod 2 is even
-    field._fund_unit = field.from_ib((q0 + q1 * (b - D % 2) // 2, q1))
+    coords = (q0 + q1 * (b - D % 2) // 2, q1)
+    if max(coords) >= limit:
+        raise UnitTooLarge(
+            f"the fundamental unit of the field of discriminant {D} has a "
+            f"coordinate of more than {MAX_UNIT_DIGITS} digits")
+    field._fund_unit = field.from_ib(coords)
     return field._fund_unit
 
 

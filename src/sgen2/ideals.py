@@ -24,13 +24,14 @@ No other module reads the residues' base-p encoding.
 """
 
 import operator
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
                      IndexDivisor, InvariantViolated, OrderBoundExceeded,
                      ZeroElement)
-from .field import FieldElement, fundamental_unit
+from .field import (FieldElement, continued_fraction_step,
+                    fundamental_unit)
 
 # Largest power a tried by class_order before giving up.
 CLASS_ORDER_BOUND = 10000
@@ -447,25 +448,111 @@ def valuation(x, prime):
 
 
 # ---------------------------------------------------------------------------
-# Class-group orders by exhaustive principality testing.
+# Class-group orders by reduction of binary quadratic forms.
+
+def _reduced_generator(x0, A, D, s):
+    """(x, y) with x + y w generating J = [A, x0 + w], or None when J is
+    not principal (w the second integral-basis element, D the field
+    discriminant, s = N(w)).
+
+    J carries the form f(X, Y) = N(X a1 + Y a2) / A of discriminant D in
+    its basis (a1, a2) = (A, x0 + w), and a basis change in SL2(Z) moves
+    the form with it; a basis vector a1 with f(1, 0) = +-1 has norm +-A
+    and generates J.
+
+    Imaginary fields: Gauss reduction in O(log A) steps (translate b
+    into (-a, a], swap while a > c) ends with |b| <= a <= c, so a is
+    the least value of f; J is principal exactly when that is 1.
+
+    Real fields: J = (Q/2) [1, xi] with xi = (P + sqrt D) / Q, P = 2 x0
+    + Tr(w), Q = 2A.  If xi = [a_0; ..., a_(k-1), xi_k], p/q the
+    convergent [a_0; ..., a_(k-1)] and q' the denominator before q, then
+    [1, xi] = [1, xi_k] / (q xi_k + q') and q xi - p = +-1 / (q xi_k +
+    q'); so when xi_k has |Q_k| = 2, [1, xi_k] is O_K and q (x0 + w) -
+    p A generates J.  The expansion is periodic from its first reduced
+    complete quotient on, after O(log A) steps, and by Serret's theorem
+    its period holds every reduced quotient GL2(Z)-equivalent to xi;
+    (b + sqrt D) / 2, of O_K, is one exactly when J is principal.  So one
+    period decides (Cohen, GTM 138, 5.2-5.8).  Going once around it
+    multiplies [1, xi] by the fundamental unit eps, and q at least
+    doubles every two steps, so the period has at most about 2 log2 eps
+    steps, like the walk of field.fundamental_unit, which the caller has
+    run: MAX_UNIT_DIGITS bounds both.
+    """
+    t = D % 2
+    if D < 0:
+        a, b, c = A, 2 * x0 + t, (x0 * x0 + t * x0 + s) // A
+        u, v = (A, 0), (x0, 1)
+        while True:
+            k = (a - b) // (2 * a)
+            if k:
+                c += (a * k + b) * k
+                b += 2 * a * k
+                v = (v[0] + k * u[0], v[1] + k * u[1])
+            if a <= c:
+                return u if a == 1 else None
+            a, b, c = c, -b, a
+            u, v = v, (-u[0], -u[1])
+    r = isqrt(D)
+    P, Q = 2 * x0 + t, 2 * A
+    p0, p1, q0, q1 = 0, 1, 1, 0
+    start = None
+    while abs(Q) != 2:
+        if start is None and 0 < P <= r and r - P < Q <= r + P:
+            start = (P, Q)
+        a, P, Q = continued_fraction_step(P, Q, D, r)
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        if (P, Q) == start:
+            return None
+    return q1 * x0 - p1 * A, q1
+
+
+def _unit_box(field):
+    """(bound, up, down) for a real quadratic field, built once and kept
+    on the field: bound >= eps, the fundamental unit in its larger
+    embedding (|theta| <= (|b| + sqrt(disc of the defining poly)) / 2
+    for theta a root), and the rows of multiplication by eps and by
+    eps^-1, which map coordinates v to v up and v down."""
+    if field._unit_box is None:
+        eps = fundamental_unit(field)
+        b, c = field.poly[1], field.poly[0]
+        theta_up = (abs(b) + polys.sqrt_upper(b * b - 4 * c)) / 2
+        e0, e1 = eps.power_coords()
+        field._unit_box = (abs(e0) + abs(e1) * theta_up, eps._num_rows(),
+                           eps.inverse()._num_rows())
+    return field._unit_box
+
 
 def _principal_generator_quadratic(ideal):
-    """A generator of the ideal if principal, else None.  Exhaustive: the
-    coordinate box 0 <= x <= xmax, |y| <= ymax (y >= 0 when x = 0) of
-    integral-basis coordinates provably covers some generator x + y*w
-    whenever one exists.
+    """A generator of the ideal if principal, else None: of the
+    generators in the box 0 <= x <= xmax, |y| <= ymax (y >= 0 when x =
+    0) of integral-basis coordinates x + y w, the first in the order (x,
+    |y|, y < 0).
 
-    Imaginary case: a generator has norm exactly N, so both embeddings
-    are constrained and the box is tight.  Real case: every generator
-    has an associate whose two embeddings lie below sqrt(N * eps) in
-    absolute value, eps the fundamental unit; the box uses a rational
-    upper bound for that with a safety factor of 4 on each side.
+    The ideal is g J with g its content and J = [A, x0 + w] primitive;
+    _reduced_generator decides whether J is principal and gives a
+    generator beta, in O(log N) steps for imaginary fields and one
+    period of the cycle of reduced ideals for real ones.  Every
+    generator is g beta zeta, zeta a root of unity, or +-g beta eps^k,
+    eps the fundamental unit, so only those few in the box are
+    compared.
 
-    The norm is the integer form x^2 + t*x*y + s*y^2, with t = D mod 2
-    and s = (t - D) / 4 the trace and norm of w, so for each y the points
-    of norm +-N are the integer roots of a monic quadratic in x.  Of
-    those inside the box, the first in the order (x, |y|, y < 0) that
-    lies in the ideal is returned.
+    The box holds a generator of every principal ideal.  Imaginary
+    fields: a generator has norm N = (x + t y / 2)^2 + |D| y^2 / 4, t =
+    D mod 2, so |y| <= ymax and |x| <= sqrt N + ymax / 2 <= xmax, and
+    one of +-it has x > 0, or x = 0 and y >= 0.  Real fields: among the
+    associates g beta eps^k one has |s1 / s2| in [1 / eps, eps), s1 and
+    s2 its embeddings (eps > 1 at s1), so both below sqrt(N eps); its
+    coordinates, y = (s1 - s2) / sqrt D and x = s1 - y w1, have |y| <= 2
+    sqrt(N eps / D) < ymax and |x| <= 3 sqrt(N eps) < xmax, as bound >=
+    eps.
+
+    Real fields walk k: F = |s1| - |s2| rises strictly with k, and a
+    generator in the box has |F| <= |s1 - s2| <= ymax sqrt D.  F has the
+    sign of y Tr, and |F| is |y| sqrt D for norm n > 0 and |Tr| for n <
+    0, so the k with |F| small enough, which are consecutive, are found
+    in integers and only they are tried.
     """
     field = ideal.field
     N = ideal.norm
@@ -480,37 +567,65 @@ def _principal_generator_quadratic(ideal):
             ymax = isqrt(N // am)
         xmax = isqrt(N) + ymax + 1
     else:
-        eps = fundamental_unit(field)
-        # |theta| <= (|b| + sqrt(disc of the defining poly)) / 2
-        b, c = field.poly[1], field.poly[0]
-        theta_up = (abs(b) + polys.sqrt_upper(b * b - 4 * c)) / 2
-        e0, e1 = eps.power_coords()
-        bound = abs(e0) + abs(e1) * theta_up
+        bound, up, down = _unit_box(field)
         B = 4 * (isqrt(int(N * bound) + 1) + 1)
         xmax = B
         ymax = B // isqrt(m) + 1
-    points = set()
-    for y in range(ymax + 1):
-        for target in (N, -N):
-            # x^2 + t*y*x + s*y^2 - target = 0 has discriminant
-            # (t^2 - 4 s) y^2 + 4*target = D*y^2 + 4*target, congruent
-            # to (t*y)^2 mod 4, so both roots are integers when it is a
-            # square
-            disc = D * y * y + 4 * target
-            if disc < 0:
-                continue
-            r = isqrt(disc)
-            if r * r != disc:
-                continue
-            for yy in ((y, -y) if y else (0,)):
-                for x in ((-t * yy + r) // 2, (-t * yy - r) // 2):
-                    if 0 <= x <= xmax and (x or yy >= 0):
-                        points.add((x, yy))
-    for x, y in sorted(points, key=lambda q: (q[0], abs(q[1]), q[1] < 0)):
-        el = field.from_ib((x, y))
-        if ideal.contains(el):
-            return el
-    return None
+    # the content g is the least y coordinate in the ideal: u row_0 + v
+    # row_1 has y = g, and that element over g is x0 + w
+    (h00, h01), (_, h11) = ideal.hnf
+    g = gcd(h01, h11)
+    A = N // (g * g)
+    s = field.omega_minpoly()[0]
+    x0 = pow(h01 // g, -1, h11 // g) * h00 // g % A
+    beta = _reduced_generator(x0, A, D, s)
+    if beta is None:
+        return None
+    beta = [g * beta[0], g * beta[1]]
+    if m < 0:
+        from .sunits import _torsion_units  # sunits imports this module
+        order, zeta = _torsion_units(field)
+        # zeta^(order / 2) = -1, and -gamma is tried with gamma below
+        found = [beta]
+        for _ in range(order // 2 - 1):
+            found.append(field.ib_mul(found[-1], zeta.num))
+    else:
+        ymax2d = ymax * ymax * D
+
+        def side(v):
+            # -1, 0 or 1 as F < -ymax sqrt D, |F| <= ymax sqrt D or F >
+            # ymax sqrt D
+            x, y = v
+            tr = 2 * x + t * y
+            if x * x + t * x * y + s * y * y > 0:
+                f = y if tr > 0 else -y
+                return (f > ymax) - (f < -ymax)
+            f = tr if y > 0 else -tr
+            return (f > 0) - (f < 0) if f * f > ymax2d else 0
+
+        def times(v, rows):
+            # the coordinates of v times the element whose num rows are rows
+            return (v[0] * rows[0][0] + v[1] * rows[1][0],
+                    v[0] * rows[0][1] + v[1] * rows[1][1])
+
+        while side(beta) > 0:
+            beta = times(beta, down)
+        while side(beta) < 0:
+            beta = times(beta, up)
+        found = []
+        for gamma, rows in ((beta, down), (times(beta, up), up)):
+            while side(gamma) == 0:
+                found.append(gamma)
+                gamma = times(gamma, rows)
+    inside = []
+    for x, y in found:
+        if x < 0 or not x and y < 0:
+            x, y = -x, -y
+        if x <= xmax and abs(y) <= ymax:
+            inside.append((x, y))
+    _check_invariant(inside, "a principal ideal has no generator in the box")
+    return FieldElement(field, min(inside, key=lambda q: (q[0], abs(q[1]),
+                                                          q[1] < 0)))
 
 
 def _principal_generator(ideal):

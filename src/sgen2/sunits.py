@@ -100,7 +100,7 @@ def _torsion_units(field):
     """
     order = {-4: 4, -3: 6}.get(field.field_discriminant)
     if order is None:
-        return 2, field.from_rational(-1)
+        return 2, -field.one
     return order, field.basis_element(1)
 
 

@@ -26,6 +26,12 @@ SQRT5_TWO = {"field": {"poly": [-5, 0, 1]}, "S": [{"p": 2}]}
 # 1728148040 + 140634693 sqrt 151
 SQRT94_FIVE = {"field": {"poly": [-94, 0, 1]}, "S": [{"p": 5}]}
 SQRT151_FIVE = {"field": {"poly": [-151, 0, 1]}, "S": [{"p": 5}]}
+# fundamental units of 16 and 251 digits
+SQRT331_THREE = {"field": {"poly": [-331, 0, 1]}, "S": [{"p": 3}]}
+SQRT1000003_TWO = {"field": {"poly": [-1000003, 0, 1]}, "S": [{"p": 2}]}
+# class number 10, ideal norms up to 31^10
+SQRTM119_3_11_31 = {"field": {"poly": [119, 0, 1]},
+                    "S": [{"p": 3}, {"p": 11}, {"p": 31}]}
 # the benchmark's table of every report it runs, keyed "command config"
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
@@ -213,13 +219,54 @@ def test_failed_guard_exits_3_without_traceback(tmp_path, monkeypatch,
 def test_big_unit_fields(tmp_path):
     # the principal-ideal search must not walk a box of side sqrt(eps)
     for cfg, commands in ((SQRT94_FIVE, ("analyze", "generate")),
-                          (SQRT151_FIVE, ("generate",))):
+                          (SQRT151_FIVE, ("generate",)),
+                          (SQRT331_THREE, ("analyze",)),
+                          (SQRT1000003_TWO, ("analyze",))):
         for command in commands:
             started = time.monotonic()
             code, rep = run(tmp_path, cfg, command)
             assert code == 0, (cfg, command)
             assert time.monotonic() - started < 10, (cfg, command)
             assert rep["analysis"]["classification"]["case"] == 1
+
+
+def test_class_number_ten_over_three_primes(tmp_path):
+    # ideal powers of norm up to 31^10: reduction, not a box of side
+    # sqrt(N / 119); the section is the one the box search printed
+    started = time.monotonic()
+    code, rep = run(tmp_path, SQRTM119_3_11_31, "analyze")
+    assert code == 0
+    assert time.monotonic() - started < 10
+    assert rep["analysis"]["s_units"] == {
+        "fundamental_units": [], "rank": 5,
+        "s_generators": [
+            {"class_order": 10, "element": ["107", "-20"],
+             "minimal_verified": True},
+            {"class_order": 10, "element": ["22283935", "-1647648"],
+             "minimal_verified": True},
+            {"class_order": 10, "element": ["22283935", "1647648"],
+             "minimal_verified": True},
+            {"class_order": 10, "element": ["107", "20"],
+             "minimal_verified": True},
+            {"class_order": 1, "element": ["11", "0"],
+             "minimal_verified": True}],
+        "torsion_generator": ["-1", "0"], "torsion_order": 2,
+        "valuation_matrix": [[10, 0, 0, 0, 0], [0, 10, 0, 0, 0],
+                             [0, 0, 10, 0, 0], [0, 0, 0, 10, 0],
+                             [0, 0, 0, 0, 1]]}
+
+
+def test_huge_fundamental_unit_exits_1_without_traceback(tmp_path, capsys):
+    # the unit of Q(sqrt 9999999967) has about 50,000 digits; the walk
+    # stops at field.MAX_UNIT_DIGITS instead of printing it
+    cfg = {"field": {"poly": [-9999999967, 0, 1]}, "S": []}
+    started = time.monotonic()
+    code, _ = run(tmp_path, cfg, "analyze")
+    assert time.monotonic() - started < 5
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: UnitTooLarge" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_gaussian_over_two(tmp_path):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import oracles
 import pytest
@@ -458,6 +458,29 @@ def test_fundamental_unit_golden():
     for poly in cases:
         u = fundamental_unit(create_field(list(poly)))
         assert not u.is_root_of_unity() and not (-u).is_root_of_unity()
+
+
+def test_continued_fraction_step_takes_the_floor_for_either_sign():
+    # a = floor((P + sqrt D) / Q) means a Q - P <= sqrt D < (a + 1) Q - P
+    # for Q > 0, reversed for Q < 0; x < sqrt D is x < 0 or x^2 < D
+    def below_sqrt(x, D):
+        return x < 0 or x * x < D
+
+    checked = 0
+    for D in (5, 8, 12, 13, 21, 28, 229, 4 * 94):
+        r = isqrt(D)
+        for Q in [q for q in range(-40, 41) if q]:
+            for P in range(-50, 51):
+                if (D - P * P) % Q:
+                    continue
+                a, P2, Q2 = field.continued_fraction_step(P, Q, D, r)
+                lo, hi = a * Q - P, (a + 1) * Q - P
+                if Q < 0:
+                    lo, hi = hi, lo
+                assert below_sqrt(lo, D) and not below_sqrt(hi, D)
+                assert P2 == a * Q - P and Q * Q2 == D - P2 * P2
+                checked += 1
+    assert checked > 1000
 
 
 def test_fundamental_unit_matches_brute_force():

@@ -351,10 +351,9 @@ def test_prime_serialization():
 # Both shapes of omega (m = 1 mod 4 and not, with m = 5 mod 8 among the
 # first), class numbers 1 to 10, and real fields with units up to 4e6.
 ORACLE_FIELDS = (-1, -2, -3, -5, -23, -119, 2, 5, 13, 67, 94, 118)
-# The search may walk at most SEARCH_YMAX values of y, the oracle (a
-# Fraction determinant per point, about 0.1 ms) at most ORACLE_POINTS
-# points, except for the cheapest pair of each field.
-SEARCH_YMAX = 3000
+# The oracle (a Fraction determinant per point, about 0.1 ms) may walk
+# at most ORACLE_POINTS points, except for the cheapest pair of each
+# field.
 ORACLE_POINTS = 1000
 
 
@@ -368,7 +367,7 @@ def _walk_points(ideal, found):
 
 
 def test_principal_search_matches_box_oracle():
-    """The norm-equation search returns the very element the
+    """The search by reduction returns the very element the
     point-by-point box walk returns, or None with it, on the primes
     above p <= 31 and their powers 1..4.  A pair is checked when the walk
     reaches the search's answer within ORACLE_POINTS points, which
@@ -383,8 +382,6 @@ def test_principal_search_matches_box_oracle():
             for prime in factor_rational_prime(k, p):
                 for e in range(1, 5):
                     ideal = prime ** e
-                    if oracles.principal_box(ideal)[1] > SEARCH_YMAX:
-                        continue
                     got = ideals._principal_generator_quadratic(ideal)
                     pairs.append((_walk_points(ideal, got), ideal, got))
         pairs.sort(key=lambda pair: pair[0])
@@ -397,3 +394,41 @@ def test_principal_search_matches_box_oracle():
             else:
                 assert got == want, (d, ideal)
     assert nonprincipal == {-5, -23, -119}
+
+
+def test_principal_search_matches_box_oracle_on_products():
+    """The same cross-check on ideals that are not prime powers: products
+    of primes over two different p, and ideals with content p > 1, (p) P
+    and P P' Q for the two primes P, P' over a split p.  Q(sqrt 2),
+    Q(sqrt 5) and Q(sqrt 13) have units of norm -1, so generators of
+    norm -N occur; Q(sqrt -5) and Q(sqrt -23) have non-principal
+    products.  Only pairs the walk finishes within ORACLE_POINTS points
+    are checked."""
+    kinds = {"two p": 0, "content": 0}
+    norm_minus_n, nonprincipal = set(), set()
+    for d in (-1, -5, -23, 2, 5, 13):
+        k = create_field([-d, 0, 1])
+        primes = {p: factor_rational_prime(k, p)
+                  for p in polys.primes_below(8)}
+        cases = []
+        for p, q in ((p, q) for p in primes for q in primes if p < q):
+            cases += [("two p", P * Q) for P in primes[p] for Q in primes[q]]
+            principal_p = IntegralIdeal.principal(k, k.from_rational(p))
+            cases += [("content", principal_p * Q) for Q in primes[q]]
+            if len(primes[p]) == 2:
+                cases += [("content", primes[p][0] * primes[p][1] * Q)
+                          for Q in primes[q]]
+        for kind, ideal in cases:
+            got = ideals._principal_generator_quadratic(ideal)
+            if _walk_points(ideal, got) > ORACLE_POINTS:
+                continue
+            want = oracles.principal_generator_box(ideal)
+            assert got == want, (d, kind, ideal)
+            kinds[kind] += 1
+            if got is None:
+                nonprincipal.add(d)
+            elif oracles.pb_norm(k, got.power_coords()) < 0:
+                norm_minus_n.add(d)
+    assert min(kinds.values()) >= 20, kinds
+    assert nonprincipal == {-5, -23}
+    assert norm_minus_n == {2, 5, 13}
