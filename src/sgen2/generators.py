@@ -10,6 +10,9 @@ be CM over F with no finite prime of S(F) splitting in K; alpha is then
 chosen in F for the contracted prime set and psi2 picks up sqrt(-d):
 
     psi2 = [[1, h*sqrt(-d)], [0, 1]].
+
+The triple is data: three determinant-checked SL2Elements with no group
+operations.  This module is the one 2x2 layer over K (helpers below).
 """
 
 from .errors import HypothesisFails, InconsistentCM
@@ -18,16 +21,17 @@ from .sunits import (SubfieldRank, choose_alpha, default_subfields, is_cm,
 
 
 # ---------------------------------------------------------------------------
-# Plain 2x2 matrices over K (rows of FieldElements).  The verification
-# identities conjugate by matrices of determinant != 1, so these helpers
-# stay free of the SL2 constraint.
+# 2x2 matrices over K, as rows of FieldElements.  The shapes E21 and E12
+# are built here only; m2_mul and m2_inv serve the two CM identities of
+# verification.identity_suite, whose conjugators have determinant != 1
+# and so stay plain tuples.
 
-def m2(a, b, c, d):
-    return ((a, b), (c, d))
+def e21(field, x):
+    return ((field.one, field.zero), (x, field.one))
 
 
-def m2_identity(field):
-    return m2(field.one, field.zero, field.zero, field.one)
+def e12(field, x):
+    return ((field.one, x), (field.zero, field.one))
 
 
 def m2_mul(x, y):
@@ -37,71 +41,28 @@ def m2_mul(x, y):
             (c * e + d * g, c * f + d * h))
 
 
-def m2_det(x):
-    (a, b), (c, d) = x
-    return a * d - b * c
-
-
 def m2_inv(x):
     (a, b), (c, d) = x
-    det = m2_det(x)
-    inv = det.inverse()
+    inv = (a * d - b * c).inverse()
     return ((d * inv, -b * inv), (-c * inv, a * inv))
-
-
-def m2_pow(x, k, field):
-    if k < 0:
-        return m2_pow(m2_inv(x), -k, field)
-    out = m2_identity(field)
-    base = x
-    while k:
-        if k & 1:
-            out = m2_mul(out, base)
-        base = m2_mul(base, base)
-        k >>= 1
-    return out
-
-
-def m2_eq(x, y):
-    return all(x[i][j] == y[i][j] for i in range(2) for j in range(2))
-
-
-def m2_serialize(x):
-    return [[x[0][0].serialize(), x[0][1].serialize()],
-            [x[1][0].serialize(), x[1][1].serialize()]]
 
 
 class SL2Element:
     """A 2x2 matrix over K with determinant exactly 1."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("rows",)
 
     def __init__(self, field, rows):
-        self.field = field
         self.rows = (tuple(rows[0]), tuple(rows[1]))
-        if m2_det(self.rows) != field.one:
+        (a, b), (c, d) = self.rows
+        if a * d - b * c != field.one:
             raise ValueError("determinant must be 1")
-
-    def __mul__(self, other):
-        return SL2Element(self.field, m2_mul(self.rows, other.rows))
-
-    def inverse(self):
-        return SL2Element(self.field, m2_inv(self.rows))
-
-    def __pow__(self, k):
-        return SL2Element(self.field, m2_pow(self.rows, k, self.field))
-
-    def __eq__(self, other):
-        return isinstance(other, SL2Element) and m2_eq(self.rows, other.rows)
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def entry(self, i, j):
         return self.rows[i][j]
 
     def serialize(self):
-        return m2_serialize(self.rows)
+        return [[x.serialize() for x in row] for row in self.rows]
 
     def __repr__(self):
         return f"SL2Element({self.rows[0]!r}, {self.rows[1]!r})"
@@ -235,8 +196,8 @@ def build_generators(field, S, h=1):
         psi2_top = hK * info.cm.sqrt_minus_d
     ah = alpha_K ** h
     gamma = SL2Element(field, ((ah, field.zero), (field.zero, ah.inverse())))
-    psi1 = SL2Element(field, ((field.one, field.zero), (hK, field.one)))
-    psi2 = SL2Element(field, ((field.one, psi2_top), (field.zero, field.one)))
+    psi1 = SL2Element(field, e21(field, hK))
+    psi2 = SL2Element(field, e12(field, psi2_top))
     return GeneratorTriple(field=field, S=S, h=h, case_info=info,
                            alpha_cert=cert, alpha_in_K=alpha_K, gamma=gamma,
                            psi1=psi1, psi2=psi2)

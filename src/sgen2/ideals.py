@@ -525,28 +525,26 @@ def _unit_box(field):
 
 
 def _principal_generator_quadratic(ideal):
-    """A generator of the ideal if principal, else None: of the
-    generators in the box 0 <= x <= xmax, |y| <= ymax (y >= 0 when x =
-    0) of integral-basis coordinates x + y w, the first in the order (x,
-    |y|, y < 0).
+    """A generator of the ideal if principal, else None: written in
+    integral-basis coordinates x + y w and normalized by sign to x > 0,
+    or x = 0 and y >= 0, the first in the order (x, |y|, y < 0) of the
+    generators an imaginary field has, or of those a real field has in
+    the box 0 <= x <= xmax, |y| <= ymax.
 
     The ideal is g J with g its content and J = [A, x0 + w] primitive;
     _reduced_generator decides whether J is principal and gives a
     generator beta, in O(log N) steps for imaginary fields and one
     period of the cycle of reduced ideals for real ones.  Every
-    generator is g beta zeta, zeta a root of unity, or +-g beta eps^k,
-    eps the fundamental unit, so only those few in the box are
-    compared.
+    generator is g beta zeta, zeta one of at most six roots of unity,
+    or +-g beta eps^k, eps the fundamental unit, so an imaginary field
+    compares all its generators and a real field only those in the box.
 
-    The box holds a generator of every principal ideal.  Imaginary
-    fields: a generator has norm N = (x + t y / 2)^2 + |D| y^2 / 4, t =
-    D mod 2, so |y| <= ymax and |x| <= sqrt N + ymax / 2 <= xmax, and
-    one of +-it has x > 0, or x = 0 and y >= 0.  Real fields: among the
-    associates g beta eps^k one has |s1 / s2| in [1 / eps, eps), s1 and
-    s2 its embeddings (eps > 1 at s1), so both below sqrt(N eps); its
-    coordinates, y = (s1 - s2) / sqrt D and x = s1 - y w1, have |y| <= 2
-    sqrt(N eps / D) < ymax and |x| <= 3 sqrt(N eps) < xmax, as bound >=
-    eps.
+    The box holds a generator of every principal ideal of a real field:
+    among the associates g beta eps^k one has |s1 / s2| in [1 / eps,
+    eps), s1 and s2 its embeddings (eps > 1 at s1), so both below
+    sqrt(N eps); its coordinates, y = (s1 - s2) / sqrt D and x = s1 - y
+    w1, have |y| <= 2 sqrt(N eps / D) < ymax and |x| <= 3 sqrt(N eps) <
+    xmax, as bound >= eps.
 
     Real fields walk k: F = |s1| - |s2| rises strictly with k, and a
     generator in the box has |F| <= |s1 - s2| <= ymax sqrt D.  F has the
@@ -559,18 +557,6 @@ def _principal_generator_quadratic(ideal):
     D = field.field_discriminant
     t = D % 2
     m = field.quadratic_core()
-    if m < 0:
-        am = -m
-        if t:  # omega = (1 + sqrt m)/2
-            ymax = isqrt(4 * N // am)
-        else:
-            ymax = isqrt(N // am)
-        xmax = isqrt(N) + ymax + 1
-    else:
-        bound, up, down = _unit_box(field)
-        B = 4 * (isqrt(int(N * bound) + 1) + 1)
-        xmax = B
-        ymax = B // isqrt(m) + 1
     # the content g is the least y coordinate in the ideal: u row_0 + v
     # row_1 has y = g, and that element over g is x0 + w
     (h00, h01), (_, h11) = ideal.hnf
@@ -590,6 +576,9 @@ def _principal_generator_quadratic(ideal):
         for _ in range(order // 2 - 1):
             found.append(field.ib_mul(found[-1], zeta.num))
     else:
+        bound, up, down = _unit_box(field)
+        xmax = 4 * (isqrt(int(N * bound) + 1) + 1)
+        ymax = xmax // isqrt(m) + 1
         ymax2d = ymax * ymax * D
 
         def side(v):
@@ -617,15 +606,14 @@ def _principal_generator_quadratic(ideal):
             while side(gamma) == 0:
                 found.append(gamma)
                 gamma = times(gamma, rows)
-    inside = []
-    for x, y in found:
-        if x < 0 or not x and y < 0:
-            x, y = -x, -y
-        if x <= xmax and abs(y) <= ymax:
-            inside.append((x, y))
-    _check_invariant(inside, "a principal ideal has no generator in the box")
-    return FieldElement(field, min(inside, key=lambda q: (q[0], abs(q[1]),
-                                                          q[1] < 0)))
+    found = [(x, y) if x > 0 or not x and y >= 0 else (-x, -y)
+             for x, y in found]
+    if m > 0:
+        found = [(x, y) for x, y in found if x <= xmax and abs(y) <= ymax]
+        _check_invariant(found,
+                         "a principal ideal has no generator in the box")
+    return FieldElement(field, min(found, key=lambda q: (q[0], abs(q[1]),
+                                                         q[1] < 0)))
 
 
 def _principal_generator(ideal):

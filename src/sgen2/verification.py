@@ -32,7 +32,7 @@ an unproved triple.  Four checks, each falsifiable on its own:
 from .errors import (ConfigInvalid, IdentityFailed, NotInLattice, PrimeInS,
                      VerificationFailure)
 from .field import FieldElement, integer_rows
-from .generators import m2_eq, m2_inv, m2_mul
+from .generators import e12, e21
 from .ideals import factor_rational_prime, residue_maps, valuation
 from .linalg import (RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat,
                      xgcd)
@@ -60,14 +60,6 @@ VERIFY_DEFAULTS = {
 
 # ---------------------------------------------------------------------------
 # Matrix identities.
-
-def _e21(field, x):
-    return ((field.one, field.zero), (x, field.one))
-
-
-def _e12(field, x):
-    return ((field.one, x), (field.zero, field.one))
-
 
 class Shape:
     """A triple with the shapes prove_shape checked: h, tau, a2 = a^2 and
@@ -104,9 +96,9 @@ def prove_shape(triple):
                              instance={"alpha": "alpha_in_K"})
     a = alpha ** triple.h
     shapes = {"gamma": ((a, field.zero), (field.zero, a.inverse())),
-              "psi1": _e21(field, h), "psi2": _e12(field, tau)}
+              "psi1": e21(field, h), "psi2": e12(field, tau)}
     for name, mat in zip(shapes, triple.matrices()):
-        if not m2_eq(mat.rows, shapes[name]):
+        if mat.rows != shapes[name]:
             raise IdentityFailed(f"{name} does not have the constructed "
                                  f"shape", instance={"matrix": name})
     return Shape(triple, h, a * a, tau)
@@ -134,6 +126,8 @@ def identity_suite(shape, r_range, s_range, n_range):
               "s_range": [min(s_range), max(s_range)]}
 
     if triple.case_info.case == 2:
+        # the only reader of the 2x2 products (a CI step checks it)
+        from .generators import m2_inv, m2_mul
         field = triple.field
         p1 = triple.psi1.rows
         p2 = triple.psi2.rows
@@ -146,7 +140,7 @@ def identity_suite(shape, r_range, s_range, n_range):
         # at x = h, h^2 d x = -tau^2 h
         h, tau = shape.h, shape.tau
         t = tau.inverse()
-        u = _e21(field, t)
+        u = e21(field, t)
         w = ((field.one, t),
              (field.zero, triple.case_info.cm.sqrt_minus_d.inverse()))
         c = -(tau * tau * h)
@@ -154,9 +148,9 @@ def identity_suite(shape, r_range, s_range, n_range):
         def conj(A, x):
             return m2_mul(A, m2_mul(x, m2_inv(A)))
 
-        ensure(m2_eq(conj(p2, _e21(field, h)), conj(u, _e12(field, c))),
+        ensure(conj(p2, e21(field, h)) == conj(u, e12(field, c)),
                "psi2 E21 psi2^-1 = u E12 u^-1", {"s": 1})
-        ensure(m2_eq(conj(p1, _e12(field, tau)), conj(w, _e21(field, c))),
+        ensure(conj(p1, e12(field, tau)) == conj(w, e21(field, c)),
                "psi1 E12 psi1^-1 = w E21 w^-1", {"s": 1})
         report["cm_identities"] = 2 * len(s_range) + 2 * len(n_range)
         report["n_values"] = sorted(n_range)
@@ -184,12 +178,25 @@ def _checked_index(sbasis, span, escapes):
 
 def _in_s_integers(field, S, x):
     """Exact membership of x in the ring of S-integers: every prime of
-    the denominator outside S must see a nonnegative valuation."""
-    for p in prime_divisors(x.den):
-        for q in factor_rational_prime(field, p):
-            if not S.contains(q) and valuation(x, q) < 0:
-                return False
-    return True
+    the denominator outside S must see a nonnegative valuation.
+
+    x.den is not factored.  x is in lowest terms and the primes over a
+    rational prime l multiply to (l), so an l | x.den has a prime over
+    it where x has negative valuation; once the characteristics of S are
+    divided out, any rest above 1 holds such an l outside S.  Otherwise
+    only the primes outside S over the characteristics dividing x.den
+    are checked."""
+    rest = x.den
+    chars = []
+    for p in {P.p for P in S.finite}:
+        if rest % p == 0:
+            chars.append(p)
+            while rest % p == 0:
+                rest //= p
+    if rest > 1:
+        return False
+    return all(S.contains(q) or valuation(x, q) >= 0
+               for p in chars for q in factor_rational_prime(field, p))
 
 
 def ideal_ladder(shape, n_select):

@@ -359,6 +359,26 @@ def _pm_conj(field, A, x):
     return _pm_mul(field, A, _pm_mul(field, x, _pm_inv(field, A)))
 
 
+def pm_rows(rows):
+    """A 2x2 matrix over K, given as rows of field elements, with each
+    entry read through power_coords."""
+    return tuple(tuple(list(x.power_coords()) for x in row) for row in rows)
+
+
+def pm_pow(field, m, k):
+    """m^k by repeated squaring of m, or of its inverse when k < 0."""
+    one, zero = pb_one(field), [Fraction(0)] * field.degree
+    out = ((one, zero), (zero, one))
+    base = m if k >= 0 else _pm_inv(field, m)
+    k = abs(k)
+    while k:
+        if k & 1:
+            out = _pm_mul(field, out, base)
+        base = _pm_mul(field, base, base)
+        k >>= 1
+    return out
+
+
 def identity_windows(triple, r_range, s_range, n_range):
     """The (identity, instance) pairs of the triple's defining identities
     that fail inside the windows, [] when all hold: the determinants,
@@ -385,16 +405,7 @@ def identity_windows(triple, r_range, s_range, n_range):
     def power(base, inverse, k):
         return pb_pow(field, base if k >= 0 else inverse, abs(k))
 
-    def mpow(m, k):
-        out = e21(zero)
-        step = m if k >= 0 else _pm_inv(field, m)
-        for _ in range(abs(k)):
-            out = _pm_mul(field, out, step)
-        return out
-
-    g, p1, p2 = (tuple(tuple(list(m.entry(i, j).power_coords())
-                             for j in range(2)) for i in range(2))
-                 for m in triple.matrices())
+    g, p1, p2 = (pm_rows(m.rows) for m in triple.matrices())
     h = scale(triple.h, one)
     a = pb_pow(field, list(triple.alpha_in_K.power_coords()), triple.h)
     a_inv = pb_inverse(field, a)
@@ -414,10 +425,10 @@ def identity_windows(triple, r_range, s_range, n_range):
         check(_pm_det(field, m) == one, "determinant", {"matrix": name})
     check(_pm_mul(field, p1, p2) != _pm_mul(field, p2, p1),
           "non-commutation", {"matrices": ["psi1", "psi2"]})
-    p1_pows = {s: mpow(p1, s) for s in s_range}
-    p2_pows = {s: mpow(p2, s) for s in s_range}
+    p1_pows = {s: pm_pow(field, p1, s) for s in s_range}
+    p2_pows = {s: pm_pow(field, p2, s) for s in s_range}
     for r in r_range:
-        gr, grm = mpow(g, r), mpow(g, -r)
+        gr, grm = pm_pow(field, g, r), pm_pow(field, g, -r)
         a2r = power(a, a_inv, 2 * r)
         a2r_inv = power(a, a_inv, -2 * r)
         for s in s_range:
@@ -445,7 +456,7 @@ def identity_windows(triple, r_range, s_range, n_range):
               "psi1 E12 psi1^-1 = w E21 w^-1", {"s": s})
     h_inv = pb_inverse(field, h)
     for N in n_range:
-        gN, gNm = mpow(g, N), mpow(g, -N)
+        gN, gNm = pm_pow(field, g, N), pm_pow(field, g, -N)
         one_minus = [x - y for x, y in zip(one, power(a, a_inv, 2 * N))]
         lhs = _pm_mul(field, u, _pm_mul(field, gNm,
                                         _pm_mul(field, _pm_inv(field, u), gN)))

@@ -9,7 +9,7 @@ the stated wall clock budgets.
 import random
 import time
 
-from sgen2.generators import build_generators, classify_case, m2_eq
+from sgen2.generators import build_generators, classify_case
 from sgen2.ideals import factor_rational_prime, valuation
 from sgen2.linalg import RatLattice, hnf, int_det
 from sgen2.sunits import (choose_alpha, contract_prime_set,
@@ -21,7 +21,7 @@ from sgen2.verification import (admissible_primes, elementary_witness,
 
 from instances import (ALL, DESK, gaussian_five, gaussian_two, rational_two,
                        sqrt2_seven, sqrt5_two)
-from oracles import zalpha_levels
+from oracles import _pm_mul, pm_pow, pm_rows, zalpha_levels
 
 CASE_ONE = [rational_two, gaussian_five, sqrt2_seven, sqrt5_two]
 
@@ -124,6 +124,7 @@ def test_criterion_5_witness_suite(capsys):
     shape = prove_shape(t)
     k = t.field
     a2 = t.alpha_in_K ** 2
+    gamma, psi1 = pm_rows(t.gamma.rows), pm_rows(t.psi1.rows)
     rng = random.Random(2026)
     t0 = time.monotonic()
     found = 0
@@ -131,11 +132,13 @@ def test_criterion_5_witness_suite(capsys):
         c0, c1, c2 = (rng.randrange(-5, 6) for _ in range(3))
         x = (k.one * c0 + a2 * c1 + a2 * a2 * c2) * t.h
         w = elementary_witness(shape, x, "lower")
-        acc = t.gamma ** 0
+        # the word multiplied out in the oracle's power-basis products
+        acc = pm_pow(k, gamma, 0)
         for j, c in w.word:
-            acc = acc * (t.gamma ** j) * (t.psi1 ** c) * (t.gamma ** -j)
-        target = [[k.one, k.zero], [x, k.one]]
-        assert m2_eq(acc.rows, target)
+            for factor in (pm_pow(k, gamma, j), pm_pow(k, psi1, c),
+                           pm_pow(k, gamma, -j)):
+                acc = _pm_mul(k, acc, factor)
+        assert acc == pm_rows(((k.one, k.zero), (x, k.one)))
         found += 1
     dt = time.monotonic() - t0
     ok = found == 100 and dt < 10.0

@@ -172,6 +172,20 @@ def test_hostile_quadratic_exits_1_quickly(tmp_path, capsys):
     assert "error: ConfigInvalid" in capsys.readouterr().err
 
 
+def test_case2_large_s_prime_verifies_quickly(tmp_path):
+    # the case-2 ladder's denominators hold powers of the S primes, which
+    # trial division up to the square root of 10^9 + 7 would not end
+    for poly, primes in (([1, 0, 1], [1000000007]),
+                         ([1, 0, 1], [2, 1000000007]),
+                         ([3, 0, 1], [1000000007])):
+        cfg = {"field": {"poly": poly}, "S": [{"p": p} for p in primes]}
+        started = time.monotonic()
+        code, report = run(tmp_path, cfg, "verify")
+        assert time.monotonic() - started < 5
+        assert code == 0, (poly, primes)
+        assert report["verification"]["ladder"]["N"] == 1
+
+
 def test_hostile_cubic_exits_1_quickly(tmp_path, capsys):
     # the integer-root screen bisects instead of trial-dividing to 10^10;
     # a polynomial at both caps of validate_config ends in the time that
