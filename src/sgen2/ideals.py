@@ -21,6 +21,14 @@ which is also the residue field: it builds log tables from one
 primitive element (the F_p[x] arithmetic of polys reduces mod g only
 on that walk) and then multiplies and adds residues by table lookups.
 No other module reads the residues' base-p encoding.
+
+The S-unit path forms at most one ideal power per prime.  A valuation
+multiplies by the prime's anti-uniformizer, built from its Kummer factor
+on first use (valuation).  A class order composes the reduced binary
+quadratic form of the prime with itself, and only the principal power
+it finds is formed, by IntegralIdeal ** (class_order); each prime keeps
+both.  Otherwise ideal products serve the check that the primes over p
+multiply to (p) and the datasheet tier's declared orders.
 """
 
 import operator
@@ -38,7 +46,7 @@ CLASS_ORDER_BOUND = 10000
 
 
 class IntegralIdeal:
-    __slots__ = ("field", "hnf", "_powers")
+    __slots__ = ("field", "hnf")
 
     def __init__(self, field, rows):
         self.field = field
@@ -46,7 +54,6 @@ class IntegralIdeal:
         if len(h) != field.degree:
             raise ValueError("not a full-rank (nonzero) ideal lattice")
         self.hnf = tuple(h)
-        self._powers = None
 
     @classmethod
     def from_elements(cls, field, elements):
@@ -71,17 +78,21 @@ class IntegralIdeal:
                                  for b in other.hnf])
 
     def __pow__(self, e):
+        """self^e by squaring, in O(log e) ideal products."""
         if not isinstance(e, int) or e < 0:
             return NotImplemented
         if e == 0:
             return IntegralIdeal(self.field,
                                  [[int(i == j) for j in range(self.field.degree)]
                                   for i in range(self.field.degree)])
-        if self._powers is None:
-            self._powers = [self ** 0, self]
-        while len(self._powers) <= e:
-            self._powers.append(self._powers[-1] * self)
-        return self._powers[e]
+        power, square = None, self
+        while True:
+            if e & 1:
+                power = square if power is None else power * square
+            e >>= 1
+            if not e:
+                return power
+            square = square * square
 
     def __eq__(self, other):
         return (isinstance(other, IntegralIdeal) and self.field is other.field
@@ -98,11 +109,18 @@ class IntegralIdeal:
 
 
 class PrimeIdeal(IntegralIdeal):
-    __slots__ = ("p", "e", "f", "two_element")
+    """A prime over p with its Kummer factor g (its ramification index e
+    and residue degree f = deg g), its anti-uniformizer's coordinates
+    (_tau, built by the first valuation) and its ClassOrderWitness
+    (_witness, built by the first class_order)."""
 
-    def __init__(self, field, rows, p, e, f, two_element):
+    __slots__ = ("p", "e", "f", "two_element", "g", "_tau", "_witness")
+
+    def __init__(self, field, rows, p, e, g, two_element):
         super().__init__(field, rows)
-        self.p, self.e, self.f, self.two_element = p, e, f, two_element
+        self.p, self.e, self.f, self.g = p, e, len(g) - 1, g
+        self.two_element = two_element
+        self._tau = self._witness = None
 
     def serialize(self):
         out = super().serialize()
@@ -388,7 +406,7 @@ def factor_rational_prime(field, p):
                 pi = field.basis_element(1) - field.from_rational(
                     _symmetric_lift(rho, p))
         primes.append(PrimeIdeal(
-            field, _ideal_rows([field.from_rational(p), pi]), p, e, f,
+            field, _ideal_rows([field.from_rational(p), pi]), p, e, g,
             (p, pi)))
     primes.sort(key=lambda q: q.hnf)
     product = primes[0] ** primes[0].e
@@ -430,30 +448,79 @@ def _dedekind_index_divisor(poly, fac, rest, p):
 # ---------------------------------------------------------------------------
 # Valuations.
 
+def _anti_uniformizer(prime):
+    """The integral-basis coordinates of tau = h(t), h = F / g mod p for
+    the prime's Kummer factor g of F, the defining polynomial (omega's
+    minimal polynomial, and t omega, on the automatic tier; tau = 1 over
+    Q); built on first use and kept on the prime."""
+    if prime._tau is None:
+        field = prime.field
+        if field.degree == 1:
+            prime._tau = [1]
+        elif field.tier == "automatic":
+            # omega is the second integral-basis element, and deg h <= 1
+            s, b = field.omega_minpoly()
+            h = polys.pp_divmod([s, b, 1], prime.g, prime.p)[0]
+            prime._tau = h + [0] * (2 - len(h))
+        else:
+            h = polys.pp_divmod(list(field.poly), prime.g, prime.p)[0]
+            prime._tau = sum((field.theta ** k * c for k, c in enumerate(h)),
+                             field.zero).num
+    return prime._tau
+
+
 def valuation(x, prime):
-    """v_P(x) for x in K*, via the prime-power membership ladder."""
+    """v_P(x) for x in K*, by the prime's anti-uniformizer tau.
+
+    p is prime to [O_K : Z[t]], so O_K / pO_K is F_p[x] / (F) with t
+    sent to x, and P is the ideal that g generates there.  With tau =
+    h(t), h a lift of F / g, F divides y h exactly when g divides y: y in
+    O_K lies in P exactly when y tau lies in pO_K.  So tau / p is in P^-1
+    and not in O_K, that is v_P(tau / p) = -1 and v_Q(tau / p) >= 0 at
+    every other prime Q.  While y is in P, y <- y tau / p stays integral
+    and loses exactly 1 of v_P(y); the steps until y tau leaves pO_K
+    count v_P of the numerator (Cohen, GTM 138, 4.8.3).  A step is one
+    product by tau; no ideal is formed.
+    """
     if not isinstance(x, FieldElement):
         raise TypeError("element expected")
     if x.is_zero():
         raise ZeroElement("valuation of zero")
+    p = prime.p
     vp_den = 0
     d = x.den
-    while d % prime.p == 0:
-        d //= prime.p
+    while d % p == 0:
+        d //= p
         vp_den += 1
-    k = 0
-    while linalg.in_lattice((prime ** (k + 1)).hnf, x.num):
+    tau, mul = _anti_uniformizer(prime), prime.field.ib_mul
+    y, k = x.num, 0
+    while True:
+        y = mul(y, tau)
+        if any(c % p for c in y):
+            return k - prime.e * vp_den
+        y = [c // p for c in y]
         k += 1
-    return k - prime.e * vp_den
 
 
 # ---------------------------------------------------------------------------
 # Class-group orders by reduction of binary quadratic forms.
 
+def _primitive_part(ideal):
+    """(g, A, x0) for a quadratic ideal g J, g its content and J = [A,
+    x0 + w] primitive of norm A: the content is the least y coordinate
+    in the ideal (u row_0 + v row_1 has y = g), and that element over g
+    is x0 + w."""
+    (h00, h01), (_, h11) = ideal.hnf
+    g = gcd(h01, h11)
+    A = ideal.norm // (g * g)
+    return g, A, pow(h01 // g, -1, h11 // g) * h00 // g % A
+
+
 def _reduced_generator(x0, A, D, s):
-    """(x, y) with x + y w generating J = [A, x0 + w], or None when J is
-    not principal (w the second integral-basis element, D the field
-    discriminant, s = N(w)).
+    """(beta, f): beta = (x, y) with x + y w generating J = [A, x0 + w],
+    or None when J is not principal, and then f = (a, b) a reduced form
+    of J's class (w the second integral-basis element, D the field
+    discriminant, s = N(w); forms as in _compose).
 
     J carries the form f(X, Y) = N(X a1 + Y a2) / A of discriminant D in
     its basis (a1, a2) = (A, x0 + w), and a basis change in SL2(Z) moves
@@ -490,7 +557,7 @@ def _reduced_generator(x0, A, D, s):
                 b += 2 * a * k
                 v = (v[0] + k * u[0], v[1] + k * u[1])
             if a <= c:
-                return u if a == 1 else None
+                return (u, None) if a == 1 else (None, (a, b))
             a, b, c = c, -b, a
             u, v = v, (-u[0], -u[1])
     r = isqrt(D)
@@ -504,8 +571,8 @@ def _reduced_generator(x0, A, D, s):
         p0, p1 = p1, a * p1 + p0
         q0, q1 = q1, a * q1 + q0
         if (P, Q) == start:
-            return None
-    return q1 * x0 - p1 * A, q1
+            return None, (Q // 2, P)
+    return (q1 * x0 - p1 * A, q1), None
 
 
 def _unit_box(field):
@@ -557,14 +624,9 @@ def _principal_generator_quadratic(ideal):
     D = field.field_discriminant
     t = D % 2
     m = field.quadratic_core()
-    # the content g is the least y coordinate in the ideal: u row_0 + v
-    # row_1 has y = g, and that element over g is x0 + w
-    (h00, h01), (_, h11) = ideal.hnf
-    g = gcd(h01, h11)
-    A = N // (g * g)
+    g, A, x0 = _primitive_part(ideal)
     s = field.omega_minpoly()[0]
-    x0 = pow(h01 // g, -1, h11 // g) * h00 // g % A
-    beta = _reduced_generator(x0, A, D, s)
+    beta = _reduced_generator(x0, A, D, s)[0]
     if beta is None:
         return None
     beta = [g * beta[0], g * beta[1]]
@@ -623,49 +685,84 @@ def _principal_generator(ideal):
     return _principal_generator_quadratic(ideal)
 
 
-def _power_by_squaring(ideal, e):
-    """ideal^e for e >= 1 in O(log e) products, caching no power on the
-    ideal (IntegralIdeal.__pow__ keeps every power up to e)."""
-    power, square = None, ideal
-    while True:
-        if e & 1:
-            power = square if power is None else power * square
-        e >>= 1
-        if not e:
-            return power
-        square = square * square
+def _compose(f1, f2, D):
+    """The composition of the primitive forms f1 = (a1, b1) and f2 = (a2,
+    b2) of discriminant D, a form (a, b) being a x^2 + b x y + c y^2
+    with c = (b^2 - D) / 4a and a > 0, the form of the ideal [a, (b +
+    sqrt D) / 2].  With e = gcd(a1, a2, (b1 + b2) / 2) = u a1 + v a2 + w
+    (b1 + b2) / 2, it is (a1 a2 / e^2, (u a1 b2 + v a2 b1 + w (b1 b2 +
+    D) / 2) / e), b taken modulo 2a: Dirichlet's composition (Cohen,
+    GTM 138, 5.4; Buchmann-Vollmer, Binary Quadratic Forms, 2007)."""
+    (a1, b1), (a2, b2) = f1, f2
+    d, u, v = linalg.xgcd(a1, a2)
+    e, x, w = linalg.xgcd(d, (b1 + b2) // 2)
+    a = a1 * a2 // (e * e)
+    b = (x * (u * a1 * b2 + v * a2 * b1) + w * ((b1 * b2 + D) // 2)) // e
+    return a, b % (2 * a)
 
 
-def class_order(ideal):
-    """Smallest a >= 1 with ideal^a principal, plus a verified generator.
+def _class_order_by_forms(prime):
+    """(a, prime^a) for a prime that is not principal, a the order of its
+    class, at most CLASS_ORDER_BOUND, or OrderBoundExceeded.
 
-    Automatic tier: exhaustive, so minimality is proved.  Datasheet
-    tier: the field's sheet_class_orders entry for the ideal is verified
-    to be an order of at most CLASS_ORDER_BOUND (the power is principal
-    with the declared generator); its minimality is taken on faith.
+    Such a prime is primitive, [A, x0 + w] with the form f = (A, 2 x0 +
+    Tr w), and a is the least k with f^k principal.  Each power is f
+    times the last, reduced by _reduced_generator, which decides its
+    principality too, so every form stays about sqrt |D| in size (Cohen,
+    GTM 138, 5.4 and 5.6); prime^a is then formed once by squaring.  A
+    real field's unit is found first: MAX_UNIT_DIGITS bounds each period
+    walk."""
+    field = prime.field
+    D = field.field_discriminant
+    t = D % 2
+    s = field.omega_minpoly()[0]
+    if D > 0:
+        fundamental_unit(field)
+    _, A, x0 = _primitive_part(prime)
+    form = power = (A, 2 * x0 + t)
+    for a in range(2, CLASS_ORDER_BOUND + 1):
+        a2, b2 = _compose(power, form, D)
+        beta, power = _reduced_generator((b2 - t) // 2, a2, D, s)
+        if beta is not None:
+            return a, prime ** a
+    raise OrderBoundExceeded(f"no principal power up to {CLASS_ORDER_BOUND}")
+
+
+def class_order(prime):
+    """Smallest a >= 1 with prime^a principal, plus a verified generator,
+    as a ClassOrderWitness built once and kept on the prime.
+
+    Automatic tier: a prime that is principal has order 1; otherwise
+    composing reduced forms finds the order, which proves minimality,
+    and the generator is that of prime^a, formed once by squaring
+    (_class_order_by_forms).  Datasheet tier: the field's
+    sheet_class_orders entry for the prime is verified to be an order of
+    at most CLASS_ORDER_BOUND (the power is principal with the declared
+    generator); its minimality is taken on faith.
     """
-    field = ideal.field
+    if prime._witness is not None:
+        return prime._witness
+    field = prime.field
     if field.tier == "automatic":
-        for a in range(1, CLASS_ORDER_BOUND + 1):
-            power = ideal ** a
+        a, power, gen = 1, prime, _principal_generator(prime)
+        if gen is None:
+            a, power = _class_order_by_forms(prime)
             gen = _principal_generator(power)
-            if gen is not None:
-                _check_invariant(IntegralIdeal.principal(field, gen) == power,
-                                 "the principal generator does not generate "
-                                 "the ideal power")
-                return ClassOrderWitness(a, gen, True)
-        raise OrderBoundExceeded(
-            f"no principal power up to {CLASS_ORDER_BOUND}")
+        _check_invariant(gen is not None
+                         and IntegralIdeal.principal(field, gen) == power,
+                         "the principal generator does not generate the "
+                         "ideal power")
+        prime._witness = ClassOrderWitness(a, gen, True)
+        return prime._witness
 
-    entry = field.sheet_class_orders.get(ideal.hnf)
+    entry = field.sheet_class_orders.get(prime.hnf)
     if entry is None:
         raise DatasheetRequired(
-            f"no class_orders entry for the ideal with HNF {[list(r) for r in ideal.hnf]}")
+            f"no class_orders entry for the ideal with HNF {[list(r) for r in prime.hnf]}")
     a, gen = entry
     if not (a <= CLASS_ORDER_BOUND
-            and _power_by_squaring(ideal, a)
-            == IntegralIdeal.principal(field, gen)):
+            and prime ** a == IntegralIdeal.principal(field, gen)):
         raise DatasheetInvalid(f"declared class order {a} is above "
                                f"{CLASS_ORDER_BOUND} or not witnessed")
-    return ClassOrderWitness(a, gen, False)
-
+    prime._witness = ClassOrderWitness(a, gen, False)
+    return prime._witness

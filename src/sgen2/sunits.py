@@ -168,8 +168,8 @@ def s_unit_basis(field, S):
     """Torsion, fundamental units, and class-order generators for S.
 
     The valuation matrix (rows: generators, columns: finite primes of
-    S) is rebuilt from scratch with the membership-ladder valuation and
-    checked against what the class orders promise.
+    S) is rebuilt from scratch with ideals.valuation and checked
+    against what the class orders promise.
     """
     w, zeta = _torsion_units(field)
     fund = _fund_units_of(field)

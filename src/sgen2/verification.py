@@ -37,8 +37,7 @@ from .ideals import factor_rational_prime, residue_maps, valuation
 from .linalg import (RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat,
                      xgcd)
 from .polys import is_prime, prime_divisors
-from .sunits import (PowerSpan, contract_prime_set, s_unit_basis,
-                     stabilized_index)
+from .sunits import PowerSpan, contract_prime_set, stabilized_index
 
 # Work bounds: the orders N of a^2 that the case-2 ladder tries, and the
 # stages J of the witness module searched for a word.
@@ -206,7 +205,8 @@ def ideal_ladder(shape, n_select):
     Case 1: m = [O_S : h Z[a^2]] with a = alpha^h, giving the O_S-ideal
     (m) inside h Z[a^2].  Case 2 additionally works on the F side (m and
     the order N of a^2 modulo m) and extends the K-side ring by
-    sqrt(-d), giving q_ideal = (M).  Every index is a stabilized
+    sqrt(-d), giving q_ideal = (M); the F side reads the S(F)-unit basis
+    of the alpha certificate.  Every index is a stabilized
     filtration limit (stabilized_index over the levels of the S-unit
     basis) and the Lagrange containment is rechecked on a stage the
     index search already built.
@@ -237,7 +237,11 @@ def ideal_ladder(shape, n_select):
     Fd = triple.case_info.case2_subfield
     F = Fd.subfield
     SF = contract_prime_set(triple.S, Fd)
-    sbF = s_unit_basis(F, SF)
+    # the certificate's basis, whose levels its index table has built
+    sbF = triple.alpha_cert.sbasis
+    if not (sbF.field is F and sbF.S.finite == SF.finite):
+        raise VerificationFailure("the alpha certificate's S-unit basis is "
+                                  "not over F and S(F)")
     aF2 = triple.alpha_cert.alpha ** (2 * h)
     hF = F.from_rational(h)
     mF, lvlF, seqF = _checked_index(sbF, PowerSpan(aF2, hF),

@@ -25,6 +25,14 @@ along one axis.  The box of a real field needs the fundamental unit,
 which the oracle finds by trying y = 1, 2, ... until D y^2 +- 4 is a
 square, where the library walks a continued fraction.
 
+The class-order oracle multiplies a prime by itself with the ideal
+product and asks the same box, solved row by row (one isqrt per row
+where the walk takes a determinant per point; the two agree on every
+small box), for a generator of each power, where the library composes
+reduced binary quadratic forms.  The valuation oracle climbs the same
+ideal powers and tests membership with its own Gauss-Jordan solve,
+where the library multiplies by the prime's anti-uniformizer.
+
 The identity oracle multiplies the triple's defining identities out
 over exponent windows, with 2x2 products of power-basis coordinates,
 where the library proves them for every exponent from the matrices'
@@ -682,6 +690,70 @@ def principal_generator_box(ideal):
                 if ideal.contains(el):
                     return el
     return None
+
+
+def principal_generator_rows(ideal):
+    """principal_generator_box's answer, found row by row: for each y
+    with |y| <= ymax, the x of N(x + y w) = x^2 + t x y + s y^2 = +-N (t
+    = Tr w, s = N(w)) are the integer roots of a quadratic, one isqrt
+    per row and sign, so a box of about N points costs about sqrt(N)
+    steps.  The first element in the box's visiting order is the least
+    by (x, |y|, y < 0), and x = 0 is visited with y >= 0 only."""
+    field = ideal.field
+    N = ideal.norm
+    D = field.field_discriminant
+    t = D % 2
+    s = (t - D) // 4
+    xmax, ymax = principal_box(ideal)
+    found = []
+    for y in range(-ymax, ymax + 1):
+        for n in (N, -N):
+            disc = t * t * y * y - 4 * (s * y * y - n)
+            r = isqrt(disc) if disc >= 0 else -1
+            if r * r != disc:
+                continue
+            for twice_x in {r - t * y, -r - t * y}:
+                x = twice_x // 2
+                if (twice_x % 2 == 0 and 0 <= x <= xmax
+                        and (x or y >= 0)
+                        and ideal.contains(field.from_ib((x, y)))):
+                    found.append((x, abs(y), y < 0, y))
+    if not found:
+        return None
+    x, _, _, y = min(found)
+    return field.from_ib((x, y))
+
+
+def class_order_box(prime, bound):
+    """(a, generator) for the least a <= bound for which the box finds a
+    generator of prime^a, each power the last times the prime by
+    IntegralIdeal products; None past the bound."""
+    power = prime
+    for a in range(1, bound + 1):
+        gen = principal_generator_rows(power)
+        if gen is not None:
+            return a, gen
+        power = power * prime
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Valuations by the prime-power membership ladder.
+
+def valuation_ladder(x, prime):
+    """v_P(x): the largest k with the numerator of x in P^k, each power
+    the last times P by IntegralIdeal products and membership read off
+    the oracle's own Gauss-Jordan solve, minus e v_p(den)."""
+    p, d, vp_den = prime.p, x.den, 0
+    while d % p == 0:
+        d //= p
+        vp_den += 1
+    k, power = 0, prime
+    while all(c.denominator == 1
+              for c in gj_solve([list(r) for r in power.hnf], list(x.num))):
+        k += 1
+        power = power * prime
+    return k - prime.e * vp_den
 
 
 # ---------------------------------------------------------------------------

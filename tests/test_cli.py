@@ -270,6 +270,32 @@ def test_class_number_ten_over_three_primes(tmp_path):
                              [0, 0, 0, 0, 1]]}
 
 
+def test_class_order_in_the_thousands(tmp_path, capsys):
+    # the primes over 3 of Q(sqrt -99999989) have class order 9974 (a
+    # separate forms count agrees): composing reduced forms keeps each
+    # power small, where raising HNF powers ran past 60 s
+    cfg = {"field": {"poly": [99999989, 0, 1]}, "S": [{"p": 3}]}
+    started = time.monotonic()
+    code, rep = run(tmp_path, cfg, "analyze")
+    assert time.monotonic() - started < 10
+    assert code == 0
+    assert [g["class_order"] for g in
+            rep["analysis"]["s_units"]["s_generators"]] == [9974, 9974]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_class_order_past_the_bound_exits_2(tmp_path, capsys):
+    # the class of the prime over 3 of Q(sqrt -1000000061) has order
+    # 15814, past ideals.CLASS_ORDER_BOUND = 10000
+    cfg = {"field": {"poly": [1000000061, 0, 1]}, "S": [{"p": 3}]}
+    started = time.monotonic()
+    code, _ = run(tmp_path, cfg, "analyze")
+    assert time.monotonic() - started < 2
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: OrderBoundExceeded" in err and "Traceback" not in err
+
+
 def test_huge_fundamental_unit_exits_1_without_traceback(tmp_path, capsys):
     # the unit of Q(sqrt 9999999967) has about 50,000 digits; the walk
     # stops at field.MAX_UNIT_DIGITS instead of printing it
@@ -666,13 +692,12 @@ def test_each_stage_runs_once(tmp_path, monkeypatch):
     assert pairs() == {((-5, 0, 1), (((2, 0), (0, 2)),)): 1}
     assert len(classify_calls) == 1 and len(cm_calls) == 1
 
-    # case 2: the K-side basis once; the basis of Q over 2 is built once
-    # to choose alpha and once more by the verifier, which rechecks the
-    # triple from scratch instead of trusting the alpha certificate
+    # case 2: the K-side basis once, and the basis of Q over 2 once: the
+    # verifier's ladder reads the one the alpha certificate carries
     code, _ = run(tmp_path, GAUSSIAN_TWO, "verify")
     assert code == 0
     assert pairs() == {((1, 0, 1), (((1, 1), (0, 2)),)): 1,
-                       ((-1, 1), (((2,),),)): 2}
+                       ((-1, 1), (((2,),),)): 1}
     assert len(classify_calls) == 2 and len(cm_calls) == 2
 
 

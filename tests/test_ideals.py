@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -221,7 +222,7 @@ def test_valuation_ramified_datasheet():
 def test_datasheet_class_order_checks_the_declared_power():
     # an order a declared with generator (1 - t)^a holds for each a (its
     # minimality is taken on faith) and one with (1 - t)^(a + 1) fails;
-    # the check powers by squaring and adds no power to the ideal's cache
+    # the witness is kept on the prime, a refused order is not
     k0 = create_field([1, 1, 1, 1, 1], datasheet=ZETA5_DATASHEET)
     for a in range(1, 10):
         for e in (a, a + 1):
@@ -229,15 +230,15 @@ def test_datasheet_class_order_checks_the_declared_power():
             k = create_field([1, 1, 1, 1, 1], datasheet=zeta5_with(
                 "class_orders", order=a, generator=gen))
             (q5,) = factor_rational_prime(k, 5)
-            cached = list(q5._powers or ())
             if e == a:
                 w = class_order(q5)
                 assert (w.order, w.minimal_verified) == (a, False)
                 assert w.generator == k.element(gen)
+                assert class_order(q5) is w
             else:
-                with pytest.raises(DatasheetInvalid):
-                    class_order(q5)
-            assert list(q5._powers or ()) == cached
+                for _ in range(2):
+                    with pytest.raises(DatasheetInvalid):
+                        class_order(q5)
 
 
 def test_class_order_principal_cases():
@@ -263,7 +264,10 @@ def test_class_order_sqrt_minus5(monkeypatch):
     assert w.order == 2
     assert w.generator == k.from_rational(2)
     assert p2 ** 2 == IntegralIdeal.principal(k, k.from_rational(2))
+    assert class_order(p2) is w
+    # the witness is kept on the prime: the bound applies to a new one
     monkeypatch.setattr(ideals, "CLASS_ORDER_BOUND", 1)
+    (p2,) = factor_rational_prime(create_field([5, 0, 1]), 2)
     with pytest.raises(OrderBoundExceeded):
         class_order(p2)
 
@@ -289,6 +293,116 @@ def test_class_order_sqrt_minus23():
     w = class_order(p2a)
     assert w.order == 3
     assert abs(w.generator.norm()) == 8
+
+
+# class numbers 2, 3, 5 and 7 (imaginary), 2, 2, 3 and 4 (real)
+CLASS_ORDER_FIELDS = (-5, -23, -47, -71, 10, 15, 79, 82)
+
+
+def test_principal_rows_match_box_walk():
+    # the class-order oracle solves the box row by row; on every box of
+    # up to ORACLE_POINTS points it returns what the point-by-point walk
+    # returns
+    checked = Counter()
+    for d in CLASS_ORDER_FIELDS:
+        k = create_field([-d, 0, 1])
+        for p in polys.primes_below(14):
+            for prime in factor_rational_prime(k, p):
+                power = prime
+                for _ in range(3):
+                    xmax, ymax = oracles.principal_box(power)
+                    if (xmax + 1) * (2 * ymax + 1) <= ORACLE_POINTS:
+                        got = oracles.principal_generator_rows(power)
+                        assert got == oracles.principal_generator_box(power)
+                        checked[got is None] += 1
+                    power = power * prime
+    assert min(checked[True], checked[False]) >= 20, checked
+
+
+def test_class_order_matches_box_oracle():
+    """Order and generator of every prime over p < 30 of fields with
+    class number > 1 agree with the least power the box finds a
+    generator for, the powers formed by ideal products."""
+    for d in CLASS_ORDER_FIELDS:
+        k = create_field([-d, 0, 1])
+        orders = set()
+        for p in polys.primes_below(30):
+            for prime in factor_rational_prime(k, p):
+                w = class_order(prime)
+                assert (w.order, w.generator) == \
+                    oracles.class_order_box(prime, 10), (d, prime)
+                orders.add(w.order)
+        assert max(orders) > 1, d
+
+
+def valuation_fields():
+    """Q, quadratic fields, the Q(zeta5) sheet, x^3 - x - 1 and the
+    Shanks cubics x^3 - a x^2 - (a + 3) x - 1, with 1, t, t^2 an
+    integral basis."""
+    basis = [[int(i == j) for j in range(3)] for i in range(3)]
+    cubic = {"integral_basis": basis, "subfields": [], "class_orders": []}
+    yield create_field([-1, 1])
+    for d in (-1, -3, -5, -23, 2, 5, 10, 79):
+        yield create_field([-d, 0, 1])
+    yield create_field([1, 1, 1, 1, 1], datasheet=ZETA5_DATASHEET)
+    yield create_field([-1, -1, 0, 1],
+                       dict(cubic, fundamental_units=[[0, 1, 0]]))
+    for a in (-1, 0, 1, 2, 4, 7, 8):
+        yield create_field([-1, -(a + 3), -a, 1],
+                           dict(cubic, fundamental_units=[[0, 1, 0],
+                                                          [1, 1, 0]]))
+
+
+def test_valuation_matches_ladder_oracle():
+    # random elements times powers of the prime's generator, over
+    # denominators with powers of p, against the membership ladder
+    rng = random.Random(28)
+    kinds = Counter()
+    for k in valuation_fields():
+        for p in (2, 3, 5, 7, 11, 13, 23):
+            primes = factor_rational_prime(k, p)
+            for prime in primes:
+                pi = prime.two_element[1]
+                if pi.is_zero():
+                    pi = k.from_rational(p)
+                kind = ("rational" if k.degree == 1 else "inert"
+                        if prime.f == k.degree else "ramified"
+                        if prime.e > 1 else "split")
+                for _ in range(4):
+                    x = k.from_ib([rng.randint(-9, 9) for _ in range(k.degree)])
+                    if x.is_zero():
+                        continue
+                    x = x * pi ** rng.randint(0, 4) / k.from_rational(
+                        p ** rng.randint(0, 2) * rng.choice((1, 1, 7, 9)))
+                    for P in primes:
+                        assert valuation(x, P) == oracles.valuation_ladder(x, P)
+                    kinds[kind, k.degree] += 1
+    assert {kind for kind, _ in kinds} == {"rational", "split", "ramified",
+                                           "inert"}
+    assert {n for _, n in kinds} == {1, 2, 3, 4}, kinds
+
+
+def test_class_order_and_valuation_form_no_ideal_power(monkeypatch):
+    # class number 10: the two primes over 3 cost at most 2 log2(10) + 2
+    # ideal products in all (the membership ladder took one per power,
+    # 18), and valuations none
+    k = create_field([119, 0, 1])
+    primes = factor_rational_prime(k, 3)
+    products = Counter()
+    multiply = IntegralIdeal.__mul__
+
+    def counted(a, b):
+        products["mul"] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(IntegralIdeal, "__mul__", counted)
+    witnesses = [class_order(P) for P in primes]
+    assert [w.order for w in witnesses] == [10, 10]
+    assert products["mul"] <= 2 * (10).bit_length() + 2
+    products.clear()
+    assert [[valuation(w.generator, P) for P in primes]
+            for w in witnesses] == [[10, 0], [0, 10]]
+    assert products["mul"] == 0
 
 
 def test_ideal_mul_norm_multiplicative():

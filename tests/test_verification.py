@@ -14,7 +14,7 @@ from sgen2.generators import build_generators
 from sgen2.ideals import ResidueMap, factor_rational_prime, residue_maps
 from sgen2.linalg import RatLattice, hnf
 from sgen2.polys import primes_below
-from sgen2.sunits import PrimeSet, element_lattice
+from sgen2.sunits import PrimeSet, element_lattice, s_unit_basis
 from sgen2 import cli, generators, polys, verification
 from sgen2.verification import (VERIFY_DEFAULTS, admissible_primes,
                                 elementary_witness, ideal_ladder,
@@ -157,12 +157,11 @@ def test_run_verification_names_a_misshapen_matrix():
         assert err.value.instance == {"matrix": name}
 
 
-def with_cert_alpha(t, alpha):
-    """The triple t whose certificate claims alpha instead."""
+def with_cert(t, **changes):
+    """The triple t whose certificate has some fields replaced."""
     c = t.alpha_cert
-    cert = type(c)(**{k: getattr(c, k) for k in c.__slots__})
-    cert.alpha = alpha
-    return tampered(t, alpha_cert=cert)
+    return tampered(t, alpha_cert=type(c)(
+        **{k: changes.get(k, getattr(c, k)) for k in c.__slots__}))
 
 
 def assert_alpha_tampering_rejected(makes, powers):
@@ -173,7 +172,7 @@ def assert_alpha_tampering_rejected(makes, powers):
         alpha = t.alpha_cert.alpha
         for bad in powers(alpha):
             with pytest.raises(IdentityFailed) as err:
-                run_verification(with_cert_alpha(t, bad), VERIFY_DEFAULTS,
+                run_verification(with_cert(t, alpha=bad), VERIFY_DEFAULTS,
                                  0, "search")
             assert err.value.instance == {"alpha": "alpha_in_K"}, \
                 (make.__name__, bad)
@@ -186,6 +185,18 @@ def test_run_verification_rejects_a_case1_certificate_alpha():
         assert triple(make).case_info.case == 1
     assert_alpha_tampering_rejected(
         (gaussian_five, sqrt2_seven, rational_two), lambda a: [a * a])
+
+
+def test_case2_ladder_reads_a_certificate_basis_over_f_and_s_f():
+    # the F-side ladder reads the certificate's S(F)-unit basis; the
+    # K-side basis, or one of F over another S, is refused
+    t = triple(gaussian_three)
+    F = t.case_info.case2_subfield.subfield
+    other = s_unit_basis(F, PrimeSet(F, factor_rational_prime(F, 5)))
+    for basis in (t.case_info.sbasis, other):
+        with pytest.raises(VerificationFailure):
+            run_verification(with_cert(t, sbasis=basis), VERIFY_DEFAULTS, 0,
+                             "search")
 
 
 def test_run_verification_rejects_a_case2_certificate_alpha():
