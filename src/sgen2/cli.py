@@ -27,6 +27,7 @@ from .errors import ConfigInvalid, DatasheetInvalid, SgenError
 from .field import create_field, format_rational, parse_rational
 from .generators import build_generators, classify_case
 from .ideals import factor_rational_prime
+from .polys import PRIME_BOUND
 from .sunits import PrimeSet
 from .verification import VERIFY_DEFAULTS, run_verification
 
@@ -130,6 +131,8 @@ def validate_config(cfg):
         _require(set(ent) <= {"p", "select"}, f"S[{k}] takes only p and select")
         _require("p" in ent, f"S[{k}] needs p")
         p = _int_in(ent["p"], f"S[{k}].p", 2)
+        _require(p < PRIME_BOUND, f"S[{k}].p must be below {PRIME_BOUND}, "
+                 f"where primality is proved")
         sel = ent.get("select", "all")
         if sel == "all":
             pass

@@ -316,7 +316,7 @@ class NumberField:
         self.one = self.from_rational(1)
         self.theta = self.element([0, 1] + [0] * (n - 2)) if n >= 2 else self.one
         self._fund_unit = None
-        self._unit_box = None  # set by ideals._unit_box
+        self._unit_rows = None  # set by ideals._unit_rows
         self._subfields = None  # set by sunits.default_subfields
         self._primes_above = {}  # p -> primes, set by ideals.factor_rational_prime
 
@@ -618,7 +618,23 @@ def _read_sheet(field, ds):
 
 
 # ---------------------------------------------------------------------------
-# Fundamental unit of a real quadratic field.
+# Roots of unity, and the fundamental unit of a real quadratic field.
+
+def _torsion_units(field):
+    """(order, generator) for the roots of unity.
+
+    A root of unity of order n has degree phi(n), and phi(n) <= 2 only
+    for n in {1, 2, 3, 4, 6}; orders 4 and 6 need Q(i) (D = -4) and
+    Q(sqrt -3) (D = -3), where omega itself is i and (1 + sqrt -3) / 2.
+    Every other field of degree <= 2 has exactly +-1.  Datasheet fields
+    get (2, -1) too: a generator of a finite-index subgroup of their
+    torsion, which is all the downstream constructions need.
+    """
+    order = {-4: 4, -3: 6}.get(field.field_discriminant)
+    if order is None:
+        return 2, -field.one
+    return order, field.basis_element(1)
+
 
 def continued_fraction_step(P, Q, D, r):
     """One step of the continued fraction of xi = (P + sqrt D) / Q, for D

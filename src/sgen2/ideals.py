@@ -22,6 +22,11 @@ primitive element (the F_p[x] arithmetic of polys reduces mod g only
 on that walk) and then multiplies and adds residues by table lookups.
 No other module reads the residues' base-p encoding.
 
+Reduction decides whether a quadratic ideal is principal
+(_reduced_generator), and the reported generator is the least associate
+in the order (x, |y|, y < 0), found with no coordinate box
+(_principal_generator_quadratic).
+
 The S-unit path forms at most one ideal power per prime.  A valuation
 multiplies by the prime's anti-uniformizer, built from its Kummer factor
 on first use (valuation).  A class order composes the reduced binary
@@ -38,7 +43,7 @@ from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
                      IndexDivisor, InvariantViolated, OrderBoundExceeded,
                      ZeroElement)
-from .field import (FieldElement, continued_fraction_step,
+from .field import (FieldElement, _torsion_units, continued_fraction_step,
                     fundamental_unit)
 
 # Largest power a tried by class_order before giving up.
@@ -575,107 +580,83 @@ def _reduced_generator(x0, A, D, s):
     return (q1 * x0 - p1 * A, q1), None
 
 
-def _unit_box(field):
-    """(bound, up, down) for a real quadratic field, built once and kept
-    on the field: bound >= eps, the fundamental unit in its larger
-    embedding (|theta| <= (|b| + sqrt(disc of the defining poly)) / 2
-    for theta a root), and the rows of multiplication by eps and by
-    eps^-1, which map coordinates v to v up and v down."""
-    if field._unit_box is None:
+def _unit_rows(field):
+    """The rows of multiplication by eps, the fundamental unit of a real
+    quadratic field, by eta = eps^2 and by eta^-1, built once and kept on
+    the field: coordinates v times eps are v eps_rows, and so on."""
+    if field._unit_rows is None:
         eps = fundamental_unit(field)
-        b, c = field.poly[1], field.poly[0]
-        theta_up = (abs(b) + polys.sqrt_upper(b * b - 4 * c)) / 2
-        e0, e1 = eps.power_coords()
-        field._unit_box = (abs(e0) + abs(e1) * theta_up, eps._num_rows(),
-                           eps.inverse()._num_rows())
-    return field._unit_box
+        eta = eps * eps
+        field._unit_rows = (eps._num_rows(), eta._num_rows(),
+                            eta.inverse()._num_rows())
+    return field._unit_rows
 
 
 def _principal_generator_quadratic(ideal):
     """A generator of the ideal if principal, else None: written in
     integral-basis coordinates x + y w and normalized by sign to x > 0,
-    or x = 0 and y >= 0, the first in the order (x, |y|, y < 0) of the
-    generators an imaginary field has, or of those a real field has in
-    the box 0 <= x <= xmax, |y| <= ymax.
+    or x = 0 and y >= 0, the first of all its generators in the order
+    (x, |y|, y < 0).
 
     The ideal is g J with g its content and J = [A, x0 + w] primitive;
     _reduced_generator decides whether J is principal and gives a
     generator beta, in O(log N) steps for imaginary fields and one
     period of the cycle of reduced ideals for real ones.  Every
     generator is g beta zeta, zeta one of at most six roots of unity,
-    or +-g beta eps^k, eps the fundamental unit, so an imaginary field
-    compares all its generators and a real field only those in the box.
+    or +-g beta eps^k, eps the fundamental unit.  An imaginary field
+    compares all of them.
 
-    The box holds a generator of every principal ideal of a real field:
-    among the associates g beta eps^k one has |s1 / s2| in [1 / eps,
-    eps), s1 and s2 its embeddings (eps > 1 at s1), so both below
-    sqrt(N eps); its coordinates, y = (s1 - s2) / sqrt D and x = s1 - y
-    w1, have |y| <= 2 sqrt(N eps / D) < ymax and |x| <= 3 sqrt(N eps) <
-    xmax, as bound >= eps.
-
-    Real fields walk k: F = |s1| - |s2| rises strictly with k, and a
-    generator in the box has |F| <= |s1 - s2| <= ymax sqrt D.  F has the
-    sign of y Tr, and |F| is |y| sqrt D for norm n > 0 and |Tr| for n <
-    0, so the k with |F| small enough, which are consecutive, are found
-    in integers and only they are tried.
+    Up to sign, a real field's generators lie on the two orbits g beta
+    eta^j and g beta eps eta^j, eta = eps^2.  N(eta) = 1 whatever N(eps)
+    is, so gamma eta^j has embeddings s1 eta1^j and s2 eta1^-j (eta1 >
+    1), and its x = (w1 s2 - w2 s1) / (w1 - w2) is a eta1^j + b eta1^-j
+    with a, b nonzero: |x| falls, then rises, with at most one tie
+    between neighbours.  So descending by the order, one direction and
+    then the other, ends at an orbit's least element, and the lesser
+    of the two ends is the least generator.  Stepping by eps alone
+    fails for N(eps) = -1, where the eps1^-k term alternates in sign.
     """
     field = ideal.field
-    N = ideal.norm
     D = field.field_discriminant
-    t = D % 2
-    m = field.quadratic_core()
     g, A, x0 = _primitive_part(ideal)
-    s = field.omega_minpoly()[0]
-    beta = _reduced_generator(x0, A, D, s)[0]
+    beta = _reduced_generator(x0, A, D, field.omega_minpoly()[0])[0]
     if beta is None:
         return None
     beta = [g * beta[0], g * beta[1]]
-    if m < 0:
-        from .sunits import _torsion_units  # sunits imports this module
+
+    def key(v):
+        # the order on v normalized by sign
+        x, y = v
+        if x < 0 or not x and y < 0:
+            x, y = -x, -y
+        return x, abs(y), y < 0, y
+
+    def times(v, rows):
+        # the coordinates of v times the element whose num rows are rows
+        return (v[0] * rows[0][0] + v[1] * rows[1][0],
+                v[0] * rows[0][1] + v[1] * rows[1][1])
+
+    if D < 0:
         order, zeta = _torsion_units(field)
-        # zeta^(order / 2) = -1, and -gamma is tried with gamma below
+        # zeta^(order / 2) = -1, and -gamma is compared with gamma
         found = [beta]
         for _ in range(order // 2 - 1):
             found.append(field.ib_mul(found[-1], zeta.num))
     else:
-        bound, up, down = _unit_box(field)
-        xmax = 4 * (isqrt(int(N * bound) + 1) + 1)
-        ymax = xmax // isqrt(m) + 1
-        ymax2d = ymax * ymax * D
-
-        def side(v):
-            # -1, 0 or 1 as F < -ymax sqrt D, |F| <= ymax sqrt D or F >
-            # ymax sqrt D
-            x, y = v
-            tr = 2 * x + t * y
-            if x * x + t * x * y + s * y * y > 0:
-                f = y if tr > 0 else -y
-                return (f > ymax) - (f < -ymax)
-            f = tr if y > 0 else -tr
-            return (f > 0) - (f < 0) if f * f > ymax2d else 0
-
-        def times(v, rows):
-            # the coordinates of v times the element whose num rows are rows
-            return (v[0] * rows[0][0] + v[1] * rows[1][0],
-                    v[0] * rows[0][1] + v[1] * rows[1][1])
-
-        while side(beta) > 0:
-            beta = times(beta, down)
-        while side(beta) < 0:
-            beta = times(beta, up)
+        eps, up, down = _unit_rows(field)
         found = []
-        for gamma, rows in ((beta, down), (times(beta, up), up)):
-            while side(gamma) == 0:
-                found.append(gamma)
-                gamma = times(gamma, rows)
-    found = [(x, y) if x > 0 or not x and y >= 0 else (-x, -y)
-             for x, y in found]
-    if m > 0:
-        found = [(x, y) for x, y in found if x <= xmax and abs(y) <= ymax]
-        _check_invariant(found,
-                         "a principal ideal has no generator in the box")
-    return FieldElement(field, min(found, key=lambda q: (q[0], abs(q[1]),
-                                                         q[1] < 0)))
+        for v in (beta, times(beta, eps)):
+            least = key(v)
+            for rows in (up, down):
+                while True:
+                    w = times(v, rows)
+                    k = key(w)
+                    if k >= least:
+                        break
+                    v, least = w, k
+            found.append(v)
+    x, _, _, y = min(map(key, found))
+    return FieldElement(field, (x, y))
 
 
 def _principal_generator(ideal):

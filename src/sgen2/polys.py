@@ -3,15 +3,15 @@
 Coefficients are integers.  Division is exact (by a monic divisor or
 an exact factor), and gcds and Sturm chains run on signed primitive
 pseudo-remainders, so no rational arithmetic is needed; only the
-interval endpoints of isolate_real_roots and the bound of sqrt_upper
-are fractions.Fraction.  Mod-p work uses plain ints with a prime
-modulus.  factor_mod_p (squarefree, distinct-degree, then
-Cantor-Zassenhaus equal-degree splits) is the one mod-p factorization;
-with a degree cap on a squarefree polynomial it reads the linear
-factors off by evaluation, stops the distinct-degree steps at the cap
-and leaves the factors above it as one unsplit rest.
-is_one_simple_factor_mod_p runs only its first two steps.  No floating
-point anywhere.
+interval endpoints of isolate_real_roots are fractions.Fraction.  Mod-p
+work uses plain ints with a prime modulus.  factor_mod_p (squarefree,
+distinct-degree, then Cantor-Zassenhaus equal-degree splits) is the one
+mod-p factorization; with a degree cap on a squarefree polynomial it
+reads the linear factors off by evaluation, stops the distinct-degree
+steps at the cap and leaves the factors above it as one unsplit rest.
+is_one_simple_factor_mod_p runs only its first two steps.  is_prime is
+a strong-pseudoprime test to the 13 prime bases up to 41, proved below
+PRIME_BOUND.  No floating point anywhere.
 """
 
 import random
@@ -447,17 +447,25 @@ def primes_below(n):
     return [i for i in range(n) if sieve[i]]
 
 
+# psi_13, the least strong pseudoprime to every prime base up to 41
+# (Sorenson and Webster, Math. Comp. 86, 2017): is_prime is proved below it.
+PRIME_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n):
+    """Exact for n < PRIME_BOUND; the bases up to 37 alone would pass
+    psi_12 = 318665857834031151167461 = 399165290221 * 798330580441."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -522,9 +530,3 @@ def integer_roots(f):
         vmid = variations_at(chain, mid)
         todo += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
     return sorted(out)
-
-
-def sqrt_upper(n):
-    """Rational upper bound for sqrt(n), n >= 0, within 10**-6."""
-    scale = 10 ** 6
-    return Fraction(isqrt(n * scale * scale) + 1, scale)

@@ -6,7 +6,8 @@ q_i^{a_i} = (beta_i).  Together with the fundamental units and a
 torsion generator these give a finite-index subgroup of O_S^* in which
 all searches below run.  For fields of degree <= 2 the unit part is the
 whole unit group: the roots of unity are read off the discriminant in
-closed form and the fundamental unit comes from field.fundamental_unit.
+closed form (field._torsion_units) and the fundamental unit comes from
+field.fundamental_unit.
 Datasheet fields may declare less (their torsion is taken as +-1),
 which only shrinks the search space, never breaks exactness.
 
@@ -39,8 +40,8 @@ from math import gcd, lcm
 
 from .errors import (CardinalityTooSmall, HypothesisFails,
                      InvariantViolated, NotStabilized, SearchExhausted)
-from .field import (RATIONALS, format_rational, fundamental_unit,
-                    integer_rows, span_solve)
+from .field import (RATIONALS, _torsion_units, format_rational,
+                    fundamental_unit, integer_rows, span_solve)
 from .ideals import class_order, factor_rational_prime, valuation
 from .linalg import RatLattice, hnf
 from .polys import count_roots_in, root_bound, sturm_chain
@@ -83,25 +84,6 @@ class PrimeSet:
 
     def __repr__(self):
         return f"PrimeSet(inf={self.infinite_count}, finite={list(self.finite)})"
-
-
-# ---------------------------------------------------------------------------
-# Torsion.
-
-def _torsion_units(field):
-    """(order, generator) for the roots of unity.
-
-    A root of unity of order n has degree phi(n), and phi(n) <= 2 only
-    for n in {1, 2, 3, 4, 6}; orders 4 and 6 need Q(i) (D = -4) and
-    Q(sqrt -3) (D = -3), where omega itself is i and (1 + sqrt -3) / 2.
-    Every other field of degree <= 2 has exactly +-1.  Datasheet fields
-    get (2, -1) too: a generator of a finite-index subgroup of their
-    torsion, which is all the downstream constructions need.
-    """
-    order = {-4: 4, -3: 6}.get(field.field_discriminant)
-    if order is None:
-        return 2, -field.one
-    return order, field.basis_element(1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ HNF (residue_tables), where the library reduces through the ring map
 O_K -> F_p[x] / (g), walks the powers of a primitive element and adds by
 Zech logs.
 
-The principal-ideal oracle walks the whole coordinate box of the
-quadratic principal-generator search point by point, taking a Fraction
-determinant norm at each, where the library solves the norm equation
-along one axis.  The box of a real field needs the fundamental unit,
-which the oracle finds by trying y = 1, 2, ... until D y^2 +- 4 is a
-square, where the library walks a continued fraction.
+The principal-ideal oracle walks a coordinate box that holds a
+generator of every principal quadratic ideal point by point, taking a
+Fraction determinant norm at each, where the library reduces binary
+quadratic forms and, for a real field, descends along eps^2.  The box
+of a real field needs the fundamental unit, which the oracle finds by
+trying y = 1, 2, ... until D y^2 +- 4 is a square, where the library
+walks a continued fraction.
 
 The class-order oracle multiplies a prime by itself with the ideal
 product and asks the same box, solved row by row (one isqrt per row
@@ -61,7 +62,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
-from sgen2 import linalg, polys
+from sgen2 import linalg
 from sgen2.sunits import s_unit_basis
 
 
@@ -646,7 +647,8 @@ def fundamental_unit_brute(D, ymax):
 
 
 def principal_box(ideal):
-    """(xmax, ymax) of the box the principal-generator search covers."""
+    """(xmax, ymax) of the box 0 <= x <= xmax, |y| <= ymax that the
+    oracle walks; it holds a generator of every principal ideal."""
     field = ideal.field
     N = ideal.norm
     D = field.field_discriminant
@@ -660,9 +662,12 @@ def principal_box(ideal):
         xmax = isqrt(N) + ymax + 1
     else:
         x, y = fundamental_unit_brute(D, 10 ** 6)
-        # |theta| <= (|b| + sqrt(disc of the defining poly)) / 2
+        # |theta| <= (|b| + sqrt(disc of the defining poly)) / 2, the
+        # square root taken from above within 10^-6
         b, c = field.poly[1], field.poly[0]
-        theta_up = (abs(b) + polys.sqrt_upper(b * b - 4 * c)) / 2
+        scale = 10 ** 6
+        theta_up = (abs(b) + Fraction(isqrt((b * b - 4 * c) * scale * scale)
+                                      + 1, scale)) / 2
         # sqrt D = (2 theta + b) / k with k^2 = (b^2 - 4c) / D, so the
         # unit (x + y sqrt D) / 2 is e0 + e1 theta
         k = isqrt((b * b - 4 * c) // D)

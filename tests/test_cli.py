@@ -172,6 +172,22 @@ def test_hostile_quadratic_exits_1_quickly(tmp_path, capsys):
     assert "error: ConfigInvalid" in capsys.readouterr().err
 
 
+# psi_12 = 399165290221 * 798330580441 passes the strong-pseudoprime test
+# to the 12 prime bases up to 37 and fails to base 41; psi_13 passes all
+# 13 bases up to 41, past the bound below which the test is proved
+@pytest.mark.parametrize("psi, message", [
+    (318665857834031151167461, "not a rational prime"),
+    (3317044064679887385961981, "S[0].p must be below"),
+], ids=["psi12", "psi13"])
+def test_strong_pseudoprime_s_prime_exits_1(tmp_path, capsys, psi, message):
+    cfg = {"field": {"poly": [1, 0, 1]}, "S": [{"p": psi}, {"p": 3}]}
+    code, _ = run(tmp_path, cfg, "verify")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: ConfigInvalid: {message}" in err, err
+    assert "Traceback" not in err
+
+
 def test_case2_large_s_prime_verifies_quickly(tmp_path):
     # the case-2 ladder's denominators hold powers of the S primes, which
     # trial division up to the square root of 10^9 + 7 would not end

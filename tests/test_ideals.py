@@ -8,7 +8,7 @@ import pytest
 from sgen2 import ideals, linalg, polys
 from sgen2.errors import (ConfigInvalid, DatasheetInvalid, IndexDivisor,
                           OrderBoundExceeded, ZeroElement)
-from sgen2.field import create_field
+from sgen2.field import create_field, fundamental_unit
 from sgen2.ideals import (IntegralIdeal, PrimeIdeal, class_order,
                           factor_rational_prime, valuation)
 from sgen2.linalg import RatLattice
@@ -546,3 +546,34 @@ def test_principal_search_matches_box_oracle_on_products():
     assert min(kinds.values()) >= 20, kinds
     assert nonprincipal == {-5, -23}
     assert norm_minus_n == {2, 5, 13}
+
+
+# Real fields whose fundamental unit has norm -1 (the first four) and +1.
+UNIT_SIGN_FIELDS = (2, 5, 13, 29, 3, 6, 7, 94)
+# Rows the row-by-row oracle may solve per box (one isqrt per row).
+ORACLE_ROWS = 40000
+
+
+def test_real_generator_matches_row_oracle():
+    """On the prime powers P, P^2 and P^3 over p < 50 of real fields
+    with either sign of N(eps), the descent along eps^2 returns the
+    least generator of the box that the row oracle (cross-checked
+    against the point walk by test_principal_rows_match_box_walk) solves
+    row by row.  Boxes of more than ORACLE_ROWS rows are left out.
+    Descending by eps alone stops early when N(eps) = -1."""
+    checked = Counter()
+    for d in UNIT_SIGN_FIELDS:
+        k = create_field([-d, 0, 1])
+        assert fundamental_unit(k).norm() == (-1 if d in (2, 5, 13, 29)
+                                              else 1)
+        for p in polys.primes_below(50):
+            for prime in factor_rational_prime(k, p):
+                power = prime
+                for _ in range(3):
+                    if 2 * oracles.principal_box(power)[1] < ORACLE_ROWS:
+                        got = ideals._principal_generator_quadratic(power)
+                        want = oracles.principal_generator_rows(power)
+                        assert got is not None and got == want, (d, power)
+                        checked[d] += 1
+                    power = power * prime
+    assert min(checked.values()) >= 30, checked

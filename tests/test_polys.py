@@ -242,13 +242,11 @@ def test_is_prime():
     assert small == polys.primes_below(200)
     assert polys.is_prime(2 ** 31 - 1)
     assert not polys.is_prime(2 ** 32 + 1)
-
-
-def test_sqrt_upper_is_upper():
-    for n in (2, 3, 5, 29, 10 ** 6 + 3):
-        u = polys.sqrt_upper(n)
-        assert u * u >= n
-        assert (u - Fraction(1, 100)) ** 2 < n
+    # psi_12, a strong pseudoprime to the 12 prime bases up to 37, fails
+    # to base 41; psi_13 = PRIME_BOUND passes all 13 bases
+    assert not polys.is_prime(399165290221 * 798330580441)
+    assert polys.is_prime(polys.PRIME_BOUND)
+    assert polys.PRIME_BOUND == 1287836182261 * 2575672364521
 
 
 def test_sqrt_mod_p():

@@ -5,7 +5,7 @@ import pytest
 
 from sgen2.errors import (CardinalityTooSmall, HypothesisFails,
                           NotStabilized, SearchExhausted)
-from sgen2.field import create_field
+from sgen2.field import _torsion_units, create_field
 from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime, valuation
 from sgen2.linalg import RatLattice
@@ -125,7 +125,7 @@ def test_torsion_closed_form():
             ([-5, 0, 1], (2, ["-1", "0"])),
             ([-1, 1], (2, ["-1"]))):
         k = create_field(poly)
-        w, zeta = sunits._torsion_units(k)
+        w, zeta = _torsion_units(k)
         assert (w, zeta.serialize()) == want, poly
         power = zeta
         for _ in range(w - 1):
