@@ -4,10 +4,12 @@ The finite-prime data of a set S comes with class-order witnesses: for
 each prime q_i in S a minimal a_i and generator beta_i with
 q_i^{a_i} = (beta_i).  Together with the fundamental units and a
 torsion generator these give a finite-index subgroup of O_S^* in which
-all searches below run.  For fields of degree <= 2 the unit part is the
-whole unit group: the roots of unity are read off the discriminant in
-closed form (field._torsion_units) and the fundamental unit comes from
-field.fundamental_unit.
+all searches below run.  The valuation matrix and alpha's negative
+valuations are read off the witnesses, so no valuation is computed
+here but in exponent_vector.  For fields of degree <= 2 the unit part
+is the whole unit group: the roots of unity are read off the
+discriminant in closed form (field._torsion_units) and the fundamental
+unit comes from field.fundamental_unit.
 Datasheet fields may declare less (their torsion is taken as +-1),
 which only shrinks the search space, never breaks exactness.
 
@@ -23,8 +25,9 @@ Alpha is selected by exhaustive shell search over exponent vectors,
 rejecting vectors that fall into the rational span of the unit groups
 of intermediate fields (the W test) and vectors that miss a required
 negative valuation (the V test, automatic here because every finite
-exponent is >= 1).  Every property of the returned certificate is
-verified exactly before it is emitted.
+exponent c_i is >= 1, so v_{q_i}(alpha) = -c_i a_i < 0).  Every
+property of the returned certificate is proved before it is emitted,
+the power identity by an exact product.
 
 O_S itself is exhausted by the levels Lambda_k = B^-k O_K, B = prod
 beta_i, which the S-unit basis builds once each (SUnitBasis.level):
@@ -90,20 +93,29 @@ class PrimeSet:
 # S-unit bases.
 
 class SUnitBasis:
+    """Torsion, fundamental units and class-order witnesses over S.  The
+    S-generators and the valuation matrix are read off the witnesses:
+    class_order proved (beta_i) = P_i^{a_i}, and the P_i are distinct
+    (PrimeSet), so beta_i's row is a_i e_i; a unit's row is zero."""
+
     __slots__ = ("field", "S", "torsion_order", "torsion_gen", "fund_units",
                  "s_gens", "class_witnesses", "valuation_matrix", "_levels",
                  "_binv", "_scale")
 
     def __init__(self, field, S, torsion_order, torsion_gen, fund_units,
-                 s_gens, class_witnesses, valuation_matrix):
+                 class_witnesses):
         self.field = field
         self.S = S
         self.torsion_order = torsion_order
         self.torsion_gen = torsion_gen
         self.fund_units = tuple(fund_units)
-        self.s_gens = tuple(s_gens)
         self.class_witnesses = tuple(class_witnesses)
-        self.valuation_matrix = tuple(tuple(r) for r in valuation_matrix)
+        self.s_gens = tuple(w.generator for w in self.class_witnesses)
+        n = len(self.class_witnesses)
+        self.valuation_matrix = (
+            ((0,) * n,) * len(self.fund_units)
+            + tuple(tuple(w.order if j == i else 0 for j in range(n))
+                    for i, w in enumerate(self.class_witnesses)))
         self._levels = []
         self._binv = None  # B^-1, B the product of the S-generators
         self._scale = None  # B^-k for the next level k
@@ -147,34 +159,11 @@ def _fund_units_of(F):
 
 
 def s_unit_basis(field, S):
-    """Torsion, fundamental units, and class-order generators for S.
-
-    The valuation matrix (rows: generators, columns: finite primes of
-    S) is rebuilt from scratch with ideals.valuation and checked
-    against what the class orders promise.
-    """
+    """Torsion, fundamental units, and class-order witnesses for S; the
+    valuation matrix comes with the witnesses (SUnitBasis)."""
     w, zeta = _torsion_units(field)
-    fund = _fund_units_of(field)
-    witnesses = [class_order(P) for P in S.finite]
-    s_gens = [wit.generator for wit in witnesses]
-
-    vmat = []
-    for u in fund:
-        row = [valuation(u, P) for P in S.finite]
-        if any(row):
-            raise InvariantViolated("fundamental unit has a finite S-valuation")
-        vmat.append(row)
-    for i, (b, wit) in enumerate(zip(s_gens, witnesses)):
-        row = [valuation(b, P) for P in S.finite]
-        # q_i^{a_i} = (beta_i) forces v_{q_i}(beta_i) = a_i and v = 0 at
-        # the other members of S (primes of S over the same p are distinct)
-        if row[i] != wit.order:
-            raise InvariantViolated("generator valuation inconsistent with class order")
-        for j, v in enumerate(row):
-            if j != i and v != 0:
-                raise InvariantViolated("generator has a stray valuation inside S")
-        vmat.append(row)
-    basis = SUnitBasis(field, S, w, zeta, fund, s_gens, witnesses, vmat)
+    basis = SUnitBasis(field, S, w, zeta, _fund_units_of(field),
+                       [class_order(P) for P in S.finite])
     if field.tier == "automatic" and basis.rank != S.card - 1:
         raise InvariantViolated("S-unit rank must be |S| - 1")
     return basis
@@ -511,34 +500,30 @@ def choose_alpha(field, S, sbasis, ranks):
                        for _, _, rows, span_rank, _ in spans):
                     rejected_span += 1
                     continue
+                units, beta_part = field.one, field.one
+                for e, fu in zip(cf, sbasis.fund_units):
+                    units = units * fu ** e
+                for e, b in zip(cb, sbasis.s_gens):
+                    beta_part = beta_part * b ** (-e)
                 for c0 in range(w):
-                    alpha = sbasis.torsion_gen ** c0
-                    for e, u in zip(cf, sbasis.fund_units):
-                        alpha = alpha * u ** e
-                    for e, b in zip(cb, sbasis.s_gens):
-                        alpha = alpha * b ** (-e)
+                    u = sbasis.torsion_gen ** c0 * units
+                    alpha = u * beta_part
                     mp = alpha.minimal_poly()
                     if len(mp) - 1 != field.degree:
                         rejected_degree += 1
                         continue
-                    return _certify_alpha(field, S, sbasis, alpha, c0, cf, cb,
-                                          mp, spans, vec, tried, rejected_span,
-                                          rejected_degree)
+                    return _certify_alpha(field, S, sbasis, alpha, u, c0, cf,
+                                          cb, mp, spans, vec, tried,
+                                          rejected_span, rejected_degree)
     raise SearchExhausted(f"no alpha within exponent shells up to {MAX_SHELL}")
 
 
-def _certify_alpha(field, S, sbasis, alpha, c0, cf, cb, mp, spans, vec,
+def _certify_alpha(field, S, sbasis, alpha, u, c0, cf, cb, mp, spans, vec,
                    tried, rejected_span, rejected_degree):
-    neg = []
-    for P in S.finite:
-        v = valuation(alpha, P)
-        if v >= 0:
-            raise InvariantViolated("alpha must have negative valuation inside S")
-        neg.append((P, v))
+    # v_{P_i}(alpha) = -c_i a_i < 0 (u a unit, rows of SUnitBasis, c_i >= 1)
+    neg = [(P, -c * wit.order)
+           for P, c, wit in zip(S.finite, cb, sbasis.class_witnesses)]
     # exact power identity: alpha * prod beta^{c_i} is the absorbed unit
-    u = sbasis.torsion_gen ** c0
-    for e, fu in zip(cf, sbasis.fund_units):
-        u = u * fu ** e
     check = alpha
     for e, b in zip(cb, sbasis.s_gens):
         check = check * b ** e

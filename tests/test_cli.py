@@ -32,6 +32,8 @@ SQRT1000003_TWO = {"field": {"poly": [-1000003, 0, 1]}, "S": [{"p": 2}]}
 # class number 10, ideal norms up to 31^10
 SQRTM119_3_11_31 = {"field": {"poly": [119, 0, 1]},
                     "S": [{"p": 3}, {"p": 11}, {"p": 31}]}
+# the primes over 3 have class order 9974
+SQRTM99999989_THREE = {"field": {"poly": [99999989, 0, 1]}, "S": [{"p": 3}]}
 # the benchmark's table of every report it runs, keyed "command config"
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
@@ -289,15 +291,53 @@ def test_class_number_ten_over_three_primes(tmp_path):
 def test_class_order_in_the_thousands(tmp_path, capsys):
     # the primes over 3 of Q(sqrt -99999989) have class order 9974 (a
     # separate forms count agrees): composing reduced forms keeps each
-    # power small, where raising HNF powers ran past 60 s
-    cfg = {"field": {"poly": [99999989, 0, 1]}, "S": [{"p": 3}]}
+    # power small, where raising HNF powers ran past 60 s, and no
+    # valuation of a generator of about 4,760 digits is recomputed
     started = time.monotonic()
-    code, rep = run(tmp_path, cfg, "analyze")
-    assert time.monotonic() - started < 10
+    code, rep = run(tmp_path, SQRTM99999989_THREE, "analyze")
+    assert time.monotonic() - started < 1.5
     assert code == 0
     assert [g["class_order"] for g in
             rep["analysis"]["s_units"]["s_generators"]] == [9974, 9974]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_s_unit_path_computes_no_valuation(tmp_path, monkeypatch):
+    # s_unit_basis reads the valuation matrix, and _certify_alpha alpha's
+    # negative valuations, off the class-order witnesses; only
+    # exponent_vector still calls valuation.  Recomputing them took
+    # 20,141 products on the order-9974 analyze
+    callers = Counter()
+    valuation = sunits.valuation
+
+    def traced(x, prime):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return valuation(x, prime)
+
+    products = 0
+    ib_mul = field_module.NumberField.ib_mul
+
+    def counted(self, u, v):
+        nonlocal products
+        products += 1
+        return ib_mul(self, u, v)
+
+    monkeypatch.setattr(sunits, "valuation", traced)
+    monkeypatch.setattr(field_module.NumberField, "ib_mul", counted)
+    code, _ = run(tmp_path, SQRTM99999989_THREE, "analyze")
+    assert code == 0
+    assert not callers
+    assert products <= 300
+    # alpha over orders 10 and over a datasheet (case 2, alpha in Q(sqrt 5))
+    for cfg in ({"field": {"poly": [119, 0, 1]}, "S": [{"p": 3}]},
+                zeta5_config(dict(ZETA5_DATASHEET,
+                                  class_orders=[ZETA5_CLASS_ORDER]))):
+        code, _ = run(tmp_path, cfg, "alpha")
+        assert code == 0
+    assert set(callers) == {"exponent_vector"}
 
 
 def test_class_order_past_the_bound_exits_2(tmp_path, capsys):

@@ -19,6 +19,7 @@ from sgen2.sunits import (PowerSpan, PrimeSet, SubfieldRank,
 import oracles
 from instances import (ALL, DESK, gaussian_five, gaussian_two, rational_two,
                        search_alpha, sqrt2_seven, sqrt5_two, zeta5_nofinite)
+from test_field import ZETA5_CLASS_ORDER, ZETA5_DATASHEET
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +146,33 @@ def test_basis_zeta5():
     assert sb.valuation_matrix == ((),)
 
 
+def sqrtm119_three():
+    # both primes above 3, each of class order 10
+    k = create_field([119, 0, 1])
+    return k, PrimeSet(k, list(factor_rational_prime(k, 3)))
+
+
+def zeta5_five():
+    # datasheet tier: the prime (1 - t) above 5, declared of order 1
+    k = create_field([1, 1, 1, 1, 1], datasheet=dict(
+        ZETA5_DATASHEET, class_orders=[ZETA5_CLASS_ORDER]))
+    return k, PrimeSet(k, list(factor_rational_prime(k, 5)))
+
+
 def test_basis_valuations_recomputed():
-    # the valuation matrix matches independent per-prime valuations
-    for make in (gaussian_five, sqrt2_seven, sqrt5_two):
+    # the valuation matrix, read off the class-order witnesses, matches
+    # independent per-prime valuations; this is the one comparison of
+    # the two, so it covers orders above 1 and the datasheet tier
+    orders = []
+    for make in (gaussian_five, sqrt2_seven, sqrt5_two, sqrtm119_three,
+                 zeta5_five):
         k, S = make()
         sb = s_unit_basis(k, S)
+        orders += [w.order for w in sb.class_witnesses]
         for i, g in enumerate(sb.fund_units + sb.s_gens):
             for j, P in enumerate(S.finite):
                 assert sb.valuation_matrix[i][j] == valuation(g, P)
+    assert 10 in orders
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +365,18 @@ def test_alpha_sqrt5():
 
 
 def test_alpha_certificate_identities():
-    # alpha^m * prod beta^{b_i} is a unit of O_K, exactly
-    for make in (rational_two, gaussian_five, sqrt2_seven, sqrt5_two):
-        k, S = make()
-        cert = search_alpha(k, S)
+    # alpha^m * prod beta^{b_i} is a unit of O_K, exactly, and the
+    # negative valuations read off the witnesses are alpha's; on Q(zeta5)
+    # (case 2) alpha lives in Q(sqrt 5) over S(F)
+    for make in (rational_two, gaussian_five, sqrt2_seven, sqrt5_two,
+                 sqrtm119_three, zeta5_five):
+        cert = build_generators(*make()).alpha_cert
         w = cert.alpha
-        for b, bexp in zip(s_unit_basis(k, S).s_gens, cert.unit_part["beta_exponents"]):
+        for b, bexp in zip(cert.sbasis.s_gens,
+                           cert.unit_part["beta_exponents"]):
             w = w * b ** bexp
         assert w.is_integral() and abs(w.norm()) == 1
+        assert [P for P, _ in cert.neg_valuations] == list(cert.S.finite)
         for P, v in cert.neg_valuations:
             assert v < 0 and valuation(cert.alpha, P) == v
 
