@@ -33,7 +33,7 @@ from .errors import (ConfigInvalid, IdentityFailed, NotInLattice, PrimeInS,
                      VerificationFailure)
 from .field import FieldElement, integer_rows
 from .generators import e12, e21
-from .ideals import factor_rational_prime, residue_maps, valuation
+from .ideals import residue_maps
 from .linalg import (RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat,
                      xgcd)
 from .polys import is_prime, prime_divisors
@@ -125,7 +125,7 @@ def identity_suite(shape, r_range, s_range, n_range):
               "s_range": [min(s_range), max(s_range)]}
 
     if triple.case_info.case == 2:
-        # the only reader of the 2x2 products (a CI step checks it)
+        # the only reader of the 2x2 products (tests/test_source_rules.py)
         from .generators import m2_inv, m2_mul
         field = triple.field
         p1 = triple.psi1.rows
@@ -175,27 +175,24 @@ def _checked_index(sbasis, span, escapes):
     return index, level, [v for v in seq if v is not None]
 
 
-def _in_s_integers(field, S, x):
-    """Exact membership of x in the ring of S-integers: every prime of
-    the denominator outside S must see a nonnegative valuation.
+def _in_s_integers(sbasis, x):
+    """Exact membership of x in the ring of S-integers.
 
-    x.den is not factored.  x is in lowest terms and the primes over a
-    rational prime l multiply to (l), so an l | x.den has a prime over
-    it where x has negative valuation; once the characteristics of S are
-    divided out, any rest above 1 holds such an l outside S.  Otherwise
-    only the primes outside S over the characteristics dividing x.den
-    are checked."""
-    rest = x.den
-    chars = []
-    for p in {P.p for P in S.finite}:
-        if rest % p == 0:
-            chars.append(p)
-            while rest % p == 0:
-                rest //= p
-    if rest > 1:
-        return False
-    return all(S.contains(q) or valuation(x, q) >= 0
-               for p in chars for q in factor_rational_prime(field, p))
+    class_order proved (beta_i) = P_i^{a_i} with a_i >= 1, so B = prod
+    beta_i has v_P(B) >= 1 at every P in S and v_Q(B) = 0 elsewhere.  As
+    x.den x is integral, v_P(x) >= -e_P v_p(x.den) at P over p.  So x is
+    an S-integer exactly when x B^K is integral, K the largest
+    e_P v_p(x.den) over P in S; x.den is never factored."""
+    k = 0
+    for P in sbasis.S.finite:
+        d, v = x.den, 0
+        while d % P.p == 0:
+            d, v = d // P.p, v + 1
+        k = max(k, P.e * v)
+    b = x.field.one
+    for g in sbasis.s_gens:
+        b = b * g
+    return (x * b ** k).is_integral()
 
 
 def ideal_ladder(shape, n_select):
@@ -257,7 +254,7 @@ def ideal_ladder(shape, n_select):
         tried.append(N)
         z = (aF2 ** N - F.one) * hF
         y = FieldElement(F, z.num, z.den * mF)
-        if _in_s_integers(F, SF, y):
+        if _in_s_integers(sbF, y):
             big_n = N
             break
     if big_n is None:

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -9,13 +10,13 @@ import pytest
 from sgen2.errors import (ConfigInvalid, IdentityFailed, IndexDivisor,
                           InvariantViolated, NotInLattice, PrimeInS,
                           VerificationFailure)
-from sgen2.field import NumberField, create_field
+from sgen2.field import FieldElement, NumberField, create_field
 from sgen2.generators import build_generators
 from sgen2.ideals import ResidueMap, factor_rational_prime, residue_maps
 from sgen2.linalg import RatLattice, hnf
 from sgen2.polys import primes_below
 from sgen2.sunits import PrimeSet, element_lattice, s_unit_basis
-from sgen2 import cli, generators, polys, verification
+from sgen2 import cli, generators, ideals, polys, verification
 from sgen2.verification import (VERIFY_DEFAULTS, admissible_primes,
                                 elementary_witness, ideal_ladder,
                                 identity_suite, image_order,
@@ -262,6 +263,31 @@ def test_ladder_h2():
 def test_ladder_explicit_n():
     lad = ideal_ladder(shaped(gaussian_two), 4)
     assert lad["N"] == 4 and lad["N_tried"] == [4]
+
+
+@pytest.mark.parametrize("poly, ps, one_over_5", [
+    ([-1, 1], (2, 5), False), ([1, 0, 1], (2, 5), False),
+    ([1, 0, 1], (2, 5), True), ([-5, 0, 1], (2,), False)],
+    ids=["Q-2-5", "Qi-2-5", "Qi-2-(2+i)", "Qsqrt5-2"])
+def test_in_s_integers_matches_the_valuation_ladder(poly, ps, one_over_5):
+    # x is an S-integer exactly when v_Q(x) >= 0, by the oracle's ladder,
+    # at each Q outside S over a prime of x.den; the denominators hold
+    # primes over S and outside it, and in Q(i) the prime 2 - i of 5 may
+    # lie outside S while 2 + i lies in it
+    k = create_field(poly)
+    S = PrimeSet(k, [P for p in ps for P in factor_rational_prime(k, p)
+                     if not (one_over_5 and p == 5) or P.contains(k.theta + 2)])
+    sbasis = s_unit_basis(k, S)
+    seen = set()
+    for den in (1, 2, 3, 4, 5, 6, 10, 15, 25, 50, 63):
+        for num in product(range(-3, 4), repeat=k.degree):
+            x = FieldElement(k, num, den)
+            inside = all(S.contains(Q) or oracles.valuation_ladder(x, Q) >= 0
+                         for p in (2, 3, 5, 7) if x.den % p == 0
+                         for Q in factor_rational_prime(k, p))
+            assert verification._in_s_integers(sbasis, x) == inside, x.num
+            seen.add(inside)
+    assert seen == {True, False}
 
 
 def oracle_level(k, sbasis, level, scale):
@@ -731,7 +757,7 @@ def test_admissible_walk_ends_past_the_bound(monkeypatch):
         raise AssertionError(f"the walk factored {p} into PrimeIdeals")
 
     monkeypatch.setattr(verification, "residue_maps", maps)
-    monkeypatch.setattr(verification, "factor_rational_prime", factor)
+    monkeypatch.setattr(ideals, "factor_rational_prime", factor)
     with pytest.raises(ConfigInvalid):
         admissible_primes(shape, 1000, 100)
     assert max(walked) == 97
@@ -771,6 +797,31 @@ def test_modp_count_matches_bfs_oracle():
         if not rep["passed"]:
             proper.append((rep["q"], rep["reached"], rep["group_order"]))
     assert sorted(proper) == [(9, 120, 720), (49, 672, 117600)]
+
+
+def test_case2_filter_keeps_a_proper_image_out_although_m_is_1(tmp_path):
+    # Q(i) over 7 (case 2): the ladder gives m = M = 1, yet at the prime
+    # over 3 (q = 9) the image is SL2(F_5), 120 of 720 elements.  Only
+    # the filter on reduced gamma (central there) keeps the prime out of
+    # the mod-P check, so a ladder rule "skip only where p | M" would
+    # make this valid instance exit 3.
+    config, out = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"field": {"poly": [1, 0, 1]},
+                                  "S": [{"p": 7}]}))
+    assert cli.main(["verify", "--config", str(config),
+                     "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert (rep["verification"]["ladder"]["m"],
+            rep["verification"]["ladder"]["M"]) == (1, 1)
+    assert 3 not in [e["p"] for e in rep["verification"]["modp"]]
+    k = create_field([1, 0, 1])
+    t = build_generators(k, PrimeSet(k, list(factor_rational_prime(k, 7))))
+    (M,) = residue_maps(k, 3, 9)
+    mats = reduce_triple(t, M)
+    assert mats[0] == ((1, 0), (0, 1))
+    orbit, stabilizer = image_order(M, mats)
+    assert orbit * stabilizer == 120
+    assert oracles.sl2_image_bfs(M, ideal_of(k, M), mats)[0] == 120
 
 
 def test_image_order_proper_subgroups():
