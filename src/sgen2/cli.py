@@ -48,6 +48,9 @@ MAX_WITNESS_SAMPLES = 200
 # ends in under a second.
 MAX_DEGREE = 16
 MAX_COEFF_BITS = 256
+# Cap on the number of entries of S.  The alpha search's subfield-span
+# test meets 2^(number of S-generators) candidates in its second shell.
+MAX_S_ENTRIES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +128,8 @@ def validate_config(cfg):
     _require("S" in cfg, "config needs an S section")
     raw_s = cfg["S"]
     _require(isinstance(raw_s, list), "S must be a list")
+    _require(len(raw_s) <= MAX_S_ENTRIES,
+             f"S must have at most {MAX_S_ENTRIES} entries")
     entries = []
     for k, ent in enumerate(raw_s):
         _require(isinstance(ent, dict), f"S[{k}] must be an object")

@@ -37,10 +37,6 @@ class DivisionByZero(SgenError):
     exit_code = 1
 
 
-class ZeroElement(SgenError):
-    exit_code = 1
-
-
 class IndexDivisor(SgenError):
     exit_code = 1
 

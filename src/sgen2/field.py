@@ -688,7 +688,6 @@ def fundamental_unit(field):
 
 
 # One Q, the rational subfield of every field of degree > 1.  Its caches
-# (the primes above p, each with its class-order witness and
-# anti-uniformizer) fill across runs; each cached value depends on p
-# alone.
+# (the primes above p, each with its class-order witness) fill across
+# runs; each cached value depends on p alone.
 RATIONALS = create_field([-1, 1])

@@ -15,7 +15,7 @@ NumberField.omega_minpoly reads omega's minimal polynomial off the
 discriminant; a square root mod p splits it).  In the datasheet tier it
 needs p coprime to the index of Z[t] in the maximal order; the Dedekind
 criterion detects the bad primes and IndexDivisor reports them as out
-of scope.  A prime that S, a valuation or a report reads is a PrimeIdeal
+of scope.  A prime that S or a report reads is a PrimeIdeal
 (factor_rational_prime); the mod-P check reads only the ring map,
 which is also the residue field: it builds log tables from one
 primitive element (the F_p[x] arithmetic of polys reduces mod g only
@@ -27,12 +27,12 @@ Reduction decides whether a quadratic ideal is principal
 in the order (x, |y|, y < 0), found with no coordinate box
 (_principal_generator_quadratic).
 
-The S-unit path forms at most one ideal power per prime.  A valuation
-multiplies by the prime's anti-uniformizer, built from its Kummer factor
-on first use (valuation).  A class order composes the reduced binary
-quadratic form of the prime with itself, and only the principal power
-it finds is formed, by IntegralIdeal ** (class_order); each prime keeps
-both.  Otherwise ideal products serve the check that the primes over p
+The S-unit path forms at most one ideal power per prime and computes no
+valuation (sunits reads each off a class-order witness or a lying-over
+table).  A class order composes the reduced binary quadratic form of
+the prime with itself, and only the principal power it finds is formed,
+by IntegralIdeal ** (class_order); each prime keeps its witness.
+Otherwise ideal products serve the check that the primes over p
 multiply to (p) and the datasheet tier's declared orders.
 """
 
@@ -41,8 +41,7 @@ from math import gcd, isqrt, prod
 
 from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
-                     IndexDivisor, InvariantViolated, OrderBoundExceeded,
-                     ZeroElement)
+                     IndexDivisor, InvariantViolated, OrderBoundExceeded)
 from .field import (FieldElement, _torsion_units, continued_fraction_step,
                     fundamental_unit)
 
@@ -114,18 +113,17 @@ class IntegralIdeal:
 
 
 class PrimeIdeal(IntegralIdeal):
-    """A prime over p with its Kummer factor g (its ramification index e
-    and residue degree f = deg g), its anti-uniformizer's coordinates
-    (_tau, built by the first valuation) and its ClassOrderWitness
-    (_witness, built by the first class_order)."""
+    """A prime over p with its ramification index e, its residue degree
+    f and its ClassOrderWitness (_witness, built by the first
+    class_order)."""
 
-    __slots__ = ("p", "e", "f", "two_element", "g", "_tau", "_witness")
+    __slots__ = ("p", "e", "f", "two_element", "_witness")
 
-    def __init__(self, field, rows, p, e, g, two_element):
+    def __init__(self, field, rows, p, e, f, two_element):
         super().__init__(field, rows)
-        self.p, self.e, self.f, self.g = p, e, len(g) - 1, g
+        self.p, self.e, self.f = p, e, f
         self.two_element = two_element
-        self._tau = self._witness = None
+        self._witness = None
 
     def serialize(self):
         out = super().serialize()
@@ -411,7 +409,7 @@ def factor_rational_prime(field, p):
                 pi = field.basis_element(1) - field.from_rational(
                     _symmetric_lift(rho, p))
         primes.append(PrimeIdeal(
-            field, _ideal_rows([field.from_rational(p), pi]), p, e, g,
+            field, _ideal_rows([field.from_rational(p), pi]), p, e, f,
             (p, pi)))
     primes.sort(key=lambda q: q.hnf)
     product = primes[0] ** primes[0].e
@@ -448,63 +446,6 @@ def _dedekind_index_divisor(poly, fac, rest, p):
                      "the lifted factorization does not reduce to f mod p")
     T = [c // p for c in diff]
     return any(e > 1 and not polys.pp_divmod(T, g, p)[1] for g, e in fac)
-
-
-# ---------------------------------------------------------------------------
-# Valuations.
-
-def _anti_uniformizer(prime):
-    """The integral-basis coordinates of tau = h(t), h = F / g mod p for
-    the prime's Kummer factor g of F, the defining polynomial (omega's
-    minimal polynomial, and t omega, on the automatic tier; tau = 1 over
-    Q); built on first use and kept on the prime."""
-    if prime._tau is None:
-        field = prime.field
-        if field.degree == 1:
-            prime._tau = [1]
-        elif field.tier == "automatic":
-            # omega is the second integral-basis element, and deg h <= 1
-            s, b = field.omega_minpoly()
-            h = polys.pp_divmod([s, b, 1], prime.g, prime.p)[0]
-            prime._tau = h + [0] * (2 - len(h))
-        else:
-            h = polys.pp_divmod(list(field.poly), prime.g, prime.p)[0]
-            prime._tau = sum((field.theta ** k * c for k, c in enumerate(h)),
-                             field.zero).num
-    return prime._tau
-
-
-def valuation(x, prime):
-    """v_P(x) for x in K*, by the prime's anti-uniformizer tau.
-
-    p is prime to [O_K : Z[t]], so O_K / pO_K is F_p[x] / (F) with t
-    sent to x, and P is the ideal that g generates there.  With tau =
-    h(t), h a lift of F / g, F divides y h exactly when g divides y: y in
-    O_K lies in P exactly when y tau lies in pO_K.  So tau / p is in P^-1
-    and not in O_K, that is v_P(tau / p) = -1 and v_Q(tau / p) >= 0 at
-    every other prime Q.  While y is in P, y <- y tau / p stays integral
-    and loses exactly 1 of v_P(y); the steps until y tau leaves pO_K
-    count v_P of the numerator (Cohen, GTM 138, 4.8.3).  A step is one
-    product by tau; no ideal is formed.
-    """
-    if not isinstance(x, FieldElement):
-        raise TypeError("element expected")
-    if x.is_zero():
-        raise ZeroElement("valuation of zero")
-    p = prime.p
-    vp_den = 0
-    d = x.den
-    while d % p == 0:
-        d //= p
-        vp_den += 1
-    tau, mul = _anti_uniformizer(prime), prime.field.ib_mul
-    y, k = x.num, 0
-    while True:
-        y = mul(y, tau)
-        if any(c % p for c in y):
-            return k - prime.e * vp_den
-        y = [c // p for c in y]
-        k += 1
 
 
 # ---------------------------------------------------------------------------

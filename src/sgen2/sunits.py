@@ -5,8 +5,9 @@ each prime q_i in S a minimal a_i and generator beta_i with
 q_i^{a_i} = (beta_i).  Together with the fundamental units and a
 torsion generator these give a finite-index subgroup of O_S^* in which
 all searches below run.  The valuation matrix and alpha's negative
-valuations are read off the witnesses, so no valuation is computed
-here but in exponent_vector.  For fields of degree <= 2 the unit part
+valuations are read off the witnesses, and a subfield's S-units take
+theirs from the lying-over table (SubfieldRank.unit_vectors), so no
+valuation is computed.  For fields of degree <= 2 the unit part
 is the whole unit group: the roots of unity are read off the
 discriminant in closed form (field._torsion_units) and the fundamental
 unit comes from field.fundamental_unit.
@@ -39,13 +40,13 @@ levels and a degree enlargement agree.
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import (CardinalityTooSmall, HypothesisFails,
                      InvariantViolated, NotStabilized, SearchExhausted)
 from .field import (RATIONALS, _torsion_units, format_rational,
                     fundamental_unit, integer_rows, span_solve)
-from .ideals import class_order, factor_rational_prime, valuation
+from .ideals import class_order, factor_rational_prime
 from .linalg import RatLattice, hnf
 from .polys import count_roots_in, root_bound, sturm_chain
 
@@ -100,7 +101,7 @@ class SUnitBasis:
 
     __slots__ = ("field", "S", "torsion_order", "torsion_gen", "fund_units",
                  "s_gens", "class_witnesses", "valuation_matrix", "_levels",
-                 "_binv", "_scale")
+                 "_product", "_binv", "_scale")
 
     def __init__(self, field, S, torsion_order, torsion_gen, fund_units,
                  class_witnesses):
@@ -117,22 +118,26 @@ class SUnitBasis:
             + tuple(tuple(w.order if j == i else 0 for j in range(n))
                     for i, w in enumerate(self.class_witnesses)))
         self._levels = []
-        self._binv = None  # B^-1, B the product of the S-generators
+        self._product = self._binv = None  # B and B^-1
         self._scale = None  # B^-k for the next level k
 
     @property
     def rank(self):
         return len(self.fund_units) + len(self.s_gens)
 
+    def product(self):
+        """B = prod beta_i, built once: v_P(B) = a_i >= 1 at the prime
+        P_i of S and 0 at every prime outside S."""
+        if self._product is None:
+            self._product = prod(self.s_gens, start=self.field.one)
+        return self._product
+
     def level(self, k):
         """Lambda_k = B^-k O_K in integral-basis coordinates; the union
         over k is O_S.  Each level is built once and kept on the basis."""
         f = self.field
         if self._binv is None:
-            b = f.one
-            for g in self.s_gens:
-                b = b * g
-            self._binv = b.inverse()
+            self._binv = self.product().inverse()
             self._scale = f.one
         while len(self._levels) <= k:
             self._levels.append(element_lattice(
@@ -336,9 +341,9 @@ def _split_off_sqrt(field, F_desc):
 
 class SubfieldRank:
     """A subfield F with S contracted to it, the primes of K above each
-    finite prime of S(F), and the rank of the intersection: rank(O_F^*)
-    plus the number of finite primes of S(F) all of whose K-primes lie
-    in S."""
+    finite prime of S(F), the qualifying (q, primes of K above q), those
+    all of whose K-primes lie in S, and the rank of the intersection:
+    rank(O_F^*) plus the number of qualifying q."""
 
     __slots__ = ("F", "SF", "above", "qualifying", "rank")
 
@@ -346,7 +351,8 @@ class SubfieldRank:
         self.F = F_desc
         self.SF = contract_prime_set(S, F_desc)
         self.above = [dict(F_desc.lying_over(q.p))[q] for q in self.SF.finite]
-        self.qualifying = [q for q, above in zip(self.SF.finite, self.above)
+        self.qualifying = [(q, above)
+                           for q, above in zip(self.SF.finite, self.above)
                            if all(S.contains(P) for P in above)]
         r1, r2 = F_desc.subfield.signature
         self.rank = r1 + r2 - 1 + len(self.qualifying)
@@ -359,16 +365,24 @@ class SubfieldRank:
 
     def unit_vectors(self, sbasis):
         """Exponent vectors spanning (over Q) the S-units of K coming
-        from units of the S(F)-integers of F."""
+        from units of the S(F)-integers of F.  Their valuations at S: 0
+        for a unit; for the generator of q^a, a e(P|q) = a e(P|p) /
+        e(q|p) at each P over q (ramification indices multiply in towers;
+        Cohen, GTM 138, 4.8) and 0 elsewhere."""
+        finite = sbasis.S.finite
         vectors = []
         labels = []
         for u in _fund_units_of(self.F.subfield):
             w = self.F.map_element(u)
-            vectors.append(exponent_vector(sbasis, w))
+            vectors.append(exponent_vector(sbasis, w, [0] * len(finite)))
             labels.append({"kind": "subfield_unit", "element": w.serialize()})
-        for q in self.qualifying:
-            w = self.F.map_element(class_order(q).generator)
-            vectors.append(exponent_vector(sbasis, w))
+        for q, above in self.qualifying:
+            witness = class_order(q)
+            valuations = [0] * len(finite)
+            for P in above:
+                valuations[finite.index(P)] = witness.order * P.e // q.e
+            w = self.F.map_element(witness.generator)
+            vectors.append(exponent_vector(sbasis, w, valuations))
             labels.append({"kind": "subfield_class_generator",
                            "p": q.p, "element": w.serialize()})
         return vectors, labels
@@ -382,14 +396,15 @@ def rank_of_intersection(S, F_desc):
 # ---------------------------------------------------------------------------
 # Exponent vectors of S-units over a basis.
 
-def exponent_vector(sbasis, w):
+def exponent_vector(sbasis, w, valuations):
     """Rational exponents (over fund_units + s_gens) of an S-unit w,
-    modulo torsion.  Exact: the residual after stripping the beta part
-    is resolved by bounded search with exact equality."""
-    beta_exps = []
-    for P, wit in zip(sbasis.S.finite, sbasis.class_witnesses):
-        v = valuation(w, P)
-        beta_exps.append(Fraction(v, wit.order))
+    modulo torsion, given its valuations v_i at the primes P_i of S.
+    Exact: with e_i = v_i / a_i, the residual w^M prod beta_i^(-e_i M)
+    has valuation M (v_(P_i)(w) - v_i) at P_i and 0 outside S, so it is a
+    unit, or InvariantViolated is raised, exactly when every v_i is
+    right; the unit is resolved by bounded search with exact equality."""
+    beta_exps = [Fraction(v, wit.order)
+                 for v, wit in zip(valuations, sbasis.class_witnesses)]
     M = 1
     for e in beta_exps:
         M = M * e.denominator // gcd(M, e.denominator)

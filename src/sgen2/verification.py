@@ -179,20 +179,18 @@ def _in_s_integers(sbasis, x):
     """Exact membership of x in the ring of S-integers.
 
     class_order proved (beta_i) = P_i^{a_i} with a_i >= 1, so B = prod
-    beta_i has v_P(B) >= 1 at every P in S and v_Q(B) = 0 elsewhere.  As
-    x.den x is integral, v_P(x) >= -e_P v_p(x.den) at P over p.  So x is
-    an S-integer exactly when x B^K is integral, K the largest
-    e_P v_p(x.den) over P in S; x.den is never factored."""
+    beta_i (SUnitBasis.product) has v_P(B) >= 1 at every P in S and
+    v_Q(B) = 0 elsewhere.  As x.den x is integral, v_P(x) >= -e_P
+    v_p(x.den) at P over p.  So x is an S-integer exactly when x B^K is
+    integral, K the largest e_P v_p(x.den) over P in S; x.den is never
+    factored."""
     k = 0
     for P in sbasis.S.finite:
         d, v = x.den, 0
         while d % P.p == 0:
             d, v = d // P.p, v + 1
         k = max(k, P.e * v)
-    b = x.field.one
-    for g in sbasis.s_gens:
-        b = b * g
-    return (x * b ** k).is_integral()
+    return (x * sbasis.product() ** k).is_integral()
 
 
 def ideal_ladder(shape, n_select):

@@ -32,7 +32,8 @@ where the walk takes a determinant per point; the two agree on every
 small box), for a generator of each power, where the library composes
 reduced binary quadratic forms.  The valuation oracle climbs the same
 ideal powers and tests membership with its own Gauss-Jordan solve,
-where the library multiplies by the prime's anti-uniformizer.
+where the library reads each valuation it needs off a class-order
+witness and, for a subfield's S-units, the lying-over table.
 
 The identity oracle multiplies the triple's defining identities out
 over exponent windows, with 2x2 products of power-basis coordinates,

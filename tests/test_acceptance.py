@@ -10,7 +10,7 @@ import random
 import time
 
 from sgen2.generators import build_generators, classify_case
-from sgen2.ideals import factor_rational_prime, valuation
+from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice, hnf, int_det
 from sgen2.sunits import (choose_alpha, contract_prime_set,
                           default_subfields, rank_of_intersection,
@@ -21,7 +21,7 @@ from sgen2.verification import (admissible_primes, elementary_witness,
 
 from instances import (ALL, DESK, gaussian_five, gaussian_two, rational_two,
                        sqrt2_seven, sqrt5_two)
-from oracles import _pm_mul, pm_pow, pm_rows, zalpha_levels
+from oracles import _pm_mul, pm_pow, pm_rows, valuation_ladder, zalpha_levels
 
 CASE_ONE = [rational_two, gaussian_five, sqrt2_seven, sqrt5_two]
 
@@ -102,8 +102,11 @@ def test_criterion_4_alpha_certificates(capsys):
         field, S = build()
         info = classify_case(field, S)
         cert = choose_alpha(field, S, info.sbasis, info.subfields)
-        for P in S.finite:
-            assert valuation(cert.alpha, P) < 0, build.__name__
+        # the negative valuations read off the witnesses are alpha's
+        assert [P for P, _ in cert.neg_valuations] == list(S.finite)
+        for P, v in cert.neg_valuations:
+            assert v < 0 and valuation_ladder(cert.alpha, P) == v, \
+                build.__name__
         assert len(cert.minpoly) - 1 == field.degree, build.__name__
         for n in (1, 2, 3):
             index, _ = zalpha_index(info.sbasis, cert.alpha, n)

@@ -7,11 +7,12 @@ import pytest
 
 from sgen2 import ideals, linalg, polys
 from sgen2.errors import (ConfigInvalid, DatasheetInvalid, IndexDivisor,
-                          OrderBoundExceeded, ZeroElement)
+                          OrderBoundExceeded)
 from sgen2.field import create_field, fundamental_unit
 from sgen2.ideals import (IntegralIdeal, PrimeIdeal, class_order,
-                          factor_rational_prime, valuation)
+                          factor_rational_prime)
 from sgen2.linalg import RatLattice
+from sgen2.sunits import PrimeSet, s_unit_basis
 
 import oracles
 from test_field import ZETA5_DATASHEET, zeta5_with
@@ -192,33 +193,6 @@ def test_factor_rejects_nonprime():
         factor_rational_prime(k, 1)
 
 
-def test_valuation_golden():
-    k = QI()
-    (p2,) = factor_rational_prime(k, 2)
-    i = k.theta
-    assert valuation(k.one + i, p2) == 1
-    assert valuation(k.from_rational(2), p2) == 2
-    assert valuation((k.one + i) ** 3, p2) == 3
-    assert valuation(k.one / (k.one + i), p2) == -1
-    assert valuation(k.from_rational(Fraction(3, 4)), p2) == -4
-    assert valuation(k.from_rational(3), p2) == 0
-    pa, pb = factor_rational_prime(k, 5)
-    x = k.one + 2 * i  # norm 5: valuation 1 at exactly one of the two
-    va, vb = valuation(x, pa), valuation(x, pb)
-    assert sorted((va, vb)) == [0, 1]
-    assert valuation(k.from_rational(5), pa) == 1
-    assert valuation(k.from_rational(5), pb) == 1
-    with pytest.raises(ZeroElement):
-        valuation(k.zero, pa)
-
-
-def test_valuation_ramified_datasheet():
-    k = create_field([1, 1, 1, 1, 1], datasheet=ZETA5_DATASHEET)
-    (q5,) = factor_rational_prime(k, 5)
-    assert valuation(k.from_rational(5), q5) == 4
-    assert valuation(k.theta - k.one, q5) == 1  # (zeta - 1) generates the prime
-
-
 def test_datasheet_class_order_checks_the_declared_power():
     # an order a declared with generator (1 - t)^a holds for each a (its
     # minimality is taken on faith) and one with (1 - t)^(a + 1) fails;
@@ -335,57 +309,11 @@ def test_class_order_matches_box_oracle():
         assert max(orders) > 1, d
 
 
-def valuation_fields():
-    """Q, quadratic fields, the Q(zeta5) sheet, x^3 - x - 1 and the
-    Shanks cubics x^3 - a x^2 - (a + 3) x - 1, with 1, t, t^2 an
-    integral basis."""
-    basis = [[int(i == j) for j in range(3)] for i in range(3)]
-    cubic = {"integral_basis": basis, "subfields": [], "class_orders": []}
-    yield create_field([-1, 1])
-    for d in (-1, -3, -5, -23, 2, 5, 10, 79):
-        yield create_field([-d, 0, 1])
-    yield create_field([1, 1, 1, 1, 1], datasheet=ZETA5_DATASHEET)
-    yield create_field([-1, -1, 0, 1],
-                       dict(cubic, fundamental_units=[[0, 1, 0]]))
-    for a in (-1, 0, 1, 2, 4, 7, 8):
-        yield create_field([-1, -(a + 3), -a, 1],
-                           dict(cubic, fundamental_units=[[0, 1, 0],
-                                                          [1, 1, 0]]))
-
-
-def test_valuation_matches_ladder_oracle():
-    # random elements times powers of the prime's generator, over
-    # denominators with powers of p, against the membership ladder
-    rng = random.Random(28)
-    kinds = Counter()
-    for k in valuation_fields():
-        for p in (2, 3, 5, 7, 11, 13, 23):
-            primes = factor_rational_prime(k, p)
-            for prime in primes:
-                pi = prime.two_element[1]
-                if pi.is_zero():
-                    pi = k.from_rational(p)
-                kind = ("rational" if k.degree == 1 else "inert"
-                        if prime.f == k.degree else "ramified"
-                        if prime.e > 1 else "split")
-                for _ in range(4):
-                    x = k.from_ib([rng.randint(-9, 9) for _ in range(k.degree)])
-                    if x.is_zero():
-                        continue
-                    x = x * pi ** rng.randint(0, 4) / k.from_rational(
-                        p ** rng.randint(0, 2) * rng.choice((1, 1, 7, 9)))
-                    for P in primes:
-                        assert valuation(x, P) == oracles.valuation_ladder(x, P)
-                    kinds[kind, k.degree] += 1
-    assert {kind for kind, _ in kinds} == {"rational", "split", "ramified",
-                                           "inert"}
-    assert {n for _, n in kinds} == {1, 2, 3, 4}, kinds
-
-
 def test_class_order_and_valuation_form_no_ideal_power(monkeypatch):
     # class number 10: the two primes over 3 cost at most 2 log2(10) + 2
     # ideal products in all (the membership ladder took one per power,
-    # 18), and valuations none
+    # 18), and the S-unit basis reads its valuations off the witnesses
+    # with none
     k = create_field([119, 0, 1])
     primes = factor_rational_prime(k, 3)
     products = Counter()
@@ -400,8 +328,8 @@ def test_class_order_and_valuation_form_no_ideal_power(monkeypatch):
     assert [w.order for w in witnesses] == [10, 10]
     assert products["mul"] <= 2 * (10).bit_length() + 2
     products.clear()
-    assert [[valuation(w.generator, P) for P in primes]
-            for w in witnesses] == [[10, 0], [0, 10]]
+    sb = s_unit_basis(k, PrimeSet(k, primes))
+    assert sb.valuation_matrix == ((10, 0), (0, 10))
     assert products["mul"] == 0
 
 

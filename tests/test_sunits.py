@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from sgen2.errors import (CardinalityTooSmall, HypothesisFails,
-                          NotStabilized, SearchExhausted)
+                          InvariantViolated, NotStabilized, SearchExhausted)
 from sgen2.field import _torsion_units, create_field
 from sgen2.generators import build_generators
-from sgen2.ideals import factor_rational_prime, valuation
+from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice
 from sgen2 import linalg, sunits, verification
 from sgen2.sunits import (PowerSpan, PrimeSet, SubfieldRank,
@@ -161,8 +161,8 @@ def zeta5_five():
 
 def test_basis_valuations_recomputed():
     # the valuation matrix, read off the class-order witnesses, matches
-    # independent per-prime valuations; this is the one comparison of
-    # the two, so it covers orders above 1 and the datasheet tier
+    # the oracle's membership ladder; this is the one comparison of the
+    # two, so it covers orders above 1 and the datasheet tier
     orders = []
     for make in (gaussian_five, sqrt2_seven, sqrt5_two, sqrtm119_three,
                  zeta5_five):
@@ -171,7 +171,8 @@ def test_basis_valuations_recomputed():
         orders += [w.order for w in sb.class_witnesses]
         for i, g in enumerate(sb.fund_units + sb.s_gens):
             for j, P in enumerate(S.finite):
-                assert sb.valuation_matrix[i][j] == valuation(g, P)
+                assert sb.valuation_matrix[i][j] == \
+                    oracles.valuation_ladder(g, P)
     assert 10 in orders
 
 
@@ -287,16 +288,16 @@ def test_exponent_vector_strips_torsion():
     k, S = gaussian_five()
     sb = s_unit_basis(k, S)
     w = sb.s_gens[0] * sb.s_gens[1] ** 2 * k.theta
-    assert exponent_vector(sb, w) == (Fraction(1), Fraction(2))
+    assert exponent_vector(sb, w, [1, 2]) == (Fraction(1), Fraction(2))
 
 
 def test_exponent_vector_with_fundamental_part():
     k, S = sqrt5_two()
     sb = s_unit_basis(k, S)
     w = sb.fund_units[0] ** 3 * sb.s_gens[0] ** 2 * (-1)
-    assert exponent_vector(sb, w) == (Fraction(3), Fraction(2))
-    assert exponent_vector(sb, sb.fund_units[0] ** -5) == (Fraction(-5),
-                                                           Fraction(0))
+    assert exponent_vector(sb, w, [2]) == (Fraction(3), Fraction(2))
+    assert exponent_vector(sb, sb.fund_units[0] ** -5, [0]) == (
+        Fraction(-5), Fraction(0))
 
 
 def test_subfield_unit_vectors_sqrt5():
@@ -313,6 +314,53 @@ def test_subfield_unit_vectors_sqrt2_empty():
     sb = s_unit_basis(k, S)
     vecs, _ = SubfieldRank(S, rational_subfield(k)).unit_vectors(sb)
     assert vecs == []
+
+
+def subfield_s_units(monkeypatch):
+    """Each (basis, w, valuations) that SubfieldRank.unit_vectors hands
+    to exponent_vector, over every subfield of the test instances, of
+    Q(sqrt -119) over 3 and of Q(zeta5) over 5."""
+    calls = []
+
+    def recorded(sbasis, w, valuations):
+        calls.append((sbasis, w, list(valuations)))
+        return exponent_vector(sbasis, w, valuations)
+
+    monkeypatch.setattr(sunits, "exponent_vector", recorded)
+    for make in DESK + [sqrtm119_three, zeta5_five]:
+        k, S = make()
+        sb = s_unit_basis(k, S)
+        for F in default_subfields(k):
+            SubfieldRank(S, F).unit_vectors(sb)
+    return calls
+
+
+def test_lying_over_valuations_match_the_ladder(monkeypatch):
+    # a q-generator's valuation a_q e(P|p) / e(q|p) at each P over q, and
+    # 0 elsewhere, is the membership ladder's: over 2, Q(i) has e = 2;
+    # over 5, the prime of Q(zeta5) has e = 4 over Q (generator 5) and
+    # e = 2 over Q(sqrt 5), and a unit of Q(sqrt 5) has valuation 0
+    seen = set()
+    for sb, w, valuations in subfield_s_units(monkeypatch):
+        assert valuations == [oracles.valuation_ladder(w, P)
+                              for P in sb.S.finite]
+        seen.add((sb.field.degree, tuple(valuations)))
+    assert {(4, (4,)), (4, (2,)), (4, (0,)), (2, (2,)),
+            (2, (1, 1))} <= seen, seen
+
+
+def test_exponent_vector_refuses_a_valuation_off_by_one(monkeypatch):
+    # the residual check proves the given valuations of an S-unit
+    changed = 0
+    for sb, w, valuations in subfield_s_units(monkeypatch):
+        for j in range(len(valuations)):
+            for step in (1, -1):
+                wrong = list(valuations)
+                wrong[j] += step
+                with pytest.raises(InvariantViolated):
+                    exponent_vector(sb, w, wrong)
+                changed += 1
+    assert changed >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +426,7 @@ def test_alpha_certificate_identities():
         assert w.is_integral() and abs(w.norm()) == 1
         assert [P for P, _ in cert.neg_valuations] == list(cert.S.finite)
         for P, v in cert.neg_valuations:
-            assert v < 0 and valuation(cert.alpha, P) == v
+            assert v < 0 and oracles.valuation_ladder(cert.alpha, P) == v
 
 
 def test_alpha_hypothesis_fails_on_cm_equality():
@@ -599,4 +647,5 @@ def test_random_s_units_have_integer_exponents():
         e1, e2 = rng.randrange(-4, 5), rng.randrange(-4, 5)
         tz = rng.randrange(4)
         w = sb.s_gens[0] ** e1 * sb.s_gens[1] ** e2 * sb.torsion_gen ** tz
-        assert exponent_vector(sb, w) == (Fraction(e1), Fraction(e2))
+        assert exponent_vector(sb, w, [e1, e2]) == (Fraction(e1),
+                                                   Fraction(e2))
