@@ -31,11 +31,11 @@ property of the returned certificate is proved before it is emitted,
 the power identity by an exact product.
 
 O_S itself is exhausted by the levels Lambda_k = B^-k O_K, B = prod
-beta_i, which the S-unit basis builds once each (SUnitBasis.level):
-indices [O_S : Z[alpha^n]] are read per level as [Lambda_k + L_J : L_J],
-L_J a stage of the power span (its triangle, grown from stage J - 1,
-with Lambda_k's rows inserted), and accepted once three consecutive
-levels and a degree enlargement agree.
+beta_i, which the S-unit basis builds once each (SUnitBasis.level), as
+it builds each power span (SUnitBasis.span).  PowerSpan.index, the one
+home of ring indices, reads [O_S : span] per level as [Lambda_k + L_J :
+L_J], L_J a stage of the span, accepts it once three consecutive levels
+and a degree enlargement agree, and rechecks its Lagrange containment.
 """
 
 import itertools
@@ -101,7 +101,7 @@ class SUnitBasis:
 
     __slots__ = ("field", "S", "torsion_order", "torsion_gen", "fund_units",
                  "s_gens", "class_witnesses", "valuation_matrix", "_levels",
-                 "_product", "_binv", "_scale")
+                 "_product", "_binv", "_scale", "_spans")
 
     def __init__(self, field, S, torsion_order, torsion_gen, fund_units,
                  class_witnesses):
@@ -120,6 +120,7 @@ class SUnitBasis:
         self._levels = []
         self._product = self._binv = None  # B and B^-1
         self._scale = None  # B^-k for the next level k
+        self._spans = {}
 
     @property
     def rank(self):
@@ -144,6 +145,14 @@ class SUnitBasis:
                 [self._scale * f.basis_element(i) for i in range(f.degree)]))
             self._scale = self._scale * self._binv
         return self._levels[k]
+
+    def span(self, base, scale, extra=()):
+        """The PowerSpan of scale * base^j (and its multiples by extra)
+        over these levels, built once per key and kept on the basis."""
+        key = (base, scale, tuple(extra))
+        if key not in self._spans:
+            self._spans[key] = PowerSpan(self, base, scale, extra)
+        return self._spans[key]
 
     def serialize(self):
         return {
@@ -590,13 +599,15 @@ def element_lattice(elements):
 class PowerSpan:
     """Stage J is the Z-span of scale * base^j, j = 0..J, and of their
     multiples by each element of extra; each power is computed once and
-    stage J is stage J - 1 with the new rows inserted."""
+    stage J is stage J - 1 with the new rows inserted (SUnitBasis.span)."""
 
-    def __init__(self, base, scale, extra=()):
+    def __init__(self, sbasis, base, scale, extra=()):
+        self.sbasis = sbasis
         self.base = base
         self.extra = extra
         self._pows = [scale]
         self._stages = [RatLattice(1, (), base.field.degree)]  # stage -1: zero
+        self._index = None
 
     def _power(self, j):
         while len(self._pows) <= j:
@@ -615,34 +626,35 @@ class PowerSpan:
                 *integer_rows([p] + [g * p for g in self.extra])))
         return self._stages[J + 1]
 
-
-def stabilized_index(sbasis, span):
-    """Index [O_S : span] by per-level agreement over the levels of sbasis.
-
-    Level k reads [Lambda_k : Lambda_k cap L_J] = [Lambda_k + L_J : L_J]
-    with L_J the stage J = k + 2 of the PowerSpan (None while L_J has
-    rank below the degree).  A value is accepted when levels k, k+1,
-    k+2 agree and enlarging the degree at level k does not change it.
-    """
-    per_level = []
-
-    def idx(k, J):
-        return sbasis.level(k).sum_index(span.lattice(J))
-
-    for k in range(LEVEL_BOUND + 1):
-        per_level.append(idx(k, k + 2))
-        if k >= 2:
-            k0 = k - 2
-            v = per_level[k0]
-            if v is not None and per_level[k0 + 1] == v and per_level[k0 + 2] == v:
-                if idx(k0, k0 + 3) == v:
-                    return v, k0, per_level
-    raise NotStabilized(
-        f"index did not stabilize within {LEVEL_BOUND} filtration levels")
+    def index(self):
+        """(index, level, per-level values but None): [O_S : span], found
+        once.  Level k reads [Lambda_k : Lambda_k cap L_J] = [Lambda_k +
+        L_J : L_J], L_J stage J = k + 2 (None below full rank).  A value is
+        accepted when levels k, k+1, k+2 agree and enlarging the degree at
+        level k does not change it; then the Lagrange containment index *
+        Lambda_k in stage k + 4, already built, is rechecked."""
+        if self._index is None:
+            level, per_level = self.sbasis.level, []
+            for k in range(LEVEL_BOUND + 1):
+                per_level.append(level(k).sum_index(self.lattice(k + 2)))
+                lvl = k - 2
+                v = per_level[lvl] if lvl >= 0 else None
+                if (v is not None and per_level[lvl:] == [v] * 3
+                        and level(lvl).sum_index(self.lattice(lvl + 3)) == v):
+                    break
+            else:
+                raise NotStabilized(f"index did not stabilize within "
+                                    f"{LEVEL_BOUND} filtration levels")
+            lam = level(lvl)
+            rows = [[v * x for x in r] for r in lam.rows]
+            if not self.lattice(lvl + 4).contains(
+                    RatLattice(lam.den, rows, lam.ncols)):
+                raise InvariantViolated("index * Lambda_k escapes the span")
+            self._index = v, lvl, [x for x in per_level if x is not None]
+        return self._index
 
 
 def zalpha_index(sbasis, alpha, n):
     """(index, level): [O_S : Z[alpha^n]] with its stabilization level, S
     the prime set of sbasis."""
-    v, lvl, _ = stabilized_index(sbasis, PowerSpan(alpha ** n, sbasis.field.one))
-    return v, lvl
+    return sbasis.span(alpha ** n, sbasis.field.one).index()[:2]

@@ -7,10 +7,11 @@ an unproved triple.  Four checks, each falsifiable on its own:
   * identity_suite derives the conjugation identities for every
     exponent from the proved shapes, and checks each Bruhat-style
     rewriting identity of the CM case as one matrix equation over K.
-  * ideal_ladder recomputes the ring indices behind the elementary
-    subgroup argument on the levels of the S-unit basis, the ones the
-    alpha certificate's index table read in case 1, and checks the
-    Lagrange containments they imply.
+  * ideal_ladder asks the S-unit basis for the ring indices behind the
+    elementary subgroup argument (SUnitBasis.span, PowerSpan.index,
+    which finds each once and rechecks its Lagrange containment), so a
+    span the alpha certificate's index table already read is not read
+    again.
   * elementary_witness writes a requested elementary matrix as an
     explicit word in the triple and evaluates the word exactly through
     the proved shapes.
@@ -34,10 +35,9 @@ from .errors import (ConfigInvalid, IdentityFailed, NotInLattice, PrimeInS,
 from .field import FieldElement, integer_rows
 from .generators import e12, e21
 from .ideals import residue_maps
-from .linalg import (RatLattice, hnf, hnf_with_transform, solve_hnf, vec_mat,
-                     xgcd)
+from .linalg import hnf, hnf_with_transform, solve_hnf, vec_mat, xgcd
 from .polys import is_prime, prime_divisors
-from .sunits import PowerSpan, contract_prime_set, stabilized_index
+from .sunits import contract_prime_set
 
 # Work bounds: the orders N of a^2 that the case-2 ladder tries, and the
 # stages J of the witness module searched for a word.
@@ -62,8 +62,9 @@ VERIFY_DEFAULTS = {
 
 class Shape:
     """A triple with the shapes prove_shape checked: h, tau, a2 = a^2 and
-    the witness modules lower (spanned by h a^2j) and upper (tau a^2j).
-    Only prove_shape builds one."""
+    the witness modules lower (spanned by h a^2j) and upper (tau a^2j),
+    the S-unit basis's spans, one object in case 1 (tau = h).  Only
+    prove_shape builds one."""
 
     __slots__ = ("triple", "h", "a2", "tau", "lower", "upper")
 
@@ -72,8 +73,8 @@ class Shape:
         self.h = h
         self.a2 = a2
         self.tau = tau
-        self.lower = PowerSpan(a2, h)
-        self.upper = PowerSpan(a2, tau)
+        self.lower = triple.case_info.sbasis.span(a2, h)
+        self.upper = triple.case_info.sbasis.span(a2, tau)
 
 
 def prove_shape(triple):
@@ -161,20 +162,6 @@ def identity_suite(shape, r_range, s_range, n_range):
 # ---------------------------------------------------------------------------
 # Ring indices behind the elementary subgroup argument.
 
-def _checked_index(sbasis, span, escapes):
-    """(index, level, per-level values but None) of stabilized_index,
-    with the Lagrange containment rechecked: index * Lambda_level must
-    land in stage level + 4 of span, whose triangle stabilized_index
-    already built, or VerificationFailure(escapes) is raised."""
-    index, level, seq = stabilized_index(sbasis, span)
-    lam = sbasis.level(level)
-    scaled = RatLattice(lam.den, [[index * x for x in r] for r in lam.rows],
-                        lam.ncols)
-    if not span.lattice(level + 4).contains(scaled):
-        raise VerificationFailure(escapes)
-    return index, level, [v for v in seq if v is not None]
-
-
 def _in_s_integers(sbasis, x):
     """Exact membership of x in the ring of S-integers.
 
@@ -201,10 +188,10 @@ def ideal_ladder(shape, n_select):
     (m) inside h Z[a^2].  Case 2 additionally works on the F side (m and
     the order N of a^2 modulo m) and extends the K-side ring by
     sqrt(-d), giving q_ideal = (M); the F side reads the S(F)-unit basis
-    of the alpha certificate.  Every index is a stabilized
-    filtration limit (stabilized_index over the levels of the S-unit
-    basis) and the Lagrange containment is rechecked on a stage the
-    index search already built.
+    of the alpha certificate.  Every index is PowerSpan.index of a span
+    of the S-unit basis: a stabilized filtration limit over its levels,
+    its Lagrange containment rechecked, each found once per basis (at h
+    = 1 the ladder's first index is the certificate's [O_S : Z[a^2]]).
 
     n_select is either "search" (try N = 1, ..., N_BOUND and keep the
     first that works) or an explicit positive integer to test alone.
@@ -212,12 +199,10 @@ def ideal_ladder(shape, n_select):
     """
     triple = shape.triple
     h = triple.h
-    sbasis = triple.case_info.sbasis
 
     if triple.case_info.case == 1:
         # h Z[a^2] is the lower witness module
-        m, lvl, seq = _checked_index(sbasis, shape.lower,
-                                     "m * Lambda_k escapes h Z[a^2]")
+        m, lvl, seq = shape.lower.index()
         return {
             "case": 1,
             "m": m,
@@ -232,15 +217,14 @@ def ideal_ladder(shape, n_select):
     Fd = triple.case_info.case2_subfield
     F = Fd.subfield
     SF = contract_prime_set(triple.S, Fd)
-    # the certificate's basis, whose levels its index table has built
+    # the certificate's basis, whose spans its index table has read
     sbF = triple.alpha_cert.sbasis
     if not (sbF.field is F and sbF.S.finite == SF.finite):
         raise VerificationFailure("the alpha certificate's S-unit basis is "
                                   "not over F and S(F)")
     aF2 = triple.alpha_cert.alpha ** (2 * h)
     hF = F.from_rational(h)
-    mF, lvlF, seqF = _checked_index(sbF, PowerSpan(aF2, hF),
-                                    "m * Lambda_k escapes h Z[a^2] over F")
+    mF, lvlF, seqF = sbF.span(aF2, hF).index()
     # order of a^2 modulo m O_{S(F)}: h (a^{2N} - 1) must fall inside
     if n_select == "search":
         candidates = range(1, N_BOUND + 1)
@@ -259,9 +243,8 @@ def ideal_ladder(shape, n_select):
         raise VerificationFailure(
             f"no N in {tried} with h (a^{{2N}} - 1) in m O_S(F)")
     scale_K = shape.h ** 3 * cm.d_in_K * field.from_rational(mF)
-    M, lvlK, seqK = _checked_index(
-        sbasis, PowerSpan(shape.a2, scale_K, extra=(cm.sqrt_minus_d,)),
-        "M * Lambda_k escapes the extended ring")
+    M, lvlK, seqK = triple.case_info.sbasis.span(
+        shape.a2, scale_K, extra=(cm.sqrt_minus_d,)).index()
     return {
         "case": 2,
         "m": mF,

@@ -6,6 +6,7 @@ under test: 0 success, 1 malformed input, 2 hypothesis failure, 3 a
 verification check failed.
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -15,13 +16,17 @@ from pathlib import Path
 
 import pytest
 
-from sgen2 import cli, generators, ideals, sunits
+from sgen2 import cli, generators, ideals, linalg, sunits
 from sgen2 import field as field_module
 from sgen2.errors import ConfigInvalid
 from test_field import ZETA5_CLASS_ORDER, ZETA5_DATASHEET, zeta5_with
 
 RATIONAL_TWO = {"field": {"poly": [0, 1]}, "S": [{"p": 2}]}
 GAUSSIAN_TWO = {"field": {"poly": [1, 0, 1]}, "S": [{"p": 2}]}
+GAUSSIAN_FIVE = {"field": {"poly": [1, 0, 1]}, "S": [{"p": 5}]}
+SQRT2_7_17_23 = {"field": {"poly": [-2, 0, 1]},
+                 "S": [{"p": 7}, {"p": 17}, {"p": 23}]}
+SQRT118_FIVE = {"field": {"poly": [-118, 0, 1]}, "S": [{"p": 5}]}
 SQRT5_TWO = {"field": {"poly": [-5, 0, 1]}, "S": [{"p": 2}]}
 # fundamental units 2143295 + 221064 sqrt 94 and
 # 1728148040 + 140634693 sqrt 151
@@ -266,6 +271,65 @@ def test_failed_guard_exits_3_without_traceback(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "error: InvariantViolated: span generators must realize the rank" in err
     assert "Traceback" not in err
+
+
+def test_wrong_ring_index_exits_3_without_traceback(tmp_path, monkeypatch,
+                                                    capsys):
+    # a sum lattice index that answers 1 stabilizes at once; the Lagrange
+    # containment recheck of PowerSpan.index catches it on every reported
+    # index, the alpha certificate's index table included
+    monkeypatch.setattr(linalg.RatLattice, "sum_index",
+                        lambda self, other: 1)
+    for cfg, command in ((SQRT118_FIVE, "alpha"), (GAUSSIAN_FIVE, "verify")):
+        code, _ = run(tmp_path, cfg, command)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: InvariantViolated: index * Lambda_k escapes" in err
+        assert "Traceback" not in err
+
+
+def test_verify_reads_the_certificates_ring_indices(tmp_path, monkeypatch):
+    # each span's index is found once per S-unit basis: at h = 1 the
+    # case-1 ladder's [O_S : Z[a^2]] is the index table's n = 2 row, so
+    # verify makes no sum_index call that alpha does not, and in case 2
+    # it adds only the K-side M
+    calls = []
+    sum_index = linalg.RatLattice.sum_index
+
+    def counted(self, other):
+        calls.append(other)
+        return sum_index(self, other)
+    monkeypatch.setattr(linalg.RatLattice, "sum_index", counted)
+
+    def count(cfg, command):
+        calls.clear()
+        assert run(tmp_path, cfg, command)[0] == 0
+        return len(calls)
+    for cfg in (GAUSSIAN_FIVE, SQRT2_7_17_23):
+        assert count(cfg, "alpha") == count(cfg, "verify") == 12
+    assert count(GAUSSIAN_TWO, "alpha") == 12
+    assert count(GAUSSIAN_TWO, "verify") == 16
+
+
+# verify reports at h != 1, outside bench/golden.json: the ladder's spans
+# of h a^2h must not be mistaken for the index table's spans of alpha^n
+H_ABOVE_ONE = [
+    ({**GAUSSIAN_TWO, "h": 2},
+     "5501d216b1e0b4919ba9ab93e9d14bf6c4fca6987873317e230d246cd1c57abd"),
+    ({"field": {"poly": [-2, 0, 1]}, "S": [{"p": 7}], "h": 3},
+     "27443bad268962fb8b5bea9b9f01ee3325ab5f08dda765b51bf684fee79092ec"),
+    ({"field": {"poly": [1, 0, 1]}, "S": [{"p": 3}], "h": 3},
+     "34fd085e7f62cea907aa5ed15cc1ec330524b9b8328742739ced4a77a2003454"),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", H_ABOVE_ONE,
+                         ids=["Qi-2-h2", "Qsqrt2-7-h3", "Qi-3-h3"])
+def test_verify_bytes_at_h_above_one(tmp_path, cfg, digest):
+    code, _ = run(tmp_path, cfg, "verify")
+    assert code == 0
+    blob = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_big_unit_fields(tmp_path):

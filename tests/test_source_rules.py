@@ -176,6 +176,12 @@ READERS = {
     "Shape": {"verification.prove_shape"},
     "prove_shape": {"__init__ import", "verification.run_verification"},
     ".datasheet": set(),  # create_field alone reads the sheet
+    # ring indices: the S-unit basis builds each power span once, and
+    # PowerSpan.index alone reads the levels and runs the rule
+    "PowerSpan": {"sunits.SUnitBasis.span"},
+    "LEVEL_BOUND": {"sunits", "sunits.PowerSpan.index"},
+    ".level": {"sunits.PowerSpan.index"},
+    ".sum_index": {"sunits.PowerSpan.index"},
     "json.dump": set(), "json.dumps": set(),  # cli.write_report alone
 }
 
@@ -224,7 +230,13 @@ MUTANTS = {
         "verification: def admissible_primes(t): return Shape(t, 1, 1, 1)",
         "verification: def run_verification(t): return isinstance(t, Shape)",
         "cli: generators.m2_inv", "cli: text = json.dumps(report)",
-        "cli: from json import dumps", "sunits: k = K.datasheet"],
+        "cli: from json import dumps", "sunits: k = K.datasheet",
+        "verification: PowerSpan(a2, h)", "verification: sbasis.level(0)",
+        "verification: lam.sum_index(span.lattice(2))",
+        "verification: from .sunits import PowerSpan",
+        "cli: from .sunits import LEVEL_BOUND",
+        "sunits: def zalpha_index(b, a, n): return PowerSpan(b, a, 1).index()",
+        "generators: for k in range(sunits.LEVEL_BOUND): pass"],
 }
 
 

@@ -10,7 +10,7 @@ from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice
 from sgen2 import linalg, sunits, verification
-from sgen2.sunits import (PowerSpan, PrimeSet, SubfieldRank,
+from sgen2.sunits import (PrimeSet, SubfieldRank,
                           contract_prime_set, default_subfields,
                           element_lattice, exponent_vector, is_cm,
                           rank_of_intersection,
@@ -484,7 +484,7 @@ def test_level_index_matches_coset_oracle():
     # power-basis levels and Smith form
     def levels(sb, x, n):
         k = sb.field
-        span = PowerSpan(x ** n, k.one)
+        span = sb.span(x ** n, k.one)
         out = []
         for lvl in range(5):
             J = lvl + 2
@@ -521,7 +521,7 @@ def _bare_alpha(monkeypatch, k, S):
 
 def _oracle_stage(k, scale, base, extra, J):
     """Power-basis coordinates of the stage-J generators of
-    PowerSpan(base, scale, extra), from the oracle's products."""
+    the span of (base, scale, extra), from the oracle's products."""
     pows = [scale.power_coords()]
     for _ in range(J):
         pows.append(oracles.pb_mul(k, pows[-1], base.power_coords()))
@@ -535,8 +535,8 @@ def _case2_span(t):
     mF = verification.ideal_ladder(shape, "search")["m"]
     cm = t.case_info.cm
     scale = shape.h ** 3 * cm.d_in_K * t.field.from_rational(mF)
-    return shape, scale, PowerSpan(shape.a2, scale,
-                                   extra=(cm.sqrt_minus_d,))
+    return shape, scale, t.case_info.sbasis.span(shape.a2, scale,
+                                                 extra=(cm.sqrt_minus_d,))
 
 
 def test_power_span_stages_match_scratch():
@@ -550,7 +550,7 @@ def test_power_span_stages_match_scratch():
     for make in DESK:
         cert = build_generators(*make()).alpha_cert
         for n in (1, 2, 3):
-            check(PowerSpan(cert.alpha ** n, cert.field.one))
+            check(cert.sbasis.span(cert.alpha ** n, cert.field.one))
     shape = verification.prove_shape(build_generators(*gaussian_five()))
     assert shape.triple.case_info.case == 1
     check(shape.lower)
@@ -583,8 +583,8 @@ def test_level_index_matches_oracle_beyond_desk(monkeypatch):
         cert = _bare_alpha(monkeypatch, k, S)
         for n in (1, 2, 3):
             a = cert.alpha ** n
-            seen[name, n] = check(k, cert.sbasis, PowerSpan(a, k.one), a,
-                                  k.one)
+            seen[name, n] = check(k, cert.sbasis, cert.sbasis.span(a, k.one),
+                                  a, k.one)
     assert seen["Q(sqrt 2) over 7, 17", 3] == [5] * 5
     assert seen["Q(sqrt 13) over 3", 3] == [10] * 5
     # the per-level values of alpha itself agree, but enlarging the

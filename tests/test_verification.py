@@ -255,6 +255,22 @@ def test_ladder_goldens_case2():
         assert lad["containment_checked"]
 
 
+def test_shape_spans_are_the_bases_spans():
+    # lower (h a^2j) and upper (tau a^2j) come from the S-unit basis,
+    # one object when tau = h (case 1)
+    for make in (gaussian_five, sqrt2_seven, gaussian_two, gaussian_three):
+        shape = shaped(make)
+        sbasis = shape.triple.case_info.sbasis
+        assert shape.lower is sbasis.span(shape.a2, shape.h)
+        assert shape.upper is sbasis.span(shape.a2, shape.tau)
+        case1 = shape.triple.case_info.case == 1
+        assert (shape.upper is shape.lower) == case1, make.__name__
+    # at h = 1 the case-1 ladder reads the certificate's n = 2 span
+    shape = shaped(gaussian_five)
+    cert = shape.triple.alpha_cert
+    assert shape.lower is cert.sbasis.span(cert.alpha ** 2, cert.field.one)
+
+
 def test_ladder_h2():
     lad = ideal_ladder(shaped(sqrt5_two, h=2), "search")
     assert lad["m"] == 3
