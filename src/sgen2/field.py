@@ -15,13 +15,14 @@ coordinates appear only at the boundary: configs and datasheets
 Linear algebra on elements clears them to integer rows over one
 denominator (integer_rows) and solves through linalg.solve, on the
 integer Hermite form: span_solve gives minimal polynomials and the CM
-split, and the inverse of the integral basis (power-basis coordinates
-to integral-basis ones) is solved once per field, which also checks
-that the basis is nonsingular and contains Z[t].
+split.  The inverse of the integral basis (power-basis coordinates to
+integral-basis ones) is read off one HNF of the basis rows per field,
+which also checks that the basis is nonsingular and contains Z[t].
 
-The irreducibility screen proves f irreducible above degree 3 by a prime
-mod which f is one simple factor (polys.is_one_simple_factor_mod_p),
-else asserts it.
+create_field reads a square factor, the integer roots and the signature
+off one Sturm chain of f (polys.sturm_chain).  The irreducibility
+screen proves f irreducible above degree 3 by a prime mod which f is
+one simple factor (polys.is_one_simple_factor_mod_p), else asserts it.
 Degree <= 2 fields get their integral basis and discriminant computed
 from scratch.  A quadratic field is then its discriminant D and its
 second basis element omega = (D mod 2 + sqrt D) / 2: the squarefree
@@ -336,16 +337,17 @@ class NumberField:
 
     def _build_ib_inv(self):
         """Row i holds the integral-basis coordinates of t^i; integers,
-        since the integral basis must contain Z[t]."""
+        since the integral basis must contain Z[t]: den t^i = c @ H for
+        an integer c, H = T @ _ib_rows the basis HNF, and t^i = c @ T."""
         n = self.degree
-        inv = [linalg.solve(self._ib_rows, [self._ib_den * (i == j)
-                                            for j in range(n)])
+        H, T, _ = linalg.hnf_with_transform(self._ib_rows)
+        if len(H) < n:
+            raise DatasheetInvalid("integral basis is singular")
+        inv = [linalg.solve_hnf(H, [self._ib_den * (i == j) for j in range(n)])
                for i in range(n)]
         if None in inv:
-            raise DatasheetInvalid("integral basis is singular")
-        if any(x.denominator != 1 for row in inv for x in row):
             raise DatasheetInvalid("integral basis does not contain Z[t]")
-        return [[int(x) for x in row] for row in inv]
+        return [linalg.vec_mat(c, T) for c in inv]
 
     def _build_mult_table(self):
         """table[i][j] holds the integral-basis coordinates of b_i * b_j:
@@ -440,16 +442,18 @@ class NumberField:
 # ---------------------------------------------------------------------------
 # Construction.
 
-def _irreducibility_screen(poly):
-    """"proved" or "asserted"; raises Reducible when a factor is found.
-    Above degree 3, "proved" means f is one simple factor mod some p < 100."""
+def _irreducibility_screen(poly, chain):
+    """"proved" or "asserted"; raises Reducible when a factor of f = poly,
+    of Sturm chain `chain`, is found.  Above degree 3, "proved" means f is
+    one simple factor mod some p < 100.  chain[0] = f / gcd(f, f') is
+    monic, as f is."""
     n = len(poly) - 1
     if n == 1:
         return "proved"
-    g = polys.pgcd(poly, polys.pderiv(poly))
-    if polys.degree(g) > 0:
+    if polys.degree(chain[0]) < n:
+        g = polys.pdivmod(poly, chain[0])[0]
         raise Reducible(f"square factor detected: gcd with derivative {g}")
-    roots = polys.integer_roots(list(poly))
+    roots = polys.integer_roots(poly, chain)
     if roots:
         raise Reducible(f"integer root {roots[0]}")
     if n <= 3:
@@ -506,9 +510,11 @@ def create_field(poly, datasheet=None):
         raise NotMonic(f"leading coefficient {poly[-1]}")
     n = len(poly) - 1
 
-    irreducibility = _irreducibility_screen(poly)
+    chain = polys.sturm_chain(poly)
+    irreducibility = _irreducibility_screen(poly, chain)
 
-    r1 = polys.count_real_roots(poly)
+    bound = polys.root_bound(poly)
+    r1 = polys.count_roots_in(chain, -bound, bound)
     if (n - r1) % 2:
         raise InvariantViolated("signature parity")
     sig = (r1, (n - r1) // 2)

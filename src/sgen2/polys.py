@@ -1,8 +1,9 @@
 """Dense univariate polynomials, constant coefficient first.
 
 Coefficients are integers.  Division is exact (by a monic divisor or
-an exact factor), and gcds and Sturm chains run on signed primitive
-pseudo-remainders, so no rational arithmetic is needed; only the
+an exact factor), and a Sturm chain, one signed primitive
+pseudo-remainder sequence, is built once per polynomial and handed to
+its readers, so no rational arithmetic is needed; only the
 interval endpoints of isolate_real_roots are fractions.Fraction.  Mod-p
 work uses plain ints with a prime modulus.  factor_mod_p (squarefree,
 distinct-degree, then Cantor-Zassenhaus equal-degree splits) is the one
@@ -93,37 +94,26 @@ def prem(p, q):
     return pdivmod([c * scale for c in trim(p)], q)[1]
 
 
-def _signed_prs(a, b):
-    """a, b, then each next -prem(prev2, prev1) divided by its positive
-    content, up to the last nonzero one (Cohen, GTM 138, 3.3): a Sturm
-    sequence up to positive factors, ending in a gcd of a and b."""
-    seq = [trim(a), trim(b)]
-    while seq[-1]:
-        r = prem(seq[-2], seq[-1])
-        g = gcd(*r)
-        seq.append([-(c // g) for c in r])
-    return seq[:-1]
-
-
-def pgcd(p, q):
-    """Primitive gcd of integer polynomials, with positive leading
-    coefficient."""
-    g = _signed_prs(p, q)[-1]
-    c = gcd(*g) if g[-1] > 0 else -gcd(*g)
-    return [x // c for x in g]
-
-
 # ---------------------------------------------------------------------------
 # Sturm chains and real root isolation.
 
 def sturm_chain(p):
-    """Sturm chain of the squarefree part p / gcd(p, p') of an integer
-    polynomial; the squarefree part is chain[0]."""
-    p = trim(p)
-    g = pgcd(p, pderiv(p))
-    if degree(g) > 0:
-        p, _ = pdivmod(p, g)
-    return _signed_prs(p, pderiv(p))
+    """Sturm chain of the squarefree part chain[0] of an integer
+    polynomial p: p, p', then each -prem(prev2, prev1) over its positive
+    content, to the last nonzero one, a gcd g of p and p' (Cohen, GTM 138,
+    3.3).  Only if deg g > 0 is p divided by g, made primitive with a
+    positive lead, and the chain built again."""
+    chain = [trim(p), pderiv(p)]
+    while chain[-1]:
+        r = prem(chain[-2], chain[-1])
+        c = gcd(*r)
+        chain.append([-(x // c) for x in r])
+    chain.pop()
+    g = chain[-1]
+    if degree(g) < 1:
+        return chain
+    c = gcd(*g) if g[-1] > 0 else -gcd(*g)
+    return sturm_chain(pdivmod(chain[0], [x // c for x in g])[0])
 
 
 def variations_at(chain, x):
@@ -140,14 +130,6 @@ def root_bound(p):
     """Integer B with every real root of the integer polynomial p
     strictly inside (-B, B) (Cauchy's bound, as |lead p| >= 1)."""
     return 1 + max((abs(c) for c in trim(p)[:-1]), default=0)
-
-
-def count_real_roots(p):
-    """Number of distinct real roots of an integer polynomial."""
-    if degree(p) < 1:
-        return 0
-    bound = root_bound(p)
-    return count_roots_in(sturm_chain(p), -bound, bound)
 
 
 def isolate_real_roots(p, precision_bits=32):
@@ -256,7 +238,8 @@ def prime_divisors(n):
 
 
 def squarefree_part(n):
-    """Largest squarefree divisor, carrying the sign of n."""
+    """The squarefree core: the product of the primes dividing n to an
+    odd power, with the sign of n, so that n is it times a square."""
     if n == 0:
         return 0
     sign = 1 if n > 0 else -1
@@ -495,16 +478,14 @@ def sqrt_mod_p(a, p):
     return x
 
 
-def integer_roots(f):
-    """All integer roots of an integer polynomial.
+def integer_roots(f, chain):
+    """All integer roots of an integer polynomial f with Sturm chain chain.
 
     Monic quadratics take the closed form; other polynomials bisect the
-    root bound on integer endpoints with a Sturm chain, so the work
-    grows with the logarithm of the coefficients, not their square root.
+    root bound on integer endpoints with the chain, so the work grows
+    with the logarithm of the coefficients, not their square root.
     """
     f = trim(f)
-    if degree(f) < 1:
-        return []
     if len(f) == 3 and f[2] == 1:
         disc = f[1] * f[1] - 4 * f[0]
         r = isqrt(max(disc, 0))
@@ -512,7 +493,6 @@ def integer_roots(f):
             return []
         # r = f[1] mod 2, so both roots are integers
         return sorted({(-f[1] + r) // 2, (-f[1] - r) // 2})
-    chain = sturm_chain(f)
     b = root_bound(f)
     out = []
     # (lo, hi] with the sign variations of the chain at both ends, so

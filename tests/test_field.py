@@ -206,11 +206,49 @@ def test_datasheet_read_once_into_typed_attributes():
         ((), (), {})
 
 
+def screen(f):
+    return field._irreducibility_screen(f, polys.sturm_chain(f))
+
+
 def test_irreducibility_screen_reads_one_factor_mod_p():
     # Phi_5 is irreducible mod 2; x^4 + 1 is irreducible over Q but
     # splits mod every prime, so no prime proves it
-    assert field._irreducibility_screen([1, 1, 1, 1, 1]) == "proved"
-    assert field._irreducibility_screen([1, 0, 0, 0, 1]) == "asserted"
+    assert screen([1, 1, 1, 1, 1]) == "proved"
+    assert screen([1, 0, 0, 0, 1]) == "asserted"
+
+
+@pytest.mark.parametrize("poly, g", [
+    ([1, -2, 1], [-1, 1]), ([1, 0, -2, 0, 1], [-1, 0, 1]),
+    ([-1, 3, -3, 1], [1, -2, 1]), ([9, 0, -6, 0, 1], [-3, 0, 1])])
+def test_square_factor_names_the_gcd_with_the_derivative(poly, g):
+    with pytest.raises(Reducible) as err:
+        create_field(poly)
+    assert str(err.value) == f"square factor detected: gcd with derivative {g}"
+
+
+# x^3 - 3x + 1, the maximal order Z[t], with the units t and t + 2
+CUBIC_SHEET = {"integral_basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+               "fundamental_units": [[0, 1, 0], [2, 1, 0]]}
+
+
+@pytest.mark.parametrize("poly, sheet, prems, hnfs", [
+    ([-2, 0, 1], None, 2, 1), ([-1, 1], None, 1, 1),
+    ([1, -3, 0, 1], CUBIC_SHEET, 3, 1),
+    # with its Q(sqrt 5) subfield and that embedding's minimal polynomial
+    ([1, 1, 1, 1, 1], ZETA5_DATASHEET, 5, 4)],
+    ids=["sqrt2", "rationals", "cubic", "zeta5"])
+def test_create_field_builds_one_chain_and_one_basis_hnf(
+        monkeypatch, poly, sheet, prems, hnfs):
+    # one signed PRS of (f, f') per field, and one HNF of its integral
+    # basis for the inverse basis
+    calls = []
+    for module, name in ((polys, "prem"), (linalg, "hnf_with_transform")):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, inner=inner:
+                            calls.append(name) or inner(*a))
+    create_field(poly, datasheet=sheet)
+    assert (calls.count("prem"), calls.count("hnf_with_transform")) == \
+        (prems, hnfs)
 
 
 def test_irreducibility_screen_needs_no_equal_degree_split(monkeypatch):
@@ -222,8 +260,8 @@ def test_irreducibility_screen_needs_no_equal_degree_split(monkeypatch):
     monkeypatch.setattr(polys, "_equal_degree_split",
                         lambda *a: calls.append(a) or split(*a))
     phi32 = [1] + [0] * 15 + [1]
-    assert field._irreducibility_screen(phi32) == "asserted"
-    assert field._irreducibility_screen([1, 1, 1, 1, 1]) == "proved"
+    assert screen(phi32) == "asserted"
+    assert screen([1, 1, 1, 1, 1]) == "proved"
     assert calls == []
     # the counter is live: factoring Phi_32 mod 3 splits
     assert len(polys.factor_mod_p(phi32, 3)[0]) > 1 and calls
@@ -314,8 +352,12 @@ MALFORMED_ZETA5_SHEETS = [
 def test_datasheet_rejects_bad_basis():
     bad = dict(ZETA5_DATASHEET, integral_basis=[[1, 0, 0, 0], [0, 2, 0, 0],
                                                 [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(DatasheetInvalid):
-        create_field([1, 1, 1, 1, 1], datasheet=bad)   # does not contain Z[t]
+    with pytest.raises(DatasheetInvalid, match="does not contain Z"):
+        create_field([1, 1, 1, 1, 1], datasheet=bad)
+    bad = dict(ZETA5_DATASHEET, integral_basis=[[1, 0, 0, 0], [0, 1, 0, 0],
+                                                [0, 1, 0, 0], [0, 0, 0, 1]])
+    with pytest.raises(DatasheetInvalid, match="integral basis is singular"):
+        create_field([1, 1, 1, 1, 1], datasheet=bad)
     bad = dict(ZETA5_DATASHEET, integral_basis=[[0, 1, 0, 0], [1, 0, 0, 0],
                                                 [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(DatasheetInvalid):

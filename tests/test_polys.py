@@ -53,23 +53,32 @@ def test_prem_keeps_sign():
 
 
 def test_gcd_of_multiples():
-    a = polys.pmul([1, 1], [-2, 0, 1])      # (x + 1)(x^2 - 2)
-    b = polys.pmul([1, 1], [3, 1])          # (x + 1)(x + 3)
-    assert polys.pgcd(a, b) == [1, 1]
-    # primitive, positive lead, whatever the contents and signs
+    # a square factor g is divided out: chain[0] = p / g with g the
+    # gcd of p and p' made primitive with a positive lead, whatever the
+    # contents and signs
     g = [3, -1, 2]
-    assert polys.pgcd(polys.pmul([-6], polys.pmul(g, [1, 4])),
-                      polys.pmul([4], polys.pmul(g, [5, 0, -3]))) == g
+    for c, h in (([-6], [1, 4]), ([4], [5, 0, -3]), ([1], [1])):
+        p = polys.pmul(c, polys.pmul(polys.pmul(g, g), h))
+        assert polys.sturm_chain(p)[0] == polys.pmul(c, polys.pmul(g, h))
+    a = polys.pmul([1, 1], [-2, 0, 1])      # (x + 1)(x^2 - 2), squarefree
+    assert polys.sturm_chain(a)[0] == a
+    # -(x + 1)^2 (x^2 - 2): the square factor is x + 1, not -x - 1
+    assert polys.sturm_chain(polys.pmul([-1, -1], a))[0] == polys.pmul([-1], a)
+
+
+def real_roots(f):
+    bound = polys.root_bound(f)
+    return polys.count_roots_in(polys.sturm_chain(f), -bound, bound)
 
 
 def test_real_root_counts():
-    assert polys.count_real_roots([1, 0, 1]) == 0          # x^2 + 1
-    assert polys.count_real_roots([-2, 0, 1]) == 2         # x^2 - 2
-    assert polys.count_real_roots([-2, 0, 0, 1]) == 1      # x^3 - 2
-    assert polys.count_real_roots([1, 1, 1, 1, 1]) == 0    # 5th cyclotomic
-    assert polys.count_real_roots([-1, -1, 0, 1]) == 1     # x^3 - x - 1
-    assert polys.count_real_roots([-1, -3, 0, 1]) == 3     # x^3 - 3x - 1
-    assert polys.count_real_roots([-5, 0, 1]) == 2
+    assert real_roots([1, 0, 1]) == 0          # x^2 + 1
+    assert real_roots([-2, 0, 1]) == 2         # x^2 - 2
+    assert real_roots([-2, 0, 0, 1]) == 1      # x^3 - 2
+    assert real_roots([1, 1, 1, 1, 1]) == 0    # 5th cyclotomic
+    assert real_roots([-1, -1, 0, 1]) == 1     # x^3 - x - 1
+    assert real_roots([-1, -3, 0, 1]) == 3     # x^3 - 3x - 1
+    assert real_roots([-5, 0, 1]) == 2
 
 
 def test_real_root_counts_of_known_products():
@@ -92,9 +101,9 @@ def test_real_root_counts_of_known_products():
             f = polys.pmul(f, [rng.randint(b * b // 4 + 1, 30), b, 1])
         if polys.degree(f) < 1:
             continue
-        assert polys.count_real_roots(f) == len(roots), f
         chain = polys.sturm_chain(f)
         bound = polys.root_bound(f)
+        assert polys.count_roots_in(chain, -bound, bound) == len(roots), f
         assert all(-bound < r < bound for r in roots)
         lo, hi = rng.randint(-15, 0), rng.randint(0, 15)
         inside = sum(1 for r in roots if lo < r <= hi)
@@ -215,26 +224,31 @@ def test_squarefree_part():
 
 
 def test_integer_roots():
-    assert polys.integer_roots([-6, 11, -6, 1]) == [1, 2, 3]
-    assert polys.integer_roots([0, 0, 1]) == [0]
-    assert polys.integer_roots([1, 0, 1]) == []
-    assert polys.integer_roots([6, -5, 1]) == [2, 3]
-    assert polys.integer_roots([0, 7, 1]) == [-7, 0]
-    assert polys.integer_roots([-2, 0, 1]) == []
+    def roots(f):
+        return polys.integer_roots(f, polys.sturm_chain(f))
+
+    assert roots([-6, 11, -6, 1]) == [1, 2, 3]
+    assert roots([0, 0, 1]) == [0]
+    assert roots([1, 0, 1]) == []
+    assert roots([6, -5, 1]) == [2, 3]
+    assert roots([0, 7, 1]) == [-7, 0]
+    assert roots([-2, 0, 1]) == []
     # monic quadratics take the closed form, not trial division to 10^20
-    assert polys.integer_roots([-10 ** 40, 0, 1]) == [-10 ** 20, 10 ** 20]
-    assert polys.integer_roots([-(10 ** 20 + 39), 0, 1]) == []
+    assert roots([-10 ** 40, 0, 1]) == [-10 ** 20, 10 ** 20]
+    assert roots([-(10 ** 20 + 39), 0, 1]) == []
     # other degrees bisect with a Sturm chain, not trial division to 10^10
-    assert polys.integer_roots([-(10 ** 20 + 39), 0, 0, 1]) == []
-    assert polys.integer_roots([-(10 ** 21), 0, 0, 1]) == [10 ** 7]
+    assert roots([-(10 ** 20 + 39), 0, 0, 1]) == []
+    assert roots([-(10 ** 21), 0, 0, 1]) == [10 ** 7]
     # repeated roots, and roots on the bisection endpoints: (x - 3)^2 (x + 4) x
     f = polys.pmul(polys.pmul([-3, 1], [-3, 1]), polys.pmul([4, 1], [0, 1]))
-    assert polys.integer_roots(f) == [-4, 0, 3]
+    assert roots(f) == [-4, 0, 3]
+    # whose chain starts at the squarefree part (x - 3)(x + 4) x
+    assert polys.sturm_chain(f)[0] == polys.pmul([-3, 1], [0, 4, 1])
     rng = random.Random(11)
     for _ in range(200):
         f = [rng.randint(-20, 20) for _ in range(rng.randint(2, 5))] + [1]
         expect = [r for r in range(-25, 26) if polys.peval(f, r) == 0]
-        assert polys.integer_roots(f) == expect
+        assert roots(f) == expect
 
 
 def test_is_prime():

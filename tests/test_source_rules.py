@@ -183,6 +183,10 @@ READERS = {
     ".level": {"sunits.PowerSpan.index"},
     ".sum_index": {"sunits.PowerSpan.index"},
     "json.dump": set(), "json.dumps": set(),  # cli.write_report alone
+    # one Sturm chain per polynomial, handed to its readers, not rebuilt
+    "sturm_chain": {"polys.sturm_chain", "polys.isolate_real_roots",
+                    "field.create_field", "sunits import",
+                    "sunits._totally_positive"},
 }
 
 
@@ -236,7 +240,9 @@ MUTANTS = {
         "verification: from .sunits import PowerSpan",
         "cli: from .sunits import LEVEL_BOUND",
         "sunits: def zalpha_index(b, a, n): return PowerSpan(b, a, 1).index()",
-        "generators: for k in range(sunits.LEVEL_BOUND): pass"],
+        "generators: for k in range(sunits.LEVEL_BOUND): pass",
+        "polys: def integer_roots(f): return sturm_chain(f)",
+        "field: def _irreducibility_screen(p): return polys.sturm_chain(p)"],
 }
 
 
