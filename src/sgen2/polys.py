@@ -222,21 +222,6 @@ def pp_powmod(base, e, mod, m):
     return result
 
 
-def prime_divisors(n):
-    """The distinct primes dividing a positive integer, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def squarefree_part(n):
     """The squarefree core: the product of the primes dividing n to an
     odd power, with the sign of n, so that n is it times a square."""

@@ -47,7 +47,7 @@ from .errors import (CardinalityTooSmall, HypothesisFails,
 from .field import (RATIONALS, _torsion_units, format_rational,
                     fundamental_unit, integer_rows, span_solve)
 from .ideals import class_order, factor_rational_prime
-from .linalg import RatLattice, hnf
+from .linalg import RatLattice, hnf, hnf_with_transform
 from .polys import count_roots_in, root_bound, sturm_chain
 
 # Work bounds: alpha-search exponent shells, the n of the [O_S : Z[alpha^n]]
@@ -607,6 +607,7 @@ class PowerSpan:
         self.extra = extra
         self._pows = [scale]
         self._stages = [RatLattice(1, (), base.field.degree)]  # stage -1: zero
+        self._presentations = {}
         self._index = None
 
     def _power(self, j):
@@ -618,6 +619,18 @@ class PowerSpan:
         """The stage-J generators, powers first."""
         pows = [self._power(j) for j in range(J + 1)]
         return pows + [g * p for g in self.extra for p in pows]
+
+    def presentation(self, J):
+        """(den, H, T, K) for stage J, built on first use: den the common
+        denominator of the stage generators, H = T @ rows the HNF of their
+        integer rows over den, and K the canonical HNF of their relations
+        on reversed coordinates (verification._canonical_coeffs)."""
+        if J not in self._presentations:
+            den, rows = integer_rows(self.elements(J))
+            H, T, kernel = hnf_with_transform(rows)
+            self._presentations[J] = (
+                den, H, T, hnf([list(reversed(v)) for v in kernel]))
+        return self._presentations[J]
 
     def lattice(self, J):
         while len(self._stages) <= J + 1:

@@ -14,8 +14,9 @@ an unproved triple.  Four checks, each falsifiable on its own:
     again.
   * elementary_witness writes a requested elementary matrix as an
     explicit word in the triple and evaluates the word exactly through
-    the proved shapes.
-  * modp_surjectivity takes the triple reduced modulo an admissible prime
+    the proved shapes, solving against the presentation that the span
+    keeps for each stage (one HNF per span and stage, not per word).
+  * modp_surjectivity takes the triple reduced modulo a prime
     (reduce_triple, once per prime, through the prime's ring map O_K ->
     F_p[x] / (g), ideals.ResidueMap, which is also the residue field: no
     ideal HNF and no coset table, only the map's O(q) log, Zech-log,
@@ -27,16 +28,22 @@ an unproved triple.  Four checks, each falsifiable on its own:
     The count is compared against the group order q(q^2 - 1).  Each
     report entry still carries bfs_expansions, now generators (with
     inverses) x |image|, so that reports keep their bytes until the
-    modp entries change shape.
+    modp entries change shape.  admissible_primes, the walk that reports
+    primes, counts each walked prime once; in case 1 that count decides
+    the prime under the rule P not dividing the ladder's m: reported if
+    onto, skipped with a stderr line if P | m, VerificationFailure else.
 """
+
+import sys
+from math import lcm
 
 from .errors import (ConfigInvalid, IdentityFailed, NotInLattice, PrimeInS,
                      VerificationFailure)
-from .field import FieldElement, integer_rows
+from .field import FieldElement
 from .generators import e12, e21
 from .ideals import residue_maps
-from .linalg import hnf, hnf_with_transform, solve_hnf, vec_mat, xgcd
-from .polys import is_prime, prime_divisors
+from .linalg import solve_hnf, vec_mat, xgcd
+from .polys import is_prime
 from .sunits import contract_prime_set
 
 # Work bounds: the orders N of a^2 that the case-2 ladder tries, and the
@@ -283,11 +290,11 @@ class Witness:
 
 
 def _canonical_coeffs(kernel, sol):
-    """Reduce a solution modulo the relation kernel of the generator
-    rows so that the trailing coefficients are the small canonical
-    digits (only the j = 0 coefficient is left unbounded)."""
+    """Reduce a solution modulo the relations of the generators (K of
+    PowerSpan.presentation) so that the trailing coefficients are the
+    small canonical digits (only the j = 0 coefficient is unbounded)."""
     out = list(reversed(sol))
-    for row in hnf([list(reversed(v)) for v in kernel]):
+    for row in kernel:
         j = next(i for i, v in enumerate(row) if v)
         q = out[j] // row[j]
         if q:
@@ -302,7 +309,10 @@ def elementary_witness(shape, x, side):
     E21(x) needs x in shape.lower, the Z-span of h a^{2j}; gamma^-j
     psi1^c gamma^j contributes c h a^{2j}.  The upper side runs on tau
     a^{2j} with conjugator powers of the opposite sign.  Raises
-    NotInLattice when x is outside every stage up to J_BOUND.
+    NotInLattice when x is outside every stage up to J_BOUND.  A stage
+    is read through PowerSpan.presentation (in case 1 both sides are one
+    span): if x.den does not divide its den it cannot hold x, else x is
+    solved against the kept HNF and reduced by the kept relations.
 
     The word is evaluated through the proved shapes rather than by
     multiplying matrices: gamma = diag(a, a^-1) gives gamma^j E21(y)
@@ -314,9 +324,10 @@ def elementary_witness(shape, x, side):
         raise ValueError("side must be 'lower' or 'upper'")
     span = getattr(shape, side)
     for J in range(J_BOUND + 1):
-        _, int_rows = integer_rows(span.elements(J) + [x])
-        H, T, kernel = hnf_with_transform(int_rows[:-1])
-        y = solve_hnf(H, int_rows[-1])
+        den, H, T, kernel = span.presentation(J)
+        if den % x.den:
+            continue
+        y = solve_hnf(H, [c * (den // x.den) for c in x.num])
         if y is not None:
             coeffs = _canonical_coeffs(kernel, vec_mat(y, T))
             break
@@ -350,39 +361,50 @@ def reduce_triple(triple, M):
                   for i in range(2)) for m in triple.matrices()]
 
 
+def _degree(M, r):
+    """The degree over F_p of the residue r: the least e dividing f with
+    its log (2(q - 1) for the zero) a multiple of (q - 1)/(p^e - 1)."""
+    return next(e for e in range(1, M.f + 1) if M.f % e == 0
+                and M._log[r] % ((M.q - 1) // (M.p ** e - 1)) == 0)
+
+
 def _generates(M, residues):
-    """Whether the residues generate F_q over F_p, that is, lie together
-    in no maximal proper subfield F_(p^(f/r)), r a prime dividing f: the
-    residues whose logs (2(q - 1) for the zero) are multiples of (q - 1)
-    / (p^(f/r) - 1)."""
-    logs = {M._log[v] for v in residues}
-    for r in prime_divisors(M.f):
-        step = (M.q - 1) // (M.p ** (M.f // r) - 1)
-        if all(li % step == 0 for li in logs):
-            return False
-    return True
+    """Whether the residues generate F_q over F_p: together they generate
+    the subfield whose degree is the lcm of theirs."""
+    return lcm(*{_degree(M, v) for v in residues}) == M.f
 
 
 def admissible_primes(shape, count, bound):
-    """The first primes where the surjectivity check is meaningful, in
-    canonical order, each as the pair (M, mats) that modp_surjectivity
-    counts: the prime's ring map M (ideals.residue_maps), which is its
-    residue field, and the triple reduced by it.  The walk ends at the
-    first rational prime past bound (ConfigInvalid if fewer than count
-    were found).
+    """The first primes that the mod-P check reports, in canonical order,
+    each as (M, entry): the prime's ring map M (ideals.residue_maps),
+    which is its residue field, and the modp_surjectivity entry of the
+    triple reduced by M, one count per walked prime.  Walked primes have
+    q <= bound and a rational characteristic away from S (so reduction
+    never divides by zero) and from h; the walk ends at the first
+    rational prime past bound (ConfigInvalid if fewer were reported).
 
-    Requirements: residue field size <= bound; rational characteristic
-    away from S (so reduction never divides by zero); both psi entries
-    nonzero mod P; the reduced entries of the triple generating the full
-    residue field (entries of every word stay inside the subfield they
-    generate, so anything less can never be onto); and, over a non-prime
-    residue field, a non-central reduced gamma.  Over the prime field
-    two opposite nontrivial unipotents already generate everything, but
-    when f >= 2 a central gamma freezes the conjugation orbits and the
-    image genuinely drops (finite index notwithstanding), so such primes
-    say nothing about the construction.
+    Case 1 decides by the count, under the rule P not dividing m.  The
+    ladder proves m O_S inside h Z[a^2], and the proved shapes put E21(x)
+    and E12(x) in the group for x in h Z[a^2, a^-2]; so if P does not
+    divide m the image holds E21(F_q) and E12(F_q), is SL2(F_q), and a
+    smaller count raises VerificationFailure.  If P | m (p | m) the
+    case-1 lemma gives the image: with k = F_p(a^2), the gamma-conjugates
+    of psi1 = E21(h) and psi2 = E12(h) give E21(h k) and E12(h k),
+    conjugate under diag(h, 1) to E21(k) and E12(k), which generate
+    SL2(k) (Lang, Algebra, XIII 8); the image is SL2(k) <gamma>, of order
+    |SL2(k)| if a is in k and twice that otherwise (Dickson's list;
+    Huppert, Endliche Gruppen I, II.8).  Such a prime is skipped with one
+    stderr line naming p, q, the image order, deg k and "P | m".
+
+    Case 2 keeps three filters until its ladder proves what it claims
+    (ROADMAP item 21): psi2's entry tau nonzero mod P; the reduced
+    entries generating F_q (every word stays in the subfield they
+    generate); over a non-prime field, a non-central reduced gamma.  A
+    kept prime that is not onto raises.
     """
     triple = shape.triple
+    # case 1's rule reads the ladder's m; case 2 (m None) keeps its filters
+    m = shape.lower.index()[0] if triple.case_info.case == 1 else None
     schars = {P.p for P in triple.S.finite}
     out = []
     p = 2
@@ -398,11 +420,24 @@ def admissible_primes(shape, count, bound):
             mats = reduce_triple(triple, M)
             # the corners of gamma = diag(a, a^-1) and psi2 = E12(tau)
             a, tau = mats[0][0][0], mats[2][0][1]
-            if (tau and not (M.f > 1 and M.mul(a, a) == 1)
-                    and _generates(M, [v for m in mats for r in m for v in r])):
-                out.append((M, mats))
+            if m is None and not (
+                    tau and not (M.f > 1 and M.mul(a, a) == 1)
+                    and _generates(M, [v for g in mats for r in g
+                                       for v in r])):
+                continue
+            entry = modp_surjectivity(M, mats)
+            if entry["passed"]:
+                out.append((M, entry))
                 if len(out) == count:
                     break
+            elif m is not None and m % p == 0:
+                print(f"skipped the prime over {p} (q = {M.q}): image "
+                      f"{entry['reached']} of {entry['group_order']}, deg k "
+                      f"= {_degree(M, M.mul(a, a))}, P | m", file=sys.stderr)
+            else:
+                raise VerificationFailure(
+                    f"reduction mod the prime over {p} (q = {M.q}) is not "
+                    f"surjective: {entry['reached']} of {entry['group_order']}")
         p += 1
     return out
 
@@ -655,15 +690,7 @@ def run_verification(triple, verify, seed, n_select):
             witnesses.append(elementary_witness(shape, x, side).serialize())
     report["witnesses"] = {"count": len(witnesses), "items": witnesses}
 
-    modp = []
-    for R, mats in admissible_primes(shape, verify["primes"],
-                                     verify["q_bound"]):
-        res = modp_surjectivity(R, mats)
-        modp.append(res)
-        if not res["passed"]:
-            raise VerificationFailure(
-                f"reduction mod the prime over {R.p} (q = {res['q']}) is "
-                f"not surjective: {res['reached']} of {res['group_order']}")
-    report["modp"] = modp
+    report["modp"] = [entry for _, entry in admissible_primes(
+        shape, verify["primes"], verify["q_bound"])]
     report["passed"] = True
     return report

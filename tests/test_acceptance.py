@@ -17,7 +17,7 @@ from sgen2.sunits import (choose_alpha, contract_prime_set,
                           s_unit_basis, zalpha_index)
 from sgen2.verification import (admissible_primes, elementary_witness,
                                 identity_suite, modp_surjectivity,
-                                prove_shape)
+                                prove_shape, reduce_triple)
 
 from instances import (ALL, DESK, gaussian_five, gaussian_two, rational_two,
                        sqrt2_seven, sqrt5_two)
@@ -79,8 +79,8 @@ def test_criterion_3_generator_suite(capsys):
         rep = identity_suite(shape, range(-5, 6), range(-5, 6), range(1, 6))
         assert rep["passed"], build.__name__
         identity_total += rep["exponent_identities"]
-        for R, mats in admissible_primes(shape, 10, 100):
-            m = modp_surjectivity(R, mats)
+        for R, m in admissible_primes(shape, 10, 100):
+            assert m == modp_surjectivity(R, reduce_triple(t, R))
             assert m["passed"], (build.__name__, m["q"])
             modp_total += 1
             if build is rational_two:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from sgen2 import cli, generators, ideals, linalg, sunits
+from sgen2 import cli, generators, ideals, linalg, sunits, verification
 from sgen2 import field as field_module
 from sgen2.errors import ConfigInvalid
 from test_field import ZETA5_CLASS_ORDER, ZETA5_DATASHEET, zeta5_with
@@ -31,6 +31,7 @@ SQRT5_TWO = {"field": {"poly": [-5, 0, 1]}, "S": [{"p": 2}]}
 # fundamental units 2143295 + 221064 sqrt 94 and
 # 1728148040 + 140634693 sqrt 151
 SQRT94_FIVE = {"field": {"poly": [-94, 0, 1]}, "S": [{"p": 5}]}
+SQRT103_FIVE = {"field": {"poly": [-103, 0, 1]}, "S": [{"p": 5}]}
 SQRT151_FIVE = {"field": {"poly": [-151, 0, 1]}, "S": [{"p": 5}]}
 # fundamental units of 16 and 251 digits
 SQRT331_THREE = {"field": {"poly": [-331, 0, 1]}, "S": [{"p": 3}]}
@@ -829,6 +830,69 @@ def test_each_stage_runs_once(tmp_path, monkeypatch):
     assert pairs() == {((1, 0, 1), (((1, 1), (0, 2)),)): 1,
                        ((-1, 1), (((2,),),)): 1}
     assert len(classify_calls) == 2 and len(cm_calls) == 2
+
+
+SKIP_OVER_7 = ("skipped the prime over 7 (q = 49): image 672 of 117600, "
+               "deg k = 1, P | m")
+
+
+def test_case1_primes_dividing_m_are_skipped_with_a_reason(tmp_path, capsys):
+    # Q(sqrt 94) and Q(sqrt 103) over 5 are valid case-1 instances whose
+    # image at the prime over 7 is SL2(F_7) <gamma>, 672 of 117600; 7
+    # divides the ladder's m, so verify skips that prime, says so on
+    # stderr, and reports ten others
+    for cfg in (SQRT94_FIVE, SQRT103_FIVE):
+        code, report = run(tmp_path, cfg, "verify")
+        captured = capsys.readouterr()
+        assert code == 0
+        assert [line for line in captured.err.splitlines()
+                if not line.startswith("done in")] == [SKIP_OVER_7]
+        assert captured.out == ""
+        ver = report["verification"]
+        assert ver["passed"] and ver["ladder"]["m"] % 7 == 0
+        assert len(ver["modp"]) == 10
+        assert 7 not in [e["p"] for e in ver["modp"]]
+        assert cli.main(["verify", "--config",
+                         write_config(tmp_path, cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (tmp_path / "report.json").read_text()
+        assert SKIP_OVER_7 in captured.err.splitlines()
+
+
+def test_verify_counts_each_prime_once_and_solves_each_stage_once(
+        tmp_path, monkeypatch):
+    # one image count per walked prime (in case 1 every walked prime is
+    # counted: ten reported, one skipped), and one HNF with transform per
+    # witness span and stage, the stages 0 .. J of each span a word
+    # reached; in case 1 the two sides are one span
+    counts = record_calls(monkeypatch, verification.image_order)
+    walked = record_calls(monkeypatch, verification.reduce_triple)
+    hnfs = record_calls(monkeypatch, linalg.hnf_with_transform)
+    per_word = []
+    witness = verification.elementary_witness
+
+    def counted(*args):
+        before = len(hnfs)
+        try:
+            return witness(*args)
+        finally:
+            per_word.append(len(hnfs) - before)
+
+    monkeypatch.setattr(verification, "elementary_witness", counted)
+    for cfg, case in ((SQRT103_FIVE, 1), (GAUSSIAN_TWO, 2)):
+        for calls in (counts, walked, per_word):
+            calls.clear()
+        code, report = run(tmp_path, cfg, "verify")
+        assert code == 0
+        ver = report["verification"]
+        stages = {}
+        for item in ver["witnesses"]["items"]:
+            span = "both" if case == 1 else item["side"]
+            stages[span] = max(stages.get(span, 0), item["stage"] + 1)
+        assert sum(per_word) == sum(stages.values())
+        assert len(counts) == len(ver["modp"]) + (case == 1)
+        if case == 1:
+            assert len(walked) == len(counts) == 11
 
 
 def test_one_field_per_run(tmp_path, monkeypatch):

@@ -187,6 +187,12 @@ READERS = {
     "sturm_chain": {"polys.sturm_chain", "polys.isolate_real_roots",
                     "field.create_field", "sunits import",
                     "sunits._totally_positive"},
+    # one HNF with transform per integral basis, per rational solve and
+    # per witness span and stage, which the span keeps
+    "hnf_with_transform": {"field.NumberField._build_ib_inv", "linalg.solve",
+                           "sunits import", "sunits.PowerSpan.presentation"},
+    # one image count per walked prime, in the walk that reports primes
+    "modp_surjectivity": {"verification.admissible_primes", "__init__ import"},
 }
 
 
@@ -242,7 +248,14 @@ MUTANTS = {
         "sunits: def zalpha_index(b, a, n): return PowerSpan(b, a, 1).index()",
         "generators: for k in range(sunits.LEVEL_BOUND): pass",
         "polys: def integer_roots(f): return sturm_chain(f)",
-        "field: def _irreducibility_screen(p): return polys.sturm_chain(p)"],
+        "field: def _irreducibility_screen(p): return polys.sturm_chain(p)",
+        "verification: def elementary_witness(s, x): return "
+        "hnf_with_transform(x)",
+        "verification: from .linalg import hnf_with_transform",
+        "sunits: def zalpha_index(b, a, n): return hnf_with_transform(b)",
+        "verification: def run_verification(t): return modp_surjectivity(t)",
+        "verification: def reduce_triple(t, M): return modp_surjectivity(M, t)",
+        "cli: from .verification import modp_surjectivity"],
 }
 
 

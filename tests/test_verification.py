@@ -9,14 +9,14 @@ import pytest
 
 from sgen2.errors import (ConfigInvalid, IdentityFailed, IndexDivisor,
                           InvariantViolated, NotInLattice, PrimeInS,
-                          VerificationFailure)
+                          SgenError, VerificationFailure)
 from sgen2.field import FieldElement, NumberField, create_field
 from sgen2.generators import build_generators
 from sgen2.ideals import ResidueMap, factor_rational_prime, residue_maps
 from sgen2.linalg import RatLattice, hnf
 from sgen2.polys import primes_below
 from sgen2.sunits import PrimeSet, element_lattice, s_unit_basis
-from sgen2 import cli, generators, ideals, polys, verification
+from sgen2 import cli, generators, ideals, polys, sunits, verification
 from sgen2.verification import (VERIFY_DEFAULTS, admissible_primes,
                                 elementary_witness, ideal_ladder,
                                 identity_suite, image_order,
@@ -794,14 +794,16 @@ def reduced(R, mats):
 
 def test_modp_count_matches_bfs_oracle():
     # every admissible prime (q <= 100) of the desk instances and of
-    # sqrt103_five, plus gaussian_two at 3, which no filter admits
+    # sqrt103_five, plus gaussian_two at 3, which no filter admits, and
+    # sqrt103_five at 7, which the P | m rule skips
     cases = []
     for make in DESK + [sqrt103_five]:
         t = triple(make)
-        cases += [(t, R, mats)
-                  for R, mats in admissible_primes(prove_shape(t), 10, 100)]
-    t = triple(gaussian_two)
-    cases += [(t,) + at(t, M) for M in residue_maps(t.field, 3, 100)]
+        cases += [(t,) + at(t, R)
+                  for R, _ in admissible_primes(prove_shape(t), 10, 100)]
+    for make, p in ((gaussian_two, 3), (sqrt103_five, 7)):
+        t = triple(make)
+        cases += [(t,) + at(t, M) for M in residue_maps(t.field, p, 100)]
     proper = []
     for t, R, mats in cases:
         rep = modp_surjectivity(R, mats)
@@ -1036,9 +1038,162 @@ def test_admissible_primes_honor_bound_above_100():
 
 def test_admissible_primes_all_pass():
     for make in ALL:
-        for R, mats in admissible_primes(shaped(make), 10, 100):
-            rep = modp_surjectivity(R, mats)
+        t = triple(make)
+        for R, rep in admissible_primes(prove_shape(t), 10, 100):
+            assert rep == modp_surjectivity(*at(t, R))
             assert rep["passed"], (make.__name__, R.p, rep["reached"])
+
+
+# ---------------------------------------------------------------------------
+# The P | m rule of the case-1 walk.
+
+def from_config(raw):
+    """The triple of a config as `verify` builds it."""
+    cfg = cli.validate_config(raw)
+    k = create_field(cfg["field"]["poly"], cfg["field"]["datasheet"])
+    return build_generators(k, cli.resolve_prime_set(k, cfg["S"]),
+                            h=cfg["h"]), cfg
+
+
+def walked_maps(t, bound):
+    """The ring maps of every prime with q <= bound over a rational p
+    that does not divide h and that no member of S lies over (there the
+    S-units have p in their denominators, and reduce_triple refuses)."""
+    schars = {P.p for P in t.S.finite}
+    return [R for p in primes_below(bound + 1)
+            if p not in schars and t.h % p
+            for R in residue_maps(t.field, p, bound)]
+
+
+def frobenius_degree(R, x):
+    """The least e with x^(p^e) = x, by repeated products alone."""
+    y, e = x, 0
+    while True:
+        z = 1
+        for _ in range(R.p):
+            z = R.mul(z, y)
+        y, e = z, e + 1
+        if y == x:
+            return e
+
+
+# the case-1 instances of the verify benchmark's ladder, which hold the
+# desk instances of that case, and Q(sqrt 94) over 5
+LEMMA_CONFIGS = [{"field": {"poly": poly}, "S": [{"p": p} for p in ps]}
+                 for poly, ps in (
+                     ([-1, 1], (2,)), ([1, 0, 1], (5,)), ([-5, 0, 1], (2,)),
+                     ([1, 0, 1], (5, 13, 17, 29)), ([-2, 0, 1], (7, 17, 23)),
+                     ([-1, 1], (2, 3, 5, 7, 11, 13)), ([-103, 0, 1], (5,)),
+                     ([-94, 0, 1], (5,)))]
+LEMMA_CONFIGS.append({"field": {"poly": [-2, 0, 1]},
+                      "S": [{"p": 7, "select": {"generator": [3, 1]}}]})
+
+
+def test_case1_lemma_gives_every_image_order():
+    # the image is SL2(k) <gamma> with k = F_p(a^2): |SL2(k)| when a is
+    # in k, twice that otherwise, at every prime with q <= 100
+    primes = proper = 0
+    for raw in LEMMA_CONFIGS:
+        t, _ = from_config(raw)
+        assert t.case_info.case == 1, raw
+        for R in walked_maps(t, 100):
+            mats = reduce_triple(t, R)
+            a = mats[0][0][0]
+            e = frobenius_degree(R, R.mul(a, a))
+            s = R.p ** e
+            order = s * (s * s - 1) * (1 if frobenius_degree(R, a) == e
+                                       else 2)
+            orbit, stabilizer = image_order(R, mats)
+            assert orbit * stabilizer == order, (raw, R.p, R.q)
+            primes += 1
+            proper += order < R.q * (R.q * R.q - 1)
+    # the two proper images are those of order 2 |SL2(F_7)| = 672 (a not
+    # in k = F_7) of Q(sqrt 103) and Q(sqrt 94) at q = 49
+    assert (primes, proper) == (199, 2)
+
+
+def test_wrong_m_still_raises_at_a_prime_not_dividing_m(monkeypatch):
+    # with the ladder's index cut to m / 7 the prime over 7 (q = 49, not
+    # onto) no longer divides m, so the walk must raise, not skip
+    t = triple(sqrt103_five)
+    m, lvl, seq = prove_shape(t).lower.index()
+    assert m % 7 == 0 and (m // 7) % 7
+    monkeypatch.setattr(sunits.PowerSpan, "index",
+                        lambda self: (m // 7, lvl, seq))
+    with pytest.raises(VerificationFailure,
+                       match=r"prime over 7 \(q = 49\) is not surjective: "
+                             r"672 of 117600"):
+        admissible_primes(prove_shape(t), 10, 100)
+    with pytest.raises(VerificationFailure, match="prime over 7"):
+        run_verification(t, VERIFY_DEFAULTS, 0, "search")
+
+
+# The case-2 census rows whose image at the prime over 3 (q = 9) is 120
+# of 720, SL2(F_5), although 3 does not divide the ladder's M (ROADMAP
+# item 21).  Census rules: the list never grows, and a fix that proves
+# the right ideal removes its rows.
+CASE2_OVER_3 = [
+    "Q(sqrt -1) over 2",
+    "Q(sqrt -1) over 2,7",
+    "Q(sqrt -1) over 7",
+    "Q(sqrt -10) over 2",
+    "Q(sqrt -10) over 2,5",
+    "Q(sqrt -10) over 5",
+    "Q(sqrt -13) over 2",
+    "Q(sqrt -13) over 2,5",
+    "Q(sqrt -13) over 5",
+    "Q(sqrt -19) over 2",
+    "Q(sqrt -22) over 2",
+    "Q(sqrt -22) over 2,5",
+    "Q(sqrt -22) over 2,7",
+    "Q(sqrt -22) over 5",
+    "Q(sqrt -22) over 7",
+    "Q(sqrt -34) over 2",
+    "Q(sqrt -37) over 2",
+    "Q(sqrt -37) over 2,5",
+    "Q(sqrt -37) over 2,7",
+    "Q(sqrt -37) over 5",
+    "Q(sqrt -37) over 7",
+    "Q(sqrt -43) over 2",
+    "Q(sqrt -43) over 2,5",
+    "Q(sqrt -43) over 2,7",
+    "Q(sqrt -43) over 5",
+    "Q(sqrt -43) over 7",
+    "Q(sqrt -46) over 2",
+    "Q(sqrt -46) over 2,7",
+    "Q(sqrt -46) over 7",
+    "Q(sqrt -55) over 5",
+    "Q(sqrt -58) over 2",
+    "Q(sqrt -58) over 2,5",
+    "Q(sqrt -58) over 2,7",
+    "Q(sqrt -58) over 5",
+    "Q(sqrt -58) over 7",
+    "Q(sqrt -7) over 5",
+    "Q(sqrt -7) over 7",
+]
+
+
+def test_non_onto_images_sit_at_primes_dividing_the_ladder():
+    # every census row whose ladder completes, every prime with q <= 50:
+    # an image that is not onto needs p | m (case 1) or p | M (case 2)
+    import census
+    cases, exceptions = [], []
+    for name, raw in census.rows():
+        try:
+            t, cfg = from_config(raw)
+            lad = ideal_ladder(prove_shape(t), cfg["N"])
+        except SgenError:
+            continue
+        cases.append(lad["case"])
+        n = lad["m"] if lad["case"] == 1 else lad["M"]
+        for R in walked_maps(t, 50):
+            if n % R.p:
+                orbit, stabilizer = image_order(R, reduce_triple(t, R))
+                if orbit * stabilizer < R.q * (R.q * R.q - 1):
+                    exceptions.append((name, lad["case"], R.q,
+                                       orbit * stabilizer))
+    assert (cases.count(1), cases.count(2)) == (479, 164)
+    assert sorted(exceptions) == [(name, 2, 9, 120) for name in CASE2_OVER_3]
 
 
 # ---------------------------------------------------------------------------
