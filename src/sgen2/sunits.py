@@ -22,6 +22,10 @@ Exponent vectors of S-units are read modulo torsion: the unit left
 after the discrete log is torsion when FieldElement.is_root_of_unity
 says so, the one finite-order test of the package.
 
+One walk enumerates exponent vectors by shells of largest |exponent|
+(_exponent_shells): the unit discrete log reads shells 0 .. DLOG_BOUND
+(one unit) or 0 .. 8 (more), the alpha search shells 1 .. MAX_SHELL.
+
 Alpha is selected by exhaustive shell search over exponent vectors,
 rejecting vectors that fall into the rational span of the unit groups
 of intermediate fields (the W test) and vectors that miss a required
@@ -51,7 +55,7 @@ from .linalg import RatLattice, hnf, hnf_with_transform
 from .polys import count_roots_in, root_bound, sturm_chain
 
 # Work bounds: alpha-search exponent shells, the n of the [O_S : Z[alpha^n]]
-# table, filtration levels, and the window of the unit discrete log.
+# table, filtration levels, and the unit discrete log's shells for rank 1.
 MAX_SHELL = 32
 INDEX_EXPONENTS = (1, 2, 3)
 LEVEL_BOUND = 12
@@ -411,32 +415,23 @@ def exponent_vector(sbasis, w, valuations):
     Exact: with e_i = v_i / a_i, the residual w^M prod beta_i^(-e_i M)
     has valuation M (v_(P_i)(w) - v_i) at P_i and 0 outside S, so it is a
     unit, or InvariantViolated is raised, exactly when every v_i is
-    right; the unit is resolved by bounded search with exact equality."""
+    right.  The unit is resolved by exact equality over the shells 0 ..
+    DLOG_BOUND (one fundamental unit) or 0 .. 8 (more) of the alpha
+    search's walk; the units are independent (asserted for datasheet
+    fields), so at most one vector passes, whatever the order."""
     beta_exps = [Fraction(v, wit.order)
                  for v, wit in zip(valuations, sbasis.class_witnesses)]
-    M = 1
-    for e in beta_exps:
-        M = M * e.denominator // gcd(M, e.denominator)
+    M = lcm(*(e.denominator for e in beta_exps))
     r = w ** M
     for b, e in zip(sbasis.s_gens, beta_exps):
         r = r * b ** (-int(e * M))
     if not (r.is_integral() and abs(r.norm()) == 1):
         raise InvariantViolated("residual must be a unit")
     nf = len(sbasis.fund_units)
-    if nf == 1:
-        eps = sbasis.fund_units[0]
-        for k in range(DLOG_BOUND + 1):
-            for kk in ((k, -k) if k else (0,)):
-                t = r * eps ** (-kk)
-                if t.is_root_of_unity():
-                    return (Fraction(kk, M),) + tuple(beta_exps)
-        raise SearchExhausted("unit discrete log out of range")
-    for combo in itertools.product(range(-8, 9), repeat=nf):
-        t = r
-        for e, eps in zip(combo, sbasis.fund_units):
-            t = t * eps ** (-e)
+    for cf, _ in _exponent_shells(nf, 0, 0, DLOG_BOUND if nf == 1 else 8):
+        t = prod((u ** -e for e, u in zip(cf, sbasis.fund_units)), start=r)
         if t.is_root_of_unity():
-            return tuple(Fraction(e, M) for e in combo) + tuple(beta_exps)
+            return tuple(Fraction(e, M) for e in cf) + tuple(beta_exps)
     raise SearchExhausted("unit discrete log out of range")
 
 
@@ -472,11 +467,16 @@ class AlphaCertificate:
         }
 
 
-def _fund_exponent_sequence(shell):
-    out = [0]
-    for k in range(1, shell + 1):
-        out.extend((k, -k))
-    return out
+def _exponent_shells(nf, nb, first, last):
+    """The one exponent walk: (cf, cb) over shells first .. last, shell s
+    holding the vectors whose largest |exponent| is s, cb in [1, s]^nb
+    outer, cf inner, each cf_i in the order 0, 1, -1, ..., s, -s."""
+    for shell in range(first, last + 1):
+        seq = [0] + [k * sign for k in range(1, shell + 1) for sign in (1, -1)]
+        for cb in itertools.product(range(1, shell + 1), repeat=nb):
+            for cf in itertools.product(seq, repeat=nf):
+                if max(map(abs, cf + cb), default=0) == shell:
+                    yield cf, cb
 
 
 def choose_alpha(field, S, sbasis, ranks):
@@ -487,10 +487,11 @@ def choose_alpha(field, S, sbasis, ranks):
     sbasis is the S-unit basis of field over S, and ranks the
     SubfieldRank of each subfield to avoid.
 
-    Deterministic: candidates are enumerated by max-exponent shells,
-    with inverse class-generator exponents >= 1 throughout (which settles
-    the V-type conditions), fundamental-unit exponents in the order
-    0, 1, -1, 2, -2, ..., and the torsion exponent last.
+    Deterministic: candidates are enumerated by _exponent_shells over
+    shells 1 .. MAX_SHELL, with inverse class-generator exponents >= 1
+    throughout (which settles the V-type conditions), fundamental-unit
+    exponents in the order 0, 1, -1, 2, -2, ..., and the torsion exponent
+    last.
     """
     rank = sbasis.rank
     for sr in ranks:
@@ -512,33 +513,28 @@ def choose_alpha(field, S, sbasis, ranks):
     tried = 0
     rejected_span = 0
     rejected_degree = 0
-    for shell in range(1, MAX_SHELL + 1):
-        for cb in itertools.product(range(1, shell + 1), repeat=nb):
-            for cf in itertools.product(_fund_exponent_sequence(shell), repeat=nf):
-                top = max([abs(c) for c in cf] + list(cb) + [0])
-                if top != shell:
-                    continue
-                tried += 1
-                vec = list(cf) + [-c for c in cb]
-                if any(len(hnf(rows + [vec])) == span_rank
-                       for _, _, rows, span_rank, _ in spans):
-                    rejected_span += 1
-                    continue
-                units, beta_part = field.one, field.one
-                for e, fu in zip(cf, sbasis.fund_units):
-                    units = units * fu ** e
-                for e, b in zip(cb, sbasis.s_gens):
-                    beta_part = beta_part * b ** (-e)
-                for c0 in range(w):
-                    u = sbasis.torsion_gen ** c0 * units
-                    alpha = u * beta_part
-                    mp = alpha.minimal_poly()
-                    if len(mp) - 1 != field.degree:
-                        rejected_degree += 1
-                        continue
-                    return _certify_alpha(field, S, sbasis, alpha, u, c0, cf,
-                                          cb, mp, spans, vec, tried,
-                                          rejected_span, rejected_degree)
+    for cf, cb in _exponent_shells(nf, nb, 1, MAX_SHELL):
+        tried += 1
+        vec = list(cf) + [-c for c in cb]
+        if any(len(hnf(rows + [vec])) == span_rank
+               for _, _, rows, span_rank, _ in spans):
+            rejected_span += 1
+            continue
+        units, beta_part = field.one, field.one
+        for e, fu in zip(cf, sbasis.fund_units):
+            units = units * fu ** e
+        for e, b in zip(cb, sbasis.s_gens):
+            beta_part = beta_part * b ** (-e)
+        for c0 in range(w):
+            u = sbasis.torsion_gen ** c0 * units
+            alpha = u * beta_part
+            mp = alpha.minimal_poly()
+            if len(mp) - 1 != field.degree:
+                rejected_degree += 1
+                continue
+            return _certify_alpha(field, S, sbasis, alpha, u, c0, cf, cb, mp,
+                                  spans, vec, tried, rejected_span,
+                                  rejected_degree)
     raise SearchExhausted(f"no alpha within exponent shells up to {MAX_SHELL}")
 
 

@@ -4,7 +4,8 @@ with the frozen table tests/census_expected.json.
     PYTHONPATH=src python3 tests/census.py            # check the table
     PYTHONPATH=src python3 tests/census.py --freeze   # rewrite it
 
-Each row runs in-process through cli.main, stopped after LIMIT_S seconds.
+Each row runs in-process through cli.main, stopped after LIMIT_S seconds;
+the SLOWEST slowest rows are printed with their seconds after the tally.
 Its outcome is the exit code and the error class that cli.main names on
 stderr: [0, null] for a report, [null, "Timeout"] past the limit.  The
 file is not collected by the tier-1 suite.
@@ -33,6 +34,7 @@ from test_field import ZETA5_CLASS_ORDER, ZETA5_DATASHEET
 EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "census_expected.json")
 LIMIT_S = 5
+SLOWEST = 5  # rows whose seconds follow the tally line
 PRIME_SETS = [(2,), (3,), (5,), (7,), (2, 3), (2, 5), (3, 5), (2, 7)]
 IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 IDENTITY_4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -156,10 +158,12 @@ def outcome(cfg, workdir):
 def main(argv):
     signal.signal(signal.SIGALRM, _on_alarm)
     started = time.monotonic()
-    got = {}
+    got, seconds = {}, {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, cfg in rows():
+            row_started = time.monotonic()
             got[name] = outcome(cfg, workdir)
+            seconds[name] = time.monotonic() - row_started
     elapsed = time.monotonic() - started
     if "--freeze" in argv:
         with open(EXPECTED, "w") as fh:
@@ -173,6 +177,9 @@ def main(argv):
         tally[key] = tally.get(key, 0) + 1
     print(f"{len(got)} rows in {elapsed:.1f}s: "
           + ", ".join(f"{n} {k}" for k, n in sorted(tally.items(), key=str)))
+    print("slowest rows: " + "; ".join(
+        f"{name} {seconds[name]:.2f}s"
+        for name in sorted(seconds, key=seconds.get, reverse=True)[:SLOWEST]))
     bad = [f"{name}: expected {expected.get(name)}, got {got.get(name)}"
            for name in sorted(set(expected) | set(got))
            if expected.get(name) != got.get(name)]

@@ -193,6 +193,10 @@ READERS = {
                            "sunits import", "sunits.PowerSpan.presentation"},
     # one image count per walked prime, in the walk that reports primes
     "modp_surjectivity": {"verification.admissible_primes", "__init__ import"},
+    # one exponent walk, which the alpha search and the unit discrete log
+    # share; the discrete log alone reads its radius
+    "itertools.product": {"sunits._exponent_shells"},
+    "DLOG_BOUND": {"sunits", "sunits.exponent_vector"},
 }
 
 
@@ -255,7 +259,14 @@ MUTANTS = {
         "sunits: def zalpha_index(b, a, n): return hnf_with_transform(b)",
         "verification: def run_verification(t): return modp_surjectivity(t)",
         "verification: def reduce_triple(t, M): return modp_surjectivity(M, t)",
-        "cli: from .verification import modp_surjectivity"],
+        "cli: from .verification import modp_surjectivity",
+        "sunits: def exponent_vector(b, w, v): "
+        "return itertools.product(range(-8, 9), repeat=2)",
+        "sunits: def choose_alpha(f, n): return itertools.product(f, repeat=n)",
+        "verification: from itertools import product",
+        "sunits: def choose_alpha(f, S): return DLOG_BOUND",
+        "generators: for k in range(sunits.DLOG_BOUND): pass",
+        "cli: from .sunits import DLOG_BOUND"],
 }
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,7 +10,7 @@ from sgen2.field import _torsion_units, create_field
 from sgen2.generators import build_generators
 from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice
-from sgen2 import linalg, sunits, verification
+from sgen2 import cli, linalg, sunits, verification
 from sgen2.sunits import (PrimeSet, SubfieldRank,
                           contract_prime_set, default_subfields,
                           element_lattice, exponent_vector, is_cm,
@@ -20,6 +21,7 @@ import oracles
 from instances import (ALL, DESK, gaussian_five, gaussian_two, rational_two,
                        search_alpha, sqrt2_seven, sqrt5_two, zeta5_nofinite)
 from test_field import ZETA5_CLASS_ORDER, ZETA5_DATASHEET
+from test_verification import shanks_cubic
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +300,75 @@ def test_exponent_vector_with_fundamental_part():
     assert exponent_vector(sb, w, [2]) == (Fraction(3), Fraction(2))
     assert exponent_vector(sb, sb.fund_units[0] ** -5, [0]) == (
         Fraction(-5), Fraction(0))
+
+
+def test_exponent_shells_walk_the_box_shell_by_shell():
+    # shell s holds the vectors whose largest |exponent| is s, cb outer
+    # and cf inner in the order 0, 1, -1, 2, -2, ...
+    walk = sunits._exponent_shells
+    assert list(walk(1, 1, 1, 2)) == [
+        ((0,), (1,)), ((1,), (1,)), ((-1,), (1,)),
+        ((2,), (1,)), ((-2,), (1,)),
+        ((0,), (2,)), ((1,), (2,)), ((-1,), (2,)), ((2,), (2,)), ((-2,), (2,))]
+    assert list(walk(0, 0, 0, 8)) == [((), ())]
+    cfs = [cf for cf, cb in walk(2, 0, 0, 8)]
+    assert len(cfs) == len(set(cfs)) == 17 ** 2
+    assert max(map(abs, cfs[-1])) == 8
+
+
+def test_exponent_vector_edges_of_the_rank_one_walk():
+    # one fundamental unit: shells 0 .. DLOG_BOUND = 64
+    k, S = sqrt5_two()
+    sb = s_unit_basis(k, S)
+    eps = sb.fund_units[0]
+    assert sunits.DLOG_BOUND == 64
+    assert exponent_vector(sb, eps ** 64, [0]) == (Fraction(64), Fraction(0))
+    assert exponent_vector(sb, -eps ** -64, [0]) == (Fraction(-64),
+                                                     Fraction(0))
+    with pytest.raises(SearchExhausted, match="unit discrete log out of range"):
+        exponent_vector(sb, eps ** 65, [0])
+
+
+def test_exponent_vector_edges_of_the_rank_two_walk():
+    # two fundamental units, t and t + 1 of the a = -1 Shanks sheet:
+    # shells 0 .. 8
+    k = shanks_cubic(-1)
+    sb = s_unit_basis(k, PrimeSet(k, []))
+    t, t1 = sb.fund_units
+    assert exponent_vector(sb, t ** 8 * t1 ** -8, []) == (Fraction(8),
+                                                          Fraction(-8))
+    with pytest.raises(SearchExhausted, match="unit discrete log out of range"):
+        exponent_vector(sb, t ** 9, [])
+    # outside the radius as well; a discrete log read off the logarithmic
+    # embedding, with no radius, gives (12, -9) here (ROADMAP item 22)
+    with pytest.raises(SearchExhausted, match="unit discrete log out of range"):
+        exponent_vector(sb, t ** 12 * t1 ** -9, [])
+
+
+def test_subfield_unit_vectors_rebuild_their_elements_on_shanks_sheets():
+    # every census Shanks sheet: w^M prod eps^(-e M) prod beta^(-f M) is
+    # a root of unity, by exact products, for each vector unit_vectors
+    # returns and the element its label names
+    import census
+    checked = 0
+    for name, raw in census.rows():
+        if not name.startswith("simplest cubic"):
+            continue
+        cfg = cli.validate_config(raw)
+        k = create_field(cfg["field"]["poly"], cfg["field"]["datasheet"])
+        S = cli.resolve_prime_set(k, cfg["S"])
+        sb = s_unit_basis(k, S)
+        for F in default_subfields(k):
+            vectors, labels = SubfieldRank(S, F).unit_vectors(sb)
+            for vec, label in zip(vectors, labels):
+                w = k.element([Fraction(c) for c in label["element"]])
+                M = lcm(*(x.denominator for x in vec))
+                r = w ** M
+                for g, e in zip(sb.fund_units + sb.s_gens, vec):
+                    r = r * g ** int(-e * M)
+                assert r.is_root_of_unity(), (name, vec)
+                checked += 1
+    assert checked == 126
 
 
 def test_subfield_unit_vectors_sqrt5():
