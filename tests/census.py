@@ -43,8 +43,22 @@ IDENTITY_4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 SHANKS_A = (-1, 0, 1, 2, 4, 7, 8)
 SHANKS_PRIME_SETS = ([(p,) for p in (2, 3, 5, 7, 11, 13)]
                      + list(itertools.combinations((2, 3, 5, 7), 2)))
-# generators are searched among the elements with coordinates in this box
-SHANKS_BOX = range(-3, 4)
+# Fields of class number 1 on the basis 1, t, ..., over the Shanks prime
+# sets: (row name, poly, fundamental units, subfields as (poly,
+# embedding)).  The two cyclotomic quartics are CM; x^3 - x - 1 (disc
+# -23, Z[t] maximal) is the non-Galois cubic with unit t.
+CLASS_NUMBER_ONE = [
+    ("Q(zeta8)", [1, 0, 0, 0, 1], [[1, 1, 0, -1]],  # 1 + sqrt 2
+     [([-2, 0, 1], [0, 1, 0, -1]), ([1, 0, 1], [0, 0, 1, 0]),
+      ([2, 0, 1], [0, 1, 0, 1])]),
+    ("Q(zeta12)", [1, 0, -1, 0, 1], [[1, -1, 0, 0]],
+     [([-3, 0, 1], [0, 2, 0, -1]), ([1, 0, 1], [0, 0, 0, 1]),
+      ([3, 0, 1], [-1, 0, 2, 0])]),
+    ("x^3 - x - 1", [-1, -1, 0, 1], [[0, 1, 0]], []),
+]
+# class-order generators are searched shell by shell: the coordinate
+# vectors whose largest |coordinate| is r, for r up to this radius
+GENERATOR_RADIUS = 6
 
 
 def _squarefree(d):
@@ -58,26 +72,35 @@ def _config(poly, primes, datasheet=None):
     return {"field": field, "S": [{"p": p} for p in primes]}
 
 
-def _shanks_sheet(a, primes):
-    """The datasheet of x^3 - a x^2 - (a + 3) x - 1 over the given primes.
+def _shells(n):
+    """The integer vectors of length n by shells: largest |coordinate| r =
+    0, 1, ..., GENERATOR_RADIUS, each shell in increasing order."""
+    for r in range(GENERATOR_RADIUS + 1):
+        yield from sorted(c for c in itertools.product(range(-r, r + 1),
+                                                       repeat=n)
+                          if max(map(abs, c)) == r)
 
-    disc f_a = (a^2 + 3a + 9)^2 is the field discriminant for these a, so
-    1, t, t^2 is an integral basis, and t, t + 1 are fundamental units
-    (Thomas 1979).  Each prime P over the given primes gets class order
-    1 with a generator: p itself when p is inert, otherwise the first
-    element of norm +-N(P) in P among the coordinates in SHANKS_BOX,
-    smallest first.  A prime with no generator there is left out, and
-    create_field then names it.
+
+def _sheet(poly, units, subfields, primes):
+    """The datasheet of poly on the basis 1, t, ..., t^(n-1) with these
+    fundamental units and subfields, over the given primes.
+
+    The field must have class number 1.  Each prime P over the given
+    primes gets class order 1 with a generator: p itself when p is
+    inert, otherwise the first element of norm +-N(P) in P by _shells.
+    A prime with no generator there is left out, and create_field then
+    names it.
     """
-    sheet = {"integral_basis": IDENTITY_3,
-             "fundamental_units": [[0, 1, 0], [1, 1, 0]], "subfields": []}
-    field = create_field([-1, -(a + 3), -a, 1], dict(sheet, class_orders=[]))
-    box = sorted(itertools.product(SHANKS_BOX, repeat=3),
-                 key=lambda c: (max(map(abs, c)), c))
+    n = len(poly) - 1
+    sheet = {"integral_basis": [[int(i == j) for j in range(n)]
+                                for i in range(n)],
+             "fundamental_units": units,
+             "subfields": [{"poly": f, "embedding": e} for f, e in subfields]}
+    field = create_field(poly, dict(sheet, class_orders=[]))
     orders = []
     for p in primes:
         for P in factor_rational_prime(field, p):
-            candidates = [(p, 0, 0)] if P.f == 3 else box
+            candidates = [(p,) + (0,) * (n - 1)] if P.f == n else _shells(n)
             for coords in candidates:
                 x = field.element(coords)
                 if abs(x.norm()) == P.norm and P.contains(x):
@@ -85,6 +108,14 @@ def _shanks_sheet(a, primes):
                                    "order": 1, "generator": list(coords)})
                     break
     return dict(sheet, class_orders=orders)
+
+
+def _shanks_sheet(a, primes):
+    """The datasheet of x^3 - a x^2 - (a + 3) x - 1 over the given primes:
+    disc f_a = (a^2 + 3a + 9)^2 is the field discriminant for these a, so
+    1, t, t^2 is an integral basis, and t, t + 1 are fundamental units
+    (Thomas 1979)."""
+    return _sheet([-1, -(a + 3), -a, 1], [[0, 1, 0], [1, 1, 0]], [], primes)
 
 
 def rows():
@@ -124,6 +155,17 @@ def rows():
                         f"{','.join(map(str, primes))}",
                         _config([-1, -(a + 3), -a, 1], primes,
                                 _shanks_sheet(a, primes))))
+    for name, poly, units, subfields in CLASS_NUMBER_ONE:
+        for primes in SHANKS_PRIME_SETS:
+            out.append((f"{name} over {','.join(map(str, primes))}",
+                        _config(poly, primes,
+                                _sheet(poly, units, subfields, primes))))
+    # 2 + sqrt 3 = -t (1 - t)^-2: a square up to a root of unity, so not
+    # a fundamental unit
+    name, poly, _, subfields = CLASS_NUMBER_ONE[1]
+    out.append((f"{name} over 5, unit 2 + sqrt 3",
+                _config(poly, (5,), _sheet(poly, [[2, 2, 0, -1]], subfields,
+                                           (5,)))))
     return out
 
 
