@@ -12,7 +12,9 @@ chosen in F for the contracted prime set and psi2 picks up sqrt(-d):
     psi2 = [[1, h*sqrt(-d)], [0, 1]].
 
 The triple is data: three determinant-checked SL2Elements with no group
-operations.  This module is the one 2x2 layer over K (helpers below).
+operations.  This module builds every 2x2 matrix over K (e21, e12 and
+the triple), and no module multiplies two of them: verification reads
+the entries of the proved shapes.
 """
 
 from .errors import HypothesisFails, InconsistentCM
@@ -22,9 +24,7 @@ from .sunits import (SubfieldRank, choose_alpha, default_subfields, is_cm,
 
 # ---------------------------------------------------------------------------
 # 2x2 matrices over K, as rows of FieldElements.  The shapes E21 and E12
-# are built here only; m2_mul and m2_inv serve the two CM identities of
-# verification.identity_suite, whose conjugators have determinant != 1
-# and so stay plain tuples.
+# are built here only.
 
 def e21(field, x):
     return ((field.one, field.zero), (x, field.one))
@@ -32,19 +32,6 @@ def e21(field, x):
 
 def e12(field, x):
     return ((field.one, x), (field.zero, field.one))
-
-
-def m2_mul(x, y):
-    (a, b), (c, d) = x
-    (e, f), (g, h) = y
-    return ((a * e + b * g, a * f + b * h),
-            (c * e + d * g, c * f + d * h))
-
-
-def m2_inv(x):
-    (a, b), (c, d) = x
-    inv = (a * d - b * c).inverse()
-    return ((d * inv, -b * inv), (-c * inv, a * inv))
 
 
 class SL2Element:

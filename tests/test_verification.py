@@ -16,7 +16,7 @@ from sgen2.ideals import ResidueMap, factor_rational_prime, residue_maps
 from sgen2.linalg import RatLattice, hnf
 from sgen2.polys import primes_below
 from sgen2.sunits import PrimeSet, element_lattice, s_unit_basis
-from sgen2 import cli, generators, ideals, polys, sunits, verification
+from sgen2 import cli, ideals, polys, sunits, verification
 from sgen2.verification import (VERIFY_DEFAULTS, admissible_primes,
                                 elementary_witness, ideal_ladder,
                                 identity_suite, image_order,
@@ -73,6 +73,55 @@ def test_case2_n_identity_value():
     for m in (u, oracles.pm_pow(k, g, -1), oracles.pm_pow(k, u, -1), g):
         lhs = oracles._pm_mul(k, lhs, m)
     assert lhs == (([1, 0], [0, 0]), ([0, Fraction(-3, 4)], [1, 0]))
+
+
+def test_case2_identities_hold_for_every_nonzero_h_and_sigma():
+    # identity_suite checks neither CM identity: with tau = h sigma, t =
+    # 1/tau and c = -tau^2 h both hold entrywise for any nonzero h and
+    # sigma in K.  Random draws, multiplied out in the oracle's
+    # power-basis products
+    rng = random.Random(39)
+    for make in (gaussian_two, sqrt5_two, zeta5_nofinite):
+        k = make()[0]
+        one, zero = k.one, k.zero
+
+        def draw():
+            while True:
+                x = k.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for _ in range(k.degree)])
+                if x != zero:
+                    return x
+
+        def mul(*ms):
+            out = ms[0]
+            for m in ms[1:]:
+                out = oracles._pm_mul(k, out, m)
+            return out
+
+        def conj(a, x):
+            return mul(a, x, oracles._pm_inv(k, a))
+
+        def e21(x):
+            return oracles.pm_rows(((one, zero), (x, one)))
+
+        def e12(x):
+            return oracles.pm_rows(((one, x), (zero, one)))
+
+        for _ in range(30):
+            sigma, h = draw(), draw()
+            tau = h * sigma
+            t, c = tau.inverse(), -(tau * tau * h)
+            u = e21(t)
+            w = mul(oracles.pm_rows(((one, zero), (zero, sigma.inverse()))),
+                    e12(t))
+            lhs = conj(e12(tau), e21(h))
+            assert lhs == oracles.pm_rows(((one + tau * h, c),
+                                           (h, one - tau * h)))
+            assert lhs == conj(u, e12(c))
+            lhs = conj(e21(h), e12(tau))
+            assert lhs == oracles.pm_rows(((one - h * tau, tau),
+                                           (-(h * h * tau), one + h * tau)))
+            assert lhs == conj(w, e21(c))
 
 
 def tampered(t, **changes):
@@ -228,7 +277,7 @@ def test_identity_suite_work_is_independent_of_the_windows(monkeypatch):
         rep = identity_suite(shape, window, window, N_RANGE)
         counts.append(calls)
         assert rep["exponent_identities"] == 4 + 2 * len(window) ** 2
-    assert 0 < counts[0] == counts[1]
+    assert counts == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -406,28 +455,18 @@ def test_witness_rejects_a_wrong_sum(monkeypatch):
         elementary_witness(shape, shape.triple.field.one, "lower")
 
 
-def test_witness_makes_no_matrix_products(monkeypatch):
+def test_witness_makes_no_matrix_products():
+    # src/sgen2 has no 2x2 product over K to call (source rule readers,
+    # rows m2_mul and m2_inv); the words come from the proved shapes
     t = triple(gaussian_five)
     shape = prove_shape(t)
     k = t.field
-    calls = []
-    m2_mul = generators.m2_mul
-
-    def counted(*args):
-        calls.append(args)
-        return m2_mul(*args)
-
-    monkeypatch.setattr(generators, "m2_mul", counted)
     a2 = t.alpha_in_K ** 2
     words = 0
     for x in (k.one + a2 * 3, a2 * a2 * 2 - k.one, k.from_rational(t.h)):
         for side in ("lower", "upper"):
             words += len(elementary_witness(shape, x, side).word)
-    assert words > 0 and not calls
-    # the counter sees the calls it is meant to see: the CM
-    # conjugations of a case-2 triple still multiply matrices
-    identity_suite(shaped(gaussian_two), WINDOW, WINDOW, N_RANGE)
-    assert calls
+    assert words > 0
 
 
 def test_witness_serialize():
