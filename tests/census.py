@@ -56,6 +56,9 @@ CLASS_NUMBER_ONE = [
       ([3, 0, 1], [-1, 0, 2, 0])]),
     ("x^3 - x - 1", [-1, -1, 0, 1], [[0, 1, 0]], []),
 ]
+# the first 16 primes; Q(i) is run over the first n of them for each n
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+FIRST_PRIMES_COUNTS = (12, 13, 14, 15, 16)
 # class-order generators are searched shell by shell: the coordinate
 # vectors whose largest |coordinate| is r, for r up to this radius
 GENERATOR_RADIUS = 6
@@ -166,6 +169,10 @@ def rows():
     out.append((f"{name} over 5, unit 2 + sqrt 3",
                 _config(poly, (5,), _sheet(poly, [[2, 2, 0, -1]], subfields,
                                            (5,)))))
+    # Q(i) over the first n primes, up to MAX_S_ENTRIES of them
+    for n in FIRST_PRIMES_COUNTS:
+        out.append((f"Q(i) over the first {n} primes",
+                    _config([1, 0, 1], FIRST_PRIMES[:n])))
     return out
 
 
