@@ -9,10 +9,11 @@ Five subcommands, each a strict superset of the previous one's work:
 * ``examples``  two built-in instances checked against stored values
 
 All commands except ``examples`` read a JSON config via ``--config``.
-The report is JSON with ``"schema": 1`` written to stdout (or ``--out``)
-by write_report, in the bytes of ``json.dumps(report, indent=2,
-sort_keys=True)``, and is byte-identical across runs of the same config:
-anything nondeterministic (wall clock) goes to stderr.  Exit codes:
+The report is JSON with ``"schema": 1``, its sections all built here
+(run_instance, analysis_section) with each repeated one a shared object,
+written to stdout (or ``--out``) by write_report, in the bytes of
+``json.dumps(report, indent=2, sort_keys=True)``; it is byte-identical
+across runs of the same config: wall clock goes to stderr.  Exit codes:
 0 success, 1 malformed input, 2 a hypothesis or search genuinely fails,
 3 a verification check fails.
 """
@@ -227,17 +228,24 @@ def resolve_prime_set(field, entries):
 # Report assembly.
 
 def analysis_section(field, S, info):
-    rank_table = [{"poly": list(sr.F.subfield.poly),
-                   "rank_of_intersection": sr.rank,
-                   "subfield_s_unit_rank": sr.SF.card - 1}
-                  for sr in info.subfields]
+    """The analysis section: rank_table rows extend classification's."""
+    s_units = info.sbasis.serialize()
+    ranks = [{"poly": list(sr.F.subfield.poly),
+              "rank_of_intersection": sr.rank} for sr in info.subfields]
+    rank_table = [dict(row, subfield_s_unit_rank=sr.SF.card - 1)
+                  for row, sr in zip(ranks, info.subfields)]
+    cm = info.cm.serialize() if info.cm is not None else None
+    classification = {"case": info.case, "s_unit_rank": s_units["rank"],
+                      "subfield_ranks": ranks}
+    if cm is not None:
+        classification["cm"] = cm
     return {
         "field": field.serialize(),
         "S": S.serialize(),
-        "s_units": info.sbasis.serialize(),
+        "s_units": s_units,
         "rank_table": rank_table,
-        "cm": info.cm.serialize() if info.cm is not None else None,
-        "classification": info.serialize(),
+        "cm": cm,
+        "classification": classification,
     }
 
 
@@ -267,6 +275,9 @@ def work_counters(report):
 
 
 def run_instance(cfg, command):
+    """The report of command on the validated config cfg.  What schema 1
+    repeats (triple.classification, triple.alpha, triple.alpha_in_K and
+    classification.cm) is one shared object, serialized once."""
     field = create_field(cfg["field"]["poly"], cfg["field"]["datasheet"])
     S = resolve_prime_set(field, cfg["S"])
     if command == "analyze":
@@ -275,22 +286,33 @@ def run_instance(cfg, command):
         triple = build_generators(field, S, h=cfg["h"])
         info = triple.case_info
 
+    analysis = analysis_section(field, S, info)
     report = {
         "schema": 1,
         "command": command,
         "instance": cfg,
-        "analysis": analysis_section(field, S, info),
+        "analysis": analysis,
     }
     if command != "analyze":
         alpha = {
             "certificate": triple.alpha_cert.serialize(),
             "search_field": list(triple.alpha_cert.field.poly),
         }
-        if triple.case_info.case == 2:
+        if info.case == 2:
             alpha["alpha_in_K"] = triple.alpha_in_K.serialize()
         report["alpha"] = alpha
     if command in ("generate", "verify"):
-        report["triple"] = triple.serialize()
+        report["triple"] = section = {
+            "case": info.case,
+            "h": triple.h,
+            "classification": analysis["classification"],
+            "alpha": alpha["certificate"],
+            "gamma": triple.gamma.serialize(),
+            "psi1": triple.psi1.serialize(),
+            "psi2": triple.psi2.serialize(),
+        }
+        if info.case == 2:
+            section["alpha_in_K"] = alpha["alpha_in_K"]
     if command == "verify":
         report["verification"] = run_verification(
             triple, cfg["verify"], cfg["seed"], cfg["N"])

@@ -11,10 +11,10 @@ chosen in F for the contracted prime set and psi2 picks up sqrt(-d):
 
     psi2 = [[1, h*sqrt(-d)], [0, 1]].
 
-The triple is data: three determinant-checked SL2Elements with no group
-operations.  This module builds every 2x2 matrix over K (e21, e12 and
-the triple), and no module multiplies two of them: verification reads
-the entries of the proved shapes.
+CaseInfo and the triple are data that cli lays out; the triple is three
+determinant-checked SL2Elements with no group operations.  This module
+builds every 2x2 matrix over K (e21, e12 and the triple), and no module
+multiplies two of them: verification reads the proved shapes.
 """
 
 from .errors import HypothesisFails, InconsistentCM
@@ -61,33 +61,17 @@ class SL2Element:
 class CaseInfo:
     """What classification computed: the S-unit basis, the SubfieldRank
     of each subfield consulted, the CM structure (or None), and in case 2
-    the subfield alpha is chosen in."""
+    the SubfieldRank that attains the rank bound (None in case 1), whose
+    F alpha is chosen in and whose SF is S(F)."""
 
-    __slots__ = ("case", "sbasis", "subfields", "cm", "case2_subfield")
+    __slots__ = ("case", "sbasis", "subfields", "cm", "case2")
 
-    def __init__(self, case, sbasis, subfields, cm, case2_subfield):
+    def __init__(self, case, sbasis, subfields, cm, case2):
         self.case = case
         self.sbasis = sbasis
         self.subfields = subfields
         self.cm = cm
-        self.case2_subfield = case2_subfield
-
-    @property
-    def rank(self):
-        return self.sbasis.rank
-
-    def serialize(self):
-        out = {
-            "case": self.case,
-            "s_unit_rank": self.rank,
-            "subfield_ranks": [
-                {"poly": list(sr.F.subfield.poly),
-                 "rank_of_intersection": sr.rank}
-                for sr in self.subfields],
-        }
-        if self.cm is not None:
-            out["cm"] = self.cm.serialize()
-        return out
+        self.case2 = case2
 
 
 def classify_case(field, S):
@@ -131,7 +115,7 @@ def classify_case(field, S):
         raise HypothesisFails(
             "a finite prime below S splits in K, which contradicts the "
             "attained rank bound")
-    return CaseInfo(2, sbasis, ranks, cm, chosen.F)
+    return CaseInfo(2, sbasis, ranks, cm, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +132,6 @@ class GeneratorTriple:
     def matrices(self):
         return (self.gamma, self.psi1, self.psi2)
 
-    def serialize(self):
-        out = {
-            "case": self.case_info.case,
-            "h": self.h,
-            "classification": self.case_info.serialize(),
-            "alpha": self.alpha_cert.serialize(),
-            "gamma": self.gamma.serialize(),
-            "psi1": self.psi1.serialize(),
-            "psi2": self.psi2.serialize(),
-        }
-        if self.case_info.case == 2:
-            out["alpha_in_K"] = self.alpha_in_K.serialize()
-        return out
-
 
 def build_generators(field, S, h=1):
     """The triple (gamma, psi1, psi2) for O_S, with exponent h >= 1."""
@@ -174,8 +144,7 @@ def build_generators(field, S, h=1):
         alpha_K = cert.alpha
         psi2_top = hK
     else:
-        F = info.case2_subfield
-        SF = next(sr.SF for sr in info.subfields if sr.F is F)
+        F, SF = info.case2.F, info.case2.SF
         ranksF = [SubfieldRank(SF, G) for G in default_subfields(F.subfield)]
         cert = choose_alpha(F.subfield, SF, s_unit_basis(F.subfield, SF),
                             ranksF)

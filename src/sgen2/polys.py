@@ -466,18 +466,11 @@ def sqrt_mod_p(a, p):
 def integer_roots(f, chain):
     """All integer roots of an integer polynomial f with Sturm chain chain.
 
-    Monic quadratics take the closed form; other polynomials bisect the
-    root bound on integer endpoints with the chain, so the work grows
-    with the logarithm of the coefficients, not their square root.
+    Every degree bisects the root bound on integer endpoints with the
+    chain, so the work grows with the logarithm of the coefficients, not
+    their square root.
     """
     f = trim(f)
-    if len(f) == 3 and f[2] == 1:
-        disc = f[1] * f[1] - 4 * f[0]
-        r = isqrt(max(disc, 0))
-        if r * r != disc:
-            return []
-        # r = f[1] mod 2, so both roots are integers
-        return sorted({(-f[1] + r) // 2, (-f[1] - r) // 2})
     b = root_bound(f)
     out = []
     # (lo, hi] with the sign variations of the chain at both ends, so

@@ -11,7 +11,7 @@ checks, each falsifiable on its own:
     elementary subgroup argument (SUnitBasis.span, PowerSpan.index,
     which finds each once and rechecks its Lagrange containment), so a
     span the alpha certificate's index table already read is not read
-    again.
+    again; in case 2 S(F) is the one classification contracted.
   * elementary_witness writes a requested elementary matrix as an
     explicit word in the triple and evaluates the word exactly through
     the proved shapes, solving against the presentation that the span
@@ -44,7 +44,6 @@ from .generators import e12, e21
 from .ideals import residue_maps
 from .linalg import solve_hnf, vec_mat, xgcd
 from .polys import is_prime
-from .sunits import contract_prime_set
 
 # Work bounds: the orders N of a^2 that the case-2 ladder tries, and the
 # stages J of the witness module searched for a word.
@@ -96,7 +95,7 @@ def prove_shape(triple):
     alpha = triple.alpha_cert.alpha
     tau = h
     if triple.case_info.case == 2:
-        alpha = triple.case_info.case2_subfield.map_element(alpha)
+        alpha = triple.case_info.case2.F.map_element(alpha)
         tau = h * triple.case_info.cm.sqrt_minus_d
     if triple.alpha_in_K != alpha:
         raise IdentityFailed("alpha_in_K is not the certificate's alpha",
@@ -168,14 +167,15 @@ def ideal_ladder(shape, n_select):
     """The index data for the elementary subgroup argument on the proved
     triple.
 
-    Case 1: m = [O_S : h Z[a^2]] with a = alpha^h, giving the O_S-ideal
-    (m) inside h Z[a^2].  Case 2 additionally works on the F side (m and
-    the order N of a^2 modulo m) and extends the K-side ring by
-    sqrt(-d), giving q_ideal = (M); the F side reads the S(F)-unit basis
-    of the alpha certificate.  Every index is PowerSpan.index of a span
-    of the S-unit basis: a stabilized filtration limit over its levels,
-    its Lagrange containment rechecked, each found once per basis (at h
-    = 1 the ladder's first index is the certificate's [O_S : Z[a^2]]).
+    Case 1: m = [O_S : h Z[a^2]] with a = alpha^h, giving the O_S-ideal (m)
+    inside h Z[a^2].  Case 2 additionally works on the F side (m and the
+    order N of a^2 modulo m) and extends the K-side ring by sqrt(-d), giving
+    q_ideal = (M); the F side reads the S(F)-unit basis of the alpha
+    certificate, checked against classification's F and S(F).  Every index
+    is PowerSpan.index of a span of the S-unit basis: a stabilized
+    filtration limit over its levels, its Lagrange containment rechecked,
+    each found once per basis (at h = 1 the ladder's first index is the
+    certificate's [O_S : Z[a^2]]).
 
     n_select is either "search" (try N = 1, ..., N_BOUND and keep the
     first that works) or an explicit positive integer to test alone.
@@ -198,10 +198,9 @@ def ideal_ladder(shape, n_select):
 
     field = triple.field
     cm = triple.case_info.cm
-    Fd = triple.case_info.case2_subfield
-    F = Fd.subfield
-    SF = contract_prime_set(triple.S, Fd)
-    # the certificate's basis, whose spans its index table has read
+    F, SF = triple.case_info.case2.F.subfield, triple.case_info.case2.SF
+    # the certificate's basis, whose spans its index table has read, must
+    # be over F and the S(F) that classification contracted
     sbF = triple.alpha_cert.sbasis
     if not (sbF.field is F and sbF.S.finite == SF.finite):
         raise VerificationFailure("the alpha certificate's S-unit basis is "

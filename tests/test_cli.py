@@ -832,6 +832,20 @@ def test_each_stage_runs_once(tmp_path, monkeypatch):
     assert len(classify_calls) == 2 and len(cm_calls) == 2
 
 
+def test_each_repeated_section_is_serialized_once(tmp_path, monkeypatch):
+    # a case-2 verify report holds the alpha certificate twice and cm
+    # three times, each one shared object serialized once
+    counts = Counter()
+    for cls in (sunits.AlphaCertificate, sunits.CMStructure):
+        def counted(self, serialize=cls.serialize, name=cls.__name__):
+            counts[name] += 1
+            return serialize(self)
+        monkeypatch.setattr(cls, "serialize", counted)
+    code, report = run(tmp_path, GAUSSIAN_TWO, "verify")
+    assert code == 0 and report["analysis"]["cm"] is not None
+    assert counts == {"AlphaCertificate": 1, "CMStructure": 1}
+
+
 SKIP_OVER_7 = ("skipped the prime over 7 (q = 49): image 672 of 117600, "
                "deg k = 1, P | m")
 

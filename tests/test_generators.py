@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sgen2 import generators
+from sgen2 import cli, generators
 from sgen2.errors import InconsistentCM
 from sgen2.field import create_field
 from sgen2.generators import SL2Element, build_generators, classify_case
@@ -40,11 +40,11 @@ def test_classification_goldens():
         k, S = make()
         info = classify_case(k, S)
         assert info.case == case, make.__name__
-        assert info.rank == rank
+        assert info.sbasis.rank == rank
         if f_poly is None:
-            assert info.case2_subfield is None
+            assert info.case2 is None
         else:
-            assert info.case2_subfield.subfield.poly == f_poly
+            assert info.case2.F.subfield.poly == f_poly
 
 
 def test_classification_rank_table():
@@ -90,7 +90,7 @@ def test_cm_subfield_matched_by_polynomial():
     kz, Sz = zeta5_conjugate_sqrt5()
     info = classify_case(kz, Sz)
     assert info.case == 2
-    assert info.case2_subfield.embedding.serialize() == ["1", "0", "2", "2"]
+    assert info.case2.F.embedding.serialize() == ["1", "0", "2", "2"]
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +171,16 @@ def test_triple_conjugate_descriptor_builds():
 
 
 def test_serialize_shape():
-    k, S = gaussian_two()
-    t = build_generators(k, S)
-    out = t.serialize()
+    # the triple section of a case-2 verify report, whose repeats of the
+    # analysis and alpha sections are the same objects
+    rep = cli.run_instance(cli.validate_config(
+        {"field": {"poly": [1, 0, 1]}, "S": [{"p": 2}]}), "verify")
+    out = rep["triple"]
     assert out["case"] == 2
     assert out["alpha_in_K"] == ["1/2", "0"]
     assert set(out) >= {"case", "h", "classification", "alpha",
                         "gamma", "psi1", "psi2"}
+    assert rep["triple"]["alpha"] is rep["alpha"]["certificate"]
+    assert rep["triple"]["classification"] is \
+        rep["analysis"]["classification"]
+    assert rep["analysis"]["classification"]["cm"] is rep["analysis"]["cm"]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -192,6 +193,30 @@ def test_factor_mod_p_recomposes():
             assert recompose(capped, rest, p) == polys.pp_monic(f, p)
 
 
+def test_factor_mod_p_splits_equal_degrees_over_f2_by_the_trace():
+    # x^6 + ... + 1 = (x^3 + x + 1)(x^3 + x^2 + 1) over F_2.  r = x is
+    # prime to it, so only the trace map splits it: Tr(x) = x + x^2 + x^4
+    # is 0 at the roots of x^3 + x + 1 and 1 at those of x^3 + x^2 + 1
+    draws = iter([0, 1, 0, 0, 0, 0])
+    r_is_x = SimpleNamespace(randrange=lambda p: next(draws))
+    assert polys._equal_degree_split([1] * 7, 3, 2, r_is_x) == [1, 1, 0, 1]
+    # the seeded splitter separates the two cubics through the trace too
+    assert polys.factor_mod_p([1] * 7, 2) == (
+        [([1, 0, 1, 1], 1), ([1, 1, 0, 1], 1)], [1])
+    # seeded polynomials of degree 4 to 10 over F_2 and F_3 (five of the
+    # F_2 ones take the trace too): monic factors that the oracle's
+    # divisor search finds irreducible, whose product is f
+    rng = random.Random(3)
+    for p in (2, 3):
+        for _ in range(150):
+            f = [rng.randrange(p) for _ in range(rng.randint(4, 10))] + [1]
+            fac, rest = polys.factor_mod_p(f, p)
+            assert rest == [1]
+            for g, _ in fac:
+                assert g[-1] == 1 and oracles.irreducible_mod_p(g, p), (f, p)
+            assert recompose(fac, rest, p) == polys.pp_monic(f, p)
+
+
 def linear_factors(f, p):
     """(root, multiplicity) for each linear factor x - root of f mod p."""
     return [((-g[0]) % p, mult) for g, mult in polys.factor_mod_p(f, p)[0]
@@ -233,7 +258,7 @@ def test_integer_roots():
     assert roots([6, -5, 1]) == [2, 3]
     assert roots([0, 7, 1]) == [-7, 0]
     assert roots([-2, 0, 1]) == []
-    # monic quadratics take the closed form, not trial division to 10^20
+    # quadratics bisect with the Sturm chain, not trial division to 10^20
     assert roots([-10 ** 40, 0, 1]) == [-10 ** 20, 10 ** 20]
     assert roots([-(10 ** 20 + 39), 0, 1]) == []
     # other degrees bisect with a Sturm chain, not trial division to 10^10

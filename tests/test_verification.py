@@ -241,7 +241,7 @@ def test_case2_ladder_reads_a_certificate_basis_over_f_and_s_f():
     # the F-side ladder reads the certificate's S(F)-unit basis; the
     # K-side basis, or one of F over another S, is refused
     t = triple(gaussian_three)
-    F = t.case_info.case2_subfield.subfield
+    F = t.case_info.case2.F.subfield
     other = s_unit_basis(F, PrimeSet(F, factor_rational_prime(F, 5)))
     for basis in (t.case_info.sbasis, other):
         with pytest.raises(VerificationFailure):
