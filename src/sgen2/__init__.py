@@ -11,9 +11,9 @@ from .field import FieldElement, NumberField, create_field
 from .ideals import (IntegralIdeal, PrimeIdeal, ResidueMap, class_order,
                      factor_rational_prime, residue_maps)
 from .sunits import (AlphaCertificate, CMStructure, PrimeSet, SubfieldDescriptor,
-                     SUnitBasis, choose_alpha, contract_prime_set,
-                     default_subfields, exponent_vector, is_cm,
-                     rank_of_intersection, s_unit_basis, zalpha_index)
+                     SUnitBasis, choose_alpha, default_subfields,
+                     exponent_vector, is_cm, rank_of_intersection,
+                     s_unit_basis, zalpha_index)
 from .generators import (CaseInfo, GeneratorTriple, SL2Element,
                          build_generators, classify_case)
 from .verification import (Witness, admissible_primes, elementary_witness,

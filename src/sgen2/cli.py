@@ -296,7 +296,7 @@ def run_instance(cfg, command):
     if command != "analyze":
         alpha = {
             "certificate": triple.alpha_cert.serialize(),
-            "search_field": list(triple.alpha_cert.field.poly),
+            "search_field": list(triple.alpha_cert.sbasis.field.poly),
         }
         if info.case == 2:
             alpha["alpha_in_K"] = triple.alpha_in_K.serialize()

@@ -10,7 +10,7 @@ terms, so equal elements have equal num and den.  Every product, of
 elements as of the coordinate vectors that ideals, filtration levels,
 power spans and residue tables use, is NumberField.ib_mul.  Power-basis
 coordinates appear only at the boundary: configs and datasheets
-(element), reports (serialize), and evaluation at a subfield embedding.
+(element, a subfield's integral basis), reports (serialize) and repr.
 
 Linear algebra on elements clears them to integer rows over one
 denominator (integer_rows) and solves through linalg.solve, on the
@@ -600,6 +600,8 @@ def _read_sheet(field, ds):
 
     for s in _sheet_list(ds, "subfields", {"poly", "embedding"}):
         sub_poly = _sheet_row(s["poly"], "a subfield poly", integers=True)
+        if len(sub_poly) == n + 1:
+            raise DatasheetInvalid(f"subfield {sub_poly} has K's degree {n}")
         g = field.element(_sheet_row(s["embedding"], "a subfield embedding", n))
         if list(g.minimal_poly()) != sub_poly:
             raise DatasheetInvalid(

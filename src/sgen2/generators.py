@@ -6,8 +6,9 @@ field's S-unit rank is strictly below rank(O_S^*)); the triple is
     gamma = diag(alpha^h, alpha^-h),  psi1 = E21(h),  psi2 = E12(h).
 
 Case 2: the rank bound is attained by a subfield F, which forces K to
-be CM over F with no finite prime of S(F) splitting in K; alpha is then
-chosen in F for the contracted prime set and psi2 picks up sqrt(-d):
+be CM over F with no finite prime of S(F) splitting in K; F over S(F)
+is then classified like K (it is totally real, so case 1), alpha is
+chosen in F under that classification and psi2 picks up sqrt(-d):
 
     psi2 = [[1, h*sqrt(-d)], [0, 1]].
 
@@ -99,14 +100,9 @@ def classify_case(field, S):
         raise InconsistentCM(
             "the S-unit rank is attained by a subfield but the field has "
             "no CM structure")
-    # the totally real subfield of a CM field is unique, so matching
-    # minimal polynomials identifies it regardless of which conjugate
-    # root the caller's descriptor embeds through
-    chosen = None
-    for sr in attained:
-        if tuple(sr.F.subfield.poly) == tuple(cm.F.subfield.poly):
-            chosen = sr
-            break
+    # is_cm returns one of default_subfields(field), the descriptors
+    # ranked above, so the CM subfield is matched by identity
+    chosen = next((sr for sr in attained if sr.F is cm.F), None)
     if chosen is None:
         raise InconsistentCM(
             "the rank is attained only by subfields other than the totally "
@@ -140,14 +136,12 @@ def build_generators(field, S, h=1):
     info = classify_case(field, S)
     hK = field.from_rational(h)
     if info.case == 1:
-        cert = choose_alpha(field, S, info.sbasis, info.subfields)
+        cert = choose_alpha(info)
         alpha_K = cert.alpha
         psi2_top = hK
     else:
-        F, SF = info.case2.F, info.case2.SF
-        ranksF = [SubfieldRank(SF, G) for G in default_subfields(F.subfield)]
-        cert = choose_alpha(F.subfield, SF, s_unit_basis(F.subfield, SF),
-                            ranksF)
+        F = info.case2.F
+        cert = choose_alpha(classify_case(F.subfield, info.case2.SF))
         alpha_K = F.map_element(cert.alpha)
         psi2_top = hK * info.cm.sqrt_minus_d
     ah = alpha_K ** h

@@ -14,9 +14,9 @@ unit comes from field.fundamental_unit.
 Datasheet fields may declare less (their torsion is taken as +-1),
 which only shrinks the search space, never breaks exactness.
 
-A subfield F is a SubfieldDescriptor, which pairs each prime of F
-above p with the primes of K above it (lying_over); contract_prime_set
-and SubfieldRank both read that one table.
+A subfield F is a SubfieldDescriptor, which maps F into K through the
+images of F's integral basis and pairs each prime of F above p with the
+primes of K above it (lying_over); SubfieldRank reads S(F) off it.
 
 Exponent vectors of S-units are read modulo torsion: the unit left
 after the discrete log is torsion when FieldElement.is_root_of_unity
@@ -48,10 +48,11 @@ from math import gcd, lcm, prod
 
 from .errors import (CardinalityTooSmall, HypothesisFails,
                      InvariantViolated, NotStabilized, SearchExhausted)
-from .field import (RATIONALS, _torsion_units, format_rational,
-                    fundamental_unit, integer_rows, span_solve)
+from .field import (RATIONALS, FieldElement, _torsion_units,
+                    format_rational, fundamental_unit, integer_rows,
+                    span_solve)
 from .ideals import class_order, factor_rational_prime
-from .linalg import RatLattice, hnf, hnf_with_transform
+from .linalg import RatLattice, hnf, hnf_with_transform, vec_mat
 from .polys import count_roots_in, root_bound, sturm_chain
 
 # Work bounds: alpha-search exponent shells, the n of the [O_S : Z[alpha^n]]
@@ -192,27 +193,26 @@ def s_unit_basis(field, S):
 
 class SubfieldDescriptor:
     """A proper subfield F of K given by the image of its generator g,
-    with the images 1, g, ..., g^(k-1) of F's power basis (powers) and,
-    per rational prime, the lying-over table, each built once.  The pair
-    is Q with 1 or a sheet subfield, which create_field has checked."""
+    with the images in K of F's integral basis (basis, integer rows over
+    one denominator) and, per rational prime, the lying-over table, each
+    built once.  The pair is Q with 1 or a checked sheet subfield."""
 
-    __slots__ = ("field", "subfield", "embedding", "powers", "_lying_over")
+    __slots__ = ("field", "subfield", "embedding", "basis", "_lying_over")
 
     def __init__(self, field, subfield, embedding):
         self.field = field
         self.subfield = subfield
         self.embedding = embedding
-        self.powers = [embedding ** i for i in range(subfield.degree)]
+        powers = [embedding ** i for i in range(subfield.degree)]
+        self.basis = integer_rows([
+            sum((g * c for g, c in zip(powers, row) if c), field.zero)
+            for row in subfield.integral_basis])
         self._lying_over = {}
 
     def map_element(self, x):
-        """Image in K of an element of F (power coordinates evaluated
-        at the embedding)."""
-        acc = self.field.zero
-        for g, c in zip(self.powers, x.power_coords()):
-            if c:
-                acc = acc + g * c
-        return acc
+        """Image in K of an element of F, through the basis rows."""
+        den, rows = self.basis
+        return FieldElement(self.field, vec_mat(x.num, rows), den * x.den)
 
     def lying_over(self, p):
         """[(q, primes of K above q)] for the primes q = (p, pi) of F: P
@@ -253,14 +253,6 @@ def default_subfields(field):
                 for sub, emb in field.sheet_subfields]
         field._subfields = tuple(out)
     return field._subfields
-
-
-def contract_prime_set(S, F_desc):
-    """S(F): the primes of F below the finite primes of S."""
-    finite = [q for p in {P.p for P in S.finite}
-              for q, above in F_desc.lying_over(p)
-              if any(S.contains(P) for P in above)]
-    return PrimeSet(F_desc.subfield, finite, min_card=1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,27 +315,26 @@ def is_cm(field):
 
 def _split_off_sqrt(field, F_desc):
     """K-side linear algebra in integral-basis coordinates; the
-    coefficients over the powers of F's generator are power-basis
-    coordinates in F."""
-    n = field.degree
-    k = n // 2
-    g_powers = F_desc.powers
-    sol = span_solve(g_powers + [field.theta * g for g in g_powers],
+    coefficients over the images of F's integral basis (F_desc.basis)
+    are integral-basis coordinates in F."""
+    F = F_desc.subfield
+    den, rows = F_desc.basis
+    basis = [FieldElement(field, r, den) for r in rows]
+    sol = span_solve(basis + [field.theta * b for b in basis],
                      field.theta * field.theta)
     if sol is None:
         return None
     # theta^2 = A + B theta with A, B in F, so delta = theta - B/2 has
     # delta^2 = A + B^2/4 in F
-    delta = field.theta - F_desc.map_element(
-        F_desc.subfield.element(sol[k:])) / 2
+    delta = field.theta - F_desc.map_element(F.from_ib(sol[F.degree:])) / 2
     # clear denominators and content so that delta is a primitive integer
     g = gcd(*delta.num)
     delta = field.from_ib([x // g for x in delta.num])
     d_K = -(delta * delta)
-    coeffs = span_solve(g_powers, d_K)
+    coeffs = span_solve(basis, d_K)
     if coeffs is None:
         raise InvariantViolated("-delta^2 must lie in the subfield")
-    d_F = F_desc.subfield.element(coeffs)
+    d_F = F.from_ib(coeffs)
     if not _totally_positive(d_F):
         return None
     return CMStructure(F_desc, d_F, d_K, delta)
@@ -353,20 +344,22 @@ def _split_off_sqrt(field, F_desc):
 # Rank of the intersection with a subfield's S-units.
 
 class SubfieldRank:
-    """A subfield F with S contracted to it, the primes of K above each
-    finite prime of S(F), the qualifying (q, primes of K above q), those
-    all of whose K-primes lie in S, and the rank of the intersection:
-    rank(O_F^*) plus the number of qualifying q."""
+    """A subfield F with, from one pass over its lying-over table, each
+    prime q of F below a prime of S mapped to the primes of K above it
+    (above), S contracted to F (SF, those q), the qualifying (q, primes
+    of K above q), those all of whose K-primes lie in S, and the rank of
+    the intersection: rank(O_F^*) plus the number of qualifying q."""
 
     __slots__ = ("F", "SF", "above", "qualifying", "rank")
 
     def __init__(self, S, F_desc):
         self.F = F_desc
-        self.SF = contract_prime_set(S, F_desc)
-        self.above = [dict(F_desc.lying_over(q.p))[q] for q in self.SF.finite]
-        self.qualifying = [(q, above)
-                           for q, above in zip(self.SF.finite, self.above)
-                           if all(S.contains(P) for P in above)]
+        self.above = {q: above for p in {P.p for P in S.finite}
+                      for q, above in F_desc.lying_over(p)
+                      if any(S.contains(P) for P in above)}
+        self.SF = PrimeSet(F_desc.subfield, self.above, min_card=1)
+        self.qualifying = [(q, self.above[q]) for q in self.SF.finite
+                           if all(S.contains(P) for P in self.above[q])]
         r1, r2 = F_desc.subfield.signature
         self.rank = r1 + r2 - 1 + len(self.qualifying)
 
@@ -374,7 +367,7 @@ class SubfieldRank:
         """True when no finite prime of S(F) splits in K: each has a
         single prime of K above it, the member of S it came from, so each
         also qualifies."""
-        return all(len(above) == 1 for above in self.above)
+        return all(len(above) == 1 for above in self.above.values())
 
     def unit_vectors(self, sbasis):
         """Exponent vectors spanning (over Q) the S-units of K coming
@@ -439,7 +432,7 @@ def exponent_vector(sbasis, w, valuations):
 # The alpha search.
 
 class AlphaCertificate:
-    __slots__ = ("field", "S", "sbasis", "alpha", "torsion_exp", "fund_exps",
+    __slots__ = ("sbasis", "alpha", "torsion_exp", "fund_exps",
                  "beta_exps", "neg_valuations", "minpoly", "avoidance",
                  "index_table", "unit_part")
 
@@ -479,13 +472,13 @@ def _exponent_shells(nf, nb, first, last):
                     yield cf, cb
 
 
-def choose_alpha(field, S, sbasis, ranks):
+def choose_alpha(info):
     """Search for alpha in O_S^* with negative valuation at every finite
     prime of S, avoiding every intermediate field's S-unit span, and
     generating K; returns a fully verified certificate.
 
-    sbasis is the S-unit basis of field over S, and ranks the
-    SubfieldRank of each subfield to avoid.
+    info is classify_case's CaseInfo for K over S (case 1): its S-unit
+    basis is searched, and each subfield of its rank table avoided.
 
     Deterministic: candidates are enumerated by _exponent_shells over
     shells 1 .. MAX_SHELL, with inverse class-generator exponents >= 1
@@ -493,13 +486,13 @@ def choose_alpha(field, S, sbasis, ranks):
     exponents in the order 0, 1, -1, 2, -2, ..., and the torsion exponent
     last.
     """
-    rank = sbasis.rank
-    for sr in ranks:
-        if sr.rank >= rank:
-            raise HypothesisFails(f"rank of the intersection with {sr.F!r} "
-                                  f"is {sr.rank}, not below {rank}")
+    sbasis = info.sbasis
+    if info.case != 1:
+        raise HypothesisFails(f"rank of the intersection with {info.case2.F!r}"
+                              f" attains the S-unit rank {sbasis.rank}")
+    field = sbasis.field
     spans = []
-    for sr in ranks:
+    for sr in info.subfields:
         vectors, labels = sr.unit_vectors(sbasis)
         if len(vectors) != sr.rank:
             raise InvariantViolated("span generators must realize the rank")
@@ -532,17 +525,16 @@ def choose_alpha(field, S, sbasis, ranks):
             if len(mp) - 1 != field.degree:
                 rejected_degree += 1
                 continue
-            return _certify_alpha(field, S, sbasis, alpha, u, c0, cf, cb, mp,
-                                  spans, vec, tried, rejected_span,
-                                  rejected_degree)
+            return _certify_alpha(sbasis, alpha, u, c0, cf, cb, mp, spans,
+                                  vec, tried, rejected_span, rejected_degree)
     raise SearchExhausted(f"no alpha within exponent shells up to {MAX_SHELL}")
 
 
-def _certify_alpha(field, S, sbasis, alpha, u, c0, cf, cb, mp, spans, vec,
-                   tried, rejected_span, rejected_degree):
+def _certify_alpha(sbasis, alpha, u, c0, cf, cb, mp, spans, vec, tried,
+                   rejected_span, rejected_degree):
     # v_{P_i}(alpha) = -c_i a_i < 0 (u a unit, rows of SUnitBasis, c_i >= 1)
     neg = [(P, -c * wit.order)
-           for P, c, wit in zip(S.finite, cb, sbasis.class_witnesses)]
+           for P, c, wit in zip(sbasis.S.finite, cb, sbasis.class_witnesses)]
     # exact power identity: alpha * prod beta^{c_i} is the absorbed unit
     check = alpha
     for e, b in zip(cb, sbasis.s_gens):
@@ -559,12 +551,12 @@ def _certify_alpha(field, S, sbasis, alpha, u, c0, cf, cb, mp, spans, vec,
             {"p": P.p, "hnf": [list(r) for r in P.hnf], "valuation": v}
             for P, v in neg],
     }
-    for F, vectors, rows, span_rank, labels in spans:
+    for F, vectors, _, span_rank, labels in spans:
         avoidance["subfields"].append({
             "poly": list(F.subfield.poly),
             "span_vectors": [[format_rational(x) for x in row] for row in vectors],
             "span_rank": span_rank,
-            "rank_with_alpha": len(hnf(rows + [vec])),
+            "rank_with_alpha": span_rank + 1,  # vec passed the span test
             "generators": labels,
         })
     index_table = [(ne, *zalpha_index(sbasis, alpha, ne))
@@ -575,7 +567,7 @@ def _certify_alpha(field, S, sbasis, alpha, u, c0, cf, cb, mp, spans, vec,
         "unit": u.serialize(),
         "identity": "alpha^m * prod(beta_i^{b_i}) = unit",
     }
-    return AlphaCertificate(field=field, S=S, sbasis=sbasis, alpha=alpha,
+    return AlphaCertificate(sbasis=sbasis, alpha=alpha,
                             torsion_exp=c0, fund_exps=list(cf),
                             beta_exps=[-c for c in cb],
                             neg_valuations=neg, minpoly=mp,

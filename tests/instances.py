@@ -6,9 +6,8 @@ infinite places on top.
 """
 
 from sgen2.field import create_field
-from sgen2.generators import classify_case
 from sgen2.ideals import factor_rational_prime
-from sgen2.sunits import PrimeSet, choose_alpha
+from sgen2.sunits import PrimeSet
 
 from test_field import ZETA5_DATASHEET
 
@@ -54,14 +53,6 @@ def zeta5_nofinite():
     # S = infinite places only (two of them), datasheet tier
     k = create_field([1, 1, 1, 1, 1], datasheet=ZETA5_DATASHEET)
     return k, PrimeSet(k, [])
-
-
-def search_alpha(field, S):
-    """The alpha search on field itself over the basis and subfield
-    ranks classification computed, as build_generators runs it in
-    case 1."""
-    info = classify_case(field, S)
-    return choose_alpha(field, S, info.sbasis, info.subfields)
 
 
 DESK = [rational_two, gaussian_two, gaussian_three, gaussian_five,

@@ -12,9 +12,8 @@ import time
 from sgen2.generators import build_generators, classify_case
 from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice, hnf, int_det
-from sgen2.sunits import (choose_alpha, contract_prime_set,
-                          default_subfields, rank_of_intersection,
-                          s_unit_basis, zalpha_index)
+from sgen2.sunits import (choose_alpha, default_subfields,
+                          rank_of_intersection, s_unit_basis, zalpha_index)
 from sgen2.verification import (admissible_primes, elementary_witness,
                                 identity_suite, modp_surjectivity,
                                 prove_shape, reduce_triple)
@@ -56,10 +55,11 @@ def test_criterion_2_example_ii(capsys):
     field, S = gaussian_five()
     info = classify_case(field, S)
     sb = info.sbasis
-    fq = default_subfields(field)[0]
-    sq = contract_prime_set(S, fq)
+    (row,) = info.subfields  # Q's row of the rank table, with S(Q)
+    sq = row.SF
     dt = time.monotonic() - t0
-    ok = (S.card == 3 and sb.rank == 2 and sq.card - 1 == 1
+    ok = (row.F is default_subfields(field)[0]
+          and S.card == 3 and sb.rank == 2 and sq.card - 1 == 1
           and info.case == 1 and dt < 1.0)
     _report(capsys, ok,
             f"criterion 2: gaussian field over 5: card={S.card} "
@@ -101,7 +101,7 @@ def test_criterion_4_alpha_certificates(capsys):
     for build in CASE_ONE:
         field, S = build()
         info = classify_case(field, S)
-        cert = choose_alpha(field, S, info.sbasis, info.subfields)
+        cert = choose_alpha(info)
         # the negative valuations read off the witnesses are alpha's
         assert [P for P, _ in cert.neg_valuations] == list(S.finite)
         for P, v in cert.neg_valuations:

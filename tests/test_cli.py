@@ -640,6 +640,22 @@ def test_malformed_datasheet_exits_1_without_traceback(tmp_path, capsys):
             assert "error: DatasheetInvalid" in err and "Traceback" not in err
 
 
+def test_sheet_naming_k_as_its_own_subfield_exits_1(tmp_path, capsys):
+    # a subfields entry of degree n is K itself: the sheet is rejected
+    # before anything is built, instead of the entry being built as a
+    # field without a sheet (DatasheetRequired)
+    own = {"poly": [1, 1, 1, 1, 1], "embedding": [0, 1, 0, 0]}
+    sheet = dict(ZETA5_DATASHEET,
+                 subfields=ZETA5_DATASHEET["subfields"] + [own])
+    for command in ("analyze", "verify"):
+        code, _ = run(tmp_path, zeta5_config(sheet, ()), command)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ("error: DatasheetInvalid: subfield [1, 1, 1, 1, 1] has K's "
+                "degree 4") in err
+        assert "Traceback" not in err
+
+
 def test_datasheet_class_order_path(tmp_path, capsys):
     # Q(zeta5) over 5: the prime above 5 is (1 - t), declared of order 1
     cfg = zeta5_config(dict(ZETA5_DATASHEET, class_orders=[ZETA5_CLASS_ORDER]))
@@ -811,25 +827,27 @@ def test_each_stage_runs_once(tmp_path, monkeypatch):
     classify_calls = record_calls(monkeypatch, generators.classify_case)
     cm_calls = record_calls(monkeypatch, sunits.is_cm)
 
-    def pairs():
+    def pairs(calls):
         out = Counter((tuple(field.poly), tuple(P.hnf for P in S.finite))
-                      for field, S in sunit_calls)
-        sunit_calls.clear()
+                      for field, S in calls)
+        calls.clear()
         return out
 
-    # case 1: one S-unit basis, of K over S
+    # case 1: one S-unit basis, of K over S, and one classification
     code, _ = run(tmp_path, SQRT5_TWO, "generate")
     assert code == 0
-    assert pairs() == {((-5, 0, 1), (((2, 0), (0, 2)),)): 1}
-    assert len(classify_calls) == 1 and len(cm_calls) == 1
+    want = {((-5, 0, 1), (((2, 0), (0, 2)),)): 1}
+    assert pairs(sunit_calls) == pairs(classify_calls) == want
+    assert len(cm_calls) == 1
 
-    # case 2: the K-side basis once, and the basis of Q over 2 once: the
-    # verifier's ladder reads the one the alpha certificate carries
+    # case 2: K over S and Q over S(Q) = {2} are each classified once,
+    # with one S-unit basis each: the verifier's ladder reads the one the
+    # alpha certificate carries
     code, _ = run(tmp_path, GAUSSIAN_TWO, "verify")
     assert code == 0
-    assert pairs() == {((1, 0, 1), (((1, 1), (0, 2)),)): 1,
-                       ((-1, 1), (((2,),),)): 1}
-    assert len(classify_calls) == 2 and len(cm_calls) == 2
+    want = {((1, 0, 1), (((1, 1), (0, 2)),)): 1, ((-1, 1), (((2,),),)): 1}
+    assert pairs(sunit_calls) == pairs(classify_calls) == want
+    assert len(cm_calls) == 3
 
 
 def test_each_repeated_section_is_serialized_once(tmp_path, monkeypatch):

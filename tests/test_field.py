@@ -374,11 +374,11 @@ def test_datasheet_rejects_bad_basis():
                                             "embedding": [-1, 0, -2, -2]}])
     with pytest.raises(DatasheetInvalid):
         create_field([1, 1, 1, 1, 1], datasheet=bad)   # wrong minimal poly
-    # a subfield of degree 4 is the field itself, which needs a sheet of
-    # its own: the declared subfield is built without one
+    # a subfield of degree 4 is the field itself, not a proper subfield:
+    # the entry is rejected before it is built
     bad = dict(ZETA5_DATASHEET, subfields=[{"poly": [1, 1, 1, 1, 1],
                                             "embedding": [0, 1, 0, 0]}])
-    with pytest.raises(DatasheetRequired):
+    with pytest.raises(DatasheetInvalid, match="has K's degree 4"):
         create_field([1, 1, 1, 1, 1], datasheet=bad)
     for sheet in MALFORMED_ZETA5_SHEETS:
         with pytest.raises(DatasheetInvalid):

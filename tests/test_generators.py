@@ -84,13 +84,35 @@ def zeta5_conjugate_sqrt5():
     return k, PrimeSet(k, [])
 
 
-def test_cm_subfield_matched_by_polynomial():
-    # a descriptor through the conjugate root of x^2 - 5 names the same
-    # subfield and must classify identically
+def zeta8_sqrt2_twice():
+    # Q(zeta8) declaring Q(sqrt 2) twice, through sqrt 2 = t - t^3 and
+    # through -sqrt 2; S is the infinite places alone
+    import census
+    _, poly, units, _ = census.CLASS_NUMBER_ONE[0]
+    k = create_field(poly, census._sheet(
+        poly, units, [([-2, 0, 1], [0, 1, 0, -1]),
+                      ([-2, 0, 1], [0, -1, 0, 1])], ()))
+    return k, PrimeSet(k, [])
+
+
+def test_cm_subfield_matched_by_identity():
+    # the CM subfield is the descriptor is_cm returns, one of those the
+    # rank table ranks: a descriptor through the conjugate root of x^2 - 5
+    # classifies like the usual one
     kz, Sz = zeta5_conjugate_sqrt5()
     info = classify_case(kz, Sz)
     assert info.case == 2
+    assert info.case2.F is info.cm.F
     assert info.case2.F.embedding.serialize() == ["1", "0", "2", "2"]
+    # Q(sqrt 2) twice: both attain the rank, and the one is_cm returns,
+    # the first, is chosen
+    k, S = zeta8_sqrt2_twice()
+    info = classify_case(k, S)
+    _, first, second = default_subfields(k)
+    assert [sr.rank for sr in info.subfields] == [0, 1, 1]
+    assert info.case == 2
+    assert info.case2.F is info.cm.F is first
+    assert second.embedding == -first.embedding
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +134,7 @@ def test_triple_gaussian_two_case2():
     t = build_generators(k, S)
     half = k.from_rational(Fraction(1, 2))
     # alpha lives in Q and maps up; psi2 carries h * sqrt(-d) = i
-    assert t.alpha_cert.field.degree == 1
+    assert t.alpha_cert.sbasis.field.degree == 1
     assert t.alpha_in_K == half
     assert t.gamma.rows[0][0] == half
     assert t.gamma.rows[1][1] == k.from_rational(2)

@@ -196,6 +196,15 @@ READERS = {
     # share; the discrete log alone reads its radius
     "itertools.product": {"sunits._exponent_shells"},
     "DLOG_BOUND": {"sunits", "sunits.exponent_vector"},
+    # one classification per S-unit basis: classify_case alone builds the
+    # basis and the rank table, for K and for F, and choose_alpha reads
+    # both off the CaseInfo it returns
+    "s_unit_basis": {"__init__ import", "generators import",
+                     "generators.classify_case"},
+    "SubfieldRank": {"generators import", "generators.classify_case",
+                     "sunits.rank_of_intersection"},
+    # a subfield maps through its basis rows; power coordinates print
+    ".power_coords": {"field.FieldElement.__repr__"},
 }
 
 
@@ -267,7 +276,13 @@ MUTANTS = {
         "verification: from itertools import product",
         "sunits: def choose_alpha(f, S): return DLOG_BOUND",
         "generators: for k in range(sunits.DLOG_BOUND): pass",
-        "cli: from .sunits import DLOG_BOUND"],
+        "cli: from .sunits import DLOG_BOUND",
+        "generators: def build_generators(F, SF): return s_unit_basis(F, SF)",
+        "verification: from .sunits import s_unit_basis",
+        "generators: def build_generators(F, SF): return SubfieldRank(SF, F)",
+        "sunits: def choose_alpha(S, F): return SubfieldRank(S, F).rank",
+        "sunits: def map_element(x): return x.power_coords()",
+        "verification: def prove_shape(t): return t.alpha.power_coords()"],
 }
 
 

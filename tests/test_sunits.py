@@ -7,19 +7,18 @@ import pytest
 from sgen2.errors import (CardinalityTooSmall, HypothesisFails,
                           InvariantViolated, NotStabilized, SearchExhausted)
 from sgen2.field import _torsion_units, create_field
-from sgen2.generators import build_generators
+from sgen2.generators import build_generators, classify_case
 from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice
 from sgen2 import cli, linalg, sunits, verification
-from sgen2.sunits import (PrimeSet, SubfieldRank,
-                          contract_prime_set, default_subfields,
-                          element_lattice, exponent_vector, is_cm,
-                          rank_of_intersection,
+from sgen2.sunits import (PrimeSet, SubfieldRank, choose_alpha,
+                          default_subfields, element_lattice,
+                          exponent_vector, is_cm, rank_of_intersection,
                           rational_subfield, s_unit_basis, zalpha_index)
 
 import oracles
 from instances import (ALL, DESK, gaussian_five, gaussian_two, rational_two,
-                       search_alpha, sqrt2_seven, sqrt5_two, zeta5_nofinite)
+                       sqrt2_seven, sqrt5_two, zeta5_nofinite)
 from test_field import ZETA5_CLASS_ORDER, ZETA5_DATASHEET
 from test_verification import shanks_cubic
 
@@ -185,7 +184,7 @@ def test_rational_subfield_maps_constants():
     k = create_field([1, 0, 1])
     F = rational_subfield(k)
     assert F.subfield.degree == 1
-    assert F.powers == [k.one]
+    assert F.basis == (1, [[1, 0]])
     img = F.map_element(F.subfield.from_rational(Fraction(3, 7)))
     assert img == k.from_rational(Fraction(3, 7))
 
@@ -199,17 +198,73 @@ def test_default_subfields():
     assert [F.subfield.poly for F in subs] == [(-1, 1), (-5, 0, 1)]
 
 
-def test_contraction():
-    k, S = gaussian_five()
-    F = rational_subfield(k)
-    SF = contract_prime_set(S, F)
-    assert SF.card == 2
-    assert [q.p for q in SF.finite] == [5]
-    # zeta5: contraction to Q keeps only the infinite place; card 1 is
-    # fine for contracted sets
-    kz, Sz = zeta5_nofinite()
-    SQ = contract_prime_set(Sz, rational_subfield(kz))
-    assert SQ.card == 1 and not SQ.finite
+def census_subfields():
+    """(K, its descriptors) for Q(zeta5) on its sheet, Q(zeta8) and
+    Q(zeta12) on their census sheets, and Q(i) and Q(sqrt 5)."""
+    import census
+    fields = [create_field([1, 1, 1, 1, 1], datasheet=ZETA5_DATASHEET),
+              create_field([1, 0, 1]), create_field([-5, 0, 1])]
+    for _, poly, units, subfields in census.CLASS_NUMBER_ONE[:2]:
+        fields.append(create_field(poly, census._sheet(poly, units,
+                                                       subfields, ())))
+    return [(k, default_subfields(k)) for k in fields]
+
+
+def pb_image(F, coords):
+    """Power-basis coordinates in K of the element of F with power-basis
+    coordinates coords: the oracle's powers of the embedding, summed."""
+    K, g = F.field, list(F.embedding.power_coords())
+    out = [Fraction(0)] * K.degree
+    for j, c in enumerate(coords):
+        out = [o + c * x for o, x in zip(out, oracles.pb_pow(K, g, j))]
+    return out
+
+
+def test_map_element_matches_power_basis_evaluation():
+    rng = random.Random(5)
+    seen = []
+    for k, subs in census_subfields():
+        for F in subs:
+            seen.append(tuple(F.subfield.poly))
+            for _ in range(6):
+                coords = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+                          for _ in range(F.subfield.degree)]
+                x = F.subfield.element(coords)
+                assert list(F.map_element(x).power_coords()) == \
+                    pb_image(F, coords), (k, F, coords)
+    assert seen == [(-1, 1), (-5, 0, 1), (-1, 1), (-1, 1), (-1, 1),
+                    (-2, 0, 1), (1, 0, 1), (2, 0, 1), (-1, 1), (-3, 0, 1),
+                    (1, 0, 1), (3, 0, 1)]
+
+
+def test_contraction_is_s_of_f():
+    # S(F) by its definition: the primes q of F over the characteristics
+    # of S with some prime of K above q in S; P lies above q when it
+    # contains the image of q's generator pi, evaluated by the oracle
+    def above(F, q):
+        pi = F.field.element(pb_image(F, q.two_element[1].power_coords()))
+        return [P for P in factor_rational_prime(F.field, q.p)
+                if P.contains(pi)]
+
+    checked = 0
+    for k, subs in census_subfields():
+        primes = [P for p in (2, 3, 5, 11, 13)
+                  for P in factor_rational_prime(k, p)]
+        for S in (PrimeSet(k, primes[::2], 1), PrimeSet(k, primes[1::3], 1)):
+            for F in subs:
+                SF = [q for p in sorted({P.p for P in S.finite})
+                      for q in factor_rational_prime(F.subfield, p)
+                      if any(S.contains(P) for P in above(F, q))]
+                sr = SubfieldRank(S, F)
+                assert [q.hnf for q in sr.SF.finite] == sorted(
+                    q.hnf for q in SF), (k, F)
+                assert sr.SF.card == F.subfield.signature[0] + \
+                    F.subfield.signature[1] + len(SF)
+                for q in SF:
+                    assert sorted(P.hnf for P in sr.above[q]) == sorted(
+                        P.hnf for P in above(F, q))
+                checked += len(SF)
+    assert checked == 86
 
 
 def test_lying_over_partitions_the_primes_above_p():
@@ -439,7 +494,7 @@ def test_exponent_vector_refuses_a_valuation_off_by_one(monkeypatch):
 
 def test_alpha_rational():
     k, S = rational_two()
-    cert = search_alpha(k, S)
+    cert = choose_alpha(classify_case(k, S))
     assert cert.alpha == k.from_rational(Fraction(1, 2))
     assert (cert.torsion_exp, cert.fund_exps, cert.beta_exps) == (0, [], [-1])
     assert [(p.p, v) for p, v in cert.neg_valuations] == [(2, -1)]
@@ -450,7 +505,7 @@ def test_alpha_rational():
 
 def test_alpha_gaussian_five():
     k, S = gaussian_five()
-    cert = search_alpha(k, S)
+    cert = choose_alpha(classify_case(k, S))
     assert cert.alpha.serialize() == ["1/25", "2/25"]
     assert cert.beta_exps == [-1, -2]
     # valuation vector (-1, -2) is not proportional to the W span (1, 1)
@@ -465,7 +520,7 @@ def test_alpha_gaussian_five():
 
 def test_alpha_sqrt2():
     k, S = sqrt2_seven()
-    cert = search_alpha(k, S)
+    cert = choose_alpha(classify_case(k, S))
     assert cert.alpha.serialize() == ["-1/7", "-2/7"]
     assert (cert.fund_exps, cert.beta_exps) == ([0], [-1])
     assert cert.avoidance["candidates_tried"] == 1
@@ -474,7 +529,7 @@ def test_alpha_sqrt2():
 
 def test_alpha_sqrt5():
     k, S = sqrt5_two()
-    cert = search_alpha(k, S)
+    cert = choose_alpha(classify_case(k, S))
     assert cert.alpha.serialize() == ["-1/4", "1/4"]
     assert (cert.fund_exps, cert.beta_exps) == ([0], [-1])
     # (0, -1) is independent of the span vector (-1, 1): first try wins
@@ -495,23 +550,26 @@ def test_alpha_certificate_identities():
                            cert.unit_part["beta_exponents"]):
             w = w * b ** bexp
         assert w.is_integral() and abs(w.norm()) == 1
-        assert [P for P, _ in cert.neg_valuations] == list(cert.S.finite)
+        assert [P for P, _ in cert.neg_valuations] == list(
+            cert.sbasis.S.finite)
         for P, v in cert.neg_valuations:
             assert v < 0 and oracles.valuation_ladder(cert.alpha, P) == v
 
 
 def test_alpha_hypothesis_fails_on_cm_equality():
-    with pytest.raises(HypothesisFails):
-        search_alpha(*gaussian_two())
-    with pytest.raises(HypothesisFails):
-        search_alpha(*zeta5_nofinite())
+    # the search runs only under a case-1 classification, and names the
+    # subfield that attains the rank otherwise
+    with pytest.raises(HypothesisFails, match=r"\[-1, 1\]"):
+        choose_alpha(classify_case(*gaussian_two()))
+    with pytest.raises(HypothesisFails, match=r"\[-5, 0, 1\]"):
+        choose_alpha(classify_case(*zeta5_nofinite()))
 
 
 def test_alpha_search_exhausted(monkeypatch):
     k, S = gaussian_five()
     monkeypatch.setattr(sunits, "MAX_SHELL", 0)
     with pytest.raises(SearchExhausted):
-        search_alpha(k, S)
+        choose_alpha(classify_case(k, S))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +582,7 @@ def test_zalpha_oracle_agreement():
             (sqrt2_seven, {1: 2, 2: 4, 3: 22}),
             (sqrt5_two, {1: 1, 2: 1, 3: 1})):
         k, S = make()
-        cert = search_alpha(k, S)
+        cert = choose_alpha(classify_case(k, S))
         for n, expect in table.items():
             index, _ = zalpha_index(cert.sbasis, cert.alpha, n)
             assert index == expect
@@ -587,7 +645,7 @@ def _bare_alpha(monkeypatch, k, S):
     (which raises NotStabilized on some of these fields)."""
     with monkeypatch.context() as m:
         m.setattr(sunits, "INDEX_EXPONENTS", ())
-        return search_alpha(k, S)
+        return choose_alpha(classify_case(k, S))
 
 
 def _oracle_stage(k, scale, base, extra, J):
@@ -621,7 +679,7 @@ def test_power_span_stages_match_scratch():
     for make in DESK:
         cert = build_generators(*make()).alpha_cert
         for n in (1, 2, 3):
-            check(cert.sbasis.span(cert.alpha ** n, cert.field.one))
+            check(cert.sbasis.span(cert.alpha ** n, cert.sbasis.field.one))
     shape = verification.prove_shape(build_generators(*gaussian_five()))
     assert shape.triple.case_info.case == 1
     check(shape.lower)
@@ -704,7 +762,7 @@ def test_alpha_index_table_work_count(monkeypatch):
         finally:
             inside.pop()
     monkeypatch.setattr(sunits, "zalpha_index", zalpha)
-    cert = search_alpha(*_over([-118, 0, 1], 5))
+    cert = choose_alpha(classify_case(*_over([-118, 0, 1], 5)))
     assert [row[1:] for row in cert.index_table] == [
         (28254, 0), (17343265836, 0), (2129177248229394, 0)]
     assert counts == {"_echelon": 3, "_insert": 39}

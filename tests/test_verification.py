@@ -317,7 +317,8 @@ def test_shape_spans_are_the_bases_spans():
     # at h = 1 the case-1 ladder reads the certificate's n = 2 span
     shape = shaped(gaussian_five)
     cert = shape.triple.alpha_cert
-    assert shape.lower is cert.sbasis.span(cert.alpha ** 2, cert.field.one)
+    assert shape.lower is cert.sbasis.span(cert.alpha ** 2,
+                                           cert.sbasis.field.one)
 
 
 def test_ladder_h2():
