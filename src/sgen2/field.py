@@ -8,7 +8,10 @@ as polynomial products reduced mod f.  An element is num / den: integer
 integral-basis coordinates over one positive denominator, in lowest
 terms, so equal elements have equal num and den.  Every product, of
 elements as of the coordinate vectors that ideals, filtration levels,
-power spans and residue tables use, is NumberField.ib_mul.  Power-basis
+power spans and residue tables use, is NumberField.ib_mul, one walk over
+a flat list of the nonzero structure constants c_ijk as (i, j, k, c).
+The field keeps the basis traces Tr(b_k) = sum_l c_kll, so a trace is
+one dot product with num, and trace_gram reads them.  Power-basis
 coordinates appear only at the boundary: configs and datasheets
 (element, a subfield's integral basis), reports (serialize) and repr.
 
@@ -47,6 +50,7 @@ basis spans, which is checked to be an order but not to be maximal
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
@@ -111,7 +115,8 @@ class FieldElement:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is FieldElement and other.field is self.field
+             else self._coerce(other))
         if o is None:
             return NotImplemented
         d, e = self.den, o.den
@@ -125,7 +130,8 @@ class FieldElement:
         return FieldElement(self.field, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is FieldElement and other.field is self.field
+             else self._coerce(other))
         if o is None:
             return NotImplemented
         d, e = self.den, o.den
@@ -137,7 +143,8 @@ class FieldElement:
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is FieldElement and other.field is self.field
+             else self._coerce(other))
         if o is None:
             return NotImplemented
         return FieldElement(self.field, self.field.ib_mul(self.num, o.num),
@@ -159,14 +166,19 @@ class FieldElement:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
+        if not e:
+            return self.field.one
+        # square-and-multiply from the low bit, without the product by
+        # one the first set bit would take or a square after the last bit
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def _num_rows(self):
         """The integer matrix whose row i holds the coordinates of num * b_i."""
@@ -205,8 +217,8 @@ class FieldElement:
                         self.den ** self.field.degree)
 
     def trace(self):
-        m = self._num_rows()
-        return Fraction(sum(m[i][i] for i in range(len(m))), self.den)
+        return Fraction(sum(map(mul, self.num, self.field.basis_traces)),
+                        self.den)
 
     def is_root_of_unity(self):
         """Whether some power of self is 1.  A root of unity of order k
@@ -308,11 +320,15 @@ class NumberField:
         self._ib_rows = [[int(x * self._ib_den) for x in r]
                          for r in self.integral_basis]
         self._ib_inv = self._build_ib_inv()
-        # integer structure constants over the integral basis, and for
-        # ib_mul the nonzero (k, c) of each b_i * b_j
+        # integer structure constants over the integral basis, for
+        # ib_mul each nonzero c_ijk as (i, j, k, c), and the traces
+        # Tr(b_k) = sum_l c_kll of the basis elements
         self.mult_table = self._build_mult_table()
-        self._terms = [[[(k, c) for k, c in enumerate(prod) if c]
-                        for prod in row] for row in self.mult_table]
+        self._terms = [(i, j, k, c) for i, row in enumerate(self.mult_table)
+                       for j, prod in enumerate(row)
+                       for k, c in enumerate(prod) if c]
+        self.basis_traces = tuple(sum(self.mult_table[k][l][l]
+                                      for l in range(n)) for k in range(n))
         self.zero = FieldElement(self, [0] * n)
         self.one = self.from_rational(1)
         self.theta = self.element([0, 1] + [0] * (n - 2)) if n >= 2 else self.one
@@ -325,14 +341,8 @@ class NumberField:
         """Integral-basis coordinates of the product of two elements given
         by integral-basis coordinates (integers or rationals)."""
         out = [0] * self.degree
-        for i, a in enumerate(u):
-            if a:
-                row = self._terms[i]
-                for j, b in enumerate(v):
-                    if b:
-                        ab = a * b
-                        for k, c in row[j]:
-                            out[k] += ab * c
+        for i, j, k, c in self._terms:
+            out[k] += u[i] * v[j] * c
         return out
 
     def _build_ib_inv(self):
@@ -384,6 +394,8 @@ class NumberField:
         return self.from_ib(linalg.vec_mat(list(coords), self._ib_inv))
 
     def from_rational(self, q):
+        if type(q) is int:
+            return FieldElement(self, [q] + [0] * (self.degree - 1))
         q = Fraction(q)
         return FieldElement(self, [q.numerator] + [0] * (self.degree - 1),
                             q.denominator)
@@ -394,13 +406,9 @@ class NumberField:
     # -- global data ---------------------------------------------------------
 
     def trace_gram(self):
-        """Tr(b_i b_j) = sum_k c_ijk Tr(b_k), with Tr(b_k) = sum_l c_kll
-        the trace of multiplication by b_k."""
-        table = self.mult_table
-        n = self.degree
-        tr = [sum(table[k][l][l] for l in range(n)) for k in range(n)]
-        return [[sum(c * t for c, t in zip(table[i][j], tr)) for j in range(n)]
-                for i in range(n)]
+        """Tr(b_i b_j) = sum_k c_ijk Tr(b_k)."""
+        return [[sum(map(mul, prod, self.basis_traces)) for prod in row]
+                for row in self.mult_table]
 
     def is_quadratic_real(self):
         return self.degree == 2 and self.signature == (2, 0)

@@ -13,7 +13,14 @@ Two eliminations do all the work (Cohen, GTM 138, sections 2.2 and
   modulo the determinant, section 2.4.2).  ``_echelon`` folds rows into
   an empty triangle with it, behind ``hnf``, ``hnf_with_transform`` and
   ``solve`` (c @ rows = target is read off an integer kernel vector of
-  [target; rows]); ``RatLattice`` inserts into a kept triangle;
+  [target; rows]); ``RatLattice`` inserts into a kept triangle.  Where
+  a carrier's pivot divides the row's entry, the step subtracts that
+  multiple from the row and leaves the carrier alone; else a unimodular
+  step puts the gcd of the two entries in the carrier.  The transform
+  and kernel rows of ``hnf_with_transform`` are therefore one valid
+  choice, not a canonical form, and no result depends on which:
+  ``sunits.PowerSpan.presentation`` keeps the kernel's HNF, witness
+  words are reduced modulo it, and every ``solve`` has one solution;
 - ``int_det``, the fraction-free Bareiss determinant.
 
 Callers hand in integer rows (``field.integer_rows`` clears a list of
@@ -27,6 +34,7 @@ when the tracer reads spans instead (ROADMAP item 4).
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 
 def xgcd(a, b):
@@ -101,6 +109,15 @@ def _insert(tri, row, mod=0):
         if carrier is None:
             tri[col] = row if x > 0 else [-y for y in row]
             return None
+        q, r = divmod(x, carrier[col])
+        if not r:
+            # the carrier's pivot divides x: one subtraction clears it
+            # and leaves the carrier as it is
+            if mod:
+                row = [(y - q * z) % mod for z, y in zip(carrier, row)]
+            else:
+                row = [y - q * z for z, y in zip(carrier, row)]
+            continue
         # s * a + t * b = 1: a unimodular step that leaves the gcd of
         # the two entries at col in the carrier and 0 in the row
         g = gcd(carrier[col], x)
@@ -204,7 +221,7 @@ def mat_det(mat):
 # Matrix products.
 
 def vec_mat(v, m):
-    return [sum(x * row[j] for x, row in zip(v, m)) for j in range(len(m[0]))]
+    return [sum(map(mul, v, col)) for col in zip(*m)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +237,7 @@ class RatLattice:
     __slots__ = ("den", "rows", "ncols")
 
     def __init__(self, den, rows, ncols):
-        g = den
-        for r in rows:
-            for x in r:
-                g = gcd(g, x)
+        g = gcd(den, *(x for r in rows for x in r))
         if g > 1:
             den //= g
             rows = [tuple(x // g for x in r) for r in rows]

@@ -468,9 +468,10 @@ def integer_roots(f, chain):
 
     Every degree bisects the root bound on integer endpoints with the
     chain, so the work grows with the logarithm of the coefficients, not
-    their square root.
+    their square root.  An interval with one root bisects on the sign of
+    the squarefree chain[0] alone, one evaluation per step.
     """
-    f = trim(f)
+    f, g = trim(f), chain[0]
     b = root_bound(f)
     out = []
     # (lo, hi] with the sign variations of the chain at both ends, so
@@ -479,6 +480,21 @@ def integer_roots(f, chain):
     while todo:
         lo, hi, vlo, vhi = todo.pop()
         if vlo == vhi:
+            continue
+        if vlo - vhi == 1:
+            # g changes sign at its one simple root r in (lo, hi]; read
+            # the sign at hi, since g(lo) is 0 when lo is the root of the
+            # interval to the left
+            v = peval(g, hi)
+            while v and hi - lo > 1:
+                mid = (lo + hi) // 2
+                w = peval(g, mid)
+                if not w or (w > 0) == (v > 0):
+                    hi, v = mid, w
+                else:
+                    lo = mid
+            if not v:
+                out.append(hi)
             continue
         if hi - lo == 1:
             if peval(f, hi) == 0:

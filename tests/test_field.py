@@ -418,8 +418,8 @@ ORACLE_FIELDS = [([-1, 1], None), ([1, 0, 1], None), ([-5, 0, 1], None),
 
 
 def test_elements_match_power_basis_oracle():
-    """Sums, products, inverses, norms, traces, minimal polynomials and
-    serialized coordinates of random elements against Fraction
+    """Sums, products, powers, inverses, norms, traces, minimal polynomials
+    and serialized coordinates of random elements against Fraction
     arithmetic in the power basis; every element in lowest terms, and
     equal elements equal and hashed alike whichever way they were made."""
     rng = random.Random(8)
@@ -451,9 +451,14 @@ def test_elements_match_power_basis_oracle():
             assert a.norm() == oracles.pb_norm(k, ca)
             assert a.trace() == oracles.pb_trace(k, ca)
             assert a.minimal_poly() == oracles.pb_minimal_poly(k, ca)
+            for e in range(10):
+                check(a ** e, oracles.pb_pow(k, ca, e))
             if not a.is_zero():
-                check(a.inverse(), oracles.pb_inverse(k, ca))
-                check(b / a, oracles.pb_mul(k, cb, oracles.pb_inverse(k, ca)))
+                inv = oracles.pb_inverse(k, ca)
+                check(a.inverse(), inv)
+                check(b / a, oracles.pb_mul(k, cb, inv))
+                for e in range(1, 4):
+                    check(a ** -e, oracles.pb_pow(k, inv, e))
             check(a - a, [0] * n)
         e0 = [1] + [0] * (n - 1)
         ones = {k.one, k.element(e0), k.from_ib(e0), k.from_rational(1),

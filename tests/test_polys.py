@@ -276,6 +276,23 @@ def test_integer_roots():
         assert roots(f) == expect
 
 
+def test_integer_roots_of_planted_products():
+    """Monic polynomials of degree 1-5: planted integer roots (repeats
+    allowed) times a monic cofactor with coefficients in [-5, 5].  Every
+    real root lies in [-9, 9] or inside the cofactor's bound 6, so a scan
+    of [-10, 10] finds all integer roots."""
+    rng = random.Random(42)
+    for _ in range(3000):
+        degree = rng.randint(1, 5)
+        planted = [rng.randint(-9, 9) for _ in range(rng.randint(0, degree))]
+        f = [rng.randint(-5, 5) for _ in range(degree - len(planted))] + [1]
+        for r in planted:
+            f = polys.pmul(f, [-r, 1])
+        expect = [r for r in range(-10, 11) if polys.peval(f, r) == 0]
+        assert set(planted) <= set(expect)
+        assert polys.integer_roots(f, polys.sturm_chain(f)) == expect, f
+
+
 def test_is_prime():
     small = [n for n in range(200) if polys.is_prime(n)]
     assert small == polys.primes_below(200)
