@@ -64,6 +64,10 @@ class OrderBoundExceeded(SgenError):
     exit_code = 2
 
 
+class BisectionBoundExceeded(SgenError):
+    exit_code = 2
+
+
 class HypothesisFails(SgenError):
     exit_code = 2
 

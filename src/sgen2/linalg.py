@@ -13,7 +13,12 @@ Two eliminations do all the work (Cohen, GTM 138, sections 2.2 and
   modulo the determinant, section 2.4.2).  ``_echelon`` folds rows into
   an empty triangle with it, behind ``hnf``, ``hnf_with_transform`` and
   ``solve`` (c @ rows = target is read off an integer kernel vector of
-  [target; rows]); ``RatLattice`` inserts into a kept triangle.  Where
+  [target; rows]).  A ``RatLattice`` is its kept triangle, over one
+  denominator and never reduced above its pivots or by its content:
+  ``extend`` copies it and inserts only the new rows, modulo D once the
+  triangle has full rank, ``sum_index`` is the ratio of the
+  determinants before and after an ``extend``, and only ``==``, for
+  tests, computes a canonical form.  Where
   a carrier's pivot divides the row's entry, the step subtracts that
   multiple from the row and leaves the carrier alone; else a unimodular
   step puts the gcd of the two entries in the carrier.  The transform
@@ -26,7 +31,7 @@ Two eliminations do all the work (Cohen, GTM 138, sections 2.2 and
 Callers hand in integer rows (``field.integer_rows`` clears a list of
 field elements to one denominator), so no elimination runs on
 ``Fraction`` entries.  No lattice is intersected: [A : A cap B] is
-[A + B : B] (``RatLattice.sum_index``), A's rows in B's triangle.
+[B + A : B] (``B.sum_index(den, rows)``), A's rows in B's triangle.
 ``mat_det``, the rational determinant through ``int_det``, has no
 caller in ``src/``: the benchmark's tracer still binds it, and it goes
 when the tracer reads spans instead (ROADMAP item 4).
@@ -228,69 +233,71 @@ def vec_mat(v, m):
 # Rational lattices: integer row lattices scaled by a common denominator.
 
 class RatLattice:
-    """Finitely generated subgroup of Q^n, stored as hnf_rows / den.
+    """Finitely generated subgroup of Q^n, kept as its triangle: tri[c]
+    the integer echelon row over den whose pivot is column c (None where
+    no row has it) and D the product of the diagonal, 0 below full rank.
 
-    The stored pair is normalized (gcd of den and all entries is 1), so
-    equal subgroups have equal representations.
+    The triangle is one basis of the subgroup, neither reduced above its
+    pivots nor normalized by content, so rows only ever go in.  Equality
+    compares canonical forms and is for tests only.
     """
 
-    __slots__ = ("den", "rows", "ncols")
+    __slots__ = ("den", "tri", "D")
 
     def __init__(self, den, rows, ncols):
-        g = gcd(den, *(x for r in rows for x in r))
-        if g > 1:
-            den //= g
-            rows = [tuple(x // g for x in r) for r in rows]
-        self.den = den
-        self.rows = tuple(tuple(r) for r in rows)
-        self.ncols = ncols
+        """span(rows) / den, the rows inserted into an empty triangle."""
+        self.den, self.tri, self.D = den, [None] * ncols, 0
+        self._fold(rows, 1)
 
-    def _common(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("ambient dimension mismatch")
-        d = lcm(self.den, other.den)
-        f, g = d // self.den, d // other.den
-        return ([[f * x for x in r] for r in self.rows],
-                [[g * x for x in r] for r in other.rows])
+    def _fold(self, rows, g):
+        """Insert g * r for each r into tri, modulo D once it has full
+        rank: D * Z^n then lies in the span."""
+        tri = self.tri
+        for r in rows:
+            _insert(tri, [g * x for x in r], self.D)
+            if None not in tri:
+                self.D = prod(r[c] for c, r in enumerate(tri))
 
     def extend(self, den, rows):
-        """self + span(rows) / den, the integer rows inserted into self's
-        triangle over the common denominator."""
+        """self + span(rows) / den: self's triangle copied over the common
+        denominator, with only the new rows inserted."""
+        d = lcm(self.den, den)
+        f, n = d // self.den, len(self.tri)
+        out = RatLattice(d, (), n)
+        out.tri = [r if f == 1 or r is None else [f * x for x in r]
+                   for r in self.tri]
+        out.D = self.D * f ** n
+        out._fold(rows, d // den)
+        return out
+
+    def sum_index(self, den, rows):
+        """[self + span(rows) / den : self], or None below full rank: over
+        the common denominator, self's determinant over that of self
+        extended by the rows."""
+        if not self.D:
+            return None
+        out = self.extend(den, rows)
+        return self.D * (out.den // self.den) ** len(self.tri) // out.D
+
+    def contains(self, den, rows):
+        """Whether span(rows) / den lies in self: over the common
+        denominator each row reduces to zero down the triangle."""
         d = lcm(self.den, den)
         f, g = d // self.den, d // den
-        tri = [None] * self.ncols
-        for r in self.rows:
-            tri[_pivot(r)] = [f * x for x in r]
-        D = prod(r[c] if r else 0 for c, r in enumerate(tri))
-        for r in rows:
-            _insert(tri, [g * x for x in r], D)
-        return RatLattice(d, _reduce_above(
-            [(c, r) for c, r in enumerate(tri) if r is not None]), self.ncols)
+        H = [[f * x for x in r] for r in self.tri if r is not None]
+        return all(in_lattice(H, [g * x for x in r]) for r in rows)
 
-    def sum_index(self, other):
-        """[self + other : other] = [self : self cap other], or None when
-        other has rank below the ambient dimension.  Over the common
-        denominator other's triangle has determinant D and holds D * Z^n;
-        the index is D over its diagonal with self's rows inserted."""
-        if len(other.rows) < self.ncols:
-            return None
-        a, tri = self._common(other)
-        D = prod(r[c] for c, r in enumerate(tri))
-        for r in a:
-            _insert(tri, r, D)
-        return D // prod(r[c] for c, r in enumerate(tri))
-
-    def contains(self, other):
-        # over the common denominator self's rows are still an HNF
-        a, b = self._common(other)
-        return all(in_lattice(a, r) for r in b)
+    def _canonical(self):
+        """(den, HNF rows) with the content of both divided out."""
+        H = hnf([r for r in self.tri if r is not None])
+        g = gcd(self.den, *(x for r in H for x in r))
+        return self.den // g, [tuple(x // g for x in r) for r in H]
 
     def __eq__(self, other):
-        return (isinstance(other, RatLattice) and self.den == other.den
-                and self.rows == other.rows and self.ncols == other.ncols)
-
-    def __hash__(self):
-        return hash((self.den, self.rows, self.ncols))
+        return (isinstance(other, RatLattice)
+                and len(self.tri) == len(other.tri)
+                and self._canonical() == other._canonical())
 
     def __repr__(self):
-        return f"RatLattice(1/{self.den} * {[list(r) for r in self.rows]})"
+        den, H = self._canonical()
+        return f"RatLattice(1/{den} * {[list(r) for r in H]})"

@@ -19,7 +19,13 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import InvariantViolated
+from .errors import BisectionBoundExceeded, InvariantViolated
+
+# Work bound: Sturm counts, one per interval, of one real-root isolation.
+# Three roots at 40 bits take about 260; x^16 - 2 (2^100 x - 1)^2, whose
+# two roots near 2^-100 lie about 2^-900 apart, would take about 2,200
+# counts on ever longer fractions.
+MAX_BISECTIONS = 512
 
 
 def trim(p):
@@ -136,7 +142,8 @@ def isolate_real_roots(p, precision_bits=32):
     """Disjoint rational intervals (lo, hi), one per distinct real root.
 
     Each interval has width at most 2**-precision_bits and the
-    squarefree part of p changes sign across it.
+    squarefree part of p changes sign across it.  BisectionBoundExceeded
+    once more than MAX_BISECTIONS intervals would be counted.
     """
     chain = sturm_chain(p)
     p = chain[0]
@@ -145,7 +152,13 @@ def isolate_real_roots(p, precision_bits=32):
     width_cap = Fraction(1, 2 ** precision_bits)
     bound = root_bound(p)
     todo, out = [(Fraction(-bound), Fraction(bound))], []
+    steps = 0
     while todo:
+        steps += 1
+        if steps > MAX_BISECTIONS:
+            raise BisectionBoundExceeded(
+                f"root isolation needs more than {MAX_BISECTIONS} "
+                f"bisection steps")
         lo, hi = todo.pop()
         count = count_roots_in(chain, lo, hi)
         if count == 0 or (count == 1 and hi - lo <= width_cap):

@@ -35,11 +35,13 @@ property of the returned certificate is proved before it is emitted,
 the power identity by an exact product.
 
 O_S itself is exhausted by the levels Lambda_k = B^-k O_K, B = prod
-beta_i, which the S-unit basis builds once each (SUnitBasis.level), as
-it builds each power span (SUnitBasis.span).  PowerSpan.index, the one
-home of ring indices, reads [O_S : span] per level as [Lambda_k + L_J :
-L_J], L_J a stage of the span, accepts it once three consecutive levels
-and a degree enlargement agree, and rechecks its Lagrange containment.
+beta_i, which the S-unit basis builds once each (SUnitBasis.level) as
+the n rows of B^-k times the integral basis, with no HNF, as it builds
+each power span (SUnitBasis.span), one kept triangle per stage.
+PowerSpan.index, the one home of ring indices, reads [O_S : span] per
+level as [L_J + Lambda_k : L_J], the level's rows inserted into a copy
+of stage J's triangle, accepts it once three consecutive levels and a
+degree enlargement agree, and rechecks its Lagrange containment.
 """
 
 import itertools
@@ -139,16 +141,16 @@ class SUnitBasis:
         return self._product
 
     def level(self, k):
-        """Lambda_k = B^-k O_K in integral-basis coordinates; the union
-        over k is O_S.  Each level is built once and kept on the basis."""
-        f = self.field
+        """Lambda_k = B^-k O_K as (den, rows): the n rows of B^-k times the
+        integral basis, over B^-k's denominator; the union over k is O_S.
+        Each level is built once and kept on the basis."""
         if self._binv is None:
             self._binv = self.product().inverse()
-            self._scale = f.one
+            self._scale = self.field.one
         while len(self._levels) <= k:
-            self._levels.append(element_lattice(
-                [self._scale * f.basis_element(i) for i in range(f.degree)]))
-            self._scale = self._scale * self._binv
+            s = self._scale
+            self._levels.append((s.den, s._num_rows()))
+            self._scale = s * self._binv
         return self._levels[k]
 
     def span(self, base, scale, extra=()):
@@ -578,16 +580,11 @@ def _certify_alpha(sbasis, alpha, u, c0, cf, cb, mp, spans, vec, tried,
 # ---------------------------------------------------------------------------
 # Ring indices over the levels Lambda_k of the S-unit basis.
 
-def element_lattice(elements):
-    """The Z-span of field elements, in integral-basis coordinates."""
-    den, rows = integer_rows(elements)
-    return RatLattice(den, hnf(rows), elements[0].field.degree)
-
-
 class PowerSpan:
     """Stage J is the Z-span of scale * base^j, j = 0..J, and of their
     multiples by each element of extra; each power is computed once and
-    stage J is stage J - 1 with the new rows inserted (SUnitBasis.span)."""
+    stage J is stage J - 1's triangle with only the new rows inserted
+    (SUnitBasis.span)."""
 
     def __init__(self, sbasis, base, scale, extra=()):
         self.sbasis = sbasis
@@ -623,33 +620,34 @@ class PowerSpan:
     def lattice(self, J):
         while len(self._stages) <= J + 1:
             p = self._power(len(self._stages) - 1)
-            self._stages.append(self._stages[-1].extend(
-                *integer_rows([p] + [g * p for g in self.extra])))
+            new = (integer_rows([p] + [g * p for g in self.extra])
+                   if self.extra else (p.den, [p.num]))
+            self._stages.append(self._stages[-1].extend(*new))
         return self._stages[J + 1]
 
     def index(self):
         """(index, level, per-level values but None): [O_S : span], found
-        once.  Level k reads [Lambda_k : Lambda_k cap L_J] = [Lambda_k +
-        L_J : L_J], L_J stage J = k + 2 (None below full rank).  A value is
-        accepted when levels k, k+1, k+2 agree and enlarging the degree at
-        level k does not change it; then the Lagrange containment index *
-        Lambda_k in stage k + 4, already built, is rechecked."""
+        once.  Level k reads [Lambda_k : Lambda_k cap L_J] = [L_J +
+        Lambda_k : L_J], L_J stage J = k + 2 (None below full rank).  A
+        value is accepted when levels k, k+1, k+2 agree and enlarging the
+        degree at level k does not change it; then the Lagrange
+        containment index * Lambda_k in stage k + 4, already built, is
+        rechecked."""
         if self._index is None:
             level, per_level = self.sbasis.level, []
             for k in range(LEVEL_BOUND + 1):
-                per_level.append(level(k).sum_index(self.lattice(k + 2)))
+                per_level.append(self.lattice(k + 2).sum_index(*level(k)))
                 lvl = k - 2
                 v = per_level[lvl] if lvl >= 0 else None
                 if (v is not None and per_level[lvl:] == [v] * 3
-                        and level(lvl).sum_index(self.lattice(lvl + 3)) == v):
+                        and self.lattice(lvl + 3).sum_index(*level(lvl)) == v):
                     break
             else:
                 raise NotStabilized(f"index did not stabilize within "
                                     f"{LEVEL_BOUND} filtration levels")
-            lam = level(lvl)
-            rows = [[v * x for x in r] for r in lam.rows]
+            den, rows = level(lvl)
             if not self.lattice(lvl + 4).contains(
-                    RatLattice(lam.den, rows, lam.ncols)):
+                    den, [[v * x for x in r] for r in rows]):
                 raise InvariantViolated("index * Lambda_k escapes the span")
             self._index = v, lvl, [x for x in per_level if x is not None]
         return self._index

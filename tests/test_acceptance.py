@@ -11,7 +11,7 @@ import time
 
 from sgen2.generators import build_generators, classify_case
 from sgen2.ideals import factor_rational_prime
-from sgen2.linalg import RatLattice, hnf, int_det
+from sgen2.linalg import RatLattice, int_det
 from sgen2.sunits import (choose_alpha, default_subfields,
                           rank_of_intersection, s_unit_basis, zalpha_index)
 from sgen2.verification import (admissible_primes, elementary_witness,
@@ -178,11 +178,11 @@ def test_criterion_6_invariant_battery(capsys):
             continue
         b = _mat_mul(m, a)
         c = _mat_mul(w, b)
-        # a > b > c, so [a : b] = [a + b : b] and so on
-        la, lb, lc = (RatLattice(1, hnf(x), n) for x in (a, b, c))
-        ab = la.sum_index(lb)
-        bc = lb.sum_index(lc)
-        ac = la.sum_index(lc)
+        # a > b > c, so [a : b] = [b + a : b] and so on
+        lb, lc = (RatLattice(1, x, n) for x in (b, c))
+        ab = lb.sum_index(1, a)
+        bc = lc.sum_index(1, b)
+        ac = lc.sum_index(1, a)
         assert ab == abs(int_det(m)) and bc == abs(int_det(w))
         assert ac == ab * bc
         triples += 1

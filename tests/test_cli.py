@@ -280,7 +280,7 @@ def test_wrong_ring_index_exits_3_without_traceback(tmp_path, monkeypatch,
     # containment recheck of PowerSpan.index catches it on every reported
     # index, the alpha certificate's index table included
     monkeypatch.setattr(linalg.RatLattice, "sum_index",
-                        lambda self, other: 1)
+                        lambda self, den, rows: 1)
     for cfg, command in ((SQRT118_FIVE, "alpha"), (GAUSSIAN_FIVE, "verify")):
         code, _ = run(tmp_path, cfg, command)
         assert code == 3
@@ -297,9 +297,9 @@ def test_verify_reads_the_certificates_ring_indices(tmp_path, monkeypatch):
     calls = []
     sum_index = linalg.RatLattice.sum_index
 
-    def counted(self, other):
-        calls.append(other)
-        return sum_index(self, other)
+    def counted(self, den, rows):
+        calls.append(self)
+        return sum_index(self, den, rows)
     monkeypatch.setattr(linalg.RatLattice, "sum_index", counted)
 
     def count(cfg, command):

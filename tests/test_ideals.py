@@ -352,9 +352,8 @@ def mat_mul(a, b):
 
 
 def lattice_index(l1_rows, l2_rows):
-    """[L1 : L2] for L2 inside L1, read as [L1 + L2 : L2]."""
-    lat = [RatLattice(1, linalg.hnf(r), len(r[0])) for r in (l1_rows, l2_rows)]
-    return lat[0].sum_index(lat[1])
+    """[L1 : L2] for L2 inside L1, read as [L2 + L1 : L2]."""
+    return RatLattice(1, l2_rows, len(l2_rows[0])).sum_index(1, l1_rows)
 
 
 def test_lattice_index_known_values():

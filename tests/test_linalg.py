@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from sgen2 import linalg
 from sgen2.linalg import RatLattice
@@ -164,8 +164,8 @@ def test_mat_det_matches_leibniz():
 
 
 def test_lattice_index_known():
-    # [Z^2 : 2Z x 3Z] = 6, read as [Z^2 + L : L] with L inside Z^2
-    assert lat(1, [[1, 0], [0, 1]]).sum_index(lat(1, [[2, 0], [0, 3]])) == 6
+    # [Z^2 : 2Z x 3Z] = 6, read as [L + Z^2 : L] with L inside Z^2
+    assert lat(1, [[2, 0], [0, 3]]).sum_index(1, [[1, 0], [0, 1]]) == 6
 
 
 def test_lattice_index_multiplicative():
@@ -181,14 +181,13 @@ def test_lattice_index_multiplicative():
         m2 = rand_matrix(rng, n, n, -3, 3)
         while linalg.int_det(m2) == 0:
             m2 = rand_matrix(rng, n, n, -3, 3)
-        l1 = lat(1, base)
-        l2 = lat(1, [[int(x) for x in r] for r in mat_mul(m1, base)])
-        l3 = lat(1, [[int(x) for x in r]
-                     for r in mat_mul(mat_mul(m2, m1), base)])
-        # l1 > l2 > l3, so each sum is the larger lattice
-        i12 = l1.sum_index(l2)
-        i23 = l2.sum_index(l3)
-        i13 = l1.sum_index(l3)
+        r1 = base
+        r2 = [[int(x) for x in r] for r in mat_mul(m1, base)]
+        r3 = [[int(x) for x in r] for r in mat_mul(mat_mul(m2, m1), base)]
+        # r1 > r2 > r3, so each sum is the larger lattice
+        i12 = lat(1, r2).sum_index(1, r1)
+        i23 = lat(1, r3).sum_index(1, r2)
+        i13 = lat(1, r3).sum_index(1, r1)
         assert i12 == abs(linalg.int_det(m1))
         assert i23 == abs(linalg.int_det(m2))
         assert i13 == i12 * i23
@@ -237,21 +236,21 @@ def test_intersect_and_sum():
     assert intersect(a, b) == linalg.hnf([[2, 0], [0, 3]])
     total = linalg.hnf(a + b)
     assert total == linalg.hnf([[1, 0], [0, 1]])
-    # [a : a cap b] = 3 = [a + b : b]
-    assert lat(1, a).sum_index(lat(1, b)) == 3
-    assert lat(1, b).sum_index(lat(1, a)) == 2
+    # [a : a cap b] = 3 = [b + a : b]
+    assert lat(1, b).sum_index(1, a) == 3
+    assert lat(1, a).sum_index(1, b) == 2
 
 
 def test_intersect_second_isomorphism():
-    # [A : A cap B] == [A + B : B] (sum_index) for random pairs with B of
-    # full rank; a B of lower rank gives None
+    # [A : A cap B] == [B + A : B] (B's sum_index) for random pairs with
+    # B of full rank; a B of lower rank gives None
     rng = random.Random(41)
     for _ in range(25):
         n = rng.randint(1, 3)
         a = rand_matrix(rng, n, n)
         b = rand_matrix(rng, n, n)
         if linalg.int_det(b) == 0:
-            assert lat(1, a).sum_index(lat(1, b)) is None
+            assert lat(1, b).sum_index(1, a) is None
             continue
         # cap has A's rank and lies in A: the index is the ratio of
         # the pivot products of the two Hermite forms
@@ -259,7 +258,7 @@ def test_intersect_second_isomorphism():
         assert len(cap) == len(ha)
         assert all(linalg.in_lattice(ha, r) for r in cap)
         assert (pivot_product(cap) // pivot_product(ha)
-                == lat(1, a).sum_index(lat(1, b)))
+                == lat(1, b).sum_index(1, a))
 
 
 def test_span_coeffs():
@@ -321,16 +320,16 @@ def lat(den, rows):
 
 
 def test_ratlattice_index_and_normalization():
-    # Z^2 against (1/2)Z x 3Z
-    half = lat(2, [[1, 0], [0, 6]])
-    whole = lat(1, [[1, 0], [0, 1]])
-    assert not half.contains(whole)  # Z^2 not inside the other lattice
-    assert half.sum_index(whole) == 2  # over its part Z x 3Z in Z^2
-    assert whole.sum_index(half) == 3  # Z^2 over Z x 3Z
-    sub = lat(2, [[1, 0], [0, 1]])
-    assert sub.sum_index(whole) == 4  # [(1/2)Z^2 : Z^2]
-    assert whole.sum_index(sub) == 1  # Z^2 lies inside (1/2)Z^2
-    assert sub.contains(whole) and not whole.contains(sub)
+    # Z^2 against (1/2)Z x 3Z, each as (den, rows)
+    half = (2, [[1, 0], [0, 6]])
+    whole = (1, [[1, 0], [0, 1]])
+    assert not lat(*half).contains(*whole)  # Z^2 not inside the other
+    assert lat(*whole).sum_index(*half) == 2  # over its part Z x 3Z in Z^2
+    assert lat(*half).sum_index(*whole) == 3  # Z^2 over Z x 3Z
+    sub = (2, [[1, 0], [0, 1]])
+    assert lat(*whole).sum_index(*sub) == 4  # [(1/2)Z^2 : Z^2]
+    assert lat(*sub).sum_index(*whole) == 1  # Z^2 lies inside (1/2)Z^2
+    assert lat(*sub).contains(*whole) and not lat(*whole).contains(*sub)
     # equal subgroups built from different generators compare equal
     a = lat(2, [[1, 0], [1, 2]])
     b = lat(2, [[1, 2], [0, 2], [3, 2]])
@@ -340,20 +339,20 @@ def test_ratlattice_index_and_normalization():
 
 
 def test_ratlattice_sum_index():
-    # a = (1/2)Z x Z, b = (1/3)Z x Z, a cap b = Z^2
-    a = lat(2, [[1, 0], [0, 2]])
-    b = lat(3, [[1, 0], [0, 3]])
-    cap = lat(1, [[1, 0], [0, 1]])
-    assert a.contains(cap) and b.contains(cap)
-    assert not cap.contains(a)
-    assert a.sum_index(b) == 2 == a.sum_index(cap)
-    assert b.sum_index(a) == 3 == b.sum_index(cap)
+    # a = (1/2)Z x Z, b = (1/3)Z x Z, a cap b = Z^2, each as (den, rows)
+    a = (2, [[1, 0], [0, 2]])
+    b = (3, [[1, 0], [0, 3]])
+    cap = (1, [[1, 0], [0, 1]])
+    assert lat(*a).contains(*cap) and lat(*b).contains(*cap)
+    assert not lat(*cap).contains(*a)
+    assert lat(*b).sum_index(*a) == 2 == lat(*cap).sum_index(*a)
+    assert lat(*a).sum_index(*b) == 3 == lat(*cap).sum_index(*b)
     # the sum, over the common denominator 6
     total = lat(6, [[3, 0], [0, 6], [2, 0], [0, 6]])
     assert total == lat(6, [[1, 0], [0, 6]])
-    assert total.contains(a) and total.contains(b)
-    assert a.contains(lat(2, [[5, 14]]))  # (5/2, 7)
-    assert not a.contains(lat(3, [[1, 0]]))  # (1/3, 0)
+    assert total.contains(*a) and total.contains(*b)
+    assert lat(*a).contains(2, [[5, 14]])  # (5/2, 7)
+    assert not lat(*a).contains(3, [[1, 0]])  # (1/3, 0)
 
 
 def test_extend_matches_hnf_from_scratch():
@@ -375,7 +374,7 @@ def test_extend_matches_hnf_from_scratch():
                     + [[x * (new // d) for x in r] for r in batch])
             den = new
             assert grown == lat(den, rows)
-        full += len(grown.rows) == n
+        full += None not in grown.tri
     assert full >= 40
 
 
@@ -396,11 +395,70 @@ def test_sum_index_matches_stacked_hnf():
         sb = [[x * (d // db) for x in r] for r in b]
         want = (pivot_product(linalg.hnf(sb))
                 // pivot_product(linalg.hnf(sa + sb)))
-        assert lat(da, a).sum_index(lat(db, b)) == want
+        assert lat(db, b).sum_index(da, a) == want
 
 
 def test_ratlattice_rank_deficient():
-    a = lat(1, [[1, 1]])
-    full = lat(1, [[1, 0], [0, 1]])
-    assert full.sum_index(a) is None  # [Z^2 : Z(1, 1)] is infinite
-    assert a.sum_index(full) == 1
+    a = (1, [[1, 1]])
+    full = (1, [[1, 0], [0, 1]])
+    assert lat(*a).sum_index(*full) is None  # [Z^2 : Z(1, 1)] is infinite
+    assert lat(*full).sum_index(*a) == 1
+
+
+def test_kept_triangles_match_stacked_hnf():
+    # stage sequences as power spans grow them, a few rows per stage over
+    # denominators != 1, below full rank first and then on the mod-D
+    # path: after each stage, sum_index and contains of a probe (den,
+    # rows) and == against another lattice give the answers of the HNF
+    # of all rows stacked over one denominator
+    def canonical(den, rows):
+        H = linalg.hnf(rows)
+        g = gcd(den, *(x for r in H for x in r))
+        return den // g, [[x // g for x in r] for r in H]
+
+    def over(d, den, rows):
+        return [[x * (d // den) for x in r] for r in rows]
+
+    rng = random.Random(71)
+    seen = {"below": 0, "modular": 0, "inside": 0, "outside": 0,
+            "equal": 0, "unequal": 0}
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        grown, den, rows = RatLattice(1, (), n), 1, []
+        for _ in range(n + 3):
+            seen["modular" if grown.D else "below"] += 1
+            d = rng.randint(2, 40)
+            batch = rand_matrix(rng, rng.randint(1, 2), n, -60, 60)
+            grown = grown.extend(d, batch)
+            new = lcm(den, d)
+            rows, den = over(new, den, rows) + over(new, d, batch), new
+            full = len(linalg.hnf(rows)) == n
+            assert (grown.D != 0) == full
+
+            # a probe over a multiple of den, inside the lattice unless
+            # its first row is moved by small random offsets
+            k = rng.randint(1, 5)
+            probe = [[k * x for x in linalg.vec_mat(
+                [rng.randint(-4, 4) for _ in rows], rows)]
+                for _ in range(rng.randint(1, n))]
+            if rng.random() < 0.5:
+                probe[0] = [x + rng.randint(-3, 3) for x in probe[0]]
+            pd = den * k
+            stacked = over(pd, den, rows)
+            H = linalg.hnf(stacked)
+            inside = all(linalg.in_lattice(H, r) for r in probe)
+            seen["inside" if inside else "outside"] += 1
+            assert grown.contains(pd, probe) == inside
+            want = (pivot_product(H) // pivot_product(linalg.hnf(
+                stacked + probe)) if full else None)
+            assert grown.sum_index(pd, probe) == want
+
+            # the span with the probe added, from other generators over
+            # twice the probe's denominator: the same span when it is inside
+            other = (2 * pd, over(2 * pd, den, rows[::-1])
+                     + over(2 * pd, pd, probe))
+            same = canonical(den, rows) == canonical(*other)
+            seen["equal" if same else "unequal"] += 1
+            assert (grown == RatLattice(*other, n)) == same
+            assert grown == RatLattice(den, rows, n)
+    assert min(seen.values()) >= 20, seen

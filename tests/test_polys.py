@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from sgen2 import polys
-from sgen2.errors import InvariantViolated
+from sgen2.errors import BisectionBoundExceeded, InvariantViolated, SgenError
 
 import oracles
 
@@ -131,6 +132,23 @@ def test_isolation_exact_rational_root():
     assert len(ivs) == 1
     lo, hi = ivs[0]
     assert lo < 1 < hi
+
+
+def test_isolation_stops_at_its_bisection_bound(monkeypatch):
+    # x^16 - 2 (2^100 x - 1)^2 has two roots about 2^-900 apart near
+    # 2^-100; separating them takes about 2,200 Sturm counts, seconds
+    # of work, so the bound ends the isolation with a named error
+    f = [-2, 2 ** 102, -2 ** 201] + [0] * 13 + [1]
+    counts = []
+    count = polys.count_roots_in
+    monkeypatch.setattr(polys, "count_roots_in",
+                        lambda *a: counts.append(1) or count(*a))
+    start = time.perf_counter()
+    with pytest.raises(BisectionBoundExceeded) as err:
+        polys.isolate_real_roots(f, precision_bits=0)
+    assert time.perf_counter() - start < 0.5
+    assert len(counts) == polys.MAX_BISECTIONS
+    assert err.value.exit_code == 2 and isinstance(err.value, SgenError)
 
 
 def one_factor(f, p):

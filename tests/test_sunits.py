@@ -6,15 +6,15 @@ import pytest
 
 from sgen2.errors import (CardinalityTooSmall, HypothesisFails,
                           InvariantViolated, NotStabilized, SearchExhausted)
-from sgen2.field import _torsion_units, create_field
+from sgen2.field import _torsion_units, create_field, integer_rows
 from sgen2.generators import build_generators, classify_case
 from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice
 from sgen2 import cli, linalg, sunits, verification
 from sgen2.sunits import (PrimeSet, SubfieldRank, choose_alpha,
-                          default_subfields, element_lattice,
-                          exponent_vector, is_cm, rank_of_intersection,
-                          rational_subfield, s_unit_basis, zalpha_index)
+                          default_subfields, exponent_vector, is_cm,
+                          rank_of_intersection, rational_subfield,
+                          s_unit_basis, zalpha_index)
 
 import oracles
 from instances import (ALL, DESK, gaussian_five, gaussian_two, rational_two,
@@ -600,16 +600,17 @@ def test_sunit_basis_levels_rational():
     k, S = rational_two()
     sb = s_unit_basis(k, S)
     for j in range(4):
-        lam = sb.level(j)
-        assert lam.contains(RatLattice(2 ** j, [[1]], 1))
-        assert not lam.contains(RatLattice(2 ** (j + 1), [[1]], 1))
+        lam = RatLattice(*sb.level(j), 1)
+        assert lam.contains(2 ** j, [[1]])
+        assert not lam.contains(2 ** (j + 1), [[1]])
     # each level is built once and kept on the basis
     assert sb.level(2) is sb.level(2)
 
 
 def test_level_index_matches_coset_oracle():
     # [Lambda_k : Lambda_k cap L_J] at J = k + 2 for L_J the span of
-    # x^(n j), j <= J, read through the sum lattice, against the oracle's
+    # x^(n j), j <= J, read as [L_J + Lambda_k : L_J] with the level's
+    # rows inserted into the kept stage triangle, against the oracle's
     # power-basis levels and Smith form
     def levels(sb, x, n):
         k = sb.field
@@ -619,7 +620,7 @@ def test_level_index_matches_coset_oracle():
             J = lvl + 2
             gens = [oracles.pb_pow(k, x.power_coords(), n * j)
                     for j in range(J + 1)]
-            got = sb.level(lvl).sum_index(span.lattice(J))
+            got = span.lattice(J).sum_index(*sb.level(lvl))
             assert got == oracles.coset_index(k, sb, gens, lvl)
             out.append(got)
         return out
@@ -674,7 +675,8 @@ def test_power_span_stages_match_scratch():
     def check(span):
         span.lattice(8)
         for J in range(9):
-            assert span.lattice(J) == element_lattice(span.elements(J)), J
+            assert span.lattice(J) == RatLattice(
+                *integer_rows(span.elements(J)), span.base.field.degree), J
 
     for make in DESK:
         cert = build_generators(*make()).alpha_cert
@@ -696,7 +698,7 @@ def test_level_index_matches_oracle_beyond_desk(monkeypatch):
         out = []
         for lvl in range(5):
             J = lvl + 2
-            got = sb.level(lvl).sum_index(span.lattice(J))
+            got = span.lattice(J).sum_index(*sb.level(lvl))
             gens = _oracle_stage(k, scale, base, extra, J)
             assert got == oracles.coset_index(k, sb, gens, lvl), lvl
             out.append(got)
@@ -705,7 +707,12 @@ def test_level_index_matches_oracle_beyond_desk(monkeypatch):
     cases = {"Q over 2, 3": ([-1, 1], (2, 3)),
              "Q(sqrt 2) over 7, 17": ([-2, 0, 1], (7, 17)),
              "Q(sqrt 13) over 3": ([-13, 0, 1], (3,)),
-             "Q(sqrt -3) over 2, 13": ([1, 1, 1], (2, 13))}
+             "Q(sqrt -3) over 2, 13": ([1, 1, 1], (2, 13)),
+             # the principal_ideals benchmark fields, whose indices reach
+             # 2.1e15 on triangles that are never reduced by their content
+             "Q(sqrt 67) over 5": ([-67, 0, 1], (5,)),
+             "Q(sqrt 118) over 5": ([-118, 0, 1], (5,)),
+             "Q(sqrt -119) over 3": ([119, 0, 1], (3,))}
     seen = {}
     for name, (poly, primes) in cases.items():
         k, S = _over(poly, *primes)
@@ -716,6 +723,7 @@ def test_level_index_matches_oracle_beyond_desk(monkeypatch):
                                   a, k.one)
     assert seen["Q(sqrt 2) over 7, 17", 3] == [5] * 5
     assert seen["Q(sqrt 13) over 3", 3] == [10] * 5
+    assert seen["Q(sqrt 118) over 5", 3] == [2129177248229394] * 5
     # the per-level values of alpha itself agree, but enlarging the
     # degree at each level changes them: still no stabilized index
     k, S = _over([1, 1, 1], 2, 13)
@@ -732,10 +740,11 @@ def test_level_index_matches_oracle_beyond_desk(monkeypatch):
 
 def test_alpha_index_table_work_count(monkeypatch):
     # the three zalpha_index calls of an alpha report on Q(sqrt 118)
-    # over 5: one elimination per level Lambda_0..2 (kept on the basis),
-    # then only row insertions, one per stage row and one per level row
-    # of each (level, stage) pair; eliminating every pair from scratch
-    # took 24 eliminations.  _echelon runs on _insert too: only the
+    # over 5: no elimination, since a level Lambda_0..2 is its
+    # multiplication rows (kept on the basis), and only row insertions,
+    # one per stage row and one per level row of each (level, stage)
+    # pair.  Eliminating every pair from scratch took 24 eliminations,
+    # and an HNF per level took 3.  _echelon runs on _insert too: only the
     # insertions made outside an elimination are counted
     counts = {"_echelon": 0, "_insert": 0}
     inside, eliminating = [], []
@@ -765,7 +774,7 @@ def test_alpha_index_table_work_count(monkeypatch):
     cert = choose_alpha(classify_case(*_over([-118, 0, 1], 5)))
     assert [row[1:] for row in cert.index_table] == [
         (28254, 0), (17343265836, 0), (2129177248229394, 0)]
-    assert counts == {"_echelon": 3, "_insert": 39}
+    assert counts == {"_echelon": 0, "_insert": 39}
 
 
 def test_random_s_units_have_integer_exponents():

@@ -10,12 +10,12 @@ import pytest
 from sgen2.errors import (ConfigInvalid, IdentityFailed, IndexDivisor,
                           InvariantViolated, NotInLattice, PrimeInS,
                           SgenError, VerificationFailure)
-from sgen2.field import FieldElement, NumberField, create_field
+from sgen2.field import FieldElement, NumberField, create_field, integer_rows
 from sgen2.generators import build_generators
 from sgen2.ideals import ResidueMap, factor_rational_prime, residue_maps
-from sgen2.linalg import RatLattice, hnf
+from sgen2.linalg import RatLattice
 from sgen2.polys import primes_below
-from sgen2.sunits import PrimeSet, element_lattice, s_unit_basis
+from sgen2.sunits import PrimeSet, s_unit_basis
 from sgen2 import cli, ideals, polys, sunits, verification
 from sgen2.verification import (VERIFY_DEFAULTS, admissible_primes,
                                 elementary_witness, ideal_ladder,
@@ -357,11 +357,11 @@ def test_in_s_integers_matches_the_valuation_ladder(poly, ps, one_over_5):
 
 
 def oracle_level(k, sbasis, level, scale):
-    """scale * Lambda_level, from the oracle's power-basis products."""
+    """scale * Lambda_level as (den, rows), from the oracle's power-basis
+    products."""
     rows = oracles.level_rows(k, sbasis, level)
     den = lcm(*(x.denominator for r in rows for x in r))
-    return RatLattice(den, hnf([[int(x * den) * scale for x in r] for r in rows]),
-                      k.degree)
+    return den, [[int(x * den) * scale for x in r] for r in rows]
 
 
 def test_ladder_containment_forms():
@@ -371,8 +371,8 @@ def test_ladder_containment_forms():
     lad = ideal_ladder(prove_shape(t), "search")
     a2 = t.alpha_in_K ** 2
     gens = [k.from_rational(t.h) * a2 ** j for j in range(9)]
-    span = element_lattice(gens)
-    assert span.contains(oracle_level(k, t.case_info.sbasis, 2, lad["m"]))
+    span = RatLattice(*integer_rows(gens), k.degree)
+    assert span.contains(*oracle_level(k, t.case_info.sbasis, 2, lad["m"]))
 
     # case 2: M Lambda_k lands inside span + sqrt(-d) span
     t = triple(gaussian_two)
@@ -384,8 +384,8 @@ def test_ladder_containment_forms():
     scale = k.from_rational(t.h ** 3 * lad["m"]) * d
     gens = [scale * a2 ** j for j in range(9)]
     gens += [delta * g for g in gens]
-    span = element_lattice(gens)
-    assert span.contains(oracle_level(k, t.case_info.sbasis, 2, lad["M"]))
+    span = RatLattice(*integer_rows(gens), k.degree)
+    assert span.contains(*oracle_level(k, t.case_info.sbasis, 2, lad["M"]))
 
 
 # ---------------------------------------------------------------------------
