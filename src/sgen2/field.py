@@ -1,19 +1,22 @@
 """Number fields K = Q[x]/(f) with exact integer arithmetic.
 
 A field carries an integral basis b_0 = 1, b_1, ..., b_(n-1) of its
-maximal order, given as the power-basis coordinates (in 1, t, ...,
-t^(n-1), t a fixed root of the monic defining polynomial f) of each b_i,
-and the integer structure constants mult_table of that basis, built once
-as polynomial products reduced mod f.  An element is num / den: integer
+maximal order once, as integer rows over one denominator: row i holds
+den * (the power-basis coordinates of b_i in 1, t, ..., t^(n-1), t a
+fixed root of the monic defining polynomial f).  It also carries the
+integer structure constants mult_table of that basis, built once as
+polynomial products reduced mod f.  An element is num / den: integer
 integral-basis coordinates over one positive denominator, in lowest
 terms, so equal elements have equal num and den.  Every product, of
 elements as of the coordinate vectors that ideals, filtration levels,
 power spans and residue tables use, is NumberField.ib_mul, one walk over
 a flat list of the nonzero structure constants c_ijk as (i, j, k, c).
 The field keeps the basis traces Tr(b_k) = sum_l c_kll, so a trace is
-one dot product with num, and trace_gram reads them.  Power-basis
+one dot product with num, and trace_gram reads them.  Elements and
+ideals take powers through the one square_and_multiply.  Power-basis
 coordinates appear only at the boundary: configs and datasheets
-(element, a subfield's integral basis), reports (serialize) and repr.
+(element, a subfield's integral basis, cleared once to integer rows),
+reports (serialize, which repr prints).
 
 Linear algebra on elements clears them to integer rows over one
 denominator (integer_rows) and solves through linalg.solve, on the
@@ -166,19 +169,7 @@ class FieldElement:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        if not e:
-            return self.field.one
-        # square-and-multiply from the low bit, without the product by
-        # one the first set bit would take or a square after the last bit
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return square_and_multiply(self, e) if e else self.field.one
 
     def _num_rows(self):
         """The integer matrix whose row i holds the coordinates of num * b_i."""
@@ -245,13 +236,6 @@ class FieldElement:
             powers.append(cur)
         raise InvariantViolated("no dependence among n+1 powers")
 
-    def power_coords(self):
-        """Rational coordinates with respect to the power basis."""
-        f = self.field
-        den = self.den * f._ib_den
-        return tuple(Fraction(x, den)
-                     for x in linalg.vec_mat(self.num, f._ib_rows))
-
     def is_integral(self):
         return self.den == 1
 
@@ -266,21 +250,21 @@ class FieldElement:
         return out
 
     def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.power_coords()):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(format_rational(c))
-            else:
-                var = "t" if i == 1 else f"t^{i}"
-                if c == 1:
-                    terms.append(var)
-                elif c == -1:
-                    terms.append(f"-{var}")
-                else:
-                    terms.append(f"{format_rational(c)}*{var}")
-        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+        return f"FieldElement({self.serialize()})"
+
+
+def square_and_multiply(x, e):
+    """x^e for an integer e >= 1, squaring from the low bit, without the
+    product by one the first set bit would take or a square after the
+    last bit: the one power routine of elements and ideals."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if not e:
+            return result
+        x = x * x
 
 
 def integer_rows(elements):
@@ -298,11 +282,10 @@ def span_solve(elements, x):
 
 
 class NumberField:
-    def __init__(self, poly, integral_basis, signature, field_discriminant,
+    def __init__(self, poly, ib_den, ib_rows, signature, field_discriminant,
                  tier, irreducibility):
         self.poly = tuple(int(c) for c in poly)
         self.degree = len(self.poly) - 1
-        self.integral_basis = tuple(tuple(Fraction(x) for x in row) for row in integral_basis)
         self.signature = signature
         self.field_discriminant = field_discriminant
         self.tier = tier
@@ -313,12 +296,11 @@ class NumberField:
         self.sheet_subfields = ()
         self.sheet_class_orders = {}
         n = self.degree
-        # the integral basis as integer rows _ib_rows over one denominator
-        # _ib_den, and its inverse
-        self._ib_den = lcm(*(x.denominator for r in self.integral_basis
-                             for x in r))
-        self._ib_rows = [[int(x * self._ib_den) for x in r]
-                         for r in self.integral_basis]
+        # the integral basis: b_i is the integer row _ib_rows[i] of
+        # power-basis coordinates over the one denominator _ib_den, the
+        # least that clears every row; and its inverse
+        self._ib_den = ib_den
+        self._ib_rows = ib_rows
         self._ib_inv = self._build_ib_inv()
         # integer structure constants over the integral basis, for
         # ib_mul each nonzero c_ijk as (i, j, k, c), and the traces
@@ -437,8 +419,8 @@ class NumberField:
             "degree": self.degree,
             "signature": list(self.signature),
             "discriminant": self.field_discriminant,
-            "integral_basis": [[format_rational(x) for x in row]
-                               for row in self.integral_basis],
+            "integral_basis": [self.basis_element(i).serialize()
+                               for i in range(self.degree)],
             "tier": self.tier,
             "irreducibility": self.irreducibility,
         }
@@ -474,7 +456,8 @@ def _irreducibility_screen(poly, chain):
 
 
 def _quadratic_integral_data(poly):
-    """(integral_basis_rows, field_disc) for x^2 + b x + c."""
+    """(den, rows, field_disc) for x^2 + b x + c: the integral basis 1,
+    omega as integer power-basis rows over the least denominator."""
     b, c = poly[1], poly[0]
     disc_poly = b * b - 4 * c
     if abs(disc_poly) > MAX_QUADRATIC_DISCRIMINANT:
@@ -485,14 +468,12 @@ def _quadratic_integral_data(poly):
     m = polys.squarefree_part(disc_poly)
     f_theta = isqrt(disc_poly // m)
     if m % 4 == 1:
-        # omega = (1 + sqrt(m)) / 2, sqrt(m) = (2 t + b) / f_theta
-        row = (Fraction(f_theta + b, 2 * f_theta), Fraction(1, f_theta))
-        disc = m
-    else:
-        row = (Fraction(b, f_theta), Fraction(2, f_theta))
-        disc = 4 * m
-    basis = [(Fraction(1), Fraction(0)), row]
-    return basis, disc
+        # omega = (1 + sqrt(m)) / 2, sqrt(m) = (2 t + b) / f_theta; b has
+        # the parity of f_theta, as b^2 = f_theta^2 m mod 4
+        return f_theta, [[f_theta, 0], [(f_theta + b) // 2, 1]], m
+    # omega = sqrt(m) = (2 t + b) / f_theta, and b^2 - 4 c = f_theta^2 m
+    # with m = 2, 3 mod 4 makes f_theta and b even
+    return f_theta // 2, [[f_theta // 2, 0], [b // 2, 1]], 4 * m
 
 
 def create_field(poly, datasheet=None):
@@ -528,11 +509,10 @@ def create_field(poly, datasheet=None):
     sig = (r1, (n - r1) // 2)
 
     if n == 1:
-        basis = [(Fraction(1),)]
-        disc = 1
+        den, rows, disc = 1, [[1]], 1
         tier = "automatic"
     elif n == 2:
-        basis, disc = _quadratic_integral_data(poly)
+        den, rows, disc = _quadratic_integral_data(poly)
         tier = "automatic"
     else:
         if datasheet is None:
@@ -544,16 +524,19 @@ def create_field(poly, datasheet=None):
                                   "subfields", "class_orders"}
         if extra:
             raise DatasheetInvalid(f"unknown datasheet keys: {sorted(extra)}")
-        basis = [tuple(_sheet_row(row, "an integral_basis row", n))
+        basis = [_sheet_row(row, "an integral_basis row", n)
                  for row in _sheet_list(datasheet, "integral_basis")]
-        if (len(basis) != n
-                or basis[0] != tuple([Fraction(1)] + [Fraction(0)] * (n - 1))):
+        if len(basis) != n or basis[0] != [1] + [0] * (n - 1):
             raise DatasheetInvalid("integral_basis must have one row per "
                                    "degree, the first one 1")
+        # cleared once to integer rows over the least common denominator
+        den = lcm(*(x.denominator for row in basis for x in row))
+        rows = [[x.numerator * (den // x.denominator) for x in row]
+                for row in basis]
         disc = None  # computed from the trace Gram below
         tier = "datasheet"
 
-    field = NumberField(poly, basis, sig, disc, tier, irreducibility)
+    field = NumberField(poly, den, rows, sig, disc, tier, irreducibility)
 
     gram_det = linalg.int_det(field.trace_gram())
     if gram_det == 0:

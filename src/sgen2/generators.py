@@ -46,9 +46,6 @@ class SL2Element:
         if a * d - b * c != field.one:
             raise ValueError("determinant must be 1")
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def serialize(self):
         return [[x.serialize() for x in row] for row in self.rows]
 

@@ -43,7 +43,7 @@ from . import linalg, polys
 from .errors import (ConfigInvalid, DatasheetInvalid, DatasheetRequired,
                      IndexDivisor, InvariantViolated, OrderBoundExceeded)
 from .field import (FieldElement, _torsion_units, continued_fraction_step,
-                    fundamental_unit)
+                    fundamental_unit, square_and_multiply)
 
 # Largest power a tried by class_order before giving up.
 CLASS_ORDER_BOUND = 10000
@@ -82,21 +82,14 @@ class IntegralIdeal:
                                  for b in other.hnf])
 
     def __pow__(self, e):
-        """self^e by squaring, in O(log e) ideal products."""
+        """self^e in O(log e) ideal products."""
         if not isinstance(e, int) or e < 0:
             return NotImplemented
         if e == 0:
             return IntegralIdeal(self.field,
                                  [[int(i == j) for j in range(self.field.degree)]
                                   for i in range(self.field.degree)])
-        power, square = None, self
-        while True:
-            if e & 1:
-                power = square if power is None else power * square
-            e >>= 1
-            if not e:
-                return power
-            square = square * square
+        return square_and_multiply(self, e)
 
     def __eq__(self, other):
         return (isinstance(other, IntegralIdeal) and self.field is other.field

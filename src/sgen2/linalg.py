@@ -13,19 +13,19 @@ Two eliminations do all the work (Cohen, GTM 138, sections 2.2 and
   modulo the determinant, section 2.4.2).  ``_echelon`` folds rows into
   an empty triangle with it, behind ``hnf``, ``hnf_with_transform`` and
   ``solve`` (c @ rows = target is read off an integer kernel vector of
-  [target; rows]).  A ``RatLattice`` is its kept triangle, over one
-  denominator and never reduced above its pivots or by its content:
-  ``extend`` copies it and inserts only the new rows, modulo D once the
-  triangle has full rank, ``sum_index`` is the ratio of the
-  determinants before and after an ``extend``, and only ``==``, for
-  tests, computes a canonical form.  Where
-  a carrier's pivot divides the row's entry, the step subtracts that
-  multiple from the row and leaves the carrier alone; else a unimodular
-  step puts the gcd of the two entries in the carrier.  The transform
-  and kernel rows of ``hnf_with_transform`` are therefore one valid
-  choice, not a canonical form, and no result depends on which:
-  ``sunits.PowerSpan.presentation`` keeps the kernel's HNF, witness
-  words are reduced modulo it, and every ``solve`` has one solution;
+  [target; rows]).  Where a carrier's pivot divides the row's entry,
+  the step subtracts that multiple from the row and leaves the carrier
+  alone; else a unimodular step puts the gcd of the two entries in the
+  carrier.  The transform and kernel rows of ``hnf_with_transform`` are
+  therefore one valid choice, not a canonical form, and no result
+  depends on which: ``sunits.PowerSpan.presentation`` keeps the
+  kernel's HNF, witness words are reduced modulo it, and every
+  ``solve`` has one solution.  A ``RatLattice`` is its kept triangle,
+  over one denominator and never reduced above its pivots or by its
+  content: ``extend`` copies it and inserts only the new rows, modulo D
+  once the triangle has full rank, and ``sum_index`` is the ratio of
+  the determinants before and after an ``extend``.  It has no canonical
+  form and no ``==``: its readers ask for an index or for containment;
 - ``int_det``, the fraction-free Bareiss determinant.
 
 Callers hand in integer rows (``field.integer_rows`` clears a list of
@@ -238,8 +238,8 @@ class RatLattice:
     no row has it) and D the product of the diagonal, 0 below full rank.
 
     The triangle is one basis of the subgroup, neither reduced above its
-    pivots nor normalized by content, so rows only ever go in.  Equality
-    compares canonical forms and is for tests only.
+    pivots nor normalized by content, so rows only ever go in.  It has no
+    canonical form and no ==: its readers ask for indices and containment.
     """
 
     __slots__ = ("den", "tri", "D")
@@ -286,18 +286,3 @@ class RatLattice:
         f, g = d // self.den, d // den
         H = [[f * x for x in r] for r in self.tri if r is not None]
         return all(in_lattice(H, [g * x for x in r]) for r in rows)
-
-    def _canonical(self):
-        """(den, HNF rows) with the content of both divided out."""
-        H = hnf([r for r in self.tri if r is not None])
-        g = gcd(self.den, *(x for r in H for x in r))
-        return self.den // g, [tuple(x // g for x in r) for r in H]
-
-    def __eq__(self, other):
-        return (isinstance(other, RatLattice)
-                and len(self.tri) == len(other.tri)
-                and self._canonical() == other._canonical())
-
-    def __repr__(self):
-        den, H = self._canonical()
-        return f"RatLattice(1/{den} * {[list(r) for r in H]})"

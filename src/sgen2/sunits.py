@@ -205,10 +205,13 @@ class SubfieldDescriptor:
         self.field = field
         self.subfield = subfield
         self.embedding = embedding
+        # b_i = sum_j row_ij g^j / den over F's integer basis rows
         powers = [embedding ** i for i in range(subfield.degree)]
+        images = [sum((g * c for g, c in zip(powers, row) if c), field.zero)
+                  for row in subfield._ib_rows]
         self.basis = integer_rows([
-            sum((g * c for g, c in zip(powers, row) if c), field.zero)
-            for row in subfield.integral_basis])
+            FieldElement(field, x.num, x.den * subfield._ib_den)
+            for x in images])
         self._lying_over = {}
 
     def map_element(self, x):

@@ -333,8 +333,8 @@ def reduce_triple(triple, M):
                 raise PrimeInS(f"{M.p} lies in S")
             raise ConfigInvalid(
                 "prime shares its residue characteristic with a member of S")
-    return [tuple(tuple(M.reduce(m.entry(i, j)) for j in range(2))
-                  for i in range(2)) for m in triple.matrices()]
+    return [tuple(tuple(M.reduce(x) for x in row) for row in m.rows)
+            for m in triple.matrices()]
 
 
 def _degree(M, r):

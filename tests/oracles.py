@@ -6,7 +6,9 @@ isomorphism), via the Smith invariant factors (computed here, by the
 oracle's own elimination) of M's coordinates over the sum lattice,
 with a Bareiss determinant cross-check.  The library builds its levels
 by structure constants and divides the Hermite pivot products of M and
-of the sum, so the two share only the HNF of the sum.
+of the sum, so the two share only the HNF of the sum.  Two spans are
+equal (same_span) when they and their sum have the same Smith
+invariants; the library's lattices have no equality of their own.
 
 The matrix-group oracle counts |SL2| over tiny fields by direct
 enumeration of quadruples, and finds the subgroup that reduced matrices
@@ -48,7 +50,9 @@ factorization.
 The power-basis oracle does field arithmetic on Fraction coordinates in
 1, t, ..., t^(n-1), reducing products by f term by term, where the
 library keeps integer integral-basis numerators and multiplies by
-structure constants.  Everything above that needs field products takes
+structure constants.  It reads an element in the power basis itself
+(pb_coords: its numerators times the field's integer basis rows, over
+both denominators).  Everything above that needs field products takes
 them from it.  Inverses, norms, minimal polynomials and the change to
 integral-basis coordinates go through the oracle's own Gauss-Jordan
 elimination over Q (gauss_jordan), where the library solves through
@@ -125,16 +129,28 @@ def snf_invariants(mat):
     return diag
 
 
+def same_span(a, b):
+    """Whether two (den, integer rows) pairs span one subgroup of Q^n.
+    Over a common denominator A and B lie in A + B, and a sublattice of
+    the same rank and the same Smith invariants is the whole lattice, so
+    A = B exactly when A, B and A + B stacked have equal invariants."""
+    (da, ra), (db, rb) = a, b
+    d = da * db // gcd(da, db)
+    A = [[x * (d // da) for x in r] for r in ra]
+    B = [[x * (d // db) for x in r] for r in rb]
+    return snf_invariants(A) == snf_invariants(A + B) == snf_invariants(B)
+
+
 def level_rows(field, sbasis, k):
     """Integral-basis rows of B^-k w_i, B the product of the S-generators
     and w_i the integral basis: generators of Lambda_k, by power-basis
     products, where the library multiplies by structure constants."""
     b = pb_one(field)
     for g in sbasis.s_gens:
-        b = pb_mul(field, b, g.power_coords())
+        b = pb_mul(field, b, pb_coords(g))
     scale = pb_pow(field, pb_inverse(field, b), k)
     return [pb_to_ib(field, pb_mul(field, scale, row))
-            for row in field.integral_basis]
+            for row in pb_basis(field)]
 
 
 def coset_index(field, sbasis, gens, k):
@@ -173,8 +189,8 @@ def zalpha_levels(field, S, alpha, n, kmax, extra_gens=()):
     """Per-level indices [Lambda_k : M_J cap Lambda_k] with J = k + 2,
     computed entirely through the oracle route."""
     sbasis = s_unit_basis(field, S)
-    a = pb_pow(field, alpha.power_coords(), n)
-    extra = [g.power_coords() for g in extra_gens]
+    a = pb_pow(field, pb_coords(alpha), n)
+    extra = [pb_coords(g) for g in extra_gens]
     out = []
     for k in range(kmax + 1):
         pows = [pb_one(field)]
@@ -332,9 +348,25 @@ def pb_minimal_poly(field, a):
         powers.append(cur)
 
 
+def pb_basis(field):
+    """The integral basis b_i as Fraction power-basis rows, read off the
+    field's integer rows over their one denominator."""
+    return [[Fraction(x, field._ib_den) for x in row]
+            for row in field._ib_rows]
+
+
+def pb_coords(x):
+    """Power-basis coordinates of a field element, sum_i (num_i / den)
+    b_i: the oracle's own view of the library's integral-basis
+    numerators."""
+    basis = pb_basis(x.field)
+    return [sum(Fraction(c, x.den) * row[j] for c, row in zip(x.num, basis))
+            for j in range(x.field.degree)]
+
+
 def pb_to_ib(field, a):
     """Integral-basis coordinates of a power-basis coordinate vector."""
-    inv = gj_inverse(field.integral_basis)
+    inv = gj_inverse(pb_basis(field))
     n = field.degree
     return [sum(Fraction(x) * inv[i][j] for i, x in enumerate(a))
             for j in range(n)]
@@ -371,8 +403,8 @@ def _pm_conj(field, A, x):
 
 def pm_rows(rows):
     """A 2x2 matrix over K, given as rows of field elements, with each
-    entry read through power_coords."""
-    return tuple(tuple(list(x.power_coords()) for x in row) for row in rows)
+    entry read through pb_coords."""
+    return tuple(tuple(pb_coords(x) for x in row) for row in rows)
 
 
 def pm_pow(field, m, k):
@@ -397,7 +429,7 @@ def identity_windows(triple, r_range, s_range, n_range):
     identities for every N, each multiplied out with power-basis
     products.  a = alpha^h and tau (h, or h sqrt(-d) in case 2) come
     from the certificate; the matrices' entries are read only through
-    power_coords."""
+    pb_coords."""
     field = triple.field
     n = field.degree
     one = pb_one(field)
@@ -417,11 +449,11 @@ def identity_windows(triple, r_range, s_range, n_range):
 
     g, p1, p2 = (pm_rows(m.rows) for m in triple.matrices())
     h = scale(triple.h, one)
-    a = pb_pow(field, list(triple.alpha_in_K.power_coords()), triple.h)
+    a = pb_pow(field, pb_coords(triple.alpha_in_K), triple.h)
     a_inv = pb_inverse(field, a)
     case2 = triple.case_info.case == 2
     if case2:
-        delta = list(triple.case_info.cm.sqrt_minus_d.power_coords())
+        delta = pb_coords(triple.case_info.cm.sqrt_minus_d)
         tau = scale(triple.h, delta)
     else:
         tau = h
@@ -691,7 +723,7 @@ def principal_generator_box(ideal):
         for y in range(ymax + 1):
             for xx, yy in ((x, y), (x, -y)) if x and y else ((x, y),):
                 el = field.from_ib((xx, yy))
-                if abs(pb_norm(field, el.power_coords())) != N:
+                if abs(pb_norm(field, pb_coords(el))) != N:
                     continue
                 if ideal.contains(el):
                     return el

@@ -202,8 +202,8 @@ def test_criterion_6_invariant_battery(capsys):
         field, S = build()
         t = build_generators(field, S)
         for mat in (t.gamma, t.psi1, t.psi2):
-            det = (mat.entry(0, 0) * mat.entry(1, 1)
-                   - mat.entry(0, 1) * mat.entry(1, 0))
+            (a, b), (c, d) = mat.rows
+            det = a * d - b * c
             assert det == field.one, build.__name__
             matrices += 1
 

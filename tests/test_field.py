@@ -1,6 +1,7 @@
+import json
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import oracles
 import pytest
@@ -35,7 +36,7 @@ def test_rationals():
     assert k.degree == 1
     assert k.signature == (1, 0)
     assert k.field_discriminant == 1
-    assert k.integral_basis == ((Fraction(1),),)
+    assert (k._ib_den, k._ib_rows) == (1, [[1]])
     x = k.from_rational(Fraction(3, 4))
     assert x * x == k.from_rational(Fraction(9, 16))
     assert x.norm() == Fraction(3, 4)
@@ -48,7 +49,7 @@ def test_gaussian_field():
     k = QI()
     assert k.signature == (0, 1)
     assert k.field_discriminant == -4
-    assert k.integral_basis == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert (k._ib_den, k._ib_rows) == (1, [[1, 0], [0, 1]])
     i = k.theta
     assert i * i == k.from_rational(-1)
     assert (1 + 2 * i).norm() == 5
@@ -82,7 +83,52 @@ def test_sqrt2_field():
     k = create_field([-2, 0, 1])
     assert k.field_discriminant == 8
     assert k.signature == (2, 0)
-    assert k.integral_basis[1] == (Fraction(0), Fraction(1))
+    assert (k._ib_den, k._ib_rows[1]) == (1, [0, 1])
+
+
+# d of the fields Q(sqrt d) the analyze_sweep benchmark runs (besides Q)
+# and of the desk instances
+SWEEP_AND_DESK_D = (-1, -2, -3, -7, -11, -19, -43, -67, -163, 2, 3, 5, 13)
+# Dedekind's cubic on 1, t, (t + t^2)/2, its basis given as strings
+DEDEKIND_SHEET = {"integral_basis": [[1, 0, 0], [0, 1, 0], [0, "1/2", "1/2"]],
+                  "fundamental_units": [[-13, -13, -3]]}
+
+
+def test_integral_basis_is_one_set_of_integer_rows():
+    # the basis is held once, as integer rows over the least common
+    # denominator, and reports print those rows over it: for x^2 - d,
+    # 1 and (1 + t)/2 when d = 1 mod 4, else 1 and t
+    def held(k):
+        return k._ib_den, k._ib_rows, k.serialize()["integral_basis"]
+
+    assert held(QQ()) == (1, [[1]], [["1"]])
+    for d in SWEEP_AND_DESK_D:
+        if d % 4 == 1:
+            want = (2, [[2, 0], [1, 1]], [["1", "0"], ["1/2", "1/2"]])
+        else:
+            want = (1, [[1, 0], [0, 1]], [["1", "0"], ["0", "1"]])
+        assert held(create_field([-d, 0, 1])) == want, d
+    # every census datasheet and Dedekind's cubic: the sheet's rational
+    # rows cleared to one denominator
+    import census
+    sheets = {json.dumps(cfg["field"], sort_keys=True): cfg["field"]
+              for _, cfg in census.rows() if "datasheet" in cfg["field"]}
+    sheets = list(sheets.values()) + [{"poly": [8, -2, 1, 1],
+                                       "datasheet": DEDEKIND_SHEET}]
+    rejected = 0
+    for f in sheets:
+        basis = [[Fraction(x) for x in row]
+                 for row in f["datasheet"]["integral_basis"]]
+        den = lcm(*(x.denominator for row in basis for x in row))
+        want = (den, [[int(x * den) for x in row] for row in basis],
+                [[format_rational(x) for x in row] for row in basis])
+        try:
+            k = create_field(f["poly"], f["datasheet"])
+        except DatasheetInvalid:
+            rejected += 1  # Q(zeta5) with a unit of finite order
+            continue
+        assert held(k) == want, f
+    assert (len(sheets), rejected, want[0]) == (128, 2, 2)
 
 
 def test_nonmaximal_power_basis_detected():
@@ -283,7 +329,7 @@ def test_serialize_is_format_rational_of_power_coords():
                     for _ in range(60)]
         for x in samples:
             assert x.serialize() == [format_rational(c)
-                                     for c in x.power_coords()]
+                                     for c in oracles.pb_coords(x)]
         assert any("/" in c and c.startswith("-")
                    for x in samples for c in x.serialize())
     assert create_field([-5, 0, 1]).basis_element(1).serialize() == \
@@ -393,7 +439,7 @@ def test_structure_constants_match_direct_products():
                      ([-45, 0, 1], None), ([1, 1, 1, 1, 1], ZETA5_DATASHEET)]:
         k = create_field(poly, datasheet=ds)
         n = k.degree
-        basis = k.integral_basis
+        basis = oracles.pb_basis(k)
         gram = k.trace_gram()
         for i in range(n):
             for j in range(n):
@@ -433,7 +479,7 @@ def test_elements_match_power_basis_oracle():
 
         def check(x, coords):
             assert x.den > 0 and gcd(x.den, *x.num) == 1
-            assert list(x.power_coords()) == list(coords)
+            assert oracles.pb_coords(x) == list(coords)
             assert x.serialize() == [format_rational(c) for c in coords]
             same = (k.element(coords), k.from_ib(oracles.pb_to_ib(k, coords)))
             for y in same:
@@ -548,7 +594,7 @@ def test_fundamental_unit_matches_brute_force():
         x, y = xy
         # t = sqrt m, and sqrt D is t (D = m) or 2t (D = 4m)
         want = (Fraction(x, 2), Fraction(y, 2) * (1 if D % 2 else 2))
-        assert fundamental_unit(k).power_coords() == want, m
+        assert tuple(oracles.pb_coords(fundamental_unit(k))) == want, m
         checked += 1
     assert checked == 352
 

@@ -200,7 +200,7 @@ def test_datasheet_class_order_checks_the_declared_power():
     k0 = create_field([1, 1, 1, 1, 1], datasheet=ZETA5_DATASHEET)
     for a in range(1, 10):
         for e in (a, a + 1):
-            gen = [int(c) for c in ((k0.one - k0.theta) ** e).power_coords()]
+            gen = [int(c) for c in oracles.pb_coords((k0.one - k0.theta) ** e)]
             k = create_field([1, 1, 1, 1, 1], datasheet=zeta5_with(
                 "class_orders", order=a, generator=gen))
             (q5,) = factor_rational_prime(k, 5)
@@ -346,6 +346,41 @@ def test_ideal_mul_norm_multiplicative():
         assert ia.norm == abs(a.norm())
 
 
+def test_ideal_powers_match_repeated_products(monkeypatch):
+    # P^e by the shared square-and-multiply against P * P * ... * P for
+    # e = 0..9: e.bit_length() - 1 squares and popcount(e) - 1 further
+    # products, none by the unit ideal and no square after the last bit
+    fields = [(create_field([1, 0, 1]), (2, 3, 5)),
+              (create_field([19, 0, 1]), (2, 5, 7)),
+              (create_field([-2, 0, 1]), (2, 3, 7)),
+              (create_field([1, 1, 1, 1, 1], datasheet=ZETA5_DATASHEET),
+               (5, 11))]
+    products = []
+    mul = IntegralIdeal.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    checked = 0
+    for k, ps in fields:
+        unit = IntegralIdeal.principal(k, k.one)
+        for P in (P for p in ps for P in factor_rational_prime(k, p)):
+            want = unit
+            for e in range(10):
+                products.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(IntegralIdeal, "__mul__", counted)
+                    got = P ** e
+                assert got == want and got.norm == P.norm ** e, (k, P, e)
+                assert len(products) == (
+                    e.bit_length() + bin(e).count("1") - 2 if e else 0)
+                assert all(unit not in ab for ab in products)
+                want = want * P
+                checked += 1
+    assert checked == 10 * 18  # 18 primes
+
+
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
             for row in a]
@@ -468,7 +503,7 @@ def test_principal_search_matches_box_oracle_on_products():
             kinds[kind] += 1
             if got is None:
                 nonprincipal.add(d)
-            elif oracles.pb_norm(k, got.power_coords()) < 0:
+            elif oracles.pb_norm(k, oracles.pb_coords(got)) < 0:
                 norm_minus_n.add(d)
     assert min(kinds.values()) >= 20, kinds
     assert nonprincipal == {-5, -23}

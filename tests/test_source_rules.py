@@ -105,10 +105,9 @@ FRACTION = {
     "field.parse_rational", "field.format_rational", "field.create_field",
     "field.FieldElement._coerce", "field.FieldElement.__eq__",
     "field.FieldElement.norm", "field.FieldElement.trace",
-    "field.FieldElement.power_coords", "field.NumberField.__init__",
     "field.NumberField.from_ib", "field.NumberField.from_rational",
-    "field._quadratic_integral_data", "linalg.solve", "linalg.mat_det",
-    "polys.isolate_real_roots", "sunits.exponent_vector"}
+    "linalg.solve", "linalg.mat_det", "polys.isolate_real_roots",
+    "sunits.exponent_vector"}
 
 
 def fraction_boundary(tree):
@@ -122,25 +121,30 @@ def fraction_boundary(tree):
 def mentioned(tree):
     """Every class and function of src/sgen2 (not __init__, not a dunder)
     is mentioned in src/sgen2 or bench outside its own body: by a name,
-    an attribute, or an identifier in a string, dotted ones split."""
+    an attribute, or an identifier in a string, dotted ones split.  A
+    method counts as mentioned only by an attribute or a string, not by
+    a local name that happens to share its name."""
     defined, mentions = {}, {}
     for p, nodes in tree.items():
         for n, owners in nodes:
             if (isinstance(n, DEFS) and p.startswith("src/")
                     and not p.endswith("__init__.py")
                     and not n.name[:2] == n.name[-2:] == "__"):
-                defined.setdefault(n.name, []).append((p, n))
+                method = bool(owners) and isinstance(owners[-1], ast.ClassDef)
+                defined.setdefault(n.name, []).append((p, n, method))
             words = ([n.id] if isinstance(n, ast.Name) else
                      [n.attr] if isinstance(n, ast.Attribute) else
                      n.value.split(".") if isinstance(n, ast.Constant)
                      and isinstance(n.value, str) else [])
             for w in words:
                 if w.isidentifier() and p != "tests/oracles.py":
-                    mentions.setdefault(w, []).append(owners)
+                    mentions.setdefault(w, []).append(
+                        (owners, isinstance(n, ast.Name)))
     return [f"{p}:{n.lineno}: {name} is not mentioned outside its own body"
-            for name, defs in defined.items() for p, n in defs[:1]
-            if not any(d not in owners for owners in mentions.get(name, ())
-                       for _, d in defs)]
+            for name, defs in defined.items() for p, n, _ in defs[:1]
+            if not any(d not in owners
+                       for owners, by_name in mentions.get(name, ())
+                       for _, d, method in defs if not (method and by_name))]
 
 
 def unused_import(tree):
@@ -203,8 +207,6 @@ READERS = {
                      "generators.classify_case"},
     "SubfieldRank": {"generators import", "generators.classify_case",
                      "sunits.rank_of_intersection"},
-    # a subfield maps through its basis rows; power coordinates print
-    ".power_coords": {"field.FieldElement.__repr__"},
 }
 
 
@@ -239,7 +241,10 @@ MUTANTS = {
     fraction_boundary: ["polys: def pdivmod(a, b): return Fraction(a, b)",
                         "polys: def sqrt_upper(n): return Fraction(n)"],
     mentioned: ["linalg: def integer_kernel(r): return integer_kernel(r)",
-                "linalg: class ResidueFieldTooLarge(ValueError): pass"],
+                "linalg: class ResidueFieldTooLarge(ValueError): pass",
+                # a method of RatLattice, the class linalg ends with, that
+                # only the local name entry of ideals.class_order names
+                "linalg:     def entry(self, i, j): return self.tri[i][j]"],
     unused_import: ["verification: from .generators import m2_identity"],
     unused_parameter: ["sunits: def _f(field, S): return S"],
     readers: [
@@ -257,6 +262,7 @@ MUTANTS = {
         "cli: from json import dumps", "sunits: k = K.datasheet",
         "verification: PowerSpan(a2, h)", "verification: sbasis.level(0)",
         "verification: lam.sum_index(span.lattice(2))",
+        "sunits: def map_element(x): return x.sum_index(1, [])",
         "verification: from .sunits import PowerSpan",
         "cli: from .sunits import LEVEL_BOUND",
         "sunits: def zalpha_index(b, a, n): return PowerSpan(b, a, 1).index()",
@@ -266,6 +272,7 @@ MUTANTS = {
         "verification: def elementary_witness(s, x): return "
         "hnf_with_transform(x)",
         "verification: from .linalg import hnf_with_transform",
+        "verification: def prove_shape(t): return hnf_with_transform(t.rows)",
         "sunits: def zalpha_index(b, a, n): return hnf_with_transform(b)",
         "verification: def run_verification(t): return modp_surjectivity(t)",
         "verification: def reduce_triple(t, M): return modp_surjectivity(M, t)",
@@ -280,9 +287,7 @@ MUTANTS = {
         "generators: def build_generators(F, SF): return s_unit_basis(F, SF)",
         "verification: from .sunits import s_unit_basis",
         "generators: def build_generators(F, SF): return SubfieldRank(SF, F)",
-        "sunits: def choose_alpha(S, F): return SubfieldRank(S, F).rank",
-        "sunits: def map_element(x): return x.power_coords()",
-        "verification: def prove_shape(t): return t.alpha.power_coords()"],
+        "sunits: def choose_alpha(S, F): return SubfieldRank(S, F).rank"],
 }
 
 

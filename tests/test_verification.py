@@ -426,7 +426,7 @@ def test_witness_evaluates_on_quadratic():
             w = elementary_witness(shape, x, side)
             total = k.zero
             scale = k.from_rational(t.h) if side == "lower" \
-                else t.psi2.entry(0, 1)
+                else t.psi2.rows[0][1]
             for j, c in w.word:
                 total = total + scale * a2 ** abs(j) * c
             assert total == x
@@ -828,8 +828,8 @@ def sqrt103_five():
 
 
 def reduced(R, mats):
-    return [tuple(tuple(R.reduce(m.entry(i, j)) for j in range(2))
-                  for i in range(2)) for m in mats]
+    return [tuple(tuple(R.reduce(x) for x in row) for row in m.rows)
+            for m in mats]
 
 
 def test_modp_count_matches_bfs_oracle():
