@@ -22,8 +22,9 @@ Linear algebra on elements clears them to integer rows over one
 denominator (integer_rows) and solves through linalg.solve, on the
 integer Hermite form: span_solve gives minimal polynomials and the CM
 split.  The inverse of the integral basis (power-basis coordinates to
-integral-basis ones) is read off one HNF of the basis rows per field,
-which also checks that the basis is nonsingular and contains Z[t].
+integral-basis ones) is read off remainders down one HNF of the basis
+rows with the identity carried, one per field, which also checks that
+the basis is nonsingular and contains Z[t].
 
 create_field reads a square factor, the integer roots and the signature
 off one Sturm chain of f (polys.sturm_chain).  The irreducibility
@@ -329,17 +330,19 @@ class NumberField:
 
     def _build_ib_inv(self):
         """Row i holds the integral-basis coordinates of t^i; integers,
-        since the integral basis must contain Z[t]: den t^i = c @ H for
-        an integer c, H = T @ _ib_rows the basis HNF, and t^i = c @ T."""
+        since the integral basis must contain Z[t].  Down H, the basis
+        rows' HNF with the identity carried beside them, den e_i | 0
+        reduces to 0 | -c exactly when den t^i = c @ _ib_rows."""
         n = self.degree
-        H, T, _ = linalg.hnf_with_transform(self._ib_rows)
-        if len(H) < n:
+        H = linalg.hnf([r + [int(i == k) for k in range(n)]
+                        for i, r in enumerate(self._ib_rows)])
+        if not H[-1][n - 1]:
             raise DatasheetInvalid("integral basis is singular")
-        inv = [linalg.solve_hnf(H, [self._ib_den * (i == j) for j in range(n)])
-               for i in range(n)]
-        if None in inv:
+        inv = [linalg.remainder(H, [self._ib_den * (i == j)
+                                    for j in range(2 * n)]) for i in range(n)]
+        if any(any(v[:n]) for v in inv):
             raise DatasheetInvalid("integral basis does not contain Z[t]")
-        return [linalg.vec_mat(c, T) for c in inv]
+        return [[-c for c in v[n:]] for v in inv]
 
     def _build_mult_table(self):
         """table[i][j] holds the integral-basis coordinates of b_i * b_j:

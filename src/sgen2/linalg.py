@@ -10,22 +10,27 @@ Two eliminations do all the work (Cohen, GTM 138, sections 2.2 and
 
 - the integer Hermite step ``_insert``, one row into a triangle of
   echelon rows, modulo its determinant D once that holds D * Z^n (HNF
-  modulo the determinant, section 2.4.2).  ``_echelon`` folds rows into
-  an empty triangle with it, behind ``hnf``, ``hnf_with_transform`` and
-  ``solve`` (c @ rows = target is read off an integer kernel vector of
-  [target; rows]).  Where a carrier's pivot divides the row's entry,
-  the step subtracts that multiple from the row and leaves the carrier
-  alone; else a unimodular step puts the gcd of the two entries in the
-  carrier.  The transform and kernel rows of ``hnf_with_transform`` are
-  therefore one valid choice, not a canonical form, and no result
-  depends on which: ``sunits.PowerSpan.presentation`` keeps the
-  kernel's HNF, witness words are reduced modulo it, and every
-  ``solve`` has one solution.  A ``RatLattice`` is its kept triangle,
-  over one denominator and never reduced above its pivots or by its
-  content: ``extend`` copies it and inserts only the new rows, modulo D
-  once the triangle has full rank, and ``sum_index`` is the ratio of
-  the determinants before and after an ``extend``.  It has no canonical
-  form and no ``==``: its readers ask for an index or for containment;
+  modulo the determinant, section 2.4.2).  Where a carrier's pivot
+  divides the row's entry, the step subtracts that multiple from the
+  row and leaves the carrier alone; else a unimodular step puts the gcd
+  of the two entries in the carrier.  ``hnf`` folds rows into an empty
+  triangle with it and reduces each row above its pivot.  No transform
+  is formed: rows with a unit vector carried beside them come out of
+  ``hnf`` with their transform (the carried part of the rows with a
+  pivot in the leading columns) and the canonical HNF of their
+  relations (the rows with a pivot in the carried columns) at once.
+  ``remainder`` reduces a vector down echelon rows, each pivot entry
+  into [0, pivot): zero exactly on their span, and one vector per coset
+  of it.  ``solve`` reads c @ rows = target off the relation of
+  [target; rows] with its pivot in the target's column; the integral
+  basis inverse and the witness words read coefficients off the
+  carried part of one remainder.  A ``RatLattice`` is its kept
+  triangle, over one denominator and never reduced above its pivots or
+  by its content: ``extend`` copies it and inserts only the new rows,
+  modulo D once the triangle has full rank, and ``sum_index`` is the
+  ratio of the determinants before and after an ``extend``.  It has no
+  canonical form and no ``==``: its readers ask for an index or for
+  containment;
 - ``int_det``, the fraction-free Bareiss determinant.
 
 Callers hand in integer rows (``field.integer_rows`` clears a list of
@@ -67,44 +72,11 @@ def _pivot(row):
     return None
 
 
-def _reduce_above(pivoted):
-    """Canonical HNF of echelon rows given as (pivot column, row) pairs."""
-    result = []
-    for col, carrier in pivoted:
-        piv = carrier[col]
-        for i, row in enumerate(result):
-            q = row[col] // piv
-            if q:
-                result[i] = [x - q * y for x, y in zip(row, carrier)]
-        result.append(carrier)
-    return result
-
-
-def _echelon(rows, ncols):
-    """Hermite elimination on the first ncols columns of integer rows.
-
-    Columns past ncols are carried along by the same row operations.
-    Returns (H, zero): H the rows of the canonical HNF of the first
-    ncols columns, each with its carried columns, and zero the rows
-    whose first ncols entries were eliminated (all-zero rows dropped).
-    """
-    tri, zero = [None] * ncols, []
-    for r in rows:
-        left = _insert(tri, list(map(int, r)))
-        if left is not None and any(left):
-            zero.append(left)
-    return _reduce_above([(c, r) for c, r in enumerate(tri)
-                          if r is not None]), zero
-
-
 def _insert(tri, row, mod=0):
     """Fold an integer row into tri (echelon rows by pivot column, None
-    where there is none) in place, and return what is left of it: None
-    once it takes a free pivot, else the row with every column of tri
-    eliminated, the columns past them carried.  With mod > 0, tri is
-    full and holds mod * Z^n, so entries past the current column are
-    reduced mod `mod`: mod * e_j is a combination of the untouched rows
-    with pivot >= j."""
+    where there is none) in place.  With mod > 0, tri is full and holds
+    mod * Z^n, so entries past the current column are reduced mod `mod`:
+    mod * e_j is a combination of the untouched rows with pivot >= j."""
     if mod:
         row = [x % mod for x in row]
     for col, carrier in enumerate(tri):
@@ -113,7 +85,7 @@ def _insert(tri, row, mod=0):
             continue
         if carrier is None:
             tri[col] = row if x > 0 else [-y for y in row]
-            return None
+            return
         q, r = divmod(x, carrier[col])
         if not r:
             # the carrier's pivot divides x: one subtraction clears it
@@ -135,43 +107,44 @@ def _insert(tri, row, mod=0):
         else:
             tri[col] = [s * z + t * y for z, y in zip(carrier, row)]
             row = [a * y - b * z for z, y in zip(carrier, row)]
-    return row
 
 
 def hnf(rows):
-    """Canonical HNF of the span of the given integer rows (zero rows dropped)."""
-    H, _ = _echelon(rows, len(rows[0]) if rows else 0)
-    return [tuple(r) for r in H]
+    """Canonical HNF of the span of the given integer rows (zero rows
+    dropped): the rows folded into one triangle, then each reduced above
+    its pivot by the rows below it."""
+    tri = [None] * (len(rows[0]) if rows else 0)
+    for r in rows:
+        _insert(tri, list(map(int, r)))
+    result = []
+    for col, carrier in enumerate(tri):
+        if carrier is None:
+            continue
+        piv = carrier[col]
+        for i, row in enumerate(result):
+            q = row[col] // piv
+            if q:
+                result[i] = [x - q * y for x, y in zip(row, carrier)]
+        result.append(carrier)
+    return [tuple(r) for r in result]
 
 
-def hnf_with_transform(rows):
-    """(H, T, kernel): H = canonical HNF, T integer rows with T @ rows = H,
-    kernel = basis of {x : x @ rows = 0}."""
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    H, zero = _echelon([list(r) + [int(i == k) for k in range(m)]
-                        for i, r in enumerate(rows)], ncols)
-    return ([tuple(r[:ncols]) for r in H], [tuple(r[ncols:]) for r in H],
-            [tuple(r[ncols:]) for r in zero])
-
-
-def solve_hnf(H, vec):
-    """Integer coefficients over the rows of an HNF matrix, or None."""
-    v = list(map(int, vec))
-    coeffs = [0] * len(H)
-    for i, row in enumerate(H):
-        pc = _pivot(row)
-        if v[pc] % row[pc]:
-            return None
-        q = v[pc] // row[pc]
-        coeffs[i] = q
+def remainder(H, vec):
+    """vec reduced down the echelon rows H (positive pivots, canonical or
+    not): each pivot entry put into [0, pivot).  It is zero exactly when
+    vec lies in the span of H, and the same vector for every member of
+    vec + span(H)."""
+    v = list(vec)
+    for row in H:
+        c = _pivot(row)
+        q = v[c] // row[c]
         if q:
             v = [x - q * y for x, y in zip(v, row)]
-    return coeffs if not any(v) else None
+    return v
 
 
 def in_lattice(H, vec):
-    return solve_hnf(H, vec) is not None
+    return not any(remainder(H, vec))
 
 
 def solve(rows, target):
@@ -179,10 +152,14 @@ def solve(rows, target):
 
     rows and target are integer.  A kernel vector x of [target; rows]
     with x_0 != 0 gives c = -x[1:] / x_0, and one exists exactly when
-    target lies in the rational span of rows.
+    target lies in the rational span of rows: then the HNF of [target;
+    rows] with the identity carried beside it has a row whose pivot is
+    the target's carried column, and its carried part is such an x.
     """
-    _, _, kernel = hnf_with_transform([target] + list(rows))
-    x = next((x for x in kernel if x[0]), None)
+    n, m = len(target), len(rows) + 1
+    H = hnf([list(r) + [int(i == k) for k in range(m)]
+             for i, r in enumerate([target, *rows])])
+    x = next((r[n:] for r in H if _pivot(r) == n), None)
     if x is None:
         return None
     return [Fraction(-v, x[0]) for v in x[1:]]

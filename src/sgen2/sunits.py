@@ -54,7 +54,7 @@ from .field import (RATIONALS, FieldElement, _torsion_units,
                     format_rational, fundamental_unit, integer_rows,
                     span_solve)
 from .ideals import class_order, factor_rational_prime
-from .linalg import RatLattice, hnf, hnf_with_transform, vec_mat
+from .linalg import RatLattice, hnf, vec_mat
 from .polys import count_roots_in, root_bound, sturm_chain
 
 # Work bounds: alpha-search exponent shells, the n of the [O_S : Z[alpha^n]]
@@ -609,15 +609,16 @@ class PowerSpan:
         return pows + [g * p for g in self.extra for p in pows]
 
     def presentation(self, J):
-        """(den, H, T, K) for stage J, built on first use: den the common
-        denominator of the stage generators, H = T @ rows the HNF of their
-        integer rows over den, and K the canonical HNF of their relations
-        on reversed coordinates (verification._canonical_coeffs)."""
+        """(den, H) for stage J, built on first use: den the common
+        denominator of the stage generators, H the HNF of their integer
+        rows over den, row i carrying minus the unit vector of generator i
+        on reversed coordinates (verification.elementary_witness)."""
         if J not in self._presentations:
             den, rows = integer_rows(self.elements(J))
-            H, T, kernel = hnf_with_transform(rows)
-            self._presentations[J] = (
-                den, H, T, hnf([list(reversed(v)) for v in kernel]))
+            m = len(rows)
+            self._presentations[J] = den, hnf(
+                [r + [-(k == m - 1 - i) for k in range(m)]
+                 for i, r in enumerate(rows)])
         return self._presentations[J]
 
     def lattice(self, J):

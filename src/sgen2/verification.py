@@ -14,8 +14,9 @@ checks, each falsifiable on its own:
     again; in case 2 S(F) is the one classification contracted.
   * elementary_witness writes a requested elementary matrix as an
     explicit word in the triple and evaluates the word exactly through
-    the proved shapes, solving against the presentation that the span
-    keeps for each stage (one HNF per span and stage, not per word).
+    the proved shapes, reading it off one remainder down the
+    presentation that the span keeps for each stage (one HNF per span
+    and stage, not per word).
   * modp_surjectivity takes the triple reduced modulo a prime
     (reduce_triple, once per prime, through the prime's ring map O_K ->
     F_p[x] / (g), ideals.ResidueMap, which is also the residue field: no
@@ -42,7 +43,7 @@ from .errors import (ConfigInvalid, IdentityFailed, NotInLattice, PrimeInS,
 from .field import FieldElement
 from .generators import e12, e21
 from .ideals import residue_maps
-from .linalg import solve_hnf, vec_mat, xgcd
+from .linalg import remainder, xgcd
 from .polys import is_prime
 
 # Work bounds: the orders N of a^2 that the case-2 ladder tries, and the
@@ -265,19 +266,6 @@ class Witness:
                          for j, c in self.word]}
 
 
-def _canonical_coeffs(kernel, sol):
-    """Reduce a solution modulo the relations of the generators (K of
-    PowerSpan.presentation) so that the trailing coefficients are the
-    small canonical digits (only the j = 0 coefficient is unbounded)."""
-    out = list(reversed(sol))
-    for row in kernel:
-        j = next(i for i, v in enumerate(row) if v)
-        q = out[j] // row[j]
-        if q:
-            out = [o - q * r for o, r in zip(out, row)]
-    return list(reversed(out))
-
-
 def elementary_witness(shape, x, side):
     """A word in gamma and psi producing E21(x) (side "lower") or
     E12(x) (side "upper"), verified by exact evaluation.
@@ -287,8 +275,11 @@ def elementary_witness(shape, x, side):
     a^{2j} with conjugator powers of the opposite sign.  Raises
     NotInLattice when x is outside every stage up to J_BOUND.  A stage
     is read through PowerSpan.presentation (in case 1 both sides are one
-    span): if x.den does not divide its den it cannot hold x, else x is
-    solved against the kept HNF and reduced by the kept relations.
+    span): if x.den does not divide its den it cannot hold x, else x's
+    row over den, zeros carried, is reduced down the kept HNF.  x is in
+    the stage when the leading part is zero; the reversed carried part
+    is then its coefficients, reduced modulo the relations to the small
+    canonical digits (only the j = 0 one is unbounded).
 
     The word is evaluated through the proved shapes rather than by
     multiplying matrices: gamma = diag(a, a^-1) gives gamma^j E21(y)
@@ -299,13 +290,15 @@ def elementary_witness(shape, x, side):
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
     span = getattr(shape, side)
+    n = len(x.num)
     for J in range(J_BOUND + 1):
-        den, H, T, kernel = span.presentation(J)
+        den, H = span.presentation(J)
         if den % x.den:
             continue
-        y = solve_hnf(H, [c * (den // x.den) for c in x.num])
-        if y is not None:
-            coeffs = _canonical_coeffs(kernel, vec_mat(y, T))
+        v = remainder(H, [c * (den // x.den) for c in x.num]
+                      + [0] * (len(H[0]) - n))
+        if not any(v[:n]):
+            coeffs = v[n:][::-1]
             break
     else:
         raise NotInLattice(

@@ -57,8 +57,9 @@ them from it.  Inverses, norms, minimal polynomials and the change to
 integral-basis coordinates go through the oracle's own Gauss-Jordan
 elimination over Q (gauss_jordan), where the library solves through
 the integer Hermite form and takes norms by Bareiss determinants.  Of
-sgen2.linalg the oracle uses only hnf, solve_hnf and int_det, for the
-ring-index union lattice and its determinant cross-check.
+sgen2.linalg the oracle uses only hnf and int_det, for the ring-index
+union lattice and its determinant cross-check; it reads coordinates
+over that lattice by its own back-substitution (hnf_coords).
 """
 
 from collections import deque
@@ -153,6 +154,20 @@ def level_rows(field, sbasis, k):
             for row in pb_basis(field)]
 
 
+def hnf_coords(H, vec):
+    """Integer coefficients c with c @ H = vec over the rows of an HNF,
+    by back-substitution down the pivots, or None."""
+    v, coeffs = list(vec), []
+    for row in H:
+        piv = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(v[piv], row[piv])
+        if r:
+            return None
+        coeffs.append(q)
+        v = [x - q * y for x, y in zip(v, row)]
+    return coeffs if not any(v) else None
+
+
 def coset_index(field, sbasis, gens, k):
     """[Lambda_k : span(gens) cap Lambda_k] or None if infinite; gens are
     power-basis coordinate vectors."""
@@ -167,7 +182,7 @@ def coset_index(field, sbasis, gens, k):
     union = linalg.hnf(lam_i + g_i)
     coords = []
     for r in g_i:
-        c = linalg.solve_hnf(union, r)
+        c = hnf_coords(union, r)
         assert c is not None
         coords.append(c)
     n = len(union)

@@ -894,12 +894,12 @@ def test_case1_primes_dividing_m_are_skipped_with_a_reason(tmp_path, capsys):
 def test_verify_counts_each_prime_once_and_solves_each_stage_once(
         tmp_path, monkeypatch):
     # one image count per walked prime (in case 1 every walked prime is
-    # counted: ten reported, one skipped), and one HNF with transform per
-    # witness span and stage, the stages 0 .. J of each span a word
-    # reached; in case 1 the two sides are one span
+    # counted: ten reported, one skipped), and one HNF per witness span
+    # and stage, the stages 0 .. J of each span a word reached; in case 1
+    # the two sides are one span
     counts = record_calls(monkeypatch, verification.image_order)
     walked = record_calls(monkeypatch, verification.reduce_triple)
-    hnfs = record_calls(monkeypatch, linalg.hnf_with_transform)
+    hnfs = record_calls(monkeypatch, linalg.hnf)
     per_word = []
     witness = verification.elementary_witness
 

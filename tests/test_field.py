@@ -277,24 +277,36 @@ CUBIC_SHEET = {"integral_basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                "fundamental_units": [[0, 1, 0], [2, 1, 0]]}
 
 
-@pytest.mark.parametrize("poly, sheet, prems, hnfs", [
+@pytest.mark.parametrize("poly, sheet, prems, fields", [
     ([-2, 0, 1], None, 2, 1), ([-1, 1], None, 1, 1),
     ([1, -3, 0, 1], CUBIC_SHEET, 3, 1),
-    # with its Q(sqrt 5) subfield and that embedding's minimal polynomial
-    ([1, 1, 1, 1, 1], ZETA5_DATASHEET, 5, 4)],
+    # with its Q(sqrt 5) subfield
+    ([1, 1, 1, 1, 1], ZETA5_DATASHEET, 5, 2)],
     ids=["sqrt2", "rationals", "cubic", "zeta5"])
 def test_create_field_builds_one_chain_and_one_basis_hnf(
-        monkeypatch, poly, sheet, prems, hnfs):
+        monkeypatch, poly, sheet, prems, fields):
     # one signed PRS of (f, f') per field, and one HNF of its integral
-    # basis for the inverse basis
-    calls = []
-    for module, name in ((polys, "prem"), (linalg, "hnf_with_transform")):
-        inner = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, name=name, inner=inner:
-                            calls.append(name) or inner(*a))
+    # basis for the inverse basis: the HNFs made inside _build_ib_inv are
+    # counted, not those of the solves (an embedding's minimal polynomial)
+    calls, inside = [], []
+    prem, hnf = polys.prem, linalg.hnf
+    build = field.NumberField._build_ib_inv
+    monkeypatch.setattr(polys, "prem",
+                        lambda *a: calls.append("prem") or prem(*a))
+    monkeypatch.setattr(linalg, "hnf", lambda *a: calls.append(
+        "basis hnf" if inside else "hnf") or hnf(*a))
+
+    def counted_build(self):
+        inside.append(self)
+        calls.append("basis")
+        try:
+            return build(self)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(field.NumberField, "_build_ib_inv", counted_build)
     create_field(poly, datasheet=sheet)
-    assert (calls.count("prem"), calls.count("hnf_with_transform")) == \
-        (prems, hnfs)
+    assert (calls.count("prem"), calls.count("basis"),
+            calls.count("basis hnf")) == (prems, fields, fields)
 
 
 def test_irreducibility_screen_needs_no_equal_degree_split(monkeypatch):

@@ -101,50 +101,94 @@ def test_hnf_shape():
                                               rng.randint(1, 5))))
 
 
-def test_hnf_with_transform_consistent():
+def carried(a):
+    """(H, T, K) off one HNF of a's rows with the identity carried beside
+    them: H the HNF of a and T its transform (the rows with a pivot in
+    a's columns, split there), and K the relations of a's rows (the rows
+    with a pivot in the carried columns)."""
+    m, n = len(a), len(a[0])
+    full = linalg.hnf([list(r) + [int(i == k) for k in range(m)]
+                       for i, r in enumerate(a)])
+    lead = [r for r in full if any(r[:n])]
+    return ([r[:n] for r in lead], [r[n:] for r in lead],
+            [r[n:] for r in full if not any(r[:n])])
+
+
+def test_hnf_carried_identity_consistent():
     rng = random.Random(3)
     inputs = [rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
               for _ in range(30)]
     for a in inputs + list(hermite_inputs(rng, 200)):
-        h, t, kern = linalg.hnf_with_transform(a)
+        h, t, kern = carried(a)
         assert h == linalg.hnf(a)
         assert_hermite(h)
         # the same row lattice both ways: every row of a over H, and H
         # from a through T
-        assert all(linalg.solve_hnf(h, r) is not None for r in a)
+        assert all(linalg.in_lattice(h, r) for r in a)
         assert [tuple(r) for r in mat_mul(t, a)] == h
         assert all(not any(r) for r in mat_mul(kern, a))
-        # the kernel is complete: its rank is the number of rows less the rank
+        # the kernel is complete: its rank is the number of rows less the
+        # rank, and it comes out in its canonical form
         assert len(linalg.hnf(kern)) == len(a) - len(h)
-        # a carried column rides along: each row _echelon returns is u @
-        # (a with that column), u its block of the carried identity
+        assert linalg.hnf(kern) == kern
+        # a carried column rides along: each row hnf returns is u @ (a
+        # with that column), u its block of the carried identity
         m, n = len(a), len(a[0])
         wide = [r + [rng.randint(-9, 9)] for r in a]
-        H, zero = linalg._echelon([r + [int(i == k) for k in range(m)]
-                                   for i, r in enumerate(wide)], n)
-        assert [tuple(r[:n]) for r in H] == h
-        assert all(r[:n + 1] == mat_mul([r[n + 1:]], wide)[0]
-                   for r in H + zero)
+        H = linalg.hnf([r + [int(i == k) for k in range(m)]
+                        for i, r in enumerate(wide)])
+        assert all(list(r[:n + 1]) == mat_mul([r[n + 1:]], wide)[0]
+                   for r in H)
 
 
 def test_kernel_rank():
     # rank-1 matrix with 3 rows: kernel rank 2
     a = [[1, 2], [2, 4], [3, 6]]
-    _, _, kern = linalg.hnf_with_transform(a)
+    _, _, kern = carried(a)
     assert len(linalg.hnf(kern)) == 2
     for k in kern:
         assert not any(sum(c * a[i][j] for i, c in enumerate(k)) for j in range(2))
 
 
 def test_solve_through_transform():
-    # integer combinations of arbitrary generators: y over H, then y @ T
+    # integer combinations of arbitrary generators: v | 0 reduces to
+    # 0 | -c down the HNF of the generators with the identity carried
     gens = [[2, 0], [3, 3]]
-    h, t, _ = linalg.hnf_with_transform(gens)
-    y = linalg.solve_hnf(h, [7, 3])
-    assert y is not None
-    c = linalg.vec_mat(y, t)
+    H = linalg.hnf([r + [int(i == k) for k in range(2)]
+                    for i, r in enumerate(gens)])
+    v = linalg.remainder(H, [7, 3, 0, 0])
+    assert v[:2] == [0, 0]
+    c = [-x for x in v[2:]]
     assert [c[0] * 2 + c[1] * 3, c[1] * 3] == [7, 3]
-    assert linalg.solve_hnf(h, [1, 1]) is None
+    assert any(linalg.remainder(H, [1, 1, 0, 0])[:2])
+
+
+def test_remainder_is_a_coset_representative():
+    # down a canonical HNF and down an unreduced kept triangle of the
+    # same rows: zero exactly on members, the same vector across a coset,
+    # each pivot entry in [0, pivot)
+    rng = random.Random(5)
+    seen = {"member": 0, "outside": 0, "unreduced": 0}
+    for a in hermite_inputs(rng, 200):
+        n = len(a[0])
+        H = linalg.hnf(a)
+        tri = kept(RatLattice(1, a, n))[1]
+        seen["unreduced"] += [tuple(r) for r in tri] != H
+        for rows in (H, tri):
+            pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+            for _ in range(4):
+                v = [rng.randint(-20, 20) for _ in range(n)]
+                if rng.random() < 0.5:
+                    v = linalg.vec_mat([rng.randint(-5, 5) for _ in a], a)
+                member = linalg.hnf(a + [v]) == H
+                seen["member" if member else "outside"] += 1
+                r = linalg.remainder(rows, v)
+                assert (not any(r)) == member
+                assert all(0 <= r[j] < row[j] for j, row in zip(pivots, rows))
+                shift = linalg.vec_mat([rng.randint(-5, 5) for _ in a], a)
+                assert linalg.remainder(
+                    rows, [x + y for x, y in zip(v, shift)]) == r
+    assert min(seen.values()) >= 50, seen
 
 
 def leibniz_det(a):
@@ -232,7 +276,7 @@ def intersect(a, b):
     """HNF of the intersection of two row spans, from the integer kernel
     of [a; -b]: the library forms no intersection, so the second
     isomorphism identity is checked against this."""
-    _, _, kern = linalg.hnf_with_transform(a + [[-x for x in r] for r in b])
+    _, _, kern = carried(a + [[-x for x in r] for r in b])
     return linalg.hnf([linalg.vec_mat(k[:len(a)], a) for k in kern])
 
 
@@ -276,6 +320,12 @@ def test_span_coeffs():
     rows = [[1, 0, 1], [0, 2, 0]]
     assert linalg.solve(rows, [3, 4, 3]) == [Fraction(3), Fraction(2)]
     assert linalg.solve(rows, [0, 0, 1]) is None
+    # dependent rows: some c with c @ rows = target, read off one relation
+    rows = [[1, 2], [2, 4], [3, 6], [0, 0]]
+    for target in ([5, 10], [0, 0], [-7, -14]):
+        c = linalg.solve(rows, target)
+        assert c is not None and linalg.vec_mat(c, rows) == target
+    assert linalg.solve(rows, [1, 0]) is None
 
 
 def test_mat_inv_roundtrip():

@@ -86,7 +86,7 @@ ORACLE_BANNED = {
     "_principal_generator_quadratic", "_torsion_units", "fundamental_unit",
     ".mul_table", ".add_table", ".neg_table", ".inv_table", "._log", "._exp",
     "._zech", "._cols", "._digits", "._number", "._residue"}
-ORACLE_LINALG = {"hnf", "solve_hnf", "int_det"}
+ORACLE_LINALG = {"hnf", "int_det"}
 ORACLE_MODULES = {"sgen2.field", "sgen2.generators", "sgen2.polys", "polys"}
 
 
@@ -190,10 +190,12 @@ READERS = {
     "sturm_chain": {"polys.sturm_chain", "polys.isolate_real_roots",
                     "field.create_field", "sunits import",
                     "sunits._totally_positive"},
-    # one HNF with transform per integral basis, per rational solve and
-    # per witness span and stage, which the span keeps
-    "hnf_with_transform": {"field.NumberField._build_ib_inv", "linalg.solve",
-                           "sunits import", "sunits.PowerSpan.presentation"},
+    # one Hermite form: a transform or a kernel is the carried part of
+    # hnf's rows, so no elimination with a transform comes back
+    "hnf_with_transform": set(),
+    # one HNF per witness span and stage, which the span keeps and the
+    # witness words alone read
+    ".presentation": {"verification.elementary_witness"},
     # one image count per walked prime, in the walk that reports primes
     "modp_surjectivity": {"verification.admissible_primes", "__init__ import"},
     # one exponent walk, which the alpha search and the unit discrete log
@@ -274,6 +276,12 @@ MUTANTS = {
         "verification: from .linalg import hnf_with_transform",
         "verification: def prove_shape(t): return hnf_with_transform(t.rows)",
         "sunits: def zalpha_index(b, a, n): return hnf_with_transform(b)",
+        "field: def _build_ib_inv(f): return linalg.hnf_with_transform(f)",
+        "sunits: from .linalg import hnf_with_transform",
+        "linalg: def solve(rows, t): return hnf_with_transform([t] + rows)",
+        "verification: def ideal_ladder(s): return s.lower.presentation(0)",
+        "sunits: def zalpha_index(b, a, n): return b.span(a).presentation(n)",
+        "cli: den, H = span.presentation(1)",
         "verification: def run_verification(t): return modp_surjectivity(t)",
         "verification: def reduce_triple(t, M): return modp_surjectivity(M, t)",
         "cli: from .verification import modp_surjectivity",

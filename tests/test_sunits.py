@@ -746,24 +746,26 @@ def test_alpha_index_table_work_count(monkeypatch):
     # multiplication rows (kept on the basis), and only row insertions,
     # one per stage row and one per level row of each (level, stage)
     # pair.  Eliminating every pair from scratch took 24 eliminations,
-    # and an HNF per level took 3.  _echelon runs on _insert too: only the
+    # and an HNF per level took 3.  hnf runs on _insert too: only the
     # insertions made outside an elimination are counted
-    counts = {"_echelon": 0, "_insert": 0}
+    counts = {"hnf": 0, "_insert": 0}
     inside, eliminating = [], []
-    echelon, insert = linalg._echelon, linalg._insert
+    hnf, insert = linalg.hnf, linalg._insert
 
-    def counted_echelon(*args):
-        counts["_echelon"] += bool(inside)
+    def counted_hnf(*args):
+        counts["hnf"] += bool(inside)
         eliminating.append(1)
         try:
-            return echelon(*args)
+            return hnf(*args)
         finally:
             eliminating.pop()
 
     def counted_insert(*args):
         counts["_insert"] += bool(inside) and not eliminating
         return insert(*args)
-    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    # sunits binds hnf by name (from .linalg import hnf)
+    for module in (linalg, sunits):
+        monkeypatch.setattr(module, "hnf", counted_hnf)
     monkeypatch.setattr(linalg, "_insert", counted_insert)
 
     def zalpha(sbasis, alpha, n):
@@ -776,7 +778,7 @@ def test_alpha_index_table_work_count(monkeypatch):
     cert = choose_alpha(classify_case(*_over([-118, 0, 1], 5)))
     assert [row[1:] for row in cert.index_table] == [
         (28254, 0), (17343265836, 0), (2129177248229394, 0)]
-    assert counts == {"_echelon": 0, "_insert": 39}
+    assert counts == {"hnf": 0, "_insert": 39}
 
 
 def test_random_s_units_have_integer_exponents():

@@ -448,10 +448,14 @@ def test_witness_rejects_a_misshapen_triple():
 
 
 def test_witness_rejects_a_wrong_sum(monkeypatch):
-    # a solve that misses the target is caught by the exact sum
+    # a solve that misses the target is caught by the exact sum: the
+    # remainder keeps its zero leading part, so x reads as a member, but
+    # every carried coefficient is off by one
     shape = shaped(gaussian_five)
-    monkeypatch.setattr(verification, "_canonical_coeffs",
-                        lambda kernel, sol: [c + 1 for c in sol])
+    n = shape.triple.field.degree
+    remainder = verification.remainder
+    monkeypatch.setattr(verification, "remainder", lambda H, v: [
+        c + (i >= n) for i, c in enumerate(remainder(H, v))])
     with pytest.raises(VerificationFailure):
         elementary_witness(shape, shape.triple.field.one, "lower")
 
