@@ -1,5 +1,6 @@
-"""Census of small instances: `verify` on every row, each outcome compared
-with the frozen table tests/census_expected.json.
+"""Census of small instances: `verify` on every row, each outcome and the
+digests of its output compared with the frozen table
+tests/census_expected.json.
 
     PYTHONPATH=src python3 tests/census.py            # check the table
     PYTHONPATH=src python3 tests/census.py --freeze   # rewrite it
@@ -7,8 +8,12 @@ with the frozen table tests/census_expected.json.
 Each row runs in-process through cli.main, stopped after LIMIT_S seconds;
 the SLOWEST slowest rows are printed with their seconds after the tally.
 Its outcome is the exit code and the error class that cli.main names on
-stderr: [0, null] for a report, [null, "Timeout"] past the limit.  The
-file is not collected by the tier-1 suite.
+stderr, [0, null] for a report and [null, "Timeout"] past the limit,
+followed by the sha256 of its stdout (the report) and of its stderr
+without the wall-clock "done in" line (null, null past the limit).  So
+a row that keeps its exit code but changes a byte of its report or of a
+stderr line is named too.  The file is not collected by the tier-1
+suite.
 
 The table keeps today's failures as failures.  A fix flips its rows to
 exit 0 in the same change; no row may go from exit 0 to another code,
@@ -16,6 +21,7 @@ and the grid is never shrunk to drop a failing row.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -184,24 +190,31 @@ def _on_alarm(_signum, _frame):
     raise _Timeout
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def outcome(cfg, workdir):
-    """[exit code, error class or None] of `verify` on cfg."""
+    """[exit code, error class or None, sha256 of stdout, sha256 of
+    stderr but its "done in" line] of `verify` on cfg."""
     path = os.path.join(workdir, "config.json")
     with open(path, "w") as fh:
         json.dump(cfg, fh)
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["verify", "--config", path])
     except _Timeout:
-        return [None, "Timeout"]
+        return [None, "Timeout", None, None]
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
-    names = [line.split(":")[1].strip() for line in err.getvalue().splitlines()
+    lines = [line for line in err.getvalue().splitlines()
+             if not line.startswith("done in ")]
+    names = [line.split(":")[1].strip() for line in lines
              if line.startswith("error: ")]
-    return [code, names[0] if names else None]
+    return [code, names[0] if names else None, _sha256(out.getvalue()),
+            _sha256("\n".join(lines))]
 
 
 def main(argv):
@@ -221,7 +234,7 @@ def main(argv):
     with open(EXPECTED) as fh:
         expected = json.load(fh)
     tally = {}
-    for code, error in got.values():
+    for code, error, _, _ in got.values():
         key = f"exit {code}" + (f" {error}" if error else "")
         tally[key] = tally.get(key, 0) + 1
     print(f"{len(got)} rows in {elapsed:.1f}s: "
@@ -229,9 +242,16 @@ def main(argv):
     print("slowest rows: " + "; ".join(
         f"{name} {seconds[name]:.2f}s"
         for name in sorted(seconds, key=seconds.get, reverse=True)[:SLOWEST]))
-    bad = [f"{name}: expected {expected.get(name)}, got {got.get(name)}"
-           for name in sorted(set(expected) | set(got))
-           if expected.get(name) != got.get(name)]
+    bad = []
+    for name in sorted(set(expected) | set(got)):
+        want, have = expected.get(name), got.get(name)
+        if want is None or have is None or want[:2] != have[:2]:
+            bad.append(f"{name}: expected {want and want[:2]}, "
+                       f"got {have and have[:2]}")
+        elif want != have:
+            streams = [s for s, w, h in zip(("stdout", "stderr"), want[2:],
+                                            have[2:]) if w != h]
+            bad.append(f"{name}: {' and '.join(streams)} bytes differ")
     print("\n".join(bad) or "every row matches the frozen table")
     return 1 if bad else 0
 
