@@ -600,7 +600,8 @@ def _read_sheet(field, ds):
         if list(g.minimal_poly()) != sub_poly:
             raise DatasheetInvalid(
                 f"embedding does not satisfy the declared polynomial {sub_poly}")
-        field.sheet_subfields += ((create_field(sub_poly), g),)
+        if len(sub_poly) > 2:  # Q is every field's (rational_subfield)
+            field.sheet_subfields += ((create_field(sub_poly), g),)
 
     orders = field.sheet_class_orders
     for e in _sheet_list(ds, "class_orders", {"ideal", "order", "generator"}):

@@ -16,7 +16,8 @@ discriminant; a square root mod p splits it).  In the datasheet tier it
 needs p coprime to the index of Z[t] in the maximal order; the Dedekind
 criterion detects the bad primes and IndexDivisor reports them as out
 of scope.  A prime that S or a report reads is a PrimeIdeal
-(factor_rational_prime); the mod-P check reads only the ring map,
+(factor_rational_prime); the mod-P check reads only primes_over (the
+kernel HNFs and degrees, in the one canonical order) or the ring map,
 which is also the residue field: it builds log tables from one
 primitive element (the F_p[x] arithmetic of polys reduces mod g only
 on that walk) and then multiplies and adds residues by table lookups.
@@ -179,10 +180,9 @@ class ResidueMap:
                  "_cols", "_exp", "_log", "_zech")
 
     def __init__(self, field, p, g, e, rows, den):
-        # b_i is sum_k rows[i][k] t^k / den, with p prime to den
         self.p, self.g, self.e, self.f = p, g, e, len(g) - 1
         self.q = q = p ** self.f
-        _check_invariant(den % p, "the integral basis has p in a denominator")
+        b, images, self.hnf = _basis_map(p, g, rows, den)
         m = q - 1
         # powers of a rejected candidate are never primitive: skip them
         seen = bytearray(q)
@@ -210,9 +210,6 @@ class ResidueMap:
         self._exp = exp = exp + exp + [0] * (2 * m + 1)
         half = m // 2 if q % 2 else 0
         self.neg_table = [exp[li + half] for li in log]
-        inv = pow(den, -1, p)
-        b = [self._number([c * inv for c in row]) for row in rows]
-        images = [self._digits(r) for r in b]
         self._cols = list(zip(*images))
         n = field.degree
         _check_invariant(
@@ -220,22 +217,6 @@ class ResidueMap:
             and all(self.mul(b[i], b[j]) == self._residue(field.mult_table[i][j])
                     for i in range(n) for j in range(i, n)),
             "the basis images do not make a ring map")
-        self.hnf = _kernel_hnf(images, p)
-
-    def _digits(self, r):
-        # the coordinates c_0, ..., c_(f - 1) of the residue r
-        p, out = self.p, []
-        for _ in range(self.f):
-            r, c = divmod(r, p)
-            out.append(c)
-        return out
-
-    def _number(self, c):
-        # the residue of the integer polynomial c, reduced mod (p, g)
-        p, out = self.p, 0
-        for x in reversed(polys.pp_divmod(c, self.g, p)[1]):
-            out = out * p + x
-        return out
 
     def _residue(self, vec):
         p, out = self.p, 0
@@ -279,8 +260,8 @@ class ResidueMap:
                 x = x * r % p
         cols, y = [], r
         for _ in range(f):
-            cols.append(self._digits(y))
-            y = self._number([0] + cols[-1])
+            cols.append(_digits(p, f, y))
+            y = _number(p, self.g, [0] + cols[-1])
         rows = list(zip(*cols))
         weights = [p ** k for k in range(f)]
         col = cols[0]
@@ -288,6 +269,34 @@ class ResidueMap:
             yield x
             col = [sum(map(operator.mul, col, row)) % p for row in rows]
             x = sum(map(operator.mul, col, weights))
+
+
+def _digits(p, f, r):
+    """The coordinates c_0, ..., c_(f - 1) of the residue r."""
+    out = []
+    for _ in range(f):
+        r, c = divmod(r, p)
+        out.append(c)
+    return out
+
+
+def _number(p, g, c):
+    """The residue of the integer polynomial c, reduced mod (p, g)."""
+    out = 0
+    for x in reversed(polys.pp_divmod(c, g, p)[1]):
+        out = out * p + x
+    return out
+
+
+def _basis_map(p, g, rows, den):
+    """(b, images, hnf) for the ring map O_K -> F_p[x] / (g), t to x: b_i
+    the residue of the basis element sum_k rows[i][k] t^k / den (p prime
+    to den), images_i its coordinates, hnf the kernel's canonical HNF."""
+    _check_invariant(den % p, "the integral basis has p in a denominator")
+    inv = pow(den, -1, p)
+    b = [_number(p, g, [c * inv for c in row]) for row in rows]
+    images = [_digits(p, len(g) - 1, r) for r in b]
+    return b, images, _kernel_hnf(images, p)
 
 
 def _kernel_hnf(images, p):
@@ -357,17 +366,26 @@ def _kummer_factors(field, p, max_degree=None):
     return rows, den, fac
 
 
-def residue_maps(field, p, bound):
-    """The ResidueMaps of the primes above the rational prime p whose
-    residue fields have size up to bound, that is degree f up to
-    floor(log_p bound), in canonical (HNF) order: no factor of higher
-    degree is split off."""
+def primes_over(field, p, bound):
+    """(rows, den, primes) for the primes above the rational prime p whose
+    residue fields have size up to bound, that is degree f = deg g up to
+    floor(log_p bound): the basis rows of _kummer_factors, and (hnf, g, e)
+    per prime in the canonical order, by hnf, the kernel's canonical HNF
+    (as the PrimeIdeals sort).  No factor of higher degree is split off,
+    and no residue table is built."""
     max_degree = 0
     while p ** (max_degree + 1) <= bound:
         max_degree += 1
     rows, den, fac = _kummer_factors(field, p, max_degree)
-    return sorted((ResidueMap(field, p, g, e, rows, den) for g, e in fac
-                   if len(g) - 1 <= max_degree), key=lambda M: M.hnf)
+    return rows, den, sorted((_basis_map(p, g, rows, den)[2], g, e)
+                             for g, e in fac if len(g) - 1 <= max_degree)
+
+
+def residue_maps(field, p, bound):
+    """The ResidueMaps of the primes of primes_over(field, p, bound), in
+    its canonical order."""
+    rows, den, primes = primes_over(field, p, bound)
+    return [ResidueMap(field, p, g, e, rows, den) for _, g, e in primes]
 
 
 def factor_rational_prime(field, p):

@@ -634,9 +634,8 @@ class PowerSpan:
         once.  Level k reads [Lambda_k : Lambda_k cap L_J] = [L_J +
         Lambda_k : L_J], L_J stage J = k + 2 (None below full rank).  A
         value is accepted when levels k, k+1, k+2 agree and enlarging the
-        degree at level k does not change it; then the Lagrange
-        containment index * Lambda_k in stage k + 4, already built, is
-        rechecked."""
+        degree at level k does not change it; then its Lagrange
+        containment is rechecked (recheck)."""
         if self._index is None:
             level, per_level = self.sbasis.level, []
             for k in range(LEVEL_BOUND + 1):
@@ -649,12 +648,17 @@ class PowerSpan:
             else:
                 raise NotStabilized(f"index did not stabilize within "
                                     f"{LEVEL_BOUND} filtration levels")
-            den, rows = level(lvl)
-            if not self.lattice(lvl + 4).contains(
-                    den, [[v * x for x in r] for r in rows]):
-                raise InvariantViolated("index * Lambda_k escapes the span")
+            self.recheck(v, lvl)
             self._index = v, lvl, [x for x in per_level if x is not None]
         return self._index
+
+    def recheck(self, v, k):
+        """The Lagrange containment v Lambda_k in stage k + 4, already
+        built for an index v read at level k, or InvariantViolated."""
+        den, rows = self.sbasis.level(k)
+        if not self.lattice(k + 4).contains(
+                den, [[v * x for x in r] for r in rows]):
+            raise InvariantViolated("index * Lambda_k escapes the span")
 
 
 def zalpha_index(sbasis, alpha, n):

@@ -17,22 +17,24 @@ checks, each falsifiable on its own:
     the proved shapes, reading it off one remainder down the
     presentation that the span keeps for each stage (one HNF per span
     and stage, not per word).
-  * modp_surjectivity takes the triple reduced modulo a prime
-    (reduce_triple, once per prime, through the prime's ring map O_K ->
-    F_p[x] / (g), ideals.ResidueMap, which is also the residue field: no
-    ideal HNF and no coset table, only the map's O(q) log, Zech-log,
-    inverse and negation lists) and counts the generated
-    subgroup of SL2 of the residue field on the projective line: the
-    orbit of the point (1 : 0) times its stabilizer, a subgroup of the
-    Borel group that Schreier's lemma presents and that is counted as
-    torus part times unipotent part; O(q) residue operations per prime.
-    The count is compared against the group order q(q^2 - 1).  Each
-    report entry still carries bfs_expansions, now generators (with
+  * admissible_primes, the walk that reports primes, decides each
+    walked prime once.  In case 1 at P not dividing the ladder's m
+    (rechecked first) the ladder proves the image onto, and the entry
+    is a formula of p and f: no residue table, no count.  Elsewhere
+    modp_surjectivity takes the triple reduced modulo the prime
+    (reduce_triple, through its ring map O_K -> F_p[x] / (g),
+    ideals.ResidueMap, which is also the residue field: only the map's
+    O(q) log, Zech-log, inverse and negation lists) and counts the
+    generated subgroup of SL2 of the residue field on the projective
+    line: the orbit of the point (1 : 0) times its stabilizer, a
+    subgroup of the Borel group that Schreier's lemma presents and that
+    is counted as torus part times unipotent part; O(q) residue
+    operations per prime, compared against the group order q(q^2 - 1).
+    A case-1 prime with P | m is reported if onto and skipped with a
+    stderr line if not; a case-2 prime that passes its filters must be
+    onto.  Each entry still carries bfs_expansions, generators (with
     inverses) x |image|, so that reports keep their bytes until the
-    modp entries change shape.  admissible_primes, the walk that reports
-    primes, counts each walked prime once; in case 1 that count decides
-    the prime under the rule P not dividing the ladder's m: reported if
-    onto, skipped with a stderr line if P | m, VerificationFailure else.
+    modp entries change shape.
 """
 
 import sys
@@ -42,7 +44,7 @@ from .errors import (ConfigInvalid, IdentityFailed, NotInLattice, PrimeInS,
                      VerificationFailure)
 from .field import FieldElement
 from .generators import e12, e21
-from .ideals import residue_maps
+from .ideals import primes_over, residue_maps
 from .linalg import remainder, xgcd
 from .polys import is_prime
 
@@ -345,35 +347,43 @@ def _generates(M, residues):
 
 def admissible_primes(shape, count, bound):
     """The first primes that the mod-P check reports, in canonical order,
-    each as (M, entry): the prime's ring map M (ideals.residue_maps),
-    which is its residue field, and the modp_surjectivity entry of the
-    triple reduced by M, one count per walked prime.  Walked primes have
-    q <= bound and a rational characteristic away from S (so reduction
-    never divides by zero) and from h; the walk ends at the first
-    rational prime past bound (ConfigInvalid if fewer were reported).
+    each as (hnf, entry): the prime's canonical HNF (ideals.primes_over)
+    and its modp entry.  Walked primes have q <= bound and a rational
+    characteristic away from S (so reduction never divides by zero) and
+    from h; the walk ends at the first rational prime past bound
+    (ConfigInvalid if fewer were reported).
 
-    Case 1 decides by the count, under the rule P not dividing m.  The
+    Case 1 is decided by the ladder, under the rule P not dividing m.  The
     ladder proves m O_S inside h Z[a^2], and the proved shapes put E21(x)
     and E12(x) in the group for x in h Z[a^2, a^-2]; so if P does not
-    divide m the image holds E21(F_q) and E12(F_q), is SL2(F_q), and a
-    smaller count raises VerificationFailure.  If P | m (p | m) the
-    case-1 lemma gives the image: with k = F_p(a^2), the gamma-conjugates
-    of psi1 = E21(h) and psi2 = E12(h) give E21(h k) and E12(h k),
-    conjugate under diag(h, 1) to E21(k) and E12(k), which generate
-    SL2(k) (Lang, Algebra, XIII 8); the image is SL2(k) <gamma>, of order
-    |SL2(k)| if a is in k and twice that otherwise (Dickson's list;
-    Huppert, Endliche Gruppen I, II.8).  Such a prime is skipped with one
-    stderr line naming p, q, the image order, deg k and "P | m".
+    divide m the image holds E21(F_q) and E12(F_q) and is SL2(F_q)
+    (Vaserstein 1972; Lang, Algebra, XIII 8).  Its entry is then a
+    formula of p and f = deg g: reached = group_order = q(q^2 - 1) and
+    bfs_expansions 6 times that; no ring map is built and nothing is
+    counted.  As the rule rests on m, the walk first rechecks m's
+    Lagrange containment (PowerSpan.recheck), so a wrong m raises.  If P
+    | m (p | m) the prime's ring map (ideals.residue_maps) reduces the
+    triple and modp_surjectivity counts the image, which the case-1
+    lemma gives: with k = F_p(a^2), the gamma-conjugates of psi1 = E21(h)
+    and psi2 = E12(h) give E21(h k) and E12(h k), conjugate under diag(h,
+    1) to E21(k) and E12(k), which generate SL2(k); the image is SL2(k)
+    <gamma>, of order |SL2(k)| if a is in k and twice that otherwise
+    (Dickson's list; Huppert, Endliche Gruppen I, II.8).  It is reported
+    if onto, else skipped with one stderr line naming p, q, the image
+    order, deg k and "P | m".
 
-    Case 2 keeps three filters until its ladder proves what it claims
-    (ROADMAP item 21): psi2's entry tau nonzero mod P; the reduced
-    entries generating F_q (every word stays in the subfield they
-    generate); over a non-prime field, a non-central reduced gamma.  A
-    kept prime that is not onto raises.
+    Case 2 counts each walked prime and keeps three filters until its
+    ladder proves what it claims (ROADMAP item 21): psi2's entry tau
+    nonzero mod P; the reduced entries generating F_q (every word stays
+    in the subfield they generate); over a non-prime field, a non-central
+    reduced gamma.  A kept prime that is not onto raises.
     """
     triple = shape.triple
     # case 1's rule reads the ladder's m; case 2 (m None) keeps its filters
-    m = shape.lower.index()[0] if triple.case_info.case == 1 else None
+    m = None
+    if triple.case_info.case == 1:
+        m, level, _ = shape.lower.index()
+        shape.lower.recheck(m, level)
     schars = {P.p for P in triple.S.finite}
     out = []
     p = 2
@@ -385,6 +395,17 @@ def admissible_primes(shape, count, bound):
             raise ConfigInvalid(
                 f"not enough admissible primes with residue field size "
                 f"up to {bound}")
+        if m is not None and m % p:
+            # the ladder decides: the image of the triple's three matrices
+            # is all of SL2(F_q)
+            for hnf, g, _ in primes_over(triple.field, p, bound)[2]:
+                q = p ** (len(g) - 1)
+                out.append((hnf, _modp_entry(p, len(g) - 1,
+                                             q * (q * q - 1), 3)))
+                if len(out) == count:
+                    break
+            p += 1
+            continue
         for M in residue_maps(triple.field, p, bound):
             mats = reduce_triple(triple, M)
             # the corners of gamma = diag(a, a^-1) and psi2 = E12(tau)
@@ -396,10 +417,10 @@ def admissible_primes(shape, count, bound):
                 continue
             entry = modp_surjectivity(M, mats)
             if entry["passed"]:
-                out.append((M, entry))
+                out.append((M.hnf, entry))
                 if len(out) == count:
                     break
-            elif m is not None and m % p == 0:
+            elif m is not None:
                 print(f"skipped the prime over {p} (q = {M.q}): image "
                       f"{entry['reached']} of {entry['group_order']}, deg k "
                       f"= {_degree(M, M.mul(a, a))}, P | m", file=sys.stderr)
@@ -601,21 +622,26 @@ def modp_surjectivity(R, mats):
     once per generator would make; the key stays so that reports keep
     their bytes until the modp entries change shape.
     """
-    q = R.q
     for (a, b), (c, d) in mats:
         if R.add(R.mul(a, d), R.neg_table[R.mul(b, c)]) != 1:
             raise VerificationFailure("reduced matrix leaves SL2")
     orbit, stabilizer = image_order(R, mats)
-    reached = orbit * stabilizer
+    return _modp_entry(R.p, R.f, orbit * stabilizer, len(mats))
+
+
+def _modp_entry(p, f, reached, generators):
+    """The modp entry of a prime over p of degree f whose image has
+    reached elements, generated by that many matrices."""
+    q = p ** f
     order = q * (q * q - 1)
     return {
-        "p": R.p,
-        "f": R.f,
+        "p": p,
+        "f": f,
         "q": q,
         "reached": reached,
         "group_order": order,
         "passed": reached == order,
-        "bfs_expansions": 2 * len(mats) * reached,
+        "bfs_expansions": 2 * generators * reached,
     }
 
 

@@ -10,7 +10,7 @@ import random
 import time
 
 from sgen2.generators import build_generators, classify_case
-from sgen2.ideals import factor_rational_prime
+from sgen2.ideals import factor_rational_prime, residue_maps
 from sgen2.linalg import RatLattice, int_det
 from sgen2.sunits import (choose_alpha, default_subfields,
                           rank_of_intersection, s_unit_basis, zalpha_index)
@@ -79,7 +79,10 @@ def test_criterion_3_generator_suite(capsys):
         rep = identity_suite(shape, range(-5, 6), range(-5, 6), range(1, 6))
         assert rep["passed"], build.__name__
         identity_total += rep["exponent_identities"]
-        for R, m in admissible_primes(shape, 10, 100):
+        for hnf, m in admissible_primes(shape, 10, 100):
+            # the prime's ring map, matched to the entry by its HNF
+            (R,) = [R for R in residue_maps(field, m["p"], 100)
+                    if R.hnf == hnf]
             assert m == modp_surjectivity(R, reduce_triple(t, R))
             assert m["passed"], (build.__name__, m["q"])
             modp_total += 1

@@ -656,6 +656,25 @@ def test_sheet_naming_k_as_its_own_subfield_exits_1(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_sheet_listing_q_as_a_subfield_lists_q_once(tmp_path):
+    # a subfields entry of degree 1 is Q, which every field has: it passes
+    # its embedding check and registers no second Q, so the report is the
+    # plain sheet's
+    q = {"poly": [-1, 1], "embedding": [1, 0, 0, 0]}
+    sheet = dict(ZETA5_DATASHEET,
+                 subfields=ZETA5_DATASHEET["subfields"] + [q])
+    code, rep = run(tmp_path, zeta5_config(sheet, ()), "analyze")
+    assert code == 0
+    ranks = rep["analysis"]["classification"]["subfield_ranks"]
+    assert [r["poly"] for r in ranks] == [[-1, 1], [-5, 0, 1]]
+    plain = run(tmp_path, zeta5_config(ZETA5_DATASHEET, ()), "analyze")[1]
+    assert rep["analysis"] == plain["analysis"]
+    bad = dict(q, embedding=[2, 0, 0, 0])
+    sheet = dict(ZETA5_DATASHEET,
+                 subfields=ZETA5_DATASHEET["subfields"] + [bad])
+    assert run(tmp_path, zeta5_config(sheet, ()), "analyze")[0] == 1
+
+
 def test_datasheet_class_order_path(tmp_path, capsys):
     # Q(zeta5) over 5: the prime above 5 is (1 - t), declared of order 1
     cfg = zeta5_config(dict(ZETA5_DATASHEET, class_orders=[ZETA5_CLASS_ORDER]))
@@ -893,10 +912,12 @@ def test_case1_primes_dividing_m_are_skipped_with_a_reason(tmp_path, capsys):
 
 def test_verify_counts_each_prime_once_and_solves_each_stage_once(
         tmp_path, monkeypatch):
-    # one image count per walked prime (in case 1 every walked prime is
-    # counted: ten reported, one skipped), and one HNF per witness span
-    # and stage, the stages 0 .. J of each span a word reached; in case 1
-    # the two sides are one span
+    # one image count per counted prime, and one HNF per witness span and
+    # stage, the stages 0 .. J of each span a word reached; in case 1 the
+    # two sides are one span.  Case 2 counts each reported prime; case 1
+    # reduces and counts only at the walked primes with p | m (the ladder
+    # decides the others): for Q(sqrt 103) over 5 the five reported ones
+    # over 2, 3 and 17 and the one over 7 that it skips
     counts = record_calls(monkeypatch, verification.image_order)
     walked = record_calls(monkeypatch, verification.reduce_triple)
     hnfs = record_calls(monkeypatch, linalg.hnf)
@@ -922,9 +943,15 @@ def test_verify_counts_each_prime_once_and_solves_each_stage_once(
             span = "both" if case == 1 else item["side"]
             stages[span] = max(stages.get(span, 0), item["stage"] + 1)
         assert sum(per_word) == sum(stages.values())
-        assert len(counts) == len(ver["modp"]) + (case == 1)
+        counted = [R.p for R, _ in counts]
         if case == 1:
-            assert len(walked) == len(counts) == 11
+            m = ver["ladder"]["m"]
+            assert counted == sorted([e["p"] for e in ver["modp"]
+                                      if m % e["p"] == 0] + [7])
+            assert counted == [2, 3, 3, 7, 17, 17]
+            assert len(walked) == len(counts)
+        else:
+            assert counted == [e["p"] for e in ver["modp"]]
 
 
 def test_one_field_per_run(tmp_path, monkeypatch):

@@ -180,10 +180,14 @@ READERS = {
     "prove_shape": {"__init__ import", "verification.run_verification"},
     ".datasheet": set(),  # create_field alone reads the sheet
     # ring indices: the S-unit basis builds each power span once, and
-    # PowerSpan.index alone reads the levels and runs the rule
+    # PowerSpan.index alone runs the rule; it and recheck, the one
+    # Lagrange containment check, read the levels
     "PowerSpan": {"sunits.SUnitBasis.span"},
     "LEVEL_BOUND": {"sunits", "sunits.PowerSpan.index"},
-    ".level": {"sunits.PowerSpan.index"},
+    ".level": {"sunits.PowerSpan.index", "sunits.PowerSpan.recheck"},
+    # the index rechecks what it found, and the case-1 prime walk, which
+    # decides primes by the ladder's m, rechecks that m
+    ".recheck": {"sunits.PowerSpan.index", "verification.admissible_primes"},
     ".sum_index": {"sunits.PowerSpan.index"},
     "json.dump": set(), "json.dumps": set(),  # cli.write_report alone
     # one Sturm chain per polynomial, handed to its readers, not rebuilt
@@ -263,6 +267,9 @@ MUTANTS = {
         "cli: generators.m2_inv", "cli: text = json.dumps(report)",
         "cli: from json import dumps", "sunits: k = K.datasheet",
         "verification: PowerSpan(a2, h)", "verification: sbasis.level(0)",
+        "sunits: def zalpha_index(b, a, n): return b.level(n)",
+        "verification: def ideal_ladder(s): return s.lower.recheck(1, 0)",
+        "cli: span.recheck(m, 0)",
         "verification: lam.sum_index(span.lattice(2))",
         "sunits: def map_element(x): return x.sum_index(1, [])",
         "verification: from .sunits import PowerSpan",

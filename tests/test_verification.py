@@ -746,6 +746,19 @@ def at(t, M):
     return M, reduce_triple(t, M)
 
 
+def reported_maps(shape, count=10, bound=100):
+    """(R, entry) for each prime that admissible_primes reports: R its
+    ring map, built here by residue_maps and matched to the entry by the
+    prime's canonical HNF, which the walk returns for every prime."""
+    out = []
+    for hnf, entry in admissible_primes(shape, count, bound):
+        (R,) = [R for R in residue_maps(shape.triple.field, entry["p"], bound)
+                if R.hnf == hnf]
+        assert (R.p, R.f, R.q) == (entry["p"], entry["f"], entry["q"])
+        out.append((R, entry))
+    return out
+
+
 def ideal_of(k, R):
     """The PrimeIdeal of k whose ring map is R, for the oracle."""
     (P,) = [P for P in factor_rational_prime(k, R.p) if P.hnf == R.hnf]
@@ -805,18 +818,23 @@ def test_modp_shared_characteristic():
 def test_admissible_walk_ends_past_the_bound(monkeypatch):
     # every prime over p has a residue field of size at least p, so the
     # walk for more primes than the bound admits stops after p = 97; it
-    # reads each prime through its ring map, never as a PrimeIdeal
+    # reads each rational prime once, through primes_over (case 1, p not
+    # dividing m) or the ring maps, never as a PrimeIdeal
     shape = shaped(gaussian_five)
     walked = []
 
-    def maps(field, p, bound):
-        walked.append(p)
-        return residue_maps(field, p, bound)
+    def recorded(reader):
+        def read(field, p, bound):
+            walked.append(p)
+            return reader(field, p, bound)
+        return read
 
     def factor(field, p):
         raise AssertionError(f"the walk factored {p} into PrimeIdeals")
 
-    monkeypatch.setattr(verification, "residue_maps", maps)
+    monkeypatch.setattr(verification, "primes_over",
+                        recorded(ideals.primes_over))
+    monkeypatch.setattr(verification, "residue_maps", recorded(residue_maps))
     monkeypatch.setattr(ideals, "factor_rational_prime", factor)
     with pytest.raises(ConfigInvalid):
         admissible_primes(shape, 1000, 100)
@@ -843,8 +861,7 @@ def test_modp_count_matches_bfs_oracle():
     cases = []
     for make in DESK + [sqrt103_five]:
         t = triple(make)
-        cases += [(t,) + at(t, R)
-                  for R, _ in admissible_primes(prove_shape(t), 10, 100)]
+        cases += [(t,) + at(t, R) for R, _ in reported_maps(prove_shape(t))]
     for make, p in ((gaussian_two, 3), (sqrt103_five, 7)):
         t = triple(make)
         cases += [(t,) + at(t, M) for M in residue_maps(t.field, p, 100)]
@@ -1068,22 +1085,21 @@ def test_admissible_prime_goldens():
         zeta5_nofinite: [81, 11, 11, 11, 11, 31, 31, 31, 31, 41],
     }
     for make, qs in expected.items():
-        got = [R.q for R, _ in admissible_primes(shaped(make), 10, 100)]
+        got = [R.q for R, _ in reported_maps(shaped(make))]
         assert got == qs, make.__name__
 
 
 def test_admissible_primes_honor_bound_above_100():
     # the residue fields are built under the caller's bound, so q = 121
     # (11 is inert in Z[i]) is admissible once the bound allows it
-    got = [(R.p, R.q) for R, _ in admissible_primes(shaped(gaussian_two), 4,
-                                                    150)]
+    got = [(R.p, R.q) for R, _ in reported_maps(shaped(gaussian_two), 4, 150)]
     assert got == [(5, 5), (5, 5), (7, 49), (11, 121)]
 
 
 def test_admissible_primes_all_pass():
     for make in ALL:
         t = triple(make)
-        for R, rep in admissible_primes(prove_shape(t), 10, 100):
+        for R, rep in reported_maps(prove_shape(t)):
             assert rep == modp_surjectivity(*at(t, R))
             assert rep["passed"], (make.__name__, R.p, rep["reached"])
 
@@ -1156,19 +1172,71 @@ def test_case1_lemma_gives_every_image_order():
     assert (primes, proper) == (199, 2)
 
 
+def test_case1_formula_entries_equal_the_count(monkeypatch, capsys):
+    # at a prime with p not dividing m the case-1 walk writes its entry
+    # from (p, f) alone; the count on the prime's ring map agrees at every
+    # prime the walk reports, for the desk instances and LEMMA_CONFIGS
+    triples = [triple(make) for make in DESK]
+    triples += [from_config(raw)[0] for raw in LEMMA_CONFIGS]
+    formulas = counted = 0
+    for t in triples:
+        if t.case_info.case != 1:
+            continue
+        shape = prove_shape(t)
+        m = shape.lower.index()[0]
+        for R, entry in reported_maps(shape):
+            assert entry == modp_surjectivity(R, reduce_triple(t, R)), \
+                (t.field.poly, R.p, R.q)
+            formulas += m % R.p != 0
+            counted += m % R.p == 0
+    assert (formulas, counted) == (116, 14)
+    # a case-1 verify run builds ring maps and counts images only at the
+    # walked primes with p | m: those it reports and those it skips
+    built, images = [], []
+    init, order = ideals.ResidueMap.__init__, verification.image_order
+
+    def build(self, field, p, *args):
+        built.append(p)
+        init(self, field, p, *args)
+
+    def count(R, mats):
+        images.append(R.p)
+        return order(R, mats)
+
+    monkeypatch.setattr(ideals.ResidueMap, "__init__", build)
+    monkeypatch.setattr(verification, "image_order", count)
+    capsys.readouterr()
+    skipped = []
+    for raw in LEMMA_CONFIGS:
+        t, cfg = from_config(raw)
+        built.clear()
+        images.clear()
+        rep = run_verification(t, VERIFY_DEFAULTS, 0, cfg["N"])
+        m = rep["ladder"]["m"]
+        over = [int(line.split()[4])
+                for line in capsys.readouterr().err.splitlines()]
+        assert built == images == sorted(
+            [e["p"] for e in rep["modp"] if m % e["p"] == 0] + over), raw
+        assert all(m % p == 0 for p in images), raw
+        skipped += over
+    # the prime over 7 of Q(sqrt 103) and Q(sqrt 94) over 5, 672 of 117600
+    assert skipped == [7, 7]
+
+
 def test_wrong_m_still_raises_at_a_prime_not_dividing_m(monkeypatch):
     # with the ladder's index cut to m / 7 the prime over 7 (q = 49, not
-    # onto) no longer divides m, so the walk must raise, not skip
+    # onto) no longer divides m, so the rule would report it as onto by
+    # the formula; the walk rechecks m's Lagrange containment first, which
+    # the cut m fails, and raises before deciding any prime
     t = triple(sqrt103_five)
     m, lvl, seq = prove_shape(t).lower.index()
     assert m % 7 == 0 and (m // 7) % 7
     monkeypatch.setattr(sunits.PowerSpan, "index",
                         lambda self: (m // 7, lvl, seq))
-    with pytest.raises(VerificationFailure,
-                       match=r"prime over 7 \(q = 49\) is not surjective: "
-                             r"672 of 117600"):
+    with pytest.raises(InvariantViolated,
+                       match=r"index \* Lambda_k escapes the span"):
         admissible_primes(prove_shape(t), 10, 100)
-    with pytest.raises(VerificationFailure, match="prime over 7"):
+    with pytest.raises(InvariantViolated, match="escapes the span"):
         run_verification(t, VERIFY_DEFAULTS, 0, "search")
 
 
