@@ -160,10 +160,11 @@ class ResidueMap:
     polynomial mod p (omega's minimal polynomial on the automatic tier),
     p prime to [O_K : Z[t]], as the ring map O_K -> O_K / P = F_p[x] / (g)
     sending t (omega) to x (Kummer-Dedekind; Cohen, GTM 138, 4.8), and as
-    that residue field of size q = p^f.  A residue 0, ..., q - 1 (0 the
-    zero, 1 the one) is the sum c_k p^k of its coordinates over 1, x, ...,
-    x^(f - 1).  _cols[k][i] is c_k of the image of the integral-basis
-    element b_i.
+    that residue field of size q = p^f, built from a prime of
+    primes_over: hnf, g, e and b, the residues of the integral-basis
+    elements b_i.  A residue 0, ..., q - 1 (0 the zero, 1 the one) is the
+    sum c_k p^k of its coordinates over 1, x, ..., x^(f - 1).  _cols[k][i]
+    is c_k of the residue of b_i.
 
     Arithmetic runs on the logs to one primitive element w, the first
     residue whose powers, walked by the fixed map powers, reach every
@@ -179,10 +180,9 @@ class ResidueMap:
     __slots__ = ("p", "g", "e", "f", "q", "hnf", "inv_table", "neg_table",
                  "_cols", "_exp", "_log", "_zech")
 
-    def __init__(self, field, p, g, e, rows, den):
-        self.p, self.g, self.e, self.f = p, g, e, len(g) - 1
+    def __init__(self, field, p, hnf, g, e, b):
+        self.p, self.hnf, self.g, self.e, self.f = p, hnf, g, e, len(g) - 1
         self.q = q = p ** self.f
-        b, images, self.hnf = _basis_map(p, g, rows, den)
         m = q - 1
         # powers of a rejected candidate are never primitive: skip them
         seen = bytearray(q)
@@ -210,7 +210,7 @@ class ResidueMap:
         self._exp = exp = exp + exp + [0] * (2 * m + 1)
         half = m // 2 if q % 2 else 0
         self.neg_table = [exp[li + half] for li in log]
-        self._cols = list(zip(*images))
+        self._cols = list(zip(*(_digits(p, self.f, r) for r in b)))
         n = field.degree
         _check_invariant(
             self._residue(field.one.num) == 1
@@ -289,14 +289,13 @@ def _number(p, g, c):
 
 
 def _basis_map(p, g, rows, den):
-    """(b, images, hnf) for the ring map O_K -> F_p[x] / (g), t to x: b_i
-    the residue of the basis element sum_k rows[i][k] t^k / den (p prime
-    to den), images_i its coordinates, hnf the kernel's canonical HNF."""
+    """(hnf, b) for the ring map O_K -> F_p[x] / (g), t to x: b_i the
+    residue of the basis element sum_k rows[i][k] t^k / den (p prime to
+    den) and hnf the kernel's canonical HNF, read with no log table."""
     _check_invariant(den % p, "the integral basis has p in a denominator")
     inv = pow(den, -1, p)
     b = [_number(p, g, [c * inv for c in row]) for row in rows]
-    images = [_digits(p, len(g) - 1, r) for r in b]
-    return b, images, _kernel_hnf(images, p)
+    return _kernel_hnf([_digits(p, len(g) - 1, r) for r in b], p), b
 
 
 def _kernel_hnf(images, p):
@@ -367,25 +366,29 @@ def _kummer_factors(field, p, max_degree=None):
 
 
 def primes_over(field, p, bound):
-    """(rows, den, primes) for the primes above the rational prime p whose
-    residue fields have size up to bound, that is degree f = deg g up to
-    floor(log_p bound): the basis rows of _kummer_factors, and (hnf, g, e)
-    per prime in the canonical order, by hnf, the kernel's canonical HNF
-    (as the PrimeIdeals sort).  No factor of higher degree is split off,
-    and no residue table is built."""
+    """(hnf, g, e, b) for each prime above the rational prime p whose
+    residue field has size up to bound, that is degree f = deg g up to
+    floor(log_p bound), in the canonical order: by hnf, the kernel's
+    canonical HNF, as the PrimeIdeals sort (b as in _basis_map).  No
+    factor of higher degree is split off, and no residue table is
+    built."""
     max_degree = 0
     while p ** (max_degree + 1) <= bound:
         max_degree += 1
     rows, den, fac = _kummer_factors(field, p, max_degree)
-    return rows, den, sorted((_basis_map(p, g, rows, den)[2], g, e)
-                             for g, e in fac if len(g) - 1 <= max_degree)
+    out = []
+    for g, e in fac:
+        if len(g) - 1 <= max_degree:
+            hnf, b = _basis_map(p, g, rows, den)
+            out.append((hnf, g, e, b))
+    return sorted(out)
 
 
 def residue_maps(field, p, bound):
     """The ResidueMaps of the primes of primes_over(field, p, bound), in
     its canonical order."""
-    rows, den, primes = primes_over(field, p, bound)
-    return [ResidueMap(field, p, g, e, rows, den) for _, g, e in primes]
+    return [ResidueMap(field, p, *prime)
+            for prime in primes_over(field, p, bound)]
 
 
 def factor_rational_prime(field, p):

@@ -398,7 +398,7 @@ def admissible_primes(shape, count, bound):
         if m is not None and m % p:
             # the ladder decides: the image of the triple's three matrices
             # is all of SL2(F_q)
-            for hnf, g, _ in primes_over(triple.field, p, bound)[2]:
+            for hnf, g, _, _ in primes_over(triple.field, p, bound):
                 q = p ** (len(g) - 1)
                 out.append((hnf, _modp_entry(p, len(g) - 1,
                                              q * (q * q - 1), 3)))

@@ -690,24 +690,31 @@ def test_admissible_walk_work_count(monkeypatch):
     assert all(n <= cap for _, cap, n in steps if cap is not None)
 
 
+def ring_map(k, p, g, rows):
+    """The ResidueMap of t -> x in F_p[x] / (g) on the integral-basis
+    rows (over den 1), as primes_over would give its prime."""
+    hnf, b = ideals._basis_map(p, g, rows, 1)
+    return ResidueMap(k, p, hnf, g, 1, b)
+
+
 def test_residue_map_checks_the_ring_map():
     # Z[i] at 5: i -> 2 is a ring map onto F_5, since 2^2 = -1 mod 5
     k = create_field([1, 0, 1])
     g = [-2 % 5, 1]
-    M = ResidueMap(k, 5, g, 1, [[1, 0], [0, 1]], 1)
+    M = ring_map(k, 5, g, [[1, 0], [0, 1]])
     assert M.reduce(k.theta) == 2
     assert M.hnf == ((1, 2), (0, 5))
     # a wrong image of i (2 + 2 = 4 or 2 * 2 = 4 under g = x - 2, where
     # 4^2 = 1 != -1) or of 1 is refused; i -> 1 + 2 = 3 is the ring map
     # of the other prime over 5
-    assert ResidueMap(k, 5, g, 1, [[1, 0], [1, 1]], 1).hnf == ((1, 3), (0, 5))
+    assert ring_map(k, 5, g, [[1, 0], [1, 1]]).hnf == ((1, 3), (0, 5))
     for rows in ([[1, 0], [2, 1]], [[2, 0], [0, 1]], [[1, 0], [0, 2]]):
         with pytest.raises(InvariantViolated):
-            ResidueMap(k, 5, g, 1, rows, 1)
+            ring_map(k, 5, g, rows)
     # and so is a wrong image in F_9 = F_3[x] / (x^2 + 1)
     with pytest.raises(InvariantViolated):
-        ResidueMap(k, 3, [1, 0, 1], 1, [[1, 0], [1, 1]], 1)
-    assert ResidueMap(k, 3, [1, 0, 1], 1, [[1, 0], [0, 1]], 1).f == 2
+        ring_map(k, 3, [1, 0, 1], [[1, 0], [1, 1]])
+    assert ring_map(k, 3, [1, 0, 1], [[1, 0], [0, 1]]).f == 2
 
 
 def test_residue_map_needs_an_irreducible_factor():
@@ -715,7 +722,7 @@ def test_residue_map_needs_an_irreducible_factor():
     # i -> x is a ring map onto it, so only the field's tables catch it
     k = create_field([1, 0, 1])
     with pytest.raises(InvariantViolated, match="no primitive element"):
-        ResidueMap(k, 5, [1, 0, 1], 1, [[1, 0], [0, 1]], 1)
+        ring_map(k, 5, [1, 0, 1], [[1, 0], [0, 1]])
 
 
 def test_residue_field_build_is_linear_in_q(monkeypatch):
