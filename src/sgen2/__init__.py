@@ -9,7 +9,7 @@ from .errors import (CardinalityTooSmall, ConfigInvalid, DatasheetInvalid,
                      VerificationFailure)
 from .field import FieldElement, NumberField, create_field
 from .ideals import (IntegralIdeal, PrimeIdeal, ResidueMap, class_order,
-                     factor_rational_prime, residue_maps)
+                     factor_rational_prime)
 from .sunits import (AlphaCertificate, CMStructure, PrimeSet, SubfieldDescriptor,
                      SUnitBasis, choose_alpha, default_subfields,
                      exponent_vector, is_cm, rank_of_intersection,

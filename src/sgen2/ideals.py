@@ -8,7 +8,7 @@ lattice of an ideal with given generators is spanned by the rows of
 their multiplication matrices (FieldElement._num_rows).
 
 The primes above p come from the factorization of a polynomial mod p
-(residue_maps): each monic irreducible factor g gives the ring map O_K
+(primes_over): each monic irreducible factor g gives the ring map O_K
 -> F_p[x] / (g) of one prime (ResidueMap), whose kernel is the prime.
 This is complete for degree <= 2 (the maximal order is Z[omega], and
 NumberField.omega_minpoly reads omega's minimal polynomial off the
@@ -376,19 +376,8 @@ def primes_over(field, p, bound):
     while p ** (max_degree + 1) <= bound:
         max_degree += 1
     rows, den, fac = _kummer_factors(field, p, max_degree)
-    out = []
-    for g, e in fac:
-        if len(g) - 1 <= max_degree:
-            hnf, b = _basis_map(p, g, rows, den)
-            out.append((hnf, g, e, b))
-    return sorted(out)
-
-
-def residue_maps(field, p, bound):
-    """The ResidueMaps of the primes of primes_over(field, p, bound), in
-    its canonical order."""
-    return [ResidueMap(field, p, *prime)
-            for prime in primes_over(field, p, bound)]
+    return sorted((hnf, g, e, b) for g, e in fac if len(g) - 1 <= max_degree
+                  for hnf, b in [_basis_map(p, g, rows, den)])
 
 
 def factor_rational_prime(field, p):

@@ -44,7 +44,7 @@ from .errors import (ConfigInvalid, IdentityFailed, NotInLattice, PrimeInS,
                      VerificationFailure)
 from .field import FieldElement
 from .generators import e12, e21
-from .ideals import primes_over, residue_maps
+from .ideals import ResidueMap, primes_over
 from .linalg import remainder, xgcd
 from .polys import is_prime
 
@@ -356,21 +356,18 @@ def admissible_primes(shape, count, bound):
     Case 1 is decided by the ladder, under the rule P not dividing m.  The
     ladder proves m O_S inside h Z[a^2], and the proved shapes put E21(x)
     and E12(x) in the group for x in h Z[a^2, a^-2]; so if P does not
-    divide m the image holds E21(F_q) and E12(F_q) and is SL2(F_q)
-    (Vaserstein 1972; Lang, Algebra, XIII 8).  Its entry is then a
-    formula of p and f = deg g: reached = group_order = q(q^2 - 1) and
-    bfs_expansions 6 times that; no ring map is built and nothing is
-    counted.  As the rule rests on m, the walk first rechecks m's
-    Lagrange containment (PowerSpan.recheck), so a wrong m raises.  If P
-    | m (p | m) the prime's ring map (ideals.residue_maps) reduces the
-    triple and modp_surjectivity counts the image, which the case-1
-    lemma gives: with k = F_p(a^2), the gamma-conjugates of psi1 = E21(h)
-    and psi2 = E12(h) give E21(h k) and E12(h k), conjugate under diag(h,
-    1) to E21(k) and E12(k), which generate SL2(k); the image is SL2(k)
-    <gamma>, of order |SL2(k)| if a is in k and twice that otherwise
-    (Dickson's list; Huppert, Endliche Gruppen I, II.8).  It is reported
-    if onto, else skipped with one stderr line naming p, q, the image
-    order, deg k and "P | m".
+    divide m the image is SL2(F_q) (Vaserstein 1972; Lang, Algebra, XIII
+    8), and the entry is a formula of p and f = deg g, with no ring map
+    and no count.  The walk first rechecks m (PowerSpan.recheck), so a
+    wrong m raises.  If P | m (p | m) the prime's ring map
+    (ideals.ResidueMap) reduces the triple and modp_surjectivity counts
+    the image, which the case-1 lemma gives: with k = F_p(a^2), the
+    gamma-conjugates of psi1 = E21(h) and psi2 = E12(h) give E21(h k) and
+    E12(h k), conjugate under diag(h, 1) to E21(k) and E12(k), which
+    generate SL2(k); the image is SL2(k) <gamma>, of order |SL2(k)| if a
+    is in k and twice that otherwise (Dickson's list; Huppert, Endliche
+    Gruppen I, II.8).  It is reported if onto, else skipped with one
+    stderr line naming p, q, the image order, deg k and "P | m".
 
     Case 2 counts each walked prime and keeps three filters until its
     ladder proves what it claims (ROADMAP item 21): psi2's entry tau
@@ -395,39 +392,36 @@ def admissible_primes(shape, count, bound):
             raise ConfigInvalid(
                 f"not enough admissible primes with residue field size "
                 f"up to {bound}")
-        if m is not None and m % p:
-            # the ladder decides: the image of the triple's three matrices
-            # is all of SL2(F_q)
-            for hnf, g, _, _ in primes_over(triple.field, p, bound):
-                q = p ** (len(g) - 1)
-                out.append((hnf, _modp_entry(p, len(g) - 1,
-                                             q * (q * q - 1), 3)))
-                if len(out) == count:
-                    break
-            p += 1
-            continue
-        for M in residue_maps(triple.field, p, bound):
-            mats = reduce_triple(triple, M)
-            # the corners of gamma = diag(a, a^-1) and psi2 = E12(tau)
-            a, tau = mats[0][0][0], mats[2][0][1]
-            if m is None and not (
-                    tau and not (M.f > 1 and M.mul(a, a) == 1)
-                    and _generates(M, [v for g in mats for r in g
-                                       for v in r])):
-                continue
-            entry = modp_surjectivity(M, mats)
-            if entry["passed"]:
-                out.append((M.hnf, entry))
-                if len(out) == count:
-                    break
-            elif m is not None:
-                print(f"skipped the prime over {p} (q = {M.q}): image "
-                      f"{entry['reached']} of {entry['group_order']}, deg k "
-                      f"= {_degree(M, M.mul(a, a))}, P | m", file=sys.stderr)
+        for hnf, g, e, b in primes_over(triple.field, p, bound):
+            if m is not None and m % p:
+                # the ladder decides: the image of the triple's matrices
+                # is all of SL2(F_q)
+                entry = _modp_entry(p, len(g) - 1, len(triple.matrices()))
             else:
-                raise VerificationFailure(
-                    f"reduction mod the prime over {p} (q = {M.q}) is not "
-                    f"surjective: {entry['reached']} of {entry['group_order']}")
+                M = ResidueMap(triple.field, p, hnf, g, e, b)
+                mats = reduce_triple(triple, M)
+                # the corners of gamma = diag(a, a^-1) and psi2 = E12(tau)
+                a, tau = mats[0][0][0], mats[2][0][1]
+                if m is None and not (
+                        tau and not (M.f > 1 and M.mul(a, a) == 1)
+                        and _generates(M, [v for x in mats for r in x
+                                           for v in r])):
+                    continue
+                entry = modp_surjectivity(M, mats)
+                if not entry["passed"]:
+                    if m is None:
+                        raise VerificationFailure(
+                            f"reduction mod the prime over {p} (q = {M.q}) "
+                            f"is not surjective: {entry['reached']} of "
+                            f"{entry['group_order']}")
+                    print(f"skipped the prime over {p} (q = {M.q}): image "
+                          f"{entry['reached']} of {entry['group_order']}, "
+                          f"deg k = {_degree(M, M.mul(a, a))}, P | m",
+                          file=sys.stderr)
+                    continue
+            out.append((hnf, entry))
+            if len(out) == count:
+                break
         p += 1
     return out
 
@@ -626,14 +620,17 @@ def modp_surjectivity(R, mats):
         if R.add(R.mul(a, d), R.neg_table[R.mul(b, c)]) != 1:
             raise VerificationFailure("reduced matrix leaves SL2")
     orbit, stabilizer = image_order(R, mats)
-    return _modp_entry(R.p, R.f, orbit * stabilizer, len(mats))
+    return _modp_entry(R.p, R.f, len(mats), orbit * stabilizer)
 
 
-def _modp_entry(p, f, reached, generators):
-    """The modp entry of a prime over p of degree f whose image has
-    reached elements, generated by that many matrices."""
+def _modp_entry(p, f, generators, reached=None):
+    """The modp entry of a prime over p of degree f whose image, generated
+    by that many matrices, has reached elements (all of SL2(F_q) if
+    None)."""
     q = p ** f
     order = q * (q * q - 1)
+    if reached is None:
+        reached = order
     return {
         "p": p,
         "f": f,

@@ -10,7 +10,7 @@ import random
 import time
 
 from sgen2.generators import build_generators, classify_case
-from sgen2.ideals import factor_rational_prime, residue_maps
+from sgen2.ideals import factor_rational_prime
 from sgen2.linalg import RatLattice, int_det
 from sgen2.sunits import (choose_alpha, default_subfields,
                           rank_of_intersection, s_unit_basis, zalpha_index)
@@ -21,6 +21,7 @@ from sgen2.verification import (admissible_primes, elementary_witness,
 from instances import (ALL, DESK, gaussian_five, gaussian_two, rational_two,
                        sqrt2_seven, sqrt5_two)
 from oracles import _pm_mul, pm_pow, pm_rows, valuation_ladder, zalpha_levels
+from test_verification import residue_maps
 
 CASE_ONE = [rational_two, gaussian_five, sqrt2_seven, sqrt5_two]
 

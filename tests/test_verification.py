@@ -12,7 +12,7 @@ from sgen2.errors import (ConfigInvalid, IdentityFailed, IndexDivisor,
                           SgenError, VerificationFailure)
 from sgen2.field import FieldElement, NumberField, create_field, integer_rows
 from sgen2.generators import build_generators
-from sgen2.ideals import ResidueMap, factor_rational_prime, residue_maps
+from sgen2.ideals import ResidueMap, factor_rational_prime, primes_over
 from sgen2.linalg import RatLattice
 from sgen2.polys import primes_below
 from sgen2.sunits import PrimeSet, s_unit_basis
@@ -37,6 +37,13 @@ N_RANGE = range(1, 6)
 def triple(make, h=1):
     k, S = make()
     return build_generators(k, S, h=h)
+
+
+def residue_maps(field, p, bound):
+    """The ring maps of the primes of primes_over(field, p, bound), in its
+    canonical order, built as the prime walk builds them at p | m."""
+    return [ResidueMap(field, p, *prime)
+            for prime in primes_over(field, p, bound)]
 
 
 def shaped(make, h=1):
@@ -825,23 +832,19 @@ def test_modp_shared_characteristic():
 def test_admissible_walk_ends_past_the_bound(monkeypatch):
     # every prime over p has a residue field of size at least p, so the
     # walk for more primes than the bound admits stops after p = 97; it
-    # reads each rational prime once, through primes_over (case 1, p not
-    # dividing m) or the ring maps, never as a PrimeIdeal
+    # reads each rational prime once, through primes_over, never as a
+    # PrimeIdeal
     shape = shaped(gaussian_five)
     walked = []
 
-    def recorded(reader):
-        def read(field, p, bound):
-            walked.append(p)
-            return reader(field, p, bound)
-        return read
+    def read(field, p, bound):
+        walked.append(p)
+        return ideals.primes_over(field, p, bound)
 
     def factor(field, p):
         raise AssertionError(f"the walk factored {p} into PrimeIdeals")
 
-    monkeypatch.setattr(verification, "primes_over",
-                        recorded(ideals.primes_over))
-    monkeypatch.setattr(verification, "residue_maps", recorded(residue_maps))
+    monkeypatch.setattr(verification, "primes_over", read)
     monkeypatch.setattr(ideals, "factor_rational_prime", factor)
     with pytest.raises(ConfigInvalid):
         admissible_primes(shape, 1000, 100)
