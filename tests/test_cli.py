@@ -758,43 +758,37 @@ def dumps(obj):
 
 
 def test_report_writer_matches_json_dumps_on_every_golden_report():
-    reports = [cli.run_examples()]
-    for key, entry in json.loads(GOLDEN.read_text())["reports"].items():
-        if entry["exit"] == 0:
-            command, config = key.split(" ", 1)
-            reports.append(cli.run_instance(
-                cli.validate_config(json.loads(config)), command))
-    assert len(reports) == 601
-    assert Counter(r["command"] for r in reports) == {
-        "examples": 1, "analyze": 294, "alpha": 293, "generate": 3,
-        "verify": 10}
-    for report in reports:
-        assert cli.write_report(report) == dumps(report)
-
-
-def test_every_golden_report_keeps_its_bytes():
-    # the benchmark's golden table, judged as bench/run.py judges it: a
-    # report frozen with exit 0 keeps the sha256 of the bytes main writes;
-    # of the two frozen as failed, alpha_d-3_S2-13 still stops with
-    # NotStabilized (ROADMAP item 2) and sqrt103_5 now passes its checks
-    failed = {}
+    # every report of the benchmark's golden table, judged also as
+    # bench/run.py judges it: one frozen with exit 0 keeps the sha256 of
+    # the bytes main writes; of the two frozen as failed,
+    # alpha_d-3_S2-13 still stops with NotStabilized (ROADMAP item 2) and
+    # sqrt103_5 now passes its checks
+    reports, failed = [cli.run_examples()], {}
     for key, entry in json.loads(GOLDEN.read_text())["reports"].items():
         command, config = key.split(" ", 1)
         cfg = cli.validate_config(json.loads(config))
-        if entry["sha256"] is not None:
-            text = cli.write_report(cli.run_instance(cfg, command)) + "\n"
-            assert hashlib.sha256(text.encode()).hexdigest() == \
-                entry["sha256"], entry["name"]
-            continue
-        failed[entry["name"]] = (entry["exit"], entry["error"])
+        if entry["sha256"] is None:
+            failed[entry["name"]] = (entry["exit"], entry["error"])
         if entry["name"] == "alpha_d-3_S2-13":
             with pytest.raises(NotStabilized):
                 cli.run_instance(cfg, command)
-        else:
-            report = cli.run_instance(cfg, command)
+            continue
+        report = cli.run_instance(cfg, command)
+        reports.append(report)
+        if entry["sha256"] is None:
             assert report["verification"]["passed"] is True
+        else:
+            text = cli.write_report(report) + "\n"
+            assert hashlib.sha256(text.encode()).hexdigest() == \
+                entry["sha256"], entry["name"]
     assert failed == {"alpha_d-3_S2-13": (2, "NotStabilized"),
                       "sqrt103_5": (3, "VerificationFailure")}
+    assert len(reports) == 602
+    assert Counter(r["command"] for r in reports) == {
+        "examples": 1, "analyze": 294, "alpha": 293, "generate": 3,
+        "verify": 11}
+    for report in reports:
+        assert cli.write_report(report) == dumps(report)
 
 
 def test_report_writer_edge_trees():
